@@ -6,7 +6,7 @@ the common zero set of the quadric and the three cone forms equals the Klein
 image of the tangent set plus the pencil, and reports candidate counts and
 wall-clock time. Useful for judging how far the desk-scale scan reaches.
 
-Usage: python scripts/variety_scan.py [--max-p 13] [--threads 4]
+Usage: python scripts/variety_scan.py [--max-p 13]
 """
 
 import argparse
@@ -20,7 +20,6 @@ from bwcayley.klein import verify_variety_equality
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-p", type=int, default=13)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     print(f"{'q':>4} {'candidates':>12} {'zero set':>9} {'expected':>9} {'equal':>6} {'secs':>7}")
@@ -31,7 +30,7 @@ def main() -> int:
         F = PrimeField(p)
         candidates = (p**6 - 1) // (p - 1)
         t0 = time.perf_counter()
-        r = verify_variety_equality(F, threads=args.threads)
+        r = verify_variety_equality(F)
         secs = time.perf_counter() - t0
         ok = "yes" if r.passed else "NO"
         print(

@@ -26,21 +26,29 @@ from .field import (
     cube_roots,
     nontrivial_cube_root_of_unity,
 )
+from .linalg import nullspace
 from .projspace import (
     GeometryError,
     Line,
+    ProjPlane,
     ProjPoint,
     canonicalize,
     dedup_lines,
-    enumerate_lines,
     enumerate_planes,
     enumerate_points,
+    gram_apply,
     incidence,
-    line_in_plane,
+    line_from_plucker,
     line_through,
     lines_skew,
     point_in_plane,
+    quadric_value,
+    span_points,
 )
+
+
+class WrongLineCount(GeometryError):
+    """O did not come out with its q^2 + 1 distinct lines."""
 
 
 class SamePoint(GeometryError):
@@ -93,7 +101,8 @@ def build_O(F: Field) -> List[Line]:
     lines = [osculating_tangent(u1, u2, F).line for u1, u2 in parameter_grid(F)]
     lines.append(cayley.g_infinity(F))
     deduped = dedup_lines(lines)
-    assert len(deduped) == F.order**2 + 1
+    if len(deduped) != F.order**2 + 1:
+        raise WrongLineCount(f"O has {len(deduped)} distinct lines, not {F.order**2 + 1}")
     return deduped
 
 
@@ -166,7 +175,10 @@ def certify_partial_spread(F: Field, spot_checks: int = 200, seed: int = 0) -> C
         if witness is not None:
             t1 = osculating_tangent(*witness[0], F).line
             t2 = osculating_tangent(*witness[1], F).line
-            assert not lines_skew(t1, t2, F), "criterion and determinant disagree"
+            if lines_skew(t1, t2, F):
+                return CheckOutcome(
+                    passed=False, witness=witness, counts=counts, note="route disagreement"
+                )
         return CheckOutcome(
             passed=witness is None and tangents_meeting_ginf == 0,
             witness=witness,
@@ -317,22 +329,27 @@ def certify_maximality(F: Field, spot_checks: int = 100, seed: int = 0) -> Check
 def certify_dual_spread(F: Field) -> CheckOutcome:
     """Plane counts of O: exactly one line per plane in the spread regimes.
 
-    Also verifies the dual surrogate of maximality: every plane through the
-    pinch point contains at least one line of O.
+    The planes through a line are the q+1 points of the nullspace of its two
+    spanning points, so one pass over the pencils of O counts the lines in
+    every plane. Also verifies the dual surrogate of maximality: every plane
+    through the pinch point contains at least one line of O.
     """
     if not F.is_finite:
         raise InfiniteField("dual-spread counting needs a finite field")
-    O = build_O(F)
+    lines_in: Dict[ProjPlane, int] = {}
+    for l in build_O(F):
+        for plane in span_points(nullspace([list(l.p), list(l.q)], 4, F), F):
+            lines_in[plane] = lines_in.get(plane, 0) + 1
     z = cayley.z_point(F)
     witness = None
     histogram: Dict[int, int] = {}
     planes_through_z_missing = 0
     for plane in enumerate_planes(F):
-        n = sum(1 for l in O if line_in_plane(l, plane, F))
+        n = lines_in.get(plane, 0)
         histogram[n] = histogram.get(n, 0) + 1
         if n != 1 and witness is None:
             witness = plane
-        if point_in_plane(z, plane, F) and n == 0:
+        if n == 0 and point_in_plane(z, plane, F):
             planes_through_z_missing += 1
     exact_one = set(histogram) == {1}
     return CheckOutcome(
@@ -453,22 +470,25 @@ def regulus_minus(s, F: Field) -> List[Line]:
     return dedup_lines(lines)
 
 
-def verify_regulus(lines: Sequence[Line], F: Field, all_lines: Optional[List[Line]] = None):
+def verify_regulus(lines: Sequence[Line], F: Field):
     """Check a q+1 line set is a regulus: transversals form an opposite regulus.
 
-    Returns (ok, transversals). The transversal set is computed by brute
-    force over every line of PG(3,q).
+    Returns (ok, transversals). A line meets every given line exactly when
+    its Klein image is on the quadric and in the nullspace of the rows
+    gram_apply(l.plucker), so the transversals are the quadric points of that
+    nullspace, ordered as span_points lists them.
     """
     lines = list(lines)
     if len(dedup_lines(lines)) != len(lines) or len(lines) < 3:
         raise NotARegulus("need at least three distinct lines")
-    if all_lines is None:
-        all_lines = enumerate_lines(F)
     pairwise = all(
         lines_skew(a, b, F) for i, a in enumerate(lines) for b in lines[i + 1 :]
     )
+    polar = nullspace([list(gram_apply(l.plucker, F)) for l in lines], 6, F)
     transversals = [
-        m for m in all_lines if all(not lines_skew(m, l, F) for l in lines)
+        line_from_plucker(y, F)
+        for y in span_points(polar, F)
+        if quadric_value(y, F) == F.zero
     ]
     opposite_ok = len(transversals) == len(lines) and all(
         lines_skew(a, b, F)

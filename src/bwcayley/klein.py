@@ -9,7 +9,6 @@ everything collapses into the quadratic cone cut out by the 3-space D.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import List, Sequence, Set, Tuple
 
@@ -25,6 +24,7 @@ from .projspace import (
     dedup_lines,
     enumerate_lines,
     enumerate_pg5_points,
+    gram_apply,
     line_through,
     lines_skew,
     quadric_value,
@@ -104,15 +104,6 @@ def in_B(y: Sequence, F: Field) -> bool:
 def in_D(y: Sequence, F: Field) -> bool:
     """The 3-space V(Y02, Y03 + Y12) of the characteristic-3 congruence."""
     return y[1] == F.zero and F.add(y[2], y[3]) == F.zero
-
-
-def gram_apply(v: Sequence, F: Field) -> Tuple:
-    """Apply the Gram matrix of the quadric's polarization to a sextuple.
-
-    The matrix swaps (Y01,Y23) and (Y03,Y12) and swaps (Y02,Y13) with a sign,
-    and is its own inverse.
-    """
-    return (v[5], F.neg(v[4]), v[3], v[2], F.neg(v[1]), v[0])
 
 
 def polar_of_equations(eq_rows: Sequence[Sequence], F: Field) -> List[Tuple]:
@@ -249,40 +240,24 @@ def _prime_zero_scan(p: int, lead: int, tails) -> Set[KleinPoint]:
     return zero
 
 
-def variety_zero_set(F: Field, threads: int = 1) -> Set[KleinPoint]:
+def variety_zero_set(F: Field) -> Set[KleinPoint]:
     """All canonical points of PG(5,q) where h1, h2, h3 and k vanish."""
     if not isinstance(F, PrimeField):
         raise InfiniteField("exhaustive scan needs a finite prime field")
     p = F.p
-    jobs = []
+    out: Set[KleinPoint] = set()
     for lead in range(5, -1, -1):
-        free = 5 - lead
-        if free == 0:
-            jobs.append((lead, [()]))
-        else:
-            # split the largest blocks on their first free coordinate
-            for first in range(p):
-                jobs.append((lead, [(first,) + t for t in product(range(p), repeat=free - 1)]))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda job: _prime_zero_scan(p, job[0], job[1]), jobs)
-            out: Set[KleinPoint] = set()
-            for part in parts:
-                out |= part
-            return out
-    out = set()
-    for lead, tails in jobs:
-        out |= _prime_zero_scan(p, lead, tails)
+        out |= _prime_zero_scan(p, lead, product(range(p), repeat=5 - lead))
     return out
 
 
-def verify_variety_equality(F: Field, threads: int = 1) -> CheckOutcome:
+def verify_variety_equality(F: Field) -> CheckOutcome:
     """Set equality of the exhaustive form zero set with the Klein image of
     the tangent set united with the pencil through the pinch point.
     """
     if F.characteristic == 3:
         raise WrongCharacteristic("the three-cone description needs characteristic != 3")
-    zero_set = variety_zero_set(F, threads=threads)
+    zero_set = variety_zero_set(F)
     image = {l.plucker for l in build_O(F)} | {l.plucker for l in pencil_LZomega(F)}
     equal = zero_set == image
     witness = None

@@ -88,6 +88,16 @@ def quadric_value(y: Sequence, F: Field):
     return F.add(F.sub(mul(y[0], y[5]), mul(y[1], y[4])), mul(y[2], y[3]))
 
 
+def gram_apply(v: Sequence, F: Field) -> Tuple:
+    """Apply the Gram matrix of the quadric's polarization to a sextuple.
+
+    The matrix swaps (Y01,Y23) and (Y03,Y12) and swaps (Y02,Y13) with a sign,
+    and is its own inverse. The row gram_apply(y) vanishes exactly on the
+    sextuples of lines meeting the line y.
+    """
+    return (v[5], F.neg(v[4]), v[3], v[2], F.neg(v[1]), v[0])
+
+
 def quadric_polarization(y: Sequence, z: Sequence, F: Field):
     """Bilinear polarization of the quadric form on two sextuples."""
     mul = F.mul
@@ -127,6 +137,35 @@ def line_through(p: Sequence, q: Sequence, F: Field) -> Line:
     if p == q:
         raise CoincidentPoints(f"{p} given twice")
     return Line(p=p, q=q, plucker=plucker(p, q, F))
+
+
+def line_from_plucker(y: Sequence, F: Field) -> Line:
+    """The line whose Klein image is the sextuple y.
+
+    The rows of the skew Plücker matrix of a line are points on it; two
+    distinct rows span it. A sextuple off the Klein quadric has no line, which
+    the round trip back to Plücker coordinates detects.
+    """
+    y01, y02, y03, y12, y13, y23 = y
+    neg = F.neg
+    rows = (
+        (F.zero, y01, y02, y03),
+        (neg(y01), F.zero, y12, y13),
+        (neg(y02), neg(y12), F.zero, y23),
+        (neg(y03), neg(y13), neg(y23), F.zero),
+    )
+    points: List[ProjPoint] = []
+    for r in rows:
+        if any(v != F.zero for v in r):
+            x = canonicalize(r, F)
+            if x not in points:
+                points.append(x)
+    if len(points) < 2:
+        raise GeometryError(f"{tuple(y)} is not the Klein image of a line")
+    line = line_through(points[0], points[1], F)
+    if line.plucker != canonicalize(y, F):
+        raise GeometryError(f"{tuple(y)} is not the Klein image of a line")
+    return line
 
 
 def dedup_lines(lines: Iterable[Line]) -> List[Line]:
@@ -209,6 +248,22 @@ def _canonical_tuples(length: int, F: Field) -> Iterator[Vector]:
         prefix = (F.zero,) * lead + (F.one,)
         for tail in product(elems, repeat=length - 1 - lead):
             yield prefix + tail
+
+
+def span_points(basis: Sequence[Sequence], F: Field) -> List[Vector]:
+    """Canonical points of the span of linearly independent vectors.
+
+    One point per canonical coefficient tuple, so the (q^k-1)/(q-1) points of
+    a k-dimensional span come out once each, ordered by their coefficients.
+    """
+    points = []
+    for coeffs in _canonical_tuples(len(basis), F):
+        acc = [F.zero] * len(basis[0])
+        for c, vec in zip(coeffs, basis):
+            if c != F.zero:
+                acc = [F.add(a, F.mul(c, v)) for a, v in zip(acc, vec)]
+        points.append(canonicalize(acc, F))
+    return points
 
 
 def enumerate_points(F: Field) -> List[ProjPoint]:

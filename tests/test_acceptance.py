@@ -156,12 +156,11 @@ def test_criterion_06_multiplicity_three():
 def test_criterion_07_reguli_gf5():
     with _Budget(7, "GF(5) reguli and opposite reguli", 5.0):
         F = PrimeField(5)
-        all_lines = enumerate_lines(F)
         for s in range(5):
             reg = regulus_minus(s, F)
             assert len(reg) == 6
             assert all(lines_skew(a, b, F) for a, b in combinations(reg, 2))
-            ok, opposite = verify_regulus(reg, F, all_lines)
+            ok, opposite = verify_regulus(reg, F)
             assert ok
             assert len(opposite) == 6
             assert all(lines_skew(a, b, F) for a, b in combinations(opposite, 2))

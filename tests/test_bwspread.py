@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwcayley import cayley
+from bwcayley import bwspread, cayley
 from bwcayley.bwspread import (
     Char3Unsupported,
     NotARegulus,
     PointOnGInf,
     SamePoint,
+    WrongLineCount,
     betten_chart,
     betten_collineation,
     build_O,
@@ -34,9 +35,11 @@ from bwcayley.bwspread import (
 from bwcayley.field import PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.projspace import (
     enumerate_lines,
+    enumerate_planes,
     enumerate_points,
     incidence,
     line_in_plane,
+    line_through,
     lines_skew,
     point_in_plane,
 )
@@ -127,6 +130,21 @@ class TestPartialSpread:
         r = certify_partial_spread(QQ, seed=1)
         assert r.passed
 
+    def test_route_disagreement_is_a_failed_check(self, monkeypatch):
+        # the determinant route calls every pair skew; the criterion does not
+        monkeypatch.setattr(bwspread, "lines_skew", lambda l1, l2, F: True)
+        r = certify_partial_spread(F7)
+        assert r.passed is False
+        assert r.note == "route disagreement"
+        assert r.witness == ((0, 0), (1, 4))
+
+
+class TestBuildO:
+    def test_line_count_checked(self, monkeypatch):
+        monkeypatch.setattr(bwspread, "dedup_lines", lambda lines: list(lines)[:-1])
+        with pytest.raises(WrongLineCount):
+            build_O(F5)
+
 
 class TestCovering:
     def test_gf5_exact_partition(self):
@@ -213,6 +231,35 @@ class TestDualSpread:
         O = build_O(F7)
         count = sum(1 for l in O if line_in_plane(l, r.witness, F7))
         assert count != 1
+
+    @pytest.mark.parametrize("F", [F2, F3, F5, F7])
+    def test_pencil_counts_equal_brute_plane_by_line_counts(self, F):
+        r = certify_dual_spread(F)
+        counts, witness = _brute_dual_spread(F)
+        assert r.counts == counts
+        assert r.witness == witness
+
+
+def _brute_dual_spread(F):
+    """Reference route: test every plane against every line of O."""
+    O = build_O(F)
+    z = cayley.z_point(F)
+    witness = None
+    histogram = {}
+    missing = 0
+    for plane in enumerate_planes(F):
+        n = sum(1 for l in O if line_in_plane(l, plane, F))
+        histogram[n] = histogram.get(n, 0) + 1
+        if n != 1 and witness is None:
+            witness = plane
+        if point_in_plane(z, plane, F) and n == 0:
+            missing += 1
+    counts = {
+        "planes": sum(histogram.values()),
+        "planes_through_Z_without_line": missing,
+        **{f"planes_with_{k}_lines": v for k, v in sorted(histogram.items())},
+    }
+    return counts, witness
 
 
 class TestDuality:
@@ -307,19 +354,58 @@ class TestReguli:
         assert cayley.generator(1, 0, F2) in opposite
 
     def test_gf5_all_parameters(self):
-        all_lines = enumerate_lines(F5)
         O = set(build_O(F5))
         for s in range(5):
             reg = regulus_minus(s, F5)
             assert len(reg) == 6
             assert set(reg) <= O
-            ok, opposite = verify_regulus(reg, F5, all_lines)
+            ok, opposite = verify_regulus(reg, F5)
             assert ok and len(opposite) == 6
             assert cayley.generator(1, s, F5) in opposite
 
     def test_not_a_regulus_on_degenerate_input(self):
         with pytest.raises(NotARegulus):
             verify_regulus([cayley.g_infinity(F2)], F2)
+
+    @pytest.mark.parametrize("F", [F2, F3, F5, F7])
+    def test_polarity_equals_brute_transversals_on_reguli(self, F):
+        all_lines = enumerate_lines(F)
+        for s in F.elements():
+            reg = regulus_minus(s, F)
+            ok, opposite = verify_regulus(reg, F)
+            assert len(opposite) == len(set(opposite))
+            assert (ok, set(opposite)) == _brute_regulus(reg, F, all_lines)
+            assert ok and cayley.generator(1, s, F) in opposite
+
+    @pytest.mark.parametrize("F", [F2, F3, F5])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # three concurrent coplanar lines: the polar nullspace has dimension 4
+            [((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)), ((1, 0, 0, 0), (0, 1, 1, 0))],
+            # three lines through one point, not coplanar
+            [((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)), ((1, 0, 0, 0), (0, 0, 0, 1))],
+            # two skew lines and one line meeting both
+            [((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1)), ((1, 0, 0, 0), (0, 0, 1, 0))],
+        ],
+        ids=["concurrent-coplanar", "concurrent-spatial", "skew-pair-and-transversal"],
+    )
+    def test_polarity_equals_brute_transversals_off_reguli(self, F, points):
+        lines = [line_through(p, q, F) for p, q in points]
+        ok, transversals = verify_regulus(lines, F)
+        assert len(transversals) == len(set(transversals))
+        assert (ok, set(transversals)) == _brute_regulus(lines, F, enumerate_lines(F))
+        assert not ok
+
+
+def _brute_regulus(lines, F, all_lines):
+    """Reference route: search every line of PG(3,q) for transversals."""
+    pairwise = all(lines_skew(a, b, F) for a, b in combinations(lines, 2))
+    transversals = [m for m in all_lines if all(not lines_skew(m, l, F) for l in lines)]
+    opposite_ok = len(transversals) == len(lines) and all(
+        lines_skew(a, b, F) for a, b in combinations(transversals, 2)
+    )
+    return pairwise and opposite_ok, set(transversals)
 
 
 class TestRegimeConsistency:

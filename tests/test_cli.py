@@ -50,6 +50,13 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
 
+    def test_out_to_missing_directory_is_reported(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, _, err = run(capsys, "certify", "--field", "gf:2", "--out", str(path))
+        assert code == 1
+        assert "cannot write the report" in err and str(path) in err
+        assert "Traceback" not in err
+
     def test_violation_exits_two(self, capsys, monkeypatch):
         # force a check that the regime predicts should pass to fail
         monkeypatch.setattr(
@@ -68,6 +75,12 @@ class TestReports:
         assert code == 0
         body = json.loads(out)
         assert body["checks"][0]["status"] == "skipped"
+
+    def test_klein_gf3_summary_says_nothing_ran(self, capsys):
+        code, out, _ = run(capsys, "klein", "--field", "gf:3")
+        assert code == 0
+        assert "no check ran" in out
+        assert "all checks match" not in out
 
     def test_klein_gf2_all_pass(self, capsys):
         code, out, _ = run(capsys, "klein", "--field", "gf:2", "--json")

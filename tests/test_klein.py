@@ -193,12 +193,6 @@ class TestVarietyEquality:
         assert r.passed
         assert r.counts["zero_set_points"] == expected == p * p + p + 1
 
-    def test_threads_give_same_answer(self):
-        single = verify_variety_equality(F5, threads=1)
-        multi = verify_variety_equality(F5, threads=4)
-        assert single.passed and multi.passed
-        assert single.counts == multi.counts
-
     def test_char3_rejected(self):
         with pytest.raises(WrongCharacteristic):
             verify_variety_equality(F3)

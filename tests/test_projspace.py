@@ -17,8 +17,10 @@ from bwcayley.projspace import (
     enumerate_pg5_points,
     enumerate_planes,
     enumerate_points,
+    gram_apply,
     incidence,
     intersect_planes,
+    line_from_plucker,
     line_in_plane,
     line_through,
     lines_skew,
@@ -27,7 +29,10 @@ from bwcayley.projspace import (
     point_in_plane,
     primitive_int_vector,
     quadric_value,
+    quadric_polarization,
+    span_points,
 )
+from bwcayley.linalg import nullspace
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -152,10 +157,53 @@ class TestIncidence:
             assert sum(1 for e in planes if line_in_plane(l, e, F)) == p + 1
             assert sum(1 for x in points if incidence(x, l, F)) == p + 1
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_plane_pencil_is_nullspace_span(self, p):
+        F = PrimeField(p)
+        planes = enumerate_planes(F)
+        for l in enumerate_lines(F):
+            pencil = span_points(nullspace([list(l.p), list(l.q)], 4, F), F)
+            assert len(pencil) == len(set(pencil)) == p + 1
+            assert set(pencil) == {e for e in planes if line_in_plane(l, e, F)}
+
     def test_intersect_planes_recovers_line(self):
         l = line_through((1, 2, 3, 4), (0, 1, 1, 2), F5)
         planes = [e for e in enumerate_planes(F5) if line_in_plane(l, e, F5)]
         assert intersect_planes(planes[0], planes[1], F5) == l
+
+
+class TestKleinRoundTrip:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_line_from_plucker_inverts_plucker(self, p):
+        F = PrimeField(p)
+        for l in enumerate_lines(F):
+            back = line_from_plucker(l.plucker, F)
+            assert back.plucker == l.plucker
+            assert incidence(back.p, l, F) and incidence(back.q, l, F)
+
+    def test_off_quadric_sextuple_has_no_line(self):
+        y = (1, 0, 0, 0, 0, 1)
+        assert quadric_value(y, F5) != 0
+        with pytest.raises(GeometryError):
+            line_from_plucker(y, F5)
+        with pytest.raises(GeometryError):
+            line_from_plucker((0,) * 6, F5)
+
+    def test_span_points_counts(self):
+        F = PrimeField(3)
+        basis = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 2]]
+        pts = span_points(basis, F)
+        assert len(pts) == len(set(pts)) == 13
+        assert span_points([], F) == []
+
+    def test_gram_apply_is_polarization(self):
+        F = PrimeField(3)
+        pts = list(enumerate_pg5_points(F))[:60]
+        for y in pts:
+            g = gram_apply(y, F)
+            for z in pts:
+                dot = sum(a * b for a, b in zip(g, z)) % 3
+                assert dot == quadric_polarization(y, z, F)
 
 
 class TestSkewness:
