@@ -2,37 +2,30 @@
 """Run the full certification battery over the standard field panel.
 
 Prints one row per field with the regime and every check's verdict, and
-optionally writes the JSON reports into a directory.
+optionally writes the JSON reports into a directory. Exits 2 when a check
+differs from its regime's prediction, 0 otherwise.
 
 Usage: python scripts/certify_all.py [--out-dir reports/] [--fields gf:2,gf:3,...]
 """
 
 import argparse
-import contextlib
-import io
 import sys
 import time
 from pathlib import Path
 
-from bwcayley.bwspread import certify_spread
-from bwcayley.cli import main as cli_main
+from bwcayley.cli import certify_report
 from bwcayley.field import parse_field_spec
 
 DEFAULT_FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "gf:11", "gf:13", "q"]
+VERDICTS = {"pass": "pass", "fail": "FAIL", "skipped": "skip"}
 
 
-def verdict(outcome) -> str:
-    if outcome.passed is None:
-        return "skip"
-    return "pass" if outcome.passed else "FAIL"
-
-
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fields", default=",".join(DEFAULT_FIELDS))
     parser.add_argument("--out-dir", help="also write one JSON report per field")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
     header = f"{'field':<8} {'regime':<28} {'partial':<8} {'cover':<8} {'maximal':<8} {'dual':<8} {'duality':<8} {'secs':>6}"
@@ -40,22 +33,17 @@ def main() -> int:
     print("-" * len(header))
     worst = 0
     for spec in fields:
-        F = parse_field_spec(spec)
         t0 = time.perf_counter()
-        cert = certify_spread(F, seed=args.seed)
+        report = certify_report(parse_field_spec(spec), args.seed)
         secs = time.perf_counter() - t0
-        print(
-            f"{spec:<8} {cert.regime.value:<28} {verdict(cert.partial_spread):<8} "
-            f"{verdict(cert.covering):<8} {verdict(cert.maximality):<8} "
-            f"{verdict(cert.dual_spread):<8} {verdict(cert.duality):<8} {secs:>6.2f}"
-        )
+        verdicts = " ".join(f"{VERDICTS[c.status]:<8}" for c in report.checks)
+        print(f"{spec:<8} {report.regime:<28} {verdicts} {secs:>6.2f}")
         if args.out_dir:
             out = Path(args.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            path = out / f"certify_{spec.replace(':', '_')}.json"
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main(["certify", "--field", spec, "--seed", str(args.seed), "--out", str(path)])
-            worst = max(worst, code)
+            (out / f"certify_{spec.replace(':', '_')}.json").write_text(report.full_json() + "\n")
+        if report.mismatches():
+            worst = 2
     return worst
 
 

@@ -21,8 +21,6 @@ from .field import (
     Field,
     InfiniteField,
     Rationals,
-    SpreadRegime,
-    classify_field,
     cube_roots,
     nontrivial_cube_root_of_unity,
 )
@@ -326,8 +324,8 @@ def certify_maximality(F: Field, spot_checks: int = 100, seed: int = 0) -> Check
     return CheckOutcome(passed=True, counts={"omega_points_sampled": spot_checks})
 
 
-def certify_dual_spread(F: Field) -> CheckOutcome:
-    """Plane counts of O: exactly one line per plane in the spread regimes.
+def certify_dual_spread(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """Plane counts of O = build_O(F): exactly one line per plane in the spread regimes.
 
     The planes through a line are the q+1 points of the nullspace of its two
     spanning points, so one pass over the pencils of O counts the lines in
@@ -337,7 +335,7 @@ def certify_dual_spread(F: Field) -> CheckOutcome:
     if not F.is_finite:
         raise InfiniteField("dual-spread counting needs a finite field")
     lines_in: Dict[ProjPlane, int] = {}
-    for l in build_O(F):
+    for l in O:
         for plane in span_points(nullspace([list(l.p), list(l.q)], 4, F), F):
             lines_in[plane] = lines_in.get(plane, 0) + 1
     z = cayley.z_point(F)
@@ -363,13 +361,16 @@ def certify_dual_spread(F: Field) -> CheckOutcome:
     )
 
 
-def certify_duality(F: Field, spot_checks: int = 100, seed: int = 0) -> CheckOutcome:
+def certify_duality(
+    F: Field, O: Optional[Sequence[Line]], spot_checks: int = 100, seed: int = 0
+) -> CheckOutcome:
     """The coordinate-reversing duality fixes O and pairs points with tangent planes.
 
     Checks (finite fields exhaustively, rationals on seeded samples):
     the parametric identity duality(P(u1,u2)) = tangent_plane(-u1, 3u1^2-u2),
     the induced line map sending the tangent at (u1,u2) to the tangent at
-    (-u1, 3u1^2-u2), and over finite fields that the dual image of O is O.
+    (-u1, 3u1^2-u2), and over finite fields that the dual image of
+    O = build_O(F) is O. Over the rationals O is None and unused.
     """
     def involution(u1, u2):
         return F.neg(u1), F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
@@ -385,7 +386,6 @@ def certify_duality(F: Field, spot_checks: int = 100, seed: int = 0) -> CheckOut
         for u1, u2 in parameter_grid(F):
             if not pair_ok(u1, u2):
                 return CheckOutcome(passed=False, witness=(u1, u2))
-        O = build_O(F)
         fixed = {cayley.dual_line(l, F) for l in O} == set(O)
         surface = [x for x in enumerate_points(F) if cayley.f_value(x, F) == F.zero]
         dual_images = {cayley.duality(x, F) for x in surface}
@@ -498,7 +498,19 @@ def verify_regulus(lines: Sequence[Line], F: Field):
     return pairwise and opposite_ok, transversals
 
 
-# --- aggregate certificate --------------------------------------------------
+def reguli_check(F: Field) -> CheckOutcome:
+    """For every s, regulus_minus(s) is a regulus whose opposite regulus
+    contains the generator g(1,s); the witness is the first failing s.
+    """
+    counts = {"reguli": F.order, "lines_each": F.order + 1}
+    for s in F.elements():
+        ok, opposite = verify_regulus(regulus_minus(s, F), F)
+        if not (ok and cayley.generator(1, s, F) in opposite):
+            return CheckOutcome(passed=False, witness=s, counts=counts)
+    return CheckOutcome(passed=True, counts=counts)
+
+
+# --- outcomes with their skips ---------------------------------------------
 
 def covering_outcome(F: Field) -> CheckOutcome:
     """Covering check with the rational small-height fallback."""
@@ -519,32 +531,8 @@ def maximality_outcome(F: Field, seed: int = 0) -> CheckOutcome:
     return certify_maximality(F, seed=seed)
 
 
-def dual_spread_outcome(F: Field) -> CheckOutcome:
-    """Dual-spread counting, skipped over infinite fields."""
+def dual_spread_outcome(F: Field, O: Optional[Sequence[Line]]) -> CheckOutcome:
+    """Dual-spread counting, skipped over infinite fields (where O is None)."""
     if not F.is_finite:
         return CheckOutcome(passed=None, note="plane counting needs a finite field")
-    return certify_dual_spread(F)
-
-
-@dataclass
-class SpreadCert:
-    """Full spread certificate for one ground field."""
-
-    regime: SpreadRegime
-    partial_spread: CheckOutcome
-    covering: CheckOutcome
-    maximality: CheckOutcome
-    dual_spread: CheckOutcome
-    duality: CheckOutcome
-
-
-def certify_spread(F: Field, seed: int = 0) -> SpreadCert:
-    """Run the whole certification battery for one field."""
-    return SpreadCert(
-        regime=classify_field(F),
-        partial_spread=certify_partial_spread(F, seed=seed),
-        covering=covering_outcome(F),
-        maximality=maximality_outcome(F, seed=seed),
-        dual_spread=dual_spread_outcome(F),
-        duality=certify_duality(F, seed=seed),
-    )
+    return certify_dual_spread(F, O)

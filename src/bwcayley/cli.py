@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from . import bwspread, cayley, idealprobe, klein
+from . import bwspread, idealprobe, klein
+from .bwspread import CheckOutcome
 from .field import Field, FieldError, SpreadRegime, classify_field, parse_field_spec
-from .projspace import canonicalize
-from .reports import Check, Report, check_from_outcome, jsonable
+from .reports import Report, check_from_outcome, jsonable
 
 
 class UsageError(Exception):
@@ -29,54 +31,169 @@ class ReportWriteError(Exception):
     pass
 
 
-# what each regime predicts for the certify battery
-PREDICTED = {
-    SpreadRegime.SPREAD_AND_COVERING: {
-        "partial_spread": "pass",
-        "covering": "pass",
-        "maximality": "pass",
-        "dual_spread": "pass",
-        "duality": "pass",
-    },
-    SpreadRegime.NOT_PARTIAL_SPREAD: {
-        "partial_spread": "fail",
-        "covering": "fail",
-        "maximality": "pass",
-        "dual_spread": "fail",
-        "duality": "pass",
-    },
-    SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING: {
-        "partial_spread": "pass",
-        "covering": "fail",
-        "maximality": "pass",
-        "dual_spread": "skipped",
-        "duality": "pass",
-    },
-    SpreadRegime.CHAR3: {
-        "partial_spread": "fail",
-        "covering": "fail",
-        "maximality": "skipped",
-        "dual_spread": "fail",
-        "duality": "pass",
-    },
+@dataclass
+class Run:
+    """The inputs one command's checks share; O and the ideal probe are built on first use."""
+
+    F: Field
+    seed: int = 0
+    degree: int = 0
+    samples: int = 0
+
+    @cached_property
+    def O(self):
+        """build_O(F) over a finite field; None over the rationals."""
+        return bwspread.build_O(self.F) if self.F.is_finite else None
+
+    @cached_property
+    def probe(self) -> idealprobe.ProbeReport:
+        return idealprobe.closure_probe(self.degree, self.samples, self.seed)
+
+
+def _by_regime(spread: str, not_partial: str, maximal_partial: str, char3: str) -> Dict[SpreadRegime, str]:
+    return {
+        SpreadRegime.SPREAD_AND_COVERING: spread,
+        SpreadRegime.NOT_PARTIAL_SPREAD: not_partial,
+        SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING: maximal_partial,
+        SpreadRegime.CHAR3: char3,
+    }
+
+
+def _pencil_vanishing(run: Run) -> CheckOutcome:
+    probe = run.probe
+    return CheckOutcome(
+        passed=probe.pencil_vanishing,
+        counts={
+            "degree": probe.degree,
+            "samples": probe.samples,
+            "nullspace_dimension": probe.nullspace_dimension,
+        },
+    )
+
+
+def _contains_known_forms(run: Run) -> Optional[CheckOutcome]:
+    known = run.probe.contains_known_forms  # None unless the degree is 2
+    return None if known is None else CheckOutcome(passed=known)
+
+
+# Every command's checks in report order, as (name, paper anchor, prediction,
+# runner). The prediction is a status, for certify one per regime. A runner
+# returns None when its check does not apply to the run. Runners look library
+# functions up through their module when called, so patching a module
+# attribute (in a test or a tracer) reaches them.
+CHECKS = {
+    "certify": [
+        (
+            "partial_spread",
+            "pairwise skew iff char != 3 and no cube root of unity other than 1",
+            _by_regime("pass", "fail", "pass", "fail"),
+            lambda run: bwspread.certify_partial_spread(run.F, seed=run.seed),
+        ),
+        (
+            "covering",
+            "covers all points iff char != 3 and cubing is onto",
+            _by_regime("pass", "fail", "fail", "fail"),
+            lambda run: bwspread.covering_outcome(run.F),
+        ),
+        (
+            "maximality",
+            "every point of the plane at infinity lies on a line of the set",
+            _by_regime("pass", "pass", "pass", "skipped"),
+            lambda run: bwspread.maximality_outcome(run.F, seed=run.seed),
+        ),
+        (
+            "dual_spread",
+            "every plane contains exactly one line of the set",
+            _by_regime("pass", "fail", "skipped", "fail"),
+            lambda run: bwspread.dual_spread_outcome(run.F, run.O),
+        ),
+        (
+            "duality",
+            "reversing coordinates maps surface points onto tangent planes and fixes the tangent set",
+            _by_regime("pass", "pass", "pass", "pass"),
+            lambda run: bwspread.certify_duality(run.F, run.O, seed=run.seed),
+        ),
+    ],
+    "klein": [
+        (
+            "variety_equality",
+            "form zero set equals tangent images plus the pencil through the pinch point",
+            "pass",
+            lambda run: klein.verify_variety_equality(run.F),
+        ),
+        (
+            "reguli",
+            "tangents along one generator plus the directrix form a regulus",
+            "pass",
+            lambda run: bwspread.reguli_check(run.F),
+        ),
+        (
+            "projection",
+            "projecting tangent images through the polar line of C traces a twisted cubic in B",
+            "pass",
+            lambda run: klein.projection_check(run.F),
+        ),
+        (
+            "generator_cubic",
+            "generator images fill a twisted cubic on the cone C meet Q",
+            "pass",
+            lambda run: klein.generator_cubic_check(run.F),
+        ),
+    ],
+    "char3": [
+        (
+            "congruence",
+            "char 3: tangent images fill the cone cut by D; all lines meet the line of nuclei",
+            "pass",
+            lambda run: klein.char3_congruence_check(run.F),
+        ),
+        (
+            "osculating_plane_pencil",
+            "char 3: osculating planes of the generator cubic share the polar axis of D",
+            "pass",
+            lambda run: klein.osculating_plane_pencil_check(run.F),
+        ),
+    ],
+    "ideal": [
+        (
+            "pencil_vanishing",
+            "forms vanishing on sampled tangent images vanish on the whole pencil line",
+            "pass",
+            _pencil_vanishing,
+        ),
+        (
+            "contains_known_forms",
+            "the quadric and the three cone forms lie in the degree-2 space",
+            "pass",
+            _contains_known_forms,
+        ),
+        (
+            "nonalgebraicity",
+            "the form zero set strictly exceeds the tangent images",
+            "pass",
+            lambda run: idealprobe.nonalgebraicity_evidence(run.degree, run.samples, run.seed),
+        ),
+    ],
 }
 
-ANCHORS = {
-    "partial_spread": "pairwise skew iff char != 3 and no cube root of unity other than 1",
-    "covering": "covers all points iff char != 3 and cubing is onto",
-    "maximality": "every point of the plane at infinity lies on a line of the set",
-    "dual_spread": "every plane contains exactly one line of the set",
-    "duality": "reversing coordinates maps surface points onto tangent planes and fixes the tangent set",
-    "variety_equality": "form zero set equals tangent images plus the pencil through the pinch point",
-    "reguli": "tangents along one generator plus the directrix form a regulus",
-    "projection": "projecting tangent images through the polar line of C traces a twisted cubic in B",
-    "generator_cubic": "generator images fill a twisted cubic on the cone C meet Q",
-    "congruence": "char 3: tangent images fill the cone cut by D; all lines meet the line of nuclei",
-    "osculating_plane_pencil": "char 3: osculating planes of the generator cubic share the polar axis of D",
-    "pencil_vanishing": "forms vanishing on sampled tangent images vanish on the whole pencil line",
-    "contains_known_forms": "the quadric and the three cone forms lie in the degree-2 space",
-    "nonalgebraicity": "the form zero set strictly exceeds the tangent images",
-}
+
+def run_checks(report: Report, run: Run) -> Report:
+    """Time every check of the report's command and append its result."""
+    for name, anchor, prediction, runner in CHECKS[report.command]:
+        t0 = time.perf_counter()
+        outcome = runner(run)
+        millis = (time.perf_counter() - t0) * 1000.0
+        if outcome is None:
+            continue
+        expected = prediction[SpreadRegime(report.regime)] if report.regime else prediction
+        report.checks.append(check_from_outcome(name, anchor, outcome, expected, millis))
+    return report
+
+
+def certify_report(F: Field, seed: int = 0) -> Report:
+    """The certify battery for one field."""
+    report = Report(command="certify", field_spec=F.spec_string(), regime=classify_field(F).value, seed=seed)
+    return run_checks(report, Run(F, seed))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,21 +205,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, (time.perf_counter() - t0) * 1000.0
-
-
-def _emit(report: Report, args) -> None:
+def _emit(report: Report, args) -> int:
+    """Write and print the report; return the exit code its checks call for."""
     if args.out:
         try:
             Path(args.out).write_text(report.full_json() + "\n")
         except OSError as exc:
             raise ReportWriteError(f"cannot write the report to {args.out}: {exc.strerror}") from exc
+    bad = report.mismatches()
     if args.json:
         print(report.full_json())
-        return
+        return 2 if bad else 0
     header = f"{report.command}  field={report.field_spec}"
     if report.regime:
         header += f"  regime={report.regime}"
@@ -114,54 +227,17 @@ def _emit(report: Report, args) -> None:
         if c.witness is not None and c.status == "fail":
             line += f"  witness={jsonable(c.witness)}"
         print(line)
-    bad = report.mismatches()
     if bad:
         print(f"MISMATCH against regime prediction: {', '.join(bad)}")
     elif all(c.status == "skipped" for c in report.checks):
         print("no check ran")
     else:
         print("all checks match the prediction")
+    return 2 if bad else 0
 
 
 def cmd_certify(args) -> int:
-    F = parse_field_spec(args.field)
-    regime = classify_field(F)
-    expected = PREDICTED[regime]
-    report = Report(command="certify", field_spec=F.spec_string(), regime=regime.value, seed=args.seed)
-
-    battery = [
-        ("partial_spread", lambda: bwspread.certify_partial_spread(F, seed=args.seed)),
-        ("covering", lambda: bwspread.covering_outcome(F)),
-        ("maximality", lambda: bwspread.maximality_outcome(F, seed=args.seed)),
-        ("dual_spread", lambda: bwspread.dual_spread_outcome(F)),
-        ("duality", lambda: bwspread.certify_duality(F, seed=args.seed)),
-    ]
-    for name, run in battery:
-        outcome, ms = _timed(run)
-        report.checks.append(
-            check_from_outcome(name, ANCHORS[name], outcome, expected=expected[name], millis=ms)
-        )
-    _emit(report, args)
-    return 2 if report.mismatches() else 0
-
-
-def _projected_cubic_point(s, F: Field):
-    s = F.of(s)
-    mul = F.mul
-    three = F.of(3)
-    return canonicalize(
-        (F.one, mul(three, s), F.zero, mul(three, mul(s, s)), mul(mul(s, s), s), F.zero),
-        F,
-    )
-
-
-def _generator_images_on_cone(F: Field) -> bool:
-    params = [(F.one, s) for s in F.elements()] + [(F.zero, F.one)]
-    for s0, s1 in params:
-        y = klein.generator_cubic(s0, s1, F)
-        if not (klein.in_C(y, F) and klein.k_form(y, F) == F.zero):
-            return False
-    return True
+    return _emit(certify_report(parse_field_spec(args.field), args.seed), args)
 
 
 def cmd_klein(args) -> int:
@@ -170,140 +246,34 @@ def cmd_klein(args) -> int:
         raise UsageError("klein: the exhaustive scan needs a finite field (use gf:<p>)")
     report = Report(command="klein", field_spec=F.spec_string())
     if F.characteristic == 3:
-        report.checks.append(
-            Check(
-                name="variety_equality",
-                paper_anchor=ANCHORS["variety_equality"],
-                status="skipped",
-                note="characteristic 3 has its own congruence description; see the char3 command",
-            )
+        name, anchor, _, _ = CHECKS["klein"][0]
+        skipped = CheckOutcome(
+            passed=None, note="characteristic 3 has its own congruence description; see the char3 command"
         )
-        _emit(report, args)
-        return 0
-
-    outcome, ms = _timed(klein.verify_variety_equality, F)
-    report.checks.append(
-        check_from_outcome("variety_equality", ANCHORS["variety_equality"], outcome, expected="pass", millis=ms)
-    )
-
-    t0 = time.perf_counter()
-    reguli_ok = True
-    witness = None
-    for s in F.elements():
-        reg = bwspread.regulus_minus(s, F)
-        ok, opposite = bwspread.verify_regulus(reg, F)
-        if not (ok and cayley.generator(1, s, F) in opposite):
-            reguli_ok = False
-            witness = s
-            break
-    report.checks.append(
-        Check(
-            name="reguli",
-            paper_anchor=ANCHORS["reguli"],
-            status="pass" if reguli_ok else "fail",
-            expected="pass",
-            witness=witness,
-            counts={"reguli": F.order, "lines_each": F.order + 1},
-            millis=(time.perf_counter() - t0) * 1000.0,
-        )
-    )
-
-    t0 = time.perf_counter()
-    proj_ok = True
-    proj_witness = None
-    for s in F.elements():
-        want = _projected_cubic_point(s, F)
-        for u2 in F.elements():
-            got = klein.project_through_Cperp(klein.kappa_osculating(s, u2, F), F)
-            if got != want:
-                proj_ok = False
-                proj_witness = (s, u2)
-                break
-        if not proj_ok:
-            break
-    report.checks.append(
-        Check(
-            name="projection",
-            paper_anchor=ANCHORS["projection"],
-            status="pass" if proj_ok else "fail",
-            expected="pass",
-            witness=proj_witness,
-            counts={"parameter_pairs": F.order**2},
-            millis=(time.perf_counter() - t0) * 1000.0,
-        )
-    )
-
-    cone_ok, ms = _timed(_generator_images_on_cone, F)
-    report.checks.append(
-        Check(
-            name="generator_cubic",
-            paper_anchor=ANCHORS["generator_cubic"],
-            status="pass" if cone_ok else "fail",
-            expected="pass",
-            counts={"generators": F.order + 1},
-            millis=ms,
-        )
-    )
-
-    _emit(report, args)
-    return 2 if report.mismatches() else 0
+        report.checks.append(check_from_outcome(name, anchor, skipped))
+        return _emit(report, args)
+    return _emit(run_checks(report, Run(F)), args)
 
 
 def cmd_char3(args) -> int:
     F = parse_field_spec(args.field)
     if F.characteristic != 3:
         raise UsageError(f"char3: needs a field of characteristic 3, got {F.spec_string()}")
-    report = Report(command="char3", field_spec=F.spec_string())
-    outcome, ms = _timed(klein.char3_congruence_check, F)
-    report.checks.append(
-        check_from_outcome("congruence", ANCHORS["congruence"], outcome, expected="pass", millis=ms)
-    )
-    outcome, ms = _timed(klein.osculating_plane_pencil_check, F)
-    report.checks.append(
-        check_from_outcome(
-            "osculating_plane_pencil", ANCHORS["osculating_plane_pencil"], outcome, expected="pass", millis=ms
-        )
-    )
-    _emit(report, args)
-    return 2 if report.mismatches() else 0
+    return _emit(run_checks(Report(command="char3", field_spec=F.spec_string()), Run(F)), args)
 
 
 def cmd_ideal(args) -> int:
     if not 1 <= args.degree <= idealprobe.MAX_DEGREE:
         raise UsageError(f"ideal: --degree must be between 1 and {idealprobe.MAX_DEGREE}")
-    if args.samples < 1:
-        raise UsageError("ideal: --samples must be positive")
+    least = len(idealprobe.monomial_exponents(args.degree))
+    if args.samples < least:
+        raise UsageError(
+            f"ideal: --samples must be at least {least} at degree {args.degree}, "
+            f"the number of degree-{args.degree} monomials"
+        )
     report = Report(command="ideal", field_spec="q", seed=args.seed)
-    probe, ms = _timed(idealprobe.closure_probe, args.degree, args.samples, args.seed)
-    report.checks.append(
-        Check(
-            name="pencil_vanishing",
-            paper_anchor=ANCHORS["pencil_vanishing"],
-            status="pass" if probe.pencil_vanishing else "fail",
-            expected="pass",
-            counts={
-                "degree": probe.degree,
-                "samples": probe.samples,
-                "nullspace_dimension": probe.nullspace_dimension,
-            },
-            millis=ms,
-        )
-    )
-    if args.degree == 2:
-        report.checks.append(
-            Check(
-                name="contains_known_forms",
-                paper_anchor=ANCHORS["contains_known_forms"],
-                status="pass" if probe.contains_known_forms else "fail",
-                expected="pass",
-            )
-        )
-    outcome, ms = _timed(idealprobe.nonalgebraicity_evidence, args.degree, args.samples, args.seed)
-    report.checks.append(
-        check_from_outcome("nonalgebraicity", ANCHORS["nonalgebraicity"], outcome, expected="pass", millis=ms)
-    )
-    _emit(report, args)
-    return 2 if report.mismatches() else 0
+    run = Run(idealprobe.QQ, args.seed, args.degree, args.samples)
+    return _emit(run_checks(report, run), args)
 
 
 def build_parser() -> _Parser:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bwspread import CheckOutcome
 from .field import Rationals
 from .klein import in_kappa_O, kappa_osculating
-from .linalg import rank, rref
+from .linalg import nullspace, rank
 from .projspace import KleinPoint, primitive_int_vector
 
 QQ = Rationals()
@@ -30,6 +30,14 @@ MAX_DEGREE = 3  # C(8,5) = 56 monomials keeps exact elimination instant
 
 class DegreeOutOfRange(ValueError):
     pass
+
+
+class WrongMonomialCount(RuntimeError):
+    """The enumerated monomials disagree with the binomial count."""
+
+
+class FormDoesNotVanish(RuntimeError):
+    """A computed nullspace form fails to vanish at one of its input points."""
 
 
 def monomial_exponents(d: int) -> List[Tuple[int, ...]]:
@@ -43,7 +51,9 @@ def monomial_exponents(d: int) -> List[Tuple[int, ...]]:
             e[v] += 1
         exps.append(tuple(e))
     exps.sort(reverse=True)
-    assert len(exps) == comb(d + NUM_VARS - 1, NUM_VARS - 1)
+    want = comb(d + NUM_VARS - 1, NUM_VARS - 1)
+    if len(exps) != want:
+        raise WrongMonomialCount(f"{len(exps)} degree-{d} monomials, expected {want}")
     return exps
 
 
@@ -102,19 +112,11 @@ def vanishing_space(points: Sequence[Sequence], d: int) -> List[List[Fraction]]:
     exps = monomial_exponents(d)
     int_points = [primitive_int_vector(pt) for pt in points]
     matrix = [monomial_row(exps, pt) for pt in int_points]
-    reduced, pivots = rref(matrix, QQ)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(len(exps)) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * len(exps)
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -Fraction(reduced[r][fc])
-        basis.append(vec)
+    basis = nullspace(matrix, len(exps), QQ)
     for form in basis:
         for pt in int_points:
-            assert form_value(exps, form, pt) == 0, "nullspace form fails to vanish"
+            if form_value(exps, form, pt) != 0:
+                raise FormDoesNotVanish(f"nullspace form fails to vanish at {pt}")
     return basis
 
 

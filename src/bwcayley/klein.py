@@ -39,10 +39,6 @@ class ProjectionDegenerate(GeometryError):
     pass
 
 
-class ZeroParameters(GeometryError):
-    pass
-
-
 # --- forms ------------------------------------------------------------------
 
 def k_form(y: Sequence, F: Field):
@@ -169,7 +165,7 @@ def generator_cubic(s0, s1, F: Field) -> KleinPoint:
     """Klein image of the generator g(s0,s1): (0, s0^3, s0^2 s1, s0^2 s1, s0 s1^2, s1^3)."""
     s0, s1 = F.of(s0), F.of(s1)
     if s0 == F.zero and s1 == F.zero:
-        raise ZeroParameters("generator parameters must not both vanish")
+        raise cayley.ZeroParameters("generator parameters must not both vanish")
     mul = F.mul
     a = mul(mul(s0, s0), s0)
     b = mul(mul(s0, s0), s1)
@@ -192,7 +188,7 @@ def pencil_line(a, b, F: Field) -> Line:
     """The line joining the pinch point with (0, a, b, 0) inside the plane at infinity."""
     a, b = F.of(a), F.of(b)
     if a == F.zero and b == F.zero:
-        raise ZeroParameters("pencil parameters must not both vanish")
+        raise cayley.ZeroParameters("pencil parameters must not both vanish")
     return line_through((F.zero, a, b, F.zero), cayley.z_point(F), F)
 
 
@@ -216,6 +212,41 @@ def project_through_Cperp(y: Sequence, F: Field) -> KleinPoint:
     if all(v == F.zero for v in image):
         raise ProjectionDegenerate("input lies on the polar line of C")
     return canonicalize(image, F)
+
+
+def _projected_cubic_point(s, F: Field) -> KleinPoint:
+    """The point (1, 3s, 0, 3s^2, s^3, 0) of the twisted cubic in B."""
+    s = F.of(s)
+    mul = F.mul
+    three = F.of(3)
+    return canonicalize(
+        (F.one, mul(three, s), F.zero, mul(three, mul(s, s)), mul(mul(s, s), s), F.zero),
+        F,
+    )
+
+
+def projection_check(F: Field) -> CheckOutcome:
+    """Projecting the tangent image at (s, u2) through the polar line of C
+    lands on the cubic point of s for every u2; the witness is the first
+    failing (s, u2).
+    """
+    counts = {"parameter_pairs": F.order**2}
+    for s in F.elements():
+        want = _projected_cubic_point(s, F)
+        for u2 in F.elements():
+            if project_through_Cperp(kappa_osculating(s, u2, F), F) != want:
+                return CheckOutcome(passed=False, witness=(s, u2), counts=counts)
+    return CheckOutcome(passed=True, counts=counts)
+
+
+def generator_cubic_check(F: Field) -> CheckOutcome:
+    """Every generator image lies in C and on the Klein quadric."""
+    params = [(F.one, s) for s in F.elements()] + [(F.zero, F.one)]
+    passed = all(
+        in_C(y, F) and k_form(y, F) == F.zero
+        for y in (generator_cubic(s0, s1, F) for s0, s1 in params)
+    )
+    return CheckOutcome(passed=passed, counts={"generators": F.order + 1})
 
 
 # --- exhaustive variety comparison -------------------------------------------

@@ -22,16 +22,17 @@ from bwcayley.bwspread import (
     certify_duality,
     certify_maximality,
     certify_partial_spread,
-    certify_spread,
     covering_deficit,
     osculating_tangent,
     parameter_grid,
+    reguli_check,
     regulus_minus,
     skew_criterion,
     transversal_map,
     uncovered_witness_rational,
     verify_regulus,
 )
+from bwcayley.cli import certify_report
 from bwcayley.field import PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.projspace import (
     enumerate_lines,
@@ -220,12 +221,12 @@ class TestMaximality:
 class TestDualSpread:
     @pytest.mark.parametrize("F,planes", [(F2, 15), (F5, 156)])
     def test_exactly_one_line_per_plane(self, F, planes):
-        r = certify_dual_spread(F)
+        r = certify_dual_spread(F, build_O(F))
         assert r.passed
         assert r.counts["planes_with_1_lines"] == planes
 
     def test_gf7_fails_with_witness(self):
-        r = certify_dual_spread(F7)
+        r = certify_dual_spread(F7, build_O(F7))
         assert not r.passed
         assert r.witness is not None
         O = build_O(F7)
@@ -234,7 +235,7 @@ class TestDualSpread:
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_pencil_counts_equal_brute_plane_by_line_counts(self, F):
-        r = certify_dual_spread(F)
+        r = certify_dual_spread(F, build_O(F))
         counts, witness = _brute_dual_spread(F)
         assert r.counts == counts
         assert r.witness == witness
@@ -265,10 +266,10 @@ def _brute_dual_spread(F):
 class TestDuality:
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_duality_fixes_O(self, F):
-        assert certify_duality(F).passed
+        assert certify_duality(F, build_O(F)).passed
 
     def test_rationals(self):
-        assert certify_duality(QQ, seed=5).passed
+        assert certify_duality(QQ, None, seed=5).passed
 
 
 class TestGEquivariance:
@@ -363,6 +364,25 @@ class TestReguli:
             assert ok and len(opposite) == 6
             assert cayley.generator(1, s, F5) in opposite
 
+    def test_check_passes_with_counts(self):
+        r = reguli_check(F5)
+        assert r.passed and r.witness is None
+        assert r.counts == {"reguli": 5, "lines_each": 6}
+
+    def test_check_stops_at_first_failing_parameter(self, monkeypatch):
+        verify = bwspread.verify_regulus
+        calls = []
+
+        def third_fails(lines, F):
+            calls.append(lines)
+            ok, opposite = verify(lines, F)
+            return ok and len(calls) != 3, opposite
+
+        monkeypatch.setattr(bwspread, "verify_regulus", third_fails)
+        r = reguli_check(F5)
+        assert not r.passed and r.witness == 2 and len(calls) == 3
+        assert r.counts == {"reguli": 5, "lines_each": 6}
+
     def test_not_a_regulus_on_degenerate_input(self):
         with pytest.raises(NotARegulus):
             verify_regulus([cayley.g_infinity(F2)], F2)
@@ -408,32 +428,40 @@ def _brute_regulus(lines, F, all_lines):
     return pairwise and opposite_ok, set(transversals)
 
 
+def _passed_by_name(report):
+    """Each check's status read back as CheckOutcome.passed (None when skipped)."""
+    return {c.name: {"pass": True, "fail": False, "skipped": None}[c.status] for c in report.checks}
+
+
 class TestRegimeConsistency:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_joint_verdicts_match_regime(self, p):
         F = PrimeField(p)
         regime = classify_field(F)
-        cert = certify_spread(F)
-        assert cert.regime == regime
-        is_partial = cert.partial_spread.passed
-        covers = cert.covering.passed
+        report = certify_report(F)
+        assert report.regime == regime.value
+        passed = _passed_by_name(report)
+        is_partial = passed["partial_spread"]
+        covers = passed["covering"]
         assert is_partial == (regime in (SpreadRegime.SPREAD_AND_COVERING, SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING))
         assert covers == (regime == SpreadRegime.SPREAD_AND_COVERING)
         if regime == SpreadRegime.CHAR3:
-            assert cert.maximality.passed is None
+            assert passed["maximality"] is None
         else:
-            assert cert.maximality.passed
-        assert cert.dual_spread.passed == is_partial
-        assert cert.duality.passed
+            assert passed["maximality"]
+        assert passed["dual_spread"] == is_partial
+        assert passed["duality"]
 
     def test_rationals(self):
-        cert = certify_spread(QQ)
-        assert cert.regime == SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING
-        assert cert.partial_spread.passed
-        assert not cert.covering.passed
-        assert cert.covering.witness == (1, 0, 0, 2)
-        assert cert.maximality.passed
-        assert cert.dual_spread.passed is None
+        report = certify_report(QQ)
+        assert report.regime == SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING.value
+        passed = _passed_by_name(report)
+        assert passed["partial_spread"]
+        assert not passed["covering"]
+        covering = next(c for c in report.checks if c.name == "covering")
+        assert covering.witness == (1, 0, 0, 2)
+        assert passed["maximality"]
+        assert passed["dual_spread"] is None
 
     def test_spread_partition_count_identity(self):
         for p in (2, 5, 11):

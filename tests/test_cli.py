@@ -43,6 +43,12 @@ class TestExitCodes:
         code, _, _ = run(capsys, "ideal", "--degree", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("samples,code", [(20, 1), (21, 0)])
+    def test_ideal_samples_at_least_the_monomial_count(self, capsys, samples, code):
+        got, _, err = run(capsys, "ideal", "--degree", "2", "--samples", str(samples))
+        assert got == code
+        assert ("--samples must be at least 21" in err) == (code == 1)
+
     def test_klein_needs_finite_field(self, capsys):
         code, _, err = run(capsys, "klein", "--field", "q")
         assert code == 1 and "finite" in err
@@ -67,6 +73,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, "certify", "--field", "gf:5")
         assert code == 2
         assert "MISMATCH" in out
+
+    def test_certify_builds_O_once(self, capsys, monkeypatch):
+        calls = []
+        build_O = bwspread.build_O
+        monkeypatch.setattr(bwspread, "build_O", lambda F: calls.append(F) or build_O(F))
+        code, _, _ = run(capsys, "certify", "--field", "gf:5")
+        assert code == 0 and len(calls) == 1
 
 
 class TestReports:

@@ -141,6 +141,20 @@ class TestProfileAndRegime:
     def test_classification(self, spec, regime):
         assert classify_field(parse_field_spec(spec)) == regime
 
+    def test_regime_follows_p_mod_3_for_primes_below_1000(self):
+        composite = set()
+        for p in range(2, 1000):
+            if p in composite:
+                continue
+            composite.update(range(p * p, 1000, p))
+            if p == 3:
+                want = SpreadRegime.CHAR3
+            elif p % 3 == 2:
+                want = SpreadRegime.SPREAD_AND_COVERING
+            else:
+                want = SpreadRegime.NOT_PARTIAL_SPREAD
+            assert classify_field(PrimeField(p)) == want, p
+
 
 class TestAxioms:
     @given(st.integers(), st.integers(), st.integers())

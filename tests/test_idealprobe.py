@@ -1,12 +1,15 @@
 """Exact vanishing-space interpolation and the pencil-closure probe."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+from bwcayley import idealprobe
 from bwcayley.field import Rationals
 from bwcayley.idealprobe import (
     DegreeOutOfRange,
+    FormDoesNotVanish,
     closure_probe,
     form_value,
     known_quadric_coefficients,
@@ -96,6 +99,14 @@ class TestVanishingSpace:
         for form in vanishing_space(points, 2):
             for pt in points:
                 assert form_value(exps, form, primitive_int_vector(pt)) == 0
+
+    def test_form_that_does_not_vanish_is_rejected(self, monkeypatch):
+        # the re-verification is an explicit check, so it also runs under python -O
+        monkeypatch.setattr(
+            idealprobe, "nullspace", lambda rows, ncols, F: [[Fraction(1)] + [Fraction(0)] * (ncols - 1)]
+        )
+        with pytest.raises(FormDoesNotVanish):
+            vanishing_space(sample_kappa_O(3, 0), 1)
 
     def test_known_forms_vanish_on_samples(self):
         exps = monomial_exponents(2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwcayley import cayley
+from bwcayley import cayley, klein
 from bwcayley.bwspread import build_O, osculating_tangent, parameter_grid
 from bwcayley.field import PrimeField, Rationals
 from bwcayley.klein import (
@@ -15,6 +15,7 @@ from bwcayley.klein import (
     WrongCharacteristic,
     char3_congruence_check,
     generator_cubic,
+    generator_cubic_check,
     gram_apply,
     h1_form,
     h2_form,
@@ -31,6 +32,7 @@ from bwcayley.klein import (
     pencil_LZomega,
     pencil_line,
     project_through_Cperp,
+    projection_check,
     twisted_cubic_basis,
     variety_qd_points,
     verify_variety_equality,
@@ -115,6 +117,15 @@ class TestTwistedCubic:
         y = generator_cubic(0, 1, F5)
         assert in_C(y, F5) and k_form(y, F5) == 0
 
+    def test_zero_parameters_rejected(self):
+        with pytest.raises(cayley.ZeroParameters):
+            generator_cubic(0, 0, F5)
+
+    def test_check_counts_generators(self):
+        r = generator_cubic_check(F5)
+        assert r.passed and r.witness is None
+        assert r.counts == {"generators": 6}
+
     def test_cone_with_vertex_w_infinity(self):
         # joining any generator image with the vertex stays in C and on Q
         winf = w_infinity(F5)
@@ -158,6 +169,10 @@ class TestPencil:
         l = pencil_line(1, 0, F5)
         assert kappa(l) == (0, 0, 0, 0, 1, 0)
 
+    def test_zero_parameters_rejected(self):
+        with pytest.raises(cayley.ZeroParameters):
+            pencil_line(0, 0, F5)
+
     def test_images_span_expected_line(self):
         for l in pencil_LZomega(F5):
             y = kappa(l)
@@ -178,6 +193,19 @@ class TestProjection:
             for u2 in range(5):
                 y = project_through_Cperp(kappa_osculating(u1, u2, F5), F5)
                 assert in_B(y, F5)
+
+    def test_check_passes_with_counts(self):
+        r = projection_check(F5)
+        assert r.passed and r.witness is None
+        assert r.counts == {"parameter_pairs": 25}
+
+    def test_check_witness_is_first_failing_pair(self, monkeypatch):
+        project = klein.project_through_Cperp
+        monkeypatch.setattr(
+            klein, "project_through_Cperp", lambda y, F: w_vector(F) if y[2] == 3 else project(y, F)
+        )
+        r = projection_check(F5)
+        assert not r.passed and r.witness == (0, 3)
 
     def test_degenerate_on_polar_line(self):
         with pytest.raises(ProjectionDegenerate):
