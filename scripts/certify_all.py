@@ -3,7 +3,7 @@
 
 Prints one row per field with the regime and every check's verdict, and
 optionally writes the JSON reports into a directory. Exits 2 when a check
-differs from its regime's prediction, 0 otherwise.
+differs from its regime's prediction, 1 on a bad field spec, 0 otherwise.
 
 Usage: python scripts/certify_all.py [--out-dir reports/] [--fields gf:2,gf:3,...]
 """
@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from bwcayley.cli import certify_report
-from bwcayley.field import parse_field_spec
+from bwcayley.field import FieldError, parse_field_spec
 
 DEFAULT_FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "gf:11", "gf:13", "q"]
 VERDICTS = {"pass": "pass", "fail": "FAIL", "skipped": "skip"}
@@ -27,14 +27,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    fields = [f.strip() for f in args.fields.split(",") if f.strip()]
+    specs = [f.strip() for f in args.fields.split(",") if f.strip()]
+    try:
+        fields = [(spec, parse_field_spec(spec)) for spec in specs]
+    except FieldError as exc:
+        sys.stderr.write(f"certify_all: {exc}\n")
+        return 1
     header = f"{'field':<8} {'regime':<28} {'partial':<8} {'cover':<8} {'maximal':<8} {'dual':<8} {'duality':<8} {'secs':>6}"
     print(header)
     print("-" * len(header))
     worst = 0
-    for spec in fields:
+    for spec, F in fields:
         t0 = time.perf_counter()
-        report = certify_report(parse_field_spec(spec), args.seed)
+        report = certify_report(F, args.seed)
         secs = time.perf_counter() - t0
         verdicts = " ".join(f"{VERDICTS[c.status]:<8}" for c in report.checks)
         print(f"{spec:<8} {report.regime:<28} {verdicts} {secs:>6.2f}")

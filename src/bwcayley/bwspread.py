@@ -32,8 +32,6 @@ from .projspace import (
     ProjPoint,
     canonicalize,
     dedup_lines,
-    enumerate_planes,
-    enumerate_points,
     gram_apply,
     incidence,
     line_from_plucker,
@@ -213,8 +211,8 @@ def covering_deficit(p1, p2, p3, F: Field) -> Element:
     return F.sub(p3, F.sub(F.mul(p1, p2), F.mul(F.mul(p1, p1), p1)))
 
 
-def certify_covering(F: Field) -> CheckOutcome:
-    """Whether every point of PG(3,q) lies on a line of O (finite fields).
+def certify_covering(F: Field, points: Sequence[ProjPoint]) -> CheckOutcome:
+    """Whether every point of PG(3,q), points = enumerate_points(F), lies on a line of O.
 
     Affine points are decided by cube-root solvability of the covering
     deficit; points at infinity by matching tangent directions. Multiplicity
@@ -227,7 +225,7 @@ def certify_covering(F: Field) -> CheckOutcome:
     uncovered = 0
     witness = None
     histogram: Dict[int, int] = {}
-    for point in enumerate_points(F):
+    for point in points:
         x0, x1, x2, x3 = point
         if x0 != F.zero:
             n = len(cube_roots(covering_deficit(x1, x2, x3, F), F))
@@ -281,13 +279,16 @@ def uncovered_witness_rational(bound: int, F: Optional[Field] = None) -> Optiona
     return None
 
 
-def certify_maximality(F: Field, spot_checks: int = 100, seed: int = 0) -> CheckOutcome:
+def certify_maximality(
+    F: Field, points: Optional[Sequence[ProjPoint]], spot_checks: int = 100, seed: int = 0
+) -> CheckOutcome:
     """Every point of the plane at infinity lies on a line of O (char != 3).
 
     This forces maximality: any line not in O meets the plane at infinity at
     a point already covered, hence meets the covering line there. Finite
-    fields are re-verified exhaustively by incidence; the rationals by the
-    same construction on seeded samples.
+    fields are re-verified exhaustively by incidence over points =
+    enumerate_points(F); the rationals (points None) by the same
+    construction on seeded samples.
     """
     if F.characteristic == 3:
         raise Char3Unsupported("the maximality argument inverts 3")
@@ -304,7 +305,7 @@ def certify_maximality(F: Field, spot_checks: int = 100, seed: int = 0) -> Check
 
     if F.is_finite:
         checked = 0
-        for point in enumerate_points(F):
+        for point in points:
             if point[0] != F.zero:
                 continue
             if not incidence(point, covering_line(point), F):
@@ -324,8 +325,9 @@ def certify_maximality(F: Field, spot_checks: int = 100, seed: int = 0) -> Check
     return CheckOutcome(passed=True, counts={"omega_points_sampled": spot_checks})
 
 
-def certify_dual_spread(F: Field, O: Sequence[Line]) -> CheckOutcome:
-    """Plane counts of O = build_O(F): exactly one line per plane in the spread regimes.
+def certify_dual_spread(F: Field, O: Sequence[Line], planes: Sequence[ProjPlane]) -> CheckOutcome:
+    """Plane counts of O = build_O(F) over planes = enumerate_planes(F): exactly
+    one line per plane in the spread regimes.
 
     The planes through a line are the q+1 points of the nullspace of its two
     spanning points, so one pass over the pencils of O counts the lines in
@@ -342,7 +344,7 @@ def certify_dual_spread(F: Field, O: Sequence[Line]) -> CheckOutcome:
     witness = None
     histogram: Dict[int, int] = {}
     planes_through_z_missing = 0
-    for plane in enumerate_planes(F):
+    for plane in planes:
         n = lines_in.get(plane, 0)
         histogram[n] = histogram.get(n, 0) + 1
         if n != 1 and witness is None:
@@ -362,7 +364,12 @@ def certify_dual_spread(F: Field, O: Sequence[Line]) -> CheckOutcome:
 
 
 def certify_duality(
-    F: Field, O: Optional[Sequence[Line]], spot_checks: int = 100, seed: int = 0
+    F: Field,
+    O: Optional[Sequence[Line]],
+    points: Optional[Sequence[ProjPoint]],
+    planes: Optional[Sequence[ProjPlane]],
+    spot_checks: int = 100,
+    seed: int = 0,
 ) -> CheckOutcome:
     """The coordinate-reversing duality fixes O and pairs points with tangent planes.
 
@@ -370,7 +377,10 @@ def certify_duality(
     the parametric identity duality(P(u1,u2)) = tangent_plane(-u1, 3u1^2-u2),
     the induced line map sending the tangent at (u1,u2) to the tangent at
     (-u1, 3u1^2-u2), and over finite fields that the dual image of
-    O = build_O(F) is O. Over the rationals O is None and unused.
+    O = build_O(F) is O and that duality maps the surface points among
+    points = enumerate_points(F) onto the tangent planes among
+    planes = enumerate_planes(F). Over the rationals O, points and planes
+    are None and unused.
     """
     def involution(u1, u2):
         return F.neg(u1), F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
@@ -387,11 +397,9 @@ def certify_duality(
             if not pair_ok(u1, u2):
                 return CheckOutcome(passed=False, witness=(u1, u2))
         fixed = {cayley.dual_line(l, F) for l in O} == set(O)
-        surface = [x for x in enumerate_points(F) if cayley.f_value(x, F) == F.zero]
+        surface = [x for x in points if cayley.f_value(x, F) == F.zero]
         dual_images = {cayley.duality(x, F) for x in surface}
-        tangent_planes = {
-            e for e in enumerate_planes(F) if cayley.tangency_test(e, F)
-        }
+        tangent_planes = {e for e in planes if cayley.tangency_test(e, F)}
         bijective = len(dual_images) == len(surface) and dual_images == tangent_planes
         return CheckOutcome(
             passed=fixed and bijective,
@@ -512,10 +520,10 @@ def reguli_check(F: Field) -> CheckOutcome:
 
 # --- outcomes with their skips ---------------------------------------------
 
-def covering_outcome(F: Field) -> CheckOutcome:
-    """Covering check with the rational small-height fallback."""
+def covering_outcome(F: Field, points: Optional[Sequence[ProjPoint]]) -> CheckOutcome:
+    """Covering check with the rational small-height fallback (points None)."""
     if F.is_finite:
-        return certify_covering(F)
+        return certify_covering(F, points)
     witness = uncovered_witness_rational(2, F)
     return CheckOutcome(
         passed=witness is None,
@@ -524,15 +532,17 @@ def covering_outcome(F: Field) -> CheckOutcome:
     )
 
 
-def maximality_outcome(F: Field, seed: int = 0) -> CheckOutcome:
+def maximality_outcome(F: Field, points: Optional[Sequence[ProjPoint]], seed: int = 0) -> CheckOutcome:
     """Maximality check, skipped in characteristic 3."""
     if F.characteristic == 3:
         return CheckOutcome(passed=None, note="the maximality argument inverts 3")
-    return certify_maximality(F, seed=seed)
+    return certify_maximality(F, points, seed=seed)
 
 
-def dual_spread_outcome(F: Field, O: Optional[Sequence[Line]]) -> CheckOutcome:
-    """Dual-spread counting, skipped over infinite fields (where O is None)."""
+def dual_spread_outcome(
+    F: Field, O: Optional[Sequence[Line]], planes: Optional[Sequence[ProjPlane]]
+) -> CheckOutcome:
+    """Dual-spread counting, skipped over infinite fields (where O and planes are None)."""
     if not F.is_finite:
         return CheckOutcome(passed=None, note="plane counting needs a finite field")
-    return certify_dual_spread(F, O)
+    return certify_dual_spread(F, O, planes)

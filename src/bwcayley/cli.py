@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import bwspread, idealprobe, klein
+from . import bwspread, idealprobe, klein, projspace
 from .bwspread import CheckOutcome
 from .field import Field, FieldError, SpreadRegime, classify_field, parse_field_spec
 from .reports import Report, check_from_outcome, jsonable
@@ -33,7 +33,8 @@ class ReportWriteError(Exception):
 
 @dataclass
 class Run:
-    """The inputs one command's checks share; O and the ideal probe are built on first use."""
+    """The inputs one command's checks share; O, the points and planes of
+    PG(3,q) and the ideal probe are built on first use."""
 
     F: Field
     seed: int = 0
@@ -44,6 +45,16 @@ class Run:
     def O(self):
         """build_O(F) over a finite field; None over the rationals."""
         return bwspread.build_O(self.F) if self.F.is_finite else None
+
+    @cached_property
+    def points(self):
+        """enumerate_points(F) over a finite field; None over the rationals."""
+        return projspace.enumerate_points(self.F) if self.F.is_finite else None
+
+    @cached_property
+    def planes(self):
+        """enumerate_planes(F) over a finite field; None over the rationals."""
+        return projspace.enumerate_planes(self.F) if self.F.is_finite else None
 
     @cached_property
     def probe(self) -> idealprobe.ProbeReport:
@@ -93,25 +104,25 @@ CHECKS = {
             "covering",
             "covers all points iff char != 3 and cubing is onto",
             _by_regime("pass", "fail", "fail", "fail"),
-            lambda run: bwspread.covering_outcome(run.F),
+            lambda run: bwspread.covering_outcome(run.F, run.points),
         ),
         (
             "maximality",
             "every point of the plane at infinity lies on a line of the set",
             _by_regime("pass", "pass", "pass", "skipped"),
-            lambda run: bwspread.maximality_outcome(run.F, seed=run.seed),
+            lambda run: bwspread.maximality_outcome(run.F, run.points, seed=run.seed),
         ),
         (
             "dual_spread",
             "every plane contains exactly one line of the set",
             _by_regime("pass", "fail", "skipped", "fail"),
-            lambda run: bwspread.dual_spread_outcome(run.F, run.O),
+            lambda run: bwspread.dual_spread_outcome(run.F, run.O, run.planes),
         ),
         (
             "duality",
             "reversing coordinates maps surface points onto tangent planes and fixes the tangent set",
             _by_regime("pass", "pass", "pass", "pass"),
-            lambda run: bwspread.certify_duality(run.F, run.O, seed=run.seed),
+            lambda run: bwspread.certify_duality(run.F, run.O, run.points, run.planes, seed=run.seed),
         ),
     ],
     "klein": [

@@ -149,24 +149,24 @@ class TestBuildO:
 
 class TestCovering:
     def test_gf5_exact_partition(self):
-        r = certify_covering(F5)
+        r = certify_covering(F5, enumerate_points(F5))
         assert r.passed
         assert r.counts["points"] == 156
         assert r.counts["affine_with_1_tangents"] == 125
 
     def test_gf2_partition(self):
-        r = certify_covering(F2)
+        r = certify_covering(F2, enumerate_points(F2))
         assert r.passed and r.counts["points"] == 15
 
     def test_gf3_witness(self):
-        r = certify_covering(F3)
+        r = certify_covering(F3, enumerate_points(F3))
         assert not r.passed
         assert r.witness == (0, 1, 1, 0)
         # replay: no line of O passes through the witness
         assert not any(incidence(r.witness, l, F3) for l in build_O(F3))
 
     def test_gf7_split_multiplicities(self):
-        r = certify_covering(F7)
+        r = certify_covering(F7, enumerate_points(F7))
         assert not r.passed
         assert r.counts["affine_with_0_tangents"] == 2 * 343 // 7 * 2
         assert r.counts["affine_with_3_tangents"] == 2 * 343 // 7
@@ -191,7 +191,7 @@ class TestCovering:
 
 class TestMaximality:
     def test_gf5(self):
-        r = certify_maximality(F5)
+        r = certify_maximality(F5, enumerate_points(F5))
         assert r.passed and r.counts["omega_points"] == 31
 
     def test_gf2_point(self):
@@ -205,10 +205,10 @@ class TestMaximality:
 
     def test_char3_refused(self):
         with pytest.raises(Char3Unsupported):
-            certify_maximality(F3)
+            certify_maximality(F3, enumerate_points(F3))
 
     def test_rationals_pass(self):
-        assert certify_maximality(QQ, seed=3).passed
+        assert certify_maximality(QQ, None, seed=3).passed
 
     def test_brute_force_cross_check_gf5(self):
         O = build_O(F5)
@@ -221,12 +221,12 @@ class TestMaximality:
 class TestDualSpread:
     @pytest.mark.parametrize("F,planes", [(F2, 15), (F5, 156)])
     def test_exactly_one_line_per_plane(self, F, planes):
-        r = certify_dual_spread(F, build_O(F))
+        r = certify_dual_spread(F, build_O(F), enumerate_planes(F))
         assert r.passed
         assert r.counts["planes_with_1_lines"] == planes
 
     def test_gf7_fails_with_witness(self):
-        r = certify_dual_spread(F7, build_O(F7))
+        r = certify_dual_spread(F7, build_O(F7), enumerate_planes(F7))
         assert not r.passed
         assert r.witness is not None
         O = build_O(F7)
@@ -235,7 +235,7 @@ class TestDualSpread:
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_pencil_counts_equal_brute_plane_by_line_counts(self, F):
-        r = certify_dual_spread(F, build_O(F))
+        r = certify_dual_spread(F, build_O(F), enumerate_planes(F))
         counts, witness = _brute_dual_spread(F)
         assert r.counts == counts
         assert r.witness == witness
@@ -266,10 +266,10 @@ def _brute_dual_spread(F):
 class TestDuality:
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_duality_fixes_O(self, F):
-        assert certify_duality(F, build_O(F)).passed
+        assert certify_duality(F, build_O(F), enumerate_points(F), enumerate_planes(F)).passed
 
     def test_rationals(self):
-        assert certify_duality(QQ, None, seed=5).passed
+        assert certify_duality(QQ, None, None, None, seed=5).passed
 
 
 class TestGEquivariance:

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from bwcayley import bwspread
 from bwcayley.bwspread import CheckOutcome
 from bwcayley.cli import main as cli_main
@@ -50,3 +52,11 @@ def test_mismatch_exits_two_without_out_dir(capsys, monkeypatch):
     )
     assert script_main(["--fields", "gf:5"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["gf:4", "gf:x"])
+def test_bad_field_is_a_usage_error(spec, capsys):
+    assert script_main(["--fields", f"gf:2,{spec}"]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("certify_all: ") and out.err.count("\n") == 1
+    assert out.out == ""  # the specs are checked before any field runs

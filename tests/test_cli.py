@@ -1,10 +1,11 @@
 """CLI contract: exit codes, report schema, byte-stable canonical JSON."""
 
 import json
+import sys
 
 import pytest
 
-from bwcayley import bwspread
+from bwcayley import bwspread, projspace
 from bwcayley.bwspread import CheckOutcome
 from bwcayley.cli import main
 
@@ -80,6 +81,22 @@ class TestExitCodes:
         monkeypatch.setattr(bwspread, "build_O", lambda F: calls.append(F) or build_O(F))
         code, _, _ = run(capsys, "certify", "--field", "gf:5")
         assert code == 0 and len(calls) == 1
+
+    def test_certify_enumerates_points_and_planes_once(self, capsys, monkeypatch):
+        # patch every module's binding, so a check that imported its own copy is counted too
+        calls = {"enumerate_points": 0, "enumerate_planes": 0}
+        for name in calls:
+            original = getattr(projspace, name)
+
+            def counted(F, name=name, original=original):
+                calls[name] += 1
+                return original(F)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("bwcayley") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, "certify", "--field", "gf:5")
+        assert code == 0 and calls == {"enumerate_points": 1, "enumerate_planes": 1}
 
 
 class TestReports:

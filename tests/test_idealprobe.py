@@ -146,6 +146,27 @@ class TestClosureProbe:
             assert pt[0] == pt[1] == pt[2] == pt[3] == 0
 
 
+class TestIntegerEvaluation:
+    """The pencil and witness tests evaluate in integers; a form that does not
+    vanish at (0,0,0,0,1,0) must make both fail."""
+
+    @pytest.fixture
+    def y13_power(self, monkeypatch):
+        def fake(points, d):
+            y13 = (0, 0, 0, 0, d, 0)
+            return [[Fraction(1, 3) if e == y13 else Fraction(0) for e in monomial_exponents(d)]]
+
+        monkeypatch.setattr(idealprobe, "vanishing_space", fake)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pencil_vanishing_fails(self, y13_power, d):
+        assert closure_probe(d, 60, 7).pencil_vanishing is False
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nonalgebraicity_fails(self, y13_power, d):
+        assert not nonalgebraicity_evidence(d, 60, 7).passed
+
+
 class TestNonalgebraicity:
     @pytest.mark.parametrize("d,n", [(2, 60), (3, 120)])
     def test_witness_persists(self, d, n):
