@@ -3,7 +3,8 @@
 
 Prints one row per field with the regime and every check's verdict, and
 optionally writes the JSON reports into a directory. Exits 2 when a check
-differs from its regime's prediction, 1 on a bad field spec, 0 otherwise.
+differs from its regime's prediction, 1 on a bad field spec, 3 when a check
+ends in an internal error, 0 otherwise.
 
 Usage: python scripts/certify_all.py [--out-dir reports/] [--fields gf:2,gf:3,...]
 """
@@ -13,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from bwcayley.cli import certify_report
+from bwcayley.cli import CheckError, certify_report
 from bwcayley.field import FieldError, parse_field_spec
 
 DEFAULT_FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "gf:11", "gf:13", "q"]
@@ -39,7 +40,11 @@ def main(argv=None) -> int:
     worst = 0
     for spec, F in fields:
         t0 = time.perf_counter()
-        report = certify_report(F, args.seed)
+        try:
+            report = certify_report(F, args.seed)
+        except CheckError as exc:
+            sys.stderr.write(f"certify_all: {exc}\n")
+            return 3
         secs = time.perf_counter() - t0
         verdicts = " ".join(f"{VERDICTS[c.status]:<8}" for c in report.checks)
         print(f"{spec:<8} {report.regime:<28} {verdicts} {secs:>6.2f}")

@@ -4,7 +4,9 @@ Subcommands: certify (spread battery), klein (variety equality, reguli,
 projection), char3 (parabolic congruence), ideal (degree-bounded vanishing
 probe). Exit codes: 0 when every check matches what the field's regime
 predicts, 1 on usage errors or when the --out report cannot be written, 2
-when a predicted-pass check fails.
+when a predicted-pass check fails, 3 when a check ends in an internal error
+(an exception such as WrongLineCount or FormDoesNotVanish; one line on
+stderr names the check).
 """
 
 from __future__ import annotations
@@ -31,10 +33,17 @@ class ReportWriteError(Exception):
     pass
 
 
+class CheckError(Exception):
+    """An exception escaped a check runner."""
+
+    def __init__(self, name: str, exc: Exception):
+        super().__init__(f"internal error in check {name}: {type(exc).__name__}: {exc}")
+
+
 @dataclass
 class Run:
-    """The inputs one command's checks share; O, the points and planes of
-    PG(3,q) and the ideal probe are built on first use."""
+    """The inputs one command's checks share; O, the points of PG(3,q) and
+    the ideal probe are built on first use."""
 
     F: Field
     seed: int = 0
@@ -51,10 +60,11 @@ class Run:
         """enumerate_points(F) over a finite field; None over the rationals."""
         return projspace.enumerate_points(self.F) if self.F.is_finite else None
 
-    @cached_property
+    @property
     def planes(self):
-        """enumerate_planes(F) over a finite field; None over the rationals."""
-        return projspace.enumerate_planes(self.F) if self.F.is_finite else None
+        """The planes of PG(3,q): enumerate_planes(F) equals enumerate_points(F),
+        so this is the same list as `points` (no check mutates it)."""
+        return self.points
 
     @cached_property
     def probe(self) -> idealprobe.ProbeReport:
@@ -192,7 +202,10 @@ def run_checks(report: Report, run: Run) -> Report:
     """Time every check of the report's command and append its result."""
     for name, anchor, prediction, runner in CHECKS[report.command]:
         t0 = time.perf_counter()
-        outcome = runner(run)
+        try:
+            outcome = runner(run)
+        except Exception as exc:
+            raise CheckError(name, exc) from exc
         millis = (time.perf_counter() - t0) * 1000.0
         if outcome is None:
             continue
@@ -328,6 +341,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, ReportWriteError, FieldError) as exc:
         sys.stderr.write(f"bwcayley: {exc}\n")
         return 1
+    except CheckError as exc:
+        sys.stderr.write(f"bwcayley: {exc}\n")
+        return 3
     except SystemExit as exc:
         return 1 if exc.code is None else int(exc.code)
 

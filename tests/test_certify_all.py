@@ -60,3 +60,13 @@ def test_bad_field_is_a_usage_error(spec, capsys):
     out = capsys.readouterr()
     assert out.err.startswith("certify_all: ") and out.err.count("\n") == 1
     assert out.out == ""  # the specs are checked before any field runs
+
+
+def test_check_exception_exits_three(capsys, monkeypatch):
+    def broken(F):
+        raise bwspread.WrongLineCount("built 25 lines, expected 26")
+
+    monkeypatch.setattr(bwspread, "build_O", broken)
+    assert script_main(["--fields", "gf:5"]) == 3
+    err = capsys.readouterr().err
+    assert err == "certify_all: internal error in check dual_spread: WrongLineCount: built 25 lines, expected 26\n"

@@ -7,7 +7,8 @@ import pytest
 
 from bwcayley import bwspread, projspace
 from bwcayley.bwspread import CheckOutcome
-from bwcayley.cli import main
+from bwcayley.cli import Run, main
+from bwcayley.field import PrimeField
 
 
 def run(capsys, *argv):
@@ -96,7 +97,21 @@ class TestExitCodes:
                 if module_name.startswith("bwcayley") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         code, _, _ = run(capsys, "certify", "--field", "gf:5")
-        assert code == 0 and calls == {"enumerate_points": 1, "enumerate_planes": 1}
+        assert code == 0 and calls == {"enumerate_points": 1, "enumerate_planes": 0}
+
+    def test_run_holds_one_list_for_points_and_planes(self):
+        run = Run(PrimeField(5))
+        assert run.planes is run.points
+        assert run.points == projspace.enumerate_planes(PrimeField(5))
+
+    def test_check_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(F):
+            raise bwspread.WrongLineCount("built 25 lines, expected 26")
+
+        monkeypatch.setattr(bwspread, "build_O", broken)
+        code, out, err = run(capsys, "certify", "--field", "gf:5")
+        assert code == 3 and out == ""
+        assert err == "bwcayley: internal error in check dual_spread: WrongLineCount: built 25 lines, expected 26\n"
 
 
 class TestReports:
