@@ -3,8 +3,8 @@
 
 Prints one row per field with the regime and every check's verdict, and
 optionally writes the JSON reports into a directory. Exits 2 when a check
-differs from its regime's prediction, 1 on a bad field spec, 3 when a check
-ends in an internal error, 0 otherwise.
+differs from its regime's prediction, 1 on a bad or empty field list, 3 when
+a check ends in an internal error, 0 otherwise.
 
 Usage: python scripts/certify_all.py [--out-dir reports/] [--fields gf:2,gf:3,...]
 """
@@ -29,6 +29,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     specs = [f.strip() for f in args.fields.split(",") if f.strip()]
+    if not specs:
+        sys.stderr.write("certify_all: --fields names no field\n")
+        return 1
     try:
         fields = [(spec, parse_field_spec(spec)) for spec in specs]
     except FieldError as exc:

@@ -5,6 +5,7 @@ Walks every prime up to the bound (characteristic 3 excluded), verifies that
 the common zero set of the quadric and the three cone forms equals the Klein
 image of the tangent set plus the pencil, and reports candidate counts and
 wall-clock time. Useful for judging how far the desk-scale scan reaches.
+Exits 2 when a field fails, 1 when the bound leaves no field to scan.
 
 Usage: python scripts/variety_scan.py [--max-p 13]
 """
@@ -17,16 +18,18 @@ from bwcayley.field import PrimeField, is_prime
 from bwcayley.klein import verify_variety_equality
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-p", type=int, default=13)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
+    primes = [p for p in range(2, args.max_p + 1) if is_prime(p) and p != 3]
+    if not primes:
+        sys.stderr.write(f"variety_scan: --max-p {args.max_p} leaves no prime other than 3 to scan\n")
+        return 1
     print(f"{'q':>4} {'candidates':>12} {'zero set':>9} {'expected':>9} {'equal':>6} {'secs':>7}")
     failures = 0
-    for p in range(2, args.max_p + 1):
-        if not is_prime(p) or p == 3:
-            continue
+    for p in primes:
         F = PrimeField(p)
         candidates = (p**6 - 1) // (p - 1)
         t0 = time.perf_counter()

@@ -11,16 +11,16 @@ checks over the rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cayley
 from .field import (
+    QQ,
     Element,
     Field,
     InfiniteField,
-    Rationals,
     cube_roots,
     nontrivial_cube_root_of_unity,
 )
@@ -41,6 +41,12 @@ from .projspace import (
     quadric_value,
     span_points,
 )
+from .reports import CheckOutcome
+
+# Seeded samples replayed over the rationals: parameter pairs for the
+# partial-spread check, points or parameter pairs for maximality and duality.
+PAIR_SPOT_CHECKS = 200
+SPOT_CHECKS = 100
 
 
 class WrongLineCount(GeometryError):
@@ -52,10 +58,6 @@ class SamePoint(GeometryError):
 
 
 class Char3Unsupported(GeometryError):
-    pass
-
-
-class PointOnGInf(GeometryError):
     pass
 
 
@@ -122,21 +124,7 @@ def skew_criterion(v1, v2, u1, u2, F: Field) -> Element:
     )
 
 
-@dataclass
-class CheckOutcome:
-    """Verdict of one certification check.
-
-    `passed` is None when the check was skipped; witnesses are replayable
-    data (parameter pairs or canonical coordinate tuples).
-    """
-
-    passed: Optional[bool]
-    witness: Optional[tuple] = None
-    counts: Dict[str, int] = dc_field(default_factory=dict)
-    note: str = ""
-
-
-def certify_partial_spread(F: Field, spot_checks: int = 200, seed: int = 0) -> CheckOutcome:
+def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     """Pairwise skewness of O.
 
     Finite fields: exhaustive scan of all parameter pairs in lexicographic
@@ -184,7 +172,7 @@ def certify_partial_spread(F: Field, spot_checks: int = 200, seed: int = 0) -> C
     w = nontrivial_cube_root_of_unity(F)
     rng = random.Random(seed)
     checked = 0
-    for _ in range(spot_checks):
+    for _ in range(PAIR_SPOT_CHECKS):
         v = (Fraction(rng.randint(-20, 20), rng.randint(1, 9)), Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
         u = (Fraction(rng.randint(-20, 20), rng.randint(1, 9)), Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
         if u == v:
@@ -211,15 +199,22 @@ def covering_deficit(p1, p2, p3, F: Field) -> Element:
     return F.sub(p3, F.sub(F.mul(p1, p2), F.mul(F.mul(p1, p1), p1)))
 
 
-def certify_covering(F: Field, points: Sequence[ProjPoint]) -> CheckOutcome:
+def certify_covering(F: Field, points: Optional[Sequence[ProjPoint]]) -> CheckOutcome:
     """Whether every point of PG(3,q), points = enumerate_points(F), lies on a line of O.
 
     Affine points are decided by cube-root solvability of the covering
     deficit; points at infinity by matching tangent directions. Multiplicity
-    counts (0, 1 or 3 tangents through an affine point) are reported.
+    counts (0, 1 or 3 tangents through an affine point) are reported. Over
+    the rationals (points None) the witness is the first small-height point
+    that no tangent reaches.
     """
     if not F.is_finite:
-        raise InfiniteField("use uncovered_witness_rational over the rationals")
+        witness = uncovered_witness_rational()
+        return CheckOutcome(
+            passed=witness is None,
+            witness=witness,
+            note="small-height scan for a deficit with no rational cube root",
+        )
     char3 = F.characteristic == 3
     covered = 0
     uncovered = 0
@@ -254,44 +249,32 @@ def certify_covering(F: Field, points: Sequence[ProjPoint]) -> CheckOutcome:
     )
 
 
-def _small_heights(bound: int) -> List[int]:
-    """0, 1, -1, 2, -2, ... up to the bound."""
-    out = [0]
-    for h in range(1, bound + 1):
-        out.extend((h, -h))
-    return out
+def uncovered_witness_rational() -> Optional[ProjPoint]:
+    """First small-height affine point (1,p1,p2,p3) over Q whose deficit is a non-cube.
 
-
-def uncovered_witness_rational(bound: int, F: Optional[Field] = None) -> Optional[ProjPoint]:
-    """First small-height affine point (1,p1,p2,p3) whose deficit is a non-cube.
-
-    Scans integer coordinates ordered by absolute value (p3 varies fastest),
-    so the result is deterministic; bound 2 yields (1,0,0,2).
+    Scans integer coordinates of height at most 2 ordered by absolute value
+    (p3 varies fastest), so the result is deterministic: (1,0,0,2).
     """
-    if F is None:
-        F = Rationals()
-    heights = _small_heights(bound)
+    heights = (0, 1, -1, 2, -2)
     for p1 in heights:
         for p2 in heights:
             for p3 in heights:
-                if not cube_roots(covering_deficit(p1, p2, p3, F), F):
-                    return canonicalize((1, p1, p2, p3), F)
+                if not cube_roots(covering_deficit(p1, p2, p3, QQ), QQ):
+                    return canonicalize((1, p1, p2, p3), QQ)
     return None
 
 
-def certify_maximality(
-    F: Field, points: Optional[Sequence[ProjPoint]], spot_checks: int = 100, seed: int = 0
-) -> CheckOutcome:
-    """Every point of the plane at infinity lies on a line of O (char != 3).
+def certify_maximality(F: Field, points: Optional[Sequence[ProjPoint]], seed: int = 0) -> CheckOutcome:
+    """Every point of the plane at infinity lies on a line of O.
 
     This forces maximality: any line not in O meets the plane at infinity at
     a point already covered, hence meets the covering line there. Finite
     fields are re-verified exhaustively by incidence over points =
     enumerate_points(F); the rationals (points None) by the same
-    construction on seeded samples.
+    construction on seeded samples. Skipped in characteristic 3.
     """
     if F.characteristic == 3:
-        raise Char3Unsupported("the maximality argument inverts 3")
+        return CheckOutcome(passed=None, note="the maximality argument inverts 3")
     third = F.inv(F.of(3))
     ginf = cayley.g_infinity(F)
 
@@ -313,7 +296,7 @@ def certify_maximality(
             checked += 1
         return CheckOutcome(passed=True, counts={"omega_points": checked})
     rng = random.Random(seed)
-    for _ in range(spot_checks):
+    for _ in range(SPOT_CHECKS):
         point = (
             F.zero,
             F.one,
@@ -322,20 +305,23 @@ def certify_maximality(
         )
         if not incidence(point, covering_line(point), F):
             return CheckOutcome(passed=False, witness=point)
-    return CheckOutcome(passed=True, counts={"omega_points_sampled": spot_checks})
+    return CheckOutcome(passed=True, counts={"omega_points_sampled": SPOT_CHECKS})
 
 
-def certify_dual_spread(F: Field, O: Sequence[Line], planes: Sequence[ProjPlane]) -> CheckOutcome:
+def certify_dual_spread(
+    F: Field, O: Optional[Sequence[Line]], planes: Optional[Sequence[ProjPlane]]
+) -> CheckOutcome:
     """Plane counts of O = build_O(F) over planes = enumerate_planes(F): exactly
     one line per plane in the spread regimes.
 
     The planes through a line are the q+1 points of the nullspace of its two
     spanning points, so one pass over the pencils of O counts the lines in
     every plane. Also verifies the dual surrogate of maximality: every plane
-    through the pinch point contains at least one line of O.
+    through the pinch point contains at least one line of O. Skipped over
+    the rationals, where O and planes are None.
     """
     if not F.is_finite:
-        raise InfiniteField("dual-spread counting needs a finite field")
+        return CheckOutcome(passed=None, note="plane counting needs a finite field")
     lines_in: Dict[ProjPlane, int] = {}
     for l in O:
         for plane in span_points(nullspace([list(l.p), list(l.q)], 4, F), F):
@@ -368,7 +354,6 @@ def certify_duality(
     O: Optional[Sequence[Line]],
     points: Optional[Sequence[ProjPoint]],
     planes: Optional[Sequence[ProjPlane]],
-    spot_checks: int = 100,
     seed: int = 0,
 ) -> CheckOutcome:
     """The coordinate-reversing duality fixes O and pairs points with tangent planes.
@@ -411,15 +396,15 @@ def certify_duality(
             },
         )
     rng = random.Random(seed)
-    for _ in range(spot_checks):
+    for _ in range(SPOT_CHECKS):
         u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         if not pair_ok(u1, u2):
             return CheckOutcome(passed=False, witness=(u1, u2))
-    return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": spot_checks})
+    return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": SPOT_CHECKS})
 
 
-# --- chart and transversal structures --------------------------------------
+# --- the Betten chart ----------------------------------------------------------
 
 def betten_collineation(x: Sequence, F: Field) -> ProjPoint:
     """The coordinate scaling (x0, x1, x2, x3) -> (x0, x1, x2/3, x3/3)."""
@@ -447,24 +432,6 @@ def betten_chart(u1, u2, F: Field):
     plane1 = canonicalize((t, s, F.neg(F.one), F.zero), F)
     plane2 = canonicalize((F.neg(F.mul(s3, third)), F.add(F.mul(s, s), t), F.zero, F.neg(F.one)), F)
     return (t, s), plane1, plane2
-
-
-def transversal_map(x: Sequence, F: Field) -> ProjPoint:
-    """Trace of the O-line through a point of omega minus the directrix on V(X1)."""
-    if F.characteristic == 3:
-        raise Char3Unsupported("the transversal map divides by 3")
-    x = canonicalize(x, F)
-    if x[0] != F.zero:
-        raise GeometryError(f"{x} is not in the plane at infinity")
-    if x[1] == F.zero:
-        raise PointOnGInf(f"{x} lies on the directrix")
-    u1 = F.mul(x[2], F.inv(F.of(3)))
-    u2 = x[3]
-    u1sq = F.mul(u1, u1)
-    return canonicalize(
-        (F.one, F.zero, F.sub(u2, F.mul(F.of(3), u1sq)), F.neg(F.mul(u1sq, u1))),
-        F,
-    )
 
 
 def regulus_minus(s, F: Field) -> List[Line]:
@@ -516,33 +483,3 @@ def reguli_check(F: Field) -> CheckOutcome:
         if not (ok and cayley.generator(1, s, F) in opposite):
             return CheckOutcome(passed=False, witness=s, counts=counts)
     return CheckOutcome(passed=True, counts=counts)
-
-
-# --- outcomes with their skips ---------------------------------------------
-
-def covering_outcome(F: Field, points: Optional[Sequence[ProjPoint]]) -> CheckOutcome:
-    """Covering check with the rational small-height fallback (points None)."""
-    if F.is_finite:
-        return certify_covering(F, points)
-    witness = uncovered_witness_rational(2, F)
-    return CheckOutcome(
-        passed=witness is None,
-        witness=witness,
-        note="small-height scan for a deficit with no rational cube root",
-    )
-
-
-def maximality_outcome(F: Field, points: Optional[Sequence[ProjPoint]], seed: int = 0) -> CheckOutcome:
-    """Maximality check, skipped in characteristic 3."""
-    if F.characteristic == 3:
-        return CheckOutcome(passed=None, note="the maximality argument inverts 3")
-    return certify_maximality(F, points, seed=seed)
-
-
-def dual_spread_outcome(
-    F: Field, O: Optional[Sequence[Line]], planes: Optional[Sequence[ProjPlane]]
-) -> CheckOutcome:
-    """Dual-spread counting, skipped over infinite fields (where O and planes are None)."""
-    if not F.is_finite:
-        return CheckOutcome(passed=None, note="plane counting needs a finite field")
-    return certify_dual_spread(F, O, planes)

@@ -1,7 +1,7 @@
 """The ruled cubic surface V(X0*X1*X2 - X1^3 - X0^2*X3) in PG(3,K).
 
 Covers membership, the singular structure along the line at infinity, tangent
-objects, the generator family, line-surface intersection multiplicities, the
+planes, the generator family, line-surface intersection multiplicities, the
 triangular automorphism group, and the classical point/tangent-plane duality.
 """
 
@@ -23,10 +23,6 @@ from .projspace import (
     intersect_planes,
     line_through,
 )
-
-
-class NotOnGInf(GeometryError):
-    pass
 
 
 class ZeroParameters(GeometryError):
@@ -67,11 +63,6 @@ def surface_point(u1, u2, F: Field) -> ProjPoint:
 def z_point(F: Field) -> ProjPoint:
     """The pinch point (0,0,0,1)."""
     return (F.zero, F.zero, F.zero, F.one)
-
-
-def omega_plane(F: Field) -> ProjPlane:
-    """The plane at infinity V(X0)."""
-    return (F.one, F.zero, F.zero, F.zero)
 
 
 def g_infinity(F: Field) -> Line:
@@ -122,26 +113,6 @@ def tangent_plane(u1, u2, F: Field) -> ProjPlane:
         F.neg(F.one),
     )
     return canonicalize(coeffs, F)
-
-
-@dataclass(frozen=True)
-class TangentCone:
-    """Tangent cone at a double point: a plane pair, coincident only at Z."""
-
-    planes: Tuple[ProjPlane, ...]
-    repeated: bool
-
-
-def tangent_cone_at_infinity(U: Sequence, F: Field) -> TangentCone:
-    """Plane pair V(X0), V(s2*X1 - s3*X0) at a point U = (0,0,s2,s3) of the double line."""
-    U = canonicalize(U, F)
-    if U[0] != F.zero or U[1] != F.zero:
-        raise NotOnGInf(f"{U} is not on the double line")
-    s2, s3 = U[2], U[3]
-    if s2 == F.zero:
-        return TangentCone(planes=(omega_plane(F),), repeated=True)
-    second = canonicalize((F.neg(s3), s2, F.zero, F.zero), F)
-    return TangentCone(planes=(omega_plane(F), second), repeated=False)
 
 
 def generator(s0, s1, F: Field) -> Line:
@@ -325,24 +296,6 @@ def group_apply(M: GMatrix, x: Sequence, F: Field) -> ProjPoint:
     return canonicalize(out, F)
 
 
-def _dot4(u, v, F: Field):
-    acc = F.zero
-    for ui, vi in zip(u, v):
-        acc = F.add(acc, F.mul(ui, vi))
-    return acc
-
-
-def group_compose(M: GMatrix, N: GMatrix, F: Field) -> GMatrix:
-    """Matrix product, re-validated to have the M_{a,b,c} shape."""
-    cols = list(zip(*N.entries))
-    prod = tuple(tuple(_dot4(row, col, F) for col in cols) for row in M.entries)
-    a, c, b = prod[1][0], prod[1][1], prod[2][0]
-    rebuilt = group_matrix(a, b, c, F)
-    if rebuilt.entries != prod:
-        raise GeometryError("product left the triangular group")
-    return rebuilt
-
-
 def param_action(M: GMatrix, u1, u2, F: Field) -> Tuple:
     """Action of M_{a,b,c} on the affine chart: (u1, u2) -> (a + c*u1, b + 3ac*u1 + c^2*u2)."""
     u1, u2 = F.of(u1), F.of(u2)
@@ -350,25 +303,6 @@ def param_action(M: GMatrix, u1, u2, F: Field) -> Tuple:
     v1 = F.add(M.a, mul(M.c, u1))
     v2 = F.add(F.add(M.b, mul(F.of(3), mul(M.a, mul(M.c, u1)))), mul(mul(M.c, M.c), u2))
     return v1, v2
-
-
-class Orbit(Enum):
-    AFFINE_SURFACE_ORBIT = "AffineSurfaceOrbit"
-    G_INF_MINUS_Z = "GInfMinusZ"
-    Z_ORBIT = "ZOrbit"
-    NOT_ON_SURFACE = "NotOnSurface"
-
-
-def orbit_of(x: Sequence, F: Field) -> Orbit:
-    """Which of the three orbits of the automorphism group contains x."""
-    x = canonicalize(x, F)
-    if f_value(x, F) != F.zero:
-        return Orbit.NOT_ON_SURFACE
-    if x == z_point(F):
-        return Orbit.Z_ORBIT
-    if x[0] == F.zero and x[1] == F.zero:
-        return Orbit.G_INF_MINUS_Z
-    return Orbit.AFFINE_SURFACE_ORBIT
 
 
 # --- duality ---------------------------------------------------------------

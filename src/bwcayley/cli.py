@@ -20,9 +20,8 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import bwspread, idealprobe, klein, projspace
-from .bwspread import CheckOutcome
-from .field import Field, FieldError, SpreadRegime, classify_field, parse_field_spec
-from .reports import Report, check_from_outcome, jsonable
+from .field import QQ, Field, FieldError, SpreadRegime, classify_field, parse_field_spec
+from .reports import CheckOutcome, Report, check_from_outcome, jsonable
 
 
 class UsageError(Exception):
@@ -114,19 +113,19 @@ CHECKS = {
             "covering",
             "covers all points iff char != 3 and cubing is onto",
             _by_regime("pass", "fail", "fail", "fail"),
-            lambda run: bwspread.covering_outcome(run.F, run.points),
+            lambda run: bwspread.certify_covering(run.F, run.points),
         ),
         (
             "maximality",
             "every point of the plane at infinity lies on a line of the set",
             _by_regime("pass", "pass", "pass", "skipped"),
-            lambda run: bwspread.maximality_outcome(run.F, run.points, seed=run.seed),
+            lambda run: bwspread.certify_maximality(run.F, run.points, seed=run.seed),
         ),
         (
             "dual_spread",
             "every plane contains exactly one line of the set",
             _by_regime("pass", "fail", "skipped", "fail"),
-            lambda run: bwspread.dual_spread_outcome(run.F, run.O, run.planes),
+            lambda run: bwspread.certify_dual_spread(run.F, run.O, run.planes),
         ),
         (
             "duality",
@@ -296,7 +295,7 @@ def cmd_ideal(args) -> int:
             f"the number of degree-{args.degree} monomials"
         )
     report = Report(command="ideal", field_spec="q", seed=args.seed)
-    run = Run(idealprobe.QQ, args.seed, args.degree, args.samples)
+    run = Run(QQ, args.seed, args.degree, args.samples)
     return _emit(run_checks(report, run), args)
 
 

@@ -16,13 +16,11 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bwspread import CheckOutcome
-from .field import Rationals
+from . import field
 from .klein import in_kappa_O, kappa_osculating
 from .linalg import nullspace, rank
 from .projspace import KleinPoint, primitive_int_vector
-
-QQ = Rationals()
+from .reports import CheckOutcome
 
 NUM_VARS = 6
 # C(8,5) = 56 monomials at degree 3; the exact rref of the 60-sample matrix
@@ -101,7 +99,7 @@ def sample_parameters(n: int, seed: int) -> List[Tuple[Fraction, Fraction]]:
 
 def sample_kappa_O(n: int, seed: int) -> List[KleinPoint]:
     """n distinct sampled Klein images of osculating tangents over Q."""
-    return [kappa_osculating(u1, u2, QQ) for u1, u2 in sample_parameters(n, seed)]
+    return [kappa_osculating(u1, u2, field.QQ) for u1, u2 in sample_parameters(n, seed)]
 
 
 def vanishing_space(points: Sequence[Sequence], d: int) -> List[List[Fraction]]:
@@ -115,7 +113,7 @@ def vanishing_space(points: Sequence[Sequence], d: int) -> List[List[Fraction]]:
     exps = monomial_exponents(d)
     int_points = [primitive_int_vector(pt) for pt in points]
     matrix = [monomial_row(exps, pt) for pt in int_points]
-    basis = nullspace(matrix, len(exps), QQ)
+    basis = nullspace(matrix, len(exps), field.QQ)
     for form in basis:
         coeffs = primitive_int_vector(form)
         for pt, row in zip(int_points, matrix):
@@ -209,9 +207,9 @@ def closure_probe(d: int, n_samples: int, seed: int) -> ProbeReport:
     contains = None
     if d == 2:
         known = known_quadric_coefficients()
-        base_rank = rank(basis, QQ)
+        base_rank = rank(basis, field.QQ)
         contains = all(
-            rank(basis + [vec], QQ) == base_rank for vec in known.values()
+            rank(basis + [vec], field.QQ) == base_rank for vec in known.values()
         )
     return ProbeReport(
         degree=d,
@@ -240,7 +238,7 @@ def nonalgebraicity_evidence(d: int, n_samples: int, seed: int) -> CheckOutcome:
     basis = vanishing_space(sample_kappa_O(n_samples, seed), d)
     witness = (Fraction(0),) * 4 + (Fraction(1), Fraction(0))
     vanish = _vanish_at(exps, basis, [witness])
-    outside = not in_kappa_O(witness, QQ)
+    outside = not in_kappa_O(witness, field.QQ)
     return CheckOutcome(
         passed=vanish and outside,
         witness=witness,

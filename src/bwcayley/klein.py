@@ -13,7 +13,7 @@ from itertools import product
 from typing import List, Sequence, Set, Tuple
 
 from . import cayley
-from .bwspread import CheckOutcome, build_O
+from .bwspread import build_O
 from .field import Field, InfiniteField, PrimeField, cube_roots
 from .linalg import rank, same_span
 from .projspace import (
@@ -29,6 +29,7 @@ from .projspace import (
     lines_skew,
     quadric_value,
 )
+from .reports import CheckOutcome
 
 
 class WrongCharacteristic(GeometryError):
@@ -40,11 +41,6 @@ class ProjectionDegenerate(GeometryError):
 
 
 # --- forms ------------------------------------------------------------------
-
-def k_form(y: Sequence, F: Field):
-    """Klein quadric: Y01*Y23 - Y02*Y13 + Y03*Y12."""
-    return quadric_value(y, F)
-
 
 def h1_form(y: Sequence, F: Field):
     """3*Y01*(Y12+Y03) - Y02^2."""
@@ -64,17 +60,6 @@ def h3_form(y: Sequence, F: Field):
     return F.sub(F.mul(F.of(9), F.mul(y[0], y[4])), F.mul(y[1], s))
 
 
-def on_variety(y: Sequence, F: Field) -> bool:
-    """Whether all of h1, h2, h3 and the quadric vanish at y."""
-    zero = F.zero
-    return (
-        h1_form(y, F) == zero
-        and h2_form(y, F) == zero
-        and h3_form(y, F) == zero
-        and k_form(y, F) == zero
-    )
-
-
 # --- distinguished vectors and subspaces -------------------------------------
 
 def w_infinity(F: Field) -> KleinPoint:
@@ -82,19 +67,9 @@ def w_infinity(F: Field) -> KleinPoint:
     return (F.zero,) * 5 + (F.one,)
 
 
-def w_vector(F: Field) -> Tuple:
-    """(0,0,1,-1,0,0); spans the polar line of C together with w_infinity."""
-    return (F.zero, F.zero, F.one, F.neg(F.one), F.zero, F.zero)
-
-
 def in_C(y: Sequence, F: Field) -> bool:
     """The 3-space V(Y01, Y03 - Y12) housing the generator cubic."""
     return y[0] == F.zero and y[2] == y[3]
-
-
-def in_B(y: Sequence, F: Field) -> bool:
-    """The 3-space V(Y03, Y23), skew to the polar line of C."""
-    return y[2] == F.zero and y[5] == F.zero
 
 
 def in_D(y: Sequence, F: Field) -> bool:
@@ -102,17 +77,7 @@ def in_D(y: Sequence, F: Field) -> bool:
     return y[1] == F.zero and F.add(y[2], y[3]) == F.zero
 
 
-def polar_of_equations(eq_rows: Sequence[Sequence], F: Field) -> List[Tuple]:
-    """Spanning points of the polar subspace of V(linear forms)."""
-    return [gram_apply(row, F) for row in eq_rows]
-
-
 # --- Klein images -------------------------------------------------------------
-
-def kappa(l: Line) -> KleinPoint:
-    """Klein image of a line (its canonical Plücker sextuple)."""
-    return l.plucker
-
 
 def kappa_osculating(u1, u2, F: Field) -> KleinPoint:
     """Closed-form Klein image of the osculating tangent at (u1, u2).
@@ -243,7 +208,7 @@ def generator_cubic_check(F: Field) -> CheckOutcome:
     """Every generator image lies in C and on the Klein quadric."""
     params = [(F.one, s) for s in F.elements()] + [(F.zero, F.one)]
     passed = all(
-        in_C(y, F) and k_form(y, F) == F.zero
+        in_C(y, F) and quadric_value(y, F) == F.zero
         for y in (generator_cubic(s0, s1, F) for s0, s1 in params)
     )
     return CheckOutcome(passed=passed, counts={"generators": F.order + 1})
@@ -355,7 +320,7 @@ def variety_qd_points(F: Field) -> Set[KleinPoint]:
     return {
         y
         for y in enumerate_pg5_points(F)
-        if in_D(y, F) and k_form(y, F) == F.zero
+        if in_D(y, F) and quadric_value(y, F) == F.zero
     }
 
 
@@ -372,7 +337,8 @@ def osculating_plane_pencil_check(F: Field) -> CheckOutcome:
         (F.zero, F.one, F.zero, F.zero, F.zero, F.zero),
         (F.zero, F.zero, F.one, F.one, F.zero, F.zero),
     ]
-    axis_is_polar = same_span(axis, [list(v) for v in polar_of_equations(d_equations, F)], F)
+    # the polar of D = V(Y02, Y03 + Y12) is spanned by the Gram images of its equations
+    axis_is_polar = same_span(axis, [list(gram_apply(row, F)) for row in d_equations], F)
 
     def combo(*terms):
         out = [F.zero] * 6

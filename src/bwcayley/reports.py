@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from . import __version__
-from .bwspread import CheckOutcome
 
 SCHEMA_VERSION = "1"
 TOOL_NAME = "bwcayley"
@@ -35,6 +34,20 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     return str(value)
+
+
+@dataclass
+class CheckOutcome:
+    """Verdict of one certification check.
+
+    `passed` is None when the check was skipped; witnesses are replayable
+    data (parameter pairs or canonical coordinate tuples).
+    """
+
+    passed: Optional[bool]
+    witness: Optional[tuple] = None
+    counts: Dict[str, int] = dc_field(default_factory=dict)
+    note: str = ""
 
 
 @dataclass

@@ -123,7 +123,7 @@ def test_criterion_04_rationals_maximal_partial():
     with _Budget(4, "rationals: maximal partial, uncovered witness", 1.0):
         assert classify_field(QQ) == SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING
         assert certify_maximality(QQ, None).passed
-        witness = uncovered_witness_rational(2)
+        witness = uncovered_witness_rational()
         assert witness is not None
         assert witness == (1, 0, 0, 2)
         assert max(abs(int(v)) for v in witness) <= 2

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from bwcayley.cayley import (
     GMatrix,
     IntersectionProfile,
-    NotOnGInf,
-    Orbit,
     PointClass,
     ZeroParameters,
     ZeroScale,
@@ -22,16 +20,12 @@ from bwcayley.cayley import (
     generator,
     gradient,
     group_apply,
-    group_compose,
     group_matrix,
     intersect_line_surface,
     nuclei_line,
-    omega_plane,
-    orbit_of,
     param_action,
     surface_point,
     tangency_test,
-    tangent_cone_at_infinity,
     tangent_plane,
     z_point,
 )
@@ -148,21 +142,6 @@ class TestTangentObjects:
     def test_point_on_its_tangent_plane(self, u1, u2):
         assert point_in_plane(surface_point(u1, u2, QQ), tangent_plane(u1, u2, QQ), QQ)
 
-    def test_cone_at_pinch_point_repeated(self):
-        cone = tangent_cone_at_infinity((0, 0, 0, 1), QQ)
-        assert cone.repeated and cone.planes == (omega_plane(QQ),)
-
-    def test_cone_at_other_points(self):
-        cone = tangent_cone_at_infinity((0, 0, 1, 0), QQ)
-        assert not cone.repeated
-        assert cone.planes == ((1, 0, 0, 0), (0, 1, 0, 0))
-        cone = tangent_cone_at_infinity((0, 0, 1, 1), QQ)
-        assert cone.planes[1] == canonicalize((-1, 1, 0, 0), QQ)
-
-    def test_cone_requires_directrix_point(self):
-        with pytest.raises(NotOnGInf):
-            tangent_cone_at_infinity((1, 0, 0, 0), QQ)
-
 
 class TestGenerators:
     def test_special_generators(self):
@@ -256,8 +235,12 @@ class TestGroup:
     def test_closure(self, a, b, c, a2, b2, c2):
         M = group_matrix(a, b, c, QQ)
         N = group_matrix(a2, b2, c2, QQ)
-        P = group_compose(M, N, QQ)
-        assert isinstance(P, GMatrix)
+        product = tuple(
+            tuple(sum(mij * njk for mij, njk in zip(row, col)) for col in zip(*N.entries))
+            for row in M.entries
+        )
+        P = group_matrix(product[1][0], product[2][0], product[1][1], QQ)
+        assert isinstance(P, GMatrix) and P.entries == product
         assert P.c == Fraction(c) * Fraction(c2)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -287,10 +270,19 @@ class TestGroup:
                             assert group_apply(M, surface_point(u1, u2, F5), F5) == surface_point(v1, v2, F5)
 
     def test_orbits(self):
-        assert orbit_of((1, 1, 1, 0), QQ) == Orbit.AFFINE_SURFACE_ORBIT
-        assert orbit_of((0, 0, 1, 0), QQ) == Orbit.G_INF_MINUS_Z
-        assert orbit_of((0, 0, 0, 1), QQ) == Orbit.Z_ORBIT
-        assert orbit_of((1, 2, 3, 4), QQ) == Orbit.NOT_ON_SURFACE
+        # the three orbits: the group fixes the pinch point, keeps the rest of
+        # the directrix off it, and moves (1,0,0,0) onto every affine surface point
+        z, ginf = z_point(F5), g_infinity(F5)
+        reached = set()
+        for a in range(5):
+            for b in range(5):
+                for c in range(1, 5):
+                    M = group_matrix(a, b, c, F5)
+                    assert group_apply(M, z, F5) == z
+                    assert incidence(group_apply(M, (0, 0, 1, 0), F5), ginf, F5)
+                    assert group_apply(M, (0, 0, 1, 0), F5) != z
+                    reached.add(group_apply(M, (1, 0, 0, 0), F5))
+        assert reached == {surface_point(u1, u2, F5) for u1 in range(5) for u2 in range(5)}
 
 
 def f_value_raw(x, F):

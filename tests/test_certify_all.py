@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from bwcayley import bwspread
-from bwcayley.bwspread import CheckOutcome
 from bwcayley.cli import main as cli_main
+from bwcayley.reports import CheckOutcome
 
 SCRIPT = Path(__file__).parents[1] / "scripts" / "certify_all.py"
 
@@ -48,7 +48,7 @@ def test_mismatch_exits_two_without_out_dir(capsys, monkeypatch):
     monkeypatch.setattr(
         bwspread,
         "certify_partial_spread",
-        lambda F, spot_checks=200, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
+        lambda F, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
     )
     assert script_main(["--fields", "gf:5"]) == 2
     assert "FAIL" in capsys.readouterr().out
@@ -60,6 +60,14 @@ def test_bad_field_is_a_usage_error(spec, capsys):
     out = capsys.readouterr()
     assert out.err.startswith("certify_all: ") and out.err.count("\n") == 1
     assert out.out == ""  # the specs are checked before any field runs
+
+
+@pytest.mark.parametrize("fields", ["", ","])
+def test_empty_panel_is_a_usage_error(fields, capsys):
+    assert script_main(["--fields", fields]) == 1
+    out = capsys.readouterr()
+    assert out.err == "certify_all: --fields names no field\n"
+    assert out.out == ""
 
 
 def test_check_exception_exits_three(capsys, monkeypatch):

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from bwcayley import bwspread, projspace
-from bwcayley.bwspread import CheckOutcome
 from bwcayley.cli import Run, main
 from bwcayley.field import PrimeField
+from bwcayley.reports import CheckOutcome
 
 
 def run(capsys, *argv):
@@ -70,7 +70,7 @@ class TestExitCodes:
         monkeypatch.setattr(
             bwspread,
             "certify_partial_spread",
-            lambda F, spot_checks=200, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
+            lambda F, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
         )
         code, out, _ = run(capsys, "certify", "--field", "gf:5")
         assert code == 2

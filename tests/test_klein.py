@@ -20,14 +20,10 @@ from bwcayley.klein import (
     h1_form,
     h2_form,
     h3_form,
-    in_B,
     in_C,
     in_D,
     in_kappa_O,
-    k_form,
-    kappa,
     kappa_osculating,
-    on_variety,
     osculating_plane_pencil_check,
     pencil_LZomega,
     pencil_line,
@@ -37,9 +33,8 @@ from bwcayley.klein import (
     variety_qd_points,
     verify_variety_equality,
     w_infinity,
-    w_vector,
 )
-from bwcayley.projspace import canonicalize, enumerate_lines, lines_skew
+from bwcayley.projspace import canonicalize, enumerate_lines, lines_skew, quadric_value
 
 QQ = Rationals()
 F2, F3, F5 = (PrimeField(p) for p in (2, 3, 5))
@@ -47,15 +42,25 @@ F2, F3, F5 = (PrimeField(p) for p in (2, 3, 5))
 small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 
 
+def on_variety(y, F):
+    """Whether h1, h2, h3 and the Klein quadric all vanish at y."""
+    return all(form(y, F) == F.zero for form in (h1_form, h2_form, h3_form, quadric_value))
+
+
+def w_vector(F):
+    """(0,0,1,-1,0,0); spans the polar line of C together with w_infinity."""
+    return tuple(F.of(v) for v in (0, 0, 1, -1, 0, 0))
+
+
 class TestKappa:
     def test_directrix(self):
-        assert kappa(cayley.g_infinity(F5)) == (0, 0, 0, 0, 0, 1)
+        assert cayley.g_infinity(F5).plucker == (0, 0, 0, 0, 0, 1)
 
     def test_generator(self):
-        assert kappa(cayley.generator(1, 1, QQ)) == tuple(map(Fraction, (0, 1, 1, 1, 1, 1)))
+        assert cayley.generator(1, 1, QQ).plucker == tuple(map(Fraction, (0, 1, 1, 1, 1, 1)))
 
     def test_osculating(self):
-        assert kappa(osculating_tangent(1, 1, QQ).line) == tuple(map(Fraction, (1, 3, 1, 2, 1, 1)))
+        assert osculating_tangent(1, 1, QQ).line.plucker == tuple(map(Fraction, (1, 3, 1, 2, 1, 1)))
 
 
 class TestKappaOsculating:
@@ -70,17 +75,17 @@ class TestKappaOsculating:
     def test_frozen_char3(self):
         y = kappa_osculating(1, 1, F3)
         assert y == (1, 0, 1, 2, 1, 1)
-        assert in_D(y, F3) and k_form(y, F3) == 0
+        assert in_D(y, F3) and quadric_value(y, F3) == 0
 
     @pytest.mark.parametrize("F", [F2, F3, F5, PrimeField(7)])
     def test_matches_line_image_exhaustive(self, F):
         for u1, u2 in parameter_grid(F):
-            assert kappa_osculating(u1, u2, F) == kappa(osculating_tangent(u1, u2, F).line)
+            assert kappa_osculating(u1, u2, F) == osculating_tangent(u1, u2, F).line.plucker
 
     @given(small_fractions, small_fractions)
     @settings(max_examples=80)
     def test_matches_line_image_rational(self, u1, u2):
-        assert kappa_osculating(u1, u2, QQ) == kappa(osculating_tangent(u1, u2, QQ).line)
+        assert kappa_osculating(u1, u2, QQ) == osculating_tangent(u1, u2, QQ).line.plucker
 
     @pytest.mark.parametrize("F", [F2, F5, PrimeField(7)])
     def test_forms_vanish_exhaustive(self, F):
@@ -113,9 +118,9 @@ class TestTwistedCubic:
     def test_images_in_C_on_quadric(self):
         for s in range(5):
             y = generator_cubic(1, s, F5)
-            assert in_C(y, F5) and k_form(y, F5) == 0
+            assert in_C(y, F5) and quadric_value(y, F5) == 0
         y = generator_cubic(0, 1, F5)
-        assert in_C(y, F5) and k_form(y, F5) == 0
+        assert in_C(y, F5) and quadric_value(y, F5) == 0
 
     def test_zero_parameters_rejected(self):
         with pytest.raises(cayley.ZeroParameters):
@@ -134,7 +139,7 @@ class TestTwistedCubic:
             for lam in range(5):
                 joined = tuple((yi + lam * wi) % 5 for yi, wi in zip(y, winf))
                 assert in_C(joined, F5)
-                assert k_form(joined, F5) == 0
+                assert quadric_value(joined, F5) == 0
 
 
 class TestPolarLineOfC:
@@ -148,7 +153,7 @@ class TestPolarLineOfC:
                     if a == 0 and b == 0:
                         continue
                     y = tuple(F.add(F.mul(a, x), F.mul(b, z)) for x, z in zip(w, winf))
-                    on_q = k_form(y, F) == 0
+                    on_q = quadric_value(y, F) == 0
                     assert on_q == (a == 0)
 
     def test_contained_in_C_exactly_in_char2(self):
@@ -167,7 +172,7 @@ class TestPencil:
 
     def test_klein_image_of_axis_line(self):
         l = pencil_line(1, 0, F5)
-        assert kappa(l) == (0, 0, 0, 0, 1, 0)
+        assert l.plucker == (0, 0, 0, 0, 1, 0)
 
     def test_zero_parameters_rejected(self):
         with pytest.raises(cayley.ZeroParameters):
@@ -175,7 +180,7 @@ class TestPencil:
 
     def test_images_span_expected_line(self):
         for l in pencil_LZomega(F5):
-            y = kappa(l)
+            y = l.plucker
             assert y[0] == 0 and y[1] == 0 and y[2] == 0 and y[3] == 0
 
 
@@ -192,7 +197,7 @@ class TestProjection:
         for u1 in range(5):
             for u2 in range(5):
                 y = project_through_Cperp(kappa_osculating(u1, u2, F5), F5)
-                assert in_B(y, F5)
+                assert y[2] == y[5] == 0  # in B = V(Y03, Y23)
 
     def test_check_passes_with_counts(self):
         r = projection_check(F5)
@@ -265,9 +270,9 @@ class TestChar3:
         assert r.counts["cone_section_points"] == 13
 
     def test_kappa_of_nuclei_line_is_cone_vertex(self):
-        assert kappa(cayley.nuclei_line(F3)) == (0, 0, 0, 0, 1, 0)
+        assert cayley.nuclei_line(F3).plucker == (0, 0, 0, 0, 1, 0)
         vertex = (0, 0, 0, 0, 1, 0)
-        assert in_D(vertex, F3) and k_form(vertex, F3) == 0
+        assert in_D(vertex, F3) and quadric_value(vertex, F3) == 0
 
     def test_every_congruence_line_meets_nuclei_line(self):
         n = cayley.nuclei_line(F3)
