@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Exhaustive PG(5,q) scan timings for the variety-equality check.
+"""PG(5,q) scan timings for the variety-equality check.
 
 Walks every prime up to the bound (characteristic 3 excluded), verifies that
 the common zero set of the quadric and the three cone forms equals the Klein
-image of the tangent set plus the pencil, and reports candidate counts and
-wall-clock time. Useful for judging how far the desk-scale scan reaches.
+image of the tangent set plus the pencil, and reports the scan's size and
+wall-clock time. The scan is pruned but still exhaustive: it drops a prefix
+of coordinates as soon as a form it determines is nonzero, so it visits
+O(q^3) prefixes; `candidates` is the number of points of PG(5,q), which it
+covers. Useful for judging how far the desk-scale scan reaches.
 Exits 2 when a field fails, 1 when the bound leaves no field to scan.
 
 Usage: python scripts/variety_scan.py [--max-p 13]

@@ -374,14 +374,14 @@ def certify_duality(
         v1, v2 = involution(u1, u2)
         if cayley.duality(cayley.surface_point(u1, u2, F), F) != cayley.tangent_plane(v1, v2, F):
             return False
-        image = cayley.dual_line(osculating_tangent(u1, u2, F).line, F)
-        return image == osculating_tangent(v1, v2, F).line
+        image = cayley.dual_plucker(osculating_tangent(u1, u2, F).line.plucker, F)
+        return image == osculating_tangent(v1, v2, F).line.plucker
 
     if F.is_finite:
         for u1, u2 in parameter_grid(F):
             if not pair_ok(u1, u2):
                 return CheckOutcome(passed=False, witness=(u1, u2))
-        fixed = {cayley.dual_line(l, F) for l in O} == set(O)
+        fixed = {cayley.dual_plucker(l.plucker, F) for l in O} == {l.plucker for l in O}
         surface = [x for x in points if cayley.f_value(x, F) == F.zero]
         dual_images = {cayley.duality(x, F) for x in surface}
         tangent_planes = {e for e in planes if cayley.tangency_test(e, F)}

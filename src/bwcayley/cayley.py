@@ -16,11 +16,11 @@ from typing import List, Sequence, Tuple
 from .field import Element, Field, PrimeField
 from .projspace import (
     GeometryError,
+    KleinPoint,
     Line,
     ProjPlane,
     ProjPoint,
     canonicalize,
-    intersect_planes,
     line_through,
 )
 
@@ -321,6 +321,12 @@ def tangency_test(e: Sequence, F: Field) -> bool:
     return val == F.zero
 
 
-def dual_line(l: Line, F: Field) -> Line:
-    """Image of a line under the duality: intersection of the two dual planes."""
-    return intersect_planes(duality(l.p, F), duality(l.q, F), F)
+def dual_plucker(y: Sequence, F: Field) -> KleinPoint:
+    """Klein image of the dual of the line with Klein image y.
+
+    The duality sends the points p, q of a line to the planes reversed(p),
+    reversed(q), whose common line has the canonical Plücker sextuple
+    (y01, -y02, y12, y03, -y13, y23).
+    """
+    y01, y02, y03, y12, y13, y23 = y
+    return canonicalize((y01, F.neg(y02), y12, y03, F.neg(y13), y23), F)

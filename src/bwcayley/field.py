@@ -220,7 +220,7 @@ def parse_field_spec(text: str) -> Field:
         return Rationals()
     if text.startswith("gf:"):
         body = text[3:]
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise MalformedSpec(f"bad field spec {text!r}")
         return PrimeField(int(body))
     raise MalformedSpec(f"bad field spec {text!r}")

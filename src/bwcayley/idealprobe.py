@@ -17,9 +17,9 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import field
-from .klein import in_kappa_O, kappa_osculating
+from .klein import h1_form, h2_form, h3_form, in_kappa_O, kappa_osculating
 from .linalg import nullspace, rank
-from .projspace import KleinPoint, primitive_int_vector
+from .projspace import KleinPoint, primitive_int_vector, quadric_value
 from .reports import CheckOutcome
 
 NUM_VARS = 6
@@ -138,28 +138,26 @@ def _vanish_at(exps: Sequence[Tuple[int, ...]], basis: Sequence[Sequence], point
 
 
 def known_quadric_coefficients() -> Dict[str, List[Fraction]]:
-    """The quadric and the three cone forms as degree-2 coefficient vectors."""
-    exps = monomial_exponents(2)
-    index = {e: i for i, e in enumerate(exps)}
+    """The quadric and the three cone forms as degree-2 coefficient vectors.
 
-    def vector(terms: Dict[Tuple[int, ...], int]) -> List[Fraction]:
-        vec = [Fraction(0)] * len(exps)
-        for e, c in terms.items():
-            vec[index[e]] = Fraction(c)
+    Read off each form by polarization: the coefficient of Yi^2 is f(e_i),
+    and that of Yi*Yj is f(e_i + e_j) - f(e_i) - f(e_j).
+    """
+    def vector(form) -> List[Fraction]:
+        def at(*indices: int) -> Fraction:
+            return form(tuple(Fraction(indices.count(v)) for v in range(NUM_VARS)), field.QQ)
+
+        vec = []
+        for e in monomial_exponents(2):
+            i, j = (v for v, k in enumerate(e) for _ in range(k))  # i == j for a square
+            vec.append(at(i) if i == j else at(i, j) - at(i) - at(j))
         return vec
 
-    def e(i: int, j: int) -> Tuple[int, ...]:
-        out = [0] * NUM_VARS
-        out[i] += 1
-        out[j] += 1
-        return tuple(out)
-
-    # coordinates: 0=Y01 1=Y02 2=Y03 3=Y12 4=Y13 5=Y23
     return {
-        "k": vector({e(0, 5): 1, e(1, 4): -1, e(2, 3): 1}),
-        "h1": vector({e(0, 3): 3, e(0, 2): 3, e(1, 1): -1}),
-        "h2": vector({e(1, 4): 3, e(3, 3): -1, e(2, 3): -2, e(2, 2): -1}),
-        "h3": vector({e(0, 4): 9, e(1, 3): -1, e(1, 2): -1}),
+        "k": vector(quadric_value),
+        "h1": vector(h1_form),
+        "h2": vector(h2_form),
+        "h3": vector(h3_form),
     }
 
 

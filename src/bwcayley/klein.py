@@ -9,12 +9,12 @@ everything collapses into the quadratic cone cut out by the 3-space D.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain
 from typing import List, Sequence, Set, Tuple
 
 from . import cayley
 from .bwspread import build_O
-from .field import Field, InfiniteField, PrimeField, cube_roots
+from .field import Field, InfiniteField, cube_roots
 from .linalg import rank, same_span
 from .projspace import (
     GeometryError,
@@ -216,35 +216,34 @@ def generator_cubic_check(F: Field) -> CheckOutcome:
 
 # --- exhaustive variety comparison -------------------------------------------
 
-def _prime_zero_scan(p: int, lead: int, tails) -> Set[KleinPoint]:
-    """Zero set of h1,h2,h3,k among canonical sextuples with a fixed leading 1."""
-    zero: Set[KleinPoint] = set()
-    prefix = (0,) * lead + (1,)
-    for tail in tails:
-        y = prefix + tail
-        y01, y02, y03, y12, y13, y23 = y
-        s = (y12 + y03) % p
-        if (3 * y01 * s - y02 * y02) % p:
-            continue
-        if (3 * y02 * y13 - s * s) % p:
-            continue
-        if (9 * y01 * y13 - y02 * s) % p:
-            continue
-        if (y01 * y23 - y02 * y13 + y03 * y12) % p:
-            continue
-        zero.add(y)
-    return zero
+# Index of the last coordinate each form reads: h1 stops at Y12, h2 and h3 at
+# Y13, and k needs all six; a form is tested once that coordinate is assigned.
+_FORMS_READY_AT = ((), (), (), (h1_form,), (h2_form, h3_form), (quadric_value,))
 
 
 def variety_zero_set(F: Field) -> Set[KleinPoint]:
-    """All canonical points of PG(5,q) where h1, h2, h3 and k vanish."""
-    if not isinstance(F, PrimeField):
-        raise InfiniteField("exhaustive scan needs a finite prime field")
-    p = F.p
-    out: Set[KleinPoint] = set()
-    for lead in range(5, -1, -1):
-        out |= _prime_zero_scan(p, lead, product(range(p), repeat=5 - lead))
-    return out
+    """All canonical points of PG(5,q) where h1, h2, h3 and k vanish.
+
+    Coordinates are assigned in order and a prefix is dropped as soon as a
+    form it fully determines is nonzero, so the scan stays exhaustive while
+    visiting O(q^3) prefixes instead of the (q^6-1)/(q-1) points.
+    """
+    if not F.is_finite:
+        raise InfiniteField("exhaustive scan needs a finite field")
+    zero = F.zero
+    elems = tuple(F.elements())
+    prefixes: List[Tuple] = []
+    for i, forms in enumerate(_FORMS_READY_AT):
+        extended = []
+        # canonical tuples: start at coordinate i, or extend a started prefix
+        for z in chain([(zero,) * i + (F.one,)], (y + (v,) for y in prefixes for v in elems)):
+            for form in forms:
+                if form(z, F) != zero:
+                    break
+            else:
+                extended.append(z)
+        prefixes = extended
+    return set(prefixes)
 
 
 def verify_variety_equality(F: Field) -> CheckOutcome:

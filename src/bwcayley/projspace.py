@@ -16,7 +16,6 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .field import Field, InfiniteField
-from .linalg import nullspace
 
 Vector = Tuple            # canonical homogeneous tuple, any length
 ProjPoint = Tuple         # 4-tuple
@@ -229,14 +228,6 @@ def point_in_plane(x: Sequence, e: Sequence, F: Field) -> bool:
 
 def line_in_plane(l: Line, e: Sequence, F: Field) -> bool:
     return point_in_plane(l.p, e, F) and point_in_plane(l.q, e, F)
-
-
-def intersect_planes(e1: Sequence, e2: Sequence, F: Field) -> Line:
-    """The line common to two distinct planes."""
-    basis = nullspace([list(e1), list(e2)], 4, F)
-    if len(basis) != 2:
-        raise GeometryError("planes coincide; no unique intersection line")
-    return line_through(basis[0], basis[1], F)
 
 
 def _canonical_tuples(length: int, F: Field) -> Iterator[Vector]:

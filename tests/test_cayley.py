@@ -1,5 +1,6 @@
 """Surface membership, singular structure, generators, group, duality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from bwcayley.cayley import (
     ZeroParameters,
     ZeroScale,
     classify_point,
+    dual_plucker,
     duality,
-    dual_line,
     f_value,
     g_infinity,
     generator,
@@ -30,8 +31,11 @@ from bwcayley.cayley import (
     z_point,
 )
 from bwcayley.field import PrimeField, Rationals
+from bwcayley.linalg import nullspace
 from bwcayley.projspace import (
+    GeometryError,
     canonicalize,
+    enumerate_lines,
     enumerate_planes,
     enumerate_points,
     incidence,
@@ -320,4 +324,36 @@ class TestDuality:
         assert images == tangent_set
 
     def test_dual_line_of_directrix(self):
-        assert dual_line(g_infinity(F5), F5) == g_infinity(F5)
+        y = g_infinity(F5).plucker
+        assert dual_plucker(y, F5) == y
+
+
+def eliminated_dual(l, F):
+    """Klein image of the dual line by elimination: the line common to the
+    planes whose coefficients are the reversed spanning points of l.
+    """
+    basis = nullspace([list(reversed(l.p)), list(reversed(l.q))], 4, F)
+    return line_through(basis[0], basis[1], F).plucker
+
+
+class TestDualPlucker:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_equals_elimination_on_every_line(self, p):
+        F = PrimeField(p)
+        for l in enumerate_lines(F):
+            assert dual_plucker(l.plucker, F) == eliminated_dual(l, F)
+
+    def test_equals_elimination_on_rational_lines(self):
+        rng = random.Random(7)
+
+        def point():
+            return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+
+        checked = 0
+        while checked < 3000:
+            try:
+                l = line_through(point(), point(), QQ)
+            except GeometryError:  # a zero vector or a repeated point
+                continue
+            assert dual_plucker(l.plucker, QQ) == eliminated_dual(l, QQ)
+            checked += 1

@@ -54,7 +54,7 @@ def test_mismatch_exits_two_without_out_dir(capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("spec", ["gf:4", "gf:x"])
+@pytest.mark.parametrize("spec", ["gf:4", "gf:x", "gf:²"])
 def test_bad_field_is_a_usage_error(spec, capsys):
     assert script_main(["--fields", f"gf:2,{spec}"]) == 1
     out = capsys.readouterr()

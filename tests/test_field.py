@@ -41,7 +41,7 @@ class TestParse:
         with pytest.raises(NonPrimeModulus):
             parse_field_spec("gf:6")
 
-    @pytest.mark.parametrize("bad", ["", "gf:", "gf:abc", "r", "gf:-7"])
+    @pytest.mark.parametrize("bad", ["", "gf:", "gf:abc", "r", "gf:-7", "gf:²", "gf:٣"])
     def test_malformed(self, bad):
         with pytest.raises(MalformedSpec):
             parse_field_spec(bad)

@@ -25,7 +25,6 @@ _BETTEN = "ROADMAP: wire it in or delete it, the betten subcommand"
 _OSCULATION = "ROADMAP: wire it in or delete it, the betten subcommand's osculation check"
 _ORACLE = "ROADMAP: wire it in or delete it, move the test oracles into tests/"
 _TRACED = "ROADMAP: benchmark refresh, retarget the traced targets that read 0"
-_PRUNED = "ROADMAP: certify and klein at q = 101, variety zero set by pruned enumeration"
 PENDING = {
     "group_matrix": _GROUP,
     "group_apply": _GROUP,
@@ -51,9 +50,6 @@ PENDING = {
     "line_in_plane": _TRACED,
     "enumerate_planes": _TRACED,
     "form_value": _TRACED,
-    "h1_form": _PRUNED,
-    "h2_form": _PRUNED,
-    "h3_form": _PRUNED,
 }
 
 

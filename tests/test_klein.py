@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from bwcayley import cayley, klein
 from bwcayley.bwspread import build_O, osculating_tangent, parameter_grid
-from bwcayley.field import PrimeField, Rationals
+from bwcayley.field import InfiniteField, PrimeField, Rationals
 from bwcayley.klein import (
     ProjectionDegenerate,
     WrongCharacteristic,
@@ -31,6 +32,7 @@ from bwcayley.klein import (
     projection_check,
     twisted_cubic_basis,
     variety_qd_points,
+    variety_zero_set,
     verify_variety_equality,
     w_infinity,
 )
@@ -217,6 +219,37 @@ class TestProjection:
             project_through_Cperp(w_infinity(QQ), QQ)
         with pytest.raises(ProjectionDegenerate):
             project_through_Cperp(w_vector(QQ), QQ)
+
+
+def integer_zero_scan(p):
+    """Zero set of h1, h2, h3 and k over GF(p) by a full scan of PG(5,p),
+    with the forms written out in integers.
+    """
+    zero = set()
+    for lead in range(5, -1, -1):
+        prefix = (0,) * lead + (1,)
+        for tail in product(range(p), repeat=5 - lead):
+            y = prefix + tail
+            y01, y02, y03, y12, y13, y23 = y
+            s = y12 + y03
+            if (
+                (3 * y01 * s - y02 * y02) % p == 0
+                and (3 * y02 * y13 - s * s) % p == 0
+                and (9 * y01 * y13 - y02 * s) % p == 0
+                and (y01 * y23 - y02 * y13 + y03 * y12) % p == 0
+            ):
+                zero.add(y)
+    return zero
+
+
+class TestVarietyZeroSet:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_equals_full_integer_scan(self, p):
+        assert variety_zero_set(PrimeField(p)) == integer_zero_scan(p)
+
+    def test_rationals_refused(self):
+        with pytest.raises(InfiniteField):
+            variety_zero_set(QQ)
 
 
 class TestVarietyEquality:

@@ -19,7 +19,6 @@ from bwcayley.projspace import (
     enumerate_points,
     gram_apply,
     incidence,
-    intersect_planes,
     line_from_plucker,
     line_in_plane,
     line_through,
@@ -165,11 +164,6 @@ class TestIncidence:
             pencil = span_points(nullspace([list(l.p), list(l.q)], 4, F), F)
             assert len(pencil) == len(set(pencil)) == p + 1
             assert set(pencil) == {e for e in planes if line_in_plane(l, e, F)}
-
-    def test_intersect_planes_recovers_line(self):
-        l = line_through((1, 2, 3, 4), (0, 1, 1, 2), F5)
-        planes = [e for e in enumerate_planes(F5) if line_in_plane(l, e, F5)]
-        assert intersect_planes(planes[0], planes[1], F5) == l
 
 
 class TestKleinRoundTrip:
