@@ -32,6 +32,7 @@ from .projspace import (
     ProjPoint,
     canonicalize,
     dedup_lines,
+    det4,
     gram_apply,
     incidence,
     line_from_plucker,
@@ -127,45 +128,50 @@ def skew_criterion(v1, v2, u1, u2, F: Field) -> Element:
 def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     """Pairwise skewness of O.
 
-    Finite fields: exhaustive scan of all parameter pairs in lexicographic
-    order (the criterion value of the first violating pair is re-checked
-    against the determinant route). Rationals: the criterion is nonzero for
-    all distinct pairs exactly when X^2+X+1 has no root, plus seeded random
-    replays of both routes.
+    Finite fields, through the translation group of the surface. The
+    generators M(1,0,1) and M(0,1,1) are certified to be invertible, to fix
+    the directrix and to send tangent(u) to tangent(param_action(u)) for
+    every parameter u, and their orbit of (0,0) to hold all q^2 parameters.
+    Collineations keep skewness, so the tangents meeting a given tangent are
+    as many for every u as for the origin, and testing the origin tangent
+    against the other q^2 - 1 (by the criterion and by the determinant, which
+    must agree) decides every pair: with m of them meeting it there are
+    q^2*m/2 violations, and the lexicographically first violating pair is
+    ((0,0), first meeting u). The directrix is tested against every tangent.
+    Rationals: the criterion is nonzero for all distinct pairs exactly when
+    X^2+X+1 has no root, plus seeded random replays of both routes.
     """
     if F.is_finite:
-        params = parameter_grid(F)
-        witness = None
-        violations = 0
-        for i, v in enumerate(params):
-            for u in params[i + 1 :]:
-                if skew_criterion(v[0], v[1], u[0], u[1], F) == F.zero:
-                    violations += 1
-                    if witness is None:
-                        witness = (v, u)
+        tangent = {u: osculating_tangent(*u, F).line for u in parameter_grid(F)}
         ginf = cayley.g_infinity(F)
-        tangents_meeting_ginf = sum(
-            1
-            for u1, u2 in params
-            if not lines_skew(osculating_tangent(u1, u2, F).line, ginf, F)
-        )
+        tangents_meeting_ginf = sum(1 for l in tangent.values() if not lines_skew(l, ginf, F))
         n_lines = F.order**2 + 1
         counts = {
             "lines": n_lines,
             "pairs_checked": n_lines * (n_lines - 1) // 2,  # includes directrix pairs
-            "violations": violations,
             "tangents_meeting_directrix": tangents_meeting_ginf,
         }
-        if witness is not None:
-            t1 = osculating_tangent(*witness[0], F).line
-            t2 = osculating_tangent(*witness[1], F).line
-            if lines_skew(t1, t2, F):
+        failure = _translation_failure(tangent, ginf, F)
+        if failure is not None:
+            note, witness = failure
+            return CheckOutcome(passed=False, witness=witness, counts=counts, note=note)
+        origin = (F.zero, F.zero)
+        t0 = tangent[origin]
+        meeting = []
+        for u, l in tangent.items():
+            if u == origin:
+                continue
+            criterion_meets = skew_criterion(*origin, *u, F) == F.zero
+            if criterion_meets == lines_skew(t0, l, F):
                 return CheckOutcome(
-                    passed=False, witness=witness, counts=counts, note="route disagreement"
+                    passed=False, witness=(origin, u), counts=counts, note="route disagreement"
                 )
+            if criterion_meets:
+                meeting.append(u)
+        counts["violations"] = F.order**2 * len(meeting) // 2
         return CheckOutcome(
-            passed=witness is None and tangents_meeting_ginf == 0,
-            witness=witness,
+            passed=not meeting and tangents_meeting_ginf == 0,
+            witness=(origin, meeting[0]) if meeting else None,
             counts=counts,
         )
     # rationals: no nontrivial cube root of unity means no violating pair exists
@@ -191,6 +197,42 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
         counts={"spot_checks": checked},
         note="no root of X^2+X+1, so every distinct pair is skew",
     )
+
+
+def _translation_failure(tangent: Dict[Tuple, Line], ginf: Line, F: Field):
+    """(note, witness) for the first failed step of the group route, or None.
+
+    Each generator must have a nonzero determinant, fix the directrix and map
+    every tangent onto the tangent at its param_action image (the witness is
+    the generator's (a, b, c) and the parameter, None for the directrix);
+    then the generators' orbit of (0,0) must hold every parameter (the
+    witness is the first parameter outside it).
+    """
+    generators = [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)]
+
+    def image(M, l: Line) -> Line:
+        return line_through(cayley.group_apply(M, l.p, F), cayley.group_apply(M, l.q, F), F)
+
+    for M in generators:
+        abc = (M.a, M.b, M.c)
+        if det4(M.entries, F) == F.zero or image(M, ginf) != ginf:
+            return "generator is singular or moves the directrix", (abc, None)
+        for u, l in tangent.items():
+            if image(M, l) != tangent.get(cayley.param_action(M, *u, F)):
+                return "group action disagrees with param_action", (abc, u)
+    orbit = {(F.zero, F.zero)}
+    frontier = list(orbit)
+    while frontier:
+        u = frontier.pop()
+        for M in generators:
+            v = cayley.param_action(M, *u, F)
+            if v not in orbit:
+                orbit.add(v)
+                frontier.append(v)
+    missing = [u for u in tangent if u not in orbit]
+    if missing:
+        return "generator orbit of (0,0) misses parameters", missing[0]
+    return None
 
 
 def covering_deficit(p1, p2, p3, F: Field) -> Element:

@@ -90,17 +90,14 @@ class PrimeField:
     # --- arithmetic ---
     def of(self, n) -> int:
         """Coerce an integer (or Fraction with invertible denominator) into GF(p)."""
+        if type(n) is int:  # the common case, ahead of the slower ABC isinstance
+            return n % self.p
         if isinstance(n, Fraction):
             return self.div(n.numerator % self.p, n.denominator % self.p)
         return n % self.p
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    zero = 0
+    one = 1
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -163,13 +160,8 @@ class Rationals:
     def of(self, n) -> Fraction:
         return Fraction(n)
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b

@@ -32,10 +32,16 @@ class CoincidentPoints(GeometryError):
 
 
 def canonicalize(vec: Sequence, F: Field) -> Vector:
-    """Scale a homogeneous tuple so its first nonzero coordinate is 1."""
+    """Scale a homogeneous tuple so its first nonzero coordinate is 1.
+
+    A tuple whose first nonzero coordinate is already 1, such as every tuple
+    `enumerate_points` yields, comes back reduced but otherwise unscaled.
+    """
     vec = tuple(F.of(v) if isinstance(v, int) else v for v in vec)
     for v in vec:
         if v != F.zero:
+            if v == F.one:
+                return vec
             inv = F.inv(v)
             return tuple(F.mul(inv, w) for w in vec)
     raise GeometryError("zero vector has no projective class")

@@ -138,6 +138,76 @@ class TestPartialSpread:
         assert r.witness == ((0, 0), (1, 4))
 
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+    def test_group_route_equals_pairwise_scan(self, p):
+        F = PrimeField(p)
+        r = certify_partial_spread(F)
+        counts, witness = _pairwise_partial_spread(F)
+        assert r.note == ""
+        assert r.counts == counts
+        assert r.witness == witness
+        assert r.passed == (counts["violations"] == 0)
+
+    def test_wrong_param_action_fails_the_action_step(self, monkeypatch):
+        # drops the 3ac*u1 term of the second coordinate
+        monkeypatch.setattr(
+            cayley, "param_action", lambda M, u1, u2, F: (F.add(M.a, u1), F.add(M.b, u2))
+        )
+        r = certify_partial_spread(F5)
+        assert r.passed is False
+        assert r.note == "group action disagrees with param_action"
+        assert r.witness == ((1, 0, 1), (1, 0))
+        assert "violations" not in r.counts
+
+    def test_identity_generators_fail_the_orbit_step(self, monkeypatch):
+        group_matrix = cayley.group_matrix
+        monkeypatch.setattr(cayley, "group_matrix", lambda a, b, c, F: group_matrix(0, 0, 1, F))
+        r = certify_partial_spread(F5)
+        assert r.passed is False
+        assert r.note == "generator orbit of (0,0) misses parameters"
+        assert r.witness == (0, 1)
+
+    def test_singular_generator_fails_the_action_step(self, monkeypatch):
+        monkeypatch.setattr(bwspread, "det4", lambda m, F: F.zero)
+        r = certify_partial_spread(F5)
+        assert r.passed is False
+        assert r.note == "generator is singular or moves the directrix"
+        assert r.witness == ((1, 0, 1), None)
+
+    def test_criterion_forced_nonzero_is_a_route_disagreement(self, monkeypatch):
+        monkeypatch.setattr(bwspread, "skew_criterion", lambda v1, v2, u1, u2, F: F.one)
+        r = certify_partial_spread(F7)
+        assert r.passed is False
+        assert r.note == "route disagreement"
+        assert r.witness == ((0, 0), (1, 4))
+
+
+def _pairwise_partial_spread(F):
+    """Reference route: the criterion on every pair of parameters, in
+    lexicographic order, and every tangent against the directrix."""
+    params = parameter_grid(F)
+    witness = None
+    violations = 0
+    for i, v in enumerate(params):
+        for u in params[i + 1 :]:
+            if skew_criterion(v[0], v[1], u[0], u[1], F) == F.zero:
+                violations += 1
+                if witness is None:
+                    witness = (v, u)
+    ginf = cayley.g_infinity(F)
+    meeting_ginf = sum(
+        1 for u1, u2 in params if not lines_skew(osculating_tangent(u1, u2, F).line, ginf, F)
+    )
+    n_lines = F.order**2 + 1
+    counts = {
+        "lines": n_lines,
+        "pairs_checked": n_lines * (n_lines - 1) // 2,
+        "violations": violations,
+        "tangents_meeting_directrix": meeting_ginf,
+    }
+    return counts, witness
+
+
 class TestBuildO:
     def test_line_count_checked(self, monkeypatch):
         monkeypatch.setattr(bwspread, "dedup_lines", lambda lines: list(lines)[:-1])

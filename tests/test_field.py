@@ -156,6 +156,38 @@ class TestProfileAndRegime:
             assert classify_field(PrimeField(p)) == want, p
 
 
+class TestCoercion:
+    @pytest.mark.parametrize("p", [2, 7, 13])
+    def test_of_reduces_ints(self, p):
+        F = PrimeField(p)
+        for n in (-3 * p - 1, -p, -1, 0, 1, p - 1, p, p + 1, 5 * p + 2, 10**30 + 7):
+            value = F.of(n)
+            assert type(value) is int and value == n % p
+
+    def test_of_bools(self):
+        F = PrimeField(7)
+        assert F.of(True) == 1 and F.of(False) == 0
+        assert type(F.of(True)) is int
+
+    @pytest.mark.parametrize("p", [2, 7, 13])
+    def test_of_fractions(self, p):
+        F = PrimeField(p)
+        for x in (Fraction(3), Fraction(-2), Fraction(1, 3), Fraction(-5, 4), Fraction(p + 1, 2 * p + 1)):
+            if x.denominator % p == 0:
+                continue
+            value = F.of(x)
+            assert type(value) is int and 0 <= value < p
+            assert (value * x.denominator - x.numerator) % p == 0
+
+    def test_zero_and_one(self):
+        F = PrimeField(7)
+        assert (F.zero, F.one) == (0, 1)
+        assert type(F.zero) is int and type(F.one) is int
+        assert PrimeField.zero == 0 and PrimeField.one == 1
+        assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
+        assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+
+
 class TestAxioms:
     @given(st.integers(), st.integers(), st.integers())
     def test_gf_axioms(self, a, b, c):

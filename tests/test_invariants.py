@@ -20,17 +20,11 @@ ROOT = Path(__file__).parents[1]
 # Library names that no check, script or benchmark reaches yet, each kept for
 # the ROADMAP item that will wire it in. Wiring a name or deleting it means
 # removing it here too; the test below fails until that is done.
-_GROUP = "ROADMAP: certify and klein at q = 101, partial spread through the automorphism group"
 _BETTEN = "ROADMAP: wire it in or delete it, the betten subcommand"
 _OSCULATION = "ROADMAP: wire it in or delete it, the betten subcommand's osculation check"
 _ORACLE = "ROADMAP: wire it in or delete it, move the test oracles into tests/"
 _TRACED = "ROADMAP: benchmark refresh, retarget the traced targets that read 0"
 PENDING = {
-    "group_matrix": _GROUP,
-    "group_apply": _GROUP,
-    "param_action": _GROUP,
-    "GMatrix": _GROUP,
-    "ZeroScale": _GROUP,
     "betten_chart": _BETTEN,
     "betten_collineation": _BETTEN,
     "Char3Unsupported": _BETTEN,

@@ -1,5 +1,6 @@
 """Canonical coordinates, Plücker machinery, and PG(3,q) enumeration."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -54,9 +55,39 @@ class TestCanonical:
         with pytest.raises(GeometryError):
             canonicalize((0, 0, 0, 0), F5)
 
+    def test_leading_one_is_still_reduced(self):
+        assert canonicalize((1, 15, -1, 0), PrimeField(7)) == (1, 1, 6, 0)
+        assert canonicalize((0, 8, 3, -2), PrimeField(7)) == (0, 1, 3, 5)
+        assert canonicalize((0, 1, 2, 4), F5) == (0, 1, 2, 4)
+
+    @pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(13), QQ], ids=str)
+    def test_matches_scale_by_inverse(self, F):
+        rng = random.Random(20)
+        for _ in range(400):
+            if F.is_finite:
+                vec = [rng.randint(-3 * F.p, 3 * F.p) for _ in range(rng.choice((4, 6)))]
+                if rng.random() < 0.3:
+                    vec[0] = rng.choice((1, F.p + 1, 1 - F.p))  # leads with 1 but unreduced
+            else:
+                vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.choice((4, 6)))]
+                if rng.random() < 0.3:
+                    vec[0] = rng.choice((1, Fraction(1)))
+            if all(F.of(v) == F.zero for v in vec):
+                continue
+            assert canonicalize(vec, F) == _scale_by_inverse(vec, F)
+
     def test_primitive_int_vector(self):
         assert primitive_int_vector((Fraction(1), Fraction(0), Fraction(-2, 3))) == (3, 0, -2)
         assert primitive_int_vector((Fraction(-1, 2), Fraction(1, 2))) == (1, -1)
+
+
+def _scale_by_inverse(vec, F):
+    """Reference route: reduce every coordinate, then multiply by the inverse
+    of the first nonzero one."""
+    reduced = [F.of(v) for v in vec]
+    lead = next(v for v in reduced if v != F.zero)
+    inv = F.inv(lead)
+    return tuple(F.mul(inv, v) for v in reduced)
 
 
 class TestPlucker:
