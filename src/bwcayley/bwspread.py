@@ -24,7 +24,7 @@ from .field import (
     cube_roots,
     nontrivial_cube_root_of_unity,
 )
-from .linalg import nullspace
+from .linalg import nullspace, rank, rref
 from .projspace import (
     GeometryError,
     Line,
@@ -35,10 +35,10 @@ from .projspace import (
     det4,
     gram_apply,
     incidence,
-    line_from_plucker,
     line_through,
     lines_skew,
     point_in_plane,
+    quadric_polarization,
     quadric_value,
     span_points,
 )
@@ -351,16 +351,18 @@ def certify_maximality(F: Field, points: Optional[Sequence[ProjPoint]], seed: in
 
 
 def certify_dual_spread(
-    F: Field, O: Optional[Sequence[Line]], planes: Optional[Sequence[ProjPlane]]
+    F: Field, O: Optional[Sequence[Line]], points: Optional[Sequence[ProjPoint]]
 ) -> CheckOutcome:
-    """Plane counts of O = build_O(F) over planes = enumerate_planes(F): exactly
-    one line per plane in the spread regimes.
+    """Plane counts of O = build_O(F): exactly one line per plane in the
+    spread regimes.
 
-    The planes through a line are the q+1 points of the nullspace of its two
+    The planes are read from points = enumerate_points(F): its canonical
+    4-tuples are also the coefficient tuples of the planes of PG(3,q). The
+    planes through a line are the q+1 points of the nullspace of its two
     spanning points, so one pass over the pencils of O counts the lines in
     every plane. Also verifies the dual surrogate of maximality: every plane
     through the pinch point contains at least one line of O. Skipped over
-    the rationals, where O and planes are None.
+    the rationals, where O and points are None.
     """
     if not F.is_finite:
         return CheckOutcome(passed=None, note="plane counting needs a finite field")
@@ -372,7 +374,7 @@ def certify_dual_spread(
     witness = None
     histogram: Dict[int, int] = {}
     planes_through_z_missing = 0
-    for plane in planes:
+    for plane in points:
         n = lines_in.get(plane, 0)
         histogram[n] = histogram.get(n, 0) + 1
         if n != 1 and witness is None:
@@ -395,7 +397,6 @@ def certify_duality(
     F: Field,
     O: Optional[Sequence[Line]],
     points: Optional[Sequence[ProjPoint]],
-    planes: Optional[Sequence[ProjPlane]],
     seed: int = 0,
 ) -> CheckOutcome:
     """The coordinate-reversing duality fixes O and pairs points with tangent planes.
@@ -405,9 +406,9 @@ def certify_duality(
     the induced line map sending the tangent at (u1,u2) to the tangent at
     (-u1, 3u1^2-u2), and over finite fields that the dual image of
     O = build_O(F) is O and that duality maps the surface points among
-    points = enumerate_points(F) onto the tangent planes among
-    planes = enumerate_planes(F). Over the rationals O, points and planes
-    are None and unused.
+    points = enumerate_points(F) onto the tangent planes among the same
+    canonical 4-tuples, read as plane coefficients. Over the rationals O and
+    points are None and unused.
     """
     def involution(u1, u2):
         return F.neg(u1), F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
@@ -426,7 +427,7 @@ def certify_duality(
         fixed = {cayley.dual_plucker(l.plucker, F) for l in O} == {l.plucker for l in O}
         surface = [x for x in points if cayley.f_value(x, F) == F.zero]
         dual_images = {cayley.duality(x, F) for x in surface}
-        tangent_planes = {e for e in planes if cayley.tangency_test(e, F)}
+        tangent_planes = {e for e in points if cayley.tangency_test(e, F)}
         bijective = len(dual_images) == len(surface) and dual_images == tangent_planes
         return CheckOutcome(
             passed=fixed and bijective,
@@ -488,40 +489,60 @@ def regulus_minus(s, F: Field) -> List[Line]:
 
 
 def verify_regulus(lines: Sequence[Line], F: Field):
-    """Check a q+1 line set is a regulus: transversals form an opposite regulus.
+    """Check that a line set is a whole regulus, through its Klein images.
 
-    Returns (ok, transversals). A line meets every given line exactly when
-    its Klein image is on the quadric and in the nullspace of the rows
-    gram_apply(l.plucker), so the transversals are the quadric points of that
-    nullspace, ordered as span_points lists them.
+    A regulus is the set of q+1 lines whose images are the points of a
+    nondegenerate conic, a plane section of the Klein quadric. So the lines
+    are a regulus exactly when their images span a plane, there are q+1 of
+    them, and the plane is a conic plane; the opposite regulus is then the
+    conic of the polar plane, the nullspace of the rows gram_apply(y), which
+    must be a conic plane as well. Returns (ok, polar): polar is a basis of
+    the polar plane, or [] when the images do not span a conic plane.
     """
     lines = list(lines)
     if len(dedup_lines(lines)) != len(lines) or len(lines) < 3:
         raise NotARegulus("need at least three distinct lines")
-    pairwise = all(
-        lines_skew(a, b, F) for i, a in enumerate(lines) for b in lines[i + 1 :]
-    )
-    polar = nullspace([list(gram_apply(l.plucker, F)) for l in lines], 6, F)
-    transversals = [
-        line_from_plucker(y, F)
-        for y in span_points(polar, F)
-        if quadric_value(y, F) == F.zero
-    ]
-    opposite_ok = len(transversals) == len(lines) and all(
-        lines_skew(a, b, F)
-        for i, a in enumerate(transversals)
-        for b in transversals[i + 1 :]
-    )
-    return pairwise and opposite_ok, transversals
+    reduced, pivots = rref([list(l.plucker) for l in lines], F)
+    plane = reduced[:3]
+    if len(pivots) != 3 or len(lines) != F.order + 1 or not _conic_plane(plane, F):
+        return False, []
+    polar = nullspace([list(gram_apply(y, F)) for y in plane], 6, F)
+    return _conic_plane(polar, F), polar
+
+
+def _conic_plane(basis: Sequence[Sequence], F: Field) -> bool:
+    """Whether the span of three sextuples meets the Klein quadric in a
+    nondegenerate conic.
+
+    On x*e1 + y*e2 + z*e3 the quadric is a*x^2 + b*y^2 + c*z^2 + h*xy + g*xz
+    + f*yz, with a, b, c its values on the basis and h, g, f the
+    polarizations of the pairs (1,2), (1,3), (2,3). The conic is
+    nondegenerate exactly when the half-discriminant 4abc + fgh - af^2 -
+    bg^2 - ch^2 is nonzero, in every characteristic; a change of basis
+    scales it by a nonzero square. The restricted Gram determinant is twice
+    this value, so it cannot serve: it vanishes identically in
+    characteristic 2, where the polarization is alternating.
+    """
+    e1, e2, e3 = basis
+    a, b, c = (quadric_value(e, F) for e in basis)
+    h = quadric_polarization(e1, e2, F)
+    g = quadric_polarization(e1, e3, F)
+    f = quadric_polarization(e2, e3, F)
+    mul = F.mul
+    value = F.add(mul(F.of(4), mul(mul(a, b), c)), mul(mul(f, g), h))
+    for u, v in ((a, f), (b, g), (c, h)):
+        value = F.sub(value, mul(u, mul(v, v)))
+    return value != F.zero
 
 
 def reguli_check(F: Field) -> CheckOutcome:
     """For every s, regulus_minus(s) is a regulus whose opposite regulus
-    contains the generator g(1,s); the witness is the first failing s.
+    contains the generator g(1,s): the image of g(1,s), which is on the
+    quadric, lies in the polar plane. The witness is the first failing s.
     """
     counts = {"reguli": F.order, "lines_each": F.order + 1}
     for s in F.elements():
-        ok, opposite = verify_regulus(regulus_minus(s, F), F)
-        if not (ok and cayley.generator(1, s, F) in opposite):
+        ok, polar = verify_regulus(regulus_minus(s, F), F)
+        if not (ok and rank(polar + [list(cayley.generator(1, s, F).plucker)], F) == 3):
             return CheckOutcome(passed=False, witness=s, counts=counts)
     return CheckOutcome(passed=True, counts=counts)

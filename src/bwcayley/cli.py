@@ -56,14 +56,10 @@ class Run:
 
     @cached_property
     def points(self):
-        """enumerate_points(F) over a finite field; None over the rationals."""
+        """enumerate_points(F) over a finite field, which lists the planes too
+        (a canonical 4-tuple is a point or a plane's coefficients); None over
+        the rationals."""
         return projspace.enumerate_points(self.F) if self.F.is_finite else None
-
-    @property
-    def planes(self):
-        """The planes of PG(3,q): enumerate_planes(F) equals enumerate_points(F),
-        so this is the same list as `points` (no check mutates it)."""
-        return self.points
 
     @cached_property
     def probe(self) -> idealprobe.ProbeReport:
@@ -125,13 +121,13 @@ CHECKS = {
             "dual_spread",
             "every plane contains exactly one line of the set",
             _by_regime("pass", "fail", "skipped", "fail"),
-            lambda run: bwspread.certify_dual_spread(run.F, run.O, run.planes),
+            lambda run: bwspread.certify_dual_spread(run.F, run.O, run.points),
         ),
         (
             "duality",
             "reversing coordinates maps surface points onto tangent planes and fixes the tangent set",
             _by_regime("pass", "pass", "pass", "pass"),
-            lambda run: bwspread.certify_duality(run.F, run.O, run.points, run.planes, seed=run.seed),
+            lambda run: bwspread.certify_duality(run.F, run.O, run.points, seed=run.seed),
         ),
     ],
     "klein": [

@@ -144,35 +144,6 @@ def line_through(p: Sequence, q: Sequence, F: Field) -> Line:
     return Line(p=p, q=q, plucker=plucker(p, q, F))
 
 
-def line_from_plucker(y: Sequence, F: Field) -> Line:
-    """The line whose Klein image is the sextuple y.
-
-    The rows of the skew Plücker matrix of a line are points on it; two
-    distinct rows span it. A sextuple off the Klein quadric has no line, which
-    the round trip back to Plücker coordinates detects.
-    """
-    y01, y02, y03, y12, y13, y23 = y
-    neg = F.neg
-    rows = (
-        (F.zero, y01, y02, y03),
-        (neg(y01), F.zero, y12, y13),
-        (neg(y02), neg(y12), F.zero, y23),
-        (neg(y03), neg(y13), neg(y23), F.zero),
-    )
-    points: List[ProjPoint] = []
-    for r in rows:
-        if any(v != F.zero for v in r):
-            x = canonicalize(r, F)
-            if x not in points:
-                points.append(x)
-    if len(points) < 2:
-        raise GeometryError(f"{tuple(y)} is not the Klein image of a line")
-    line = line_through(points[0], points[1], F)
-    if line.plucker != canonicalize(y, F):
-        raise GeometryError(f"{tuple(y)} is not the Klein image of a line")
-    return line
-
-
 def dedup_lines(lines: Iterable[Line]) -> List[Line]:
     """Order-preserving dedup by canonical Plücker sextuple."""
     seen = set()
@@ -207,14 +178,6 @@ def det4(m, F: Field):
 def lines_skew(l1: Line, l2: Line, F: Field) -> bool:
     """Skewness via the 4x4 determinant of the four spanning points."""
     return det4([list(l1.p), list(l1.q), list(l2.p), list(l2.q)], F) != F.zero
-
-
-def lines_skew_plucker(l1: Line, l2: Line, F: Field) -> bool:
-    """Skewness via the polarization of the Klein quadric form.
-
-    Independent route from `lines_skew`; the two must always agree.
-    """
-    return quadric_polarization(l1.plucker, l2.plucker, F) != F.zero
 
 
 def incidence(x: Sequence, l: Line, F: Field) -> bool:

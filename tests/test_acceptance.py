@@ -98,7 +98,7 @@ def test_criterion_02_spread_and_covering_certify(p, lines, points, planes):
         assert partial.passed and partial.counts["violations"] == 0
         covering = certify_covering(F, enumerate_points(F))
         assert covering.passed and covering.counts["points"] == points
-        dual = certify_dual_spread(F, build_O(F), enumerate_planes(F))
+        dual = certify_dual_spread(F, build_O(F), enumerate_points(F))
         assert dual.passed and dual.counts["planes"] == planes
         assert dual.counts["planes_with_1_lines"] == planes
 
@@ -156,15 +156,19 @@ def test_criterion_06_multiplicity_three():
 def test_criterion_07_reguli_gf5():
     with _Budget(7, "GF(5) reguli and opposite reguli", 5.0):
         F = PrimeField(5)
+        all_lines = enumerate_lines(F)
         for s in range(5):
             reg = regulus_minus(s, F)
             assert len(reg) == 6
             assert all(lines_skew(a, b, F) for a, b in combinations(reg, 2))
-            ok, opposite = verify_regulus(reg, F)
-            assert ok
+            ok, polar = verify_regulus(reg, F)
+            g = cayley.generator(1, s, F)
+            assert ok and rank(polar + [list(g.plucker)], F) == 3
+            # the opposite regulus by brute force: the lines meeting all six
+            opposite = [m for m in all_lines if all(not lines_skew(m, l, F) for l in reg)]
             assert len(opposite) == 6
             assert all(lines_skew(a, b, F) for a, b in combinations(opposite, 2))
-            assert cayley.generator(1, s, F) in opposite
+            assert g in opposite
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

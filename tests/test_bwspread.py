@@ -1,5 +1,6 @@
 """Osculating tangents, skewness, covering, maximality, dual spread, reguli."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,6 +33,7 @@ from bwcayley.bwspread import (
 )
 from bwcayley.cli import certify_report
 from bwcayley.field import PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
+from bwcayley.linalg import rank
 from bwcayley.projspace import (
     enumerate_lines,
     enumerate_planes,
@@ -41,6 +43,8 @@ from bwcayley.projspace import (
     line_through,
     lines_skew,
     point_in_plane,
+    quadric_value,
+    span_points,
 )
 
 QQ = Rationals()
@@ -296,12 +300,12 @@ class TestMaximality:
 class TestDualSpread:
     @pytest.mark.parametrize("F,planes", [(F2, 15), (F5, 156)])
     def test_exactly_one_line_per_plane(self, F, planes):
-        r = certify_dual_spread(F, build_O(F), enumerate_planes(F))
+        r = certify_dual_spread(F, build_O(F), enumerate_points(F))
         assert r.passed
         assert r.counts["planes_with_1_lines"] == planes
 
     def test_gf7_fails_with_witness(self):
-        r = certify_dual_spread(F7, build_O(F7), enumerate_planes(F7))
+        r = certify_dual_spread(F7, build_O(F7), enumerate_points(F7))
         assert not r.passed
         assert r.witness is not None
         O = build_O(F7)
@@ -310,7 +314,7 @@ class TestDualSpread:
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_pencil_counts_equal_brute_plane_by_line_counts(self, F):
-        r = certify_dual_spread(F, build_O(F), enumerate_planes(F))
+        r = certify_dual_spread(F, build_O(F), enumerate_points(F))
         counts, witness = _brute_dual_spread(F)
         assert r.counts == counts
         assert r.witness == witness
@@ -346,10 +350,10 @@ def _brute_dual_spread(F):
 class TestDuality:
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_duality_fixes_O(self, F):
-        assert certify_duality(F, build_O(F), enumerate_points(F), enumerate_planes(F)).passed
+        assert certify_duality(F, build_O(F), enumerate_points(F)).passed
 
     def test_rationals(self):
-        assert certify_duality(QQ, None, None, None, seed=5).passed
+        assert certify_duality(QQ, None, None, seed=5).passed
 
 
 class TestGEquivariance:
@@ -406,9 +410,9 @@ class TestReguli:
     def test_gf2_regulus(self):
         reg = regulus_minus(0, F2)
         assert len(reg) == 3
-        ok, opposite = verify_regulus(reg, F2)
+        ok, polar = verify_regulus(reg, F2)
         assert ok
-        assert cayley.generator(1, 0, F2) in opposite
+        assert _in_span(cayley.generator(1, 0, F2), polar, F2)
 
     def test_gf5_all_parameters(self):
         O = set(build_O(F5))
@@ -416,9 +420,9 @@ class TestReguli:
             reg = regulus_minus(s, F5)
             assert len(reg) == 6
             assert set(reg) <= O
-            ok, opposite = verify_regulus(reg, F5)
-            assert ok and len(opposite) == 6
-            assert cayley.generator(1, s, F5) in opposite
+            ok, polar = verify_regulus(reg, F5)
+            assert ok and rank(polar, F5) == 3
+            assert _in_span(cayley.generator(1, s, F5), polar, F5)
 
     def test_check_passes_with_counts(self):
         r = reguli_check(F5)
@@ -431,13 +435,28 @@ class TestReguli:
 
         def third_fails(lines, F):
             calls.append(lines)
-            ok, opposite = verify(lines, F)
-            return ok and len(calls) != 3, opposite
+            ok, polar = verify(lines, F)
+            return ok and len(calls) != 3, polar
 
         monkeypatch.setattr(bwspread, "verify_regulus", third_fails)
         r = reguli_check(F5)
         assert not r.passed and r.witness == 2 and len(calls) == 3
         assert r.counts == {"reguli": 5, "lines_each": 6}
+
+    def test_check_fails_when_polar_misses_the_generator(self, monkeypatch):
+        verify = bwspread.verify_regulus
+        _, other_polar = verify(regulus_minus(3, F5), F5)
+        assert not _in_span(cayley.generator(1, 2, F5), other_polar, F5)
+        calls = []
+
+        def third_misses(lines, F):
+            calls.append(lines)
+            ok, polar = verify(lines, F)
+            return ok, other_polar if len(calls) == 3 else polar
+
+        monkeypatch.setattr(bwspread, "verify_regulus", third_misses)
+        r = reguli_check(F5)
+        assert not r.passed and r.witness == 2 and len(calls) == 3
 
     def test_not_a_regulus_on_degenerate_input(self):
         with pytest.raises(NotARegulus):
@@ -448,30 +467,81 @@ class TestReguli:
         all_lines = enumerate_lines(F)
         for s in F.elements():
             reg = regulus_minus(s, F)
-            ok, opposite = verify_regulus(reg, F)
-            assert len(opposite) == len(set(opposite))
-            assert (ok, set(opposite)) == _brute_regulus(reg, F, all_lines)
-            assert ok and cayley.generator(1, s, F) in opposite
+            ok, polar = verify_regulus(reg, F)
+            brute_ok, opposite = _brute_regulus(reg, F, all_lines)
+            assert ok == brute_ok
+            assert all(_in_span(m, polar, F) for m in opposite)
+            g = cayley.generator(1, s, F)
+            assert ok and g in opposite and _in_span(g, polar, F)
 
     @pytest.mark.parametrize("F", [F2, F3, F5])
     @pytest.mark.parametrize(
-        "points",
+        "shape",
         [
-            # three concurrent coplanar lines: the polar nullspace has dimension 4
-            [((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)), ((1, 0, 0, 0), (0, 1, 1, 0))],
+            # three concurrent coplanar lines: the images span a line of the quadric
+            lambda F: [((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)), ((1, 0, 0, 0), (0, 1, 1, 0))],
             # three lines through one point, not coplanar
-            [((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)), ((1, 0, 0, 0), (0, 0, 0, 1))],
+            lambda F: [((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)), ((1, 0, 0, 0), (0, 0, 0, 1))],
             # two skew lines and one line meeting both
-            [((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1)), ((1, 0, 0, 0), (0, 0, 1, 0))],
+            lambda F: [((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1)), ((1, 0, 0, 0), (0, 0, 1, 0))],
+            # q+1 lines through (1,0,0,0) aimed at a conic: a plane inside the quadric
+            lambda F: [((1, 0, 0, 0), (0, 1, t, F.mul(t, t))) for t in F.elements()]
+            + [((1, 0, 0, 0), (0, 0, 0, 1))],
+            # q lines of one pencil and one of another sharing a line: a line-pair section
+            lambda F: [((1, 0, 0, 0), (0, 1, t, 0)) for t in F.elements()] + [((0, 1, 0, 0), (0, 0, 0, 1))],
+            # the whole pencil through (1,0,0,0) in x3 = 0: q+1 collinear images
+            lambda F: [((1, 0, 0, 0), (0, 1, t, 0)) for t in F.elements()] + [((1, 0, 0, 0), (0, 0, 1, 0))],
         ],
-        ids=["concurrent-coplanar", "concurrent-spatial", "skew-pair-and-transversal"],
+        ids=[
+            "concurrent-coplanar",
+            "concurrent-spatial",
+            "skew-pair-and-transversal",
+            "plane-in-quadric",
+            "line-pair-section",
+            "collinear",
+        ],
     )
-    def test_polarity_equals_brute_transversals_off_reguli(self, F, points):
-        lines = [line_through(p, q, F) for p, q in points]
-        ok, transversals = verify_regulus(lines, F)
-        assert len(transversals) == len(set(transversals))
-        assert (ok, set(transversals)) == _brute_regulus(lines, F, enumerate_lines(F))
+    def test_polarity_equals_brute_transversals_off_reguli(self, F, shape):
+        lines = [line_through(p, q, F) for p, q in shape(F)]
+        ok, _ = verify_regulus(lines, F)
+        assert ok == _brute_regulus(lines, F, enumerate_lines(F))[0]
         assert not ok
+
+    @pytest.mark.parametrize("F", [F2, F3, F5])
+    def test_verdict_equals_brute_on_quadric_points_of_random_planes(self, F):
+        """3 or q+1 images from the quadric points of seeded random planes of
+        PG(5,q): nondegenerate conics (reguli and their parts), line pairs,
+        planes inside the quadric."""
+        all_lines = enumerate_lines(F)
+        by_image = {l.plucker: l for l in all_lines}
+        rng = random.Random(F.order)
+        verdicts = set()
+        for _ in range(30):
+            basis = [[F.of(rng.randrange(F.order)) for _ in range(6)] for _ in range(3)]
+            if rank(basis, F) != 3:
+                continue
+            images = [y for y in span_points(basis, F) if quadric_value(y, F) == F.zero]
+            k = rng.choice((3, F.order + 1))
+            if len(images) < k:
+                continue
+            lines = [by_image[y] for y in rng.sample(images, k)]
+            ok, _ = verify_regulus(lines, F)
+            assert ok == _brute_regulus(lines, F, all_lines)[0]
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("F", [F2, F3, F5])
+    def test_verdict_equals_brute_on_random_line_sets(self, F):
+        all_lines = enumerate_lines(F)
+        rng = random.Random(F.order)
+        for _ in range(30):
+            lines = rng.sample(all_lines, F.order + 1)
+            assert verify_regulus(lines, F)[0] == _brute_regulus(lines, F, all_lines)[0]
+
+
+def _in_span(line, basis, F):
+    """Whether the Klein image of the line lies in the span of the basis."""
+    return rank(list(basis) + [list(line.plucker)], F) == rank(basis, F)
 
 
 def _brute_regulus(lines, F, all_lines):

@@ -6,8 +6,7 @@ import sys
 import pytest
 
 from bwcayley import bwspread, projspace
-from bwcayley.cli import Run, main
-from bwcayley.field import PrimeField
+from bwcayley.cli import main
 from bwcayley.reports import CheckOutcome
 
 
@@ -98,11 +97,6 @@ class TestExitCodes:
                     monkeypatch.setattr(module, name, counted)
         code, _, _ = run(capsys, "certify", "--field", "gf:5")
         assert code == 0 and calls == {"enumerate_points": 1, "enumerate_planes": 0}
-
-    def test_run_holds_one_list_for_points_and_planes(self):
-        run = Run(PrimeField(5))
-        assert run.planes is run.points
-        assert run.points == projspace.enumerate_planes(PrimeField(5))
 
     def test_check_exception_is_an_internal_error(self, capsys, monkeypatch):
         def broken(F):

@@ -22,7 +22,6 @@ ROOT = Path(__file__).parents[1]
 # removing it here too; the test below fails until that is done.
 _BETTEN = "ROADMAP: wire it in or delete it, the betten subcommand"
 _OSCULATION = "ROADMAP: wire it in or delete it, the betten subcommand's osculation check"
-_ORACLE = "ROADMAP: wire it in or delete it, move the test oracles into tests/"
 _TRACED = "ROADMAP: benchmark refresh, retarget the traced targets that read 0"
 PENDING = {
     "betten_chart": _BETTEN,
@@ -39,8 +38,6 @@ PENDING = {
     "classify_point": _OSCULATION,
     "PointClass": _OSCULATION,
     "gradient": _OSCULATION,
-    "lines_skew_plucker": _ORACLE,
-    "quadric_polarization": _ORACLE,
     "line_in_plane": _TRACED,
     "enumerate_planes": _TRACED,
     "form_value": _TRACED,
