@@ -11,7 +11,6 @@ checks over the rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,16 +65,7 @@ class NotARegulus(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class OsculatingTangent:
-    """The proper osculating tangent at the affine surface point (u1, u2)."""
-
-    u1: Element
-    u2: Element
-    line: Line
-
-
-def osculating_tangent(u1, u2, F: Field) -> OsculatingTangent:
+def osculating_tangent(u1, u2, F: Field) -> Line:
     """Join of the surface point with (0, 1, 3*u1, u2).
 
     In characteristic 3 the direction degenerates to (0, 1, 0, u2), which is
@@ -84,7 +74,7 @@ def osculating_tangent(u1, u2, F: Field) -> OsculatingTangent:
     u1, u2 = F.of(u1), F.of(u2)
     p = cayley.surface_point(u1, u2, F)
     q = (F.zero, F.one, F.mul(F.of(3), u1), u2)
-    return OsculatingTangent(u1=u1, u2=u2, line=line_through(p, q, F))
+    return line_through(p, q, F)
 
 
 def parameter_grid(F: Field) -> List[Tuple[Element, Element]]:
@@ -94,10 +84,14 @@ def parameter_grid(F: Field) -> List[Tuple[Element, Element]]:
 
 
 def build_O(F: Field) -> List[Line]:
-    """The q^2 proper osculating tangents plus the directrix; q^2 + 1 lines."""
+    """The q^2 proper osculating tangents plus the directrix; q^2 + 1 lines.
+
+    O[i] is the tangent at parameter_grid(F)[i] for i < q^2 and O[-1] is the
+    directrix (dedup_lines drops a line only when the count check raises), so
+    dict(zip(parameter_grid(F), O)) maps each parameter to its tangent."""
     if not F.is_finite:
         raise InfiniteField("O is accessed parametrically over infinite fields")
-    lines = [osculating_tangent(u1, u2, F).line for u1, u2 in parameter_grid(F)]
+    lines = [osculating_tangent(u1, u2, F) for u1, u2 in parameter_grid(F)]
     lines.append(cayley.g_infinity(F))
     deduped = dedup_lines(lines)
     if len(deduped) != F.order**2 + 1:
@@ -125,8 +119,8 @@ def skew_criterion(v1, v2, u1, u2, F: Field) -> Element:
     )
 
 
-def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
-    """Pairwise skewness of O.
+def certify_partial_spread(F: Field, O: Optional[Sequence[Line]], seed: int = 0) -> CheckOutcome:
+    """Pairwise skewness of O = build_O(F).
 
     Finite fields, through the translation group of the surface. The
     generators M(1,0,1) and M(0,1,1) are certified to be invertible, to fix
@@ -139,11 +133,11 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     q^2*m/2 violations, and the lexicographically first violating pair is
     ((0,0), first meeting u). The directrix is tested against every tangent.
     Rationals: the criterion is nonzero for all distinct pairs exactly when
-    X^2+X+1 has no root, plus seeded random replays of both routes.
+    X^2+X+1 has no root, plus seeded random replays of both routes (O None).
     """
     if F.is_finite:
-        tangent = {u: osculating_tangent(*u, F).line for u in parameter_grid(F)}
-        ginf = cayley.g_infinity(F)
+        tangent = dict(zip(parameter_grid(F), O))
+        ginf = O[-1]
         tangents_meeting_ginf = sum(1 for l in tangent.values() if not lines_skew(l, ginf, F))
         n_lines = F.order**2 + 1
         counts = {
@@ -184,9 +178,7 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
         if u == v:
             continue
         value = skew_criterion(v[0], v[1], u[0], u[1], F)
-        t1 = osculating_tangent(*v, F).line
-        t2 = osculating_tangent(*u, F).line
-        if (value != F.zero) != lines_skew(t1, t2, F):
+        if (value != F.zero) != lines_skew(osculating_tangent(*v, F), osculating_tangent(*u, F), F):
             return CheckOutcome(passed=False, witness=(v, u), note="route disagreement")
         if value == F.zero:
             return CheckOutcome(passed=False, witness=(v, u))
@@ -306,27 +298,28 @@ def uncovered_witness_rational() -> Optional[ProjPoint]:
     return None
 
 
-def certify_maximality(F: Field, points: Optional[Sequence[ProjPoint]], seed: int = 0) -> CheckOutcome:
-    """Every point of the plane at infinity lies on a line of O.
+def certify_maximality(
+    F: Field, O: Optional[Sequence[Line]], points: Optional[Sequence[ProjPoint]], seed: int = 0
+) -> CheckOutcome:
+    """Every point of the plane at infinity lies on a line of O = build_O(F).
 
     This forces maximality: any line not in O meets the plane at infinity at
     a point already covered, hence meets the covering line there. Finite
     fields are re-verified exhaustively by incidence over points =
-    enumerate_points(F); the rationals (points None) by the same
-    construction on seeded samples. Skipped in characteristic 3.
+    enumerate_points(F), the covering tangents read off O; the rationals (O,
+    points None) by the same construction on seeded samples. Skipped in char 3.
     """
     if F.characteristic == 3:
         return CheckOutcome(passed=None, note="the maximality argument inverts 3")
     third = F.inv(F.of(3))
     ginf = cayley.g_infinity(F)
+    tangent_at = _tangent_at(F, O)
 
     def covering_line(point) -> Line:
         x0, x1, x2, x3 = point
         if x1 == F.zero:
             return ginf
-        u1 = F.mul(F.div(x2, x1), third)
-        u2 = F.div(x3, x1)
-        return osculating_tangent(u1, u2, F).line
+        return tangent_at(F.mul(F.div(x2, x1), third), F.div(x3, x1))
 
     if F.is_finite:
         checked = 0
@@ -348,6 +341,14 @@ def certify_maximality(F: Field, points: Optional[Sequence[ProjPoint]], seed: in
         if not incidence(point, covering_line(point), F):
             return CheckOutcome(passed=False, witness=point)
     return CheckOutcome(passed=True, counts={"omega_points_sampled": SPOT_CHECKS})
+
+
+def _tangent_at(F: Field, O: Optional[Sequence[Line]]):
+    """(u1, u2) -> tangent, read off O = build_O(F), or built over the rationals."""
+    if F.is_finite:
+        tangent = dict(zip(parameter_grid(F), O))
+        return lambda u1, u2: tangent[u1, u2]
+    return lambda u1, u2: osculating_tangent(u1, u2, F)
 
 
 def certify_dual_spread(
@@ -408,8 +409,10 @@ def certify_duality(
     O = build_O(F) is O and that duality maps the surface points among
     points = enumerate_points(F) onto the tangent planes among the same
     canonical 4-tuples, read as plane coefficients. Over the rationals O and
-    points are None and unused.
+    points are None and the sampled tangents are built.
     """
+    tangent_at = _tangent_at(F, O)
+
     def involution(u1, u2):
         return F.neg(u1), F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
 
@@ -417,8 +420,7 @@ def certify_duality(
         v1, v2 = involution(u1, u2)
         if cayley.duality(cayley.surface_point(u1, u2, F), F) != cayley.tangent_plane(v1, v2, F):
             return False
-        image = cayley.dual_plucker(osculating_tangent(u1, u2, F).line.plucker, F)
-        return image == osculating_tangent(v1, v2, F).line.plucker
+        return cayley.dual_plucker(tangent_at(u1, u2).plucker, F) == tangent_at(v1, v2).plucker
 
     if F.is_finite:
         for u1, u2 in parameter_grid(F):
@@ -477,15 +479,14 @@ def betten_chart(u1, u2, F: Field):
     return (t, s), plane1, plane2
 
 
-def regulus_minus(s, F: Field) -> List[Line]:
-    """Tangents at the points of the generator g(1,s), plus the directrix."""
+def regulus_minus(s, O: Sequence[Line], F: Field) -> List[Line]:
+    """Tangents at the points (s, u2) of the generator g(1,s), plus the
+    directrix: one run of parameter_grid, so one slice of O = build_O(F)."""
     if not F.is_finite:
         raise InfiniteField("regulus enumeration needs a finite field")
-    s = F.of(s)
-    ssq = F.mul(s, s)
-    lines = [osculating_tangent(s, F.add(ssq, t), F).line for t in F.elements()]
-    lines.append(cayley.g_infinity(F))
-    return dedup_lines(lines)
+    q = F.order
+    i = list(F.elements()).index(F.of(s))
+    return list(O[i * q : (i + 1) * q]) + [O[-1]]
 
 
 def verify_regulus(lines: Sequence[Line], F: Field):
@@ -535,14 +536,14 @@ def _conic_plane(basis: Sequence[Sequence], F: Field) -> bool:
     return value != F.zero
 
 
-def reguli_check(F: Field) -> CheckOutcome:
-    """For every s, regulus_minus(s) is a regulus whose opposite regulus
+def reguli_check(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """For every s, regulus_minus(s, O) is a regulus whose opposite regulus
     contains the generator g(1,s): the image of g(1,s), which is on the
     quadric, lies in the polar plane. The witness is the first failing s.
     """
     counts = {"reguli": F.order, "lines_each": F.order + 1}
     for s in F.elements():
-        ok, polar = verify_regulus(regulus_minus(s, F), F)
+        ok, polar = verify_regulus(regulus_minus(s, O, F), F)
         if not (ok and rank(polar + [list(cayley.generator(1, s, F).plucker)], F) == 3):
             return CheckOutcome(passed=False, witness=s, counts=counts)
     return CheckOutcome(passed=True, counts=counts)

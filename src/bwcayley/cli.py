@@ -51,7 +51,9 @@ class Run:
 
     @cached_property
     def O(self):
-        """build_O(F) over a finite field; None over the rationals."""
+        """build_O(F) over a finite field, None over the rationals; every check
+        reads its tangents here: O[i] is the tangent at parameter_grid(F)[i]
+        for i < q^2, O[-1] the directrix."""
         return bwspread.build_O(self.F) if self.F.is_finite else None
 
     @cached_property
@@ -103,7 +105,7 @@ CHECKS = {
             "partial_spread",
             "pairwise skew iff char != 3 and no cube root of unity other than 1",
             _by_regime("pass", "fail", "pass", "fail"),
-            lambda run: bwspread.certify_partial_spread(run.F, seed=run.seed),
+            lambda run: bwspread.certify_partial_spread(run.F, run.O, seed=run.seed),
         ),
         (
             "covering",
@@ -115,7 +117,7 @@ CHECKS = {
             "maximality",
             "every point of the plane at infinity lies on a line of the set",
             _by_regime("pass", "pass", "pass", "skipped"),
-            lambda run: bwspread.certify_maximality(run.F, run.points, seed=run.seed),
+            lambda run: bwspread.certify_maximality(run.F, run.O, run.points, seed=run.seed),
         ),
         (
             "dual_spread",
@@ -135,13 +137,13 @@ CHECKS = {
             "variety_equality",
             "form zero set equals tangent images plus the pencil through the pinch point",
             "pass",
-            lambda run: klein.verify_variety_equality(run.F),
+            lambda run: klein.verify_variety_equality(run.F, run.O),
         ),
         (
             "reguli",
             "tangents along one generator plus the directrix form a regulus",
             "pass",
-            lambda run: bwspread.reguli_check(run.F),
+            lambda run: bwspread.reguli_check(run.F, run.O),
         ),
         (
             "projection",
@@ -161,7 +163,7 @@ CHECKS = {
             "congruence",
             "char 3: tangent images fill the cone cut by D; all lines meet the line of nuclei",
             "pass",
-            lambda run: klein.char3_congruence_check(run.F),
+            lambda run: klein.char3_congruence_check(run.F, run.O),
         ),
         (
             "osculating_plane_pencil",

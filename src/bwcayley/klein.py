@@ -13,7 +13,6 @@ from itertools import chain
 from typing import List, Sequence, Set, Tuple
 
 from . import cayley
-from .bwspread import build_O
 from .field import Field, InfiniteField, cube_roots
 from .linalg import rank, same_span
 from .projspace import (
@@ -23,11 +22,11 @@ from .projspace import (
     canonicalize,
     dedup_lines,
     enumerate_lines,
-    enumerate_pg5_points,
     gram_apply,
     line_through,
     lines_skew,
     quadric_value,
+    span_points,
 )
 from .reports import CheckOutcome
 
@@ -246,14 +245,14 @@ def variety_zero_set(F: Field) -> Set[KleinPoint]:
     return set(prefixes)
 
 
-def verify_variety_equality(F: Field) -> CheckOutcome:
+def verify_variety_equality(F: Field, O: Sequence[Line]) -> CheckOutcome:
     """Set equality of the exhaustive form zero set with the Klein image of
-    the tangent set united with the pencil through the pinch point.
+    the tangent set O united with the pencil through the pinch point.
     """
     if F.characteristic == 3:
         raise WrongCharacteristic("the three-cone description needs characteristic != 3")
     zero_set = variety_zero_set(F)
-    image = {l.plucker for l in build_O(F)} | {l.plucker for l in pencil_LZomega(F)}
+    image = {l.plucker for l in O} | {l.plucker for l in pencil_LZomega(F)}
     equal = zero_set == image
     witness = None
     if not equal:
@@ -273,8 +272,8 @@ def verify_variety_equality(F: Field) -> CheckOutcome:
 
 # --- characteristic 3 ---------------------------------------------------------
 
-def char3_congruence_check(F: Field) -> CheckOutcome:
-    """The tangent set plus pencil sits inside the congruence cut out by D.
+def char3_congruence_check(F: Field, O: List[Line]) -> CheckOutcome:
+    """The tangent set O plus pencil sits inside the congruence cut out by D.
 
     Verifies over GF(3^1): every image point lies in the quadric section of
     D; the congruence's lines all meet the line of nuclei; the congruence
@@ -283,7 +282,6 @@ def char3_congruence_check(F: Field) -> CheckOutcome:
     """
     if F.characteristic != 3:
         raise WrongCharacteristic("needs characteristic 3")
-    O = build_O(F)
     pencil = pencil_LZomega(F)
     union = dedup_lines(O + pencil)
     subset_ok = all(in_D(l.plucker, F) for l in union)
@@ -315,12 +313,10 @@ def char3_congruence_check(F: Field) -> CheckOutcome:
 
 
 def variety_qd_points(F: Field) -> Set[KleinPoint]:
-    """Canonical points of PG(5,q) on the quadric and in the 3-space D."""
-    return {
-        y
-        for y in enumerate_pg5_points(F)
-        if in_D(y, F) and quadric_value(y, F) == F.zero
-    }
+    """Canonical points of the 3-space D = V(Y02, Y03 + Y12) on the quadric:
+    the zeros among the (q^4-1)/(q-1) points spanned by e01, e03 - e12, e13, e23."""
+    rows = ((1, 0, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    return {y for y in span_points([[F.of(v) for v in r] for r in rows], F) if quadric_value(y, F) == F.zero}
 
 
 def osculating_plane_pencil_check(F: Field) -> CheckOutcome:

@@ -234,10 +234,6 @@ def enumerate_planes(F: Field) -> List[ProjPlane]:
     return list(_canonical_tuples(4, F))
 
 
-def enumerate_pg5_points(F: Field) -> Iterator[KleinPoint]:
-    return _canonical_tuples(6, F)
-
-
 def enumerate_lines(F: Field) -> List[Line]:
     """All (q²+1)(q²+q+1) lines of PG(3,q), deduplicated, stable order."""
     points = enumerate_points(F)

@@ -94,7 +94,7 @@ def test_criterion_02_spread_and_covering_certify(p, lines, points, planes):
         F = PrimeField(p)
         assert classify_field(F) == SpreadRegime.SPREAD_AND_COVERING
         assert len(build_O(F)) == lines
-        partial = certify_partial_spread(F)
+        partial = certify_partial_spread(F, build_O(F))
         assert partial.passed and partial.counts["violations"] == 0
         covering = certify_covering(F, enumerate_points(F))
         assert covering.passed and covering.counts["points"] == points
@@ -108,21 +108,21 @@ def test_criterion_03_not_partial_spread_witness(p):
     with _Budget(3, f"GF({p}) failure witness replay", 5.0):
         F = PrimeField(p)
         assert classify_field(F) == SpreadRegime.NOT_PARTIAL_SPREAD
-        r = certify_partial_spread(F)
+        r = certify_partial_spread(F, build_O(F))
         assert not r.passed
         assert r.witness is not None
         (v1, v2), (u1, u2) = r.witness
         value = skew_criterion(v1, v2, u1, u2, F)
         assert value == 0
-        t1 = osculating_tangent(v1, v2, F).line
-        t2 = osculating_tangent(u1, u2, F).line
+        t1 = osculating_tangent(v1, v2, F)
+        t2 = osculating_tangent(u1, u2, F)
         assert not lines_skew(t1, t2, F)  # determinant route agrees
 
 
 def test_criterion_04_rationals_maximal_partial():
     with _Budget(4, "rationals: maximal partial, uncovered witness", 1.0):
         assert classify_field(QQ) == SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING
-        assert certify_maximality(QQ, None).passed
+        assert certify_maximality(QQ, None, None).passed
         witness = uncovered_witness_rational()
         assert witness is not None
         assert witness == (1, 0, 0, 2)
@@ -134,7 +134,7 @@ def test_criterion_05_variety_set_equality(p):
     budget = 30.0 if p == 11 else 5.0
     with _Budget(5, f"GF({p}) form zero set equals tangent images", budget):
         F = PrimeField(p)
-        r = verify_variety_equality(F)
+        r = verify_variety_equality(F, build_O(F))
         assert r.passed
         assert r.counts["zero_set_points"] == r.counts["image_points"] == p * p + p + 1
 
@@ -143,13 +143,13 @@ def test_criterion_06_multiplicity_three():
     with _Budget(6, "triple contact at every tangent point", 1.0):
         F = PrimeField(5)
         for u1, u2 in parameter_grid(F):
-            profile = cayley.intersect_line_surface(osculating_tangent(u1, u2, F).line, F)
+            profile = cayley.intersect_line_surface(osculating_tangent(u1, u2, F), F)
             assert profile.points == ((cayley.surface_point(u1, u2, F), 3),)
         rng = random.Random(2024)
         for _ in range(50):
             u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
             u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-            profile = cayley.intersect_line_surface(osculating_tangent(u1, u2, QQ).line, QQ)
+            profile = cayley.intersect_line_surface(osculating_tangent(u1, u2, QQ), QQ)
             assert profile.points == ((cayley.surface_point(u1, u2, QQ), 3),)
 
 
@@ -158,7 +158,7 @@ def test_criterion_07_reguli_gf5():
         F = PrimeField(5)
         all_lines = enumerate_lines(F)
         for s in range(5):
-            reg = regulus_minus(s, F)
+            reg = regulus_minus(s, build_O(F), F)
             assert len(reg) == 6
             assert all(lines_skew(a, b, F) for a, b in combinations(reg, 2))
             ok, polar = verify_regulus(reg, F)
@@ -192,7 +192,7 @@ def test_criterion_09_char3_congruence():
         from bwcayley.klein import char3_congruence_check, in_D, osculating_plane_pencil_check
 
         F = PrimeField(3)
-        r = char3_congruence_check(F)
+        r = char3_congruence_check(F, build_O(F))
         assert r.passed
         assert r.counts["congruence_lines"] == 13
         congruence = [l for l in enumerate_lines(F) if in_D(l.plucker, F)]
@@ -230,6 +230,6 @@ def test_criterion_11_cross_oracle_skewness(p):
         for (v1, v2), (u1, u2) in combinations(params, 2):
             criterion_zero = skew_criterion(v1, v2, u1, u2, F) == 0
             determinant_zero = not lines_skew(
-                osculating_tangent(v1, v2, F).line, osculating_tangent(u1, u2, F).line, F
+                osculating_tangent(v1, v2, F), osculating_tangent(u1, u2, F), F
             )
             assert criterion_zero == determinant_zero

@@ -35,6 +35,7 @@ from bwcayley.cli import certify_report
 from bwcayley.field import PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
+    dedup_lines,
     enumerate_lines,
     enumerate_planes,
     enumerate_points,
@@ -55,17 +56,17 @@ small_fractions = st.fractions(min_value=-15, max_value=15, max_denominator=8)
 
 class TestOsculatingTangent:
     def test_frozen_pluckers(self):
-        assert osculating_tangent(0, 0, F5).line.plucker == (1, 0, 0, 0, 0, 0)
-        assert osculating_tangent(1, 1, QQ).line.plucker == tuple(
+        assert osculating_tangent(0, 0, F5).plucker == (1, 0, 0, 0, 0, 0)
+        assert osculating_tangent(1, 1, QQ).plucker == tuple(
             map(Fraction, (1, 3, 1, 2, 1, 1))
         )
-        assert osculating_tangent(1, 1, F3).line.plucker == (1, 0, 1, 2, 1, 1)
+        assert osculating_tangent(1, 1, F3).plucker == (1, 0, 1, 2, 1, 1)
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_multiplicity_three_exhaustive(self, F):
         for u1, u2 in parameter_grid(F):
             t = osculating_tangent(u1, u2, F)
-            profile = cayley.intersect_line_surface(t.line, F)
+            profile = cayley.intersect_line_surface(t, F)
             assert not profile.contained
             assert profile.points == ((cayley.surface_point(u1, u2, F), 3),)
 
@@ -73,14 +74,14 @@ class TestOsculatingTangent:
     @settings(max_examples=60)
     def test_multiplicity_three_rational(self, u1, u2):
         t = osculating_tangent(u1, u2, QQ)
-        profile = cayley.intersect_line_surface(t.line, QQ)
+        profile = cayley.intersect_line_surface(t, QQ)
         assert profile.points == ((cayley.surface_point(u1, u2, QQ), 3),)
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_skew_to_directrix(self, F):
         ginf = cayley.g_infinity(F)
         for u1, u2 in parameter_grid(F):
-            assert lines_skew(osculating_tangent(u1, u2, F).line, ginf, F)
+            assert lines_skew(osculating_tangent(u1, u2, F), ginf, F)
 
     @pytest.mark.parametrize("F,size", [(F2, 5), (F3, 10), (F5, 26)])
     def test_build_O_sizes(self, F, size):
@@ -108,35 +109,35 @@ class TestSkewCriterion:
         for (v1, v2), (u1, u2) in combinations(parameter_grid(F), 2):
             criterion_zero = skew_criterion(v1, v2, u1, u2, F) == 0
             det_skew = lines_skew(
-                osculating_tangent(v1, v2, F).line, osculating_tangent(u1, u2, F).line, F
+                osculating_tangent(v1, v2, F), osculating_tangent(u1, u2, F), F
             )
             assert criterion_zero == (not det_skew)
 
 
 class TestPartialSpread:
     def test_gf5_passes(self):
-        r = certify_partial_spread(F5)
+        r = certify_partial_spread(F5, build_O(F5))
         assert r.passed and r.counts["pairs_checked"] == 26 * 25 // 2
 
     def test_gf7_witness(self):
-        r = certify_partial_spread(F7)
+        r = certify_partial_spread(F7, build_O(F7))
         assert not r.passed
         assert r.witness == ((0, 0), (1, 4))
         # witness replay
         assert skew_criterion(*r.witness[0], *r.witness[1], F7) == 0
 
     def test_char3_fails(self):
-        r = certify_partial_spread(F3)
+        r = certify_partial_spread(F3, build_O(F3))
         assert not r.passed and r.witness is not None
 
     def test_rationals_pass(self):
-        r = certify_partial_spread(QQ, seed=1)
+        r = certify_partial_spread(QQ, None, seed=1)
         assert r.passed
 
     def test_route_disagreement_is_a_failed_check(self, monkeypatch):
         # the determinant route calls every pair skew; the criterion does not
         monkeypatch.setattr(bwspread, "lines_skew", lambda l1, l2, F: True)
-        r = certify_partial_spread(F7)
+        r = certify_partial_spread(F7, build_O(F7))
         assert r.passed is False
         assert r.note == "route disagreement"
         assert r.witness == ((0, 0), (1, 4))
@@ -145,7 +146,7 @@ class TestPartialSpread:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
     def test_group_route_equals_pairwise_scan(self, p):
         F = PrimeField(p)
-        r = certify_partial_spread(F)
+        r = certify_partial_spread(F, build_O(F))
         counts, witness = _pairwise_partial_spread(F)
         assert r.note == ""
         assert r.counts == counts
@@ -157,7 +158,7 @@ class TestPartialSpread:
         monkeypatch.setattr(
             cayley, "param_action", lambda M, u1, u2, F: (F.add(M.a, u1), F.add(M.b, u2))
         )
-        r = certify_partial_spread(F5)
+        r = certify_partial_spread(F5, build_O(F5))
         assert r.passed is False
         assert r.note == "group action disagrees with param_action"
         assert r.witness == ((1, 0, 1), (1, 0))
@@ -166,21 +167,21 @@ class TestPartialSpread:
     def test_identity_generators_fail_the_orbit_step(self, monkeypatch):
         group_matrix = cayley.group_matrix
         monkeypatch.setattr(cayley, "group_matrix", lambda a, b, c, F: group_matrix(0, 0, 1, F))
-        r = certify_partial_spread(F5)
+        r = certify_partial_spread(F5, build_O(F5))
         assert r.passed is False
         assert r.note == "generator orbit of (0,0) misses parameters"
         assert r.witness == (0, 1)
 
     def test_singular_generator_fails_the_action_step(self, monkeypatch):
         monkeypatch.setattr(bwspread, "det4", lambda m, F: F.zero)
-        r = certify_partial_spread(F5)
+        r = certify_partial_spread(F5, build_O(F5))
         assert r.passed is False
         assert r.note == "generator is singular or moves the directrix"
         assert r.witness == ((1, 0, 1), None)
 
     def test_criterion_forced_nonzero_is_a_route_disagreement(self, monkeypatch):
         monkeypatch.setattr(bwspread, "skew_criterion", lambda v1, v2, u1, u2, F: F.one)
-        r = certify_partial_spread(F7)
+        r = certify_partial_spread(F7, build_O(F7))
         assert r.passed is False
         assert r.note == "route disagreement"
         assert r.witness == ((0, 0), (1, 4))
@@ -200,7 +201,7 @@ def _pairwise_partial_spread(F):
                     witness = (v, u)
     ginf = cayley.g_infinity(F)
     meeting_ginf = sum(
-        1 for u1, u2 in params if not lines_skew(osculating_tangent(u1, u2, F).line, ginf, F)
+        1 for u1, u2 in params if not lines_skew(osculating_tangent(u1, u2, F), ginf, F)
     )
     n_lines = F.order**2 + 1
     counts = {
@@ -217,6 +218,31 @@ class TestBuildO:
         monkeypatch.setattr(bwspread, "dedup_lines", lambda lines: list(lines)[:-1])
         with pytest.raises(WrongLineCount):
             build_O(F5)
+
+    @pytest.mark.parametrize("F", [F2, F3, F5, F7])
+    def test_O_lists_the_parameter_grid_then_the_directrix(self, F):
+        O = build_O(F)
+        grid = parameter_grid(F)
+        assert len(O) == len(grid) + 1
+        for i, u in enumerate(grid):
+            assert O[i] == osculating_tangent(*u, F)
+        assert O[-1] == cayley.g_infinity(F)
+
+    @pytest.mark.parametrize("F", [F2, F3, F5, F7])
+    def test_regulus_minus_equals_the_per_generator_construction(self, F):
+        O = build_O(F)
+        for s in F.elements():
+            reg = regulus_minus(s, O, F)
+            assert len(reg) == F.order + 1
+            assert set(reg) == set(_regulus_by_construction(s, F))
+
+
+def _regulus_by_construction(s, F):
+    """Reference route: the tangents at (s, s^2 + t) for every t, plus the directrix."""
+    ssq = F.mul(s, s)
+    lines = [osculating_tangent(s, F.add(ssq, t), F) for t in F.elements()]
+    lines.append(cayley.g_infinity(F))
+    return dedup_lines(lines)
 
 
 class TestCovering:
@@ -269,25 +295,25 @@ class TestCovering:
 
 class TestMaximality:
     def test_gf5(self):
-        r = certify_maximality(F5, enumerate_points(F5))
+        r = certify_maximality(F5, build_O(F5), enumerate_points(F5))
         assert r.passed and r.counts["omega_points"] == 31
 
     def test_gf2_point(self):
         # (0,1,1,1): 3 = 1 in GF(2), so u1 = 1, u2 = 1
         t = osculating_tangent(1, 1, F2)
-        assert incidence((0, 1, 1, 1), t.line, F2)
+        assert incidence((0, 1, 1, 1), t, F2)
 
     def test_rational_point(self):
         t = osculating_tangent(2, 7, QQ)
-        assert incidence((0, 1, 6, 7), t.line, QQ)
+        assert incidence((0, 1, 6, 7), t, QQ)
 
     def test_char3_skipped(self):
-        r = certify_maximality(F3, enumerate_points(F3))
+        r = certify_maximality(F3, build_O(F3), enumerate_points(F3))
         assert r.passed is None
         assert r.note == "the maximality argument inverts 3"
 
     def test_rationals_pass(self):
-        assert certify_maximality(QQ, None, seed=3).passed
+        assert certify_maximality(QQ, None, None, seed=3).passed
 
     def test_brute_force_cross_check_gf5(self):
         O = build_O(F5)
@@ -366,9 +392,9 @@ class TestGEquivariance:
                     assert (v1, v2) == ((u1 + a) % 5, (u2 + 3 * a * u1 + b) % 5)
                     image = {
                         tuple(cayley.group_apply(M, x, F5))
-                        for x in _line_points(osculating_tangent(u1, u2, F5).line, F5)
+                        for x in _line_points(osculating_tangent(u1, u2, F5), F5)
                     }
-                    target = set(map(tuple, _line_points(osculating_tangent(v1, v2, F5).line, F5)))
+                    target = set(map(tuple, _line_points(osculating_tangent(v1, v2, F5), F5)))
                     assert image == target
 
 
@@ -396,7 +422,7 @@ class TestChartAndTransversal:
     @settings(max_examples=60)
     def test_chart_planes_cut_out_tangent_image(self, u1, u2):
         (t, s), e1, e2 = betten_chart(u1, u2, QQ)
-        line = osculating_tangent(u1, u2, QQ).line
+        line = osculating_tangent(u1, u2, QQ)
         for x in (line.p, line.q):
             ax = betten_collineation(x, QQ)
             assert point_in_plane(ax, e1, QQ) and point_in_plane(ax, e2, QQ)
@@ -408,7 +434,7 @@ class TestChartAndTransversal:
 
 class TestReguli:
     def test_gf2_regulus(self):
-        reg = regulus_minus(0, F2)
+        reg = regulus_minus(0, build_O(F2), F2)
         assert len(reg) == 3
         ok, polar = verify_regulus(reg, F2)
         assert ok
@@ -417,7 +443,7 @@ class TestReguli:
     def test_gf5_all_parameters(self):
         O = set(build_O(F5))
         for s in range(5):
-            reg = regulus_minus(s, F5)
+            reg = regulus_minus(s, build_O(F5), F5)
             assert len(reg) == 6
             assert set(reg) <= O
             ok, polar = verify_regulus(reg, F5)
@@ -425,7 +451,7 @@ class TestReguli:
             assert _in_span(cayley.generator(1, s, F5), polar, F5)
 
     def test_check_passes_with_counts(self):
-        r = reguli_check(F5)
+        r = reguli_check(F5, build_O(F5))
         assert r.passed and r.witness is None
         assert r.counts == {"reguli": 5, "lines_each": 6}
 
@@ -439,13 +465,13 @@ class TestReguli:
             return ok and len(calls) != 3, polar
 
         monkeypatch.setattr(bwspread, "verify_regulus", third_fails)
-        r = reguli_check(F5)
+        r = reguli_check(F5, build_O(F5))
         assert not r.passed and r.witness == 2 and len(calls) == 3
         assert r.counts == {"reguli": 5, "lines_each": 6}
 
     def test_check_fails_when_polar_misses_the_generator(self, monkeypatch):
         verify = bwspread.verify_regulus
-        _, other_polar = verify(regulus_minus(3, F5), F5)
+        _, other_polar = verify(regulus_minus(3, build_O(F5), F5), F5)
         assert not _in_span(cayley.generator(1, 2, F5), other_polar, F5)
         calls = []
 
@@ -455,7 +481,7 @@ class TestReguli:
             return ok, other_polar if len(calls) == 3 else polar
 
         monkeypatch.setattr(bwspread, "verify_regulus", third_misses)
-        r = reguli_check(F5)
+        r = reguli_check(F5, build_O(F5))
         assert not r.passed and r.witness == 2 and len(calls) == 3
 
     def test_not_a_regulus_on_degenerate_input(self):
@@ -466,7 +492,7 @@ class TestReguli:
     def test_polarity_equals_brute_transversals_on_reguli(self, F):
         all_lines = enumerate_lines(F)
         for s in F.elements():
-            reg = regulus_minus(s, F)
+            reg = regulus_minus(s, build_O(F), F)
             ok, polar = verify_regulus(reg, F)
             brute_ok, opposite = _brute_regulus(reg, F, all_lines)
             assert ok == brute_ok

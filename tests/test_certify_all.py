@@ -31,7 +31,7 @@ def test_reports_match_the_cli_and_the_battery_runs_once(tmp_path, capsys, monke
     calls = []
     partial = bwspread.certify_partial_spread
     monkeypatch.setattr(
-        bwspread, "certify_partial_spread", lambda F, **kw: calls.append(F) or partial(F, **kw)
+        bwspread, "certify_partial_spread", lambda F, O, **kw: calls.append(F) or partial(F, O, **kw)
     )
     out_dir = tmp_path / "all"
     assert script_main(["--fields", ",".join(fields), "--out-dir", str(out_dir)]) == 0
@@ -48,7 +48,7 @@ def test_mismatch_exits_two_without_out_dir(capsys, monkeypatch):
     monkeypatch.setattr(
         bwspread,
         "certify_partial_spread",
-        lambda F, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
+        lambda F, O, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
     )
     assert script_main(["--fields", "gf:5"]) == 2
     assert "FAIL" in capsys.readouterr().out
@@ -77,4 +77,4 @@ def test_check_exception_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(bwspread, "build_O", broken)
     assert script_main(["--fields", "gf:5"]) == 3
     err = capsys.readouterr().err
-    assert err == "certify_all: internal error in check dual_spread: WrongLineCount: built 25 lines, expected 26\n"
+    assert err == "certify_all: internal error in check partial_spread: WrongLineCount: built 25 lines, expected 26\n"

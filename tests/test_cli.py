@@ -16,6 +16,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every bwcayley module's binding,
+    so a check that imported its own copy is counted too."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, mod in list(sys.modules.items()):
+        if module_name.startswith("bwcayley") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 def canonical(payload: str) -> dict:
     body = json.loads(payload)
     body.pop("timing_ms", None)
@@ -69,7 +85,7 @@ class TestExitCodes:
         monkeypatch.setattr(
             bwspread,
             "certify_partial_spread",
-            lambda F, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
+            lambda F, O, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
         )
         code, out, _ = run(capsys, "certify", "--field", "gf:5")
         assert code == 2
@@ -82,21 +98,22 @@ class TestExitCodes:
         code, _, _ = run(capsys, "certify", "--field", "gf:5")
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["certify", "klein"])
+    def test_each_tangent_is_built_once(self, capsys, monkeypatch, command):
+        calls = count_calls(monkeypatch, bwspread, "osculating_tangent")
+        code, _, _ = run(capsys, command, "--field", "gf:5")
+        assert code == 0 and len(calls) == 25
+
+    @pytest.mark.parametrize("command,field", [("klein", "gf:5"), ("char3", "gf:3")])
+    def test_klein_and_char3_build_O_once(self, capsys, monkeypatch, command, field):
+        calls = count_calls(monkeypatch, bwspread, "build_O")
+        code, _, _ = run(capsys, command, "--field", field)
+        assert code == 0 and len(calls) == 1
+
     def test_certify_enumerates_points_and_planes_once(self, capsys, monkeypatch):
-        # patch every module's binding, so a check that imported its own copy is counted too
-        calls = {"enumerate_points": 0, "enumerate_planes": 0}
-        for name in calls:
-            original = getattr(projspace, name)
-
-            def counted(F, name=name, original=original):
-                calls[name] += 1
-                return original(F)
-
-            for module_name, module in list(sys.modules.items()):
-                if module_name.startswith("bwcayley") and getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+        calls = {name: count_calls(monkeypatch, projspace, name) for name in ("enumerate_points", "enumerate_planes")}
         code, _, _ = run(capsys, "certify", "--field", "gf:5")
-        assert code == 0 and calls == {"enumerate_points": 1, "enumerate_planes": 0}
+        assert code == 0 and {name: len(c) for name, c in calls.items()} == {"enumerate_points": 1, "enumerate_planes": 0}
 
     def test_check_exception_is_an_internal_error(self, capsys, monkeypatch):
         def broken(F):
@@ -105,7 +122,7 @@ class TestExitCodes:
         monkeypatch.setattr(bwspread, "build_O", broken)
         code, out, err = run(capsys, "certify", "--field", "gf:5")
         assert code == 3 and out == ""
-        assert err == "bwcayley: internal error in check dual_spread: WrongLineCount: built 25 lines, expected 26\n"
+        assert err == "bwcayley: internal error in check partial_spread: WrongLineCount: built 25 lines, expected 26\n"
 
 
 class TestReports:

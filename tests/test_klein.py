@@ -62,7 +62,7 @@ class TestKappa:
         assert cayley.generator(1, 1, QQ).plucker == tuple(map(Fraction, (0, 1, 1, 1, 1, 1)))
 
     def test_osculating(self):
-        assert osculating_tangent(1, 1, QQ).line.plucker == tuple(map(Fraction, (1, 3, 1, 2, 1, 1)))
+        assert osculating_tangent(1, 1, QQ).plucker == tuple(map(Fraction, (1, 3, 1, 2, 1, 1)))
 
 
 class TestKappaOsculating:
@@ -82,12 +82,12 @@ class TestKappaOsculating:
     @pytest.mark.parametrize("F", [F2, F3, F5, PrimeField(7)])
     def test_matches_line_image_exhaustive(self, F):
         for u1, u2 in parameter_grid(F):
-            assert kappa_osculating(u1, u2, F) == osculating_tangent(u1, u2, F).line.plucker
+            assert kappa_osculating(u1, u2, F) == osculating_tangent(u1, u2, F).plucker
 
     @given(small_fractions, small_fractions)
     @settings(max_examples=80)
     def test_matches_line_image_rational(self, u1, u2):
-        assert kappa_osculating(u1, u2, QQ) == osculating_tangent(u1, u2, QQ).line.plucker
+        assert kappa_osculating(u1, u2, QQ) == osculating_tangent(u1, u2, QQ).plucker
 
     @pytest.mark.parametrize("F", [F2, F5, PrimeField(7)])
     def test_forms_vanish_exhaustive(self, F):
@@ -221,24 +221,29 @@ class TestProjection:
             project_through_Cperp(w_vector(QQ), QQ)
 
 
+def pg5_points(p):
+    """Every canonical point of PG(5,p) as an integer sextuple."""
+    for lead in range(5, -1, -1):
+        prefix = (0,) * lead + (1,)
+        for tail in product(range(p), repeat=5 - lead):
+            yield prefix + tail
+
+
 def integer_zero_scan(p):
     """Zero set of h1, h2, h3 and k over GF(p) by a full scan of PG(5,p),
     with the forms written out in integers.
     """
     zero = set()
-    for lead in range(5, -1, -1):
-        prefix = (0,) * lead + (1,)
-        for tail in product(range(p), repeat=5 - lead):
-            y = prefix + tail
-            y01, y02, y03, y12, y13, y23 = y
-            s = y12 + y03
-            if (
-                (3 * y01 * s - y02 * y02) % p == 0
-                and (3 * y02 * y13 - s * s) % p == 0
-                and (9 * y01 * y13 - y02 * s) % p == 0
-                and (y01 * y23 - y02 * y13 + y03 * y12) % p == 0
-            ):
-                zero.add(y)
+    for y in pg5_points(p):
+        y01, y02, y03, y12, y13, y23 = y
+        s = y12 + y03
+        if (
+            (3 * y01 * s - y02 * y02) % p == 0
+            and (3 * y02 * y13 - s * s) % p == 0
+            and (9 * y01 * y13 - y02 * s) % p == 0
+            and (y01 * y23 - y02 * y13 + y03 * y12) % p == 0
+        ):
+            zero.add(y)
     return zero
 
 
@@ -255,13 +260,14 @@ class TestVarietyZeroSet:
 class TestVarietyEquality:
     @pytest.mark.parametrize("p,expected", [(2, 7), (5, 31), (7, 57), (11, 133), (13, 183)])
     def test_equality_and_count(self, p, expected):
-        r = verify_variety_equality(PrimeField(p))
+        F = PrimeField(p)
+        r = verify_variety_equality(F, build_O(F))
         assert r.passed
         assert r.counts["zero_set_points"] == expected == p * p + p + 1
 
     def test_char3_rejected(self):
         with pytest.raises(WrongCharacteristic):
-            verify_variety_equality(F3)
+            verify_variety_equality(F3, build_O(F3))
 
     def test_j_is_a_cone_with_vertex_polar_line(self):
         # adding any combination of w and w_inf to a variety point keeps
@@ -296,7 +302,7 @@ class TestMembership:
 
 class TestChar3:
     def test_congruence(self):
-        r = char3_congruence_check(F3)
+        r = char3_congruence_check(F3, build_O(F3))
         assert r.passed
         assert r.counts["congruence_lines"] == 13
         assert r.counts["tangents_plus_pencil"] == 13
@@ -313,6 +319,14 @@ class TestChar3:
         assert len(congruence) == 13
         for l in congruence:
             assert not lines_skew(l, n, F3)
+
+    @pytest.mark.parametrize("p,expected", [(2, 7), (3, 13), (5, 31), (7, 57), (11, 133)])
+    def test_cone_section_equals_filter_of_pg5(self, p, expected):
+        # oracle: every point of PG(5,p) filtered by D and the quadric
+        F = PrimeField(p)
+        brute = {y for y in pg5_points(p) if in_D(y, F) and quadric_value(y, F) == 0}
+        assert variety_qd_points(F) == brute
+        assert len(brute) == expected
 
     def test_images_exhaust_cone_section(self):
         points = variety_qd_points(F3)
@@ -332,6 +346,6 @@ class TestChar3:
 
     def test_wrong_characteristic_rejected(self):
         with pytest.raises(WrongCharacteristic):
-            char3_congruence_check(F5)
+            char3_congruence_check(F5, build_O(F5))
         with pytest.raises(WrongCharacteristic):
             osculating_plane_pencil_check(F5)
