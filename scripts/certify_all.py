@@ -3,8 +3,9 @@
 
 Prints one row per field with the regime and every check's verdict, and
 optionally writes the JSON reports into a directory. Exits 2 when a check
-differs from its regime's prediction, 1 on a bad or empty field list, 3 when
-a check ends in an internal error, 0 otherwise.
+differs from its regime's prediction, 1 on a bad or empty field list or when
+a report cannot be written, 3 when a check ends in an internal error, 0
+otherwise.
 
 Usage: python scripts/certify_all.py [--out-dir reports/] [--fields gf:2,gf:3,...]
 """
@@ -52,9 +53,13 @@ def main(argv=None) -> int:
         verdicts = " ".join(f"{VERDICTS[c.status]:<8}" for c in report.checks)
         print(f"{spec:<8} {report.regime:<28} {verdicts} {secs:>6.2f}")
         if args.out_dir:
-            out = Path(args.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"certify_{spec.replace(':', '_')}.json").write_text(report.full_json() + "\n")
+            out = Path(args.out_dir) / f"certify_{spec.replace(':', '_')}.json"
+            try:
+                out.parent.mkdir(parents=True, exist_ok=True)
+                out.write_text(report.full_json() + "\n")
+            except OSError as exc:
+                sys.stderr.write(f"certify_all: cannot write the report to {out}: {exc.strerror}\n")
+                return 1
         if report.mismatches():
             worst = 2
     return worst

@@ -1,19 +1,17 @@
 """The ruled cubic surface V(X0*X1*X2 - X1^3 - X0^2*X3) in PG(3,K).
 
-Covers membership, the singular structure along the line at infinity, tangent
-planes, the generator family, line-surface intersection multiplicities, the
-triangular automorphism group, and the classical point/tangent-plane duality.
+Covers membership, the directrix and the line V(X0,X2) of the nuclei, tangent
+planes, the generator family, the restricted binary cubic f(lam*p + mu*q) of a
+line, the triangular automorphism group, and the classical point/tangent-plane
+duality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
-from math import lcm
 from typing import List, Sequence, Tuple
 
-from .field import Element, Field, PrimeField
+from .field import Element, Field
 from .projspace import (
     GeometryError,
     KleinPoint,
@@ -40,20 +38,6 @@ def f_value(x: Sequence, F: Field):
     return sub(sub(mul(mul(x0, x1), x2), mul(mul(x1, x1), x1)), mul(mul(x0, x0), x3))
 
 
-def gradient(x: Sequence, F: Field) -> Tuple:
-    """The four partial derivatives of the cubic form, evaluated at x."""
-    x0, x1, x2, x3 = canonicalize(x, F)
-    mul, sub = F.mul, F.sub
-    two = F.of(2)
-    three = F.of(3)
-    return (
-        sub(mul(x1, x2), mul(two, mul(x0, x3))),
-        sub(mul(x0, x2), mul(three, mul(x1, x1))),
-        mul(x0, x1),
-        F.neg(mul(x0, x0)),
-    )
-
-
 def surface_point(u1, u2, F: Field) -> ProjPoint:
     """Affine chart of the surface: (1, u1, u2, u1*u2 - u1^3)."""
     u1, u2 = F.of(u1), F.of(u2)
@@ -73,32 +57,6 @@ def g_infinity(F: Field) -> Line:
 def nuclei_line(F: Field) -> Line:
     """The line V(X0,X2); in characteristic 3 it carries the nuclei."""
     return line_through((F.zero, F.one, F.zero, F.zero), z_point(F), F)
-
-
-class PointClass(Enum):
-    SIMPLE_ON_F = "SimpleOnF"
-    DOUBLE_ON_G_INF = "DoubleOnGInf"
-    PINCH_POINT_Z = "PinchPointZ"
-    NUCLEUS = "Nucleus"
-    OFF_SURFACE = "OffSurface"
-
-
-def classify_point(x: Sequence, F: Field) -> PointClass:
-    """Classify a point by surface membership and vanishing of the gradient.
-
-    Nuclei (off the surface with vanishing gradient) exist only in
-    characteristic 3, where they fill V(X0,X2) minus the pinch point.
-    """
-    x = canonicalize(x, F)
-    on_surface = f_value(x, F) == F.zero
-    singular = all(v == F.zero for v in gradient(x, F))
-    if on_surface:
-        if not singular:
-            return PointClass.SIMPLE_ON_F
-        if x == z_point(F):
-            return PointClass.PINCH_POINT_Z
-        return PointClass.DOUBLE_ON_G_INF
-    return PointClass.NUCLEUS if singular else PointClass.OFF_SURFACE
 
 
 def tangent_plane(u1, u2, F: Field) -> ProjPlane:
@@ -126,7 +84,7 @@ def generator(s0, s1, F: Field) -> Line:
     return line_through(p, q, F)
 
 
-# --- line-surface intersection -------------------------------------------
+# --- the restricted cubic ------------------------------------------------
 
 def _binary_mul(a: List, b: List, F: Field) -> List:
     out = [F.zero] * (len(a) + len(b) - 1)
@@ -145,117 +103,6 @@ def restrict_cubic(l: Line, F: Field) -> List:
     t2 = _binary_mul(_binary_mul(lin[1], lin[1], F), lin[1], F)
     t3 = _binary_mul(_binary_mul(lin[0], lin[0], F), lin[3], F)
     return [F.sub(F.sub(a, b), c) for a, b, c in zip(t1, t2, t3)]
-
-
-def _poly_eval(coeffs: List, x, F: Field):
-    acc = F.zero
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def _synthetic_divide(coeffs: List, r, F: Field) -> List:
-    """Divide a polynomial (ascending coefficients) by (X - r); remainder must be 0."""
-    n = len(coeffs) - 1
-    out = [F.zero] * n
-    carry = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = carry
-        carry = F.add(coeffs[k], F.mul(r, carry))
-    if carry != F.zero:
-        raise GeometryError("synthetic division left a remainder")
-    return out
-
-
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _rational_roots(coeffs: List, F: Field) -> List[Tuple]:
-    """K-rational roots with multiplicities of a univariate polynomial.
-
-    Over GF(p) by exhaustive evaluation; over the rationals by the rational
-    root theorem on the denominator-cleared polynomial.
-    """
-    work = list(coeffs)
-    while len(work) > 1 and work[-1] == F.zero:
-        work.pop()
-    if len(work) <= 1:
-        return []
-    roots = []
-    if isinstance(F, PrimeField):
-        for r in F.elements():
-            mult = 0
-            probe = work
-            while len(probe) > 1 and _poly_eval(probe, r, F) == F.zero:
-                probe = _synthetic_divide(probe, r, F)
-                mult += 1
-            if mult:
-                roots.append((r, mult))
-        return roots
-    # rationals: peel off zero roots, then try n/d with n | constant, d | leading
-    if work[0] == F.zero:
-        mult = 0
-        while len(work) > 1 and work[0] == F.zero:
-            work = work[1:]
-            mult += 1
-        roots.append((F.zero, mult))
-    if len(work) <= 1:
-        return roots
-    scale = lcm(*(Fraction(c).denominator for c in work))
-    ints = [int(Fraction(c) * scale) for c in work]
-    for num_div in _divisors(ints[0]):
-        for den_div in _divisors(ints[-1]):
-            for sign in (1, -1):
-                r = Fraction(sign * num_div, den_div)
-                mult = 0
-                probe = work
-                while len(probe) > 1 and _poly_eval(probe, r, F) == F.zero:
-                    probe = _synthetic_divide(probe, r, F)
-                    mult += 1
-                if mult:
-                    roots.append((r, mult))
-                    work = probe
-    return roots
-
-
-@dataclass(frozen=True)
-class IntersectionProfile:
-    """Result of meeting a line with the surface.
-
-    Either the line is contained in the surface, or it meets it in K-rational
-    points whose multiplicities (from the restricted binary cubic) sum to at
-    most 3.
-    """
-
-    contained: bool
-    points: Tuple[Tuple[ProjPoint, int], ...] = ()
-
-
-def intersect_line_surface(l: Line, F: Field) -> IntersectionProfile:
-    """Restrict the cubic form to the line and extract K-rational roots."""
-    coeffs = restrict_cubic(l, F)
-    if all(c == F.zero for c in coeffs):
-        return IntersectionProfile(contained=True)
-    hits = []
-    # degree drop of c(1, mu) gives the multiplicity of the point q itself
-    deg = max(j for j, c in enumerate(coeffs) if c != F.zero)
-    if deg < 3:
-        hits.append((l.q, 3 - deg))
-    for r, mult in _rational_roots(coeffs, F):
-        point = canonicalize([F.add(pi, F.mul(r, qi)) for pi, qi in zip(l.p, l.q)], F)
-        hits.append((point, mult))
-    hits.sort(key=lambda h: h[0])
-    return IntersectionProfile(contained=False, points=tuple(hits))
 
 
 # --- the automorphism group ----------------------------------------------

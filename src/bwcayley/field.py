@@ -119,11 +119,6 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -184,11 +179,6 @@ class Rationals:
         if b == 0:
             raise ZeroDivisionError("division by 0")
         return Fraction(a) / b
-
-    def pow(self, a: Fraction, e: int) -> Fraction:
-        if e < 0:
-            return Fraction(1) / (Fraction(a) ** -e)
-        return Fraction(a) ** e
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)

@@ -143,14 +143,16 @@ def test_criterion_06_multiplicity_three():
     with _Budget(6, "triple contact at every tangent point", 1.0):
         F = PrimeField(5)
         for u1, u2 in parameter_grid(F):
-            profile = cayley.intersect_line_surface(osculating_tangent(u1, u2, F), F)
-            assert profile.points == ((cayley.surface_point(u1, u2, F), 3),)
+            t = osculating_tangent(u1, u2, F)
+            assert t.p == cayley.surface_point(u1, u2, F)
+            assert cayley.restrict_cubic(t, F) == [0, 0, 0, F.of(-1)]
         rng = random.Random(2024)
         for _ in range(50):
             u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
             u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-            profile = cayley.intersect_line_surface(osculating_tangent(u1, u2, QQ), QQ)
-            assert profile.points == ((cayley.surface_point(u1, u2, QQ), 3),)
+            t = osculating_tangent(u1, u2, QQ)
+            assert t.p == cayley.surface_point(u1, u2, QQ)
+            assert cayley.restrict_cubic(t, QQ) == [0, 0, 0, -1]
 
 
 def test_criterion_07_reguli_gf5():

@@ -64,18 +64,18 @@ class TestOsculatingTangent:
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_multiplicity_three_exhaustive(self, F):
+        # f(lam*P(u) + mu*q) = -mu^3: P(u) is the only meet, of multiplicity 3
         for u1, u2 in parameter_grid(F):
             t = osculating_tangent(u1, u2, F)
-            profile = cayley.intersect_line_surface(t, F)
-            assert not profile.contained
-            assert profile.points == ((cayley.surface_point(u1, u2, F), 3),)
+            assert t.p == cayley.surface_point(u1, u2, F)
+            assert cayley.restrict_cubic(t, F) == [0, 0, 0, F.of(-1)]
 
     @given(small_fractions, small_fractions)
     @settings(max_examples=60)
     def test_multiplicity_three_rational(self, u1, u2):
         t = osculating_tangent(u1, u2, QQ)
-        profile = cayley.intersect_line_surface(t, QQ)
-        assert profile.points == ((cayley.surface_point(u1, u2, QQ), 3),)
+        assert t.p == cayley.surface_point(u1, u2, QQ)
+        assert cayley.restrict_cubic(t, QQ) == [0, 0, 0, -1]
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_skew_to_directrix(self, F):

@@ -1,4 +1,4 @@
-"""Surface membership, singular structure, generators, group, duality."""
+"""Surface membership, singular structure, generators, restricted cubic, group, duality."""
 
 import random
 from fractions import Fraction
@@ -9,22 +9,18 @@ from hypothesis import strategies as st
 
 from bwcayley.cayley import (
     GMatrix,
-    IntersectionProfile,
-    PointClass,
     ZeroParameters,
     ZeroScale,
-    classify_point,
     dual_plucker,
     duality,
     f_value,
     g_infinity,
     generator,
-    gradient,
     group_apply,
     group_matrix,
-    intersect_line_surface,
     nuclei_line,
     param_action,
+    restrict_cubic,
     surface_point,
     tangency_test,
     tangent_plane,
@@ -48,6 +44,27 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def gradient(x, F):
+    """The four partial derivatives of X0*X1*X2 - X1^3 - X0^2*X3 at x."""
+    x0, x1, x2, x3 = canonicalize(x, F)
+    mul, sub = F.mul, F.sub
+    return (
+        sub(mul(x1, x2), mul(F.of(2), mul(x0, x3))),
+        sub(mul(x0, x2), mul(F.of(3), mul(x1, x1))),
+        mul(x0, x1),
+        F.neg(mul(x0, x0)),
+    )
+
+
+def singular(x, F):
+    return all(v == F.zero for v in gradient(x, F))
+
+
+def nuclei(F):
+    """The points off the surface where every partial derivative vanishes."""
+    return {x for x in enumerate_points(F) if f_value(x, F) != F.zero and singular(x, F)}
 
 
 class TestForm:
@@ -105,33 +122,35 @@ class TestSurfacePoint:
 
 class TestClassify:
     def test_pinch_point(self):
-        assert classify_point((0, 0, 0, 1), QQ) == PointClass.PINCH_POINT_Z
+        z = z_point(QQ)
+        assert f_value(z, QQ) == 0 and singular(z, QQ)
 
     def test_nucleus(self):
-        assert classify_point((0, 1, 0, 0), F3) == PointClass.NUCLEUS
+        assert singular((0, 1, 0, 0), F3)
         assert f_value((0, 1, 0, 0), F3) != 0
 
     def test_off_surface(self):
-        assert classify_point((1, 2, 3, 4), QQ) == PointClass.OFF_SURFACE
+        assert f_value((1, 2, 3, 4), QQ) != 0 and not singular((1, 2, 3, 4), QQ)
 
     def test_double_points_fill_directrix(self):
+        ginf = g_infinity(F5)
         for x in enumerate_points(F5):
-            cls = classify_point(x, F5)
-            on_ginf = x[0] == 0 and x[1] == 0
-            if on_ginf:
-                assert cls in (PointClass.DOUBLE_ON_G_INF, PointClass.PINCH_POINT_Z)
-            else:
-                assert cls in (PointClass.SIMPLE_ON_F, PointClass.OFF_SURFACE)
+            double = f_value(x, F5) == 0 and singular(x, F5)
+            assert double == incidence(x, ginf, F5)
 
     def test_nuclei_fill_nuclei_line_char3(self):
-        nuclei = {x for x in enumerate_points(F3) if classify_point(x, F3) == PointClass.NUCLEUS}
         n = nuclei_line(F3)
         expected = {x for x in enumerate_points(F3) if incidence(x, n, F3)} - {z_point(F3)}
-        assert nuclei == expected
+        assert nuclei(F3) == expected
 
     def test_no_nuclei_outside_char3(self):
-        for x in enumerate_points(F5):
-            assert classify_point(x, F5) != PointClass.NUCLEUS
+        for p in (2, 5):
+            F = PrimeField(p)
+            assert nuclei(F) == set()
+            ginf = g_infinity(F)
+            assert {x for x in enumerate_points(F) if singular(x, F)} == {
+                x for x in enumerate_points(F) if incidence(x, ginf, F)
+            }
 
 
 class TestTangentObjects:
@@ -161,8 +180,7 @@ class TestGenerators:
 
     @given(small_fractions)
     def test_generators_contained_in_surface(self, s):
-        profile = intersect_line_surface(generator(1, s, QQ), QQ)
-        assert profile.contained
+        assert restrict_cubic(generator(1, s, QQ), QQ) == [0, 0, 0, 0]
 
     def test_generator_incidence_counts_gf5(self):
         # one generator through each affine surface point, two through each
@@ -183,40 +201,14 @@ class TestGenerators:
 
 class TestIntersection:
     def test_osculating_tangent_triple_point(self):
+        # the tangent at P(0,0) in direction (0,1,0,0): f(lam*p + mu*q) = -mu^3,
+        # so P(0,0) is its only meet with the surface, of multiplicity 3
         l = line_through((1, 0, 0, 0), (0, 1, 0, 0), QQ)
-        profile = intersect_line_surface(l, QQ)
-        assert profile == IntersectionProfile(
-            contained=False, points=(((Fraction(1), Fraction(0), Fraction(0), Fraction(0)), 3),)
-        )
-
-    def test_double_point_at_pinch(self):
-        l = line_through((1, 0, 0, 0), (0, 0, 0, 1), QQ)
-        profile = intersect_line_surface(l, QQ)
-        assert set(profile.points) == {
-            (canonicalize((1, 0, 0, 0), QQ), 1),
-            (canonicalize((0, 0, 0, 1), QQ), 2),
-        }
+        assert l.p == surface_point(0, 0, QQ)
+        assert restrict_cubic(l, QQ) == [0, 0, 0, -1]
 
     def test_contained_generator(self):
-        assert intersect_line_surface(generator(1, 1, QQ), QQ).contained
-
-    def test_multiplicity_sum_bounded(self):
-        for l in (
-            line_through((1, 2, 3, 4), (0, 1, 1, 2), QQ),
-            line_through((1, 0, 0, 1), (0, 1, 2, 0), QQ),
-        ):
-            profile = intersect_line_surface(l, QQ)
-            assert sum(m for _, m in profile.points) <= 3
-            for x, _ in profile.points:
-                assert f_value(x, QQ) == 0
-
-    def test_rational_root_with_denominator(self):
-        # restriction has the rational root mu = 1/2 at a point of the surface
-        p = surface_point(Fraction(1, 2), 0, QQ)
-        q = (0, 1, 0, 0)
-        l = line_through((p[0], p[1] - Fraction(1, 2), p[2], p[3]), q, QQ)
-        profile = intersect_line_surface(l, QQ)
-        assert any(m >= 1 for _, m in profile.points)
+        assert restrict_cubic(generator(1, 1, QQ), QQ) == [0, 0, 0, 0]
 
 
 class TestGroup:
@@ -257,7 +249,7 @@ class TestGroup:
                     if c == 0:
                         continue
                     M = group_matrix(a, b, c, F)
-                    c3 = F.pow(c, 3)
+                    c3 = F.mul(F.mul(c, c), c)
                     for x in points:
                         lhs_point = [sum(mij * xj for mij, xj in zip(row, x)) % p for row in M.entries]
                         # unreduced image: f(Mx) must equal c^3 f(x) on representatives

@@ -78,3 +78,12 @@ def test_check_exception_exits_three(capsys, monkeypatch):
     assert script_main(["--fields", "gf:5"]) == 3
     err = capsys.readouterr().err
     assert err == "certify_all: internal error in check partial_spread: WrongLineCount: built 25 lines, expected 26\n"
+
+
+def test_unwritable_out_dir_is_one_line_and_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert script_main(["--fields", "gf:2", "--out-dir", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"certify_all: cannot write the report to {blocker / 'certify_gf_2.json'}: ")
+    assert err.count("\n") == 1  # no traceback

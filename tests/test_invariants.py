@@ -15,6 +15,30 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
+def _reexports(tree):
+    """The names a module lists in its __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used - _reexports(tree))
+    assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
 ROOT = Path(__file__).parents[1]
 
 # Library names that no check, script or benchmark reaches yet, each kept for
@@ -27,17 +51,8 @@ PENDING = {
     "betten_chart": _BETTEN,
     "betten_collineation": _BETTEN,
     "Char3Unsupported": _BETTEN,
-    "intersect_line_surface": _OSCULATION,
-    "IntersectionProfile": _OSCULATION,
     "restrict_cubic": _OSCULATION,
     "_binary_mul": _OSCULATION,
-    "_poly_eval": _OSCULATION,
-    "_synthetic_divide": _OSCULATION,
-    "_divisors": _OSCULATION,
-    "_rational_roots": _OSCULATION,
-    "classify_point": _OSCULATION,
-    "PointClass": _OSCULATION,
-    "gradient": _OSCULATION,
     "line_in_plane": _TRACED,
     "enumerate_planes": _TRACED,
     "form_value": _TRACED,
