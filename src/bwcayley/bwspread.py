@@ -128,7 +128,7 @@ def certify_partial_spread(F: Field, O: Optional[Sequence[Line]], seed: int = 0)
     every parameter u, and their orbit of (0,0) to hold all q^2 parameters.
     Collineations keep skewness, so the tangents meeting a given tangent are
     as many for every u as for the origin, and testing the origin tangent
-    against the other q^2 - 1 (by the criterion and by the determinant, which
+    against the other q^2 - 1 (by the criterion and by Klein polarity, which
     must agree) decides every pair: with m of them meeting it there are
     q^2*m/2 violations, and the lexicographically first violating pair is
     ((0,0), first meeting u). The directrix is tested against every tangent.

@@ -1,8 +1,8 @@
 """Exact ground-field arithmetic: GF(p) for prime p, and the rationals.
 
 Field elements are plain Python values (int residues in [0, p) for GF(p),
-`fractions.Fraction` for the rationals), operated on through a field object.
-Everything is exact; no floating point is used anywhere.
+`fractions.Fraction` or int for the rationals), operated on through a field
+object. Everything is exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -130,10 +130,12 @@ class PrimeField:
 
 
 class Rationals:
-    """The field of rational numbers. Elements are `fractions.Fraction`.
+    """The field of rational numbers. Elements are `fractions.Fraction` or int.
 
-    Fraction keeps every value reduced with a positive denominator, so
-    canonical-form invariants hold for free.
+    The operators are Python's, so they take either and stay in ints on
+    ints: canonical projective tuples over Q are primitive integer vectors
+    (see `projspace.canonicalize`), and arithmetic on them pays no Fraction
+    normalisation.
     """
 
     @property

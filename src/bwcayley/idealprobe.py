@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import field
@@ -123,7 +124,7 @@ def vanishing_space(points: Sequence[Sequence], d: int) -> List[List[Fraction]]:
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _vanish_at(exps: Sequence[Tuple[int, ...]], basis: Sequence[Sequence], points: Sequence[Sequence]) -> bool:

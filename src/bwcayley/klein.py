@@ -108,14 +108,15 @@ def kappa_osculating(u1, u2, F: Field) -> KleinPoint:
 def in_kappa_O(y: Sequence, F: Field) -> bool:
     """Whether a canonical sextuple is the Klein image of a line of O.
 
-    Affine images have Y01 = 1 and are then forced to the closed form; the
-    only image with Y01 = 0 is that of the directrix.
+    Affine images have Y01 != 0 and, divided through by Y01, are forced to
+    the closed form; the only image with Y01 = 0 is that of the directrix.
     """
     y = canonicalize(y, F)
     if y == w_infinity(F):
         return True
     if y[0] == F.zero:
         return False
+    y = tuple(F.div(v, y[0]) for v in y)
     if F.characteristic == 3:
         roots = cube_roots(y[4], F)
         if not roots:

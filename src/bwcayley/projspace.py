@@ -1,7 +1,11 @@
 """Points, planes and lines of PG(3,K); Plücker coordinates; enumeration.
 
-Homogeneous coordinate tuples are always kept in canonical form (first
-nonzero coordinate scaled to 1), which makes them unique, hashable keys.
+Homogeneous coordinate tuples are always kept in canonical form, which makes
+them unique, hashable keys. Over GF(p) the first nonzero coordinate is
+scaled to 1. Over Q the canonical form is the primitive integer vector: the
+class's integer tuple with gcd 1 and its first nonzero entry positive, so
+arithmetic on canonical tuples runs on Python ints (an int and the Fraction
+of equal value are equal and hash alike, so keys mix freely).
 Points are column 4-tuples, planes are coefficient row 4-tuples, and Plücker
 sextuples use the coordinate order (y01, y02, y03, y12, y13, y23) with
 y_ij = p_i*q_j - p_j*q_i.
@@ -10,7 +14,6 @@ y_ij = p_i*q_j - p_j*q_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Iterator, List, Sequence, Tuple
@@ -32,11 +35,16 @@ class CoincidentPoints(GeometryError):
 
 
 def canonicalize(vec: Sequence, F: Field) -> Vector:
-    """Scale a homogeneous tuple so its first nonzero coordinate is 1.
+    """The canonical representative of a homogeneous tuple's class.
 
-    A tuple whose first nonzero coordinate is already 1, such as every tuple
+    Over GF(p) the tuple is scaled so its first nonzero coordinate is 1; a
+    tuple whose first nonzero coordinate is already 1, such as every tuple
     `enumerate_points` yields, comes back reduced but otherwise unscaled.
+    Over Q it is `primitive_int_vector(vec)`. The zero vector raises
+    GeometryError.
     """
+    if not F.is_finite:
+        return primitive_int_vector(vec)
     vec = tuple(F.of(v) if isinstance(v, int) else v for v in vec)
     for v in vec:
         if v != F.zero:
@@ -47,26 +55,31 @@ def canonicalize(vec: Sequence, F: Field) -> Vector:
     raise GeometryError("zero vector has no projective class")
 
 
-def primitive_int_vector(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Integer representative of a rational homogeneous tuple.
+def primitive_int_vector(vec: Sequence) -> Tuple[int, ...]:
+    """The canonical form over Q of a rational homogeneous tuple.
 
-    Clears denominators, divides by the content, and makes the first nonzero
-    entry positive. Used for compact witnesses in reports.
+    Entries are ints or Fractions. The result is the integer tuple of the
+    same projective class with gcd 1 and its first nonzero entry positive,
+    computed from numerators and denominators in integer arithmetic: clear
+    the lcm of the denominators, then divide by the signed content. The zero
+    vector raises GeometryError.
     """
-    fracs = [Fraction(v) for v in vec]
-    denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    content = 0
+    denom = lcm(*(v.denominator for v in vec))
+    if denom == 1:  # integer entries, as every product of canonical tuples has
+        ints = [v.numerator for v in vec]
+    else:
+        ints = [v.numerator * (denom // v.denominator) for v in vec]
+    content = gcd(*ints)
+    if content == 0:
+        raise GeometryError("zero vector has no projective class")
     for v in ints:
-        content = gcd(content, abs(v))
-    if content > 1:
-        ints = [v // content for v in ints]
-    for v in ints:
-        if v != 0:
+        if v:
             if v < 0:
-                ints = [-w for w in ints]
+                content = -content
             break
-    return tuple(ints)
+    if content == 1:
+        return tuple(ints)
+    return tuple(v // content for v in ints)
 
 
 def plucker(p: Sequence, q: Sequence, F: Field) -> KleinPoint:
@@ -176,8 +189,11 @@ def det4(m, F: Field):
 
 
 def lines_skew(l1: Line, l2: Line, F: Field) -> bool:
-    """Skewness via the 4x4 determinant of the four spanning points."""
-    return det4([list(l1.p), list(l1.q), list(l2.p), list(l2.q)], F) != F.zero
+    """Skewness by Klein polarity: two lines meet exactly when their Plücker
+    sextuples are conjugate under the quadric's polarization, in every
+    characteristic (the polarization is the determinant of the four
+    spanning points, up to sign)."""
+    return quadric_polarization(l1.plucker, l2.plucker, F) != F.zero
 
 
 def incidence(x: Sequence, l: Line, F: Field) -> bool:

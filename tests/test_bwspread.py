@@ -35,6 +35,7 @@ from bwcayley.cli import certify_report
 from bwcayley.field import PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
+    canonicalize,
     dedup_lines,
     enumerate_lines,
     enumerate_planes,
@@ -74,8 +75,8 @@ class TestOsculatingTangent:
     @settings(max_examples=60)
     def test_multiplicity_three_rational(self, u1, u2):
         t = osculating_tangent(u1, u2, QQ)
-        assert t.p == cayley.surface_point(u1, u2, QQ)
-        assert cayley.restrict_cubic(t, QQ) == [0, 0, 0, -1]
+        assert t.p == canonicalize(cayley.surface_point(u1, u2, QQ), QQ)
+        assert cayley.restrict_cubic(t, QQ) == [0, 0, 0, -t.q[1] ** 3]
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_skew_to_directrix(self, F):
@@ -108,10 +109,10 @@ class TestSkewCriterion:
     def test_criterion_matches_determinant_exhaustive(self, F):
         for (v1, v2), (u1, u2) in combinations(parameter_grid(F), 2):
             criterion_zero = skew_criterion(v1, v2, u1, u2, F) == 0
-            det_skew = lines_skew(
+            polarity_skew = lines_skew(
                 osculating_tangent(v1, v2, F), osculating_tangent(u1, u2, F), F
             )
-            assert criterion_zero == (not det_skew)
+            assert criterion_zero == (not polarity_skew)
 
 
 class TestPartialSpread:
@@ -134,8 +135,14 @@ class TestPartialSpread:
         r = certify_partial_spread(QQ, None, seed=1)
         assert r.passed
 
+    def test_rational_duplicate_draw_is_skipped(self):
+        # this seed draws u == v once among its 200 pairs; that draw is not a check
+        r = certify_partial_spread(QQ, None, seed=1991668817)
+        assert r.passed
+        assert r.counts == {"spot_checks": 199}
+
     def test_route_disagreement_is_a_failed_check(self, monkeypatch):
-        # the determinant route calls every pair skew; the criterion does not
+        # the polarity route calls every pair skew; the criterion does not
         monkeypatch.setattr(bwspread, "lines_skew", lambda l1, l2, F: True)
         r = certify_partial_spread(F7, build_O(F7))
         assert r.passed is False

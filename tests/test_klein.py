@@ -87,7 +87,7 @@ class TestKappaOsculating:
     @given(small_fractions, small_fractions)
     @settings(max_examples=80)
     def test_matches_line_image_rational(self, u1, u2):
-        assert kappa_osculating(u1, u2, QQ) == osculating_tangent(u1, u2, QQ).plucker
+        assert canonicalize(kappa_osculating(u1, u2, QQ), QQ) == osculating_tangent(u1, u2, QQ).plucker
 
     @pytest.mark.parametrize("F", [F2, F5, PrimeField(7)])
     def test_forms_vanish_exhaustive(self, F):
@@ -298,6 +298,35 @@ class TestMembership:
     @settings(max_examples=40)
     def test_tangent_images_are(self, u1, u2):
         assert in_kappa_O(kappa_osculating(u1, u2, QQ), QQ)
+
+    @given(small_fractions, small_fractions, small_fractions.filter(lambda c: c != 0))
+    @settings(max_examples=40)
+    def test_scaled_tangent_images_are(self, u1, u2, c):
+        y = kappa_osculating(u1, u2, QQ)
+        assert in_kappa_O([c * v for v in y], QQ)
+        assert in_kappa_O(osculating_tangent(u1, u2, QQ).plucker, QQ)
+
+    def test_scaled_images_seeded(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
+            assert in_kappa_O([c * v for v in kappa_osculating(u1, u2, QQ)], QQ)
+            # moving one coordinate off the closed form leaves the image set
+            y = list(kappa_osculating(u1, u2, QQ))
+            y[5] += 1
+            assert not in_kappa_O([c * v for v in y], QQ)
+        assert not in_kappa_O((0, 0, 0, 0, -3, 0), QQ)  # the pencil witness, scaled
+
+    @pytest.mark.parametrize("F", [F2, F3, F5, PrimeField(7)])
+    def test_exhaustive_images_and_scalings(self, F):
+        for u1, u2 in parameter_grid(F):
+            y = kappa_osculating(u1, u2, F)
+            for c in range(1, F.p):
+                assert in_kappa_O([F.mul(c, v) for v in y], F)
+        assert in_kappa_O(w_infinity(F), F)
+        assert not in_kappa_O((0, 0, 0, 0, 1, 0), F)
 
 
 class TestChar3:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from bwcayley.projspace import (
     GeometryError,
     canonicalize,
     dedup_lines,
+    det4,
     enumerate_lines,
     enumerate_planes,
     enumerate_points,
@@ -71,11 +73,36 @@ class TestCanonical:
                     vec[0] = rng.choice((1, Fraction(1)))
             if all(F.of(v) == F.zero for v in vec):
                 continue
-            assert canonicalize(vec, F) == _scale_by_inverse(vec, F)
+            want = _scale_by_inverse(vec, F) if F.is_finite else _primitive_by_fractions(vec)
+            assert canonicalize(vec, F) == want
 
     def test_primitive_int_vector(self):
         assert primitive_int_vector((Fraction(1), Fraction(0), Fraction(-2, 3))) == (3, 0, -2)
         assert primitive_int_vector((Fraction(-1, 2), Fraction(1, 2))) == (1, -1)
+        assert primitive_int_vector((0, -4, 6, 0)) == (0, 2, -3, 0)
+        assert primitive_int_vector((0, 0, Fraction(-7, 3))) == (0, 0, 1)
+
+    @given(nonzero_vec4)
+    def test_rational_form_is_primitive_with_positive_lead(self, vec):
+        canon = canonicalize(vec, QQ)
+        assert all(type(v) is int for v in canon)
+        assert gcd(*canon) == 1
+        assert next(v for v in canon if v != 0) > 0
+        assert canonicalize(canon, QQ) == canon
+        assert canon == primitive_int_vector(vec) == _primitive_by_fractions(vec)
+
+    @given(nonzero_vec4)
+    def test_rational_form_is_in_the_class_of_the_input(self, vec):
+        canon = canonicalize(vec, QQ)
+        ratios = {Fraction(c) / x for c, x in zip(canon, vec) if x != 0}
+        assert len(ratios) == 1 and all(c == 0 for c, x in zip(canon, vec) if x == 0)
+
+    @pytest.mark.parametrize("vec", [(0, 0, 0, 0), (Fraction(0),) * 6, ()], ids=["ints", "fractions", "empty"])
+    def test_rational_zero_vector_rejected(self, vec):
+        with pytest.raises(GeometryError):
+            canonicalize(vec, QQ)
+        with pytest.raises(GeometryError):
+            primitive_int_vector(vec)
 
 
 def _scale_by_inverse(vec, F):
@@ -85,6 +112,26 @@ def _scale_by_inverse(vec, F):
     lead = next(v for v in reduced if v != F.zero)
     inv = F.inv(lead)
     return tuple(F.mul(inv, v) for v in reduced)
+
+
+def _primitive_by_fractions(vec):
+    """Reference route over Q in Fraction products: clear the lcm of the
+    denominators, divide by the content, and make the first nonzero entry
+    positive."""
+    fracs = [Fraction(v) for v in vec]
+    denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
+    ints = [int(f * denom) for f in fracs]
+    content = 0
+    for v in ints:
+        content = gcd(content, abs(v))
+    if content > 1:
+        ints = [v // content for v in ints]
+    for v in ints:
+        if v != 0:
+            if v < 0:
+                ints = [-w for w in ints]
+            break
+    return tuple(ints)
 
 
 class TestPlucker:
@@ -220,10 +267,10 @@ def pg5_points(F):
             yield (F.zero,) * lead + (F.one,) + tail
 
 
-def lines_skew_plucker(l1, l2, F):
-    """Skewness via the polarization of the Klein quadric form: an independent
-    route from `lines_skew`, with which it must always agree."""
-    return quadric_polarization(l1.plucker, l2.plucker, F) != F.zero
+def lines_skew_det(l1, l2, F):
+    """Skewness via the 4x4 determinant of the four spanning points: an
+    independent route from `lines_skew`, with which it must always agree."""
+    return det4([list(l1.p), list(l1.q), list(l2.p), list(l2.q)], F) != F.zero
 
 
 class TestSkewness:
@@ -232,12 +279,31 @@ class TestSkewness:
         F = PrimeField(p)
         lines = enumerate_lines(F)
         for l1, l2 in combinations(lines, 2):
-            assert lines_skew(l1, l2, F) == lines_skew_plucker(l1, l2, F)
+            assert lines_skew(l1, l2, F) == lines_skew_det(l1, l2, F)
+
+    def test_determinant_agrees_with_polarization_rational(self):
+        rng = random.Random(31)
+
+        def point():
+            return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)]
+
+        meeting = 0
+        for _ in range(300):
+            try:
+                l1 = line_through(point(), point(), QQ)
+                # half the pairs share the point l1.p, so they meet
+                l2 = line_through(l1.p if rng.random() < 0.5 else point(), point(), QQ)
+            except GeometryError:
+                continue
+            skew = lines_skew(l1, l2, QQ)
+            assert skew == lines_skew_det(l1, l2, QQ)
+            meeting += not skew
+        assert meeting > 100
 
     def test_line_not_skew_to_itself(self):
         l = line_through((1, 0, 0, 0), (0, 1, 0, 0), F5)
         assert not lines_skew(l, l, F5)
-        assert not lines_skew_plucker(l, l, F5)
+        assert not lines_skew_det(l, l, F5)
 
     def test_dedup_by_plucker(self):
         l1 = line_through((1, 0, 0, 0), (0, 1, 0, 0), F5)
