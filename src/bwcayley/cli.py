@@ -189,7 +189,7 @@ CHECKS = {
             "nonalgebraicity",
             "the form zero set strictly exceeds the tangent images",
             "pass",
-            lambda run: idealprobe.nonalgebraicity_evidence(run.degree, run.samples, run.seed),
+            lambda run: idealprobe.nonalgebraicity_evidence(run.probe),
         ),
     ],
 }

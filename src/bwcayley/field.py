@@ -155,7 +155,7 @@ class Rationals:
         raise InfiniteField("cannot enumerate the rationals")
 
     def of(self, n) -> Fraction:
-        return Fraction(n)
+        return n if type(n) is Fraction else Fraction(n)
 
     zero = Fraction(0)
     one = Fraction(1)

@@ -27,6 +27,7 @@ NUM_VARS = 6
 # C(8,5) = 56 monomials at degree 3; the exact rref of the 60-sample matrix
 # takes 19-32 ms over the 16 pool seeds on 2 vCPUs with CPython 3.11.
 MAX_DEGREE = 3
+WITNESS = (Fraction(0),) * 4 + (Fraction(1), Fraction(0))
 
 
 class DegreeOutOfRange(ValueError):
@@ -186,15 +187,16 @@ class ProbeReport:
     nullspace_dimension: int
     contains_known_forms: Optional[bool]
     pencil_vanishing: bool
+    witness_vanishes: bool
 
 
 def closure_probe(d: int, n_samples: int, seed: int) -> ProbeReport:
     """Compute the sampled vanishing space and test it on the pencil line.
 
     Every basis form is evaluated exactly on 20 sampled pencil points and on
-    both endpoints of the pencil line; `contains_known_forms` is reported at
-    degree 2, where the quadric and the three cone forms must lie in the
-    computed space.
+    both endpoints of the pencil line, and on its own at `WITNESS`;
+    `contains_known_forms` is reported at degree 2, where the quadric and the
+    three cone forms must lie in the computed space.
     """
     if not 0 <= d <= MAX_DEGREE:
         raise DegreeOutOfRange(f"degree must be between 0 and {MAX_DEGREE}")
@@ -217,30 +219,25 @@ def closure_probe(d: int, n_samples: int, seed: int) -> ProbeReport:
         nullspace_dimension=len(basis),
         contains_known_forms=contains,
         pencil_vanishing=pencil_ok,
+        witness_vanishes=_vanish_at(exps, basis, [WITNESS]),
     )
 
 
-def nonalgebraicity_evidence(d: int, n_samples: int, seed: int) -> CheckOutcome:
-    """The common zero set of the sampled degree-d forms strictly contains
-    the tangent-set image: the pencil point (0,0,0,0,1,0) satisfies every
-    form yet is not the image of any tangent or of the directrix.
+def nonalgebraicity_evidence(probe: ProbeReport) -> CheckOutcome:
+    """The common zero set of the probe's sampled forms strictly contains
+    the tangent-set image: the pencil point `WITNESS` = (0,0,0,0,1,0)
+    satisfies every form yet is not the image of any tangent or of the
+    directrix.
     """
-    if not 0 <= d <= MAX_DEGREE:
-        raise DegreeOutOfRange(f"degree must be between 0 and {MAX_DEGREE}")
-    if d == 0:
+    if probe.degree == 0:
         return CheckOutcome(
             passed=True,
             counts={"forms": 0},
             note="no nonzero constant form vanishes anywhere; vacuous",
         )
-    exps = monomial_exponents(d)
-    basis = vanishing_space(sample_kappa_O(n_samples, seed), d)
-    witness = (Fraction(0),) * 4 + (Fraction(1), Fraction(0))
-    vanish = _vanish_at(exps, basis, [witness])
-    outside = not in_kappa_O(witness, field.QQ)
     return CheckOutcome(
-        passed=vanish and outside,
-        witness=witness,
-        counts={"forms": len(basis)},
+        passed=probe.witness_vanishes and not in_kappa_O(WITNESS, field.QQ),
+        witness=WITNESS,
+        counts={"forms": probe.nullspace_dimension},
         note="witness satisfies all sampled forms but is not a tangent image",
     )

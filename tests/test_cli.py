@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bwcayley import bwspread, projspace
+from bwcayley import bwspread, idealprobe, projspace
 from bwcayley.cli import main
 from bwcayley.reports import CheckOutcome
 
@@ -114,6 +114,15 @@ class TestExitCodes:
         calls = {name: count_calls(monkeypatch, projspace, name) for name in ("enumerate_points", "enumerate_planes")}
         code, _, _ = run(capsys, "certify", "--field", "gf:5")
         assert code == 0 and {name: len(c) for name, c in calls.items()} == {"enumerate_points": 1, "enumerate_planes": 0}
+
+    @pytest.mark.parametrize("degree", ["1", "2", "3"])
+    def test_ideal_solves_one_kernel(self, capsys, monkeypatch, degree):
+        calls = count_calls(monkeypatch, idealprobe, "vanishing_space")
+        code, out, _ = run(capsys, "ideal", "--degree", degree, "--samples", "60", "--seed", "7", "--json")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 0 and len(calls) == 1
+        dimension = checks["pencil_vanishing"]["counts"]["nullspace_dimension"]
+        assert dimension == checks["nonalgebraicity"]["counts"]["forms"]
 
     def test_check_exception_is_an_internal_error(self, capsys, monkeypatch):
         def broken(F):

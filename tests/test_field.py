@@ -179,6 +179,12 @@ class TestCoercion:
             assert type(value) is int and 0 <= value < p
             assert (value * x.denominator - x.numerator) % p == 0
 
+    def test_rational_of_keeps_a_fraction(self):
+        x = Fraction(-5, 4)
+        assert QQ.of(x) is x
+        assert type(QQ.of(3)) is Fraction and QQ.of(3) == 3
+        assert type(QQ.of(True)) is Fraction and QQ.of(True) == 1
+
     def test_zero_and_one(self):
         F = PrimeField(7)
         assert (F.zero, F.one) == (0, 1)

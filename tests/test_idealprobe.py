@@ -165,15 +165,15 @@ class TestIntegerEvaluation:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nonalgebraicity_fails(self, y13_power, d):
-        assert not nonalgebraicity_evidence(d, 60, 7).passed
+        assert not nonalgebraicity_evidence(closure_probe(d, 60, 7)).passed
 
 
 class TestNonalgebraicity:
     @pytest.mark.parametrize("d,n", [(2, 60), (3, 120)])
     def test_witness_persists(self, d, n):
-        outcome = nonalgebraicity_evidence(d, n, 7)
+        outcome = nonalgebraicity_evidence(closure_probe(d, n, 7))
         assert outcome.passed
         assert outcome.witness == (0, 0, 0, 0, 1, 0)
 
     def test_degree_zero_vacuous(self):
-        assert nonalgebraicity_evidence(0, 10, 0).passed
+        assert nonalgebraicity_evidence(closure_probe(0, 10, 0)).passed
