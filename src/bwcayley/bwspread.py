@@ -456,7 +456,6 @@ def betten_collineation(x: Sequence, F: Field) -> ProjPoint:
     if F.characteristic == 3:
         raise Char3Unsupported("the chart divides by 3")
     third = F.inv(F.of(3))
-    x = canonicalize(x, F)
     return canonicalize((x[0], x[1], F.mul(third, x[2]), F.mul(third, x[3])), F)
 
 

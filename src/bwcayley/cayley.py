@@ -9,6 +9,7 @@ duality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul as int_mul
 from typing import List, Sequence, Tuple
 
 from .field import Element, Field
@@ -133,14 +134,9 @@ def group_matrix(a, b, c, F: Field) -> GMatrix:
 
 
 def group_apply(M: GMatrix, x: Sequence, F: Field) -> ProjPoint:
-    x = canonicalize(x, F)
-    out = []
-    for row in M.entries:
-        acc = F.zero
-        for mij, xj in zip(row, x):
-            acc = F.add(acc, F.mul(mij, xj))
-        out.append(acc)
-    return canonicalize(out, F)
+    """Canonical image of a point from plain products, reduced by `canonicalize`
+    (M is invertible, so only the zero vector maps to zero, and is rejected)."""
+    return canonicalize([sum(map(int_mul, row, x)) for row in M.entries], F)
 
 
 def param_action(M: GMatrix, u1, u2, F: Field) -> Tuple:
@@ -156,15 +152,17 @@ def param_action(M: GMatrix, u1, u2, F: Field) -> Tuple:
 
 def duality(x: Sequence, F: Field) -> ProjPlane:
     """The coordinate-reversing duality (x0,x1,x2,x3) -> plane [x3,x2,x1,x0]."""
-    x = canonicalize(x, F)
     return canonicalize((x[3], x[2], x[1], x[0]), F)
 
 
 def tangency_test(e: Sequence, F: Field) -> bool:
-    """Whether a plane is tangent to the surface: a1*a2*a3 - a2^3 - a0*a3^2 = 0."""
-    a0, a1, a2, a3 = canonicalize(e, F)
+    """Whether a plane is tangent to the surface: a1*a2*a3 - a2^3 - a0*a3^2 = 0,
+    on any representative (the form is homogeneous); the zero vector raises."""
+    a0, a1, a2, a3 = e
     mul, sub = F.mul, F.sub
     val = sub(sub(mul(mul(a1, a2), a3), mul(mul(a2, a2), a2)), mul(a0, mul(a3, a3)))
+    if val == F.zero and all(F.of(v) == F.zero for v in e):
+        raise GeometryError("zero vector has no projective class")
     return val == F.zero
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 Element = Union[int, Fraction]
 
@@ -118,6 +118,19 @@ class PrimeField:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    def canonical(self, vec: Sequence) -> Optional[Tuple[int, ...]]:
+        """The multiple of a tuple with first nonzero entry 1 (None for zero):
+        ints reduced by % p, others through `of`, one int inverse to scale."""
+        p = self.p
+        vec = [v % p if type(v) is int else self.of(v) for v in vec]
+        for lead in vec:
+            if lead:
+                if lead != 1:
+                    inv = pow(lead, -1, p)
+                    vec = [v * inv % p for v in vec]
+                return tuple(vec)
+        return None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

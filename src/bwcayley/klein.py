@@ -172,9 +172,8 @@ def project_through_Cperp(y: Sequence, F: Field) -> KleinPoint:
     Closed form (y01, y02, 0, y12+y03, y13, 0); degenerate exactly when y
     lies on the polar line of C itself.
     """
-    y = tuple(F.of(v) if isinstance(v, int) else v for v in y)
     image = (y[0], y[1], F.zero, F.add(y[3], y[2]), y[4], F.zero)
-    if all(v == F.zero for v in image):
+    if all(F.of(v) == F.zero for v in image):
         raise ProjectionDegenerate("input lies on the polar line of C")
     return canonicalize(image, F)
 
@@ -317,7 +316,7 @@ def variety_qd_points(F: Field) -> Set[KleinPoint]:
     """Canonical points of the 3-space D = V(Y02, Y03 + Y12) on the quadric:
     the zeros among the (q^4-1)/(q-1) points spanned by e01, e03 - e12, e13, e23."""
     rows = ((1, 0, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
-    return {y for y in span_points([[F.of(v) for v in r] for r in rows], F) if quadric_value(y, F) == F.zero}
+    return {y for y in span_points(rows, F) if quadric_value(y, F) == F.zero}
 
 
 def osculating_plane_pencil_check(F: Field) -> CheckOutcome:

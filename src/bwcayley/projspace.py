@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 from math import gcd, lcm
+from operator import mul as int_mul
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .field import Field, InfiniteField
@@ -37,22 +38,16 @@ class CoincidentPoints(GeometryError):
 def canonicalize(vec: Sequence, F: Field) -> Vector:
     """The canonical representative of a homogeneous tuple's class.
 
-    Over GF(p) the tuple is scaled so its first nonzero coordinate is 1; a
-    tuple whose first nonzero coordinate is already 1, such as every tuple
-    `enumerate_points` yields, comes back reduced but otherwise unscaled.
-    Over Q it is `primitive_int_vector(vec)`. The zero vector raises
-    GeometryError.
+    Over GF(p) it is `F.canonical(vec)`: int entries may be unreduced or
+    negative and are taken mod p, any other entry (a Fraction, whose
+    denominator must be prime to p) is coerced by `F.of`, and the tuple is
+    scaled so its first nonzero coordinate is 1. Over Q it is
+    `primitive_int_vector(vec)`. The zero vector raises GeometryError.
     """
-    if not F.is_finite:
-        return primitive_int_vector(vec)
-    vec = tuple(F.of(v) if isinstance(v, int) else v for v in vec)
-    for v in vec:
-        if v != F.zero:
-            if v == F.one:
-                return vec
-            inv = F.inv(v)
-            return tuple(F.mul(inv, w) for w in vec)
-    raise GeometryError("zero vector has no projective class")
+    out = F.canonical(vec) if F.is_finite else primitive_int_vector(vec)
+    if out is None:
+        raise GeometryError("zero vector has no projective class")
+    return out
 
 
 def primitive_int_vector(vec: Sequence) -> Tuple[int, ...]:
@@ -227,19 +222,15 @@ def _canonical_tuples(length: int, F: Field) -> Iterator[Vector]:
 
 
 def span_points(basis: Sequence[Sequence], F: Field) -> List[Vector]:
-    """Canonical points of the span of linearly independent vectors.
+    """Canonical points of the span of linearly independent vectors over GF(p).
 
     One point per canonical coefficient tuple, so the (q^k-1)/(q-1) points of
     a k-dimensional span come out once each, ordered by their coefficients.
+    Combinations are int dot products, reduced mod p by `canonicalize`.
     """
-    points = []
-    for coeffs in _canonical_tuples(len(basis), F):
-        acc = [F.zero] * len(basis[0])
-        for c, vec in zip(coeffs, basis):
-            if c != F.zero:
-                acc = [F.add(a, F.mul(c, v)) for a, v in zip(acc, vec)]
-        points.append(canonicalize(acc, F))
-    return points
+    columns = list(zip(*basis))
+    sums = ([sum(map(int_mul, c, col)) for col in columns] for c in _canonical_tuples(len(basis), F))
+    return [canonicalize(v, F) for v in sums]
 
 
 def enumerate_points(F: Field) -> List[ProjPoint]:

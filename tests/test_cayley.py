@@ -349,3 +349,66 @@ class TestDualPlucker:
                 continue
             assert dual_plucker(l.plucker, QQ) == eliminated_dual(l, QQ)
             checked += 1
+
+
+class TestRepresentatives:
+    """tangency_test, duality and group_apply read the class of a tuple: no
+    input canonicalisation, yet every representative gives the same answer,
+    and the zero vector, which has no class, raises."""
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_every_scaling_and_unreduced_ints(self, p):
+        F = PrimeField(p)
+        maps = [group_matrix(1, 0, 1, F), group_matrix(2, 3, p - 1, F)]
+        tangent_planes = 0
+        for x in enumerate_points(F):
+            tangent, dual = tangency_test(x, F), duality(x, F)
+            images = [group_apply(M, x, F) for M in maps]
+            tangent_planes += tangent
+            for lam in range(1, p):
+                unreduced = [lam * v + p for v in x]
+                negative = [lam * v % p - p * (i + 1) for i, v in enumerate(x)]
+                for rep in (unreduced, negative):
+                    assert tangency_test(rep, F) == tangent
+                    assert duality(rep, F) == dual
+                    assert [group_apply(M, rep, F) for M in maps] == images
+        assert tangent_planes == p * p + p + 1
+
+    @given(
+        st.lists(small_fractions, min_size=4, max_size=4).filter(any),
+        small_fractions,
+        small_fractions,
+        small_fractions.filter(bool),
+    )
+    def test_fraction_scalings_over_q(self, x, u1, u2, lam):
+        M = group_matrix(u1, u2, lam, QQ)
+        e = tangent_plane(u1, u2, QQ)
+        assert tangency_test([lam * v for v in e], QQ)
+        point = surface_point(u1, u2, QQ)
+        assert duality([lam * v for v in point], QQ) == tangent_plane(-u1, 3 * u1 * u1 - u2, QQ)
+        scaled = [lam * v for v in x]
+        assert tangency_test(scaled, QQ) == tangency_test(canonicalize(x, QQ), QQ)
+        assert duality(scaled, QQ) == duality(x, QQ) == duality(canonicalize(x, QQ), QQ)
+        assert group_apply(M, scaled, QQ) == group_apply(M, canonicalize(x, QQ), QQ)
+
+    ZERO_VECTORS = [
+        pytest.param((0, 0, 0, 0), F5, id="gf5"),
+        pytest.param((7, -7, 14, 0), PrimeField(7), id="gf7-unreduced"),
+        pytest.param((0, 0, 0, 0), QQ, id="q"),
+        pytest.param((Fraction(0),) * 4, QQ, id="q-fractions"),
+    ]
+
+    @pytest.mark.parametrize("zero, F", ZERO_VECTORS)
+    def test_tangency_test_rejects_zero_vector(self, zero, F):
+        with pytest.raises(GeometryError):
+            tangency_test(zero, F)
+
+    @pytest.mark.parametrize("zero, F", ZERO_VECTORS)
+    def test_duality_rejects_zero_vector(self, zero, F):
+        with pytest.raises(GeometryError):
+            duality(zero, F)
+
+    @pytest.mark.parametrize("zero, F", ZERO_VECTORS)
+    def test_group_apply_rejects_zero_vector(self, zero, F):
+        with pytest.raises(GeometryError):
+            group_apply(group_matrix(1, 2, 3, F), zero, F)

@@ -31,7 +31,7 @@ from bwcayley.projspace import (
     quadric_polarization,
     span_points,
 )
-from bwcayley.linalg import nullspace
+from bwcayley.linalg import nullspace, rank
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -103,6 +103,76 @@ class TestCanonical:
             canonicalize(vec, QQ)
         with pytest.raises(GeometryError):
             primitive_int_vector(vec)
+
+
+class TestPrimeFieldKernel:
+    """The GF(p) canonical form and span enumeration against reference routes."""
+
+    def test_fraction_entries_are_coerced(self):
+        F7 = PrimeField(7)
+        assert canonicalize((Fraction(1, 2), 1, 0, 0), F7) == (1, 2, 0, 0)
+        # a Fraction behind a leading 1 is reduced too, not passed through
+        assert canonicalize((1, Fraction(1, 3), 0, 0), F7) == (1, 5, 0, 0)
+        assert canonicalize((0, Fraction(-3, 2), 2, Fraction(7, 4)), F7) == (0, 1, 1, 0)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_brute_search_exhaustively(self, p):
+        F = PrimeField(p)
+        for vec in product(range(p), repeat=4):
+            if not any(vec):
+                continue
+            want = _brute_canonical(vec, p)
+            for lam in range(1, p):
+                scaled = [lam * v % p for v in vec]
+                unreduced = [v + p * (i + 1) for i, v in enumerate(scaled)]
+                negative = [v - p * (i + 1) for i, v in enumerate(scaled)]
+                for rep in (scaled, unreduced, negative):
+                    assert canonicalize(rep, F) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_span_points_matches_field_op_loop(self, p, k):
+        F = PrimeField(p)
+        rng = random.Random(100 * p + k)
+        bases = 0
+        while bases < 40:
+            # unreduced and negative entries: the span must reduce them
+            n = rng.choice((4, 6))
+            basis = [[rng.randint(-2 * p, 3 * p) for _ in range(n)] for _ in range(k)]
+            if rank([[F.of(v) for v in row] for row in basis], F) != k:
+                continue
+            bases += 1
+            got = span_points(basis, F)
+            assert got == _span_by_field_ops(basis, F)
+            assert len(set(got)) == (p**k - 1) // (p - 1)
+
+
+def _brute_canonical(vec, p):
+    """The unique multiple of vec mod p whose first nonzero entry is 1, by
+    trying every nonzero scalar."""
+    (found,) = {
+        tuple(m * v % p for v in vec)
+        for m in range(1, p)
+        if next(m * v % p for v in vec if m * v % p) == 1
+    }
+    return found
+
+
+def _span_by_field_ops(basis, F):
+    """Reference span enumeration in field operations: the coefficient tuples
+    with first nonzero entry 1, leading position last-to-first and the tail
+    in lexicographic order, each combination scaled by its lead's inverse."""
+    k = len(basis)
+    points = []
+    for lead in range(k - 1, -1, -1):
+        for tail in product(list(F.elements()), repeat=k - 1 - lead):
+            coeffs = (F.zero,) * lead + (F.one,) + tail
+            acc = [F.zero] * len(basis[0])
+            for c, vec in zip(coeffs, basis):
+                if c != F.zero:
+                    acc = [F.add(a, F.mul(c, v)) for a, v in zip(acc, vec)]
+            points.append(_scale_by_inverse(acc, F))
+    return points
 
 
 def _scale_by_inverse(vec, F):
