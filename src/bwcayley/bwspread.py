@@ -11,10 +11,12 @@ checks over the rationals.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import cayley
+from . import cayley, klein
 from .field import (
     QQ,
     Element,
@@ -26,6 +28,7 @@ from .field import (
 from .linalg import nullspace, rank, rref
 from .projspace import (
     GeometryError,
+    KleinPoint,
     Line,
     ProjPlane,
     ProjPoint,
@@ -34,12 +37,12 @@ from .projspace import (
     det4,
     gram_apply,
     incidence,
-    line_through,
     lines_skew,
+    plane_pencil,
+    plucker,
     point_in_plane,
     quadric_polarization,
     quadric_value,
-    span_points,
 )
 from .reports import CheckOutcome
 
@@ -68,13 +71,19 @@ class NotARegulus(GeometryError):
 def osculating_tangent(u1, u2, F: Field) -> Line:
     """Join of the surface point with (0, 1, 3*u1, u2).
 
-    In characteristic 3 the direction degenerates to (0, 1, 0, u2), which is
-    still the correct osculating direction.
+    Both the direction (0, x0, 3*x1, x2) and the Plücker coordinates
+    (`klein.osculating_sextuple`) are homogenised by the leading entry x0
+    of the canonical surface point x = x0*(1, u1, u2, ...), so they are
+    formed in plain ints over Q too. In characteristic 3 the direction
+    degenerates to (0, 1, 0, u2), which is still the correct osculating
+    direction.
     """
-    u1, u2 = F.of(u1), F.of(u2)
-    p = cayley.surface_point(u1, u2, F)
-    q = (F.zero, F.one, F.mul(F.of(3), u1), u2)
-    return line_through(p, q, F)
+    x0, x1, x2, _ = x = canonicalize(cayley.surface_point(u1, u2, F), F)
+    return Line(
+        p=x,
+        q=canonicalize((0, x0, 3 * x1, x2), F),
+        plucker=canonicalize(klein.osculating_sextuple(x0, x1, x2), F),
+    )
 
 
 def parameter_grid(F: Field) -> List[Tuple[Element, Element]]:
@@ -202,15 +211,16 @@ def _translation_failure(tangent: Dict[Tuple, Line], ginf: Line, F: Field):
     """
     generators = [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)]
 
-    def image(M, l: Line) -> Line:
-        return line_through(cayley.group_apply(M, l.p, F), cayley.group_apply(M, l.q, F), F)
+    def image(M, l: Line) -> KleinPoint:
+        return plucker(cayley.group_apply(M, l.p, F), cayley.group_apply(M, l.q, F), F)
 
+    kappa = {u: l.plucker for u, l in tangent.items()}
     for M in generators:
         abc = (M.a, M.b, M.c)
-        if det4(M.entries, F) == F.zero or image(M, ginf) != ginf:
+        if det4(M.entries, F) == F.zero or image(M, ginf) != ginf.plucker:
             return "generator is singular or moves the directrix", (abc, None)
         for u, l in tangent.items():
-            if image(M, l) != tangent.get(cayley.param_action(M, *u, F)):
+            if image(M, l) != kappa.get(cayley.param_action(M, *u, F)):
                 return "group action disagrees with param_action", (abc, u)
     orbit = {(F.zero, F.zero)}
     frontier = list(orbit)
@@ -228,9 +238,9 @@ def _translation_failure(tangent: Dict[Tuple, Line], ginf: Line, F: Field):
 
 
 def covering_deficit(p1, p2, p3, F: Field) -> Element:
-    """The value whose cube roots parametrize tangents through (1,p1,p2,p3)."""
-    p1, p2, p3 = F.of(p1), F.of(p2), F.of(p3)
-    return F.sub(p3, F.sub(F.mul(p1, p2), F.mul(F.mul(p1, p1), p1)))
+    """The value whose cube roots parametrize tangents through (1,p1,p2,p3):
+    p3 - p1*p2 + p1^3 in plain operators, reduced once by `F.of`."""
+    return F.of(p3 - p1 * p2 + p1 * p1 * p1)
 
 
 def certify_covering(F: Field, points: Optional[Sequence[ProjPoint]]) -> CheckOutcome:
@@ -359,18 +369,17 @@ def certify_dual_spread(
 
     The planes are read from points = enumerate_points(F): its canonical
     4-tuples are also the coefficient tuples of the planes of PG(3,q). The
-    planes through a line are the q+1 points of the nullspace of its two
-    spanning points, so one pass over the pencils of O counts the lines in
+    planes through a line are its pencil, listed by `plane_pencil` from a
+    reduced echelon basis r, s read off the Plücker coordinates: s and
+    r + t*s are canonical as they stand, so no pencil plane is
+    canonicalised, and one pass over the pencils of O counts the lines in
     every plane. Also verifies the dual surrogate of maximality: every plane
     through the pinch point contains at least one line of O. Skipped over
     the rationals, where O and points are None.
     """
     if not F.is_finite:
         return CheckOutcome(passed=None, note="plane counting needs a finite field")
-    lines_in: Dict[ProjPlane, int] = {}
-    for l in O:
-        for plane in span_points(nullspace([list(l.p), list(l.q)], 4, F), F):
-            lines_in[plane] = lines_in.get(plane, 0) + 1
+    lines_in: Dict[ProjPlane, int] = Counter(chain.from_iterable(plane_pencil(l, F) for l in O))
     z = cayley.z_point(F)
     witness = None
     histogram: Dict[int, int] = {}

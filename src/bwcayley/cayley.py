@@ -33,10 +33,14 @@ class ZeroScale(GeometryError):
 
 
 def f_value(x: Sequence, F: Field):
-    """The cubic form X0*X1*X2 - X1^3 - X0^2*X3 on the canonical representative."""
-    x0, x1, x2, x3 = canonicalize(x, F)
-    mul, sub = F.mul, F.sub
-    return sub(sub(mul(mul(x0, x1), x2), mul(mul(x1, x1), x1)), mul(mul(x0, x0), x3))
+    """The cubic form X0*X1*X2 - X1^3 - X0^2*X3 on any representative,
+    reduced once by `F.of`. Scaling x by lam scales the value by lam^3, so
+    its zero test reads the class; the zero vector raises."""
+    x0, x1, x2, x3 = x
+    val = F.of(x0 * x1 * x2 - x1 * x1 * x1 - x0 * x0 * x3)
+    if val == F.zero and all(F.of(v) == F.zero for v in x):
+        raise GeometryError("zero vector has no projective class")
+    return val
 
 
 def surface_point(u1, u2, F: Field) -> ProjPoint:
@@ -157,10 +161,10 @@ def duality(x: Sequence, F: Field) -> ProjPlane:
 
 def tangency_test(e: Sequence, F: Field) -> bool:
     """Whether a plane is tangent to the surface: a1*a2*a3 - a2^3 - a0*a3^2 = 0,
-    on any representative (the form is homogeneous); the zero vector raises."""
+    on any representative (the form is homogeneous), evaluated with plain
+    operators and reduced once by `F.of`; the zero vector raises."""
     a0, a1, a2, a3 = e
-    mul, sub = F.mul, F.sub
-    val = sub(sub(mul(mul(a1, a2), a3), mul(mul(a2, a2), a2)), mul(a0, mul(a3, a3)))
+    val = F.of(a1 * a2 * a3 - a2 * a2 * a2 - a0 * a3 * a3)
     if val == F.zero and all(F.of(v) == F.zero for v in e):
         raise GeometryError("zero vector has no projective class")
     return val == F.zero

@@ -322,7 +322,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_char3)
 
     p = sub.add_parser("ideal", help="degree-bounded vanishing probe over the rationals")
-    p.add_argument("--degree", type=int, required=True, help="form degree, 1 to 3")
+    p.add_argument("--degree", type=int, required=True, help=f"form degree, 1 to {idealprobe.MAX_DEGREE}")
     p.add_argument("--samples", type=int, default=60, help="number of sampled tangent images")
     common(p)
     p.set_defaults(fn=cmd_ideal)

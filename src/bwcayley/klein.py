@@ -78,31 +78,30 @@ def in_D(y: Sequence, F: Field) -> bool:
 
 # --- Klein images -------------------------------------------------------------
 
-def kappa_osculating(u1, u2, F: Field) -> KleinPoint:
-    """Closed-form Klein image of the osculating tangent at (u1, u2).
+def osculating_sextuple(x0, x1, x2):
+    """Plücker sextuple of the osculating tangent at the surface point
+    x = x0*(1, u1, u2, ...): x0^4 * (1, 3u1, u2, 3u1^2-u2, u1^3,
+    3u1^4-3u1^2*u2+u2^2), in plain operators and unreduced.
 
-    (1, 3u1, u2, 3u1^2-u2, u1^3, 3u1^4-3u1^2*u2+u2^2); in characteristic 3
-    this degenerates to (1, 0, u2, -u2, u1^3, u2^2).
+    Homogenised, so the canonical surface point, a primitive integer
+    vector over Q, gives it in ints. In characteristic 3 reduction alone
+    degenerates it to x0^4 * (1, 0, u2, -u2, u1^3, u2^2).
     """
-    u1, u2 = F.of(u1), F.of(u2)
-    mul, sub = F.mul, F.sub
-    u1sq = mul(u1, u1)
-    u1cb = mul(u1sq, u1)
-    if F.characteristic == 3:
-        return (F.one, F.zero, u2, F.neg(u2), u1cb, mul(u2, u2))
-    three = F.of(3)
-    y23 = F.add(
-        sub(mul(three, mul(u1sq, u1sq)), mul(three, mul(u1sq, u2))),
-        mul(u2, u2),
-    )
+    x00, x11 = x0 * x0, x1 * x1
     return (
-        F.one,
-        mul(three, u1),
-        u2,
-        sub(mul(three, u1sq), u2),
-        u1cb,
-        y23,
+        x00 * x00,
+        3 * x00 * x0 * x1,
+        x00 * x0 * x2,
+        x00 * (3 * x11 - x0 * x2),
+        x0 * x11 * x1,
+        3 * x11 * x11 - 3 * x0 * x11 * x2 + x00 * x2 * x2,
     )
+
+
+def kappa_osculating(u1, u2, F: Field) -> KleinPoint:
+    """Closed-form Klein image of the osculating tangent at (u1, u2):
+    `osculating_sextuple` at x0 = 1, each entry reduced by `F.of`."""
+    return tuple(map(F.of, osculating_sextuple(1, u1, u2)))
 
 
 def in_kappa_O(y: Sequence, F: Field) -> bool:

@@ -388,6 +388,33 @@ class TestDuality:
     def test_rationals(self):
         assert certify_duality(QQ, None, None, seed=5).passed
 
+    @pytest.mark.parametrize("F", [F2, F3, F5, F7])
+    def test_counts_equal_canonicalising_scan(self, F):
+        r = certify_duality(F, build_O(F), enumerate_points(F))
+        points = [canonicalize(x, F) for x in enumerate_points(F)]
+        surface = [x for x in points if _form(x, F) == 0]
+        tangent = [e for e in points if _form(canonicalize(e[::-1], F), F) == 0]
+        assert (r.counts["surface_points"], r.counts["tangent_planes"]) == (len(surface), len(tangent))
+        assert len(surface) == len(tangent) == F.order**2 + F.order + 1
+
+    @pytest.mark.parametrize("F", [F2, F3, F5])
+    def test_a_rejected_tangent_plane_fails(self, F, monkeypatch):
+        rejected = cayley.tangent_plane(1, 1, F)
+        tangency_test = cayley.tangency_test
+        monkeypatch.setattr(cayley, "tangency_test", lambda e, F: e != rejected and tangency_test(e, F))
+        r = certify_duality(F, build_O(F), enumerate_points(F))
+        assert not r.passed
+        assert r.counts["tangent_planes"] == F.order**2 + F.order
+
+
+def _form(x, F):
+    """The cubic form X0*X1*X2 - X1^3 - X0^2*X3 through field operations, on
+    a canonical tuple; on a plane's reversed coefficients it is the tangency
+    form a1*a2*a3 - a2^3 - a0*a3^2."""
+    x0, x1, x2, x3 = x
+    mul, sub = F.mul, F.sub
+    return sub(sub(mul(mul(x0, x1), x2), mul(mul(x1, x1), x1)), mul(mul(x0, x0), x3))
+
 
 class TestGEquivariance:
     def test_translation_action_on_tangents_gf5(self):

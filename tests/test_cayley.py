@@ -352,27 +352,33 @@ class TestDualPlucker:
 
 
 class TestRepresentatives:
-    """tangency_test, duality and group_apply read the class of a tuple: no
-    input canonicalisation, yet every representative gives the same answer,
-    and the zero vector, which has no class, raises."""
+    """f_value, tangency_test, duality and group_apply read the class of a
+    tuple: no input canonicalisation, yet every representative gives the same
+    answer (f_value the same zero test), and the zero vector, which has no
+    class, raises."""
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_every_scaling_and_unreduced_ints(self, p):
         F = PrimeField(p)
         maps = [group_matrix(1, 0, 1, F), group_matrix(2, 3, p - 1, F)]
-        tangent_planes = 0
+        tangent_planes = surface_points = 0
         for x in enumerate_points(F):
             tangent, dual = tangency_test(x, F), duality(x, F)
+            on_surface = f_value(x, F) == 0
             images = [group_apply(M, x, F) for M in maps]
             tangent_planes += tangent
+            surface_points += on_surface
             for lam in range(1, p):
+                scaled = [lam * v % p for v in x]
                 unreduced = [lam * v + p for v in x]
                 negative = [lam * v % p - p * (i + 1) for i, v in enumerate(x)]
+                assert (f_value(scaled, F) == 0) == on_surface
                 for rep in (unreduced, negative):
+                    assert (f_value(rep, F) == 0) == on_surface
                     assert tangency_test(rep, F) == tangent
                     assert duality(rep, F) == dual
                     assert [group_apply(M, rep, F) for M in maps] == images
-        assert tangent_planes == p * p + p + 1
+        assert tangent_planes == surface_points == p * p + p + 1
 
     @given(
         st.lists(small_fractions, min_size=4, max_size=4).filter(any),
@@ -387,6 +393,8 @@ class TestRepresentatives:
         point = surface_point(u1, u2, QQ)
         assert duality([lam * v for v in point], QQ) == tangent_plane(-u1, 3 * u1 * u1 - u2, QQ)
         scaled = [lam * v for v in x]
+        assert (f_value(scaled, QQ) == 0) == (f_value(canonicalize(x, QQ), QQ) == 0)
+        assert f_value([lam * v for v in point], QQ) == 0
         assert tangency_test(scaled, QQ) == tangency_test(canonicalize(x, QQ), QQ)
         assert duality(scaled, QQ) == duality(x, QQ) == duality(canonicalize(x, QQ), QQ)
         assert group_apply(M, scaled, QQ) == group_apply(M, canonicalize(x, QQ), QQ)
@@ -397,6 +405,11 @@ class TestRepresentatives:
         pytest.param((0, 0, 0, 0), QQ, id="q"),
         pytest.param((Fraction(0),) * 4, QQ, id="q-fractions"),
     ]
+
+    @pytest.mark.parametrize("zero, F", ZERO_VECTORS)
+    def test_f_value_rejects_zero_vector(self, zero, F):
+        with pytest.raises(GeometryError):
+            f_value(zero, F)
 
     @pytest.mark.parametrize("zero, F", ZERO_VECTORS)
     def test_tangency_test_rejects_zero_vector(self, zero, F):

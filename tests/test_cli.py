@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from bwcayley import bwspread, idealprobe, projspace
-from bwcayley.cli import main
+from bwcayley.cli import build_parser, main
+from bwcayley.field import PrimeField
 from bwcayley.reports import CheckOutcome
 
 
@@ -114,6 +115,22 @@ class TestExitCodes:
         calls = {name: count_calls(monkeypatch, projspace, name) for name in ("enumerate_points", "enumerate_planes")}
         code, _, _ = run(capsys, "certify", "--field", "gf:5")
         assert code == 0 and {name: len(c) for name, c in calls.items()} == {"enumerate_points": 1, "enumerate_planes": 0}
+
+    def test_certify_canonicalises_per_line_not_per_point(self, capsys, monkeypatch):
+        # PG(3,13) has 2380 points and as many planes; the checks canonicalise
+        # a few times per line of O (q^2 + 1 = 170) and per parameter, never
+        # once per point or per pencil plane
+        calls = []
+        canonical = PrimeField.canonical
+        monkeypatch.setattr(PrimeField, "canonical", lambda self, vec: calls.append(vec) or canonical(self, vec))
+        code, _, _ = run(capsys, "certify", "--field", "gf:13")
+        assert code == 0 and len(calls) < 20 * 13**2
+
+    def test_ideal_degree_help_follows_max_degree(self, capsys, monkeypatch):
+        monkeypatch.setattr(idealprobe, "MAX_DEGREE", 5)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["ideal", "--help"])
+        assert "form degree, 1 to 5" in capsys.readouterr().out
 
     @pytest.mark.parametrize("degree", ["1", "2", "3"])
     def test_ideal_solves_one_kernel(self, capsys, monkeypatch, degree):

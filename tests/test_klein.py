@@ -36,12 +36,22 @@ from bwcayley.klein import (
     verify_variety_equality,
     w_infinity,
 )
-from bwcayley.projspace import canonicalize, enumerate_lines, lines_skew, quadric_value
+from bwcayley.projspace import canonicalize, enumerate_lines, line_through, lines_skew, quadric_value
 
 QQ = Rationals()
 F2, F3, F5 = (PrimeField(p) for p in (2, 3, 5))
 
 small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+
+
+def joined_tangent(u1, u2, F):
+    """Reference route: `line_through` the surface point and (0, 1, 3u1, u2)."""
+    u1, u2 = F.of(u1), F.of(u2)
+    return line_through(cayley.surface_point(u1, u2, F), (F.zero, F.one, F.mul(F.of(3), u1), u2), F)
+
+
+def assert_same_line(l, reference):
+    assert (l.p, l.q, l.plucker) == (reference.p, reference.q, reference.plucker)
 
 
 def on_variety(y, F):
@@ -79,15 +89,21 @@ class TestKappaOsculating:
         assert y == (1, 0, 1, 2, 1, 1)
         assert in_D(y, F3) and quadric_value(y, F3) == 0
 
+    # the closed form, and osculating_tangent built on it, against the join
+    # of the surface point with (0, 1, 3u1, u2) through field operations
     @pytest.mark.parametrize("F", [F2, F3, F5, PrimeField(7)])
     def test_matches_line_image_exhaustive(self, F):
         for u1, u2 in parameter_grid(F):
-            assert kappa_osculating(u1, u2, F) == osculating_tangent(u1, u2, F).plucker
+            join = joined_tangent(u1, u2, F)
+            assert kappa_osculating(u1, u2, F) == join.plucker
+            assert_same_line(osculating_tangent(u1, u2, F), join)
 
     @given(small_fractions, small_fractions)
     @settings(max_examples=80)
     def test_matches_line_image_rational(self, u1, u2):
-        assert canonicalize(kappa_osculating(u1, u2, QQ), QQ) == osculating_tangent(u1, u2, QQ).plucker
+        join = joined_tangent(u1, u2, QQ)
+        assert canonicalize(kappa_osculating(u1, u2, QQ), QQ) == join.plucker
+        assert_same_line(osculating_tangent(u1, u2, QQ), join)
 
     @pytest.mark.parametrize("F", [F2, F5, PrimeField(7)])
     def test_forms_vanish_exhaustive(self, F):

@@ -24,6 +24,7 @@ from bwcayley.projspace import (
     line_in_plane,
     line_through,
     lines_skew,
+    plane_pencil,
     plucker,
     point_in_plane,
     primitive_int_vector,
@@ -31,7 +32,7 @@ from bwcayley.projspace import (
     quadric_polarization,
     span_points,
 )
-from bwcayley.linalg import nullspace, rank
+from bwcayley.linalg import nullspace, rank, rref
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -306,9 +307,23 @@ class TestIncidence:
         F = PrimeField(p)
         planes = enumerate_planes(F)
         for l in enumerate_lines(F):
+            in_plane = {e for e in planes if line_in_plane(l, e, F)}
             pencil = span_points(nullspace([list(l.p), list(l.q)], 4, F), F)
             assert len(pencil) == len(set(pencil)) == p + 1
-            assert set(pencil) == {e for e in planes if line_in_plane(l, e, F)}
+            assert set(pencil) == in_plane
+            # the echelon pencil: the same planes, in the order span_points
+            # gives the reduced echelon basis of the nullspace
+            echelon = plane_pencil(l, F)
+            assert set(echelon) == in_plane
+            assert echelon == span_points(rref(nullspace([list(l.p), list(l.q)], 4, F), F)[0], F)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_plane_pencil_planes_are_canonical(self, p):
+        F = PrimeField(p)
+        for l in enumerate_lines(F):
+            pencil = plane_pencil(l, F)
+            assert len(set(pencil)) == p + 1
+            assert all(canonicalize(e, F) == e and line_in_plane(l, e, F) for e in pencil)
 
 
 class TestKleinRoundTrip:
