@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cayley, klein
@@ -30,17 +29,15 @@ from .projspace import (
     GeometryError,
     KleinPoint,
     Line,
-    ProjPlane,
     ProjPoint,
+    canonical_tuples,
     canonicalize,
     dedup_lines,
     det4,
     gram_apply,
     incidence,
     lines_skew,
-    plane_pencil,
     plucker,
-    point_in_plane,
     quadric_polarization,
     quadric_value,
 )
@@ -78,7 +75,7 @@ def osculating_tangent(u1, u2, F: Field) -> Line:
     degenerates to (0, 1, 0, u2), which is still the correct osculating
     direction.
     """
-    x0, x1, x2, _ = x = canonicalize(cayley.surface_point(u1, u2, F), F)
+    x0, x1, x2, _ = x = cayley.surface_point(u1, u2, F)
     return Line(
         p=x,
         q=canonicalize((0, x0, 3 * x1, x2), F),
@@ -113,19 +110,16 @@ def skew_criterion(v1, v2, u1, u2, F: Field) -> Element:
 
     Translating (v1,v2) to the origin by the group action leaves
     d2^2 - 3*d1^2*d2 + 3*d1^4 with d1 = u1-v1 and d2 = u2-v2-3*v1*(u1-v1);
-    the two tangents are skew exactly when this value is nonzero.
+    the two tangents are skew exactly when this value is nonzero. Formed in
+    plain operators and reduced once by `F.of`.
     """
-    v1, v2, u1, u2 = F.of(v1), F.of(v2), F.of(u1), F.of(u2)
-    if (v1, v2) == (u1, u2):
+    d1 = u1 - v1
+    d2 = u2 - v2
+    if F.of(d1) == F.zero and F.of(d2) == F.zero:
         raise SamePoint("criterion needs two distinct parameter pairs")
-    d1 = F.sub(u1, v1)
-    d2 = F.sub(F.sub(u2, v2), F.mul(F.of(3), F.mul(v1, d1)))
-    d1sq = F.mul(d1, d1)
-    three = F.of(3)
-    return F.add(
-        F.sub(F.mul(d2, d2), F.mul(three, F.mul(d1sq, d2))),
-        F.mul(three, F.mul(d1sq, d1sq)),
-    )
+    d2 -= 3 * v1 * d1
+    d1sq = d1 * d1
+    return F.of(d2 * d2 - 3 * d1sq * d2 + 3 * d1sq * d1sq)
 
 
 def certify_partial_spread(F: Field, O: Optional[Sequence[Line]], seed: int = 0) -> CheckOutcome:
@@ -243,14 +237,50 @@ def covering_deficit(p1, p2, p3, F: Field) -> Element:
     return F.of(p3 - p1 * p2 + p1 * p1 * p1)
 
 
-def certify_covering(F: Field, points: Optional[Sequence[ProjPoint]]) -> CheckOutcome:
-    """Whether every point of PG(3,q), points = enumerate_points(F), lies on a line of O.
+def lines_of_O_through(x: ProjPoint, F: Field) -> int:
+    """How many lines of O pass through the canonical point x of PG(3,q).
 
-    Affine points are decided by cube-root solvability of the covering
-    deficit; points at infinity by matching tangent directions. Multiplicity
-    counts (0, 1 or 3 tangents through an affine point) are reported. Over
-    the rationals (points None) the witness is the first small-height point
-    that no tangent reaches.
+    The affine point x = (1, x1, x2, x3) lies on the tangent at (u1, u2)
+    exactly when lam = x1 - u1 is a cube root of the covering deficit (then
+    u2 = x2 - 3*u1*lam), so it counts the deficit's cube roots. The tangent
+    at (u1, u2) meets the plane at infinity in (0, 1, 3u1, u2), so a point
+    (0, 1, a, b) counts 1, or in characteristic 3 it counts q (a = 0) or 0
+    (a != 0). A point (0, 0, a, b) lies on the directrix alone.
+    """
+    x0, x1, x2, x3 = x
+    if x0 != F.zero:
+        return len(cube_roots(covering_deficit(x1, x2, x3, F), F))
+    if x1 == F.zero:
+        return 1
+    if F.characteristic == 3:
+        return F.order if x2 == F.zero else 0
+    return 1
+
+
+def omega_points(F: Field) -> List[ProjPoint]:
+    """The q^2 + q + 1 canonical points (0, x1, x2, x3) of the plane at
+    infinity, in canonical order."""
+    return [(F.zero,) + x for x in canonical_tuples(3, F)]
+
+
+def _affine_histogram(F: Field) -> Counter:
+    """How many affine points lie on n lines of O, for each n. For fixed
+    (x1, x2) the map x3 -> x3 - x1*x2 + x1^3 is a bijection of GF(q), so
+    this is q^2 times the histogram of the number of cube roots."""
+    q2 = F.order**2
+    return Counter({n: q2 * m for n, m in Counter(len(cube_roots(t, F)) for t in F.elements()).items()})
+
+
+def certify_covering(F: Field) -> CheckOutcome:
+    """Whether every point of PG(3,q) lies on a line of O, by `lines_of_O_through`.
+
+    The affine points are counted in closed form (`_affine_histogram`) and
+    the q^2 + q + 1 points at infinity one by one. Multiplicity counts (0, 1
+    or 3 tangents through an affine point) are reported. The points at
+    infinity come first in canonical order, then (1, 0, 0, t), whose deficit
+    is t, so the witness is the first uncovered point at infinity, else
+    (1, 0, 0, t) for the least non-cube t. Over the rationals the witness
+    is the first small-height point that no tangent reaches.
     """
     if not F.is_finite:
         witness = uncovered_witness_rational()
@@ -259,34 +289,18 @@ def certify_covering(F: Field, points: Optional[Sequence[ProjPoint]]) -> CheckOu
             witness=witness,
             note="small-height scan for a deficit with no rational cube root",
         )
-    char3 = F.characteristic == 3
-    covered = 0
-    uncovered = 0
-    witness = None
-    histogram: Dict[int, int] = {}
-    for point in points:
-        x0, x1, x2, x3 = point
-        if x0 != F.zero:
-            n = len(cube_roots(covering_deficit(x1, x2, x3, F), F))
-            histogram[n] = histogram.get(n, 0) + 1
-            hit = n > 0
-        elif x1 != F.zero:
-            # direction (0,1,3u1,u2): solvable unless char 3 forces x2 = 0
-            hit = (not char3) or x2 == F.zero
-        else:
-            hit = True  # on the directrix
-        if hit:
-            covered += 1
-        else:
-            uncovered += 1
-            if witness is None:
-                witness = point
+    histogram = _affine_histogram(F)
+    at_infinity = [x for x in omega_points(F) if lines_of_O_through(x, F) == 0]
+    candidates = at_infinity + [(F.one, F.zero, F.zero, t) for t in F.elements() if not cube_roots(t, F)]
+    witness = candidates[0] if candidates else None
+    points = F.order**3 + F.order**2 + F.order + 1
+    uncovered = len(at_infinity) + histogram.get(0, 0)
     return CheckOutcome(
         passed=uncovered == 0,
         witness=witness,
         counts={
-            "points": covered + uncovered,
-            "covered": covered,
+            "points": points,
+            "covered": points - uncovered,
             "uncovered": uncovered,
             **{f"affine_with_{k}_tangents": v for k, v in sorted(histogram.items())},
         },
@@ -308,16 +322,14 @@ def uncovered_witness_rational() -> Optional[ProjPoint]:
     return None
 
 
-def certify_maximality(
-    F: Field, O: Optional[Sequence[Line]], points: Optional[Sequence[ProjPoint]], seed: int = 0
-) -> CheckOutcome:
+def certify_maximality(F: Field, O: Optional[Sequence[Line]], seed: int = 0) -> CheckOutcome:
     """Every point of the plane at infinity lies on a line of O = build_O(F).
 
     This forces maximality: any line not in O meets the plane at infinity at
     a point already covered, hence meets the covering line there. Finite
-    fields are re-verified exhaustively by incidence over points =
-    enumerate_points(F), the covering tangents read off O; the rationals (O,
-    points None) by the same construction on seeded samples. Skipped in char 3.
+    fields are re-verified exhaustively by incidence over the q^2 + q + 1
+    `omega_points`, the covering tangents read off O; the rationals (O None)
+    by the same construction on seeded samples. Skipped in char 3.
     """
     if F.characteristic == 3:
         return CheckOutcome(passed=None, note="the maximality argument inverts 3")
@@ -333,9 +345,7 @@ def certify_maximality(
 
     if F.is_finite:
         checked = 0
-        for point in points:
-            if point[0] != F.zero:
-                continue
+        for point in omega_points(F):
             if not incidence(point, covering_line(point), F):
                 return CheckOutcome(passed=False, witness=point)
             checked += 1
@@ -361,37 +371,37 @@ def _tangent_at(F: Field, O: Optional[Sequence[Line]]):
     return lambda u1, u2: osculating_tangent(u1, u2, F)
 
 
-def certify_dual_spread(
-    F: Field, O: Optional[Sequence[Line]], points: Optional[Sequence[ProjPoint]]
-) -> CheckOutcome:
+def _dual_fixes(O: Sequence[Line], F: Field) -> bool:
+    """Whether the coordinate-reversing duality maps the line set O onto itself."""
+    return {cayley.dual_plucker(l.plucker, F) for l in O} == {l.plucker for l in O}
+
+
+def certify_dual_spread(F: Field, O: Optional[Sequence[Line]]) -> CheckOutcome:
     """Plane counts of O = build_O(F): exactly one line per plane in the
     spread regimes.
 
-    The planes are read from points = enumerate_points(F): its canonical
-    4-tuples are also the coefficient tuples of the planes of PG(3,q). The
-    planes through a line are its pencil, listed by `plane_pencil` from a
-    reduced echelon basis r, s read off the Plücker coordinates: s and
-    r + t*s are canonical as they stand, so no pencil plane is
-    canonicalised, and one pass over the pencils of O counts the lines in
-    every plane. Also verifies the dual surrogate of maximality: every plane
-    through the pinch point contains at least one line of O. Skipped over
-    the rationals, where O and points are None.
+    The duality d reverses coordinates and is its own inverse, and a line l
+    lies in the plane d(x) exactly when x lies on d(l). So once d(O) = O is
+    certified (a set comparison of q^2 + 1 sextuples), the plane d(x) holds
+    as many lines of O as pass through x, `lines_of_O_through(x)`: the
+    histogram over the planes is `_affine_histogram` plus the counts at the
+    q^2 + q + 1 points at infinity, whose duals are the planes through the
+    pinch point Z. The witness is the first canonical plane e whose point
+    d(e) does not count 1. Also verifies the dual surrogate of maximality:
+    every plane through Z contains at least one line of O. Skipped over the
+    rationals, where O is None.
     """
     if not F.is_finite:
         return CheckOutcome(passed=None, note="plane counting needs a finite field")
-    lines_in: Dict[ProjPlane, int] = Counter(chain.from_iterable(plane_pencil(l, F) for l in O))
-    z = cayley.z_point(F)
-    witness = None
-    histogram: Dict[int, int] = {}
-    planes_through_z_missing = 0
-    for plane in points:
-        n = lines_in.get(plane, 0)
-        histogram[n] = histogram.get(n, 0) + 1
-        if n != 1 and witness is None:
-            witness = plane
-        if n == 0 and point_in_plane(z, plane, F):
-            planes_through_z_missing += 1
+    if not _dual_fixes(O, F):
+        return CheckOutcome(passed=False, note="the duality does not fix O, so planes cannot be counted as points")
+    at_infinity = Counter(lines_of_O_through(x, F) for x in omega_points(F))
+    histogram = _affine_histogram(F) + at_infinity
     exact_one = set(histogram) == {1}
+    witness = None
+    if not exact_one:  # some plane has another count, so the scan stops
+        witness = next(e for e in canonical_tuples(4, F) if lines_of_O_through(cayley.duality(e, F), F) != 1)
+    planes_through_z_missing = at_infinity.get(0, 0)
     return CheckOutcome(
         passed=exact_one and planes_through_z_missing == 0,
         witness=witness,
@@ -403,45 +413,54 @@ def certify_dual_spread(
     )
 
 
-def certify_duality(
-    F: Field,
-    O: Optional[Sequence[Line]],
-    points: Optional[Sequence[ProjPoint]],
-    seed: int = 0,
-) -> CheckOutcome:
+def certify_duality(F: Field, O: Optional[Sequence[Line]], seed: int = 0) -> CheckOutcome:
     """The coordinate-reversing duality fixes O and pairs points with tangent planes.
 
     Checks (finite fields exhaustively, rationals on seeded samples):
     the parametric identity duality(P(u1,u2)) = tangent_plane(-u1, 3u1^2-u2),
     the induced line map sending the tangent at (u1,u2) to the tangent at
     (-u1, 3u1^2-u2), and over finite fields that the dual image of
-    O = build_O(F) is O and that duality maps the surface points among
-    points = enumerate_points(F) onto the tangent planes among the same
-    canonical 4-tuples, read as plane coefficients. Over the rationals O and
-    points are None and the sampled tangents are built.
+    O = build_O(F) is O and that duality maps the surface points onto the
+    tangent planes. Both sets are generated and each member is tested: the
+    surface points are the P(u) plus the q + 1 points of the directrix, each
+    tested by `f_value`; the tangent planes are the tangent_plane(v) of the
+    parametric identity plus the q + 1 planes through the directrix, each
+    tested by `tangency_test`. Over the rationals O is None and the sampled
+    tangents are built.
     """
     tangent_at = _tangent_at(F, O)
 
-    def involution(u1, u2):
-        return F.neg(u1), F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
-
-    def pair_ok(u1, u2) -> bool:
-        v1, v2 = involution(u1, u2)
-        if cayley.duality(cayley.surface_point(u1, u2, F), F) != cayley.tangent_plane(v1, v2, F):
-            return False
-        return cayley.dual_plucker(tangent_at(u1, u2).plucker, F) == tangent_at(v1, v2).plucker
+    def pair(u1, u2):
+        """(P(u), the tangent plane at v = (-u1, 3u1^2-u2)), or None when the
+        duality does not send P(u) to that plane or the tangent at u to the
+        tangent at v."""
+        v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
+        x, e = cayley.surface_point(u1, u2, F), cayley.tangent_plane(v1, v2, F)
+        if cayley.duality(x, F) != e:
+            return None
+        if cayley.dual_plucker(tangent_at(u1, u2).plucker, F) != tangent_at(v1, v2).plucker:
+            return None
+        return x, e
 
     if F.is_finite:
+        pairs = []
         for u1, u2 in parameter_grid(F):
-            if not pair_ok(u1, u2):
+            xe = pair(u1, u2)
+            if xe is None:
                 return CheckOutcome(passed=False, witness=(u1, u2))
-        fixed = {cayley.dual_plucker(l.plucker, F) for l in O} == {l.plucker for l in O}
+            pairs.append(xe)
+        # u -> v is an involution of the grid, so the e are all q^2 tangent_plane(v);
+        # the canonical pairs (a, b) give the directrix points (0, 0, a, b) and
+        # the planes [a, b, 0, 0] through the directrix
+        ab = list(canonical_tuples(2, F))
+        points = [x for x, _ in pairs] + [(F.zero, F.zero) + t for t in ab]
+        planes = [e for _, e in pairs] + [t + (F.zero, F.zero) for t in ab]
         surface = [x for x in points if cayley.f_value(x, F) == F.zero]
+        tangent_planes = {e for e in planes if cayley.tangency_test(e, F)}
         dual_images = {cayley.duality(x, F) for x in surface}
-        tangent_planes = {e for e in points if cayley.tangency_test(e, F)}
         bijective = len(dual_images) == len(surface) and dual_images == tangent_planes
         return CheckOutcome(
-            passed=fixed and bijective,
+            passed=_dual_fixes(O, F) and bijective,
             counts={
                 "parameter_pairs": F.order**2,
                 "lines": len(O),
@@ -453,7 +472,7 @@ def certify_duality(
     for _ in range(SPOT_CHECKS):
         u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-        if not pair_ok(u1, u2):
+        if pair(u1, u2) is None:
             return CheckOutcome(passed=False, witness=(u1, u2))
     return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": SPOT_CHECKS})
 

@@ -44,9 +44,17 @@ def f_value(x: Sequence, F: Field):
 
 
 def surface_point(u1, u2, F: Field) -> ProjPoint:
-    """Affine chart of the surface: (1, u1, u2, u1*u2 - u1^3)."""
+    """Canonical point of the affine chart: (1, u1, u2, u1*u2 - u1^3).
+
+    With u1 = a/b and u2 = c/d it is the class of (b^3*d, a*b^2*d, c*b^3,
+    a*c*b^2 - a^3*d), formed in ints from the numerators and denominators
+    and reduced once by `canonicalize`; over GF(p), where b = d = 1, that is
+    (1, u1, u2, u1*u2 - u1^3) mod p.
+    """
     u1, u2 = F.of(u1), F.of(u2)
-    return (F.one, u1, u2, F.sub(F.mul(u1, u2), F.mul(F.mul(u1, u1), u1)))
+    a, b, c, d = u1.numerator, u1.denominator, u2.numerator, u2.denominator
+    bb = b * b
+    return canonicalize((bb * b * d, a * bb * d, c * bb * b, a * c * bb - a * a * a * d), F)
 
 
 def z_point(F: Field) -> ProjPoint:
@@ -65,16 +73,13 @@ def nuclei_line(F: Field) -> Line:
 
 
 def tangent_plane(u1, u2, F: Field) -> ProjPlane:
-    """Tangent plane at the affine surface point with parameters (u1, u2)."""
+    """Tangent plane at the affine surface point with parameters (u1, u2):
+    [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1], scaled by b^3*d for u1 = a/b and
+    u2 = c/d so it is formed in ints, and reduced once by `canonicalize`."""
     u1, u2 = F.of(u1), F.of(u2)
-    mul, sub = F.mul, F.sub
-    u1sq = mul(u1, u1)
-    coeffs = (
-        sub(mul(F.of(2), mul(u1sq, u1)), mul(u1, u2)),
-        sub(u2, mul(F.of(3), u1sq)),
-        u1,
-        F.neg(F.one),
-    )
+    a, b, c, d = u1.numerator, u1.denominator, u2.numerator, u2.denominator
+    bb = b * b
+    coeffs = (2 * a * a * a * d - a * c * bb, c * bb * b - 3 * a * a * b * d, a * bb * d, -bb * b * d)
     return canonicalize(coeffs, F)
 
 

@@ -78,21 +78,22 @@ def primitive_int_vector(vec: Sequence) -> Tuple[int, ...]:
 
 
 def plucker(p: Sequence, q: Sequence, F: Field) -> KleinPoint:
-    """Canonical Plücker sextuple of the line joining two distinct points."""
+    """Canonical Plücker sextuple of the line joining two distinct points:
+    the six minors in plain operators, reduced once by `canonicalize`."""
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
-    mul, sub = F.mul, F.sub
     y = (
-        sub(mul(p0, q1), mul(p1, q0)),
-        sub(mul(p0, q2), mul(p2, q0)),
-        sub(mul(p0, q3), mul(p3, q0)),
-        sub(mul(p1, q2), mul(p2, q1)),
-        sub(mul(p1, q3), mul(p3, q1)),
-        sub(mul(p2, q3), mul(p3, q2)),
+        p0 * q1 - p1 * q0,
+        p0 * q2 - p2 * q0,
+        p0 * q3 - p3 * q0,
+        p1 * q2 - p2 * q1,
+        p1 * q3 - p3 * q1,
+        p2 * q3 - p3 * q2,
     )
-    if all(v == F.zero for v in y):
-        raise CoincidentPoints(f"points {p} and {q} span no line")
-    return canonicalize(y, F)
+    try:
+        return canonicalize(y, F)
+    except GeometryError:  # every minor vanishes
+        raise CoincidentPoints(f"points {p} and {q} span no line") from None
 
 
 def quadric_value(y: Sequence, F: Field):
@@ -112,14 +113,9 @@ def gram_apply(v: Sequence, F: Field) -> Tuple:
 
 
 def quadric_polarization(y: Sequence, z: Sequence, F: Field):
-    """Bilinear polarization of the quadric form on two sextuples."""
-    mul = F.mul
-    acc = F.zero
-    for i, j in ((0, 5), (5, 0), (2, 3), (3, 2)):
-        acc = F.add(acc, mul(y[i], z[j]))
-    for i, j in ((1, 4), (4, 1)):
-        acc = F.sub(acc, mul(y[i], z[j]))
-    return acc
+    """Bilinear polarization of the quadric form on two sextuples, in plain
+    operators, reduced once by `F.of`."""
+    return F.of(y[0] * z[5] + y[5] * z[0] + y[2] * z[3] + y[3] * z[2] - y[1] * z[4] - y[4] * z[1])
 
 
 @dataclass(frozen=True)
@@ -199,18 +195,11 @@ def incidence(x: Sequence, l: Line, F: Field) -> bool:
     return plucker(l.p, x, F) == l.plucker
 
 
-def point_in_plane(x: Sequence, e: Sequence, F: Field) -> bool:
-    acc = F.zero
-    for xi, ei in zip(x, e):
-        acc = F.add(acc, F.mul(xi, ei))
-    return acc == F.zero
-
-
 def line_in_plane(l: Line, e: Sequence, F: Field) -> bool:
-    return point_in_plane(l.p, e, F) and point_in_plane(l.q, e, F)
+    return all(F.of(sum(map(int_mul, x, e))) == F.zero for x in (l.p, l.q))
 
 
-def _canonical_tuples(length: int, F: Field) -> Iterator[Vector]:
+def canonical_tuples(length: int, F: Field) -> Iterator[Vector]:
     """All canonical homogeneous tuples, in lexicographic coordinate order."""
     if not F.is_finite:
         raise InfiniteField("enumeration needs a finite field")
@@ -229,39 +218,16 @@ def span_points(basis: Sequence[Sequence], F: Field) -> List[Vector]:
     Combinations are int dot products, reduced mod p by `canonicalize`.
     """
     columns = list(zip(*basis))
-    sums = ([sum(map(int_mul, c, col)) for col in columns] for c in _canonical_tuples(len(basis), F))
+    sums = ([sum(map(int_mul, c, col)) for col in columns] for c in canonical_tuples(len(basis), F))
     return [canonicalize(v, F) for v in sums]
 
 
-def plane_pencil(l: Line, F: Field) -> List[ProjPlane]:
-    """The q+1 canonical planes through a line over GF(p), in span_points order.
-
-    Row k of the antisymmetric dual Plücker matrix Z is the plane through
-    the line and the k-th coordinate point. With Z[i][j] the first nonzero
-    entry above the diagonal, row by row, row j divided by Z[j][i] and row i
-    divided by Z[i][j] are the pencil's reduced echelon basis r, s: r has
-    its leading 1 at column i and 0 at column j, s is 0 before its leading 1
-    at column j. So s and r + t*s for t in GF(p) are canonical as they
-    stand, and each plane costs four products reduced mod p.
-    """
-    y01, y02, y03, y12, y13, y23 = l.plucker
-    Z = ((0, y23, -y13, y12), (-y23, 0, y03, -y02), (y13, -y03, 0, y01), (-y12, y02, -y01, 0))
-    p = F.p
-    i, j = next((i, j) for i in range(3) for j in range(i + 1, 4) if Z[i][j] % p)
-    inv = pow(Z[i][j], -1, p)
-    r0, r1, r2, r3 = (-v * inv % p for v in Z[j])
-    s = s0, s1, s2, s3 = tuple(v * inv % p for v in Z[i])
-    return [s] + [
-        ((r0 + t * s0) % p, (r1 + t * s1) % p, (r2 + t * s2) % p, (r3 + t * s3) % p) for t in F.elements()
-    ]
-
-
 def enumerate_points(F: Field) -> List[ProjPoint]:
-    return list(_canonical_tuples(4, F))
+    return list(canonical_tuples(4, F))
 
 
 def enumerate_planes(F: Field) -> List[ProjPlane]:
-    return list(_canonical_tuples(4, F))
+    return list(canonical_tuples(4, F))
 
 
 def enumerate_lines(F: Field) -> List[Line]:

@@ -1,0 +1,157 @@
+"""Reference routes over the whole point list of PG(3,q), kept as test oracles.
+
+The certifiers in `bwcayley.bwspread` count covering and dual-spread
+histograms in closed form, walk the plane at infinity directly and generate
+the surface points and tangent planes. The routes below scan every point and
+every plane of PG(3,q) instead and return the same `CheckOutcome`s, so the
+tests can compare flags, witnesses and counts at small primes.
+"""
+
+from collections import Counter
+from itertools import chain
+from typing import Dict, List, Sequence
+
+from bwcayley import cayley
+from bwcayley.bwspread import covering_deficit, osculating_tangent
+from bwcayley.field import Field, cube_roots
+from bwcayley.projspace import Line, ProjPlane, enumerate_points, incidence
+from bwcayley.reports import CheckOutcome
+
+
+def point_in_plane(x: Sequence, e: Sequence, F: Field) -> bool:
+    acc = F.zero
+    for xi, ei in zip(x, e):
+        acc = F.add(acc, F.mul(xi, ei))
+    return acc == F.zero
+
+
+def plane_pencil(l: Line, F: Field) -> List[ProjPlane]:
+    """The q+1 canonical planes through a line over GF(p), in span_points order.
+
+    Row k of the antisymmetric dual Plücker matrix Z is the plane through
+    the line and the k-th coordinate point. With Z[i][j] the first nonzero
+    entry above the diagonal, row by row, row j divided by Z[j][i] and row i
+    divided by Z[i][j] are the pencil's reduced echelon basis r, s: r has
+    its leading 1 at column i and 0 at column j, s is 0 before its leading 1
+    at column j. So s and r + t*s for t in GF(p) are canonical as they
+    stand, and each plane costs four products reduced mod p.
+    """
+    y01, y02, y03, y12, y13, y23 = l.plucker
+    Z = ((0, y23, -y13, y12), (-y23, 0, y03, -y02), (y13, -y03, 0, y01), (-y12, y02, -y01, 0))
+    p = F.p
+    i, j = next((i, j) for i in range(3) for j in range(i + 1, 4) if Z[i][j] % p)
+    inv = pow(Z[i][j], -1, p)
+    r0, r1, r2, r3 = (-v * inv % p for v in Z[j])
+    s = s0, s1, s2, s3 = tuple(v * inv % p for v in Z[i])
+    return [s] + [
+        ((r0 + t * s0) % p, (r1 + t * s1) % p, (r2 + t * s2) % p, (r3 + t * s3) % p) for t in F.elements()
+    ]
+
+
+def covering_by_points(F: Field) -> CheckOutcome:
+    """The covering check point by point: the cube roots of every affine
+    point's deficit, the direction rule at infinity."""
+    char3 = F.characteristic == 3
+    covered = uncovered = 0
+    witness = None
+    histogram: Dict[int, int] = {}
+    for point in enumerate_points(F):
+        x0, x1, x2, x3 = point
+        if x0 != F.zero:
+            n = len(cube_roots(covering_deficit(x1, x2, x3, F), F))
+            histogram[n] = histogram.get(n, 0) + 1
+            hit = n > 0
+        elif x1 != F.zero:
+            # direction (0,1,3u1,u2): solvable unless char 3 forces x2 = 0
+            hit = (not char3) or x2 == F.zero
+        else:
+            hit = True  # on the directrix
+        if hit:
+            covered += 1
+        else:
+            uncovered += 1
+            if witness is None:
+                witness = point
+    return CheckOutcome(
+        passed=uncovered == 0,
+        witness=witness,
+        counts={
+            "points": covered + uncovered,
+            "covered": covered,
+            "uncovered": uncovered,
+            **{f"affine_with_{k}_tangents": v for k, v in sorted(histogram.items())},
+        },
+    )
+
+
+def dual_spread_by_pencils(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """The dual-spread check by plane pencils: one pass over the pencils of
+    O counts the lines in every plane, then every plane is read."""
+    lines_in = Counter(chain.from_iterable(plane_pencil(l, F) for l in O))
+    z = cayley.z_point(F)
+    witness = None
+    histogram: Dict[int, int] = {}
+    planes_through_z_missing = 0
+    for plane in enumerate_points(F):
+        n = lines_in.get(plane, 0)
+        histogram[n] = histogram.get(n, 0) + 1
+        if n != 1 and witness is None:
+            witness = plane
+        if n == 0 and point_in_plane(z, plane, F):
+            planes_through_z_missing += 1
+    return CheckOutcome(
+        passed=set(histogram) == {1} and planes_through_z_missing == 0,
+        witness=witness,
+        counts={
+            "planes": sum(histogram.values()),
+            "planes_through_Z_without_line": planes_through_z_missing,
+            **{f"planes_with_{k}_lines": v for k, v in sorted(histogram.items())},
+        },
+    )
+
+
+def duality_by_scans(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """The finite-field duality check with the surface points and the
+    tangent planes found by scanning all q^3 + q^2 + q + 1 tuples."""
+    for u1, u2 in ((u1, u2) for u1 in F.elements() for u2 in F.elements()):
+        v1, v2 = F.neg(u1), F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
+        if cayley.duality(cayley.surface_point(u1, u2, F), F) != cayley.tangent_plane(v1, v2, F):
+            return CheckOutcome(passed=False, witness=(u1, u2))
+        image = cayley.dual_plucker(osculating_tangent(u1, u2, F).plucker, F)
+        if image != osculating_tangent(v1, v2, F).plucker:
+            return CheckOutcome(passed=False, witness=(u1, u2))
+    points = enumerate_points(F)
+    fixed = {cayley.dual_plucker(l.plucker, F) for l in O} == {l.plucker for l in O}
+    surface = [x for x in points if cayley.f_value(x, F) == F.zero]
+    dual_images = {cayley.duality(x, F) for x in surface}
+    tangent_planes = {e for e in points if cayley.tangency_test(e, F)}
+    bijective = len(dual_images) == len(surface) and dual_images == tangent_planes
+    return CheckOutcome(
+        passed=fixed and bijective,
+        counts={
+            "parameter_pairs": F.order**2,
+            "lines": len(O),
+            "surface_points": len(surface),
+            "tangent_planes": len(tangent_planes),
+        },
+    )
+
+
+def maximality_by_filter(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """The finite-field maximality check on the plane at infinity filtered
+    out of the point list, each point tested on its covering line read off
+    O = build_O(F)."""
+    if F.characteristic == 3:
+        return CheckOutcome(passed=None, note="the maximality argument inverts 3")
+    tangent = dict(zip(((u1, u2) for u1 in F.elements() for u2 in F.elements()), O))
+    third = F.inv(F.of(3))
+    checked = 0
+    for point in enumerate_points(F):
+        x0, x1, x2, x3 = point
+        if x0 != F.zero:
+            continue
+        line = O[-1] if x1 == F.zero else tangent[F.mul(F.div(x2, x1), third), F.div(x3, x1)]
+        if not incidence(point, line, F):
+            return CheckOutcome(passed=False, witness=point)
+        checked += 1
+    return CheckOutcome(passed=True, counts={"omega_points": checked})

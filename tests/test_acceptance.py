@@ -97,9 +97,9 @@ def test_criterion_02_spread_and_covering_certify(p, lines, points, planes):
         assert len(build_O(F)) == lines
         partial = certify_partial_spread(F, build_O(F))
         assert partial.passed and partial.counts["violations"] == 0
-        covering = certify_covering(F, enumerate_points(F))
+        covering = certify_covering(F)
         assert covering.passed and covering.counts["points"] == points
-        dual = certify_dual_spread(F, build_O(F), enumerate_points(F))
+        dual = certify_dual_spread(F, build_O(F))
         assert dual.passed and dual.counts["planes"] == planes
         assert dual.counts["planes_with_1_lines"] == planes
 
@@ -123,7 +123,7 @@ def test_criterion_03_not_partial_spread_witness(p):
 def test_criterion_04_rationals_maximal_partial():
     with _Budget(4, "rationals: maximal partial, uncovered witness", 1.0):
         assert classify_field(QQ) == SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING
-        assert certify_maximality(QQ, None, None).passed
+        assert certify_maximality(QQ, None).passed
         witness = uncovered_witness_rational()
         assert witness is not None
         assert witness == (1, 0, 0, 2)

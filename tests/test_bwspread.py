@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,8 @@ from bwcayley.bwspread import (
     certify_maximality,
     certify_partial_spread,
     covering_deficit,
+    lines_of_O_through,
+    omega_points,
     osculating_tangent,
     parameter_grid,
     reguli_check,
@@ -44,9 +47,15 @@ from bwcayley.projspace import (
     line_in_plane,
     line_through,
     lines_skew,
-    point_in_plane,
     quadric_value,
     span_points,
+)
+from oracles import (
+    covering_by_points,
+    dual_spread_by_pencils,
+    duality_by_scans,
+    maximality_by_filter,
+    point_in_plane,
 )
 
 QQ = Rationals()
@@ -98,6 +107,27 @@ class TestSkewCriterion:
     def test_same_point_rejected(self):
         with pytest.raises(SamePoint):
             skew_criterion(1, 2, 1, 2, QQ)
+
+    def test_same_point_rejected_mod_p(self):
+        with pytest.raises(SamePoint):
+            skew_criterion(1, 2, 8, -5, F7)
+        with pytest.raises(SamePoint):
+            skew_criterion(Fraction(1, 2), 0, 4, 7, F7)
+
+    @given(small_fractions, small_fractions, small_fractions, small_fractions)
+    @settings(max_examples=80)
+    def test_value_equals_field_operations(self, v1, v2, u1, u2):
+        # the plain-operator value against the formula in field operations, over Q and
+        # GF(11), where every denominator of small_fractions is invertible
+        for F in (QQ, PrimeField(11)):
+            a, b, c, d = (F.of(t) for t in (v1, v2, u1, u2))
+            if (a, b) == (c, d):
+                continue
+            d1 = F.sub(c, a)
+            d2 = F.sub(F.sub(d, b), F.mul(F.of(3), F.mul(a, d1)))
+            sq = F.mul(d1, d1)
+            want = F.add(F.sub(F.mul(d2, d2), F.mul(F.of(3), F.mul(sq, d2))), F.mul(F.of(3), F.mul(sq, sq)))
+            assert skew_criterion(v1, v2, u1, u2, F) == want
 
     def test_symmetric_verdict(self):
         for (v1, v2), (u1, u2) in combinations(parameter_grid(F7), 2):
@@ -254,24 +284,24 @@ def _regulus_by_construction(s, F):
 
 class TestCovering:
     def test_gf5_exact_partition(self):
-        r = certify_covering(F5, enumerate_points(F5))
+        r = certify_covering(F5)
         assert r.passed
         assert r.counts["points"] == 156
         assert r.counts["affine_with_1_tangents"] == 125
 
     def test_gf2_partition(self):
-        r = certify_covering(F2, enumerate_points(F2))
+        r = certify_covering(F2)
         assert r.passed and r.counts["points"] == 15
 
     def test_gf3_witness(self):
-        r = certify_covering(F3, enumerate_points(F3))
+        r = certify_covering(F3)
         assert not r.passed
         assert r.witness == (0, 1, 1, 0)
         # replay: no line of O passes through the witness
         assert not any(incidence(r.witness, l, F3) for l in build_O(F3))
 
     def test_gf7_split_multiplicities(self):
-        r = certify_covering(F7, enumerate_points(F7))
+        r = certify_covering(F7)
         assert not r.passed
         assert r.counts["affine_with_0_tangents"] == 2 * 343 // 7 * 2
         assert r.counts["affine_with_3_tangents"] == 2 * 343 // 7
@@ -288,7 +318,7 @@ class TestCovering:
         assert uncovered_witness_rational() == (1, 0, 0, 2)
 
     def test_rationals_fail_with_the_small_height_witness(self):
-        r = certify_covering(QQ, None)
+        r = certify_covering(QQ)
         assert r.passed is False
         assert r.witness == (1, 0, 0, 2)
         assert r.note == "small-height scan for a deficit with no rational cube root"
@@ -302,7 +332,7 @@ class TestCovering:
 
 class TestMaximality:
     def test_gf5(self):
-        r = certify_maximality(F5, build_O(F5), enumerate_points(F5))
+        r = certify_maximality(F5, build_O(F5))
         assert r.passed and r.counts["omega_points"] == 31
 
     def test_gf2_point(self):
@@ -315,12 +345,12 @@ class TestMaximality:
         assert incidence((0, 1, 6, 7), t, QQ)
 
     def test_char3_skipped(self):
-        r = certify_maximality(F3, build_O(F3), enumerate_points(F3))
+        r = certify_maximality(F3, build_O(F3))
         assert r.passed is None
         assert r.note == "the maximality argument inverts 3"
 
     def test_rationals_pass(self):
-        assert certify_maximality(QQ, None, None, seed=3).passed
+        assert certify_maximality(QQ, None, seed=3).passed
 
     def test_brute_force_cross_check_gf5(self):
         O = build_O(F5)
@@ -330,15 +360,68 @@ class TestMaximality:
             assert any(incidence(x, l, F5) for l in O)
 
 
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@lru_cache(maxsize=None)
+def _O(p):
+    return build_O(PrimeField(p))
+
+
+class TestOracleRoutes:
+    """Each certifier against its point-list route in tests/oracles.py:
+    the same flag, witness, counts and note."""
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_covering(self, p):
+        F = PrimeField(p)
+        assert certify_covering(F) == covering_by_points(F)
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_dual_spread(self, p):
+        F = PrimeField(p)
+        assert certify_dual_spread(F, _O(p)) == dual_spread_by_pencils(F, _O(p))
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_duality(self, p):
+        F = PrimeField(p)
+        assert certify_duality(F, _O(p)) == duality_by_scans(F, _O(p))
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_maximality(self, p):
+        F = PrimeField(p)
+        assert certify_maximality(F, _O(p)) == maximality_by_filter(F, _O(p))
+
+
+class TestLinesThroughPoints:
+    @pytest.mark.parametrize("F", [F2, F3, F5, F7])
+    def test_closed_form_equals_incidence_count(self, F):
+        O = build_O(F)
+        for x in enumerate_points(F):
+            assert lines_of_O_through(x, F) == sum(1 for l in O if incidence(x, l, F))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_omega_points_are_the_filtered_points(self, p):
+        F = PrimeField(p)
+        assert omega_points(F) == [x for x in enumerate_points(F) if x[0] == 0]
+
+
 class TestDualSpread:
+    def test_an_O_the_duality_does_not_fix_fails(self):
+        # without the tangent at (1, 1) the set misses the dual of the tangent at (-1, 2)
+        O = [l for l in build_O(F5) if l != osculating_tangent(1, 1, F5)]
+        r = certify_dual_spread(F5, O)
+        assert r.passed is False and r.counts == {} and r.witness is None
+        assert r.note.startswith("the duality does not fix O")
+
     @pytest.mark.parametrize("F,planes", [(F2, 15), (F5, 156)])
     def test_exactly_one_line_per_plane(self, F, planes):
-        r = certify_dual_spread(F, build_O(F), enumerate_points(F))
+        r = certify_dual_spread(F, build_O(F))
         assert r.passed
         assert r.counts["planes_with_1_lines"] == planes
 
     def test_gf7_fails_with_witness(self):
-        r = certify_dual_spread(F7, build_O(F7), enumerate_points(F7))
+        r = certify_dual_spread(F7, build_O(F7))
         assert not r.passed
         assert r.witness is not None
         O = build_O(F7)
@@ -347,13 +430,13 @@ class TestDualSpread:
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_pencil_counts_equal_brute_plane_by_line_counts(self, F):
-        r = certify_dual_spread(F, build_O(F), enumerate_points(F))
+        r = certify_dual_spread(F, build_O(F))
         counts, witness = _brute_dual_spread(F)
         assert r.counts == counts
         assert r.witness == witness
 
     def test_rationals_skipped(self):
-        r = certify_dual_spread(QQ, None, None)
+        r = certify_dual_spread(QQ, None)
         assert r.passed is None
         assert r.note == "plane counting needs a finite field"
 
@@ -383,14 +466,14 @@ def _brute_dual_spread(F):
 class TestDuality:
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_duality_fixes_O(self, F):
-        assert certify_duality(F, build_O(F), enumerate_points(F)).passed
+        assert certify_duality(F, build_O(F)).passed
 
     def test_rationals(self):
-        assert certify_duality(QQ, None, None, seed=5).passed
+        assert certify_duality(QQ, None, seed=5).passed
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_counts_equal_canonicalising_scan(self, F):
-        r = certify_duality(F, build_O(F), enumerate_points(F))
+        r = certify_duality(F, build_O(F))
         points = [canonicalize(x, F) for x in enumerate_points(F)]
         surface = [x for x in points if _form(x, F) == 0]
         tangent = [e for e in points if _form(canonicalize(e[::-1], F), F) == 0]
@@ -402,7 +485,7 @@ class TestDuality:
         rejected = cayley.tangent_plane(1, 1, F)
         tangency_test = cayley.tangency_test
         monkeypatch.setattr(cayley, "tangency_test", lambda e, F: e != rejected and tangency_test(e, F))
-        r = certify_duality(F, build_O(F), enumerate_points(F))
+        r = certify_duality(F, build_O(F))
         assert not r.passed
         assert r.counts["tangent_planes"] == F.order**2 + F.order
 

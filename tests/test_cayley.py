@@ -36,8 +36,8 @@ from bwcayley.projspace import (
     enumerate_points,
     incidence,
     line_through,
-    point_in_plane,
 )
+from oracles import point_in_plane
 
 QQ = Rationals()
 F3 = PrimeField(3)
@@ -118,6 +118,28 @@ class TestSurfacePoint:
         assert surface_point(0, 0, QQ) == (1, 0, 0, 0)
         assert surface_point(1, 1, QQ) == (1, 1, 1, 0)
         assert surface_point(1, 0, F5) == (1, 1, 0, 4)  # u1*u2 - u1^3 = -1 = 4 mod 5
+
+    def test_not_primitive_before_canonicalising(self):
+        # u1 = u2 = 1/2: (b^3 d, a b^2 d, c b^3, a c b^2 - a^3 d) = (16, 8, 8, 2)
+        assert surface_point(Fraction(1, 2), Fraction(1, 2), QQ) == (8, 4, 4, 1)
+
+    @given(small_fractions, small_fractions)
+    def test_integer_forms_equal_fraction_forms(self, u1, u2):
+        # the chart point and its tangent plane in Fraction arithmetic
+        assert surface_point(u1, u2, QQ) == canonicalize((1, u1, u2, u1 * u2 - u1**3), QQ)
+        assert tangent_plane(u1, u2, QQ) == canonicalize((2 * u1**3 - u1 * u2, u2 - 3 * u1**2, u1, -1), QQ)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_fraction_parameters_over_gf_p(self, p):
+        # a Fraction parameter is reduced as an element of GF(p) first
+        F = PrimeField(p)
+        for u1 in (Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3)):
+            for u2 in (Fraction(1, 3), 4):
+                a, b = F.of(u1), F.of(u2)
+                assert surface_point(u1, u2, F) == surface_point(a, b, F) == (1, a, b, (a * b - a**3) % p)
+                assert tangent_plane(u1, u2, F) == tangent_plane(a, b, F)
+        with pytest.raises(ZeroDivisionError):
+            surface_point(Fraction(1, p), 0, F)
 
 
 class TestClassify:

