@@ -27,19 +27,19 @@ from .field import (
 from .linalg import nullspace, rank, rref
 from .projspace import (
     GeometryError,
-    KleinPoint,
     Line,
     ProjPoint,
     canonical_tuples,
     canonicalize,
+    compound_image,
     dedup_lines,
     det4,
     gram_apply,
     incidence,
     lines_skew,
-    plucker,
     quadric_polarization,
     quadric_value,
+    second_compound,
 )
 from .reports import CheckOutcome
 
@@ -128,7 +128,9 @@ def certify_partial_spread(F: Field, O: Optional[Sequence[Line]], seed: int = 0)
     Finite fields, through the translation group of the surface. The
     generators M(1,0,1) and M(0,1,1) are certified to be invertible, to fix
     the directrix and to send tangent(u) to tangent(param_action(u)) for
-    every parameter u, and their orbit of (0,0) to hold all q^2 parameters.
+    every parameter u, each image taken on the tangent's Plücker sextuple
+    by the generator's second compound matrix, and their orbit of (0,0) to
+    hold all q^2 parameters.
     Collineations keep skewness, so the tangents meeting a given tangent are
     as many for every u as for the origin, and testing the origin tangent
     against the other q^2 - 1 (by the criterion and by Klein polarity, which
@@ -201,20 +203,19 @@ def _translation_failure(tangent: Dict[Tuple, Line], ginf: Line, F: Field):
     every tangent onto the tangent at its param_action image (the witness is
     the generator's (a, b, c) and the parameter, None for the directrix);
     then the generators' orbit of (0,0) must hold every parameter (the
-    witness is the first parameter outside it).
+    witness is the first parameter outside it). A generator maps lines by
+    its `second_compound`, built once, which acts on the Plücker sextuples
+    directly: one `compound_image` per tangent, no spanning points.
     """
     generators = [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)]
-
-    def image(M, l: Line) -> KleinPoint:
-        return plucker(cayley.group_apply(M, l.p, F), cayley.group_apply(M, l.q, F), F)
-
     kappa = {u: l.plucker for u, l in tangent.items()}
     for M in generators:
         abc = (M.a, M.b, M.c)
-        if det4(M.entries, F) == F.zero or image(M, ginf) != ginf.plucker:
+        compound = second_compound(M.entries, F)
+        if det4(M.entries, F) == F.zero or compound_image(compound, ginf.plucker, F) != ginf.plucker:
             return "generator is singular or moves the directrix", (abc, None)
-        for u, l in tangent.items():
-            if image(M, l) != kappa.get(cayley.param_action(M, *u, F)):
+        for u, y in kappa.items():
+            if compound_image(compound, y, F) != kappa.get(cayley.param_action(M, *u, F)):
                 return "group action disagrees with param_action", (abc, u)
     orbit = {(F.zero, F.zero)}
     frontier = list(orbit)
@@ -417,54 +418,66 @@ def certify_duality(F: Field, O: Optional[Sequence[Line]], seed: int = 0) -> Che
     """The coordinate-reversing duality fixes O and pairs points with tangent planes.
 
     Checks (finite fields exhaustively, rationals on seeded samples):
-    the parametric identity duality(P(u1,u2)) = tangent_plane(-u1, 3u1^2-u2),
-    the induced line map sending the tangent at (u1,u2) to the tangent at
-    (-u1, 3u1^2-u2), and over finite fields that the dual image of
-    O = build_O(F) is O and that duality maps the surface points onto the
-    tangent planes. Both sets are generated and each member is tested: the
-    surface points are the P(u) plus the q + 1 points of the directrix, each
-    tested by `f_value`; the tangent planes are the tangent_plane(v) of the
-    parametric identity plus the q + 1 planes through the directrix, each
-    tested by `tangency_test`. Over the rationals O is None and the sampled
-    tangents are built.
+    the parametric identity duality(P(u1,u2)) = tangent_plane(-u1, 3u1^2-u2)
+    and the induced line map sending the tangent at (u1,u2) to the tangent
+    at v = (-u1, 3u1^2-u2). Over finite fields the v must come out as q^2
+    distinct parameters and the duality must fix the directrix, so the line
+    map carries O = build_O(F) onto itself. The duality must also map the
+    surface points onto the tangent planes. Both sets are generated, and
+    each member is tested as it is produced: the surface points are the P(u)
+    plus the q + 1 points of the directrix, each tested by `f_value`; the
+    tangent planes are the tangent_plane(v) of the parametric identity plus
+    the q + 1 planes through the directrix, each tested by `tangency_test`.
+    Over the rationals O is None and the sampled tangents are built.
     """
     tangent_at = _tangent_at(F, O)
 
     def pair(u1, u2):
-        """(P(u), the tangent plane at v = (-u1, 3u1^2-u2)), or None when the
-        duality does not send P(u) to that plane or the tangent at u to the
-        tangent at v."""
-        v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
+        """(P(u), v, the tangent plane at v = (-u1, 3u1^2-u2)), or None when
+        the duality does not send P(u) to that plane or the tangent at u to
+        the tangent at v."""
+        v = v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
         x, e = cayley.surface_point(u1, u2, F), cayley.tangent_plane(v1, v2, F)
         if cayley.duality(x, F) != e:
             return None
         if cayley.dual_plucker(tangent_at(u1, u2).plucker, F) != tangent_at(v1, v2).plucker:
             return None
-        return x, e
+        return x, v, e
 
     if F.is_finite:
-        pairs = []
+        ginf = O[-1]
+        partners = set()
+        surface = 0
+        dual_images, tangent_planes = set(), set()
         for u1, u2 in parameter_grid(F):
-            xe = pair(u1, u2)
-            if xe is None:
+            paired = pair(u1, u2)
+            if paired is None:
                 return CheckOutcome(passed=False, witness=(u1, u2))
-            pairs.append(xe)
-        # u -> v is an involution of the grid, so the e are all q^2 tangent_plane(v);
-        # the canonical pairs (a, b) give the directrix points (0, 0, a, b) and
-        # the planes [a, b, 0, 0] through the directrix
-        ab = list(canonical_tuples(2, F))
-        points = [x for x, _ in pairs] + [(F.zero, F.zero) + t for t in ab]
-        planes = [e for _, e in pairs] + [t + (F.zero, F.zero) for t in ab]
-        surface = [x for x in points if cayley.f_value(x, F) == F.zero]
-        tangent_planes = {e for e in planes if cayley.tangency_test(e, F)}
-        dual_images = {cayley.duality(x, F) for x in surface}
-        bijective = len(dual_images) == len(surface) and dual_images == tangent_planes
+            x, v, e = paired
+            partners.add(v)
+            if cayley.f_value(x, F) == F.zero:
+                surface += 1
+                dual_images.add(e)  # = duality(x), tested by pair
+            if cayley.tangency_test(e, F):
+                tangent_planes.add(e)
+        # the canonical pairs (a, b) give the directrix points (0, 0, a, b)
+        # and the planes [a, b, 0, 0] through the directrix
+        for ab in canonical_tuples(2, F):
+            x = (F.zero, F.zero) + ab
+            if cayley.f_value(x, F) == F.zero:
+                surface += 1
+                dual_images.add(cayley.duality(x, F))
+            e = ab + (F.zero, F.zero)
+            if cayley.tangency_test(e, F):
+                tangent_planes.add(e)
+        fixes_O = len(partners) == F.order**2 and cayley.dual_plucker(ginf.plucker, F) == ginf.plucker
+        bijective = len(dual_images) == surface and dual_images == tangent_planes
         return CheckOutcome(
-            passed=_dual_fixes(O, F) and bijective,
+            passed=fixes_O and bijective,
             counts={
                 "parameter_pairs": F.order**2,
                 "lines": len(O),
-                "surface_points": len(surface),
+                "surface_points": surface,
                 "tangent_planes": len(tangent_planes),
             },
         )

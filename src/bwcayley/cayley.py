@@ -2,14 +2,13 @@
 
 Covers membership, the directrix and the line V(X0,X2) of the nuclei, tangent
 planes, the generator family, the restricted binary cubic f(lam*p + mu*q) of a
-line, the triangular automorphism group, and the classical point/tangent-plane
-duality.
+line, the triangular automorphism group with its action on the tangent
+parameters, and the classical point/tangent-plane duality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul as int_mul
 from typing import List, Sequence, Tuple
 
 from .field import Element, Field
@@ -142,19 +141,12 @@ def group_matrix(a, b, c, F: Field) -> GMatrix:
     return GMatrix(a=a, b=b, c=c, entries=entries)
 
 
-def group_apply(M: GMatrix, x: Sequence, F: Field) -> ProjPoint:
-    """Canonical image of a point from plain products, reduced by `canonicalize`
-    (M is invertible, so only the zero vector maps to zero, and is rejected)."""
-    return canonicalize([sum(map(int_mul, row, x)) for row in M.entries], F)
-
-
 def param_action(M: GMatrix, u1, u2, F: Field) -> Tuple:
-    """Action of M_{a,b,c} on the affine chart: (u1, u2) -> (a + c*u1, b + 3ac*u1 + c^2*u2)."""
-    u1, u2 = F.of(u1), F.of(u2)
-    mul = F.mul
-    v1 = F.add(M.a, mul(M.c, u1))
-    v2 = F.add(F.add(M.b, mul(F.of(3), mul(M.a, mul(M.c, u1)))), mul(mul(M.c, M.c), u2))
-    return v1, v2
+    """Action of M_{a,b,c} on the affine chart: (u1, u2) -> (a + c*u1, b + 3ac*u1 + c^2*u2),
+    in plain operators, each coordinate reduced once by `F.of`."""
+    a, c = M.a, M.c
+    cu1 = c * u1
+    return F.of(a + cu1), F.of(M.b + 3 * a * cu1 + c * c * u2)
 
 
 # --- duality ---------------------------------------------------------------

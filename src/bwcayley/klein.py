@@ -9,7 +9,6 @@ everything collapses into the quadratic cone cut out by the 3-space D.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import List, Sequence, Set, Tuple
 
 from . import cayley
@@ -223,23 +222,46 @@ def variety_zero_set(F: Field) -> Set[KleinPoint]:
     """All canonical points of PG(5,q) where h1, h2, h3 and k vanish.
 
     Coordinates are assigned in order and a prefix is dropped as soon as a
-    form it fully determines is nonzero, so the scan stays exhaustive while
-    visiting O(q^3) prefixes instead of the (q^6-1)/(q-1) points.
+    form it fully determines is nonzero. Each form is affine in the
+    coordinate i that completes it, since its square coefficient f(e_i) is 0
+    there (checked; GeometryError otherwise), so on a prefix z extended by v
+    it takes the value f(z) + v*(f(z + e_i) - f(z)). The first form with a
+    nonzero slope is solved for the one v it leaves, and that candidate is
+    tested on every ready form; all q values are tried only when every
+    slope is 0. The scan stays exhaustive and visits O(q^2) prefixes.
     """
     if not F.is_finite:
         raise InfiniteField("exhaustive scan needs a finite field")
-    zero = F.zero
+    zero, one = F.zero, F.one
     elems = tuple(F.elements())
     prefixes: List[Tuple] = []
     for i, forms in enumerate(_FORMS_READY_AT):
-        extended = []
-        # canonical tuples: start at coordinate i, or extend a started prefix
-        for z in chain([(zero,) * i + (F.one,)], (y + (v,) for y in prefixes for v in elems)):
+        start = (zero,) * i + (one,)
+        if not forms:
+            prefixes = [start] + [y + (v,) for y in prefixes for v in elems]
+            continue
+
+        # the tuple starting at coordinate i is e_i itself, and a form
+        # vanishes on it exactly when it is affine in coordinate i
+        if any(form(start, F) != zero for form in forms):
+            raise GeometryError(f"a form is not affine in coordinate {i}")
+        extended = [start]
+        for y in prefixes:
+            z0, z1 = y + (zero,), y + (one,)
+            values = elems
             for form in forms:
-                if form(z, F) != zero:
+                f0 = form(z0, F)
+                slope = F.sub(form(z1, F), f0)
+                if slope != zero:
+                    values = (F.div(F.neg(f0), slope),)
                     break
-            else:
-                extended.append(z)
+            for v in values:
+                z = y + (v,)
+                for form in forms:
+                    if form(z, F) != zero:
+                        break
+                else:
+                    extended.append(z)
         prefixes = extended
     return set(prefixes)
 

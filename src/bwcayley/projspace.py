@@ -96,6 +96,30 @@ def plucker(p: Sequence, q: Sequence, F: Field) -> KleinPoint:
         raise CoincidentPoints(f"points {p} and {q} span no line") from None
 
 
+_PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def second_compound(m: Sequence[Sequence], F: Field) -> Tuple[Tuple, ...]:
+    """The 6x6 matrix by which the point map x -> m*x acts on Plücker sextuples.
+
+    The join of p and q goes to the join of m*p and m*q, whose sextuple is
+    this matrix times the sextuple of the join: the entry in row (i,j) and
+    column (k,l) is m_ik*m_jl - m_il*m_jk, each reduced by `F.of`.
+    """
+    return tuple(
+        tuple(F.of(m[i][k] * m[j][l] - m[i][l] * m[j][k]) for k, l in _PLUCKER_PAIRS) for i, j in _PLUCKER_PAIRS
+    )
+
+
+def compound_image(compound: Sequence[Sequence], y: Sequence, F: Field) -> KleinPoint:
+    """Canonical sextuple of the image of the line y under a `second_compound`:
+    36 plain products, reduced once by `canonicalize`."""
+    y0, y1, y2, y3, y4, y5 = y
+    return canonicalize(
+        [r0 * y0 + r1 * y1 + r2 * y2 + r3 * y3 + r4 * y4 + r5 * y5 for r0, r1, r2, r3, r4, r5 in compound], F
+    )
+
+
 def quadric_value(y: Sequence, F: Field):
     """The Klein quadric form y01*y23 - y02*y13 + y03*y12."""
     mul = F.mul

@@ -1,21 +1,69 @@
-"""Reference routes over the whole point list of PG(3,q), kept as test oracles.
+"""Reference routes kept as test oracles.
 
 The certifiers in `bwcayley.bwspread` count covering and dual-spread
-histograms in closed form, walk the plane at infinity directly and generate
-the surface points and tangent planes. The routes below scan every point and
-every plane of PG(3,q) instead and return the same `CheckOutcome`s, so the
-tests can compare flags, witnesses and counts at small primes.
+histograms in closed form, walk the plane at infinity directly, generate
+the surface points and tangent planes, and map lines by second compound
+matrices. The routes below scan every point and every plane of PG(3,q)
+instead and return the same `CheckOutcome`s, so the tests can compare
+flags, witnesses and counts at small primes; they map points one by one
+through the group matrices, act on parameters through field operations,
+and scan PG(5,q) by trying every value of every coordinate.
 """
 
 from collections import Counter
 from itertools import chain
-from typing import Dict, List, Sequence
+from operator import mul as int_mul
+from typing import Dict, List, Sequence, Set, Tuple
 
 from bwcayley import cayley
 from bwcayley.bwspread import covering_deficit, osculating_tangent
+from bwcayley.cayley import GMatrix
 from bwcayley.field import Field, cube_roots
-from bwcayley.projspace import Line, ProjPlane, enumerate_points, incidence
+from bwcayley.klein import h1_form, h2_form, h3_form
+from bwcayley.projspace import (
+    KleinPoint,
+    Line,
+    ProjPlane,
+    ProjPoint,
+    canonicalize,
+    enumerate_points,
+    incidence,
+    quadric_value,
+)
 from bwcayley.reports import CheckOutcome
+
+
+def group_apply(M: GMatrix, x: Sequence, F: Field) -> ProjPoint:
+    """Canonical image of a point from plain products, reduced by `canonicalize`
+    (M is invertible, so only the zero vector maps to zero, and is rejected)."""
+    return canonicalize([sum(map(int_mul, row, x)) for row in M.entries], F)
+
+
+def param_action_by_field_ops(M: GMatrix, u1, u2, F: Field) -> Tuple:
+    """`cayley.param_action` through the field's operations:
+    (u1, u2) -> (a + c*u1, b + 3ac*u1 + c^2*u2)."""
+    u1, u2 = F.of(u1), F.of(u2)
+    mul = F.mul
+    v1 = F.add(M.a, mul(M.c, u1))
+    v2 = F.add(F.add(M.b, mul(F.of(3), mul(M.a, mul(M.c, u1)))), mul(mul(M.c, M.c), u2))
+    return v1, v2
+
+
+def variety_zero_set_by_trials(F: Field) -> Set[KleinPoint]:
+    """The zero set of h1, h2, h3 and k in PG(5,q) by trying every value of
+    every coordinate, each form tested once the coordinates it reads are
+    assigned: h1 at Y12, h2 and h3 at Y13, k at Y23."""
+    forms_ready_at = ((), (), (), (h1_form,), (h2_form, h3_form), (quadric_value,))
+    zero = F.zero
+    elems = tuple(F.elements())
+    prefixes: List[Tuple] = []
+    for i, forms in enumerate(forms_ready_at):
+        extended = []
+        for z in chain([(zero,) * i + (F.one,)], (y + (v,) for y in prefixes for v in elems)):
+            if all(form(z, F) == zero for form in forms):
+                extended.append(z)
+        prefixes = extended
+    return set(prefixes)
 
 
 def point_in_plane(x: Sequence, e: Sequence, F: Field) -> bool:

@@ -39,6 +39,7 @@ from bwcayley.field import PrimeField, Rationals, SpreadRegime, classify_field, 
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
     canonicalize,
+    compound_image,
     dedup_lines,
     enumerate_lines,
     enumerate_planes,
@@ -47,13 +48,16 @@ from bwcayley.projspace import (
     line_in_plane,
     line_through,
     lines_skew,
+    plucker,
     quadric_value,
+    second_compound,
     span_points,
 )
 from oracles import (
     covering_by_points,
     dual_spread_by_pencils,
     duality_by_scans,
+    group_apply,
     maximality_by_filter,
     point_in_plane,
 )
@@ -481,6 +485,17 @@ class TestDuality:
         assert len(surface) == len(tangent) == F.order**2 + F.order + 1
 
     @pytest.mark.parametrize("F", [F2, F3, F5])
+    def test_a_duality_moving_only_the_directrix_fails(self, F, monkeypatch):
+        # every tangent still goes to its partner, so only the directrix test sees it
+        ginf = cayley.g_infinity(F).plucker
+        moved = cayley.nuclei_line(F).plucker
+        dual_plucker = cayley.dual_plucker
+        monkeypatch.setattr(cayley, "dual_plucker", lambda y, F: moved if y == ginf else dual_plucker(y, F))
+        r = certify_duality(F, build_O(F))
+        assert r.passed is False and r.witness is None
+        assert r == duality_by_scans(F, build_O(F))
+
+    @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_a_rejected_tangent_plane_fails(self, F, monkeypatch):
         rejected = cayley.tangent_plane(1, 1, F)
         tangency_test = cayley.tangency_test
@@ -508,11 +523,65 @@ class TestGEquivariance:
                     v1, v2 = cayley.param_action(M, u1, u2, F5)
                     assert (v1, v2) == ((u1 + a) % 5, (u2 + 3 * a * u1 + b) % 5)
                     image = {
-                        tuple(cayley.group_apply(M, x, F5))
+                        tuple(group_apply(M, x, F5))
                         for x in _line_points(osculating_tangent(u1, u2, F5), F5)
                     }
                     target = set(map(tuple, _line_points(osculating_tangent(v1, v2, F5), F5)))
                     assert image == target
+
+
+def _seeded_matrices(F, n=4):
+    """The two generators of the translation group and n seeded M(a, b, c)."""
+    rng = random.Random(F.order)
+    seeded = [
+        cayley.group_matrix(rng.randrange(F.order), rng.randrange(F.order), rng.randrange(1, F.order), F)
+        for _ in range(n)
+    ]
+    return [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)] + seeded
+
+
+def _images_agree(lines, F):
+    """Whether the second compound maps every line as the point map does."""
+    for M in _seeded_matrices(F):
+        compound = second_compound(M.entries, F)
+        for l in lines:
+            want = plucker(group_apply(M, l.p, F), group_apply(M, l.q, F), F)
+            if compound_image(compound, l.plucker, F) != want:
+                return False
+    return True
+
+
+class TestSecondCompound:
+    """The Plücker action of a group matrix against the images of two
+    spanning points: on every line of PG(3,q) at small q, and on O."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_line_of_pg3(self, p):
+        F = PrimeField(p)
+        assert _images_agree(enumerate_lines(F), F)
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_every_line_of_O(self, p):
+        F = PrimeField(p)
+        assert _images_agree(_O(p), F)
+
+    def test_rationals(self):
+        rng = random.Random(3)
+        params = [(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), rng.randint(-9, 9)) for _ in range(20)]
+        lines = [osculating_tangent(u1, u2, QQ) for u1, u2 in params]
+        M = cayley.group_matrix(Fraction(2, 3), -1, Fraction(-5, 2), QQ)
+        compound = second_compound(M.entries, QQ)
+        for l in lines:
+            want = plucker(group_apply(M, l.p, QQ), group_apply(M, l.q, QQ), QQ)
+            assert compound_image(compound, l.plucker, QQ) == want
+
+    def test_entry_rule(self):
+        # row (0,1), column (0,1) of M(a, b, c) is M_00*M_11 - M_01*M_10 = c
+        M = cayley.group_matrix(2, 3, 4, F7)
+        compound = second_compound(M.entries, F7)
+        assert compound[0][0] == 4
+        # lower triangular, as M is
+        assert all(compound[r][k] == 0 for r in range(6) for k in range(r + 1, 6))
 
 
 def _line_points(l, F):

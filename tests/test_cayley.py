@@ -16,7 +16,6 @@ from bwcayley.cayley import (
     f_value,
     g_infinity,
     generator,
-    group_apply,
     group_matrix,
     nuclei_line,
     param_action,
@@ -37,7 +36,7 @@ from bwcayley.projspace import (
     incidence,
     line_through,
 )
-from oracles import point_in_plane
+from oracles import group_apply, param_action_by_field_ops, point_in_plane
 
 QQ = Rationals()
 F3 = PrimeField(3)
@@ -286,6 +285,22 @@ class TestGroup:
                         for u2 in range(5):
                             v1, v2 = param_action(M, u1, u2, F5)
                             assert group_apply(M, surface_point(u1, u2, F5), F5) == surface_point(v1, v2, F5)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_param_action_equals_field_operations(self, p):
+        F = PrimeField(p)
+        for a in F.elements():
+            for b in F.elements():
+                for c in range(1, p):
+                    M = group_matrix(a, b, c, F)
+                    for u1 in F.elements():
+                        for u2 in F.elements():
+                            assert param_action(M, u1, u2, F) == param_action_by_field_ops(M, u1, u2, F)
+
+    @given(st.fractions(), st.fractions(), st.fractions().filter(bool), st.fractions(), st.fractions())
+    def test_param_action_over_q_equals_field_operations(self, a, b, c, u1, u2):
+        M = group_matrix(a, b, c, QQ)
+        assert param_action(M, u1, u2, QQ) == param_action_by_field_ops(M, u1, u2, QQ)
 
     def test_orbits(self):
         # the three orbits: the group fixes the pinch point, keeps the rest of

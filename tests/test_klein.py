@@ -36,7 +36,15 @@ from bwcayley.klein import (
     verify_variety_equality,
     w_infinity,
 )
-from bwcayley.projspace import canonicalize, enumerate_lines, line_through, lines_skew, quadric_value
+from bwcayley.projspace import (
+    GeometryError,
+    canonicalize,
+    enumerate_lines,
+    line_through,
+    lines_skew,
+    quadric_value,
+)
+from oracles import variety_zero_set_by_trials
 
 QQ = Rationals()
 F2, F3, F5 = (PrimeField(p) for p in (2, 3, 5))
@@ -267,6 +275,18 @@ class TestVarietyZeroSet:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_equals_full_integer_scan(self, p):
         assert variety_zero_set(PrimeField(p)) == integer_zero_scan(p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_solved_scan_equals_trial_values(self, p):
+        assert variety_zero_set(PrimeField(p)) == variety_zero_set_by_trials(PrimeField(p))
+
+    def test_a_form_quadratic_in_its_last_coordinate_is_refused(self, monkeypatch):
+        def square(y, F):
+            return F.mul(y[3], y[3])
+
+        monkeypatch.setattr(klein, "_FORMS_READY_AT", ((), (), (), (square,), (), ()))
+        with pytest.raises(GeometryError):
+            variety_zero_set(PrimeField(5))
 
     def test_rationals_refused(self):
         with pytest.raises(InfiniteField):
