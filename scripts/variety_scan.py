@@ -4,10 +4,12 @@
 Walks every prime up to the bound (characteristic 3 excluded), verifies that
 the common zero set of the quadric and the three cone forms equals the Klein
 image of the tangent set plus the pencil, and reports the scan's size and
-wall-clock time. The scan is pruned but still exhaustive: it drops a prefix
-of coordinates as soon as a form it determines is nonzero, so it visits
-O(q^3) prefixes; `candidates` is the number of points of PG(5,q), which it
-covers. Useful for judging how far the desk-scale scan reaches.
+wall-clock time. The scan is exhaustive without trying every point: it
+solves each form for the coordinate that completes it, in which the form is
+affine, so each prefix of coordinates has one candidate extension (all q
+only where every slope is 0) and the scan visits O(q^2) prefixes;
+`candidates` is the number of points of PG(5,q), which it covers. Useful for
+judging how far the desk-scale scan reaches.
 Exits 2 when a field fails, 1 when the bound leaves no field to scan.
 
 Usage: python scripts/variety_scan.py [--max-p 13]

@@ -7,7 +7,8 @@ matrices. The routes below scan every point and every plane of PG(3,q)
 instead and return the same `CheckOutcome`s, so the tests can compare
 flags, witnesses and counts at small primes; they map points one by one
 through the group matrices, act on parameters through field operations,
-and scan PG(5,q) by trying every value of every coordinate.
+scan PG(5,q) by trying every value of every coordinate, and find the
+characteristic-3 congruence by scanning every line of PG(3,q).
 """
 
 from collections import Counter
@@ -19,15 +20,18 @@ from bwcayley import cayley
 from bwcayley.bwspread import covering_deficit, osculating_tangent
 from bwcayley.cayley import GMatrix
 from bwcayley.field import Field, cube_roots
-from bwcayley.klein import h1_form, h2_form, h3_form
+from bwcayley.klein import h1_form, h2_form, h3_form, pencil_LZomega, variety_qd_points
 from bwcayley.projspace import (
     KleinPoint,
     Line,
     ProjPlane,
     ProjPoint,
     canonicalize,
+    dedup_lines,
+    enumerate_lines,
     enumerate_points,
     incidence,
+    lines_skew,
     quadric_value,
 )
 from bwcayley.reports import CheckOutcome
@@ -203,3 +207,38 @@ def maximality_by_filter(F: Field, O: Sequence[Line]) -> CheckOutcome:
             return CheckOutcome(passed=False, witness=point)
         checked += 1
     return CheckOutcome(passed=True, counts={"omega_points": checked})
+
+
+def in_D(y: Sequence, F: Field) -> bool:
+    """The 3-space V(Y02, Y03 + Y12) of the characteristic-3 congruence."""
+    return y[1] == F.zero and F.add(y[2], y[3]) == F.zero
+
+
+def char3_congruence_by_line_scan(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """`klein.char3_congruence_check` with the congruence found by scanning
+    every line of PG(3,q) for those whose Klein image lies in D; the
+    witness is the first such line skew to the line of nuclei."""
+    union = dedup_lines(list(O) + pencil_LZomega(F))
+    subset_ok = all(in_D(l.plucker, F) for l in union)
+    congruence = [l for l in enumerate_lines(F) if in_D(l.plucker, F)]
+    n_line = cayley.nuclei_line(F)
+    meet_failures = [l for l in congruence if lines_skew(l, n_line, F)]
+    qd_points = variety_qd_points(F)
+    q = F.order
+    passed = (
+        subset_ok
+        and not meet_failures
+        and set(congruence) == set(union)
+        and {l.plucker for l in congruence} == qd_points
+        and len(congruence) == q * q + q + 1
+    )
+    return CheckOutcome(
+        passed=passed,
+        witness=meet_failures[0].plucker if meet_failures else None,
+        counts={
+            "congruence_lines": len(congruence),
+            "tangents_plus_pencil": len(union),
+            "cone_section_points": len(qd_points),
+            "expected": q * q + q + 1,
+        },
+    )

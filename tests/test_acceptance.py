@@ -192,7 +192,8 @@ def test_criterion_08_duality(p):
 
 def test_criterion_09_char3_congruence():
     with _Budget(9, "GF(3) parabolic congruence", 1.0):
-        from bwcayley.klein import char3_congruence_check, in_D, osculating_plane_pencil_check
+        from bwcayley.klein import char3_congruence_check, osculating_plane_pencil_check
+        from oracles import in_D
 
         F = PrimeField(3)
         r = char3_congruence_check(F, build_O(F))

@@ -111,12 +111,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, command, "--field", field)
         assert code == 0 and len(calls) == 1
 
-    def test_certify_enumerates_no_points_planes_or_lines(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command,field", [("certify", "gf:13"), ("klein", "gf:7"), ("char3", "gf:3")])
+    def test_no_subcommand_enumerates_points_planes_or_lines(self, capsys, monkeypatch, command, field):
         # covering and dual_spread count in closed form, maximality walks the
-        # plane at infinity and duality generates its point and plane sets
+        # plane at infinity, duality generates its point and plane sets, and
+        # the klein and char3 checks read lines off their Klein images
         names = ("enumerate_points", "enumerate_planes", "enumerate_lines")
         calls = {name: count_calls(monkeypatch, projspace, name) for name in names}
-        code, _, _ = run(capsys, "certify", "--field", "gf:13")
+        code, _, _ = run(capsys, command, "--field", field)
         assert code == 0 and {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 0)
 
     def test_certify_canonicalises_per_line_not_per_point(self, capsys, monkeypatch):

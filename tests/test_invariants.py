@@ -55,6 +55,8 @@ PENDING = {
     "_binary_mul": _OSCULATION,
     "line_in_plane": _TRACED,
     "enumerate_planes": _TRACED,
+    "enumerate_lines": _TRACED,
+    "enumerate_points": _TRACED,
     "form_value": _TRACED,
 }
 

@@ -22,7 +22,6 @@ from bwcayley.klein import (
     h2_form,
     h3_form,
     in_C,
-    in_D,
     in_kappa_O,
     kappa_osculating,
     osculating_plane_pencil_check,
@@ -44,7 +43,7 @@ from bwcayley.projspace import (
     lines_skew,
     quadric_value,
 )
-from oracles import variety_zero_set_by_trials
+from oracles import char3_congruence_by_line_scan, in_D, variety_zero_set_by_trials
 
 QQ = Rationals()
 F2, F3, F5 = (PrimeField(p) for p in (2, 3, 5))
@@ -372,6 +371,26 @@ class TestChar3:
         assert r.counts["congruence_lines"] == 13
         assert r.counts["tangents_plus_pencil"] == 13
         assert r.counts["cone_section_points"] == 13
+
+    def test_congruence_matches_line_scan(self):
+        O = build_O(F3)
+        r, ref = char3_congruence_check(F3, O), char3_congruence_by_line_scan(F3, O)
+        assert (r.passed, r.witness) == (ref.passed, ref.witness) == (True, None)
+        assert r.counts == ref.counts
+
+    @pytest.mark.parametrize("skew", [False, True], ids=["meets_nuclei_line", "skew_to_nuclei_line"])
+    def test_foreign_line_fails_both_routes(self, skew):
+        # the directrix is a pencil line too, so dropping it fails neither route;
+        # swap the first tangent for a line outside tangents plus pencil instead
+        O = build_O(F3)
+        union = set(O) | set(pencil_LZomega(F3))
+        n = cayley.nuclei_line(F3)
+        foreign = next(l for l in enumerate_lines(F3) if l not in union and lines_skew(l, n, F3) == skew)
+        mutated = [foreign] + O[1:]
+        r, ref = char3_congruence_check(F3, mutated), char3_congruence_by_line_scan(F3, mutated)
+        assert r.passed is False and ref.passed is False
+        assert r.counts == ref.counts
+        assert r.witness == (foreign.plucker if skew else None)
 
     def test_kappa_of_nuclei_line_is_cone_vertex(self):
         assert cayley.nuclei_line(F3).plucker == (0, 0, 0, 0, 1, 0)
