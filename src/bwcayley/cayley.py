@@ -37,7 +37,7 @@ def f_value(x: Sequence, F: Field):
     its zero test reads the class; the zero vector raises."""
     x0, x1, x2, x3 = x
     val = F.of(x0 * x1 * x2 - x1 * x1 * x1 - x0 * x0 * x3)
-    if val == F.zero and all(F.of(v) == F.zero for v in x):
+    if val == F.zero and not any(map(F.of, x)):
         raise GeometryError("zero vector has no projective class")
     return val
 
@@ -162,7 +162,7 @@ def tangency_test(e: Sequence, F: Field) -> bool:
     operators and reduced once by `F.of`; the zero vector raises."""
     a0, a1, a2, a3 = e
     val = F.of(a1 * a2 * a3 - a2 * a2 * a2 - a0 * a3 * a3)
-    if val == F.zero and all(F.of(v) == F.zero for v in e):
+    if val == F.zero and not any(map(F.of, e)):
         raise GeometryError("zero vector has no projective class")
     return val == F.zero
 

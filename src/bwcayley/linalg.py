@@ -3,10 +3,12 @@
 Pivoting is deterministic (first nonzero column, smallest row index), so
 reduced forms and nullspace bases are byte-stable across runs. Over GF(p)
 the elimination runs through the field's operations. Over the rationals it
-runs modulo word-size primes: the reduced form is lifted by Chinese
-remaindering and rational reconstruction, then certified by checking in
-integers that every lifted kernel vector annihilates every input row. The
-reduced form is unique, so it equals the generic one value for value.
+runs modulo word-size primes, with each row packed into one int of
+fixed-width slots, so that a row update is a single multiply-add of ints:
+the reduced form is lifted by Chinese remaindering and rational
+reconstruction, then certified by checking in integers that every lifted
+kernel vector annihilates every input row. The reduced form is unique, so
+it equals the generic one value for value.
 """
 
 from __future__ import annotations
@@ -74,30 +76,60 @@ def _moduli() -> Iterator[int]:
 
 
 def _rref_mod(ints: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
-    """Gauss–Jordan of an integer matrix modulo the prime p, with the generic pivot rule."""
-    m = [[v % p for v in row] for row in ints]
+    """Gauss–Jordan of an integer matrix modulo the prime p, with the generic pivot rule.
+
+    Each row is packed into one int of B-byte slots, slot j holding entry j
+    as a non-negative int (Kronecker substitution), so a row update is one
+    multiply-add on ints: row + f * neg, where neg packs (-top) mod p for
+    the normalised pivot row top and f is the row's slot at the pivot
+    column, reduced mod p. Slots are reduced mod p only when read: in the
+    pivot search, when the pivot row is normalised and repacked, and when
+    the r pivot rows are unpacked at the end; the rows after them are zero.
+
+    No slot carries into the next. A slot starts below p and gains at most
+    (p-1)^2 per update; a row gets at most one update per pivot, and there
+    are at most n pivots for n columns. So a slot stays below
+    p + n*(p-1)^2 < 2^(2*bits(p) + bits(n) + 1), and B bytes with
+    8*B >= 2*bits(p) + bits(n) + 8 hold it.
+    """
+    ncols = len(ints[0])
+    B = (2 * p.bit_length() + ncols.bit_length() + 15) // 8
+    width = 8 * B
+    mask = (1 << width) - 1
+
+    def pack(values: List[int]) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(B, "little") for v in values), "little")
+
+    def unpack(row: int, count: int) -> List[int]:
+        data = row.to_bytes(count * B, "little")
+        return [int.from_bytes(data[k : k + B], "little") % p for k in range(0, count * B, B)]
+
+    rows = [pack([v % p for v in row]) for row in ints]
     pivots: List[int] = []
     r = 0
-    for c in range(len(m[0])):
-        for i in range(r, len(m)):
-            if m[i][c]:
+    for c in range(ncols):
+        shift = c * width
+        for i in range(r, len(rows)):
+            if (rows[i] >> shift & mask) % p:
                 break
         else:
             continue
-        m[r], m[i] = m[i], m[r]
-        # every entry left of column c is 0 in the pivot row, so rows change from c on
-        inv = pow(m[r][c], -1, p)
-        top = [v * inv % p for v in m[r][c:]]
-        m[r][c:] = top
-        for i, row in enumerate(m):
-            f = row[c]
+        rows[r], rows[i] = rows[i], rows[r]
+        # every slot left of c is 0 mod p in the pivot row, so rows change from c on
+        top = unpack(rows[r] >> shift, ncols - c)
+        inv = pow(top[0], -1, p)
+        top = [v * inv % p for v in top]
+        rows[r] = pack(top) << shift
+        neg = pack([-v % p for v in top]) << shift
+        for i, row in enumerate(rows):
+            f = (row >> shift & mask) % p
             if f and i != r:
-                row[c:] = [(v - f * w) % p for v, w in zip(row[c:], top)]
+                rows[i] = row + f * neg
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == len(rows):
             break
-    return m, pivots
+    return [unpack(row, ncols) for row in rows[:r]] + [[0] * ncols for _ in rows[r:]], pivots
 
 
 def _reconstruct(a: int, modulus: int, bound: int) -> Optional[Tuple[int, int]]:

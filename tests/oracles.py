@@ -8,7 +8,9 @@ instead and return the same `CheckOutcome`s, so the tests can compare
 flags, witnesses and counts at small primes; they map points one by one
 through the group matrices, act on parameters through field operations,
 scan PG(5,q) by trying every value of every coordinate, and find the
-characteristic-3 congruence by scanning every line of PG(3,q).
+characteristic-3 congruence by scanning every line of PG(3,q). The
+elimination modulo a prime of `bwcayley.linalg` packs each row into one
+int; `rref_mod_by_lists` keeps the rows as lists of residues.
 """
 
 from collections import Counter
@@ -242,3 +244,32 @@ def char3_congruence_by_line_scan(F: Field, O: Sequence[Line]) -> CheckOutcome:
             "expected": q * q + q + 1,
         },
     )
+
+
+def rref_mod_by_lists(ints: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
+    """`linalg._rref_mod` on lists of residues: Gauss–Jordan of an integer
+    matrix modulo the prime p, with the generic pivot rule, one list
+    comprehension per row update."""
+    m = [[v % p for v in row] for row in ints]
+    pivots: List[int] = []
+    r = 0
+    for c in range(len(m[0])):
+        for i in range(r, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        # every entry left of column c is 0 in the pivot row, so rows change from c on
+        inv = pow(m[r][c], -1, p)
+        top = [v * inv % p for v in m[r][c:]]
+        m[r][c:] = top
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [(v - f * w) % p for v, w in zip(row[c:], top)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots

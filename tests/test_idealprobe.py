@@ -131,6 +131,13 @@ class TestClosureProbe:
         report = closure_probe(3, 120, seed)
         assert report.pencil_vanishing
 
+    def test_form_outside_the_space_is_not_contained(self, monkeypatch):
+        # Y01^2 does not vanish on the samples, so it lies outside the computed space
+        known = known_quadric_coefficients()
+        outside = [Fraction(1)] + [Fraction(0)] * 20
+        monkeypatch.setattr(idealprobe, "known_quadric_coefficients", lambda: {**known, "y01^2": outside})
+        assert closure_probe(2, 60, 7).contains_known_forms is False
+
     def test_reproducible(self):
         assert closure_probe(2, 60, 7) == closure_probe(2, 60, 7)
 

@@ -4,7 +4,8 @@ Over Q, `rref`, `rank`, `nullspace` and `same_span` are compared with their
 values from `_rref_generic` (Gauss–Jordan through `Fraction` operations). The
 modular path's pieces are tested directly too: rational reconstruction, the
 prime stream, a first prime that drops the rank or moves a pivot, and entries
-too large for one prime, which need Chinese remaindering.
+too large for one prime, which need Chinese remaindering. The packed-row
+elimination modulo one prime is compared with `oracles.rref_mod_by_lists`.
 """
 
 import random
@@ -17,8 +18,9 @@ import pytest
 from bwcayley import linalg
 from bwcayley.field import PrimeField, Rationals, is_prime
 from bwcayley.idealprobe import monomial_exponents, monomial_row, sample_kappa_O
-from bwcayley.linalg import PRIMES, _reconstruct, _rref_generic, nullspace, rank, rref, same_span
+from bwcayley.linalg import PRIMES, _reconstruct, _rref_generic, _rref_mod, nullspace, rank, rref, same_span
 from bwcayley.projspace import primitive_int_vector
+from oracles import rref_mod_by_lists
 
 QQ = Rationals()
 F7 = PrimeField(7)
@@ -46,6 +48,11 @@ def random_matrix(rng, nrows, ncols, kind):
         for row in rows:
             row[c] = 0
     return rows
+
+
+def ideal_matrix(d, n_samples, seed):
+    exps = monomial_exponents(d)
+    return [monomial_row(exps, primitive_int_vector(p)) for p in sample_kappa_O(n_samples, seed)]
 
 
 def generic_nullspace(reduced, pivots, ncols):
@@ -125,10 +132,8 @@ class TestRationalRref:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_ideal_evaluation_matrices(self, d):
-        exps = monomial_exponents(d)
         for seed in (0, 7):
-            matrix = [monomial_row(exps, primitive_int_vector(p)) for p in sample_kappa_O(30, seed)]
-            assert_same_as_generic(matrix)
+            assert_same_as_generic(ideal_matrix(d, 30, seed))
 
     def test_input_is_not_modified(self):
         rows = [[Fraction(1, 2), 3], [4, Fraction(5, 6)]]
@@ -137,9 +142,7 @@ class TestRationalRref:
         assert rows == copy
 
     def test_degree3_evaluation_matrix_at_seed_0(self):
-        exps = monomial_exponents(3)
-        matrix = [monomial_row(exps, primitive_int_vector(p)) for p in sample_kappa_O(60, 0)]
-        assert_same_as_generic(matrix)
+        assert_same_as_generic(ideal_matrix(3, 60, 0))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_matrices_with_large_entries(self, seed):
@@ -206,6 +209,50 @@ class TestModularPath:
         n, d = 10**13 + 1, 10**12 + 3
         got = _reconstruct(n * pow(d, -1, modulus) % modulus, modulus, isqrt(modulus // 2))
         assert Fraction(*got) == Fraction(n, d)
+
+
+class TestPackedKernel:
+    """`_rref_mod` on packed rows against the list kernel, value for value."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ideal_matrices(self, d):
+        for seed in range(16):
+            matrix = ideal_matrix(d, 60, seed)
+            for p in PRIMES[:3]:
+                assert _rref_mod(matrix, p) == rref_mod_by_lists(matrix, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 2**31 - 1])
+    def test_random_small_matrices(self, p):
+        rng = random.Random(p)
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 8), rng.randint(0, 8)
+            rows = [
+                [rng.choice((0, rng.randrange(p), rng.randint(-(10**12), 10**12))) for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            if nrows >= 2 and rng.random() < 0.5:
+                a, b = rng.sample(range(nrows), 2)
+                k = rng.randint(-3, 3)
+                rows[rng.randrange(nrows)] = [u + k * v for u, v in zip(rows[a], rows[b])]
+            assert _rref_mod(rows, p) == rref_mod_by_lists(rows, p)
+
+    def test_tall_degree3_matrix(self):
+        matrix = ideal_matrix(3, 120, 5)
+        reduced, pivots = _rref_mod(matrix, PRIMES[0])
+        assert len(pivots) < 56 and all(not any(row) for row in reduced[len(pivots) :])
+        assert (reduced, pivots) == rref_mod_by_lists(matrix, PRIMES[0])
+
+    def test_slots_near_their_bound(self):
+        # Row i is -(c+1) at column c < i and 1-i from column i on. Before pivot
+        # j every row below it is -1 at column j and the pivot row is 1 from
+        # column j on, so each such row gains (p-1)^2 in every slot from j on:
+        # row i takes i maximal updates, and the last slots reach about
+        # n*(p-1)^2, the bound the slot width is chosen for.
+        p, n = 2**31 - 1, 56
+        rows = [[-(c + 1) if c < i else 1 - i for c in range(n)] for i in range(n)]
+        expected = ([[int(r == c) for c in range(n)] for r in range(n)], list(range(n)))
+        assert rref_mod_by_lists(rows, p) == expected
+        assert _rref_mod(rows, p) == expected
 
 
 def is_rref(reduced, pivots, F):
