@@ -5,8 +5,8 @@ projection), char3 (parabolic congruence), ideal (degree-bounded vanishing
 probe). Exit codes: 0 when every check matches what the field's regime
 predicts, 1 on usage errors or when the --out report cannot be written, 2
 when a predicted-pass check fails, 3 when a check ends in an internal error
-(an exception such as WrongLineCount or FormDoesNotVanish; one line on
-stderr names the check).
+(an exception such as WrongLineCount; one line on stderr names the
+check).
 """
 
 from __future__ import annotations

@@ -10,10 +10,15 @@ through the group matrices, act on parameters through field operations,
 scan PG(5,q) by trying every value of every coordinate, and find the
 characteristic-3 congruence by scanning every line of PG(3,q). The
 elimination modulo a prime of `bwcayley.linalg` packs each row into one
-int; `rref_mod_by_lists` keeps the rows as lists of residues.
+int; `rref_mod_by_lists` keeps the rows as lists of residues. The `ideal`
+probe reads its pencil and witness verdicts off the kernel's coefficients;
+`pencil_sample_points` gives points of the pencil line to evaluate the
+forms at instead.
 """
 
+import random
 from collections import Counter
+from fractions import Fraction
 from itertools import chain
 from operator import mul as int_mul
 from typing import Dict, List, Sequence, Set, Tuple
@@ -273,3 +278,17 @@ def rref_mod_by_lists(ints: List[List[int]], p: int) -> Tuple[List[List[int]], L
         if r == len(m):
             break
     return m, pivots
+
+
+def pencil_sample_points(count: int, seed: int) -> List[Tuple[Fraction, ...]]:
+    """Points (0,0,0,0,1,m) on the pencil line, plus both spanning endpoints."""
+    rng = random.Random(seed ^ 0x5045)  # independent stream from the surface samples
+    ms = set()
+    while len(ms) < count:
+        ms.add(Fraction(rng.randint(-50, 50), rng.randint(1, 50)))
+    zero = Fraction(0)
+    one = Fraction(1)
+    points = [(zero, zero, zero, zero, one, m) for m in sorted(ms)]
+    points.append((zero, zero, zero, zero, one, zero))
+    points.append((zero, zero, zero, zero, zero, one))
+    return points

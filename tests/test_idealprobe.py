@@ -8,15 +8,14 @@ import pytest
 from bwcayley import idealprobe
 from bwcayley.field import Rationals
 from bwcayley.idealprobe import (
+    WITNESS,
     DegreeOutOfRange,
-    FormDoesNotVanish,
     closure_probe,
     form_value,
     known_quadric_coefficients,
     monomial_exponents,
     monomial_row,
     nonalgebraicity_evidence,
-    pencil_sample_points,
     sample_kappa_O,
     sample_parameters,
     vanishing_space,
@@ -24,6 +23,7 @@ from bwcayley.idealprobe import (
 from bwcayley.klein import h1_form, h2_form, h3_form
 from bwcayley.linalg import rank, rref
 from bwcayley.projspace import primitive_int_vector, quadric_value
+from oracles import pencil_sample_points
 
 QQ = Rationals()
 
@@ -101,14 +101,6 @@ class TestVanishingSpace:
             for pt in points:
                 assert form_value(exps, form, primitive_int_vector(pt)) == 0
 
-    def test_form_that_does_not_vanish_is_rejected(self, monkeypatch):
-        # the re-verification is an explicit check, so it also runs under python -O
-        monkeypatch.setattr(
-            idealprobe, "nullspace", lambda rows, ncols, F: [[Fraction(1)] + [Fraction(0)] * (ncols - 1)]
-        )
-        with pytest.raises(FormDoesNotVanish):
-            vanishing_space(sample_kappa_O(3, 0), 1)
-
     def test_known_forms_vanish_on_samples(self):
         exps = monomial_exponents(2)
         known = known_quadric_coefficients()
@@ -154,17 +146,76 @@ class TestClosureProbe:
             assert pt[0] == pt[1] == pt[2] == pt[3] == 0
 
 
+def sampled_pencil_verdicts(basis, d, seed):
+    """The oracle route: (pencil_vanishing, witness_vanishes) by evaluating
+    every form exactly at 20 sampled pencil points, both endpoints and `WITNESS`."""
+    exps = monomial_exponents(d)
+    pencil = pencil_sample_points(20, seed)
+    return (
+        all(form_value(exps, form, pt) == 0 for form in basis for pt in pencil),
+        all(form_value(exps, form, WITNESS) == 0 for form in basis),
+    )
+
+
 class TestIntegerEvaluation:
-    """The pencil and witness tests evaluate in integers; a form that does not
+    """The pencil and witness verdicts are read off the basis coefficients.
+    They must equal the sampled-pencil oracle's exact evaluation, on the
+    computed bases and on patched one-monomial bases; a form that does not
     vanish at (0,0,0,0,1,0) must make both fail."""
 
     @pytest.fixture
-    def y13_power(self, monkeypatch):
-        def fake(points, d):
-            y13 = (0, 0, 0, 0, d, 0)
-            return [[Fraction(1, 3) if e == y13 else Fraction(0) for e in monomial_exponents(d)]]
+    def monomial_basis(self, monkeypatch):
+        """Patch the probe's basis to the one form (1/3)*Y^e(d), for a map
+        e from the degree to an exponent sextuple; returns the patching function."""
 
-        monkeypatch.setattr(idealprobe, "vanishing_space", fake)
+        def patch(exponent):
+            def fake(points, d):
+                return [[Fraction(1, 3) if e == exponent(d) else Fraction(0) for e in monomial_exponents(d)]]
+
+            monkeypatch.setattr(idealprobe, "vanishing_space", fake)
+
+        return patch
+
+    @pytest.fixture
+    def y13_power(self, monomial_basis):
+        monomial_basis(lambda d: (0, 0, 0, 0, d, 0))
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_verdicts_match_the_sampled_pencil(self, d):
+        for seed in range(16):
+            report = closure_probe(d, 60, seed)
+            basis = vanishing_space(sample_kappa_O(60, seed), d)
+            expected = sampled_pencil_verdicts(basis, d, seed)
+            assert (report.pencil_vanishing, report.witness_vanishes) == expected == (True, True)
+
+    @pytest.mark.parametrize(
+        "d, exponent, expected",
+        [
+            # zero at both endpoints of the pencil line but not on the line
+            (2, (0, 0, 0, 0, 1, 1), (False, True)),
+            (1, (1, 0, 0, 0, 0, 0), (True, True)),
+            (2, (2, 0, 0, 0, 0, 0), (True, True)),
+            (3, (3, 0, 0, 0, 0, 0), (True, True)),
+            (1, (0, 0, 0, 0, 1, 0), (False, False)),
+            (2, (0, 0, 0, 0, 2, 0), (False, False)),
+            (3, (0, 0, 0, 0, 3, 0), (False, False)),
+        ],
+        ids=["y13*y23", "y01", "y01^2", "y01^3", "y13", "y13^2", "y13^3"],
+    )
+    def test_patched_basis_matches_the_sampled_pencil(self, monomial_basis, d, exponent, expected):
+        monomial_basis(lambda _: exponent)
+        report = closure_probe(d, 60, 7)
+        basis = idealprobe.vanishing_space([], d)
+        assert (report.pencil_vanishing, report.witness_vanishes) == sampled_pencil_verdicts(basis, d, 7) == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_monomial_matches_the_sampled_pencil(self, monomial_basis, d):
+        # a monomial vanishes on the pencil line exactly when it has a factor Y01, Y02, Y03 or Y12
+        for exponent in monomial_exponents(d):
+            monomial_basis(lambda _, e=exponent: e)
+            report = closure_probe(d, 60, 7)
+            expected = sampled_pencil_verdicts(idealprobe.vanishing_space([], d), d, 7)
+            assert (report.pencil_vanishing, report.witness_vanishes) == expected, exponent
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pencil_vanishing_fails(self, y13_power, d):

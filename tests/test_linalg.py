@@ -4,7 +4,10 @@ Over Q, `rref`, `rank`, `nullspace` and `same_span` are compared with their
 values from `_rref_generic` (Gauss–Jordan through `Fraction` operations). The
 modular path's pieces are tested directly too: rational reconstruction, the
 prime stream, a first prime that drops the rank or moves a pivot, and entries
-too large for one prime, which need Chinese remaindering. The packed-row
+too large for one prime, which need Chinese remaindering. The integer
+certificate `_kernel_vanishes`, which alone vouches for the `ideal` probe's
+forms, rejects a table with one wrong entry, so a wrong lift at the first
+prime is replaced through the second. The packed-row
 elimination modulo one prime is compared with `oracles.rref_mod_by_lists`.
 """
 
@@ -18,7 +21,17 @@ import pytest
 from bwcayley import linalg
 from bwcayley.field import PrimeField, Rationals, is_prime
 from bwcayley.idealprobe import monomial_exponents, monomial_row, sample_kappa_O
-from bwcayley.linalg import PRIMES, _reconstruct, _rref_generic, _rref_mod, nullspace, rank, rref, same_span
+from bwcayley.linalg import (
+    PRIMES,
+    _kernel_vanishes,
+    _reconstruct,
+    _rref_generic,
+    _rref_mod,
+    nullspace,
+    rank,
+    rref,
+    same_span,
+)
 from bwcayley.projspace import primitive_int_vector
 from oracles import rref_mod_by_lists
 
@@ -185,6 +198,36 @@ class TestModularPath:
     def test_one_prime_suffices_for_small_entries(self, primes_used):
         rref([[2, Fraction(1, 3), 0, 5], [0, 1, Fraction(-7, 2), 1]], QQ)
         assert primes_used == [[PRIMES[0]]]
+
+    def test_certificate_rejects_one_wrong_entry(self):
+        ints = ideal_matrix(2, 60, 0)
+        reduced, pivots = rref(ints, QQ)
+        free = [c for c in range(len(ints[0])) if c not in pivots]
+        table = [[(reduced[i][c].numerator, reduced[i][c].denominator) for c in free] for i in range(len(pivots))]
+        assert len(pivots) == 17 and len(free) == 4
+        assert _kernel_vanishes(ints, table, pivots, free)
+        for i, j in product(range(len(pivots)), range(len(free))):
+            n, d = table[i][j]
+            wrong = [list(row) for row in table]
+            wrong[i][j] = (n + 1, d)
+            assert not _kernel_vanishes(ints, wrong, pivots, free), (i, j)
+
+    def test_wrong_reconstruction_at_the_first_prime_is_replaced(self, primes_used, monkeypatch):
+        # one lifted entry off by one at PRIMES[0] only: the certificate fails
+        # there, and the second prime's combined residues lift correctly
+        rows = ideal_matrix(2, 60, 0)
+        reconstruct, corrupted = linalg._reconstruct, []
+
+        def corrupt_first(a, modulus, bound):
+            got = reconstruct(a, modulus, bound)
+            if modulus == PRIMES[0] and not corrupted:
+                corrupted.append(got)
+                return got[0] + 1, got[1]
+            return got
+
+        monkeypatch.setattr(linalg, "_reconstruct", corrupt_first)
+        assert rref(rows, QQ) == _rref_generic(rows, QQ)
+        assert corrupted and primes_used == [[PRIMES[0], PRIMES[1]]]
 
     def test_stream_is_the_primes_below_2_31_in_descending_order(self, monkeypatch):
         assert PRIMES[0] == 2**31 - 1 and is_prime(PRIMES[0])
