@@ -19,7 +19,6 @@ import argparse
 import sys
 import time
 
-from bwcayley.bwspread import build_O
 from bwcayley.field import PrimeField, is_prime
 from bwcayley.klein import verify_variety_equality
 
@@ -39,7 +38,7 @@ def main(argv=None) -> int:
         F = PrimeField(p)
         candidates = (p**6 - 1) // (p - 1)
         t0 = time.perf_counter()
-        r = verify_variety_equality(F, build_O(F))
+        r = verify_variety_equality(F)
         secs = time.perf_counter() - t0
         ok = "yes" if r.passed else "NO"
         print(

@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from . import cayley, klein
+from . import cayley
 from .field import (
     QQ,
     Element,
@@ -27,16 +27,20 @@ from .field import (
 from .linalg import nullspace, rank, rref
 from .projspace import (
     GeometryError,
+    KleinPoint,
     Line,
     ProjPoint,
     canonical_tuples,
     canonicalize,
+    compound_apply,
     compound_image,
     dedup_lines,
     det4,
     gram_apply,
     incidence,
+    is_multiple,
     lines_skew,
+    plucker_minors,
     quadric_polarization,
     quadric_value,
     second_compound,
@@ -49,8 +53,9 @@ PAIR_SPOT_CHECKS = 200
 SPOT_CHECKS = 100
 
 
-class WrongLineCount(GeometryError):
-    """O did not come out with its q^2 + 1 distinct lines."""
+class IndistinctTangents(GeometryError):
+    """A tangent's Klein image does not give its parameter back, so the q^2
+    tangents are not certified distinct."""
 
 
 class SamePoint(GeometryError):
@@ -65,22 +70,69 @@ class NotARegulus(GeometryError):
     pass
 
 
+def osculating_sextuple(x0, x1, x2):
+    """Plücker sextuple of the osculating tangent at the surface point
+    x = x0*(1, u1, u2, ...): x0^4 * (1, 3u1, u2, 3u1^2-u2, u1^3,
+    3u1^4-3u1^2*u2+u2^2), in plain operators and unreduced.
+
+    Homogenised, so the canonical surface point, a primitive integer
+    vector over Q, gives it in ints. In characteristic 3 reduction alone
+    degenerates it to x0^4 * (1, 0, u2, -u2, u1^3, u2^2).
+    """
+    x00, x11 = x0 * x0, x1 * x1
+    return (
+        x00 * x00,
+        3 * x00 * x0 * x1,
+        x00 * x0 * x2,
+        x00 * (3 * x11 - x0 * x2),
+        x0 * x11 * x1,
+        3 * x11 * x11 - 3 * x0 * x11 * x2 + x00 * x2 * x2,
+    )
+
+
 def osculating_tangent(u1, u2, F: Field) -> Line:
-    """Join of the surface point with (0, 1, 3*u1, u2).
+    """Join of the surface point with (0, 1, 3*u1, u2), over any field.
 
     Both the direction (0, x0, 3*x1, x2) and the Plücker coordinates
-    (`klein.osculating_sextuple`) are homogenised by the leading entry x0
-    of the canonical surface point x = x0*(1, u1, u2, ...), so they are
-    formed in plain ints over Q too. In characteristic 3 the direction
-    degenerates to (0, 1, 0, u2), which is still the correct osculating
-    direction.
+    (`osculating_sextuple`) are homogenised by the leading entry x0 of the
+    canonical surface point x = x0*(1, u1, u2, ...), so they are formed in
+    plain ints over Q too. In characteristic 3 the direction degenerates to
+    (0, 1, 0, u2), which is still the correct osculating direction. Over
+    GF(p) it gives the same three tuples as `closed_tangent`, which the
+    finite-field checks read instead.
     """
     x0, x1, x2, _ = x = cayley.surface_point(u1, u2, F)
     return Line(
         p=x,
         q=canonicalize((0, x0, 3 * x1, x2), F),
-        plucker=canonicalize(klein.osculating_sextuple(x0, x1, x2), F),
+        plucker=canonicalize(osculating_sextuple(x0, x1, x2), F),
     )
+
+
+def kappa(u1, u2, F: Field) -> KleinPoint:
+    """The Klein image of the osculating tangent at (u1, u2) over GF(p):
+    kappa(u) = (1, 3u1, u2, 3u1^2 - u2, u1^3, 3u1^4 - 3u1^2*u2 + u2^2), every
+    entry reduced mod p. It leads with 1, so it is canonical as it stands."""
+    p = F.p
+    u1 %= p
+    u2 %= p
+    s = u1 * u1 % p
+    return (1, 3 * u1 % p, u2, (3 * s - u2) % p, s * u1 % p, (3 * s * (s - u2) + u2 * u2) % p)
+
+
+def closed_tangent(u1, u2, F: Field) -> Tuple[ProjPoint, ProjPoint, KleinPoint]:
+    """The osculating tangent at (u1, u2) over GF(p), in closed form.
+
+    Returns the surface point (1, u1, u2, u1*u2 - u1^3), the direction
+    (0, 1, 3u1, u2) and `kappa(u)`, every entry reduced mod p. Each tuple
+    leads with 1, so it is canonical as it stands and never goes through
+    `canonicalize`. Every finite-field check reads its tangents here, or
+    only their Klein images off `kappa`.
+    """
+    p = F.p
+    u1 %= p
+    u2 %= p
+    return (1, u1, u2, (u2 - u1 * u1) * u1 % p), (0, 1, 3 * u1 % p, u2), kappa(u1, u2, F)
 
 
 def parameter_grid(F: Field) -> List[Tuple[Element, Element]]:
@@ -89,20 +141,46 @@ def parameter_grid(F: Field) -> List[Tuple[Element, Element]]:
     return [(u1, u2) for u1 in elems for u2 in elems]
 
 
+def tangents(F: Field) -> Iterator[Tuple[Tuple[int, int], Tuple]]:
+    """(u, closed_tangent(u)) for every parameter u, in parameter_grid order.
+
+    Each Klein image must give its parameter back: it leads with 1 (so it is
+    not the directrix's, which leads with 0), and u = (Y02/3, Y03), or in
+    characteristic 3, where Y02 = 0, u = (Y13, Y03), since Y13 = u1^3 and
+    cubing is the identity on GF(3). That certifies the q^2 tangents
+    distinct, so O has q^2 + 1 lines; IndistinctTangents is raised at the
+    first image that does not. The tangents are produced one at a time and
+    none is kept.
+    """
+    if not F.is_finite:
+        raise InfiniteField("O is accessed parametrically over infinite fields")
+    p = F.p
+    third = pow(3, -1, p) if p != 3 else None
+    tangent = closed_tangent
+    for u1 in range(p):
+        for u2 in range(p):
+            t = tangent(u1, u2, F)
+            y = t[2]
+            if y[0] != 1 or (y[1] * third % p if third else y[4]) != u1 or y[2] != u2:
+                raise IndistinctTangents(f"the Klein image {y} of the tangent at {(u1, u2)} does not give it back")
+            yield (u1, u2), t
+
+
 def build_O(F: Field) -> List[Line]:
     """The q^2 proper osculating tangents plus the directrix; q^2 + 1 lines.
 
-    O[i] is the tangent at parameter_grid(F)[i] for i < q^2 and O[-1] is the
-    directrix (dedup_lines drops a line only when the count check raises), so
-    dict(zip(parameter_grid(F), O)) maps each parameter to its tangent."""
-    if not F.is_finite:
-        raise InfiniteField("O is accessed parametrically over infinite fields")
-    lines = [osculating_tangent(u1, u2, F) for u1, u2 in parameter_grid(F)]
+    O[i] is the tangent at parameter_grid(F)[i] for i < q^2, read off
+    `tangents` (so the lines are certified distinct), and O[-1] is the
+    directrix. No check holds this list; the test oracles read it."""
+    lines = [Line(*t) for _, t in tangents(F)]
     lines.append(cayley.g_infinity(F))
-    deduped = dedup_lines(lines)
-    if len(deduped) != F.order**2 + 1:
-        raise WrongLineCount(f"O has {len(deduped)} distinct lines, not {F.order**2 + 1}")
-    return deduped
+    return lines
+
+
+def partner(u1: int, u2: int, p: int) -> Tuple[int, int]:
+    """v = (-u1, 3u1^2 - u2) mod p, the parameter whose tangent the duality
+    pairs with the tangent at u; the map is an involution."""
+    return -u1 % p, (3 * u1 * u1 - u2) % p
 
 
 def skew_criterion(v1, v2, u1, u2, F: Field) -> Element:
@@ -122,57 +200,28 @@ def skew_criterion(v1, v2, u1, u2, F: Field) -> Element:
     return F.of(d2 * d2 - 3 * d1sq * d2 + 3 * d1sq * d1sq)
 
 
-def certify_partial_spread(F: Field, O: Optional[Sequence[Line]], seed: int = 0) -> CheckOutcome:
-    """Pairwise skewness of O = build_O(F).
+def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
+    """Pairwise skewness of O, the q^2 tangents plus the directrix.
 
-    Finite fields, through the translation group of the surface. The
-    generators M(1,0,1) and M(0,1,1) are certified to be invertible, to fix
-    the directrix and to send tangent(u) to tangent(param_action(u)) for
-    every parameter u, each image taken on the tangent's Plücker sextuple
-    by the generator's second compound matrix, and their orbit of (0,0) to
-    hold all q^2 parameters.
+    Finite fields, through the translation group of the surface, in one pass
+    over `tangents`. The generators M(1,0,1) and M(0,1,1) are certified to
+    be invertible, to fix the directrix and to send tangent(u) to
+    tangent(param_action(u)) for every parameter u, each image taken on the
+    tangent's Plücker sextuple by the generator's second compound matrix,
+    and their orbit of (0,0) to hold all q^2 parameters.
     Collineations keep skewness, so the tangents meeting a given tangent are
     as many for every u as for the origin, and testing the origin tangent
     against the other q^2 - 1 (by the criterion and by Klein polarity, which
     must agree) decides every pair: with m of them meeting it there are
     q^2*m/2 violations, and the lexicographically first violating pair is
     ((0,0), first meeting u). The directrix is tested against every tangent.
+    A failed step reports its first witness in the order the steps are
+    listed here, each generator's in parameter_grid order.
     Rationals: the criterion is nonzero for all distinct pairs exactly when
-    X^2+X+1 has no root, plus seeded random replays of both routes (O None).
+    X^2+X+1 has no root, plus seeded random replays of both routes.
     """
     if F.is_finite:
-        tangent = dict(zip(parameter_grid(F), O))
-        ginf = O[-1]
-        tangents_meeting_ginf = sum(1 for l in tangent.values() if not lines_skew(l, ginf, F))
-        n_lines = F.order**2 + 1
-        counts = {
-            "lines": n_lines,
-            "pairs_checked": n_lines * (n_lines - 1) // 2,  # includes directrix pairs
-            "tangents_meeting_directrix": tangents_meeting_ginf,
-        }
-        failure = _translation_failure(tangent, ginf, F)
-        if failure is not None:
-            note, witness = failure
-            return CheckOutcome(passed=False, witness=witness, counts=counts, note=note)
-        origin = (F.zero, F.zero)
-        t0 = tangent[origin]
-        meeting = []
-        for u, l in tangent.items():
-            if u == origin:
-                continue
-            criterion_meets = skew_criterion(*origin, *u, F) == F.zero
-            if criterion_meets == lines_skew(t0, l, F):
-                return CheckOutcome(
-                    passed=False, witness=(origin, u), counts=counts, note="route disagreement"
-                )
-            if criterion_meets:
-                meeting.append(u)
-        counts["violations"] = F.order**2 * len(meeting) // 2
-        return CheckOutcome(
-            passed=not meeting and tangents_meeting_ginf == 0,
-            witness=(origin, meeting[0]) if meeting else None,
-            counts=counts,
-        )
+        return _partial_spread_by_translations(F)
     # rationals: no nontrivial cube root of unity means no violating pair exists
     w = nontrivial_cube_root_of_unity(F)
     rng = random.Random(seed)
@@ -196,27 +245,85 @@ def certify_partial_spread(F: Field, O: Optional[Sequence[Line]], seed: int = 0)
     )
 
 
-def _translation_failure(tangent: Dict[Tuple, Line], ginf: Line, F: Field):
-    """(note, witness) for the first failed step of the group route, or None.
+def _partial_spread_by_translations(F: Field) -> CheckOutcome:
+    """The finite branch of `certify_partial_spread`.
 
-    Each generator must have a nonzero determinant, fix the directrix and map
-    every tangent onto the tangent at its param_action image (the witness is
-    the generator's (a, b, c) and the parameter, None for the directrix);
-    then the generators' orbit of (0,0) must hold every parameter (the
-    witness is the first parameter outside it). A generator maps lines by
-    its `second_compound`, built once, which acts on the Plücker sextuples
-    directly: one `compound_image` per tangent, no spanning points.
+    Each generator's image y' = compound * kappa(u) is compared with
+    kappa(param_action(u)) by `is_multiple`, so no inverse is taken, and the
+    generator's first failing parameter is kept while the pass goes on: the
+    pass also counts the tangents meeting the directrix and tests the origin
+    tangent against every other, so one walk over the parameters holds
+    every verdict and no tangent is kept.
     """
+    p = F.p
+    ginf = cayley.g_infinity(F).plucker
     generators = [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)]
-    kappa = {u: l.plucker for u, l in tangent.items()}
-    for M in generators:
+    compounds = [second_compound(M.entries, F) for M in generators]
+    moved = [
+        det4(M.entries, F) == F.zero or compound_image(compound, ginf, F) != ginf
+        for M, compound in zip(generators, compounds)
+    ]
+    action_failure = [None, None]
+    origin = (F.zero, F.zero)
+    t0 = None
+    meeting_ginf = meeting = 0
+    first_meeting = disagreement = None
+    for u, (_, _, y) in tangents(F):
+        u1, u2 = u
+        if quadric_polarization(y, ginf, F) == F.zero:
+            meeting_ginf += 1
+        for i, M in enumerate(generators):
+            if action_failure[i] is None:
+                v1, v2 = cayley.param_action(M, u1, u2, F)
+                if not is_multiple(compound_apply(compounds[i], y), kappa(v1, v2, F), p):
+                    action_failure[i] = u
+        if u == origin:
+            t0 = y
+        elif disagreement is None:
+            criterion_meets = skew_criterion(*origin, u1, u2, F) == F.zero
+            if criterion_meets == (quadric_polarization(t0, y, F) != F.zero):
+                disagreement = u
+            elif criterion_meets:
+                meeting += 1
+                first_meeting = first_meeting or u
+    n_lines = F.order**2 + 1
+    counts = {
+        "lines": n_lines,
+        "pairs_checked": n_lines * (n_lines - 1) // 2,  # includes directrix pairs
+        "tangents_meeting_directrix": meeting_ginf,
+    }
+    for M, bad, failed in zip(generators, moved, action_failure):
         abc = (M.a, M.b, M.c)
-        compound = second_compound(M.entries, F)
-        if det4(M.entries, F) == F.zero or compound_image(compound, ginf.plucker, F) != ginf.plucker:
-            return "generator is singular or moves the directrix", (abc, None)
-        for u, y in kappa.items():
-            if compound_image(compound, y, F) != kappa.get(cayley.param_action(M, *u, F)):
-                return "group action disagrees with param_action", (abc, u)
+        if bad:
+            note, witness = "generator is singular or moves the directrix", (abc, None)
+        elif failed is not None:
+            note, witness = "group action disagrees with param_action", (abc, failed)
+        else:
+            continue
+        return CheckOutcome(passed=False, witness=witness, counts=counts, note=note)
+    missing = _orbit_misses(generators, F)
+    if missing is not None:
+        return CheckOutcome(
+            passed=False, witness=missing, counts=counts, note="generator orbit of (0,0) misses parameters"
+        )
+    if disagreement is not None:
+        return CheckOutcome(passed=False, witness=(origin, disagreement), counts=counts, note="route disagreement")
+    counts["violations"] = F.order**2 * meeting // 2
+    return CheckOutcome(
+        passed=not meeting and meeting_ginf == 0,
+        witness=(origin, first_meeting) if meeting else None,
+        counts=counts,
+    )
+
+
+def _orbit_misses(generators, F: Field):
+    """The first parameter, in parameter_grid order, outside the orbit of
+    (0,0) under the two generators, or None when the orbit holds them all.
+    `_walks_cover` certifies the whole orbit in O(q) memory; should it
+    fail, the orbit is found by a search that holds it, for the witness.
+    """
+    if _walks_cover(*generators, F):
+        return None
     orbit = {(F.zero, F.zero)}
     frontier = list(orbit)
     while frontier:
@@ -226,10 +333,32 @@ def _translation_failure(tangent: Dict[Tuple, Line], ginf: Line, F: Field):
             if v not in orbit:
                 orbit.add(v)
                 frontier.append(v)
-    missing = [u for u in tangent if u not in orbit]
-    if missing:
-        return "generator orbit of (0,0) misses parameters", missing[0]
-    return None
+    return next((u for u in parameter_grid(F) if u not in orbit), None)
+
+
+def _walks_cover(row_step, slot_step, F: Field) -> bool:
+    """Whether the walk of row_step = M(1,0,1) from (0,0) enters every row
+    u1 in q steps, and from each entry the walk of slot_step = M(0,1,1)
+    stays in its row and ticks all q slots of a bitmap in q steps. Then the
+    orbit of (0,0) is every parameter."""
+    q = F.order
+    entries = {}
+    u = (F.zero, F.zero)
+    for _ in range(q):
+        entries.setdefault(u[0], u)
+        u = cayley.param_action(row_step, *u, F)
+    if len(entries) != q:
+        return False
+    for row, u in entries.items():
+        slots = bytearray(q)
+        for _ in range(q):
+            if u[0] != row:
+                return False
+            slots[u[1]] = 1
+            u = cayley.param_action(slot_step, *u, F)
+        if not all(slots):
+            return False
+    return True
 
 
 def covering_deficit(p1, p2, p3, F: Field) -> Element:
@@ -258,10 +387,10 @@ def lines_of_O_through(x: ProjPoint, F: Field) -> int:
     return 1
 
 
-def omega_points(F: Field) -> List[ProjPoint]:
+def omega_points(F: Field) -> Iterator[ProjPoint]:
     """The q^2 + q + 1 canonical points (0, x1, x2, x3) of the plane at
-    infinity, in canonical order."""
-    return [(F.zero,) + x for x in canonical_tuples(3, F)]
+    infinity, in canonical order, produced one at a time."""
+    return ((F.zero,) + x for x in canonical_tuples(3, F))
 
 
 def _affine_histogram(F: Field) -> Counter:
@@ -323,34 +452,43 @@ def uncovered_witness_rational() -> Optional[ProjPoint]:
     return None
 
 
-def certify_maximality(F: Field, O: Optional[Sequence[Line]], seed: int = 0) -> CheckOutcome:
-    """Every point of the plane at infinity lies on a line of O = build_O(F).
+def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
+    """Every point of the plane at infinity lies on a line of O.
 
     This forces maximality: any line not in O meets the plane at infinity at
     a point already covered, hence meets the covering line there. Finite
-    fields are re-verified exhaustively by incidence over the q^2 + q + 1
-    `omega_points`, the covering tangents read off O; the rationals (O None)
-    by the same construction on seeded samples. Skipped in char 3.
+    fields are re-verified exhaustively over the q^2 + q + 1 `omega_points`:
+    a point (0, 1, a, b) lies on the tangent at u = (a/3, b) exactly when
+    the Plücker minors of the surface point P(u) and the point, which lead
+    with 1, are kappa(u) entry by entry (`closed_tangent`); the points
+    (0, 0, a, b) are tested by `incidence` on the directrix. The rationals
+    use the same construction on seeded samples. Skipped in char 3.
     """
     if F.characteristic == 3:
         return CheckOutcome(passed=None, note="the maximality argument inverts 3")
     third = F.inv(F.of(3))
     ginf = cayley.g_infinity(F)
-    tangent_at = _tangent_at(F, O)
+    if F.is_finite:
+        p = F.p
+        checked = 0
+        for point in omega_points(F):
+            _, x1, x2, x3 = point
+            if x1 == F.zero:
+                covered = incidence(point, ginf, F)
+            else:  # x1 = 1, as the point is canonical
+                x, _, y = closed_tangent(x2 * third, x3, F)
+                covered = is_multiple(plucker_minors(x, point), y, p)
+            if not covered:
+                return CheckOutcome(passed=False, witness=point)
+            checked += 1
+        return CheckOutcome(passed=True, counts={"omega_points": checked})
 
     def covering_line(point) -> Line:
         x0, x1, x2, x3 = point
         if x1 == F.zero:
             return ginf
-        return tangent_at(F.mul(F.div(x2, x1), third), F.div(x3, x1))
+        return osculating_tangent(F.mul(F.div(x2, x1), third), F.div(x3, x1), F)
 
-    if F.is_finite:
-        checked = 0
-        for point in omega_points(F):
-            if not incidence(point, covering_line(point), F):
-                return CheckOutcome(passed=False, witness=point)
-            checked += 1
-        return CheckOutcome(passed=True, counts={"omega_points": checked})
     rng = random.Random(seed)
     for _ in range(SPOT_CHECKS):
         point = (
@@ -364,37 +502,42 @@ def certify_maximality(F: Field, O: Optional[Sequence[Line]], seed: int = 0) -> 
     return CheckOutcome(passed=True, counts={"omega_points_sampled": SPOT_CHECKS})
 
 
-def _tangent_at(F: Field, O: Optional[Sequence[Line]]):
-    """(u1, u2) -> tangent, read off O = build_O(F), or built over the rationals."""
-    if F.is_finite:
-        tangent = dict(zip(parameter_grid(F), O))
-        return lambda u1, u2: tangent[u1, u2]
-    return lambda u1, u2: osculating_tangent(u1, u2, F)
+def _dual_fixes(F: Field) -> bool:
+    """Whether the coordinate-reversing duality maps O onto itself.
+
+    It must fix the directrix and send each tangent's Klein image to the
+    image of the tangent at its `partner`, an involution of the parameters
+    and so a bijection; `dual_sextuple` of an image leading with 1 leads
+    with 1, so it is compared with kappa(v) by `is_multiple`.
+    """
+    p = F.p
+    for (u1, u2), (_, _, y) in tangents(F):
+        v1, v2 = partner(u1, u2, p)
+        if partner(v1, v2, p) != (u1, u2):
+            return False
+        if not is_multiple(cayley.dual_sextuple(y), kappa(v1, v2, F), p):
+            return False
+    ginf = cayley.g_infinity(F).plucker
+    return cayley.dual_plucker(ginf, F) == ginf
 
 
-def _dual_fixes(O: Sequence[Line], F: Field) -> bool:
-    """Whether the coordinate-reversing duality maps the line set O onto itself."""
-    return {cayley.dual_plucker(l.plucker, F) for l in O} == {l.plucker for l in O}
-
-
-def certify_dual_spread(F: Field, O: Optional[Sequence[Line]]) -> CheckOutcome:
-    """Plane counts of O = build_O(F): exactly one line per plane in the
-    spread regimes.
+def certify_dual_spread(F: Field) -> CheckOutcome:
+    """Plane counts of O: exactly one line per plane in the spread regimes.
 
     The duality d reverses coordinates and is its own inverse, and a line l
     lies in the plane d(x) exactly when x lies on d(l). So once d(O) = O is
-    certified (a set comparison of q^2 + 1 sextuples), the plane d(x) holds
+    certified (`_dual_fixes`, one test per parameter), the plane d(x) holds
     as many lines of O as pass through x, `lines_of_O_through(x)`: the
     histogram over the planes is `_affine_histogram` plus the counts at the
     q^2 + q + 1 points at infinity, whose duals are the planes through the
     pinch point Z. The witness is the first canonical plane e whose point
     d(e) does not count 1. Also verifies the dual surrogate of maximality:
     every plane through Z contains at least one line of O. Skipped over the
-    rationals, where O is None.
+    rationals.
     """
     if not F.is_finite:
         return CheckOutcome(passed=None, note="plane counting needs a finite field")
-    if not _dual_fixes(O, F):
+    if not _dual_fixes(F):
         return CheckOutcome(passed=False, note="the duality does not fix O, so planes cannot be counted as points")
     at_infinity = Counter(lines_of_O_through(x, F) for x in omega_points(F))
     histogram = _affine_histogram(F) + at_infinity
@@ -414,80 +557,88 @@ def certify_dual_spread(F: Field, O: Optional[Sequence[Line]]) -> CheckOutcome:
     )
 
 
-def certify_duality(F: Field, O: Optional[Sequence[Line]], seed: int = 0) -> CheckOutcome:
+def certify_duality(F: Field, seed: int = 0) -> CheckOutcome:
     """The coordinate-reversing duality fixes O and pairs points with tangent planes.
 
     Checks (finite fields exhaustively, rationals on seeded samples):
     the parametric identity duality(P(u1,u2)) = tangent_plane(-u1, 3u1^2-u2)
     and the induced line map sending the tangent at (u1,u2) to the tangent
-    at v = (-u1, 3u1^2-u2). Over finite fields the v must come out as q^2
-    distinct parameters and the duality must fix the directrix, so the line
-    map carries O = build_O(F) onto itself. The duality must also map the
-    surface points onto the tangent planes. Both sets are generated, and
-    each member is tested as it is produced: the surface points are the P(u)
-    plus the q + 1 points of the directrix, each tested by `f_value`; the
-    tangent planes are the tangent_plane(v) of the parametric identity plus
-    the q + 1 planes through the directrix, each tested by `tangency_test`.
-    Over the rationals O is None and the sampled tangents are built.
+    at its `partner` v = (-u1, 3u1^2-u2). Over finite fields one pass over
+    `tangents` tests, per parameter: the reversed point (x3, x2, x1, x0)
+    against minus the `tangent_plane_coefficients` of v, whose last entry
+    is -1, entry by entry; the dual of kappa(u) against kappa(v) by
+    `is_multiple`; v(v) = u, so the partners are q^2 distinct parameters;
+    and whether P(u) is on the surface (`f_value`) exactly when its dual
+    plane is tangent (`tangency_test`). With the directrix fixed, the line
+    map carries O onto itself. The surface points are the P(u) plus the
+    q + 1 points of the directrix, the tangent planes the duals of the P(u)
+    plus the q + 1 planes through the directrix, so the duality maps the
+    one set onto the other exactly when every parameter agrees and the
+    directrix's points go onto the planes through it.
     """
-    tangent_at = _tangent_at(F, O)
-
-    def pair(u1, u2):
-        """(P(u), v, the tangent plane at v = (-u1, 3u1^2-u2)), or None when
-        the duality does not send P(u) to that plane or the tangent at u to
-        the tangent at v."""
-        v = v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
-        x, e = cayley.surface_point(u1, u2, F), cayley.tangent_plane(v1, v2, F)
-        if cayley.duality(x, F) != e:
-            return None
-        if cayley.dual_plucker(tangent_at(u1, u2).plucker, F) != tangent_at(v1, v2).plucker:
-            return None
-        return x, v, e
-
     if F.is_finite:
-        ginf = O[-1]
-        partners = set()
-        surface = 0
-        dual_images, tangent_planes = set(), set()
-        for u1, u2 in parameter_grid(F):
-            paired = pair(u1, u2)
-            if paired is None:
-                return CheckOutcome(passed=False, witness=(u1, u2))
-            x, v, e = paired
-            partners.add(v)
-            if cayley.f_value(x, F) == F.zero:
-                surface += 1
-                dual_images.add(e)  # = duality(x), tested by pair
-            if cayley.tangency_test(e, F):
-                tangent_planes.add(e)
-        # the canonical pairs (a, b) give the directrix points (0, 0, a, b)
-        # and the planes [a, b, 0, 0] through the directrix
-        for ab in canonical_tuples(2, F):
-            x = (F.zero, F.zero) + ab
-            if cayley.f_value(x, F) == F.zero:
-                surface += 1
-                dual_images.add(cayley.duality(x, F))
-            e = ab + (F.zero, F.zero)
-            if cayley.tangency_test(e, F):
-                tangent_planes.add(e)
-        fixes_O = len(partners) == F.order**2 and cayley.dual_plucker(ginf.plucker, F) == ginf.plucker
-        bijective = len(dual_images) == surface and dual_images == tangent_planes
-        return CheckOutcome(
-            passed=fixes_O and bijective,
-            counts={
-                "parameter_pairs": F.order**2,
-                "lines": len(O),
-                "surface_points": surface,
-                "tangent_planes": len(tangent_planes),
-            },
-        )
+        return _duality_by_parameters(F)
+
+    def pair_ok(u1, u2):
+        v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
+        if cayley.duality(cayley.surface_point(u1, u2, F), F) != cayley.tangent_plane(v1, v2, F):
+            return False
+        image = cayley.dual_plucker(osculating_tangent(u1, u2, F).plucker, F)
+        return image == osculating_tangent(v1, v2, F).plucker
+
     rng = random.Random(seed)
     for _ in range(SPOT_CHECKS):
         u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-        if pair(u1, u2) is None:
+        if not pair_ok(u1, u2):
             return CheckOutcome(passed=False, witness=(u1, u2))
     return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": SPOT_CHECKS})
+
+
+def _duality_by_parameters(F: Field) -> CheckOutcome:
+    """The finite branch of `certify_duality`; the witness is the first
+    parameter whose point or tangent the duality does not send to its
+    partner's tangent plane or tangent."""
+    p = F.p
+    involutive = agree = True
+    surface = tangent_planes = 0
+    for u, (x, _, y) in tangents(F):
+        v1, v2 = partner(*u, p)
+        involutive = involutive and partner(v1, v2, p) == u
+        e = cayley.tangent_plane_coefficients(v1, v2, F)
+        x0, x1, x2, x3 = x
+        if (x3 + e[0]) % p or (x2 + e[1]) % p or (x1 + e[2]) % p or (x0 + e[3]) % p:
+            return CheckOutcome(passed=False, witness=u)
+        if not is_multiple(cayley.dual_sextuple(y), kappa(v1, v2, F), p):
+            return CheckOutcome(passed=False, witness=u)
+        on_surface = cayley.f_value(x, F) == F.zero
+        tangent = cayley.tangency_test((x3, x2, x1, x0), F)
+        surface += on_surface
+        tangent_planes += tangent
+        agree = agree and on_surface == tangent
+    # the canonical pairs (a, b) give the directrix points (0, 0, a, b)
+    # and the planes [a, b, 0, 0] through the directrix
+    on_directrix = 0
+    dual_images, planes = set(), set()
+    for ab in canonical_tuples(2, F):
+        x = (F.zero, F.zero) + ab
+        if cayley.f_value(x, F) == F.zero:
+            on_directrix += 1
+            dual_images.add(cayley.duality(x, F))
+        e = ab + (F.zero, F.zero)
+        if cayley.tangency_test(e, F):
+            planes.add(e)
+    ginf = cayley.g_infinity(F).plucker
+    fixes_O = involutive and cayley.dual_plucker(ginf, F) == ginf
+    return CheckOutcome(
+        passed=fixes_O and agree and len(dual_images) == on_directrix and dual_images == planes,
+        counts={
+            "parameter_pairs": F.order**2,
+            "lines": F.order**2 + 1,
+            "surface_points": surface + on_directrix,
+            "tangent_planes": tangent_planes + len(planes),
+        },
+    )
 
 
 # --- the Betten chart ----------------------------------------------------------
@@ -519,14 +670,14 @@ def betten_chart(u1, u2, F: Field):
     return (t, s), plane1, plane2
 
 
-def regulus_minus(s, O: Sequence[Line], F: Field) -> List[Line]:
-    """Tangents at the points (s, u2) of the generator g(1,s), plus the
-    directrix: one run of parameter_grid, so one slice of O = build_O(F)."""
+def regulus_minus(s, F: Field) -> List[Line]:
+    """Tangents at the points (s, u2) of the generator g(1,s), in u2 order,
+    plus the directrix, each tangent built by `closed_tangent`."""
     if not F.is_finite:
         raise InfiniteField("regulus enumeration needs a finite field")
-    q = F.order
-    i = list(F.elements()).index(F.of(s))
-    return list(O[i * q : (i + 1) * q]) + [O[-1]]
+    lines = [Line(*closed_tangent(s, u2, F)) for u2 in F.elements()]
+    lines.append(cayley.g_infinity(F))
+    return lines
 
 
 def verify_regulus(lines: Sequence[Line], F: Field):
@@ -534,8 +685,10 @@ def verify_regulus(lines: Sequence[Line], F: Field):
 
     A regulus is the set of q+1 lines whose images are the points of a
     nondegenerate conic, a plane section of the Klein quadric. So the lines
-    are a regulus exactly when their images span a plane, there are q+1 of
-    them, and the plane is a conic plane; the opposite regulus is then the
+    are a regulus exactly when their images lie on the quadric (a sextuple
+    built in closed form, not joined from two points, is tested there too),
+    span a plane, there are q+1 of them, and the plane is a conic plane;
+    the opposite regulus is then the
     conic of the polar plane, the nullspace of the rows gram_apply(y), which
     must be a conic plane as well. Returns (ok, polar): polar is a basis of
     the polar plane, or [] when the images do not span a conic plane.
@@ -546,6 +699,8 @@ def verify_regulus(lines: Sequence[Line], F: Field):
     reduced, pivots = rref([list(l.plucker) for l in lines], F)
     plane = reduced[:3]
     if len(pivots) != 3 or len(lines) != F.order + 1 or not _conic_plane(plane, F):
+        return False, []
+    if any(quadric_value(l.plucker, F) != F.zero for l in lines):
         return False, []
     polar = nullspace([list(gram_apply(y, F)) for y in plane], 6, F)
     return _conic_plane(polar, F), polar
@@ -576,14 +731,14 @@ def _conic_plane(basis: Sequence[Sequence], F: Field) -> bool:
     return value != F.zero
 
 
-def reguli_check(F: Field, O: Sequence[Line]) -> CheckOutcome:
-    """For every s, regulus_minus(s, O) is a regulus whose opposite regulus
+def reguli_check(F: Field) -> CheckOutcome:
+    """For every s, regulus_minus(s, F) is a regulus whose opposite regulus
     contains the generator g(1,s): the image of g(1,s), which is on the
     quadric, lies in the polar plane. The witness is the first failing s.
     """
     counts = {"reguli": F.order, "lines_each": F.order + 1}
     for s in F.elements():
-        ok, polar = verify_regulus(regulus_minus(s, O, F), F)
+        ok, polar = verify_regulus(regulus_minus(s, F), F)
         if not (ok and rank(polar + [list(cayley.generator(1, s, F).plucker)], F) == 3):
             return CheckOutcome(passed=False, witness=s, counts=counts)
     return CheckOutcome(passed=True, counts=counts)

@@ -71,15 +71,23 @@ def nuclei_line(F: Field) -> Line:
     return line_through((F.zero, F.one, F.zero, F.zero), z_point(F), F)
 
 
+def tangent_plane_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
+    """Coefficients of the tangent plane at the affine surface point with
+    parameters (u1, u2): [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1], scaled by
+    b^3*d for u1 = a/b and u2 = c/d so they are ints, unreduced. Over GF(p),
+    where b = d = 1, the last entry is -1."""
+    a, c = F.of(u1), F.of(u2)
+    if F.is_finite:  # b = d = 1
+        return (a * (2 * a * a - c), c - 3 * a * a, a, -1)
+    a, b, c, d = a.numerator, a.denominator, c.numerator, c.denominator
+    bb = b * b
+    return (2 * a * a * a * d - a * c * bb, c * bb * b - 3 * a * a * b * d, a * bb * d, -bb * b * d)
+
+
 def tangent_plane(u1, u2, F: Field) -> ProjPlane:
     """Tangent plane at the affine surface point with parameters (u1, u2):
-    [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1], scaled by b^3*d for u1 = a/b and
-    u2 = c/d so it is formed in ints, and reduced once by `canonicalize`."""
-    u1, u2 = F.of(u1), F.of(u2)
-    a, b, c, d = u1.numerator, u1.denominator, u2.numerator, u2.denominator
-    bb = b * b
-    coeffs = (2 * a * a * a * d - a * c * bb, c * bb * b - 3 * a * a * b * d, a * bb * d, -bb * b * d)
-    return canonicalize(coeffs, F)
+    `tangent_plane_coefficients` reduced once by `canonicalize`."""
+    return canonicalize(tangent_plane_coefficients(u1, u2, F), F)
 
 
 def generator(s0, s1, F: Field) -> Line:
@@ -167,12 +175,18 @@ def tangency_test(e: Sequence, F: Field) -> bool:
     return val == F.zero
 
 
-def dual_plucker(y: Sequence, F: Field) -> KleinPoint:
-    """Klein image of the dual of the line with Klein image y.
+def dual_sextuple(y: Sequence) -> Tuple:
+    """Plücker sextuple of the dual of the line with sextuple y.
 
     The duality sends the points p, q of a line to the planes reversed(p),
-    reversed(q), whose common line has the canonical Plücker sextuple
-    (y01, -y02, y12, y03, -y13, y23).
+    reversed(q), whose common line has the Plücker sextuple
+    (y01, -y02, y12, y03, -y13, y23), in plain operators and unreduced.
     """
     y01, y02, y03, y12, y13, y23 = y
-    return canonicalize((y01, F.neg(y02), y12, y03, F.neg(y13), y23), F)
+    return (y01, -y02, y12, y03, -y13, y23)
+
+
+def dual_plucker(y: Sequence, F: Field) -> KleinPoint:
+    """Klein image of the dual of the line with Klein image y:
+    `dual_sextuple` reduced once by `canonicalize`."""
+    return canonicalize(dual_sextuple(y), F)

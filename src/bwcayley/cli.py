@@ -5,7 +5,8 @@ projection), char3 (parabolic congruence), ideal (degree-bounded vanishing
 probe). Exit codes: 0 when every check matches what the field's regime
 predicts, 1 on usage errors or when the --out report cannot be written, 2
 when a predicted-pass check fails, 3 when a check ends in an internal error
-(an exception such as WrongLineCount; one line on stderr names the
+(an exception such as IndistinctTangents, raised when a tangent's Klein
+image does not give its parameter back; one line on stderr names the
 check).
 """
 
@@ -41,22 +42,16 @@ class CheckError(Exception):
 
 @dataclass
 class Run:
-    """The inputs one command's checks share; O and the ideal probe are built
-    on first use. No check lists the points of PG(3,q): covering and
-    dual_spread count them in closed form, maximality walks the plane at
-    infinity and duality generates the surface points and tangent planes."""
+    """The inputs one command's checks share; the ideal probe is built on
+    first use. No check holds the tangent set O: over a finite field each
+    reads the tangents one parameter at a time from their closed form
+    (`bwspread.tangents`), and none lists the points, planes or lines of
+    PG(3,q)."""
 
     F: Field
     seed: int = 0
     degree: int = 0
     samples: int = 0
-
-    @cached_property
-    def O(self):
-        """build_O(F) over a finite field, None over the rationals; every check
-        reads its tangents here: O[i] is the tangent at parameter_grid(F)[i]
-        for i < q^2, O[-1] the directrix."""
-        return bwspread.build_O(self.F) if self.F.is_finite else None
 
     @cached_property
     def probe(self) -> idealprobe.ProbeReport:
@@ -100,7 +95,7 @@ CHECKS = {
             "partial_spread",
             "pairwise skew iff char != 3 and no cube root of unity other than 1",
             _by_regime("pass", "fail", "pass", "fail"),
-            lambda run: bwspread.certify_partial_spread(run.F, run.O, seed=run.seed),
+            lambda run: bwspread.certify_partial_spread(run.F, seed=run.seed),
         ),
         (
             "covering",
@@ -112,19 +107,19 @@ CHECKS = {
             "maximality",
             "every point of the plane at infinity lies on a line of the set",
             _by_regime("pass", "pass", "pass", "skipped"),
-            lambda run: bwspread.certify_maximality(run.F, run.O, seed=run.seed),
+            lambda run: bwspread.certify_maximality(run.F, seed=run.seed),
         ),
         (
             "dual_spread",
             "every plane contains exactly one line of the set",
             _by_regime("pass", "fail", "skipped", "fail"),
-            lambda run: bwspread.certify_dual_spread(run.F, run.O),
+            lambda run: bwspread.certify_dual_spread(run.F),
         ),
         (
             "duality",
             "reversing coordinates maps surface points onto tangent planes and fixes the tangent set",
             _by_regime("pass", "pass", "pass", "pass"),
-            lambda run: bwspread.certify_duality(run.F, run.O, seed=run.seed),
+            lambda run: bwspread.certify_duality(run.F, seed=run.seed),
         ),
     ],
     "klein": [
@@ -132,13 +127,13 @@ CHECKS = {
             "variety_equality",
             "form zero set equals tangent images plus the pencil through the pinch point",
             "pass",
-            lambda run: klein.verify_variety_equality(run.F, run.O),
+            lambda run: klein.verify_variety_equality(run.F),
         ),
         (
             "reguli",
             "tangents along one generator plus the directrix form a regulus",
             "pass",
-            lambda run: bwspread.reguli_check(run.F, run.O),
+            lambda run: bwspread.reguli_check(run.F),
         ),
         (
             "projection",
@@ -158,7 +153,7 @@ CHECKS = {
             "congruence",
             "char 3: tangent images fill the cone cut by D; all lines meet the line of nuclei",
             "pass",
-            lambda run: klein.char3_congruence_check(run.F, run.O),
+            lambda run: klein.char3_congruence_check(run.F),
         ),
         (
             "osculating_plane_pencil",

@@ -118,8 +118,8 @@ def known_quadric_coefficients() -> Dict[str, List]:
 
     Read off each form by polarization: the coefficient of Yi^2 is f(e_i),
     and that of Yi*Yj is f(e_i + e_j) - f(e_i) - f(e_j). The forms are
-    evaluated on plain-int vectors: the quadric's entries come out as ints,
-    the cone forms' as Fractions (through `F.of(3)` and `F.of(9)`).
+    evaluated on plain-int vectors, and every entry comes out as a Fraction
+    (through `F.of`).
     """
     def vector(form) -> List:
         def at(*indices: int):

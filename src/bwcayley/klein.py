@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from . import cayley
+from . import bwspread, cayley
 from .field import Field, InfiniteField, cube_roots
 from .linalg import rank, same_span
 from .projspace import (
@@ -22,7 +22,7 @@ from .projspace import (
     dedup_lines,
     gram_apply,
     line_through,
-    lines_skew,
+    quadric_polarization,
     quadric_value,
     span_points,
 )
@@ -71,30 +71,11 @@ def in_C(y: Sequence, F: Field) -> bool:
 
 # --- Klein images -------------------------------------------------------------
 
-def osculating_sextuple(x0, x1, x2):
-    """Plücker sextuple of the osculating tangent at the surface point
-    x = x0*(1, u1, u2, ...): x0^4 * (1, 3u1, u2, 3u1^2-u2, u1^3,
-    3u1^4-3u1^2*u2+u2^2), in plain operators and unreduced.
-
-    Homogenised, so the canonical surface point, a primitive integer
-    vector over Q, gives it in ints. In characteristic 3 reduction alone
-    degenerates it to x0^4 * (1, 0, u2, -u2, u1^3, u2^2).
-    """
-    x00, x11 = x0 * x0, x1 * x1
-    return (
-        x00 * x00,
-        3 * x00 * x0 * x1,
-        x00 * x0 * x2,
-        x00 * (3 * x11 - x0 * x2),
-        x0 * x11 * x1,
-        3 * x11 * x11 - 3 * x0 * x11 * x2 + x00 * x2 * x2,
-    )
-
-
 def kappa_osculating(u1, u2, F: Field) -> KleinPoint:
-    """Closed-form Klein image of the osculating tangent at (u1, u2):
-    `osculating_sextuple` at x0 = 1, each entry reduced by `F.of`."""
-    return tuple(map(F.of, osculating_sextuple(1, u1, u2)))
+    """Closed-form Klein image of the osculating tangent at (u1, u2) over
+    any field: `osculating_sextuple` at x0 = 1, each entry reduced by
+    `F.of`. Over GF(p) the checks read it off `bwspread.kappa`."""
+    return tuple(map(F.of, bwspread.osculating_sextuple(1, u1, u2)))
 
 
 def in_kappa_O(y: Sequence, F: Field) -> bool:
@@ -190,7 +171,7 @@ def projection_check(F: Field) -> CheckOutcome:
     for s in F.elements():
         want = _projected_cubic_point(s, F)
         for u2 in F.elements():
-            if project_through_Cperp(kappa_osculating(s, u2, F), F) != want:
+            if project_through_Cperp(bwspread.kappa(s, u2, F), F) != want:
                 return CheckOutcome(passed=False, witness=(s, u2), counts=counts)
     return CheckOutcome(passed=True, counts=counts)
 
@@ -260,26 +241,42 @@ def variety_zero_set(F: Field) -> Set[KleinPoint]:
     return set(prefixes)
 
 
-def verify_variety_equality(F: Field, O: Sequence[Line]) -> CheckOutcome:
+def verify_variety_equality(F: Field) -> CheckOutcome:
     """Set equality of the exhaustive form zero set with the Klein image of
-    the tangent set O united with the pencil through the pinch point.
+    the tangent set O united with the pencil through the pinch point (which
+    holds the directrix).
+
+    No image set is built. A zero-set point leading with 1 is in the image
+    exactly when it is kappa(u) at u = (Y02/3, Y03), the parameter every
+    tangent image gives back (`bwspread.tangents`), and one leading with 0
+    exactly when it is a pencil line's. One pass over the tangents tests
+    each image for membership in the zero set. The q^2 tangent images are
+    distinct and lead with 1, the pencil's lead with 0, so the image has
+    q^2 plus the pencil's size points. The witness is the least point of
+    the symmetric difference.
     """
     if F.characteristic == 3:
         raise WrongCharacteristic("the three-cone description needs characteristic != 3")
     zero_set = variety_zero_set(F)
-    image = {l.plucker for l in O} | {l.plucker for l in pencil_LZomega(F)}
-    equal = zero_set == image
-    witness = None
-    if not equal:
-        diff = sorted(zero_set.symmetric_difference(image))
-        witness = diff[0]
+    pencil = {l.plucker for l in pencil_LZomega(F)}
+    p = F.p
+    third = pow(3, -1, p)
+    kappa = bwspread.kappa
+    extra = [z for z in zero_set if (kappa(z[1] * third, z[2], F) != z if z[0] else z not in pencil)]
+    missing = [y for y in pencil if y not in zero_set]
+    n_tangents = 0
+    for _, (_, _, y) in bwspread.tangents(F):
+        n_tangents += 1
+        if y not in zero_set:
+            missing.append(y)
+    equal = not extra and not missing
     q = F.order
     return CheckOutcome(
         passed=equal and len(zero_set) == q * q + q + 1,
-        witness=witness,
+        witness=None if equal else min(extra + missing),
         counts={
             "zero_set_points": len(zero_set),
-            "image_points": len(image),
+            "image_points": n_tangents + len(pencil),
             "expected": q * q + q + 1,
         },
     )
@@ -287,7 +284,7 @@ def verify_variety_equality(F: Field, O: Sequence[Line]) -> CheckOutcome:
 
 # --- characteristic 3 ---------------------------------------------------------
 
-def char3_congruence_check(F: Field, O: List[Line]) -> CheckOutcome:
+def char3_congruence_check(F: Field) -> CheckOutcome:
     """The tangent set O plus the pencil through the pinch point is the
     congruence cut out by D, and all its lines meet the line of nuclei.
 
@@ -295,26 +292,36 @@ def char3_congruence_check(F: Field, O: List[Line]) -> CheckOutcome:
     points, so the congruence's lines are the q^2+q+1 points of the quadric
     section of D; comparing them with the images of tangents plus pencil
     (cubing is onto for finite characteristic 3) settles membership and
-    exhaustion at once. The witness is the first union line skew to the
-    line of nuclei.
+    exhaustion at once. The tangents are read one at a time off
+    `bwspread.tangents`, whose images are distinct and lead with 1, then
+    the directrix and the rest of the pencil, whose images lead with 0. The
+    witness is the first of these lines skew to the line of nuclei.
     """
     if F.characteristic != 3:
         raise WrongCharacteristic("needs characteristic 3")
-    union = dedup_lines(O + pencil_LZomega(F))
-    n_line = cayley.nuclei_line(F)
-    skew = next((l for l in union if lines_skew(l, n_line, F)), None)
     qd_points = variety_qd_points(F)
+    nuclei = cayley.nuclei_line(F).plucker
+    skew = None
+    inside = True
+    n_tangents = 0
+    for _, (_, _, y) in bwspread.tangents(F):
+        n_tangents += 1
+        if skew is None and quadric_polarization(y, nuclei, F) != F.zero:
+            skew = y
+        inside = inside and y in qd_points
+    rest = [l.plucker for l in dedup_lines([cayley.g_infinity(F)] + pencil_LZomega(F))]
+    for y in rest:
+        if skew is None and quadric_polarization(y, nuclei, F) != F.zero:
+            skew = y
+        inside = inside and y in qd_points
     q = F.order
+    union = n_tangents + len(rest)
     return CheckOutcome(
-        passed=(
-            skew is None
-            and {l.plucker for l in union} == qd_points
-            and len(qd_points) == q * q + q + 1
-        ),
-        witness=skew.plucker if skew else None,
+        passed=skew is None and inside and union == len(qd_points) and len(qd_points) == q * q + q + 1,
+        witness=skew,
         counts={
             "congruence_lines": len(qd_points),
-            "tangents_plus_pencil": len(union),
+            "tangents_plus_pencil": union,
             "cone_section_points": len(qd_points),
             "expected": q * q + q + 1,
         },

@@ -77,12 +77,12 @@ def primitive_int_vector(vec: Sequence) -> Tuple[int, ...]:
     return tuple(v // content for v in ints)
 
 
-def plucker(p: Sequence, q: Sequence, F: Field) -> KleinPoint:
-    """Canonical Plücker sextuple of the line joining two distinct points:
-    the six minors in plain operators, reduced once by `canonicalize`."""
+def plucker_minors(p: Sequence, q: Sequence) -> Tuple:
+    """The six minors y_ij = p_i*q_j - p_j*q_i of two points, in plain
+    operators and unreduced."""
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
-    y = (
+    return (
         p0 * q1 - p1 * q0,
         p0 * q2 - p2 * q0,
         p0 * q3 - p3 * q0,
@@ -90,8 +90,13 @@ def plucker(p: Sequence, q: Sequence, F: Field) -> KleinPoint:
         p1 * q3 - p3 * q1,
         p2 * q3 - p3 * q2,
     )
+
+
+def plucker(p: Sequence, q: Sequence, F: Field) -> KleinPoint:
+    """Canonical Plücker sextuple of the line joining two distinct points:
+    `plucker_minors` reduced once by `canonicalize`."""
     try:
-        return canonicalize(y, F)
+        return canonicalize(plucker_minors(p, q), F)
     except GeometryError:  # every minor vanishes
         raise CoincidentPoints(f"points {p} and {q} span no line") from None
 
@@ -111,19 +116,40 @@ def second_compound(m: Sequence[Sequence], F: Field) -> Tuple[Tuple, ...]:
     )
 
 
+def compound_apply(compound: Sequence[Sequence], y: Sequence) -> List:
+    """A `second_compound` times a sextuple: 36 plain products, unreduced."""
+    y0, y1, y2, y3, y4, y5 = y
+    return [r0 * y0 + r1 * y1 + r2 * y2 + r3 * y3 + r4 * y4 + r5 * y5 for r0, r1, r2, r3, r4, r5 in compound]
+
+
 def compound_image(compound: Sequence[Sequence], y: Sequence, F: Field) -> KleinPoint:
     """Canonical sextuple of the image of the line y under a `second_compound`:
-    36 plain products, reduced once by `canonicalize`."""
+    `compound_apply` reduced once by `canonicalize`."""
+    return canonicalize(compound_apply(compound, y), F)
+
+
+def is_multiple(z: Sequence, y: Sequence, p: int) -> bool:
+    """Whether the int sextuple z is a nonzero multiple of the sextuple y
+    modulo the prime p, for y reduced with leading entry 1: z_0 is not 0
+    and z_i = z_0*y_i for every i (i = 0 included, so y must lead with 1).
+    No inverse is taken, so z need not be reduced or scaled first."""
+    z0 = z[0] % p
+    a0, a1, a2, a3, a4, a5 = z
     y0, y1, y2, y3, y4, y5 = y
-    return canonicalize(
-        [r0 * y0 + r1 * y1 + r2 * y2 + r3 * y3 + r4 * y4 + r5 * y5 for r0, r1, r2, r3, r4, r5 in compound], F
+    return z0 != 0 and not (
+        (a0 - z0 * y0) % p
+        or (a1 - z0 * y1) % p
+        or (a2 - z0 * y2) % p
+        or (a3 - z0 * y3) % p
+        or (a4 - z0 * y4) % p
+        or (a5 - z0 * y5) % p
     )
 
 
 def quadric_value(y: Sequence, F: Field):
-    """The Klein quadric form y01*y23 - y02*y13 + y03*y12."""
-    mul = F.mul
-    return F.add(F.sub(mul(y[0], y[5]), mul(y[1], y[4])), mul(y[2], y[3]))
+    """The Klein quadric form y01*y23 - y02*y13 + y03*y12, in plain
+    operators, reduced once by `F.of`."""
+    return F.of(y[0] * y[5] - y[1] * y[4] + y[2] * y[3])
 
 
 def gram_apply(v: Sequence, F: Field) -> Tuple:

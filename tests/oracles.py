@@ -9,6 +9,10 @@ flags, witnesses and counts at small primes; they map points one by one
 through the group matrices, act on parameters through field operations,
 scan PG(5,q) by trying every value of every coordinate, and find the
 characteristic-3 congruence by scanning every line of PG(3,q). The
+certifiers read each tangent from its closed form one parameter at a
+time; the `*_by_O` routes take the list O = build_O(F) instead, index it
+by parameter and compare sets of its Plücker sextuples, as the checks did
+before they streamed. The
 elimination modulo a prime of `bwcayley.linalg` packs each row into one
 int; `rref_mod_by_lists` keeps the rows as lists of residues. The `ideal`
 probe reads its pencil and witness verdicts off the kernel's coefficients;
@@ -23,23 +27,44 @@ from itertools import chain
 from operator import mul as int_mul
 from typing import Dict, List, Sequence, Set, Tuple
 
-from bwcayley import cayley
-from bwcayley.bwspread import covering_deficit, osculating_tangent
+from bwcayley import bwspread, cayley
+from bwcayley.bwspread import (
+    _affine_histogram,
+    covering_deficit,
+    lines_of_O_through,
+    omega_points,
+    osculating_tangent,
+    skew_criterion,
+    verify_regulus,
+)
 from bwcayley.cayley import GMatrix
 from bwcayley.field import Field, cube_roots
-from bwcayley.klein import h1_form, h2_form, h3_form, pencil_LZomega, variety_qd_points
+from bwcayley.klein import (
+    WrongCharacteristic,
+    h1_form,
+    h2_form,
+    h3_form,
+    pencil_LZomega,
+    variety_qd_points,
+    variety_zero_set,
+)
+from bwcayley.linalg import rank
 from bwcayley.projspace import (
     KleinPoint,
     Line,
     ProjPlane,
     ProjPoint,
+    canonical_tuples,
     canonicalize,
+    compound_image,
     dedup_lines,
+    det4,
     enumerate_lines,
     enumerate_points,
     incidence,
     lines_skew,
     quadric_value,
+    second_compound,
 )
 from bwcayley.reports import CheckOutcome
 
@@ -292,3 +317,222 @@ def pencil_sample_points(count: int, seed: int) -> List[Tuple[Fraction, ...]]:
     points.append((zero, zero, zero, zero, one, zero))
     points.append((zero, zero, zero, zero, zero, one))
     return points
+
+
+# --- the certifiers' finite branches on the list O = build_O(F) ---------------
+
+def break_kappa(monkeypatch, u, change):
+    """Monkeypatch `bwspread.kappa` so that the Klein image y at the
+    parameter u comes out as change(y, F). Every streamed check and
+    `build_O` read it, so a streamed check and its route on O see the same
+    broken tangent."""
+    kappa = bwspread.kappa
+
+    def broken(u1, u2, F):
+        y = kappa(u1, u2, F)
+        return change(y, F) if (u1 % F.p, u2 % F.p) == u else y
+
+    monkeypatch.setattr(bwspread, "kappa", broken)
+
+
+def _tangent_dict(F: Field, O: Sequence[Line]) -> Dict[Tuple, Line]:
+    """parameter -> tangent, read off O: O[i] is the tangent at the i-th
+    parameter in lexicographic order."""
+    return dict(zip(((u1, u2) for u1 in F.elements() for u2 in F.elements()), O))
+
+
+def partial_spread_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """`bwspread.certify_partial_spread` over GF(p) on the list O: the
+    generators' images compared with a dict of O's sextuples, the orbit
+    found by a search that holds it, every tangent tested by `lines_skew`."""
+    tangent = _tangent_dict(F, O)
+    ginf = O[-1]
+    tangents_meeting_ginf = sum(1 for l in tangent.values() if not lines_skew(l, ginf, F))
+    n_lines = F.order**2 + 1
+    counts = {
+        "lines": n_lines,
+        "pairs_checked": n_lines * (n_lines - 1) // 2,
+        "tangents_meeting_directrix": tangents_meeting_ginf,
+    }
+    failure = _translation_failure_by_O(tangent, ginf, F)
+    if failure is not None:
+        note, witness = failure
+        return CheckOutcome(passed=False, witness=witness, counts=counts, note=note)
+    origin = (F.zero, F.zero)
+    t0 = tangent[origin]
+    meeting = []
+    for u, l in tangent.items():
+        if u == origin:
+            continue
+        criterion_meets = skew_criterion(*origin, *u, F) == F.zero
+        if criterion_meets == lines_skew(t0, l, F):
+            return CheckOutcome(passed=False, witness=(origin, u), counts=counts, note="route disagreement")
+        if criterion_meets:
+            meeting.append(u)
+    counts["violations"] = F.order**2 * len(meeting) // 2
+    return CheckOutcome(
+        passed=not meeting and tangents_meeting_ginf == 0,
+        witness=(origin, meeting[0]) if meeting else None,
+        counts=counts,
+    )
+
+
+def _translation_failure_by_O(tangent: Dict[Tuple, Line], ginf: Line, F: Field):
+    generators = [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)]
+    kappa = {u: l.plucker for u, l in tangent.items()}
+    for M in generators:
+        abc = (M.a, M.b, M.c)
+        compound = second_compound(M.entries, F)
+        if det4(M.entries, F) == F.zero or compound_image(compound, ginf.plucker, F) != ginf.plucker:
+            return "generator is singular or moves the directrix", (abc, None)
+        for u, y in kappa.items():
+            if compound_image(compound, y, F) != kappa.get(cayley.param_action(M, *u, F)):
+                return "group action disagrees with param_action", (abc, u)
+    orbit = {(F.zero, F.zero)}
+    frontier = list(orbit)
+    while frontier:
+        u = frontier.pop()
+        for M in generators:
+            v = cayley.param_action(M, *u, F)
+            if v not in orbit:
+                orbit.add(v)
+                frontier.append(v)
+    missing = [u for u in tangent if u not in orbit]
+    if missing:
+        return "generator orbit of (0,0) misses parameters", missing[0]
+    return None
+
+
+def maximality_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """`bwspread.certify_maximality` over GF(p), each point at infinity
+    tested by `incidence` on its covering line read off O."""
+    if F.characteristic == 3:
+        return CheckOutcome(passed=None, note="the maximality argument inverts 3")
+    tangent = _tangent_dict(F, O)
+    third = F.inv(F.of(3))
+    checked = 0
+    for point in omega_points(F):
+        _, x1, x2, x3 = point
+        line = O[-1] if x1 == F.zero else tangent[F.mul(F.div(x2, x1), third), F.div(x3, x1)]
+        if not incidence(point, line, F):
+            return CheckOutcome(passed=False, witness=point)
+        checked += 1
+    return CheckOutcome(passed=True, counts={"omega_points": checked})
+
+
+def dual_spread_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """`bwspread.certify_dual_spread` over GF(p), d(O) = O certified by
+    comparing the sets of O's sextuples and of their duals."""
+    if {cayley.dual_plucker(l.plucker, F) for l in O} != {l.plucker for l in O}:
+        return CheckOutcome(passed=False, note="the duality does not fix O, so planes cannot be counted as points")
+    at_infinity = Counter(lines_of_O_through(x, F) for x in omega_points(F))
+    histogram = _affine_histogram(F) + at_infinity
+    exact_one = set(histogram) == {1}
+    witness = None
+    if not exact_one:
+        witness = next(e for e in canonical_tuples(4, F) if lines_of_O_through(cayley.duality(e, F), F) != 1)
+    planes_through_z_missing = at_infinity.get(0, 0)
+    return CheckOutcome(
+        passed=exact_one and planes_through_z_missing == 0,
+        witness=witness,
+        counts={
+            "planes": sum(histogram.values()),
+            "planes_through_Z_without_line": planes_through_z_missing,
+            **{f"planes_with_{k}_lines": v for k, v in sorted(histogram.items())},
+        },
+    )
+
+
+def duality_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """`bwspread.certify_duality` over GF(p): each parameter's pair tested
+    on canonical points and planes and on O's sextuples, with the partners,
+    the duals of the surface points and the tangent planes held as sets."""
+    tangent = _tangent_dict(F, O)
+    ginf = O[-1]
+    partners = set()
+    surface = 0
+    dual_images, tangent_planes = set(), set()
+    for (u1, u2), l in tangent.items():
+        v = v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
+        x, e = cayley.surface_point(u1, u2, F), cayley.tangent_plane(v1, v2, F)
+        if cayley.duality(x, F) != e or cayley.dual_plucker(l.plucker, F) != tangent[v].plucker:
+            return CheckOutcome(passed=False, witness=(u1, u2))
+        partners.add(v)
+        if cayley.f_value(x, F) == F.zero:
+            surface += 1
+            dual_images.add(e)
+        if cayley.tangency_test(e, F):
+            tangent_planes.add(e)
+    for ab in canonical_tuples(2, F):
+        x = (F.zero, F.zero) + ab
+        if cayley.f_value(x, F) == F.zero:
+            surface += 1
+            dual_images.add(cayley.duality(x, F))
+        e = ab + (F.zero, F.zero)
+        if cayley.tangency_test(e, F):
+            tangent_planes.add(e)
+    fixes_O = len(partners) == F.order**2 and cayley.dual_plucker(ginf.plucker, F) == ginf.plucker
+    bijective = len(dual_images) == surface and dual_images == tangent_planes
+    return CheckOutcome(
+        passed=fixes_O and bijective,
+        counts={
+            "parameter_pairs": F.order**2,
+            "lines": len(O),
+            "surface_points": surface,
+            "tangent_planes": len(tangent_planes),
+        },
+    )
+
+
+def reguli_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """`bwspread.reguli_check` with each regulus sliced out of O: the q
+    tangents at (s, u2) are one run of O, plus the directrix O[-1]."""
+    q = F.order
+    counts = {"reguli": q, "lines_each": q + 1}
+    for i, s in enumerate(F.elements()):
+        ok, polar = verify_regulus(list(O[i * q : (i + 1) * q]) + [O[-1]], F)
+        if not (ok and rank(polar + [list(cayley.generator(1, s, F).plucker)], F) == 3):
+            return CheckOutcome(passed=False, witness=s, counts=counts)
+    return CheckOutcome(passed=True, counts=counts)
+
+
+def variety_equality_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """`klein.verify_variety_equality` comparing the zero set with the set
+    of O's and the pencil's sextuples."""
+    if F.characteristic == 3:
+        raise WrongCharacteristic("the three-cone description needs characteristic != 3")
+    zero_set = variety_zero_set(F)
+    image = {l.plucker for l in O} | {l.plucker for l in pencil_LZomega(F)}
+    equal = zero_set == image
+    q = F.order
+    return CheckOutcome(
+        passed=equal and len(zero_set) == q * q + q + 1,
+        witness=None if equal else sorted(zero_set.symmetric_difference(image))[0],
+        counts={
+            "zero_set_points": len(zero_set),
+            "image_points": len(image),
+            "expected": q * q + q + 1,
+        },
+    )
+
+
+def char3_congruence_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
+    """`klein.char3_congruence_check` on the deduplicated union of O and
+    the pencil, compared with the cone section as a set of sextuples."""
+    if F.characteristic != 3:
+        raise WrongCharacteristic("needs characteristic 3")
+    union = dedup_lines(list(O) + pencil_LZomega(F))
+    n_line = cayley.nuclei_line(F)
+    skew = next((l for l in union if lines_skew(l, n_line, F)), None)
+    qd_points = variety_qd_points(F)
+    q = F.order
+    return CheckOutcome(
+        passed=skew is None and {l.plucker for l in union} == qd_points and len(qd_points) == q * q + q + 1,
+        witness=skew.plucker if skew else None,
+        counts={
+            "congruence_lines": len(qd_points),
+            "tangents_plus_pencil": len(union),
+            "cone_section_points": len(qd_points),
+            "expected": q * q + q + 1,
+        },
+    )

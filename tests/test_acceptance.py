@@ -94,11 +94,11 @@ def test_criterion_02_spread_and_covering_certify(p, lines, points, planes):
         F = PrimeField(p)
         assert classify_field(F) == SpreadRegime.SPREAD_AND_COVERING
         assert len(build_O(F)) == lines
-        partial = certify_partial_spread(F, build_O(F))
+        partial = certify_partial_spread(F)
         assert partial.passed and partial.counts["violations"] == 0
         covering = certify_covering(F)
         assert covering.passed and covering.counts["points"] == points
-        dual = certify_dual_spread(F, build_O(F))
+        dual = certify_dual_spread(F)
         assert dual.passed and dual.counts["planes"] == planes
         assert dual.counts["planes_with_1_lines"] == planes
 
@@ -108,7 +108,7 @@ def test_criterion_03_not_partial_spread_witness(p):
     with _Budget(3, f"GF({p}) failure witness replay", 5.0):
         F = PrimeField(p)
         assert classify_field(F) == SpreadRegime.NOT_PARTIAL_SPREAD
-        r = certify_partial_spread(F, build_O(F))
+        r = certify_partial_spread(F)
         assert not r.passed
         assert r.witness is not None
         (v1, v2), (u1, u2) = r.witness
@@ -122,7 +122,7 @@ def test_criterion_03_not_partial_spread_witness(p):
 def test_criterion_04_rationals_maximal_partial():
     with _Budget(4, "rationals: maximal partial, uncovered witness", 1.0):
         assert classify_field(QQ) == SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING
-        assert certify_maximality(QQ, None).passed
+        assert certify_maximality(QQ).passed
         witness = uncovered_witness_rational()
         assert witness is not None
         assert witness == (1, 0, 0, 2)
@@ -134,7 +134,7 @@ def test_criterion_05_variety_set_equality(p):
     budget = 30.0 if p == 11 else 5.0
     with _Budget(5, f"GF({p}) form zero set equals tangent images", budget):
         F = PrimeField(p)
-        r = verify_variety_equality(F, build_O(F))
+        r = verify_variety_equality(F)
         assert r.passed
         assert r.counts["zero_set_points"] == r.counts["image_points"] == p * p + p + 1
 
@@ -160,7 +160,7 @@ def test_criterion_07_reguli_gf5():
         F = PrimeField(5)
         all_lines = enumerate_lines(F)
         for s in range(5):
-            reg = regulus_minus(s, build_O(F), F)
+            reg = regulus_minus(s, F)
             assert len(reg) == 6
             assert all(lines_skew(a, b, F) for a, b in combinations(reg, 2))
             ok, polar = verify_regulus(reg, F)
@@ -195,7 +195,7 @@ def test_criterion_09_char3_congruence():
         from oracles import in_D
 
         F = PrimeField(3)
-        r = char3_congruence_check(F, build_O(F))
+        r = char3_congruence_check(F)
         assert r.passed
         assert r.counts["congruence_lines"] == 13
         congruence = [l for l in enumerate_lines(F) if in_D(l.plucker, F)]

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from bwcayley import bwspread, cayley
 from bwcayley.bwspread import (
     Char3Unsupported,
+    IndistinctTangents,
     NotARegulus,
     SamePoint,
-    WrongLineCount,
     betten_chart,
     betten_collineation,
     build_O,
@@ -23,6 +23,7 @@ from bwcayley.bwspread import (
     certify_duality,
     certify_maximality,
     certify_partial_spread,
+    closed_tangent,
     covering_deficit,
     lines_of_O_through,
     omega_points,
@@ -31,11 +32,13 @@ from bwcayley.bwspread import (
     reguli_check,
     regulus_minus,
     skew_criterion,
+    tangents,
     uncovered_witness_rational,
     verify_regulus,
 )
 from bwcayley.cli import certify_report
-from bwcayley.field import PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
+from bwcayley.reports import CheckOutcome
+from bwcayley.field import InfiniteField, PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
     canonicalize,
@@ -54,18 +57,26 @@ from bwcayley.projspace import (
     span_points,
 )
 from oracles import (
+    break_kappa,
     covering_by_points,
+    dual_spread_by_O,
     dual_spread_by_pencils,
+    duality_by_O,
     duality_by_scans,
     group_apply,
     maximality_by_filter,
+    maximality_by_O,
+    partial_spread_by_O,
     point_in_plane,
+    reguli_by_O,
 )
 
 QQ = Rationals()
 F2, F3, F5, F7 = (PrimeField(p) for p in (2, 3, 5, 7))
 
 small_fractions = st.fractions(min_value=-15, max_value=15, max_denominator=8)
+
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 class TestOsculatingTangent:
@@ -100,6 +111,18 @@ class TestOsculatingTangent:
     @pytest.mark.parametrize("F,size", [(F2, 5), (F3, 10), (F5, 26)])
     def test_build_O_sizes(self, F, size):
         assert len(build_O(F)) == size
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_closed_form_equals_the_joined_tangent(self, p):
+        F = PrimeField(p)
+        for u, t in tangents(F):
+            l = osculating_tangent(*u, F)
+            assert t == (l.p, l.q, l.plucker)
+            assert closed_tangent(u[0] + p, u[1] - 3 * p, F) == t  # arguments are reduced
+
+    def test_tangents_refuse_the_rationals(self):
+        with pytest.raises(InfiniteField):
+            next(tangents(QQ))
 
 
 class TestSkewCriterion:
@@ -151,34 +174,34 @@ class TestSkewCriterion:
 
 class TestPartialSpread:
     def test_gf5_passes(self):
-        r = certify_partial_spread(F5, build_O(F5))
+        r = certify_partial_spread(F5)
         assert r.passed and r.counts["pairs_checked"] == 26 * 25 // 2
 
     def test_gf7_witness(self):
-        r = certify_partial_spread(F7, build_O(F7))
+        r = certify_partial_spread(F7)
         assert not r.passed
         assert r.witness == ((0, 0), (1, 4))
         # witness replay
         assert skew_criterion(*r.witness[0], *r.witness[1], F7) == 0
 
     def test_char3_fails(self):
-        r = certify_partial_spread(F3, build_O(F3))
+        r = certify_partial_spread(F3)
         assert not r.passed and r.witness is not None
 
     def test_rationals_pass(self):
-        r = certify_partial_spread(QQ, None, seed=1)
+        r = certify_partial_spread(QQ, seed=1)
         assert r.passed
 
     def test_rational_duplicate_draw_is_skipped(self):
         # this seed draws u == v once among its 200 pairs; that draw is not a check
-        r = certify_partial_spread(QQ, None, seed=1991668817)
+        r = certify_partial_spread(QQ, seed=1991668817)
         assert r.passed
         assert r.counts == {"spot_checks": 199}
 
     def test_route_disagreement_is_a_failed_check(self, monkeypatch):
         # the polarity route calls every pair skew; the criterion does not
-        monkeypatch.setattr(bwspread, "lines_skew", lambda l1, l2, F: True)
-        r = certify_partial_spread(F7, build_O(F7))
+        monkeypatch.setattr(bwspread, "quadric_polarization", lambda y, z, F: F.one)
+        r = certify_partial_spread(F7)
         assert r.passed is False
         assert r.note == "route disagreement"
         assert r.witness == ((0, 0), (1, 4))
@@ -187,7 +210,7 @@ class TestPartialSpread:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
     def test_group_route_equals_pairwise_scan(self, p):
         F = PrimeField(p)
-        r = certify_partial_spread(F, build_O(F))
+        r = certify_partial_spread(F)
         counts, witness = _pairwise_partial_spread(F)
         assert r.note == ""
         assert r.counts == counts
@@ -199,7 +222,7 @@ class TestPartialSpread:
         monkeypatch.setattr(
             cayley, "param_action", lambda M, u1, u2, F: (F.add(M.a, u1), F.add(M.b, u2))
         )
-        r = certify_partial_spread(F5, build_O(F5))
+        r = certify_partial_spread(F5)
         assert r.passed is False
         assert r.note == "group action disagrees with param_action"
         assert r.witness == ((1, 0, 1), (1, 0))
@@ -208,21 +231,21 @@ class TestPartialSpread:
     def test_identity_generators_fail_the_orbit_step(self, monkeypatch):
         group_matrix = cayley.group_matrix
         monkeypatch.setattr(cayley, "group_matrix", lambda a, b, c, F: group_matrix(0, 0, 1, F))
-        r = certify_partial_spread(F5, build_O(F5))
+        r = certify_partial_spread(F5)
         assert r.passed is False
         assert r.note == "generator orbit of (0,0) misses parameters"
         assert r.witness == (0, 1)
 
     def test_singular_generator_fails_the_action_step(self, monkeypatch):
         monkeypatch.setattr(bwspread, "det4", lambda m, F: F.zero)
-        r = certify_partial_spread(F5, build_O(F5))
+        r = certify_partial_spread(F5)
         assert r.passed is False
         assert r.note == "generator is singular or moves the directrix"
         assert r.witness == ((1, 0, 1), None)
 
     def test_criterion_forced_nonzero_is_a_route_disagreement(self, monkeypatch):
         monkeypatch.setattr(bwspread, "skew_criterion", lambda v1, v2, u1, u2, F: F.one)
-        r = certify_partial_spread(F7, build_O(F7))
+        r = certify_partial_spread(F7)
         assert r.passed is False
         assert r.note == "route disagreement"
         assert r.witness == ((0, 0), (1, 4))
@@ -256,8 +279,10 @@ def _pairwise_partial_spread(F):
 
 class TestBuildO:
     def test_line_count_checked(self, monkeypatch):
-        monkeypatch.setattr(bwspread, "dedup_lines", lambda lines: list(lines)[:-1])
-        with pytest.raises(WrongLineCount):
+        # the tangent at (1, 1) built as the one at (0, 0): O would hold q^2 lines
+        kappa = bwspread.kappa
+        monkeypatch.setattr(bwspread, "kappa", lambda u1, u2, F: kappa(0, 0, F) if (u1, u2) == (1, 1) else kappa(u1, u2, F))
+        with pytest.raises(IndistinctTangents, match=r"the tangent at \(1, 1\)"):
             build_O(F5)
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
@@ -272,10 +297,12 @@ class TestBuildO:
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_regulus_minus_equals_the_per_generator_construction(self, F):
         O = build_O(F)
-        for s in F.elements():
-            reg = regulus_minus(s, O, F)
-            assert len(reg) == F.order + 1
+        q = F.order
+        for i, s in enumerate(F.elements()):
+            reg = regulus_minus(s, F)
+            assert len(reg) == q + 1
             assert set(reg) == set(_regulus_by_construction(s, F))
+            assert reg == O[i * q : (i + 1) * q] + [O[-1]]
 
 
 def _regulus_by_construction(s, F):
@@ -336,7 +363,7 @@ class TestCovering:
 
 class TestMaximality:
     def test_gf5(self):
-        r = certify_maximality(F5, build_O(F5))
+        r = certify_maximality(F5)
         assert r.passed and r.counts["omega_points"] == 31
 
     def test_gf2_point(self):
@@ -349,12 +376,12 @@ class TestMaximality:
         assert incidence((0, 1, 6, 7), t, QQ)
 
     def test_char3_skipped(self):
-        r = certify_maximality(F3, build_O(F3))
+        r = certify_maximality(F3)
         assert r.passed is None
         assert r.note == "the maximality argument inverts 3"
 
     def test_rationals_pass(self):
-        assert certify_maximality(QQ, None, seed=3).passed
+        assert certify_maximality(QQ, seed=3).passed
 
     def test_brute_force_cross_check_gf5(self):
         O = build_O(F5)
@@ -362,9 +389,6 @@ class TestMaximality:
             if x[0] != 0:
                 continue
             assert any(incidence(x, l, F5) for l in O)
-
-
-PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 @lru_cache(maxsize=None)
@@ -384,17 +408,69 @@ class TestOracleRoutes:
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_dual_spread(self, p):
         F = PrimeField(p)
-        assert certify_dual_spread(F, _O(p)) == dual_spread_by_pencils(F, _O(p))
+        assert certify_dual_spread(F) == dual_spread_by_pencils(F, _O(p))
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_duality(self, p):
         F = PrimeField(p)
-        assert certify_duality(F, _O(p)) == duality_by_scans(F, _O(p))
+        assert certify_duality(F) == duality_by_scans(F, _O(p))
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_maximality(self, p):
         F = PrimeField(p)
-        assert certify_maximality(F, _O(p)) == maximality_by_filter(F, _O(p))
+        assert certify_maximality(F) == maximality_by_filter(F, _O(p))
+
+
+STREAMED_AND_BY_O = {
+    "partial_spread": (certify_partial_spread, partial_spread_by_O),
+    "maximality": (certify_maximality, maximality_by_O),
+    "dual_spread": (certify_dual_spread, dual_spread_by_O),
+    "duality": (certify_duality, duality_by_O),
+    "reguli": (reguli_check, reguli_by_O),
+}
+
+
+class TestStreamedEqualsByO:
+    """Each streamed check against its finite branch on the list O = build_O(F)
+    in tests/oracles.py: the same flag, witness, counts and note."""
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    @pytest.mark.parametrize("name", sorted(STREAMED_AND_BY_O))
+    def test_every_prime_to_31(self, name, p):
+        streamed, by_O = STREAMED_AND_BY_O[name]
+        F = PrimeField(p)
+        assert streamed(F) == by_O(F, _O(p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("u", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("name", sorted(STREAMED_AND_BY_O))
+    def test_one_broken_tangent_fails_both_routes_alike(self, monkeypatch, name, u, p):
+        # Y23 moved off the closed form: the image still gives its parameter back
+        break_kappa(monkeypatch, u, lambda y, F: y[:5] + ((y[5] + 1) % F.p,))
+        streamed, by_O = STREAMED_AND_BY_O[name]
+        F = PrimeField(p)
+        r = streamed(F)
+        assert r == by_O(F, build_O(F))
+        if (u, p) == ((1, 1), 5):  # at GF(5) every check sees this one
+            assert r.passed is False
+
+    @pytest.mark.parametrize("name", sorted(STREAMED_AND_BY_O))
+    def test_an_image_that_does_not_give_its_parameter_back_is_an_error(self, monkeypatch, name):
+        break_kappa(monkeypatch, (1, 1), lambda y, F: y[:2] + ((y[2] + 1) % F.p,) + y[3:])
+        streamed, _ = STREAMED_AND_BY_O[name]
+        with pytest.raises(IndistinctTangents):
+            build_O(F5)
+        if name == "maximality":
+            # it reads each tangent at the parameter of a point at infinity, so
+            # it meets the broken one as a point off its tangent: (0, 1, 3u1, u2)
+            assert streamed(F5) == CheckOutcome(passed=False, witness=(0, 1, 3, 1))
+        elif name == "reguli":
+            # the reguli read each tangent by its parameter too; the moved Y03
+            # puts one image off the regulus's plane
+            assert streamed(F5).witness == 1
+        else:
+            with pytest.raises(IndistinctTangents):
+                streamed(F5)
 
 
 class TestLinesThroughPoints:
@@ -407,25 +483,25 @@ class TestLinesThroughPoints:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_omega_points_are_the_filtered_points(self, p):
         F = PrimeField(p)
-        assert omega_points(F) == [x for x in enumerate_points(F) if x[0] == 0]
+        assert list(omega_points(F)) == [x for x in enumerate_points(F) if x[0] == 0]
 
 
 class TestDualSpread:
     def test_an_O_the_duality_does_not_fix_fails(self):
         # without the tangent at (1, 1) the set misses the dual of the tangent at (-1, 2)
         O = [l for l in build_O(F5) if l != osculating_tangent(1, 1, F5)]
-        r = certify_dual_spread(F5, O)
+        r = dual_spread_by_O(F5, O)
         assert r.passed is False and r.counts == {} and r.witness is None
         assert r.note.startswith("the duality does not fix O")
 
     @pytest.mark.parametrize("F,planes", [(F2, 15), (F5, 156)])
     def test_exactly_one_line_per_plane(self, F, planes):
-        r = certify_dual_spread(F, build_O(F))
+        r = certify_dual_spread(F)
         assert r.passed
         assert r.counts["planes_with_1_lines"] == planes
 
     def test_gf7_fails_with_witness(self):
-        r = certify_dual_spread(F7, build_O(F7))
+        r = certify_dual_spread(F7)
         assert not r.passed
         assert r.witness is not None
         O = build_O(F7)
@@ -434,13 +510,13 @@ class TestDualSpread:
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_pencil_counts_equal_brute_plane_by_line_counts(self, F):
-        r = certify_dual_spread(F, build_O(F))
+        r = certify_dual_spread(F)
         counts, witness = _brute_dual_spread(F)
         assert r.counts == counts
         assert r.witness == witness
 
     def test_rationals_skipped(self):
-        r = certify_dual_spread(QQ, None)
+        r = certify_dual_spread(QQ)
         assert r.passed is None
         assert r.note == "plane counting needs a finite field"
 
@@ -470,14 +546,14 @@ def _brute_dual_spread(F):
 class TestDuality:
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_duality_fixes_O(self, F):
-        assert certify_duality(F, build_O(F)).passed
+        assert certify_duality(F).passed
 
     def test_rationals(self):
-        assert certify_duality(QQ, None, seed=5).passed
+        assert certify_duality(QQ, seed=5).passed
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_counts_equal_canonicalising_scan(self, F):
-        r = certify_duality(F, build_O(F))
+        r = certify_duality(F)
         points = [canonicalize(x, F) for x in enumerate_points(F)]
         surface = [x for x in points if _form(x, F) == 0]
         tangent = [e for e in points if _form(canonicalize(e[::-1], F), F) == 0]
@@ -491,16 +567,20 @@ class TestDuality:
         moved = cayley.nuclei_line(F).plucker
         dual_plucker = cayley.dual_plucker
         monkeypatch.setattr(cayley, "dual_plucker", lambda y, F: moved if y == ginf else dual_plucker(y, F))
-        r = certify_duality(F, build_O(F))
+        r = certify_duality(F)
         assert r.passed is False and r.witness is None
         assert r == duality_by_scans(F, build_O(F))
 
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_a_rejected_tangent_plane_fails(self, F, monkeypatch):
+        # the check hands tangency_test any representative of a plane, so the
+        # rejected plane is recognised by its class
         rejected = cayley.tangent_plane(1, 1, F)
         tangency_test = cayley.tangency_test
-        monkeypatch.setattr(cayley, "tangency_test", lambda e, F: e != rejected and tangency_test(e, F))
-        r = certify_duality(F, build_O(F))
+        monkeypatch.setattr(
+            cayley, "tangency_test", lambda e, F: canonicalize(e, F) != rejected and tangency_test(e, F)
+        )
+        r = certify_duality(F)
         assert not r.passed
         assert r.counts["tangent_planes"] == F.order**2 + F.order
 
@@ -620,7 +700,7 @@ class TestChartAndTransversal:
 
 class TestReguli:
     def test_gf2_regulus(self):
-        reg = regulus_minus(0, build_O(F2), F2)
+        reg = regulus_minus(0, F2)
         assert len(reg) == 3
         ok, polar = verify_regulus(reg, F2)
         assert ok
@@ -629,7 +709,7 @@ class TestReguli:
     def test_gf5_all_parameters(self):
         O = set(build_O(F5))
         for s in range(5):
-            reg = regulus_minus(s, build_O(F5), F5)
+            reg = regulus_minus(s, F5)
             assert len(reg) == 6
             assert set(reg) <= O
             ok, polar = verify_regulus(reg, F5)
@@ -637,7 +717,7 @@ class TestReguli:
             assert _in_span(cayley.generator(1, s, F5), polar, F5)
 
     def test_check_passes_with_counts(self):
-        r = reguli_check(F5, build_O(F5))
+        r = reguli_check(F5)
         assert r.passed and r.witness is None
         assert r.counts == {"reguli": 5, "lines_each": 6}
 
@@ -651,13 +731,13 @@ class TestReguli:
             return ok and len(calls) != 3, polar
 
         monkeypatch.setattr(bwspread, "verify_regulus", third_fails)
-        r = reguli_check(F5, build_O(F5))
+        r = reguli_check(F5)
         assert not r.passed and r.witness == 2 and len(calls) == 3
         assert r.counts == {"reguli": 5, "lines_each": 6}
 
     def test_check_fails_when_polar_misses_the_generator(self, monkeypatch):
         verify = bwspread.verify_regulus
-        _, other_polar = verify(regulus_minus(3, build_O(F5), F5), F5)
+        _, other_polar = verify(regulus_minus(3, F5), F5)
         assert not _in_span(cayley.generator(1, 2, F5), other_polar, F5)
         calls = []
 
@@ -667,7 +747,7 @@ class TestReguli:
             return ok, other_polar if len(calls) == 3 else polar
 
         monkeypatch.setattr(bwspread, "verify_regulus", third_misses)
-        r = reguli_check(F5, build_O(F5))
+        r = reguli_check(F5)
         assert not r.passed and r.witness == 2 and len(calls) == 3
 
     def test_not_a_regulus_on_degenerate_input(self):
@@ -678,7 +758,7 @@ class TestReguli:
     def test_polarity_equals_brute_transversals_on_reguli(self, F):
         all_lines = enumerate_lines(F)
         for s in F.elements():
-            reg = regulus_minus(s, build_O(F), F)
+            reg = regulus_minus(s, F)
             ok, polar = verify_regulus(reg, F)
             brute_ok, opposite = _brute_regulus(reg, F, all_lines)
             assert ok == brute_ok

@@ -8,6 +8,7 @@ import pytest
 
 from bwcayley import bwspread
 from bwcayley.cli import main as cli_main
+from bwcayley.projspace import GeometryError
 from bwcayley.reports import CheckOutcome
 
 SCRIPT = Path(__file__).parents[1] / "scripts" / "certify_all.py"
@@ -31,7 +32,7 @@ def test_reports_match_the_cli_and_the_battery_runs_once(tmp_path, capsys, monke
     calls = []
     partial = bwspread.certify_partial_spread
     monkeypatch.setattr(
-        bwspread, "certify_partial_spread", lambda F, O, **kw: calls.append(F) or partial(F, O, **kw)
+        bwspread, "certify_partial_spread", lambda F, **kw: calls.append(F) or partial(F, **kw)
     )
     out_dir = tmp_path / "all"
     assert script_main(["--fields", ",".join(fields), "--out-dir", str(out_dir)]) == 0
@@ -48,7 +49,7 @@ def test_mismatch_exits_two_without_out_dir(capsys, monkeypatch):
     monkeypatch.setattr(
         bwspread,
         "certify_partial_spread",
-        lambda F, O, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
+        lambda F, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
     )
     assert script_main(["--fields", "gf:5"]) == 2
     assert "FAIL" in capsys.readouterr().out
@@ -71,13 +72,13 @@ def test_empty_panel_is_a_usage_error(fields, capsys):
 
 
 def test_check_exception_exits_three(capsys, monkeypatch):
-    def broken(F):
-        raise bwspread.WrongLineCount("built 25 lines, expected 26")
+    def broken(u1, u2, F):
+        raise GeometryError(f"no tangent at {(u1, u2)}")
 
-    monkeypatch.setattr(bwspread, "build_O", broken)
+    monkeypatch.setattr(bwspread, "kappa", broken)
     assert script_main(["--fields", "gf:5"]) == 3
     err = capsys.readouterr().err
-    assert err == "certify_all: internal error in check partial_spread: WrongLineCount: built 25 lines, expected 26\n"
+    assert err == "certify_all: internal error in check partial_spread: GeometryError: no tangent at (0, 0)\n"
 
 
 def test_unwritable_out_dir_is_one_line_and_exits_one(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from bwcayley import bwspread, idealprobe, projspace
 from bwcayley.cli import build_parser, main
 from bwcayley.field import PrimeField
+from bwcayley.projspace import GeometryError
 from bwcayley.reports import CheckOutcome
 
 
@@ -86,30 +87,28 @@ class TestExitCodes:
         monkeypatch.setattr(
             bwspread,
             "certify_partial_spread",
-            lambda F, O, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
+            lambda F, seed=0: CheckOutcome(passed=False, witness=((0, 0), (1, 1))),
         )
         code, out, _ = run(capsys, "certify", "--field", "gf:5")
         assert code == 2
         assert "MISMATCH" in out
 
-    def test_certify_builds_O_once(self, capsys, monkeypatch):
-        calls = []
-        build_O = bwspread.build_O
-        monkeypatch.setattr(bwspread, "build_O", lambda F: calls.append(F) or build_O(F))
-        code, _, _ = run(capsys, "certify", "--field", "gf:5")
-        assert code == 0 and len(calls) == 1
+    @pytest.mark.parametrize("command,field", [("certify", "gf:5"), ("klein", "gf:5"), ("char3", "gf:3")])
+    def test_no_check_calls_build_O(self, capsys, monkeypatch, command, field):
+        # every check reads its tangents one parameter at a time off the closed form
+        calls = count_calls(monkeypatch, bwspread, "build_O")
+        streams = count_calls(monkeypatch, bwspread, "tangents")
+        code, _, _ = run(capsys, command, "--field", field)
+        assert code == 0 and len(calls) == 0 and len(streams) > 0
 
     @pytest.mark.parametrize("command", ["certify", "klein"])
-    def test_each_tangent_is_built_once(self, capsys, monkeypatch, command):
-        calls = count_calls(monkeypatch, bwspread, "osculating_tangent")
+    def test_no_check_joins_a_tangent(self, capsys, monkeypatch, command):
+        # the finite checks never build a tangent by joining two points and
+        # canonicalising; closed_tangent gives each in closed form
+        joined = count_calls(monkeypatch, bwspread, "osculating_tangent")
+        closed = count_calls(monkeypatch, bwspread, "closed_tangent")
         code, _, _ = run(capsys, command, "--field", "gf:5")
-        assert code == 0 and len(calls) == 25
-
-    @pytest.mark.parametrize("command,field", [("klein", "gf:5"), ("char3", "gf:3")])
-    def test_klein_and_char3_build_O_once(self, capsys, monkeypatch, command, field):
-        calls = count_calls(monkeypatch, bwspread, "build_O")
-        code, _, _ = run(capsys, command, "--field", field)
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and len(joined) == 0 and len(closed) >= 25
 
     @pytest.mark.parametrize("command,field", [("certify", "gf:13"), ("klein", "gf:7"), ("char3", "gf:3")])
     def test_no_subcommand_enumerates_points_planes_or_lines(self, capsys, monkeypatch, command, field):
@@ -122,14 +121,16 @@ class TestExitCodes:
         assert code == 0 and {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 0)
 
     def test_certify_canonicalises_per_line_not_per_point(self, capsys, monkeypatch):
-        # PG(3,13) has 2380 points and as many planes; the checks canonicalise
-        # a few times per line of O (q^2 + 1 = 170) and per parameter, never
-        # once per point or per pencil plane
+        # PG(3,q) has q^3 + q^2 + q + 1 points and as many planes, and O has
+        # q^2 + 1 lines; the tangents are canonical by construction, so the
+        # checks canonicalise only a few times per point of the directrix
         calls = []
         canonical = PrimeField.canonical
         monkeypatch.setattr(PrimeField, "canonical", lambda self, vec: calls.append(vec) or canonical(self, vec))
-        code, _, _ = run(capsys, "certify", "--field", "gf:13")
-        assert code == 0 and len(calls) < 20 * 13**2
+        for q in (13, 101):
+            calls.clear()
+            code, _, _ = run(capsys, "certify", "--field", f"gf:{q}")
+            assert code == 0 and len(calls) < 6 * q
 
     def test_ideal_degree_help_follows_max_degree(self, capsys, monkeypatch):
         monkeypatch.setattr(idealprobe, "MAX_DEGREE", 5)
@@ -147,13 +148,13 @@ class TestExitCodes:
         assert dimension == checks["nonalgebraicity"]["counts"]["forms"]
 
     def test_check_exception_is_an_internal_error(self, capsys, monkeypatch):
-        def broken(F):
-            raise bwspread.WrongLineCount("built 25 lines, expected 26")
+        def broken(u1, u2, F):
+            raise GeometryError(f"no tangent at {(u1, u2)}")
 
-        monkeypatch.setattr(bwspread, "build_O", broken)
+        monkeypatch.setattr(bwspread, "kappa", broken)
         code, out, err = run(capsys, "certify", "--field", "gf:5")
         assert code == 3 and out == ""
-        assert err == "bwcayley: internal error in check partial_spread: WrongLineCount: built 25 lines, expected 26\n"
+        assert err == "bwcayley: internal error in check partial_spread: GeometryError: no tangent at (0, 0)\n"
 
 
 class TestReports:

@@ -58,6 +58,7 @@ PENDING = {
     "enumerate_lines": _TRACED,
     "enumerate_points": _TRACED,
     "form_value": _TRACED,
+    "build_O": _TRACED,
 }
 
 

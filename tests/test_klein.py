@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwcayley import cayley, klein
-from bwcayley.bwspread import build_O, osculating_tangent, parameter_grid
+from bwcayley.bwspread import IndistinctTangents, build_O, osculating_tangent, parameter_grid
 from bwcayley.field import InfiniteField, PrimeField, Rationals
 from bwcayley.klein import (
     ProjectionDegenerate,
@@ -43,7 +43,14 @@ from bwcayley.projspace import (
     lines_skew,
     quadric_value,
 )
-from oracles import char3_congruence_by_line_scan, in_D, variety_zero_set_by_trials
+from oracles import (
+    break_kappa,
+    char3_congruence_by_line_scan,
+    char3_congruence_by_O,
+    in_D,
+    variety_equality_by_O,
+    variety_zero_set_by_trials,
+)
 
 QQ = Rationals()
 F2, F3, F5 = (PrimeField(p) for p in (2, 3, 5))
@@ -296,13 +303,13 @@ class TestVarietyEquality:
     @pytest.mark.parametrize("p,expected", [(2, 7), (5, 31), (7, 57), (11, 133), (13, 183)])
     def test_equality_and_count(self, p, expected):
         F = PrimeField(p)
-        r = verify_variety_equality(F, build_O(F))
+        r = verify_variety_equality(F)
         assert r.passed
         assert r.counts["zero_set_points"] == expected == p * p + p + 1
 
     def test_char3_rejected(self):
         with pytest.raises(WrongCharacteristic):
-            verify_variety_equality(F3, build_O(F3))
+            verify_variety_equality(F3)
 
     def test_j_is_a_cone_with_vertex_polar_line(self):
         # adding any combination of w and w_inf to a variety point keeps
@@ -366,7 +373,7 @@ class TestMembership:
 
 class TestChar3:
     def test_congruence(self):
-        r = char3_congruence_check(F3, build_O(F3))
+        r = char3_congruence_check(F3)
         assert r.passed
         assert r.counts["congruence_lines"] == 13
         assert r.counts["tangents_plus_pencil"] == 13
@@ -374,7 +381,7 @@ class TestChar3:
 
     def test_congruence_matches_line_scan(self):
         O = build_O(F3)
-        r, ref = char3_congruence_check(F3, O), char3_congruence_by_line_scan(F3, O)
+        r, ref = char3_congruence_check(F3), char3_congruence_by_line_scan(F3, O)
         assert (r.passed, r.witness) == (ref.passed, ref.witness) == (True, None)
         assert r.counts == ref.counts
 
@@ -387,7 +394,7 @@ class TestChar3:
         n = cayley.nuclei_line(F3)
         foreign = next(l for l in enumerate_lines(F3) if l not in union and lines_skew(l, n, F3) == skew)
         mutated = [foreign] + O[1:]
-        r, ref = char3_congruence_check(F3, mutated), char3_congruence_by_line_scan(F3, mutated)
+        r, ref = char3_congruence_by_O(F3, mutated), char3_congruence_by_line_scan(F3, mutated)
         assert r.passed is False and ref.passed is False
         assert r.counts == ref.counts
         assert r.witness == (foreign.plucker if skew else None)
@@ -430,6 +437,44 @@ class TestChar3:
 
     def test_wrong_characteristic_rejected(self):
         with pytest.raises(WrongCharacteristic):
-            char3_congruence_check(F5, build_O(F5))
+            char3_congruence_check(F5)
         with pytest.raises(WrongCharacteristic):
             osculating_plane_pencil_check(F5)
+
+
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+class TestStreamedEqualsByO:
+    """The streamed klein and char3 checks against their routes on the list
+    O = build_O(F) in tests/oracles.py."""
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_every_prime_to_31(self, p):
+        F = PrimeField(p)
+        if p == 3:
+            assert char3_congruence_check(F) == char3_congruence_by_O(F, build_O(F))
+        else:
+            assert verify_variety_equality(F) == variety_equality_by_O(F, build_O(F))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("u", [(0, 0), (1, 1)])
+    def test_one_broken_tangent_fails_both_routes_alike(self, monkeypatch, u, p):
+        # Y23 moved off the closed form: the image still gives its parameter back
+        break_kappa(monkeypatch, u, lambda y, F: y[:5] + ((y[5] + 1) % F.p,))
+        F = PrimeField(p)
+        streamed, by_O = (
+            (char3_congruence_check, char3_congruence_by_O)
+            if p == 3
+            else (verify_variety_equality, variety_equality_by_O)
+        )
+        r = streamed(F)
+        assert r == by_O(F, build_O(F))
+        # the char3 witness is a line skew to the nuclei line, which this one is not
+        assert r.passed is False and (r.witness is None) == (p == 3)
+
+    @pytest.mark.parametrize("check,F", [(verify_variety_equality, F5), (char3_congruence_check, F3)])
+    def test_an_image_that_does_not_give_its_parameter_back_is_an_error(self, monkeypatch, check, F):
+        break_kappa(monkeypatch, (1, 1), lambda y, F: y[:2] + ((y[2] + 1) % F.p,) + y[3:])
+        with pytest.raises(IndistinctTangents):
+            check(F)
