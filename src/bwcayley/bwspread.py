@@ -401,16 +401,20 @@ def _affine_histogram(F: Field) -> Counter:
     return Counter({n: q2 * m for n, m in Counter(len(cube_roots(t, F)) for t in F.elements()).items()})
 
 
-def certify_covering(F: Field) -> CheckOutcome:
-    """Whether every point of PG(3,q) lies on a line of O, by `lines_of_O_through`.
+def _point_histogram(F: Field) -> Tuple[Counter, Counter]:
+    """How many affine points (`_affine_histogram`) and how many points at
+    infinity (counted one by one) lie on n lines of O, for each n."""
+    return _affine_histogram(F), Counter(lines_of_O_through(x, F) for x in omega_points(F))
 
-    The affine points are counted in closed form (`_affine_histogram`) and
-    the q^2 + q + 1 points at infinity one by one. Multiplicity counts (0, 1
-    or 3 tangents through an affine point) are reported. The points at
-    infinity come first in canonical order, then (1, 0, 0, t), whose deficit
-    is t, so the witness is the first uncovered point at infinity, else
-    (1, 0, 0, t) for the least non-cube t. Over the rationals the witness
-    is the first small-height point that no tangent reaches.
+
+def certify_covering(F: Field) -> CheckOutcome:
+    """Whether every point of PG(3,q) lies on a line of O, by `_point_histogram`.
+
+    Multiplicity counts (0, 1 or 3 tangents through an affine point) are
+    reported. The witness is the first uncovered point at infinity in
+    canonical order, else (1, 0, 0, t), whose deficit is t, for the least
+    non-cube t. Over the rationals it is the first small-height point that
+    no tangent reaches.
     """
     if not F.is_finite:
         witness = uncovered_witness_rational()
@@ -419,12 +423,13 @@ def certify_covering(F: Field) -> CheckOutcome:
             witness=witness,
             note="small-height scan for a deficit with no rational cube root",
         )
-    histogram = _affine_histogram(F)
-    at_infinity = [x for x in omega_points(F) if lines_of_O_through(x, F) == 0]
-    candidates = at_infinity + [(F.one, F.zero, F.zero, t) for t in F.elements() if not cube_roots(t, F)]
-    witness = candidates[0] if candidates else None
+    histogram, at_infinity = _point_histogram(F)
+    if at_infinity[0]:
+        witness = next(x for x in omega_points(F) if lines_of_O_through(x, F) == 0)
+    else:
+        witness = next(((F.one, F.zero, F.zero, t) for t in F.elements() if not cube_roots(t, F)), None)
     points = F.order**3 + F.order**2 + F.order + 1
-    uncovered = len(at_infinity) + histogram.get(0, 0)
+    uncovered = at_infinity[0] + histogram[0]
     return CheckOutcome(
         passed=uncovered == 0,
         witness=witness,
@@ -502,50 +507,31 @@ def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
     return CheckOutcome(passed=True, counts={"omega_points_sampled": SPOT_CHECKS})
 
 
-def _dual_fixes(F: Field) -> bool:
-    """Whether the coordinate-reversing duality maps O onto itself.
-
-    It must fix the directrix and send each tangent's Klein image to the
-    image of the tangent at its `partner`, an involution of the parameters
-    and so a bijection; `dual_sextuple` of an image leading with 1 leads
-    with 1, so it is compared with kappa(v) by `is_multiple`.
-    """
-    p = F.p
-    for (u1, u2), (_, _, y) in tangents(F):
-        v1, v2 = partner(u1, u2, p)
-        if partner(v1, v2, p) != (u1, u2):
-            return False
-        if not is_multiple(cayley.dual_sextuple(y), kappa(v1, v2, F), p):
-            return False
-    ginf = cayley.g_infinity(F).plucker
-    return cayley.dual_plucker(ginf, F) == ginf
-
-
-def certify_dual_spread(F: Field) -> CheckOutcome:
+def certify_dual_spread(F: Field, fixes_O: Optional[bool]) -> CheckOutcome:
     """Plane counts of O: exactly one line per plane in the spread regimes.
 
     The duality d reverses coordinates and is its own inverse, and a line l
     lies in the plane d(x) exactly when x lies on d(l). So once d(O) = O is
-    certified (`_dual_fixes`, one test per parameter), the plane d(x) holds
-    as many lines of O as pass through x, `lines_of_O_through(x)`: the
-    histogram over the planes is `_affine_histogram` plus the counts at the
-    q^2 + q + 1 points at infinity, whose duals are the planes through the
-    pinch point Z. The witness is the first canonical plane e whose point
-    d(e) does not count 1. Also verifies the dual surrogate of maximality:
-    every plane through Z contains at least one line of O. Skipped over the
-    rationals.
+    certified (fixes_O, read off the walk of `certify_duality`), the plane
+    d(x) holds as many lines of O as pass through x, `lines_of_O_through(x)`:
+    the histogram over the planes is `_point_histogram`'s, whose points at
+    infinity are the duals of the planes through the pinch point Z. The
+    witness is the first canonical plane e whose point d(e) does not count
+    1. Also verifies the dual surrogate of maximality: every plane through Z
+    contains at least one line of O. Skipped over the rationals, where
+    fixes_O is None.
     """
     if not F.is_finite:
         return CheckOutcome(passed=None, note="plane counting needs a finite field")
-    if not _dual_fixes(F):
+    if not fixes_O:
         return CheckOutcome(passed=False, note="the duality does not fix O, so planes cannot be counted as points")
-    at_infinity = Counter(lines_of_O_through(x, F) for x in omega_points(F))
-    histogram = _affine_histogram(F) + at_infinity
+    affine, at_infinity = _point_histogram(F)
+    histogram = affine + at_infinity
     exact_one = set(histogram) == {1}
     witness = None
     if not exact_one:  # some plane has another count, so the scan stops
         witness = next(e for e in canonical_tuples(4, F) if lines_of_O_through(cayley.duality(e, F), F) != 1)
-    planes_through_z_missing = at_infinity.get(0, 0)
+    planes_through_z_missing = at_infinity[0]
     return CheckOutcome(
         passed=exact_one and planes_through_z_missing == 0,
         witness=witness,
@@ -557,7 +543,7 @@ def certify_dual_spread(F: Field) -> CheckOutcome:
     )
 
 
-def certify_duality(F: Field, seed: int = 0) -> CheckOutcome:
+def certify_duality(F: Field, seed: int = 0) -> Tuple[CheckOutcome, Optional[bool]]:
     """The coordinate-reversing duality fixes O and pairs points with tangent planes.
 
     Checks (finite fields exhaustively, rationals on seeded samples):
@@ -574,7 +560,9 @@ def certify_duality(F: Field, seed: int = 0) -> CheckOutcome:
     q + 1 points of the directrix, the tangent planes the duals of the P(u)
     plus the q + 1 planes through the directrix, so the duality maps the
     one set onto the other exactly when every parameter agrees and the
-    directrix's points go onto the planes through it.
+    directrix's points go onto the planes through it. Returns the outcome
+    and fixes_O, whether the line map carries O onto itself (the premise of
+    `certify_dual_spread`), or None over the rationals, which are sampled.
     """
     if F.is_finite:
         return _duality_by_parameters(F)
@@ -591,31 +579,39 @@ def certify_duality(F: Field, seed: int = 0) -> CheckOutcome:
         u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         if not pair_ok(u1, u2):
-            return CheckOutcome(passed=False, witness=(u1, u2))
-    return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": SPOT_CHECKS})
+            return CheckOutcome(passed=False, witness=(u1, u2)), None
+    return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": SPOT_CHECKS}), None
 
 
-def _duality_by_parameters(F: Field) -> CheckOutcome:
+def _duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
     """The finite branch of `certify_duality`; the witness is the first
     parameter whose point or tangent the duality does not send to its
-    partner's tangent plane or tangent."""
+    partner's tangent plane or tangent. The walk goes on past it, testing
+    only the line map, so that fixes_O covers every parameter."""
     p = F.p
-    involutive = agree = True
+    fixes_O = agree = True
+    witness = None
     surface = tangent_planes = 0
     for u, (x, _, y) in tangents(F):
         v1, v2 = partner(*u, p)
-        involutive = involutive and partner(v1, v2, p) == u
+        line_ok = is_multiple(cayley.dual_sextuple(y), kappa(v1, v2, F), p)
+        fixes_O = fixes_O and line_ok and partner(v1, v2, p) == u
+        if witness is not None:
+            continue
         e = cayley.tangent_plane_coefficients(v1, v2, F)
         x0, x1, x2, x3 = x
-        if (x3 + e[0]) % p or (x2 + e[1]) % p or (x1 + e[2]) % p or (x0 + e[3]) % p:
-            return CheckOutcome(passed=False, witness=u)
-        if not is_multiple(cayley.dual_sextuple(y), kappa(v1, v2, F), p):
-            return CheckOutcome(passed=False, witness=u)
+        if (x3 + e[0]) % p or (x2 + e[1]) % p or (x1 + e[2]) % p or (x0 + e[3]) % p or not line_ok:
+            witness = u
+            continue
         on_surface = cayley.f_value(x, F) == F.zero
         tangent = cayley.tangency_test((x3, x2, x1, x0), F)
         surface += on_surface
         tangent_planes += tangent
         agree = agree and on_surface == tangent
+    ginf = cayley.g_infinity(F).plucker
+    fixes_O = fixes_O and cayley.dual_plucker(ginf, F) == ginf
+    if witness is not None:
+        return CheckOutcome(passed=False, witness=witness), fixes_O
     # the canonical pairs (a, b) give the directrix points (0, 0, a, b)
     # and the planes [a, b, 0, 0] through the directrix
     on_directrix = 0
@@ -628,8 +624,6 @@ def _duality_by_parameters(F: Field) -> CheckOutcome:
         e = ab + (F.zero, F.zero)
         if cayley.tangency_test(e, F):
             planes.add(e)
-    ginf = cayley.g_infinity(F).plucker
-    fixes_O = involutive and cayley.dual_plucker(ginf, F) == ginf
     return CheckOutcome(
         passed=fixes_O and agree and len(dual_images) == on_directrix and dual_images == planes,
         counts={
@@ -638,7 +632,7 @@ def _duality_by_parameters(F: Field) -> CheckOutcome:
             "surface_points": surface + on_directrix,
             "tangent_planes": tangent_planes + len(planes),
         },
-    )
+    ), fixes_O
 
 
 # --- the Betten chart ----------------------------------------------------------

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import bwspread, idealprobe, klein
 from .field import QQ, Field, FieldError, SpreadRegime, classify_field, parse_field_spec
@@ -42,11 +42,12 @@ class CheckError(Exception):
 
 @dataclass
 class Run:
-    """The inputs one command's checks share; the ideal probe is built on
-    first use. No check holds the tangent set O: over a finite field each
-    reads the tangents one parameter at a time from their closed form
-    (`bwspread.tangents`), and none lists the points, planes or lines of
-    PG(3,q)."""
+    """The inputs one command's checks share. The ideal probe and the
+    duality walk are built on first use, by `pencil_vanishing` and by
+    `dual_spread`, which reads the walk's d(O) = O flag. No check holds the
+    tangent set O: over a finite field each reads the tangents one parameter
+    at a time from their closed form (`bwspread.tangents`), and none lists
+    the points, planes or lines of PG(3,q)."""
 
     F: Field
     seed: int = 0
@@ -56,6 +57,10 @@ class Run:
     @cached_property
     def probe(self) -> idealprobe.ProbeReport:
         return idealprobe.closure_probe(self.degree, self.samples, self.seed)
+
+    @cached_property
+    def duality(self) -> Tuple[CheckOutcome, Optional[bool]]:
+        return bwspread.certify_duality(self.F, seed=self.seed)
 
 
 def _by_regime(spread: str, not_partial: str, maximal_partial: str, char3: str) -> Dict[SpreadRegime, str]:
@@ -113,13 +118,13 @@ CHECKS = {
             "dual_spread",
             "every plane contains exactly one line of the set",
             _by_regime("pass", "fail", "skipped", "fail"),
-            lambda run: bwspread.certify_dual_spread(run.F),
+            lambda run: bwspread.certify_dual_spread(run.F, run.duality[1]),
         ),
         (
             "duality",
             "reversing coordinates maps surface points onto tangent planes and fixes the tangent set",
             _by_regime("pass", "pass", "pass", "pass"),
-            lambda run: bwspread.certify_duality(run.F, seed=run.seed),
+            lambda run: run.duality[0],
         ),
     ],
     "klein": [

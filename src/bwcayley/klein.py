@@ -131,12 +131,11 @@ def pencil_line(a, b, F: Field) -> Line:
 
 
 def pencil_LZomega(F: Field) -> List[Line]:
-    """All q+1 lines through the pinch point inside the plane at infinity."""
+    """All q+1 lines through the pinch point inside the plane at infinity,
+    distinct as they join it to the points of the line X0 = X3 = 0."""
     if not F.is_finite:
         raise InfiniteField("pencil enumeration needs a finite field; use pencil_line")
-    lines = [pencil_line(F.one, b, F) for b in F.elements()]
-    lines.append(pencil_line(F.zero, F.one, F))
-    return dedup_lines(lines)
+    return [pencil_line(F.one, b, F) for b in F.elements()] + [pencil_line(F.zero, F.one, F)]
 
 
 def project_through_Cperp(y: Sequence, F: Field) -> KleinPoint:

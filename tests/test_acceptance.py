@@ -17,6 +17,7 @@ from bwcayley.bwspread import (
     build_O,
     certify_covering,
     certify_dual_spread,
+    certify_duality,
     certify_maximality,
     certify_partial_spread,
     osculating_tangent,
@@ -98,7 +99,7 @@ def test_criterion_02_spread_and_covering_certify(p, lines, points, planes):
         assert partial.passed and partial.counts["violations"] == 0
         covering = certify_covering(F)
         assert covering.passed and covering.counts["points"] == points
-        dual = certify_dual_spread(F)
+        dual = certify_dual_spread(F, certify_duality(F)[1])
         assert dual.passed and dual.counts["planes"] == planes
         assert dual.counts["planes_with_1_lines"] == planes
 

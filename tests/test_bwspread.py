@@ -391,6 +391,11 @@ class TestMaximality:
             assert any(incidence(x, l, F5) for l in O)
 
 
+def _dual_spread(F):
+    """`certify_dual_spread` on the d(O) = O flag of the duality walk."""
+    return certify_dual_spread(F, certify_duality(F)[1])
+
+
 @lru_cache(maxsize=None)
 def _O(p):
     return build_O(PrimeField(p))
@@ -408,12 +413,12 @@ class TestOracleRoutes:
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_dual_spread(self, p):
         F = PrimeField(p)
-        assert certify_dual_spread(F) == dual_spread_by_pencils(F, _O(p))
+        assert _dual_spread(F) == dual_spread_by_pencils(F, _O(p))
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_duality(self, p):
         F = PrimeField(p)
-        assert certify_duality(F) == duality_by_scans(F, _O(p))
+        assert certify_duality(F)[0] == duality_by_scans(F, _O(p))
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_maximality(self, p):
@@ -424,8 +429,8 @@ class TestOracleRoutes:
 STREAMED_AND_BY_O = {
     "partial_spread": (certify_partial_spread, partial_spread_by_O),
     "maximality": (certify_maximality, maximality_by_O),
-    "dual_spread": (certify_dual_spread, dual_spread_by_O),
-    "duality": (certify_duality, duality_by_O),
+    "dual_spread": (_dual_spread, dual_spread_by_O),
+    "duality": (lambda F: certify_duality(F)[0], duality_by_O),
     "reguli": (reguli_check, reguli_by_O),
 }
 
@@ -496,12 +501,12 @@ class TestDualSpread:
 
     @pytest.mark.parametrize("F,planes", [(F2, 15), (F5, 156)])
     def test_exactly_one_line_per_plane(self, F, planes):
-        r = certify_dual_spread(F)
+        r = _dual_spread(F)
         assert r.passed
         assert r.counts["planes_with_1_lines"] == planes
 
     def test_gf7_fails_with_witness(self):
-        r = certify_dual_spread(F7)
+        r = _dual_spread(F7)
         assert not r.passed
         assert r.witness is not None
         O = build_O(F7)
@@ -510,15 +515,66 @@ class TestDualSpread:
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_pencil_counts_equal_brute_plane_by_line_counts(self, F):
-        r = certify_dual_spread(F)
+        r = _dual_spread(F)
         counts, witness = _brute_dual_spread(F)
         assert r.counts == counts
         assert r.witness == witness
 
     def test_rationals_skipped(self):
-        r = certify_dual_spread(QQ)
+        r = _dual_spread(QQ)
         assert r.passed is None
         assert r.note == "plane counting needs a finite field"
+
+
+class TestDualSpreadPremise:
+    """`dual_spread` reads d(O) = O off the duality walk's line map, not
+    off the duality check's verdict."""
+
+    @staticmethod
+    def _checks(F):
+        return {c.name: c.canonical() for c in certify_report(F).checks}
+
+    def test_a_rejected_tangent_plane_fails_duality_only(self, monkeypatch):
+        unpatched = self._checks(F5)
+        rejected = cayley.tangent_plane(1, 1, F5)
+        tangency_test = cayley.tangency_test
+        monkeypatch.setattr(
+            cayley, "tangency_test", lambda e, F: canonicalize(e, F) != rejected and tangency_test(e, F)
+        )
+        checks = self._checks(F5)
+        assert unpatched["duality"]["status"] == "pass" and checks["duality"]["status"] == "fail"
+        assert checks["dual_spread"] == unpatched["dual_spread"]
+        assert checks["dual_spread"]["status"] == "pass"
+
+    def test_a_broken_tangent_fails_dual_spread(self, monkeypatch):
+        break_kappa(monkeypatch, (1, 1), lambda y, F: y[:5] + ((y[5] + 1) % F.p,))
+        checks = self._checks(F5)
+        assert checks["dual_spread"]["status"] == "fail"
+        assert checks["dual_spread"]["note"] == "the duality does not fix O, so planes cannot be counted as points"
+        assert checks["dual_spread"]["counts"] == {} and checks["dual_spread"]["witness"] is None
+        assert checks["duality"]["status"] == "fail" and checks["duality"]["witness"] == [1, 1]
+
+    @pytest.mark.parametrize("u", [(1, 1), (4, 3)])
+    def test_the_flag_is_the_line_map_past_the_witness(self, monkeypatch, u):
+        # the point/plane test fails first at (0, 0); the walk goes on, so a
+        # tangent broken after the witness still clears the flag
+        coefficients = cayley.tangent_plane_coefficients
+
+        def moved(v1, v2, F):  # the plane of (0, 0), its own partner, off by one
+            e = coefficients(v1, v2, F)
+            return ((e[0] + 1) % F.p,) + e[1:] if (v1, v2) == (0, 0) else e
+
+        monkeypatch.setattr(cayley, "tangent_plane_coefficients", moved)
+        outcome, fixes_O = certify_duality(F5)
+        assert outcome == CheckOutcome(passed=False, witness=(0, 0)) and fixes_O
+        break_kappa(monkeypatch, u, lambda y, F: y[:5] + ((y[5] + 1) % F.p,))
+        outcome, fixes_O = certify_duality(F5)
+        assert outcome == CheckOutcome(passed=False, witness=(0, 0)) and fixes_O is False
+
+    def test_rationals_have_no_flag(self):
+        outcome, fixes_O = certify_duality(QQ)
+        assert outcome.passed and fixes_O is None
+        assert certify_dual_spread(QQ, fixes_O).passed is None
 
 
 def _brute_dual_spread(F):
@@ -546,14 +602,14 @@ def _brute_dual_spread(F):
 class TestDuality:
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_duality_fixes_O(self, F):
-        assert certify_duality(F).passed
+        assert certify_duality(F)[0].passed
 
     def test_rationals(self):
-        assert certify_duality(QQ, seed=5).passed
+        assert certify_duality(QQ, seed=5)[0].passed
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_counts_equal_canonicalising_scan(self, F):
-        r = certify_duality(F)
+        r = certify_duality(F)[0]
         points = [canonicalize(x, F) for x in enumerate_points(F)]
         surface = [x for x in points if _form(x, F) == 0]
         tangent = [e for e in points if _form(canonicalize(e[::-1], F), F) == 0]
@@ -567,7 +623,7 @@ class TestDuality:
         moved = cayley.nuclei_line(F).plucker
         dual_plucker = cayley.dual_plucker
         monkeypatch.setattr(cayley, "dual_plucker", lambda y, F: moved if y == ginf else dual_plucker(y, F))
-        r = certify_duality(F)
+        r = certify_duality(F)[0]
         assert r.passed is False and r.witness is None
         assert r == duality_by_scans(F, build_O(F))
 
@@ -580,7 +636,7 @@ class TestDuality:
         monkeypatch.setattr(
             cayley, "tangency_test", lambda e, F: canonicalize(e, F) != rejected and tangency_test(e, F)
         )
-        r = certify_duality(F)
+        r = certify_duality(F)[0]
         assert not r.passed
         assert r.counts["tangent_planes"] == F.order**2 + F.order
 

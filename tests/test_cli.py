@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from bwcayley import bwspread, idealprobe, projspace
-from bwcayley.cli import build_parser, main
+from bwcayley import bwspread, cayley, idealprobe, projspace
+from bwcayley.cli import build_parser, certify_report, main
 from bwcayley.field import PrimeField
 from bwcayley.projspace import GeometryError
 from bwcayley.reports import CheckOutcome
@@ -100,6 +100,21 @@ class TestExitCodes:
         streams = count_calls(monkeypatch, bwspread, "tangents")
         code, _, _ = run(capsys, command, "--field", field)
         assert code == 0 and len(calls) == 0 and len(streams) > 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_finite_battery_walks_the_tangents_twice(self, monkeypatch, p):
+        # partial_spread walks them, and the duality walk serves both
+        # dual_spread and duality
+        streams = count_calls(monkeypatch, bwspread, "tangents")
+        walks = count_calls(monkeypatch, bwspread, "certify_duality")
+        certify_report(PrimeField(p))
+        assert len(streams) == 2 and len(walks) == 1
+
+    def test_rational_battery_samples_the_duality_once(self, capsys, monkeypatch):
+        walks = count_calls(monkeypatch, bwspread, "certify_duality")
+        planes = count_calls(monkeypatch, cayley, "tangent_plane")
+        code, _, _ = run(capsys, "certify", "--field", "q")
+        assert code == 0 and len(walks) == 1 and len(planes) == bwspread.SPOT_CHECKS
 
     @pytest.mark.parametrize("command", ["certify", "klein"])
     def test_no_check_joins_a_tangent(self, capsys, monkeypatch, command):

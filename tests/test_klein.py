@@ -202,6 +202,11 @@ class TestPencil:
     def test_gf3_count(self):
         assert len(pencil_LZomega(F3)) == 4
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_q_plus_one_distinct_lines(self, p):
+        F = PrimeField(p)
+        assert len({l.plucker for l in pencil_LZomega(F)}) == len(pencil_LZomega(F)) == p + 1
+
     def test_klein_image_of_axis_line(self):
         l = pencil_line(1, 0, F5)
         assert l.plucker == (0, 0, 0, 0, 1, 0)
