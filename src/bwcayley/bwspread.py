@@ -34,8 +34,6 @@ from .projspace import (
     canonicalize,
     compound_apply,
     compound_image,
-    dedup_lines,
-    det4,
     gram_apply,
     incidence,
     is_multiple,
@@ -204,8 +202,8 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     """Pairwise skewness of O, the q^2 tangents plus the directrix.
 
     Finite fields, through the translation group of the surface, in one pass
-    over `tangents`. The generators M(1,0,1) and M(0,1,1) are certified to
-    be invertible, to fix the directrix and to send tangent(u) to
+    over `tangents`. The generators M(1,0,1) and M(0,1,1), invertible by
+    construction, are certified to fix the directrix and to send tangent(u) to
     tangent(param_action(u)) for every parameter u, each image taken on the
     tangent's Plücker sextuple by the generator's second compound matrix,
     and their orbit of (0,0) to hold all q^2 parameters.
@@ -259,10 +257,9 @@ def _partial_spread_by_translations(F: Field) -> CheckOutcome:
     ginf = cayley.g_infinity(F).plucker
     generators = [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)]
     compounds = [second_compound(M.entries, F) for M in generators]
-    moved = [
-        det4(M.entries, F) == F.zero or compound_image(compound, ginf, F) != ginf
-        for M, compound in zip(generators, compounds)
-    ]
+    # group_matrix refuses c = 0 and is lower triangular with diagonal 1, c, c^2, c^3,
+    # so a generator is invertible and only its fix of the directrix is tested
+    moved = [compound_image(compound, ginf, F) != ginf for compound in compounds]
     action_failure = [None, None]
     origin = (F.zero, F.zero)
     t0 = None
@@ -664,18 +661,21 @@ def betten_chart(u1, u2, F: Field):
     return (t, s), plane1, plane2
 
 
-def regulus_minus(s, F: Field) -> List[Line]:
-    """Tangents at the points (s, u2) of the generator g(1,s), in u2 order,
-    plus the directrix, each tangent built by `closed_tangent`."""
+# The Klein image (0,0,0,0,0,1) of the directrix V(X0, X1) over GF(p), whose
+# zero and one are the ints 0 and 1; in closed form, so no regulus joins it.
+_DIRECTRIX_IMAGE = (0, 0, 0, 0, 0, 1)
+
+
+def regulus_minus(s, F: Field) -> List[KleinPoint]:
+    """Klein images of the tangents at the points (s, u2) of the generator
+    g(1,s), in u2 order, each `kappa(s, u2)`, plus the directrix's."""
     if not F.is_finite:
         raise InfiniteField("regulus enumeration needs a finite field")
-    lines = [Line(*closed_tangent(s, u2, F)) for u2 in F.elements()]
-    lines.append(cayley.g_infinity(F))
-    return lines
+    return [kappa(s, u2, F) for u2 in F.elements()] + [_DIRECTRIX_IMAGE]
 
 
-def verify_regulus(lines: Sequence[Line], F: Field):
-    """Check that a line set is a whole regulus, through its Klein images.
+def verify_regulus(images: Sequence[KleinPoint], F: Field):
+    """Check that a line set, given by its canonical Klein images, is a whole regulus.
 
     A regulus is the set of q+1 lines whose images are the points of a
     nondegenerate conic, a plane section of the Klein quadric. So the lines
@@ -687,14 +687,14 @@ def verify_regulus(lines: Sequence[Line], F: Field):
     must be a conic plane as well. Returns (ok, polar): polar is a basis of
     the polar plane, or [] when the images do not span a conic plane.
     """
-    lines = list(lines)
-    if len(dedup_lines(lines)) != len(lines) or len(lines) < 3:
+    images = list(images)
+    if len(set(images)) != len(images) or len(images) < 3:
         raise NotARegulus("need at least three distinct lines")
-    reduced, pivots = rref([list(l.plucker) for l in lines], F)
+    reduced, pivots = rref([list(y) for y in images], F)
     plane = reduced[:3]
-    if len(pivots) != 3 or len(lines) != F.order + 1 or not _conic_plane(plane, F):
+    if len(pivots) != 3 or len(images) != F.order + 1 or not _conic_plane(plane, F):
         return False, []
-    if any(quadric_value(l.plucker, F) != F.zero for l in lines):
+    if any(quadric_value(y, F) != F.zero for y in images):
         return False, []
     polar = nullspace([list(gram_apply(y, F)) for y in plane], 6, F)
     return _conic_plane(polar, F), polar
@@ -718,11 +718,7 @@ def _conic_plane(basis: Sequence[Sequence], F: Field) -> bool:
     h = quadric_polarization(e1, e2, F)
     g = quadric_polarization(e1, e3, F)
     f = quadric_polarization(e2, e3, F)
-    mul = F.mul
-    value = F.add(mul(F.of(4), mul(mul(a, b), c)), mul(mul(f, g), h))
-    for u, v in ((a, f), (b, g), (c, h)):
-        value = F.sub(value, mul(u, mul(v, v)))
-    return value != F.zero
+    return F.of(4 * a * b * c + f * g * h - a * f * f - b * g * g - c * h * h) != F.zero
 
 
 def reguli_check(F: Field) -> CheckOutcome:

@@ -9,6 +9,7 @@ everything collapses into the quadratic cone cut out by the 3-space D.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Sequence, Set, Tuple
 
 from . import bwspread, cayley
@@ -17,11 +18,8 @@ from .linalg import rank, same_span
 from .projspace import (
     GeometryError,
     KleinPoint,
-    Line,
     canonicalize,
-    dedup_lines,
     gram_apply,
-    line_through,
     quadric_polarization,
     quadric_value,
     span_points,
@@ -40,21 +38,19 @@ class ProjectionDegenerate(GeometryError):
 # --- forms ------------------------------------------------------------------
 
 def h1_form(y: Sequence, F: Field):
-    """3*Y01*(Y12+Y03) - Y02^2."""
-    s = F.add(y[3], y[2])
-    return F.sub(F.mul(F.of(3), F.mul(y[0], s)), F.mul(y[1], y[1]))
+    """3*Y01*(Y12+Y03) - Y02^2, in plain operators, reduced once by `F.of`."""
+    return F.of(3 * y[0] * (y[3] + y[2]) - y[1] * y[1])
 
 
 def h2_form(y: Sequence, F: Field):
-    """3*Y02*Y13 - (Y12+Y03)^2."""
-    s = F.add(y[3], y[2])
-    return F.sub(F.mul(F.of(3), F.mul(y[1], y[4])), F.mul(s, s))
+    """3*Y02*Y13 - (Y12+Y03)^2, in plain operators, reduced once by `F.of`."""
+    s = y[3] + y[2]
+    return F.of(3 * y[1] * y[4] - s * s)
 
 
 def h3_form(y: Sequence, F: Field):
-    """9*Y01*Y13 - Y02*(Y12+Y03)."""
-    s = F.add(y[3], y[2])
-    return F.sub(F.mul(F.of(9), F.mul(y[0], y[4])), F.mul(y[1], s))
+    """9*Y01*Y13 - Y02*(Y12+Y03), in plain operators, reduced once by `F.of`."""
+    return F.of(9 * y[0] * y[4] - y[1] * (y[3] + y[2]))
 
 
 # --- distinguished vectors and subspaces -------------------------------------
@@ -100,16 +96,14 @@ def in_kappa_O(y: Sequence, F: Field) -> bool:
 
 
 def generator_cubic(s0, s1, F: Field) -> KleinPoint:
-    """Klein image of the generator g(s0,s1): (0, s0^3, s0^2 s1, s0^2 s1, s0 s1^2, s1^3)."""
+    """Klein image of the generator g(s0,s1): (0, s0^3, s0^2 s1, s0^2 s1, s0 s1^2, s1^3),
+    in plain operators, reduced once by `canonicalize`."""
     s0, s1 = F.of(s0), F.of(s1)
     if s0 == F.zero and s1 == F.zero:
         raise cayley.ZeroParameters("generator parameters must not both vanish")
-    mul = F.mul
-    a = mul(mul(s0, s0), s0)
-    b = mul(mul(s0, s0), s1)
-    c = mul(s0, mul(s1, s1))
-    d = mul(mul(s1, s1), s1)
-    return canonicalize((F.zero, a, b, b, c, d), F)
+    s00, s11 = s0 * s0, s1 * s1
+    b = s00 * s1
+    return canonicalize((F.zero, s00 * s0, b, b, s0 * s11, s11 * s1), F)
 
 
 def twisted_cubic_basis(F: Field) -> Tuple[Tuple, ...]:
@@ -122,20 +116,16 @@ def twisted_cubic_basis(F: Field) -> Tuple[Tuple, ...]:
     return v0, v1, v2, v3
 
 
-def pencil_line(a, b, F: Field) -> Line:
-    """The line joining the pinch point with (0, a, b, 0) inside the plane at infinity."""
-    a, b = F.of(a), F.of(b)
-    if a == F.zero and b == F.zero:
-        raise cayley.ZeroParameters("pencil parameters must not both vanish")
-    return line_through((F.zero, a, b, F.zero), cayley.z_point(F), F)
-
-
-def pencil_LZomega(F: Field) -> List[Line]:
-    """All q+1 lines through the pinch point inside the plane at infinity,
-    distinct as they join it to the points of the line X0 = X3 = 0."""
+def pencil_LZomega(F: Field) -> List[KleinPoint]:
+    """Klein images of the q+1 lines through the pinch point inside the
+    plane at infinity, in closed form. The line joining (0, a, b, 0) with
+    Z = (0,0,0,1) has the sextuple (0,0,0,0,a,b), so the images are
+    (0,0,0,0,1,b) for b in `F.elements()`, then `w_infinity`, the
+    directrix's; they are distinct and lead with 0."""
     if not F.is_finite:
-        raise InfiniteField("pencil enumeration needs a finite field; use pencil_line")
-    return [pencil_line(F.one, b, F) for b in F.elements()] + [pencil_line(F.zero, F.one, F)]
+        raise InfiniteField("pencil enumeration needs a finite field")
+    zero, one = F.zero, F.one
+    return [(zero, zero, zero, zero, one, b) for b in F.elements()] + [w_infinity(F)]
 
 
 def project_through_Cperp(y: Sequence, F: Field) -> KleinPoint:
@@ -144,21 +134,18 @@ def project_through_Cperp(y: Sequence, F: Field) -> KleinPoint:
     Closed form (y01, y02, 0, y12+y03, y13, 0); degenerate exactly when y
     lies on the polar line of C itself.
     """
-    image = (y[0], y[1], F.zero, F.add(y[3], y[2]), y[4], F.zero)
+    image = (y[0], y[1], F.zero, y[3] + y[2], y[4], F.zero)
     if all(F.of(v) == F.zero for v in image):
         raise ProjectionDegenerate("input lies on the polar line of C")
     return canonicalize(image, F)
 
 
 def _projected_cubic_point(s, F: Field) -> KleinPoint:
-    """The point (1, 3s, 0, 3s^2, s^3, 0) of the twisted cubic in B."""
+    """The point (1, 3s, 0, 3s^2, s^3, 0) of the twisted cubic in B, in
+    plain operators, reduced once by `canonicalize`."""
     s = F.of(s)
-    mul = F.mul
-    three = F.of(3)
-    return canonicalize(
-        (F.one, mul(three, s), F.zero, mul(three, mul(s, s)), mul(mul(s, s), s), F.zero),
-        F,
-    )
+    ss = s * s
+    return canonicalize((F.one, 3 * s, F.zero, 3 * ss, ss * s, F.zero), F)
 
 
 def projection_check(F: Field) -> CheckOutcome:
@@ -225,9 +212,9 @@ def variety_zero_set(F: Field) -> Set[KleinPoint]:
             values = elems
             for form in forms:
                 f0 = form(z0, F)
-                slope = F.sub(form(z1, F), f0)
+                slope = F.of(form(z1, F) - f0)
                 if slope != zero:
-                    values = (F.div(F.neg(f0), slope),)
+                    values = (F.of(-f0 * F.inv(slope)),)
                     break
             for v in values:
                 z = y + (v,)
@@ -240,34 +227,47 @@ def variety_zero_set(F: Field) -> Set[KleinPoint]:
     return set(prefixes)
 
 
+def _image_difference(points: Set[KleinPoint], F: Field) -> Tuple[List, List, int]:
+    """Compare a set of canonical points with the Klein image of the tangent
+    set O united with the pencil through the pinch point (which holds the
+    directrix), over GF(p).
+
+    No image set is built. A point leading with 1 is an image exactly when
+    it is kappa(u) at the parameter u it gives back, (Y02/3, Y03), or
+    (Y13, Y03) in characteristic 3, as `bwspread.tangents` reads it, and one
+    leading with 0 exactly when it is a pencil image. One pass over the
+    tangents tests each image for membership in the set. The q^2 tangent
+    images are distinct and lead with 1, the pencil's lead with 0. Returns
+    (extra, missing, n_images): the points that are no image, the images
+    that are no point, and the number of images.
+    """
+    pencil = pencil_LZomega(F)
+    in_pencil = set(pencil)
+    p = F.p
+    third = pow(3, -1, p) if p != 3 else None
+    kappa = bwspread.kappa
+    extra = [
+        z for z in points if (kappa(z[1] * third if third else z[4], z[2], F) != z if z[0] else z not in in_pencil)
+    ]
+    missing = [y for y in pencil if y not in points]
+    n_tangents = 0
+    for _, (_, _, y) in bwspread.tangents(F):
+        n_tangents += 1
+        if y not in points:
+            missing.append(y)
+    return extra, missing, n_tangents + len(pencil)
+
+
 def verify_variety_equality(F: Field) -> CheckOutcome:
     """Set equality of the exhaustive form zero set with the Klein image of
-    the tangent set O united with the pencil through the pinch point (which
-    holds the directrix).
-
-    No image set is built. A zero-set point leading with 1 is in the image
-    exactly when it is kappa(u) at u = (Y02/3, Y03), the parameter every
-    tangent image gives back (`bwspread.tangents`), and one leading with 0
-    exactly when it is a pencil line's. One pass over the tangents tests
-    each image for membership in the zero set. The q^2 tangent images are
-    distinct and lead with 1, the pencil's lead with 0, so the image has
-    q^2 plus the pencil's size points. The witness is the least point of
-    the symmetric difference.
+    the tangent set O united with the pencil through the pinch point, by
+    `_image_difference`. The image has q^2 plus the pencil's size points.
+    The witness is the least point of the symmetric difference.
     """
     if F.characteristic == 3:
         raise WrongCharacteristic("the three-cone description needs characteristic != 3")
     zero_set = variety_zero_set(F)
-    pencil = {l.plucker for l in pencil_LZomega(F)}
-    p = F.p
-    third = pow(3, -1, p)
-    kappa = bwspread.kappa
-    extra = [z for z in zero_set if (kappa(z[1] * third, z[2], F) != z if z[0] else z not in pencil)]
-    missing = [y for y in pencil if y not in zero_set]
-    n_tangents = 0
-    for _, (_, _, y) in bwspread.tangents(F):
-        n_tangents += 1
-        if y not in zero_set:
-            missing.append(y)
+    extra, missing, n_images = _image_difference(zero_set, F)
     equal = not extra and not missing
     q = F.order
     return CheckOutcome(
@@ -275,7 +275,7 @@ def verify_variety_equality(F: Field) -> CheckOutcome:
         witness=None if equal else min(extra + missing),
         counts={
             "zero_set_points": len(zero_set),
-            "image_points": n_tangents + len(pencil),
+            "image_points": n_images,
             "expected": q * q + q + 1,
         },
     )
@@ -289,38 +289,27 @@ def char3_congruence_check(F: Field) -> CheckOutcome:
 
     The Klein correspondence is a bijection between lines and quadric
     points, so the congruence's lines are the q^2+q+1 points of the quadric
-    section of D; comparing them with the images of tangents plus pencil
-    (cubing is onto for finite characteristic 3) settles membership and
-    exhaustion at once. The tangents are read one at a time off
-    `bwspread.tangents`, whose images are distinct and lead with 1, then
-    the directrix and the rest of the pencil, whose images lead with 0. The
-    witness is the first of these lines skew to the line of nuclei.
+    section of D; comparing them with the images of tangents plus pencil by
+    `_image_difference` (cubing is onto for finite characteristic 3) settles
+    membership and exhaustion at once. The witness is the first of these
+    images skew to the line of nuclei, the tangents first in
+    `parameter_grid` order, then the pencil's.
     """
     if F.characteristic != 3:
         raise WrongCharacteristic("needs characteristic 3")
     qd_points = variety_qd_points(F)
+    extra, missing, n_images = _image_difference(qd_points, F)
     nuclei = cayley.nuclei_line(F).plucker
-    skew = None
-    inside = True
-    n_tangents = 0
-    for _, (_, _, y) in bwspread.tangents(F):
-        n_tangents += 1
-        if skew is None and quadric_polarization(y, nuclei, F) != F.zero:
-            skew = y
-        inside = inside and y in qd_points
-    rest = [l.plucker for l in dedup_lines([cayley.g_infinity(F)] + pencil_LZomega(F))]
-    for y in rest:
-        if skew is None and quadric_polarization(y, nuclei, F) != F.zero:
-            skew = y
-        inside = inside and y in qd_points
+    # GF(3) is the only prime field of characteristic 3: a second walk over its 9 tangents
+    images = chain((y for _, (_, _, y) in bwspread.tangents(F)), pencil_LZomega(F))
+    skew = next((y for y in images if quadric_polarization(y, nuclei, F) != F.zero), None)
     q = F.order
-    union = n_tangents + len(rest)
     return CheckOutcome(
-        passed=skew is None and inside and union == len(qd_points) and len(qd_points) == q * q + q + 1,
+        passed=skew is None and not extra and not missing and len(qd_points) == q * q + q + 1,
         witness=skew,
         counts={
             "congruence_lines": len(qd_points),
-            "tangents_plus_pencil": union,
+            "tangents_plus_pencil": n_images,
             "cone_section_points": len(qd_points),
             "expected": q * q + q + 1,
         },
@@ -351,19 +340,15 @@ def osculating_plane_pencil_check(F: Field) -> CheckOutcome:
     axis_is_polar = same_span(axis, [list(gram_apply(row, F)) for row in d_equations], F)
 
     def combo(*terms):
-        out = [F.zero] * 6
-        for coeff, vec in terms:
-            for i, v in enumerate(vec):
-                out[i] = F.add(out[i], F.mul(coeff, v))
-        return out
+        return [F.of(sum(coeff * vec[i] for coeff, vec in terms)) for i in range(6)]
 
     ok = axis_is_polar
     witness = None
     for s in F.elements():
-        s2, s3 = F.mul(s, s), F.mul(F.mul(s, s), s)
-        point = combo((F.one, v0), (s, v1), (s2, v2), (s3, v3))
-        first = combo((F.one, v1), (F.mul(F.of(2), s), v2), (F.mul(F.of(3), s2), v3))
-        second = combo((F.of(2), v2), (F.mul(F.of(6), s), v3))
+        s2 = s * s
+        point = combo((1, v0), (s, v1), (s2, v2), (s2 * s, v3))
+        first = combo((1, v1), (2 * s, v2), (3 * s2, v3))
+        second = combo((2, v2), (6 * s, v3))
         plane = [point, first, second]
         if rank(plane, F) != 3 or rank(plane + [list(v1)], F) != 3 or rank(plane + [list(v2)], F) != 3:
             ok = False
@@ -371,7 +356,7 @@ def osculating_plane_pencil_check(F: Field) -> CheckOutcome:
             break
     # the remaining cubic point (the image of the directrix), via the reversed chart
     if ok:
-        plane = [list(v3), list(v2), combo((F.of(2), v1))]
+        plane = [list(v3), list(v2), combo((2, v1))]
         ok = rank(plane, F) == 3 and rank(plane + [list(v1)], F) == 3 and rank(plane + [list(v2)], F) == 3
     return CheckOutcome(
         passed=ok,

@@ -2,7 +2,7 @@
 
 Pivoting is deterministic (first nonzero column, smallest row index), so
 reduced forms and nullspace bases are byte-stable across runs. Over GF(p)
-the elimination runs through the field's operations. Over the rationals it
+the elimination runs in plain operators, reduced by `F.of`. Over the rationals it
 runs modulo word-size primes, with each row packed into one int of
 fixed-width slots, so that a row update is a single multiply-add of ints:
 the reduced form is lifted by Chinese remaindering and rational
@@ -36,7 +36,8 @@ def rref(rows: Sequence[Sequence], F: Field) -> Tuple[List[List], List[int]]:
 
 
 def _rref_generic(rows: Sequence[Sequence], F: Field) -> Tuple[List[List], List[int]]:
-    """Gauss–Jordan through the field's operations; the reference for the rational path."""
+    """Gauss–Jordan in plain operators, each entry reduced once by `F.of`;
+    the reference for the rational path."""
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -53,11 +54,11 @@ def _rref_generic(rows: Sequence[Sequence], F: Field) -> Tuple[List[List], List[
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = F.inv(m[r][c])
-        m[r] = [F.mul(inv, v) for v in m[r]]
+        m[r] = [F.of(inv * v) for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != F.zero:
                 factor = m[i][c]
-                m[i] = [F.sub(v, F.mul(factor, w)) for v, w in zip(m[i], m[r])]
+                m[i] = [F.of(v - factor * w) for v, w in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):

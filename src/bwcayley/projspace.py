@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from math import gcd, lcm
 from operator import mul as int_mul
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .field import Field, InfiniteField
 
@@ -157,9 +157,10 @@ def gram_apply(v: Sequence, F: Field) -> Tuple:
 
     The matrix swaps (Y01,Y23) and (Y03,Y12) and swaps (Y02,Y13) with a sign,
     and is its own inverse. The row gram_apply(y) vanishes exactly on the
-    sextuples of lines meeting the line y.
+    sextuples of lines meeting the line y. In plain operators, each entry
+    reduced once by `F.of`.
     """
-    return (v[5], F.neg(v[4]), v[3], v[2], F.neg(v[1]), v[0])
+    return tuple(map(F.of, (v[5], -v[4], v[3], v[2], -v[1], v[0])))
 
 
 def quadric_polarization(y: Sequence, z: Sequence, F: Field):
@@ -196,17 +197,6 @@ def line_through(p: Sequence, q: Sequence, F: Field) -> Line:
     if p == q:
         raise CoincidentPoints(f"{p} given twice")
     return Line(p=p, q=q, plucker=plucker(p, q, F))
-
-
-def dedup_lines(lines: Iterable[Line]) -> List[Line]:
-    """Order-preserving dedup by canonical Plücker sextuple."""
-    seen = set()
-    out = []
-    for l in lines:
-        if l.plucker not in seen:
-            seen.add(l.plucker)
-            out.append(l)
-    return out
 
 
 def _det3(m, F: Field):

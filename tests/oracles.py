@@ -17,7 +17,10 @@ elimination modulo a prime of `bwcayley.linalg` packs each row into one
 int; `rref_mod_by_lists` keeps the rows as lists of residues. The `ideal`
 probe reads its pencil and witness verdicts off the kernel's coefficients;
 `pencil_sample_points` gives points of the pencil line to evaluate the
-forms at instead.
+forms at instead. The Klein-section checks take the pencil and the reguli
+as closed-form Klein images; `pencil_lines` and `regulus_lines` join the
+same lines, and the `*_by_O` routes deduplicate joined lines by
+`dedup_lines`.
 """
 
 import random
@@ -25,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from operator import mul as int_mul
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from bwcayley import bwspread, cayley
 from bwcayley.bwspread import (
@@ -44,7 +47,6 @@ from bwcayley.klein import (
     h1_form,
     h2_form,
     h3_form,
-    pencil_LZomega,
     variety_qd_points,
     variety_zero_set,
 )
@@ -57,11 +59,11 @@ from bwcayley.projspace import (
     canonical_tuples,
     canonicalize,
     compound_image,
-    dedup_lines,
     det4,
     enumerate_lines,
     enumerate_points,
     incidence,
+    line_through,
     lines_skew,
     quadric_value,
     second_compound,
@@ -241,6 +243,39 @@ def maximality_by_filter(F: Field, O: Sequence[Line]) -> CheckOutcome:
     return CheckOutcome(passed=True, counts={"omega_points": checked})
 
 
+def dedup_lines(lines: Iterable[Line]) -> List[Line]:
+    """Order-preserving dedup by canonical Plücker sextuple."""
+    seen = set()
+    out = []
+    for l in lines:
+        if l.plucker not in seen:
+            seen.add(l.plucker)
+            out.append(l)
+    return out
+
+
+def regulus_lines(s, F: Field) -> List[Line]:
+    """The lines whose images `bwspread.regulus_minus` lists, in its order,
+    each joined by `osculating_tangent`: the tangents at (s, u2) for every
+    u2, then the directrix."""
+    return [osculating_tangent(s, u2, F) for u2 in F.elements()] + [cayley.g_infinity(F)]
+
+
+def pencil_line(a, b, F: Field) -> Line:
+    """The line joining the pinch point with (0, a, b, 0) inside the plane at infinity."""
+    a, b = F.of(a), F.of(b)
+    if a == F.zero and b == F.zero:
+        raise cayley.ZeroParameters("pencil parameters must not both vanish")
+    return line_through((F.zero, a, b, F.zero), cayley.z_point(F), F)
+
+
+def pencil_lines(F: Field) -> List[Line]:
+    """The lines whose images `klein.pencil_LZomega` lists, in its order,
+    each joined by `line_through`: (0, 1, b, 0) with the pinch point for
+    every b, then the directrix, through (0, 0, 1, 0)."""
+    return [pencil_line(F.one, b, F) for b in F.elements()] + [pencil_line(F.zero, F.one, F)]
+
+
 def in_D(y: Sequence, F: Field) -> bool:
     """The 3-space V(Y02, Y03 + Y12) of the characteristic-3 congruence."""
     return y[1] == F.zero and F.add(y[2], y[3]) == F.zero
@@ -250,7 +285,7 @@ def char3_congruence_by_line_scan(F: Field, O: Sequence[Line]) -> CheckOutcome:
     """`klein.char3_congruence_check` with the congruence found by scanning
     every line of PG(3,q) for those whose Klein image lies in D; the
     witness is the first such line skew to the line of nuclei."""
-    union = dedup_lines(list(O) + pencil_LZomega(F))
+    union = dedup_lines(list(O) + pencil_lines(F))
     subset_ok = all(in_D(l.plucker, F) for l in union)
     congruence = [l for l in enumerate_lines(F) if in_D(l.plucker, F)]
     n_line = cayley.nuclei_line(F)
@@ -490,7 +525,7 @@ def reguli_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
     q = F.order
     counts = {"reguli": q, "lines_each": q + 1}
     for i, s in enumerate(F.elements()):
-        ok, polar = verify_regulus(list(O[i * q : (i + 1) * q]) + [O[-1]], F)
+        ok, polar = verify_regulus([l.plucker for l in O[i * q : (i + 1) * q]] + [O[-1].plucker], F)
         if not (ok and rank(polar + [list(cayley.generator(1, s, F).plucker)], F) == 3):
             return CheckOutcome(passed=False, witness=s, counts=counts)
     return CheckOutcome(passed=True, counts=counts)
@@ -502,7 +537,7 @@ def variety_equality_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
     if F.characteristic == 3:
         raise WrongCharacteristic("the three-cone description needs characteristic != 3")
     zero_set = variety_zero_set(F)
-    image = {l.plucker for l in O} | {l.plucker for l in pencil_LZomega(F)}
+    image = {l.plucker for l in O} | {l.plucker for l in pencil_lines(F)}
     equal = zero_set == image
     q = F.order
     return CheckOutcome(
@@ -521,7 +556,7 @@ def char3_congruence_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
     the pencil, compared with the cone section as a set of sextuples."""
     if F.characteristic != 3:
         raise WrongCharacteristic("needs characteristic 3")
-    union = dedup_lines(list(O) + pencil_LZomega(F))
+    union = dedup_lines(list(O) + pencil_lines(F))
     n_line = cayley.nuclei_line(F)
     skew = next((l for l in union if lines_skew(l, n_line, F)), None)
     qd_points = variety_qd_points(F)

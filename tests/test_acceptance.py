@@ -160,11 +160,12 @@ def test_criterion_07_reguli_gf5():
     with _Budget(7, "GF(5) reguli and opposite reguli", 5.0):
         F = PrimeField(5)
         all_lines = enumerate_lines(F)
+        by_image = {l.plucker: l for l in all_lines}
         for s in range(5):
-            reg = regulus_minus(s, F)
+            reg = [by_image[y] for y in regulus_minus(s, F)]
             assert len(reg) == 6
             assert all(lines_skew(a, b, F) for a, b in combinations(reg, 2))
-            ok, polar = verify_regulus(reg, F)
+            ok, polar = verify_regulus([l.plucker for l in reg], F)
             g = cayley.generator(1, s, F)
             assert ok and rank(polar + [list(g.plucker)], F) == 3
             # the opposite regulus by brute force: the lines meeting all six
@@ -200,7 +201,7 @@ def test_criterion_09_char3_congruence():
         assert r.passed
         assert r.counts["congruence_lines"] == 13
         congruence = [l for l in enumerate_lines(F) if in_D(l.plucker, F)]
-        union = {l.plucker for l in build_O(F)} | {l.plucker for l in pencil_LZomega(F)}
+        union = {l.plucker for l in build_O(F)} | set(pencil_LZomega(F))
         assert {l.plucker for l in congruence} == union
         n = cayley.nuclei_line(F)
         assert all(not lines_skew(l, n, F) for l in congruence)

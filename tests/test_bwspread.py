@@ -43,7 +43,6 @@ from bwcayley.linalg import rank
 from bwcayley.projspace import (
     canonicalize,
     compound_image,
-    dedup_lines,
     enumerate_lines,
     enumerate_planes,
     enumerate_points,
@@ -59,6 +58,7 @@ from bwcayley.projspace import (
 from oracles import (
     break_kappa,
     covering_by_points,
+    dedup_lines,
     dual_spread_by_O,
     dual_spread_by_pencils,
     duality_by_O,
@@ -69,6 +69,7 @@ from oracles import (
     partial_spread_by_O,
     point_in_plane,
     reguli_by_O,
+    regulus_lines,
 )
 
 QQ = Rationals()
@@ -236,8 +237,17 @@ class TestPartialSpread:
         assert r.note == "generator orbit of (0,0) misses parameters"
         assert r.witness == (0, 1)
 
-    def test_singular_generator_fails_the_action_step(self, monkeypatch):
-        monkeypatch.setattr(bwspread, "det4", lambda m, F: F.zero)
+    def test_a_generator_moving_the_directrix_fails_the_action_step(self, monkeypatch):
+        # the first compound image taken is the directrix's under M(1,0,1)
+        calls = []
+        image = bwspread.compound_image
+
+        def first_moves(compound, y, F):
+            calls.append(y)
+            moved = image(compound, y, F)
+            return moved[1:] + moved[:1] if len(calls) == 1 else moved
+
+        monkeypatch.setattr(bwspread, "compound_image", first_moves)
         r = certify_partial_spread(F5)
         assert r.passed is False
         assert r.note == "generator is singular or moves the directrix"
@@ -301,8 +311,9 @@ class TestBuildO:
         for i, s in enumerate(F.elements()):
             reg = regulus_minus(s, F)
             assert len(reg) == q + 1
-            assert set(reg) == set(_regulus_by_construction(s, F))
-            assert reg == O[i * q : (i + 1) * q] + [O[-1]]
+            assert set(reg) == {l.plucker for l in _regulus_by_construction(s, F)}
+            assert reg == [l.plucker for l in O[i * q : (i + 1) * q] + [O[-1]]]
+            assert reg == [l.plucker for l in regulus_lines(s, F)]
 
 
 def _regulus_by_construction(s, F):
@@ -763,7 +774,7 @@ class TestReguli:
         assert _in_span(cayley.generator(1, 0, F2), polar, F2)
 
     def test_gf5_all_parameters(self):
-        O = set(build_O(F5))
+        O = {l.plucker for l in build_O(F5)}
         for s in range(5):
             reg = regulus_minus(s, F5)
             assert len(reg) == 6
@@ -808,15 +819,16 @@ class TestReguli:
 
     def test_not_a_regulus_on_degenerate_input(self):
         with pytest.raises(NotARegulus):
-            verify_regulus([cayley.g_infinity(F2)], F2)
+            verify_regulus([cayley.g_infinity(F2).plucker], F2)
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_polarity_equals_brute_transversals_on_reguli(self, F):
         all_lines = enumerate_lines(F)
+        by_image = {l.plucker: l for l in all_lines}
         for s in F.elements():
             reg = regulus_minus(s, F)
             ok, polar = verify_regulus(reg, F)
-            brute_ok, opposite = _brute_regulus(reg, F, all_lines)
+            brute_ok, opposite = _brute_regulus([by_image[y] for y in reg], F, all_lines)
             assert ok == brute_ok
             assert all(_in_span(m, polar, F) for m in opposite)
             g = cayley.generator(1, s, F)
@@ -851,7 +863,7 @@ class TestReguli:
     )
     def test_polarity_equals_brute_transversals_off_reguli(self, F, shape):
         lines = [line_through(p, q, F) for p, q in shape(F)]
-        ok, _ = verify_regulus(lines, F)
+        ok, _ = verify_regulus([l.plucker for l in lines], F)
         assert ok == _brute_regulus(lines, F, enumerate_lines(F))[0]
         assert not ok
 
@@ -873,7 +885,7 @@ class TestReguli:
             if len(images) < k:
                 continue
             lines = [by_image[y] for y in rng.sample(images, k)]
-            ok, _ = verify_regulus(lines, F)
+            ok, _ = verify_regulus([l.plucker for l in lines], F)
             assert ok == _brute_regulus(lines, F, all_lines)[0]
             verdicts.add(ok)
         assert verdicts == {True, False}
@@ -884,7 +896,7 @@ class TestReguli:
         rng = random.Random(F.order)
         for _ in range(30):
             lines = rng.sample(all_lines, F.order + 1)
-            assert verify_regulus(lines, F)[0] == _brute_regulus(lines, F, all_lines)[0]
+            assert verify_regulus([l.plucker for l in lines], F)[0] == _brute_regulus(lines, F, all_lines)[0]
 
 
 def _in_span(line, basis, F):

@@ -125,6 +125,15 @@ class TestExitCodes:
         code, _, _ = run(capsys, command, "--field", "gf:5")
         assert code == 0 and len(joined) == 0 and len(closed) >= 25
 
+    @pytest.mark.parametrize("command,field,q", [("klein", "gf:5", 5), ("klein", "gf:7", 7), ("char3", "gf:3", 3)])
+    def test_klein_sections_join_few_lines(self, capsys, monkeypatch, command, field, q):
+        # the pencil, the reguli and the directrix are closed-form Klein
+        # images; the generators of the reguli check and the nuclei line are
+        # the only lines joined from two points
+        joins = count_calls(monkeypatch, projspace, "line_through")
+        code, _, _ = run(capsys, command, "--field", field)
+        assert code == 0 and len(joins) <= (q + 1 if command == "klein" else 2)
+
     @pytest.mark.parametrize("command,field", [("certify", "gf:13"), ("klein", "gf:7"), ("char3", "gf:3")])
     def test_no_subcommand_enumerates_points_planes_or_lines(self, capsys, monkeypatch, command, field):
         # covering and dual_spread count in closed form, maximality walks the

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bwcayley import cayley, klein
 from bwcayley.bwspread import IndistinctTangents, build_O, osculating_tangent, parameter_grid
 from bwcayley.field import InfiniteField, PrimeField, Rationals
 from bwcayley.klein import (
     ProjectionDegenerate,
     WrongCharacteristic,
+    _image_difference,
     char3_congruence_check,
     generator_cubic,
     generator_cubic_check,
@@ -26,7 +28,6 @@ from bwcayley.klein import (
     kappa_osculating,
     osculating_plane_pencil_check,
     pencil_LZomega,
-    pencil_line,
     project_through_Cperp,
     projection_check,
     twisted_cubic_basis,
@@ -48,6 +49,8 @@ from oracles import (
     char3_congruence_by_line_scan,
     char3_congruence_by_O,
     in_D,
+    pencil_line,
+    pencil_lines,
     variety_equality_by_O,
     variety_zero_set_by_trials,
 )
@@ -197,7 +200,7 @@ class TestPolarLineOfC:
 
 class TestPencil:
     def test_directrix_in_pencil(self):
-        assert cayley.g_infinity(F3) in pencil_LZomega(F3)
+        assert cayley.g_infinity(F3).plucker in pencil_LZomega(F3)
 
     def test_gf3_count(self):
         assert len(pencil_LZomega(F3)) == 4
@@ -205,7 +208,9 @@ class TestPencil:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_q_plus_one_distinct_lines(self, p):
         F = PrimeField(p)
-        assert len({l.plucker for l in pencil_LZomega(F)}) == len(pencil_LZomega(F)) == p + 1
+        assert len(set(pencil_LZomega(F))) == len(pencil_LZomega(F)) == p + 1
+        # the closed-form images are those of the joined lines, in order
+        assert pencil_LZomega(F) == [l.plucker for l in pencil_lines(F)]
 
     def test_klein_image_of_axis_line(self):
         l = pencil_line(1, 0, F5)
@@ -216,8 +221,7 @@ class TestPencil:
             pencil_line(0, 0, F5)
 
     def test_images_span_expected_line(self):
-        for l in pencil_LZomega(F5):
-            y = l.plucker
+        for y in pencil_LZomega(F5):
             assert y[0] == 0 and y[1] == 0 and y[2] == 0 and y[3] == 0
 
 
@@ -395,9 +399,9 @@ class TestChar3:
         # the directrix is a pencil line too, so dropping it fails neither route;
         # swap the first tangent for a line outside tangents plus pencil instead
         O = build_O(F3)
-        union = set(O) | set(pencil_LZomega(F3))
+        union = {l.plucker for l in O} | set(pencil_LZomega(F3))
         n = cayley.nuclei_line(F3)
-        foreign = next(l for l in enumerate_lines(F3) if l not in union and lines_skew(l, n, F3) == skew)
+        foreign = next(l for l in enumerate_lines(F3) if l.plucker not in union and lines_skew(l, n, F3) == skew)
         mutated = [foreign] + O[1:]
         r, ref = char3_congruence_by_O(F3, mutated), char3_congruence_by_line_scan(F3, mutated)
         assert r.passed is False and ref.passed is False
@@ -426,7 +430,7 @@ class TestChar3:
 
     def test_images_exhaust_cone_section(self):
         points = variety_qd_points(F3)
-        images = {l.plucker for l in build_O(F3)} | {l.plucker for l in pencil_LZomega(F3)}
+        images = {l.plucker for l in build_O(F3)} | set(pencil_LZomega(F3))
         assert points == images
 
     def test_osculating_plane_pencil(self):
@@ -483,3 +487,49 @@ class TestStreamedEqualsByO:
         break_kappa(monkeypatch, (1, 1), lambda y, F: y[:2] + ((y[2] + 1) % F.p,) + y[3:])
         with pytest.raises(IndistinctTangents):
             check(F)
+
+
+# (check, its route on O, the point set it compares, field)
+SECTIONS = [
+    (verify_variety_equality, variety_equality_by_O, "variety_zero_set", F5),
+    (char3_congruence_check, char3_congruence_by_O, "variety_qd_points", F3),
+]
+
+
+class TestImageDifference:
+    """`_image_difference` on a changed point set, read through both
+    checks and their routes on O; the point set is patched in `klein` and in
+    tests/oracles.py, which imports its own binding."""
+
+    @staticmethod
+    def patch_points(monkeypatch, name, points):
+        for module in (klein, oracles):
+            monkeypatch.setattr(module, name, lambda F: set(points))
+
+    @pytest.mark.parametrize("check,by_O,name,F", SECTIONS, ids=["klein", "char3"])
+    def test_the_points_are_the_images(self, check, by_O, name, F):
+        q = F.order
+        assert _image_difference(getattr(klein, name)(F), F) == ([], [], q * q + q + 1)
+
+    @pytest.mark.parametrize("check,by_O,name,F", SECTIONS, ids=["klein", "char3"])
+    @pytest.mark.parametrize("foreign", [(0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 1)], ids=["leading_0", "leading_1"])
+    def test_a_planted_point_is_extra(self, monkeypatch, check, by_O, name, F, foreign):
+        points = getattr(klein, name)(F)
+        assert foreign not in points
+        planted = points | {foreign}
+        q = F.order
+        assert _image_difference(planted, F) == ([foreign], [], q * q + q + 1)
+        self.patch_points(monkeypatch, name, planted)
+        r = check(F)
+        assert r.passed is False and r == by_O(F, build_O(F))
+
+    @pytest.mark.parametrize("check,by_O,name,F", SECTIONS, ids=["klein", "char3"])
+    @pytest.mark.parametrize("dropped", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)], ids=["tangent", "directrix"])
+    def test_a_dropped_image_is_missing(self, monkeypatch, check, by_O, name, F, dropped):
+        points = getattr(klein, name)(F)
+        assert dropped in points
+        q = F.order
+        assert _image_difference(points - {dropped}, F) == ([], [dropped], q * q + q + 1)
+        self.patch_points(monkeypatch, name, points - {dropped})
+        r = check(F)
+        assert r.passed is False and r == by_O(F, build_O(F))

@@ -14,7 +14,6 @@ from bwcayley.projspace import (
     CoincidentPoints,
     GeometryError,
     canonicalize,
-    dedup_lines,
     det4,
     enumerate_lines,
     enumerate_planes,
@@ -31,7 +30,7 @@ from bwcayley.projspace import (
     span_points,
 )
 from bwcayley.linalg import nullspace, rank, rref
-from oracles import plane_pencil, point_in_plane
+from oracles import dedup_lines, plane_pencil, point_in_plane
 
 QQ = Rationals()
 F5 = PrimeField(5)
