@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import cayley
@@ -24,7 +25,7 @@ from .field import (
     cube_roots,
     nontrivial_cube_root_of_unity,
 )
-from .linalg import nullspace, rank, rref
+from .linalg import nullspace, rref
 from .projspace import (
     GeometryError,
     KleinPoint,
@@ -36,8 +37,8 @@ from .projspace import (
     compound_image,
     gram_apply,
     incidence,
+    is_int_multiple,
     is_multiple,
-    lines_skew,
     plucker_minors,
     quadric_polarization,
     quadric_value,
@@ -49,6 +50,10 @@ from .reports import CheckOutcome
 # partial-spread check, points or parameter pairs for maximality and duality.
 PAIR_SPOT_CHECKS = 200
 SPOT_CHECKS = 100
+
+# The Klein image of the directrix V(X0, X1), in closed form: over GF(p),
+# whose zero and one are the ints 0 and 1, it is canonical as it stands.
+DIRECTRIX_IMAGE = (0, 0, 0, 0, 0, 1)
 
 
 class IndistinctTangents(GeometryError):
@@ -97,7 +102,8 @@ def osculating_tangent(u1, u2, F: Field) -> Line:
     plain ints over Q too. In characteristic 3 the direction degenerates to
     (0, 1, 0, u2), which is still the correct osculating direction. Over
     GF(p) it gives the same three tuples as `closed_tangent`, which the
-    finite-field checks read instead.
+    finite-field checks read instead; over Q the checks read the unreduced
+    `_integer_tangent`.
     """
     x0, x1, x2, _ = x = cayley.surface_point(u1, u2, F)
     return Line(
@@ -105,6 +111,15 @@ def osculating_tangent(u1, u2, F: Field) -> Line:
         q=canonicalize((0, x0, 3 * x1, x2), F),
         plucker=canonicalize(osculating_sextuple(x0, x1, x2), F),
     )
+
+
+def _integer_tangent(u1, u2, F: Field) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The osculating tangent at (u1, u2) over Q, unreduced: the integer
+    surface point x = `cayley.surface_point_coefficients`, (b^3*d, a*b^2*d,
+    c*b^3, a*c*b^2 - a^3*d) for u1 = a/b and u2 = c/d, and its
+    `osculating_sextuple`. Entry 0 of each, x0 and x0^4, is never 0."""
+    x = cayley.surface_point_coefficients(u1, u2, F)
+    return x, osculating_sextuple(x[0], x[1], x[2])
 
 
 def kappa(u1, u2, F: Field) -> KleinPoint:
@@ -216,7 +231,11 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     A failed step reports its first witness in the order the steps are
     listed here, each generator's in parameter_grid order.
     Rationals: the criterion is nonzero for all distinct pairs exactly when
-    X^2+X+1 has no root, plus seeded random replays of both routes.
+    X^2+X+1 has no root, plus seeded random replays of both routes in ints.
+    The criterion is weighted homogeneous of degree 4 (d1 of weight 1, d2 of
+    weight 2), so on (lam*v1, lam^2*v2, lam*u1, lam^2*u2), lam the lcm of
+    the four denominators, it is lam^4 times its rational value; Klein
+    polarity is tested on the two unreduced sextuples of `_integer_tangent`.
     """
     if F.is_finite:
         return _partial_spread_by_translations(F)
@@ -229,8 +248,17 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
         u = (Fraction(rng.randint(-20, 20), rng.randint(1, 9)), Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
         if u == v:
             continue
-        value = skew_criterion(v[0], v[1], u[0], u[1], F)
-        if (value != F.zero) != lines_skew(osculating_tangent(*v, F), osculating_tangent(*u, F), F):
+        lam = lcm(v[0].denominator, v[1].denominator, u[0].denominator, u[1].denominator)
+        lam2 = lam * lam
+        value = skew_criterion(
+            v[0].numerator * (lam // v[0].denominator),
+            v[1].numerator * (lam2 // v[1].denominator),
+            u[0].numerator * (lam // u[0].denominator),
+            u[1].numerator * (lam2 // u[1].denominator),
+            F,
+        )
+        skew = quadric_polarization(_integer_tangent(*v, F)[1], _integer_tangent(*u, F)[1], F) != F.zero
+        if (value != F.zero) != skew:
             return CheckOutcome(passed=False, witness=(v, u), note="route disagreement")
         if value == F.zero:
             return CheckOutcome(passed=False, witness=(v, u))
@@ -254,7 +282,7 @@ def _partial_spread_by_translations(F: Field) -> CheckOutcome:
     every verdict and no tangent is kept.
     """
     p = F.p
-    ginf = cayley.g_infinity(F).plucker
+    ginf = DIRECTRIX_IMAGE
     generators = [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)]
     compounds = [second_compound(M.entries, F) for M in generators]
     # group_matrix refuses c = 0 and is lower triangular with diagonal 1, c, c^2, c^3,
@@ -464,13 +492,16 @@ def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
     the Plücker minors of the surface point P(u) and the point, which lead
     with 1, are kappa(u) entry by entry (`closed_tangent`); the points
     (0, 0, a, b) are tested by `incidence` on the directrix. The rationals
-    use the same construction on seeded samples. Skipped in char 3.
+    use the same construction on seeded samples (0, 1, a/b, c/d), in ints:
+    the point, scaled to (0, bd, ad, cb), and the `_integer_tangent` at
+    (a/3b, c/d) give Plücker minors that must be a multiple of the tangent's
+    sextuple (`is_int_multiple`, on entry 0, x0*bd). Skipped in char 3.
     """
     if F.characteristic == 3:
         return CheckOutcome(passed=None, note="the maximality argument inverts 3")
-    third = F.inv(F.of(3))
-    ginf = cayley.g_infinity(F)
     if F.is_finite:
+        third = F.inv(F.of(3))
+        ginf = cayley.g_infinity(F)
         p = F.p
         checked = 0
         for point in omega_points(F):
@@ -485,12 +516,6 @@ def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
             checked += 1
         return CheckOutcome(passed=True, counts={"omega_points": checked})
 
-    def covering_line(point) -> Line:
-        x0, x1, x2, x3 = point
-        if x1 == F.zero:
-            return ginf
-        return osculating_tangent(F.mul(F.div(x2, x1), third), F.div(x3, x1), F)
-
     rng = random.Random(seed)
     for _ in range(SPOT_CHECKS):
         point = (
@@ -499,7 +524,9 @@ def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
             Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
             Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
         )
-        if not incidence(point, covering_line(point), F):
+        a, b, c, d = point[2].numerator, point[2].denominator, point[3].numerator, point[3].denominator
+        x, y = _integer_tangent(Fraction(a, 3 * b), point[3], F)
+        if not is_int_multiple(plucker_minors(x, (0, b * d, a * d, c * b)), y):
             return CheckOutcome(passed=False, witness=point)
     return CheckOutcome(passed=True, counts={"omega_points_sampled": SPOT_CHECKS})
 
@@ -546,7 +573,12 @@ def certify_duality(F: Field, seed: int = 0) -> Tuple[CheckOutcome, Optional[boo
     Checks (finite fields exhaustively, rationals on seeded samples):
     the parametric identity duality(P(u1,u2)) = tangent_plane(-u1, 3u1^2-u2)
     and the induced line map sending the tangent at (u1,u2) to the tangent
-    at its `partner` v = (-u1, 3u1^2-u2). Over finite fields one pass over
+    at its `partner` v = (-u1, 3u1^2-u2). Over the rationals each sample is
+    tested in ints by `is_int_multiple`: the reversed integer surface point
+    of u against the `tangent_plane_coefficients` of v, pivoting on their
+    last entries, x0 and -b^3*d, which are never 0 (entry 0 of a tangent
+    plane vanishes at u1 = 0), and the `dual_sextuple` of u's
+    `_integer_tangent` against v's. Over finite fields one pass over
     `tangents` tests, per parameter: the reversed point (x3, x2, x1, x0)
     against minus the `tangent_plane_coefficients` of v, whose last entry
     is -1, entry by entry; the dual of kappa(u) against kappa(v) by
@@ -563,19 +595,16 @@ def certify_duality(F: Field, seed: int = 0) -> Tuple[CheckOutcome, Optional[boo
     """
     if F.is_finite:
         return _duality_by_parameters(F)
-
-    def pair_ok(u1, u2):
-        v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
-        if cayley.duality(cayley.surface_point(u1, u2, F), F) != cayley.tangent_plane(v1, v2, F):
-            return False
-        image = cayley.dual_plucker(osculating_tangent(u1, u2, F).plucker, F)
-        return image == osculating_tangent(v1, v2, F).plucker
-
     rng = random.Random(seed)
     for _ in range(SPOT_CHECKS):
         u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-        if not pair_ok(u1, u2):
+        a, b, c, d = u1.numerator, u1.denominator, u2.numerator, u2.denominator
+        # the partner (-u1, 3u1^2 - u2), formed from the ints a, b, c, d
+        v1, v2 = Fraction(-a, b), Fraction(3 * a * a * d - c * b * b, b * b * d)
+        (x0, x1, x2, x3), y = _integer_tangent(u1, u2, F)
+        plane_ok = is_int_multiple((x3, x2, x1, x0), cayley.tangent_plane_coefficients(v1, v2, F), 3)
+        if not (plane_ok and is_int_multiple(cayley.dual_sextuple(y), _integer_tangent(v1, v2, F)[1])):
             return CheckOutcome(passed=False, witness=(u1, u2)), None
     return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": SPOT_CHECKS}), None
 
@@ -605,8 +634,7 @@ def _duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
         surface += on_surface
         tangent_planes += tangent
         agree = agree and on_surface == tangent
-    ginf = cayley.g_infinity(F).plucker
-    fixes_O = fixes_O and cayley.dual_plucker(ginf, F) == ginf
+    fixes_O = fixes_O and cayley.dual_plucker(DIRECTRIX_IMAGE, F) == DIRECTRIX_IMAGE
     if witness is not None:
         return CheckOutcome(passed=False, witness=witness), fixes_O
     # the canonical pairs (a, b) give the directrix points (0, 0, a, b)
@@ -661,17 +689,12 @@ def betten_chart(u1, u2, F: Field):
     return (t, s), plane1, plane2
 
 
-# The Klein image (0,0,0,0,0,1) of the directrix V(X0, X1) over GF(p), whose
-# zero and one are the ints 0 and 1; in closed form, so no regulus joins it.
-_DIRECTRIX_IMAGE = (0, 0, 0, 0, 0, 1)
-
-
 def regulus_minus(s, F: Field) -> List[KleinPoint]:
     """Klein images of the tangents at the points (s, u2) of the generator
     g(1,s), in u2 order, each `kappa(s, u2)`, plus the directrix's."""
     if not F.is_finite:
         raise InfiniteField("regulus enumeration needs a finite field")
-    return [kappa(s, u2, F) for u2 in F.elements()] + [_DIRECTRIX_IMAGE]
+    return [kappa(s, u2, F) for u2 in F.elements()] + [DIRECTRIX_IMAGE]
 
 
 def verify_regulus(images: Sequence[KleinPoint], F: Field):
@@ -719,16 +742,3 @@ def _conic_plane(basis: Sequence[Sequence], F: Field) -> bool:
     g = quadric_polarization(e1, e3, F)
     f = quadric_polarization(e2, e3, F)
     return F.of(4 * a * b * c + f * g * h - a * f * f - b * g * g - c * h * h) != F.zero
-
-
-def reguli_check(F: Field) -> CheckOutcome:
-    """For every s, regulus_minus(s, F) is a regulus whose opposite regulus
-    contains the generator g(1,s): the image of g(1,s), which is on the
-    quadric, lies in the polar plane. The witness is the first failing s.
-    """
-    counts = {"reguli": F.order, "lines_each": F.order + 1}
-    for s in F.elements():
-        ok, polar = verify_regulus(regulus_minus(s, F), F)
-        if not (ok and rank(polar + [list(cayley.generator(1, s, F).plucker)], F) == 3):
-            return CheckOutcome(passed=False, witness=s, counts=counts)
-    return CheckOutcome(passed=True, counts=counts)

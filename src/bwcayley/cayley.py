@@ -1,9 +1,9 @@
 """The ruled cubic surface V(X0*X1*X2 - X1^3 - X0^2*X3) in PG(3,K).
 
-Covers membership, the directrix and the line V(X0,X2) of the nuclei, tangent
-planes, the generator family, the restricted binary cubic f(lam*p + mu*q) of a
-line, the triangular automorphism group with its action on the tangent
-parameters, and the classical point/tangent-plane duality.
+Covers membership, the surface points and tangent planes of the affine chart,
+the directrix and the line V(X0,X2) of the nuclei, the restricted binary cubic
+f(lam*p + mu*q) of a line, the triangular automorphism group with its action on
+the tangent parameters, and the classical point/tangent-plane duality.
 """
 
 from __future__ import annotations
@@ -42,18 +42,22 @@ def f_value(x: Sequence, F: Field):
     return val
 
 
-def surface_point(u1, u2, F: Field) -> ProjPoint:
-    """Canonical point of the affine chart: (1, u1, u2, u1*u2 - u1^3).
-
-    With u1 = a/b and u2 = c/d it is the class of (b^3*d, a*b^2*d, c*b^3,
-    a*c*b^2 - a^3*d), formed in ints from the numerators and denominators
-    and reduced once by `canonicalize`; over GF(p), where b = d = 1, that is
-    (1, u1, u2, u1*u2 - u1^3) mod p.
-    """
+def surface_point_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
+    """Coordinates of the affine surface point with parameters (u1, u2):
+    (1, u1, u2, u1*u2 - u1^3), scaled by b^3*d for u1 = a/b and u2 = c/d so
+    they are ints, (b^3*d, a*b^2*d, c*b^3, a*c*b^2 - a^3*d), unreduced. The
+    first entry is never 0. Over GF(p), where b = d = 1, they are
+    (1, u1, u2, u1*u2 - u1^3)."""
     u1, u2 = F.of(u1), F.of(u2)
     a, b, c, d = u1.numerator, u1.denominator, u2.numerator, u2.denominator
     bb = b * b
-    return canonicalize((bb * b * d, a * bb * d, c * bb * b, a * c * bb - a * a * a * d), F)
+    return (bb * b * d, a * bb * d, c * bb * b, a * c * bb - a * a * a * d)
+
+
+def surface_point(u1, u2, F: Field) -> ProjPoint:
+    """Canonical point of the affine chart: `surface_point_coefficients`
+    reduced once by `canonicalize`."""
+    return canonicalize(surface_point_coefficients(u1, u2, F), F)
 
 
 def z_point(F: Field) -> ProjPoint:
@@ -74,31 +78,14 @@ def nuclei_line(F: Field) -> Line:
 def tangent_plane_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
     """Coefficients of the tangent plane at the affine surface point with
     parameters (u1, u2): [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1], scaled by
-    b^3*d for u1 = a/b and u2 = c/d so they are ints, unreduced. Over GF(p),
-    where b = d = 1, the last entry is -1."""
+    b^3*d for u1 = a/b and u2 = c/d so they are ints, unreduced. The last
+    entry, -b^3*d, is never 0. Over GF(p), where b = d = 1, it is -1."""
     a, c = F.of(u1), F.of(u2)
     if F.is_finite:  # b = d = 1
         return (a * (2 * a * a - c), c - 3 * a * a, a, -1)
     a, b, c, d = a.numerator, a.denominator, c.numerator, c.denominator
     bb = b * b
     return (2 * a * a * a * d - a * c * bb, c * bb * b - 3 * a * a * b * d, a * bb * d, -bb * b * d)
-
-
-def tangent_plane(u1, u2, F: Field) -> ProjPlane:
-    """Tangent plane at the affine surface point with parameters (u1, u2):
-    `tangent_plane_coefficients` reduced once by `canonicalize`."""
-    return canonicalize(tangent_plane_coefficients(u1, u2, F), F)
-
-
-def generator(s0, s1, F: Field) -> Line:
-    """The generator line spanned by (s0^2, s0*s1, s1^2, 0) and (0, 0, s0, s1)."""
-    s0, s1 = F.of(s0), F.of(s1)
-    if s0 == F.zero and s1 == F.zero:
-        raise ZeroParameters("generator parameters must not both vanish")
-    mul = F.mul
-    p = (mul(s0, s0), mul(s0, s1), mul(s1, s1), F.zero)
-    q = (F.zero, F.zero, s0, s1)
-    return line_through(p, q, F)
 
 
 # --- the restricted cubic ------------------------------------------------

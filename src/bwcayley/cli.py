@@ -138,7 +138,7 @@ CHECKS = {
             "reguli",
             "tangents along one generator plus the directrix form a regulus",
             "pass",
-            lambda run: bwspread.reguli_check(run.F),
+            lambda run: klein.reguli_check(run.F),
         ),
         (
             "projection",

@@ -56,8 +56,9 @@ def h3_form(y: Sequence, F: Field):
 # --- distinguished vectors and subspaces -------------------------------------
 
 def w_infinity(F: Field) -> KleinPoint:
-    """Image of the directrix: (0,0,0,0,0,1)."""
-    return (F.zero,) * 5 + (F.one,)
+    """Image of the directrix: `bwspread.DIRECTRIX_IMAGE`, (0,0,0,0,0,1)
+    in ints, over every field."""
+    return bwspread.DIRECTRIX_IMAGE
 
 
 def in_C(y: Sequence, F: Field) -> bool:
@@ -159,6 +160,20 @@ def projection_check(F: Field) -> CheckOutcome:
         for u2 in F.elements():
             if project_through_Cperp(bwspread.kappa(s, u2, F), F) != want:
                 return CheckOutcome(passed=False, witness=(s, u2), counts=counts)
+    return CheckOutcome(passed=True, counts=counts)
+
+
+def reguli_check(F: Field) -> CheckOutcome:
+    """For every s, `bwspread.regulus_minus(s, F)` is a regulus whose
+    opposite regulus contains the generator g(1,s): its image
+    `generator_cubic(1, s)`, which is on the quadric, lies in the polar
+    plane. The witness is the first failing s.
+    """
+    counts = {"reguli": F.order, "lines_each": F.order + 1}
+    for s in F.elements():
+        ok, polar = bwspread.verify_regulus(bwspread.regulus_minus(s, F), F)
+        if not (ok and rank(polar + [list(generator_cubic(1, s, F))], F) == 3):
+            return CheckOutcome(passed=False, witness=s, counts=counts)
     return CheckOutcome(passed=True, counts=counts)
 
 

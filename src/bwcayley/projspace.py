@@ -146,6 +146,16 @@ def is_multiple(z: Sequence, y: Sequence, p: int) -> bool:
     )
 
 
+def is_int_multiple(z: Sequence, y: Sequence, k: int = 0) -> bool:
+    """Whether the int tuple z is a nonzero rational multiple of the int
+    tuple y, cross-multiplied on the pivot entry k: z_k and y_k are not 0
+    and z_i*y_k = z_k*y_i for every i. Neither tuple is reduced or scaled.
+    A multiple with z_k = 0 reads False, so k must be an entry that is
+    nonzero on every multiple the caller expects."""
+    zk, yk = z[k], y[k]
+    return zk != 0 and yk != 0 and all(zi * yk == zk * yi for zi, yi in zip(z, y))
+
+
 def quadric_value(y: Sequence, F: Field):
     """The Klein quadric form y01*y23 - y02*y13 + y03*y12, in plain
     operators, reduced once by `F.of`."""

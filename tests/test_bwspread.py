@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bwcayley import bwspread, cayley
@@ -29,7 +30,6 @@ from bwcayley.bwspread import (
     omega_points,
     osculating_tangent,
     parameter_grid,
-    reguli_check,
     regulus_minus,
     skew_criterion,
     tangents,
@@ -37,6 +37,7 @@ from bwcayley.bwspread import (
     verify_regulus,
 )
 from bwcayley.cli import certify_report
+from bwcayley.klein import reguli_check
 from bwcayley.reports import CheckOutcome
 from bwcayley.field import InfiniteField, PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.linalg import rank
@@ -47,6 +48,7 @@ from bwcayley.projspace import (
     enumerate_planes,
     enumerate_points,
     incidence,
+    is_int_multiple,
     line_in_plane,
     line_through,
     lines_skew,
@@ -61,15 +63,20 @@ from oracles import (
     dedup_lines,
     dual_spread_by_O,
     dual_spread_by_pencils,
+    duality_by_fractions,
     duality_by_O,
     duality_by_scans,
+    generator,
     group_apply,
     maximality_by_filter,
+    maximality_by_fractions,
     maximality_by_O,
+    partial_spread_by_fractions,
     partial_spread_by_O,
     point_in_plane,
     reguli_by_O,
     regulus_lines,
+    tangent_plane,
 )
 
 QQ = Rationals()
@@ -489,6 +496,78 @@ class TestStreamedEqualsByO:
                 streamed(F5)
 
 
+RATIONAL_SEEDS = list(range(16)) + [1991668817]  # the last draws u == v once
+
+
+def _draws(seed, count, bound):
+    """The first count Fractions a rational spot check draws at seed."""
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-bound, bound), rng.randint(1, 9)) for _ in range(count)]
+
+
+class TestRationalSpotChecks:
+    """The rational branches test their samples on unreduced int tuples;
+    the `*_by_fractions` routes in tests/oracles.py draw the same samples
+    and test them in Fraction arithmetic on joined lines."""
+
+    @pytest.mark.parametrize("seed", RATIONAL_SEEDS)
+    def test_each_branch_equals_its_fraction_route(self, seed):
+        assert certify_partial_spread(QQ, seed) == partial_spread_by_fractions(seed)
+        assert certify_maximality(QQ, seed) == maximality_by_fractions(seed)
+        assert certify_duality(QQ, seed) == (duality_by_fractions(seed), None)
+
+    @given(small_fractions, small_fractions, small_fractions, small_fractions)
+    @settings(max_examples=80)
+    def test_criterion_is_weighted_homogeneous(self, v1, v2, u1, u2):
+        assume((v1, v2) != (u1, u2))
+        lam = lcm(v1.denominator, v2.denominator, u1.denominator, u2.denominator)
+        scaled = (int(lam * v1), int(lam**2 * v2), int(lam * u1), int(lam**2 * u2))
+        assert skew_criterion(*scaled, QQ) == lam**4 * skew_criterion(v1, v2, u1, u2, QQ)
+
+    @given(small_fractions, small_fractions)
+    @settings(max_examples=80)
+    def test_integer_tangent_is_a_multiple_of_the_joined_tangent(self, u1, u2):
+        x, y = bwspread._integer_tangent(u1, u2, QQ)
+        t = osculating_tangent(u1, u2, QQ)
+        assert all(type(v) is int for v in x + y) and x[0] != 0 and y[0] != 0
+        assert canonicalize(x, QQ) == t.p and canonicalize(y, QQ) == t.plucker
+        assert is_int_multiple(y, t.plucker) and is_int_multiple(x, t.p)
+
+    @pytest.mark.parametrize("u", [(0, -4), (0, 0), (0, Fraction(1, 3))])
+    def test_duality_pivots_on_the_last_entry_of_the_plane(self, u):
+        # entry 0 of the partner's tangent plane vanishes at u1 = 0, so a
+        # pivot there reads False on a true identity
+        a, b = u
+        x0, x1, x2, x3 = cayley.surface_point_coefficients(a, b, QQ)
+        e = cayley.tangent_plane_coefficients(0, 3 * a * a - b, QQ)
+        assert e[0] == 0
+        assert is_int_multiple((x3, x2, x1, x0), e, 3) and not is_int_multiple((x3, x2, x1, x0), e, 0)
+
+    def test_one_tangent_for_all_is_a_route_disagreement(self, monkeypatch):
+        # every sample's sextuple is the tangent at (0, 0): polarity says every
+        # pair meets, the criterion that none does, so route 2 is not vacuous
+        sextuple = bwspread.osculating_sextuple
+        monkeypatch.setattr(bwspread, "osculating_sextuple", lambda x0, x1, x2: sextuple(x0, 0, 0))
+        v1, v2, u1, u2 = _draws(0, 4, 20)
+        assert certify_partial_spread(QQ, seed=0) == CheckOutcome(
+            passed=False, witness=((v1, v2), (u1, u2)), note="route disagreement"
+        )
+        assert certify_maximality(QQ, seed=0).passed is False
+
+    def test_a_wrong_sextuple_fails_the_duality(self, monkeypatch):
+        # Y03 dropped: the line map no longer sends the tangent at u to its
+        # partner's, as the dual moves Y03 to Y12
+        sextuple = bwspread.osculating_sextuple
+
+        def dropped(x0, x1, x2):
+            y = sextuple(x0, x1, x2)
+            return y[:2] + (0,) + y[3:]
+
+        monkeypatch.setattr(bwspread, "osculating_sextuple", dropped)
+        u1, u2 = _draws(0, 2, 30)
+        assert certify_duality(QQ, seed=0) == (CheckOutcome(passed=False, witness=(u1, u2)), None)
+
+
 class TestLinesThroughPoints:
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_closed_form_equals_incidence_count(self, F):
@@ -547,7 +626,7 @@ class TestDualSpreadPremise:
 
     def test_a_rejected_tangent_plane_fails_duality_only(self, monkeypatch):
         unpatched = self._checks(F5)
-        rejected = cayley.tangent_plane(1, 1, F5)
+        rejected = tangent_plane(1, 1, F5)
         tangency_test = cayley.tangency_test
         monkeypatch.setattr(
             cayley, "tangency_test", lambda e, F: canonicalize(e, F) != rejected and tangency_test(e, F)
@@ -642,7 +721,7 @@ class TestDuality:
     def test_a_rejected_tangent_plane_fails(self, F, monkeypatch):
         # the check hands tangency_test any representative of a plane, so the
         # rejected plane is recognised by its class
-        rejected = cayley.tangent_plane(1, 1, F)
+        rejected = tangent_plane(1, 1, F)
         tangency_test = cayley.tangency_test
         monkeypatch.setattr(
             cayley, "tangency_test", lambda e, F: canonicalize(e, F) != rejected and tangency_test(e, F)
@@ -771,7 +850,7 @@ class TestReguli:
         assert len(reg) == 3
         ok, polar = verify_regulus(reg, F2)
         assert ok
-        assert _in_span(cayley.generator(1, 0, F2), polar, F2)
+        assert _in_span(generator(1, 0, F2), polar, F2)
 
     def test_gf5_all_parameters(self):
         O = {l.plucker for l in build_O(F5)}
@@ -781,7 +860,7 @@ class TestReguli:
             assert set(reg) <= O
             ok, polar = verify_regulus(reg, F5)
             assert ok and rank(polar, F5) == 3
-            assert _in_span(cayley.generator(1, s, F5), polar, F5)
+            assert _in_span(generator(1, s, F5), polar, F5)
 
     def test_check_passes_with_counts(self):
         r = reguli_check(F5)
@@ -805,7 +884,7 @@ class TestReguli:
     def test_check_fails_when_polar_misses_the_generator(self, monkeypatch):
         verify = bwspread.verify_regulus
         _, other_polar = verify(regulus_minus(3, F5), F5)
-        assert not _in_span(cayley.generator(1, 2, F5), other_polar, F5)
+        assert not _in_span(generator(1, 2, F5), other_polar, F5)
         calls = []
 
         def third_misses(lines, F):
@@ -831,7 +910,7 @@ class TestReguli:
             brute_ok, opposite = _brute_regulus([by_image[y] for y in reg], F, all_lines)
             assert ok == brute_ok
             assert all(_in_span(m, polar, F) for m in opposite)
-            g = cayley.generator(1, s, F)
+            g = generator(1, s, F)
             assert ok and g in opposite and _in_span(g, polar, F)
 
     @pytest.mark.parametrize("F", [F2, F3, F5])

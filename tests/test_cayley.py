@@ -15,14 +15,12 @@ from bwcayley.cayley import (
     duality,
     f_value,
     g_infinity,
-    generator,
     group_matrix,
     nuclei_line,
     param_action,
     restrict_cubic,
     surface_point,
     tangency_test,
-    tangent_plane,
     z_point,
 )
 from bwcayley.field import PrimeField, Rationals
@@ -36,7 +34,7 @@ from bwcayley.projspace import (
     incidence,
     line_through,
 )
-from oracles import group_apply, param_action_by_field_ops, point_in_plane
+from oracles import generator, group_apply, param_action_by_field_ops, point_in_plane, tangent_plane
 
 QQ = Rationals()
 F3 = PrimeField(3)

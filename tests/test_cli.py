@@ -112,9 +112,17 @@ class TestExitCodes:
 
     def test_rational_battery_samples_the_duality_once(self, capsys, monkeypatch):
         walks = count_calls(monkeypatch, bwspread, "certify_duality")
-        planes = count_calls(monkeypatch, cayley, "tangent_plane")
+        planes = count_calls(monkeypatch, cayley, "tangent_plane_coefficients")
         code, _, _ = run(capsys, "certify", "--field", "q")
         assert code == 0 and len(walks) == 1 and len(planes) == bwspread.SPOT_CHECKS
+
+    def test_rational_battery_joins_and_canonicalises_no_sample(self, capsys, monkeypatch):
+        # the samples are tested on unreduced int tuples; only the covering
+        # check's witness is canonicalised
+        joins = count_calls(monkeypatch, projspace, "line_through")
+        canonical = count_calls(monkeypatch, projspace, "canonicalize")
+        code, _, _ = run(capsys, "certify", "--field", "q")
+        assert code == 0 and len(joins) == 0 and len(canonical) == 1
 
     @pytest.mark.parametrize("command", ["certify", "klein"])
     def test_no_check_joins_a_tangent(self, capsys, monkeypatch, command):
@@ -125,14 +133,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, command, "--field", "gf:5")
         assert code == 0 and len(joined) == 0 and len(closed) >= 25
 
-    @pytest.mark.parametrize("command,field,q", [("klein", "gf:5", 5), ("klein", "gf:7", 7), ("char3", "gf:3", 3)])
-    def test_klein_sections_join_few_lines(self, capsys, monkeypatch, command, field, q):
-        # the pencil, the reguli and the directrix are closed-form Klein
-        # images; the generators of the reguli check and the nuclei line are
-        # the only lines joined from two points
+    @pytest.mark.parametrize("command,field,joined", [("klein", "gf:5", 0), ("klein", "gf:7", 0), ("char3", "gf:3", 1)])
+    def test_klein_sections_join_few_lines(self, capsys, monkeypatch, command, field, joined):
+        # the pencil, the reguli, their generators and the directrix are
+        # closed-form Klein images; the nuclei line is the only line joined
+        # from two points
         joins = count_calls(monkeypatch, projspace, "line_through")
         code, _, _ = run(capsys, command, "--field", field)
-        assert code == 0 and len(joins) <= (q + 1 if command == "klein" else 2)
+        assert code == 0 and len(joins) == joined
 
     @pytest.mark.parametrize("command,field", [("certify", "gf:13"), ("klein", "gf:7"), ("char3", "gf:3")])
     def test_no_subcommand_enumerates_points_planes_or_lines(self, capsys, monkeypatch, command, field):

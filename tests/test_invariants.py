@@ -53,6 +53,9 @@ PENDING = {
     "Char3Unsupported": _BETTEN,
     "restrict_cubic": _OSCULATION,
     "_binary_mul": _OSCULATION,
+    "lines_skew": _TRACED,
+    "osculating_tangent": _TRACED,
+    "surface_point": _TRACED,  # only osculating_tangent reads it
     "line_in_plane": _TRACED,
     "enumerate_planes": _TRACED,
     "enumerate_lines": _TRACED,

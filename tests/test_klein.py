@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bwcayley import cayley, klein
+from bwcayley import bwspread, cayley, klein
 from bwcayley.bwspread import IndistinctTangents, build_O, osculating_tangent, parameter_grid
 from bwcayley.field import InfiniteField, PrimeField, Rationals
 from bwcayley.klein import (
@@ -82,11 +82,23 @@ def w_vector(F):
 
 
 class TestKappa:
-    def test_directrix(self):
-        assert cayley.g_infinity(F5).plucker == (0, 0, 0, 0, 0, 1)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
+    def test_directrix(self, p):
+        # one closed form serves the klein section, the reguli and certify
+        F = PrimeField(p)
+        assert cayley.g_infinity(F).plucker == w_infinity(F) == bwspread.DIRECTRIX_IMAGE == (0, 0, 0, 0, 0, 1)
 
     def test_generator(self):
-        assert cayley.generator(1, 1, QQ).plucker == tuple(map(Fraction, (0, 1, 1, 1, 1, 1)))
+        assert oracles.generator(1, 1, QQ).plucker == tuple(map(Fraction, (0, 1, 1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
+    def test_generator_cubic_is_the_joined_generator_image(self, p):
+        # the reguli and generator_cubic checks read the generators in closed form
+        F = PrimeField(p)
+        params = [(1, s) for s in F.elements()] + [(0, 1)]
+        assert [generator_cubic(s0, s1, F) for s0, s1 in params] == [
+            oracles.generator(s0, s1, F).plucker for s0, s1 in params
+        ]
 
     def test_osculating(self):
         assert osculating_tangent(1, 1, QQ).plucker == tuple(map(Fraction, (1, 3, 1, 2, 1, 1)))

@@ -20,6 +20,7 @@ from bwcayley.projspace import (
     enumerate_points,
     gram_apply,
     incidence,
+    is_int_multiple,
     line_in_plane,
     line_through,
     lines_skew,
@@ -422,3 +423,24 @@ class TestSkewness:
         l2 = line_through((1, 1, 0, 0), (1, 2, 0, 0), F5)  # same line, other span
         assert l1 == l2
         assert dedup_lines([l1, l2]) == [l1]
+
+
+int_vec6 = st.lists(st.integers(min_value=-9, max_value=9), min_size=6, max_size=6).map(tuple)
+
+
+class TestIntMultiple:
+    @given(int_vec6, st.integers(min_value=-5, max_value=5).filter(bool), st.integers(min_value=0, max_value=5))
+    def test_a_nonzero_multiple_on_a_nonzero_pivot(self, y, t, k):
+        assert is_int_multiple(tuple(t * v for v in y), y, k) == (y[k] != 0)
+
+    @given(int_vec6, int_vec6, st.integers(min_value=0, max_value=5))
+    def test_agrees_with_canonical_forms(self, z, y, k):
+        # on a pivot nonzero in both, it is equality of projective classes
+        if z[k] and y[k]:
+            assert is_int_multiple(z, y, k) == (canonicalize(z, QQ) == canonicalize(y, QQ))
+        else:
+            assert not is_int_multiple(z, y, k)
+
+    def test_zero_multiple_is_refused(self):
+        assert not is_int_multiple((0, 0, 0, 0), (1, 2, 3, 4))
+        assert not is_int_multiple((1, 2, 3, 4), (0, 0, 0, 0), 2)
