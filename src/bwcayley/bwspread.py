@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import cayley
 from .field import (
@@ -154,27 +154,36 @@ def parameter_grid(F: Field) -> List[Tuple[Element, Element]]:
     return [(u1, u2) for u1 in elems for u2 in elems]
 
 
+def parameter_reader(F: Field) -> Callable[[Sequence], Tuple]:
+    """The map reading the parameter u back from the Klein image y of the
+    tangent at u, given reduced and leading with 1: u = (Y02/3, Y03), or in
+    characteristic 3, where Y02 = 0, u = (Y13, Y03), since Y13 = u1^3 and
+    cubing is the identity on GF(3)."""
+    if F.characteristic == 3:
+        return lambda y: (y[4], y[2])
+    of, third = F.of, F.inv(3)
+    return lambda y: (of(y[1] * third), y[2])
+
+
 def tangents(F: Field) -> Iterator[Tuple[Tuple[int, int], Tuple]]:
     """(u, closed_tangent(u)) for every parameter u, in parameter_grid order.
 
     Each Klein image must give its parameter back: it leads with 1 (so it is
-    not the directrix's, which leads with 0), and u = (Y02/3, Y03), or in
-    characteristic 3, where Y02 = 0, u = (Y13, Y03), since Y13 = u1^3 and
-    cubing is the identity on GF(3). That certifies the q^2 tangents
-    distinct, so O has q^2 + 1 lines; IndistinctTangents is raised at the
-    first image that does not. The tangents are produced one at a time and
-    none is kept.
+    not the directrix's, which leads with 0), and `parameter_reader` reads u
+    off it. That certifies the q^2 tangents distinct, so O has q^2 + 1
+    lines; IndistinctTangents is raised at the first image that does not.
+    The tangents are produced one at a time and none is kept.
     """
     if not F.is_finite:
         raise InfiniteField("O is accessed parametrically over infinite fields")
     p = F.p
-    third = pow(3, -1, p) if p != 3 else None
+    parameter = parameter_reader(F)
     tangent = closed_tangent
     for u1 in range(p):
         for u2 in range(p):
             t = tangent(u1, u2, F)
             y = t[2]
-            if y[0] != 1 or (y[1] * third % p if third else y[4]) != u1 or y[2] != u2:
+            if y[0] != 1 or parameter(y) != (u1, u2):
                 raise IndistinctTangents(f"the Klein image {y} of the tangent at {(u1, u2)} does not give it back")
             yield (u1, u2), t
 
@@ -666,8 +675,8 @@ def betten_collineation(x: Sequence, F: Field) -> ProjPoint:
     """The coordinate scaling (x0, x1, x2, x3) -> (x0, x1, x2/3, x3/3)."""
     if F.characteristic == 3:
         raise Char3Unsupported("the chart divides by 3")
-    third = F.inv(F.of(3))
-    return canonicalize((x[0], x[1], F.mul(third, x[2]), F.mul(third, x[3])), F)
+    third = F.inv(3)
+    return canonicalize((x[0], x[1], third * x[2], third * x[3]), F)
 
 
 def betten_chart(u1, u2, F: Field):
@@ -679,13 +688,10 @@ def betten_chart(u1, u2, F: Field):
     """
     if F.characteristic == 3:
         raise Char3Unsupported("the chart divides by 3")
-    u1, u2 = F.of(u1), F.of(u2)
-    third = F.inv(F.of(3))
-    s = u1
-    t = F.sub(F.mul(u2, third), F.mul(u1, u1))
-    s3 = F.mul(F.mul(s, s), s)
-    plane1 = canonicalize((t, s, F.neg(F.one), F.zero), F)
-    plane2 = canonicalize((F.neg(F.mul(s3, third)), F.add(F.mul(s, s), t), F.zero, F.neg(F.one)), F)
+    s, third = F.of(u1), F.inv(3)
+    t = F.of(u2 * third - s * s)
+    plane1 = canonicalize((t, s, -1, 0), F)
+    plane2 = canonicalize((-s * s * s * third, s * s + t, 0, -1), F)
     return (t, s), plane1, plane2
 
 

@@ -80,33 +80,31 @@ def tangent_plane_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
     parameters (u1, u2): [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1], scaled by
     b^3*d for u1 = a/b and u2 = c/d so they are ints, unreduced. The last
     entry, -b^3*d, is never 0. Over GF(p), where b = d = 1, it is -1."""
-    a, c = F.of(u1), F.of(u2)
-    if F.is_finite:  # b = d = 1
-        return (a * (2 * a * a - c), c - 3 * a * a, a, -1)
-    a, b, c, d = a.numerator, a.denominator, c.numerator, c.denominator
+    u1, u2 = F.of(u1), F.of(u2)
+    a, b, c, d = u1.numerator, u1.denominator, u2.numerator, u2.denominator
     bb = b * b
     return (2 * a * a * a * d - a * c * bb, c * bb * b - 3 * a * a * b * d, a * bb * d, -bb * b * d)
 
 
 # --- the restricted cubic ------------------------------------------------
 
-def _binary_mul(a: List, b: List, F: Field) -> List:
-    out = [F.zero] * (len(a) + len(b) - 1)
+def _binary_mul(a: List, b: List) -> List:
+    """Product of two binary forms given by coefficient lists, unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == F.zero:
-            continue
         for j, bj in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+            out[i + j] += ai * bj
     return out
 
 
 def restrict_cubic(l: Line, F: Field) -> List:
-    """Coefficients [c0..c3] of f(lam*p + mu*q) = sum c_j lam^(3-j) mu^j."""
+    """Coefficients [c0..c3] of f(lam*p + mu*q) = sum c_j lam^(3-j) mu^j,
+    in plain operators, each reduced once by `F.of`."""
     lin = [[pi, qi] for pi, qi in zip(l.p, l.q)]
-    t1 = _binary_mul(_binary_mul(lin[0], lin[1], F), lin[2], F)
-    t2 = _binary_mul(_binary_mul(lin[1], lin[1], F), lin[1], F)
-    t3 = _binary_mul(_binary_mul(lin[0], lin[0], F), lin[3], F)
-    return [F.sub(F.sub(a, b), c) for a, b, c in zip(t1, t2, t3)]
+    t1 = _binary_mul(_binary_mul(lin[0], lin[1]), lin[2])
+    t2 = _binary_mul(_binary_mul(lin[1], lin[1]), lin[1])
+    t3 = _binary_mul(_binary_mul(lin[0], lin[0]), lin[3])
+    return [F.of(a - b - c) for a, b, c in zip(t1, t2, t3)]
 
 
 # --- the automorphism group ----------------------------------------------
@@ -125,13 +123,13 @@ def group_matrix(a, b, c, F: Field) -> GMatrix:
     a, b, c = F.of(a), F.of(b), F.of(c)
     if c == F.zero:
         raise ZeroScale("matrix scale parameter c must be nonzero")
-    mul = F.mul
-    c2, c3 = mul(c, c), mul(mul(c, c), c)
+    of, zero = F.of, F.zero
+    c2 = c * c
     entries = (
-        (F.one, F.zero, F.zero, F.zero),
-        (a, c, F.zero, F.zero),
-        (b, mul(F.of(3), mul(a, c)), c2, F.zero),
-        (F.sub(mul(a, b), mul(mul(a, a), a)), mul(b, c), mul(a, c2), c3),
+        (F.one, zero, zero, zero),
+        (a, c, zero, zero),
+        (b, of(3 * a * c), of(c2), zero),
+        (of(a * b - a * a * a), of(b * c), of(a * c2), of(c2 * c)),
     )
     return GMatrix(a=a, b=b, c=c, entries=entries)
 

@@ -1,8 +1,10 @@
 """Exact ground-field arithmetic: GF(p) for prime p, and the rationals.
 
 Field elements are plain Python values (int residues in [0, p) for GF(p),
-`fractions.Fraction` or int for the rationals), operated on through a field
-object. Everything is exact; no floating point is used anywhere.
+`fractions.Fraction` or int for the rationals). Formulas are written in
+Python's operators and reduced once by the field's `of`; the field object
+supplies `of`, `inv`, `canonical` (GF(p)), `zero`/`one` and `elements`.
+Everything is exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -93,31 +95,20 @@ class PrimeField:
         if type(n) is int:  # the common case, ahead of the slower ABC isinstance
             return n % self.p
         if isinstance(n, Fraction):
-            return self.div(n.numerator % self.p, n.denominator % self.p)
+            return n.numerator * self.inv(n.denominator) % self.p
         return n % self.p
 
     zero = 0
     one = 1
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
+        """a*b reduced; no formula calls it, `perfbench/microbench.py` times it."""
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def canonical(self, vec: Sequence) -> Optional[Tuple[int, ...]]:
         """The multiple of a tuple with first nonzero entry 1 (None for zero):
@@ -173,27 +164,14 @@ class Rationals:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
+        """a*b; no formula calls it, `perfbench/microbench.py` times it."""
         return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return Fraction(1) / a  # Fraction even for plain-int input
-
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        if b == 0:
-            raise ZeroDivisionError("division by 0")
-        return Fraction(a) / b
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)

@@ -13,7 +13,7 @@ from itertools import chain
 from typing import List, Sequence, Set, Tuple
 
 from . import bwspread, cayley
-from .field import Field, InfiniteField, cube_roots
+from .field import Field, InfiniteField
 from .linalg import rank, same_span
 from .projspace import (
     GeometryError,
@@ -79,21 +79,17 @@ def in_kappa_O(y: Sequence, F: Field) -> bool:
     """Whether a canonical sextuple is the Klein image of a line of O.
 
     Affine images have Y01 != 0 and, divided through by Y01, are forced to
-    the closed form; the only image with Y01 = 0 is that of the directrix.
+    the closed form at the parameter `bwspread.parameter_reader` reads off
+    them; the only image with Y01 = 0 is that of the directrix.
     """
     y = canonicalize(y, F)
     if y == w_infinity(F):
         return True
     if y[0] == F.zero:
         return False
-    y = tuple(F.div(v, y[0]) for v in y)
-    if F.characteristic == 3:
-        roots = cube_roots(y[4], F)
-        if not roots:
-            return False
-        return y == kappa_osculating(next(iter(roots)), y[2], F)
-    u1 = F.div(y[1], F.of(3))
-    return y == kappa_osculating(u1, y[2], F)
+    inv = F.inv(y[0])
+    y = tuple(F.of(v * inv) for v in y)
+    return y == kappa_osculating(*bwspread.parameter_reader(F)(y), F)
 
 
 def generator_cubic(s0, s1, F: Field) -> KleinPoint:
@@ -248,22 +244,17 @@ def _image_difference(points: Set[KleinPoint], F: Field) -> Tuple[List, List, in
     directrix), over GF(p).
 
     No image set is built. A point leading with 1 is an image exactly when
-    it is kappa(u) at the parameter u it gives back, (Y02/3, Y03), or
-    (Y13, Y03) in characteristic 3, as `bwspread.tangents` reads it, and one
-    leading with 0 exactly when it is a pencil image. One pass over the
-    tangents tests each image for membership in the set. The q^2 tangent
-    images are distinct and lead with 1, the pencil's lead with 0. Returns
-    (extra, missing, n_images): the points that are no image, the images
-    that are no point, and the number of images.
+    it is kappa(u) at the parameter u that `bwspread.parameter_reader` reads
+    off it, and one leading with 0 exactly when it is a pencil image. One
+    pass over the tangents tests each image for membership in the set. The
+    q^2 tangent images are distinct and lead with 1, the pencil's lead with
+    0. Returns (extra, missing, n_images): the points that are no image,
+    the images that are no point, and the number of images.
     """
     pencil = pencil_LZomega(F)
     in_pencil = set(pencil)
-    p = F.p
-    third = pow(3, -1, p) if p != 3 else None
-    kappa = bwspread.kappa
-    extra = [
-        z for z in points if (kappa(z[1] * third if third else z[4], z[2], F) != z if z[0] else z not in in_pencil)
-    ]
+    parameter, kappa = bwspread.parameter_reader(F), bwspread.kappa
+    extra = [z for z in points if (kappa(*parameter(z), F) != z if z[0] else z not in in_pencil)]
     missing = [y for y in pencil if y not in points]
     n_tangents = 0
     for _, (_, _, y) in bwspread.tangents(F):

@@ -238,7 +238,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int, F: Field) -> List[List]:
         vec = [F.zero] * ncols
         vec[fc] = F.one
         for r, pc in enumerate(pivots):
-            vec[pc] = F.neg(reduced[r][fc])
+            vec[pc] = F.of(-reduced[r][fc])
         basis.append(vec)
     return basis
 

@@ -209,24 +209,20 @@ def line_through(p: Sequence, q: Sequence, F: Field) -> Line:
     return Line(p=p, q=q, plucker=plucker(p, q, F))
 
 
-def _det3(m, F: Field):
-    mul, sub = F.mul, F.sub
-    a = mul(m[0][0], sub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
-    b = mul(m[0][1], sub(mul(m[1][0], m[2][2]), mul(m[1][2], m[2][0])))
-    c = mul(m[0][2], sub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0])))
-    return F.add(F.sub(a, b), c)
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def det4(m, F: Field):
-    """Determinant of a 4x4 matrix by cofactor expansion along the first row."""
-    total = F.zero
-    for j in range(4):
-        if m[0][j] == F.zero:
-            continue
-        minor = [[row[k] for k in range(4) if k != j] for row in m[1:]]
-        term = F.mul(m[0][j], _det3(minor, F))
-        total = F.add(total, term) if j % 2 == 0 else F.sub(total, term)
-    return total
+    """Determinant of a 4x4 matrix by cofactor expansion along the first row,
+    in plain operators, reduced once by `F.of`."""
+    total = 0
+    for j, a in enumerate(m[0]):
+        if a:
+            minor = [[row[k] for k in range(4) if k != j] for row in m[1:]]
+            total += (-a if j % 2 else a) * _det3(minor)
+    return F.of(total)
 
 
 def lines_skew(l1: Line, l2: Line, F: Field) -> bool:

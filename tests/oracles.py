@@ -6,7 +6,8 @@ the surface points and tangent planes, and map lines by second compound
 matrices. The routes below scan every point and every plane of PG(3,q)
 instead and return the same `CheckOutcome`s, so the tests can compare
 flags, witnesses and counts at small primes; they map points one by one
-through the group matrices, act on parameters through field operations,
+through the group matrices, act on parameters through step-reduced field
+operations (`add`, `sub`, `mul`, `neg`, `div`, each reduced by `F.of`),
 scan PG(5,q) by trying every value of every coordinate, and find the
 characteristic-3 congruence by scanning every line of PG(3,q). The
 certifiers read each tangent from its closed form one parameter at a
@@ -78,6 +79,30 @@ from bwcayley.projspace import (
 from bwcayley.reports import CheckOutcome
 
 
+# Step-reduced field arithmetic: `F.of` after every single operation, where
+# the library writes a formula in plain operators and reduces it once, so a
+# reference built from these reaches its values by a separate route.
+
+def add(a, b, F: Field):
+    return F.of(a + b)
+
+
+def sub(a, b, F: Field):
+    return F.of(a - b)
+
+
+def mul(a, b, F: Field):
+    return F.of(a * b)
+
+
+def neg(a, F: Field):
+    return F.of(-a)
+
+
+def div(a, b, F: Field):
+    return F.of(a * F.inv(b))
+
+
 def tangent_plane(u1, u2, F: Field) -> ProjPlane:
     """Tangent plane at the affine surface point with parameters (u1, u2):
     `cayley.tangent_plane_coefficients` reduced once by `canonicalize`."""
@@ -89,8 +114,7 @@ def generator(s0, s1, F: Field) -> Line:
     s0, s1 = F.of(s0), F.of(s1)
     if s0 == F.zero and s1 == F.zero:
         raise cayley.ZeroParameters("generator parameters must not both vanish")
-    mul = F.mul
-    p = (mul(s0, s0), mul(s0, s1), mul(s1, s1), F.zero)
+    p = (mul(s0, s0, F), mul(s0, s1, F), mul(s1, s1, F), F.zero)
     q = (F.zero, F.zero, s0, s1)
     return line_through(p, q, F)
 
@@ -102,12 +126,12 @@ def group_apply(M: GMatrix, x: Sequence, F: Field) -> ProjPoint:
 
 
 def param_action_by_field_ops(M: GMatrix, u1, u2, F: Field) -> Tuple:
-    """`cayley.param_action` through the field's operations:
+    """`cayley.param_action` in step-reduced field operations:
     (u1, u2) -> (a + c*u1, b + 3ac*u1 + c^2*u2)."""
     u1, u2 = F.of(u1), F.of(u2)
-    mul = F.mul
-    v1 = F.add(M.a, mul(M.c, u1))
-    v2 = F.add(F.add(M.b, mul(F.of(3), mul(M.a, mul(M.c, u1)))), mul(mul(M.c, M.c), u2))
+    cu1 = mul(M.c, u1, F)
+    v1 = add(M.a, cu1, F)
+    v2 = add(add(M.b, mul(F.of(3), mul(M.a, cu1, F), F), F), mul(mul(M.c, M.c, F), u2, F), F)
     return v1, v2
 
 
@@ -131,7 +155,7 @@ def variety_zero_set_by_trials(F: Field) -> Set[KleinPoint]:
 def point_in_plane(x: Sequence, e: Sequence, F: Field) -> bool:
     acc = F.zero
     for xi, ei in zip(x, e):
-        acc = F.add(acc, F.mul(xi, ei))
+        acc = add(acc, mul(xi, ei, F), F)
     return acc == F.zero
 
 
@@ -224,7 +248,7 @@ def duality_by_scans(F: Field, O: Sequence[Line]) -> CheckOutcome:
     """The finite-field duality check with the surface points and the
     tangent planes found by scanning all q^3 + q^2 + q + 1 tuples."""
     for u1, u2 in ((u1, u2) for u1 in F.elements() for u2 in F.elements()):
-        v1, v2 = F.neg(u1), F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
+        v1, v2 = neg(u1, F), sub(mul(F.of(3), mul(u1, u1, F), F), u2, F)
         if cayley.duality(cayley.surface_point(u1, u2, F), F) != tangent_plane(v1, v2, F):
             return CheckOutcome(passed=False, witness=(u1, u2))
         image = cayley.dual_plucker(osculating_tangent(u1, u2, F).plucker, F)
@@ -260,7 +284,7 @@ def maximality_by_filter(F: Field, O: Sequence[Line]) -> CheckOutcome:
         x0, x1, x2, x3 = point
         if x0 != F.zero:
             continue
-        line = O[-1] if x1 == F.zero else tangent[F.mul(F.div(x2, x1), third), F.div(x3, x1)]
+        line = O[-1] if x1 == F.zero else tangent[mul(div(x2, x1, F), third, F), div(x3, x1, F)]
         if not incidence(point, line, F):
             return CheckOutcome(passed=False, witness=point)
         checked += 1
@@ -302,7 +326,7 @@ def pencil_lines(F: Field) -> List[Line]:
 
 def in_D(y: Sequence, F: Field) -> bool:
     """The 3-space V(Y02, Y03 + Y12) of the characteristic-3 congruence."""
-    return y[1] == F.zero and F.add(y[2], y[3]) == F.zero
+    return y[1] == F.zero and add(y[2], y[3], F) == F.zero
 
 
 def char3_congruence_by_line_scan(F: Field, O: Sequence[Line]) -> CheckOutcome:
@@ -472,7 +496,7 @@ def maximality_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
     checked = 0
     for point in omega_points(F):
         _, x1, x2, x3 = point
-        line = O[-1] if x1 == F.zero else tangent[F.mul(F.div(x2, x1), third), F.div(x3, x1)]
+        line = O[-1] if x1 == F.zero else tangent[mul(div(x2, x1, F), third, F), div(x3, x1, F)]
         if not incidence(point, line, F):
             return CheckOutcome(passed=False, witness=point)
         checked += 1
@@ -638,7 +662,7 @@ def maximality_by_fractions(seed: int) -> CheckOutcome:
         x0, x1, x2, x3 = point
         if x1 == F.zero:
             return ginf
-        return osculating_tangent(F.mul(F.div(x2, x1), third), F.div(x3, x1), F)
+        return osculating_tangent(mul(div(x2, x1, F), third, F), div(x3, x1, F), F)
 
     rng = random.Random(seed)
     for _ in range(SPOT_CHECKS):

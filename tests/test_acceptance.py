@@ -190,8 +190,8 @@ def test_criterion_08_duality(p):
         assert images == tangent_planes
         for u1, u2 in parameter_grid(F):
             lhs = cayley.duality(cayley.surface_point(u1, u2, F), F)
-            v1 = F.neg(u1)
-            v2 = F.sub(F.mul(F.of(3), F.mul(u1, u1)), u2)
+            v1 = F.of(-u1)
+            v2 = F.of(3 * u1 * u1 - u2)
             assert lhs == tangent_plane(v1, v2, F)
 
 

@@ -30,6 +30,7 @@ from bwcayley.bwspread import (
     omega_points,
     osculating_tangent,
     parameter_grid,
+    parameter_reader,
     regulus_minus,
     skew_criterion,
     tangents,
@@ -37,7 +38,7 @@ from bwcayley.bwspread import (
     verify_regulus,
 )
 from bwcayley.cli import certify_report
-from bwcayley.klein import reguli_check
+from bwcayley.klein import _image_difference, in_kappa_O, kappa_osculating, reguli_check
 from bwcayley.reports import CheckOutcome
 from bwcayley.field import InfiniteField, PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.linalg import rank
@@ -58,6 +59,7 @@ from bwcayley.projspace import (
     span_points,
 )
 from oracles import (
+    add,
     break_kappa,
     covering_by_points,
     dedup_lines,
@@ -71,11 +73,13 @@ from oracles import (
     maximality_by_filter,
     maximality_by_fractions,
     maximality_by_O,
+    mul,
     partial_spread_by_fractions,
     partial_spread_by_O,
     point_in_plane,
     reguli_by_O,
     regulus_lines,
+    sub,
     tangent_plane,
 )
 
@@ -152,16 +156,17 @@ class TestSkewCriterion:
     @given(small_fractions, small_fractions, small_fractions, small_fractions)
     @settings(max_examples=80)
     def test_value_equals_field_operations(self, v1, v2, u1, u2):
-        # the plain-operator value against the formula in field operations, over Q and
-        # GF(11), where every denominator of small_fractions is invertible
+        # the plain-operator value against the formula in step-reduced field operations,
+        # over Q and GF(11), where every denominator of small_fractions is invertible
         for F in (QQ, PrimeField(11)):
             a, b, c, d = (F.of(t) for t in (v1, v2, u1, u2))
             if (a, b) == (c, d):
                 continue
-            d1 = F.sub(c, a)
-            d2 = F.sub(F.sub(d, b), F.mul(F.of(3), F.mul(a, d1)))
-            sq = F.mul(d1, d1)
-            want = F.add(F.sub(F.mul(d2, d2), F.mul(F.of(3), F.mul(sq, d2))), F.mul(F.of(3), F.mul(sq, sq)))
+            three = F.of(3)
+            d1 = sub(c, a, F)
+            d2 = sub(sub(d, b, F), mul(three, mul(a, d1, F), F), F)
+            sq = mul(d1, d1, F)
+            want = add(sub(mul(d2, d2, F), mul(three, mul(sq, d2, F), F), F), mul(three, mul(sq, sq, F), F), F)
             assert skew_criterion(v1, v2, u1, u2, F) == want
 
     def test_symmetric_verdict(self):
@@ -228,7 +233,7 @@ class TestPartialSpread:
     def test_wrong_param_action_fails_the_action_step(self, monkeypatch):
         # drops the 3ac*u1 term of the second coordinate
         monkeypatch.setattr(
-            cayley, "param_action", lambda M, u1, u2, F: (F.add(M.a, u1), F.add(M.b, u2))
+            cayley, "param_action", lambda M, u1, u2, F: (F.of(M.a + u1), F.of(M.b + u2))
         )
         r = certify_partial_spread(F5)
         assert r.passed is False
@@ -323,10 +328,31 @@ class TestBuildO:
             assert reg == [l.plucker for l in regulus_lines(s, F)]
 
 
+class TestParameterReader:
+    @pytest.mark.parametrize("F", [F2, F3, F5, F7])
+    def test_reads_every_kappa_image_back(self, F):
+        read = parameter_reader(F)
+        for u in parameter_grid(F):
+            assert read(bwspread.kappa(*u, F)) == u
+
+    @given(small_fractions, small_fractions)
+    def test_reads_the_rational_image_back(self, u1, u2):
+        assert parameter_reader(QQ)(kappa_osculating(u1, u2, QQ)) == (u1, u2)
+
+    def test_every_consumer_reads_through_it(self, monkeypatch):
+        monkeypatch.setattr(bwspread, "parameter_reader", lambda F: lambda y: (0, 0))
+        y = bwspread.kappa(1, 1, F5)
+        with pytest.raises(IndistinctTangents):
+            build_O(F5)
+        assert not in_kappa_O(y, F5)
+        with pytest.raises(IndistinctTangents):
+            _image_difference({y}, F5)
+
+
 def _regulus_by_construction(s, F):
     """Reference route: the tangents at (s, s^2 + t) for every t, plus the directrix."""
-    ssq = F.mul(s, s)
-    lines = [osculating_tangent(s, F.add(ssq, t), F) for t in F.elements()]
+    ssq = mul(s, s, F)
+    lines = [osculating_tangent(s, add(ssq, t, F), F) for t in F.elements()]
     lines.append(cayley.g_infinity(F))
     return dedup_lines(lines)
 
@@ -732,12 +758,12 @@ class TestDuality:
 
 
 def _form(x, F):
-    """The cubic form X0*X1*X2 - X1^3 - X0^2*X3 through field operations, on
-    a canonical tuple; on a plane's reversed coefficients it is the tangency
-    form a1*a2*a3 - a2^3 - a0*a3^2."""
+    """The cubic form X0*X1*X2 - X1^3 - X0^2*X3 through step-reduced field
+    operations, on a canonical tuple; on a plane's reversed coefficients it
+    is the tangency form a1*a2*a3 - a2^3 - a0*a3^2."""
     x0, x1, x2, x3 = x
-    mul, sub = F.mul, F.sub
-    return sub(sub(mul(mul(x0, x1), x2), mul(mul(x1, x1), x1)), mul(mul(x0, x0), x3))
+    cube = mul(mul(x1, x1, F), x1, F)
+    return sub(sub(mul(mul(x0, x1, F), x2, F), cube, F), mul(mul(x0, x0, F), x3, F), F)
 
 
 class TestGEquivariance:
@@ -924,7 +950,7 @@ class TestReguli:
             # two skew lines and one line meeting both
             lambda F: [((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1)), ((1, 0, 0, 0), (0, 0, 1, 0))],
             # q+1 lines through (1,0,0,0) aimed at a conic: a plane inside the quadric
-            lambda F: [((1, 0, 0, 0), (0, 1, t, F.mul(t, t))) for t in F.elements()]
+            lambda F: [((1, 0, 0, 0), (0, 1, t, F.of(t * t))) for t in F.elements()]
             + [((1, 0, 0, 0), (0, 0, 0, 1))],
             # q lines of one pencil and one of another sharing a line: a line-pair section
             lambda F: [((1, 0, 0, 0), (0, 1, t, 0)) for t in F.elements()] + [((0, 1, 0, 0), (0, 0, 0, 1))],

@@ -21,6 +21,7 @@ from bwcayley.cayley import (
     restrict_cubic,
     surface_point,
     tangency_test,
+    tangent_plane_coefficients,
     z_point,
 )
 from bwcayley.field import PrimeField, Rationals
@@ -34,7 +35,7 @@ from bwcayley.projspace import (
     incidence,
     line_through,
 )
-from oracles import generator, group_apply, param_action_by_field_ops, point_in_plane, tangent_plane
+from oracles import generator, group_apply, mul, neg, param_action_by_field_ops, point_in_plane, sub, tangent_plane
 
 QQ = Rationals()
 F3 = PrimeField(3)
@@ -44,14 +45,14 @@ small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
 def gradient(x, F):
-    """The four partial derivatives of X0*X1*X2 - X1^3 - X0^2*X3 at x."""
+    """The four partial derivatives of X0*X1*X2 - X1^3 - X0^2*X3 at x, in
+    step-reduced field operations."""
     x0, x1, x2, x3 = canonicalize(x, F)
-    mul, sub = F.mul, F.sub
     return (
-        sub(mul(x1, x2), mul(F.of(2), mul(x0, x3))),
-        sub(mul(x0, x2), mul(F.of(3), mul(x1, x1))),
-        mul(x0, x1),
-        F.neg(mul(x0, x0)),
+        sub(mul(x1, x2, F), mul(F.of(2), mul(x0, x3, F), F), F),
+        sub(mul(x0, x2, F), mul(F.of(3), mul(x1, x1, F), F), F),
+        mul(x0, x1, F),
+        neg(mul(x0, x0, F), F),
     )
 
 
@@ -184,6 +185,15 @@ class TestTangentObjects:
     def test_point_on_its_tangent_plane(self, u1, u2):
         assert point_in_plane(surface_point(u1, u2, QQ), tangent_plane(u1, u2, QQ), QQ)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_coefficients_over_gf_p_are_the_unit_denominator_formula(self, p):
+        # one formula for both fields: at b = d = 1 the scaled entries are
+        # (2a^3 - ac, c - 3a^2, a, -1), unreduced
+        F = PrimeField(p)
+        for a in range(p):
+            for c in range(p):
+                assert tangent_plane_coefficients(a, c, F) == (2 * a**3 - a * c, c - 3 * a * a, a, -1)
+
 
 class TestGenerators:
     def test_special_generators(self):
@@ -268,11 +278,11 @@ class TestGroup:
                     if c == 0:
                         continue
                     M = group_matrix(a, b, c, F)
-                    c3 = F.mul(F.mul(c, c), c)
+                    c3 = mul(mul(c, c, F), c, F)
                     for x in points:
                         lhs_point = [sum(mij * xj for mij, xj in zip(row, x)) % p for row in M.entries]
                         # unreduced image: f(Mx) must equal c^3 f(x) on representatives
-                        assert f_value_raw(lhs_point, F) == F.mul(c3, f_value_raw(list(x), F))
+                        assert f_value_raw(lhs_point, F) == mul(c3, f_value_raw(list(x), F), F)
 
     def test_param_action_matches_matrix(self):
         for a in range(5):
@@ -317,9 +327,11 @@ class TestGroup:
 
 
 def f_value_raw(x, F):
-    """The cubic form on a raw (not canonicalized) representative."""
+    """The cubic form on a raw (not canonicalized) representative, in
+    step-reduced field operations."""
     x0, x1, x2, x3 = (F.of(v) for v in x)
-    return F.sub(F.sub(F.mul(F.mul(x0, x1), x2), F.mul(F.mul(x1, x1), x1)), F.mul(F.mul(x0, x0), x3))
+    cube = mul(mul(x1, x1, F), x1, F)
+    return sub(sub(mul(mul(x0, x1, F), x2, F), cube, F), mul(mul(x0, x0, F), x3, F), F)
 
 
 class TestDuality:

@@ -39,6 +39,25 @@ def test_every_import_is_used(path):
     assert unused == [], f"{path.name} imports {unused} and never uses them"
 
 
+_FIELD_RECEIVERS = {"F", "self", "QQ", "field.QQ"}
+_FIELD_METHODS = {"add", "sub", "neg", "div", "mul"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_no_field_arithmetic_methods(path):
+    """Formulas are written in plain operators and reduced by `F.of`: no
+    module reaches add, sub, neg, div or mul on a field, called or aliased."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in _FIELD_METHODS
+        and ast.unparse(node.value) in _FIELD_RECEIVERS
+    ]
+    assert found == [], f"{path.name} uses field arithmetic methods: {found}"
+
+
 ROOT = Path(__file__).parents[1]
 
 # Library names that no check, script or benchmark reaches yet, each kept for

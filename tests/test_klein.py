@@ -64,7 +64,7 @@ small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 def joined_tangent(u1, u2, F):
     """Reference route: `line_through` the surface point and (0, 1, 3u1, u2)."""
     u1, u2 = F.of(u1), F.of(u2)
-    return line_through(cayley.surface_point(u1, u2, F), (F.zero, F.one, F.mul(F.of(3), u1), u2), F)
+    return line_through(cayley.surface_point(u1, u2, F), (F.zero, F.one, F.of(3 * u1), u2), F)
 
 
 def assert_same_line(l, reference):
@@ -199,7 +199,7 @@ class TestPolarLineOfC:
                 for b in F.elements():
                     if a == 0 and b == 0:
                         continue
-                    y = tuple(F.add(F.mul(a, x), F.mul(b, z)) for x, z in zip(w, winf))
+                    y = tuple(F.of(a * x + b * z) for x, z in zip(w, winf))
                     on_q = quadric_value(y, F) == 0
                     assert on_q == (a == 0)
 
@@ -309,7 +309,7 @@ class TestVarietyZeroSet:
 
     def test_a_form_quadratic_in_its_last_coordinate_is_refused(self, monkeypatch):
         def square(y, F):
-            return F.mul(y[3], y[3])
+            return F.of(y[3] * y[3])
 
         monkeypatch.setattr(klein, "_FORMS_READY_AT", ((), (), (), (square,), (), ()))
         with pytest.raises(GeometryError):
@@ -387,7 +387,7 @@ class TestMembership:
         for u1, u2 in parameter_grid(F):
             y = kappa_osculating(u1, u2, F)
             for c in range(1, F.p):
-                assert in_kappa_O([F.mul(c, v) for v in y], F)
+                assert in_kappa_O([F.of(c * v) for v in y], F)
         assert in_kappa_O(w_infinity(F), F)
         assert not in_kappa_O((0, 0, 0, 0, 1, 0), F)
 

@@ -31,7 +31,7 @@ from bwcayley.projspace import (
     span_points,
 )
 from bwcayley.linalg import nullspace, rank, rref
-from oracles import dedup_lines, plane_pencil, point_in_plane
+from oracles import add, dedup_lines, mul, plane_pencil, point_in_plane, sub
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -159,9 +159,10 @@ def _brute_canonical(vec, p):
 
 
 def _span_by_field_ops(basis, F):
-    """Reference span enumeration in field operations: the coefficient tuples
-    with first nonzero entry 1, leading position last-to-first and the tail
-    in lexicographic order, each combination scaled by its lead's inverse."""
+    """Reference span enumeration in step-reduced field operations: the
+    coefficient tuples with first nonzero entry 1, leading position
+    last-to-first and the tail in lexicographic order, each combination
+    scaled by its lead's inverse."""
     k = len(basis)
     points = []
     for lead in range(k - 1, -1, -1):
@@ -170,7 +171,7 @@ def _span_by_field_ops(basis, F):
             acc = [F.zero] * len(basis[0])
             for c, vec in zip(coeffs, basis):
                 if c != F.zero:
-                    acc = [F.add(a, F.mul(c, v)) for a, v in zip(acc, vec)]
+                    acc = [add(a, mul(c, v, F), F) for a, v in zip(acc, vec)]
             points.append(_scale_by_inverse(acc, F))
     return points
 
@@ -181,7 +182,7 @@ def _scale_by_inverse(vec, F):
     reduced = [F.of(v) for v in vec]
     lead = next(v for v in reduced if v != F.zero)
     inv = F.inv(lead)
-    return tuple(F.mul(inv, v) for v in reduced)
+    return tuple(mul(inv, v, F) for v in reduced)
 
 
 def _primitive_by_fractions(vec):
@@ -229,14 +230,14 @@ class TestPlucker:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_minors_equal_field_operation_minors(self, p):
-        # unreduced and negative representatives, against minors formed by F.mul and F.sub
+        # unreduced and negative representatives, against minors formed by step-reduced mul and sub
         F = PrimeField(p)
         rng = random.Random(p)
         for _ in range(200):
             x = [rng.randint(-40, 40) for _ in range(4)]
             y = [rng.randint(-40, 40) for _ in range(4)]
             minors = tuple(
-                F.sub(F.mul(x[i], y[j]), F.mul(x[j], y[i])) for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+                sub(mul(x[i], y[j], F), mul(x[j], y[i], F), F) for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
             )
             if not any(minors):
                 with pytest.raises(CoincidentPoints):
@@ -244,7 +245,7 @@ class TestPlucker:
                 continue
             assert plucker(x, y, F) == canonicalize(minors, F)
             z = [rng.randint(-40, 40) for _ in range(6)]
-            polar = sum(F.mul(a, b) for a, b in zip(minors, gram_apply(z, F)))
+            polar = sum(mul(a, b, F) for a, b in zip(minors, gram_apply(z, F)))
             assert quadric_polarization(minors, z, F) == F.of(polar)
 
     @given(nonzero_vec4, nonzero_vec4, st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
