@@ -36,7 +36,6 @@ from .projspace import (
     compound_apply,
     compound_image,
     gram_apply,
-    incidence,
     is_int_multiple,
     is_multiple,
     plucker_minors,
@@ -51,9 +50,12 @@ from .reports import CheckOutcome
 PAIR_SPOT_CHECKS = 200
 SPOT_CHECKS = 100
 
-# The Klein image of the directrix V(X0, X1), in closed form: over GF(p),
-# whose zero and one are the ints 0 and 1, it is canonical as it stands.
+# The Klein images of the directrix V(X0, X1) and of the line V(X0, X2),
+# which carries the nuclei in characteristic 3, in closed form: the joins of
+# (0,0,1,0) and (0,1,0,0) with the pinch point (0,0,0,1). Over GF(p), whose
+# zero and one are the ints 0 and 1, each is canonical as it stands.
 DIRECTRIX_IMAGE = (0, 0, 0, 0, 0, 1)
+NUCLEI_IMAGE = (0, 0, 0, 0, 1, 0)
 
 
 class IndistinctTangents(GeometryError):
@@ -195,7 +197,7 @@ def build_O(F: Field) -> List[Line]:
     `tangents` (so the lines are certified distinct), and O[-1] is the
     directrix. No check holds this list; the test oracles read it."""
     lines = [Line(*t) for _, t in tangents(F)]
-    lines.append(cayley.g_infinity(F))
+    lines.append(Line((0, 0, 1, 0), (0, 0, 0, 1), DIRECTRIX_IMAGE))
     return lines
 
 
@@ -421,12 +423,6 @@ def lines_of_O_through(x: ProjPoint, F: Field) -> int:
     return 1
 
 
-def omega_points(F: Field) -> Iterator[ProjPoint]:
-    """The q^2 + q + 1 canonical points (0, x1, x2, x3) of the plane at
-    infinity, in canonical order, produced one at a time."""
-    return ((F.zero,) + x for x in canonical_tuples(3, F))
-
-
 def _affine_histogram(F: Field) -> Counter:
     """How many affine points lie on n lines of O, for each n. For fixed
     (x1, x2) the map x3 -> x3 - x1*x2 + x1^3 is a bijection of GF(q), so
@@ -435,20 +431,33 @@ def _affine_histogram(F: Field) -> Counter:
     return Counter({n: q2 * m for n, m in Counter(len(cube_roots(t, F)) for t in F.elements()).items()})
 
 
-def _point_histogram(F: Field) -> Tuple[Counter, Counter]:
+def _point_histogram(F: Field) -> Tuple[Counter, Counter, Optional[ProjPoint]]:
     """How many affine points (`_affine_histogram`) and how many points at
-    infinity (counted one by one) lie on n lines of O, for each n."""
-    return _affine_histogram(F), Counter(lines_of_O_through(x, F) for x in omega_points(F))
+    infinity lie on n lines of O, for each n, and the first point at
+    infinity that lies on none, or None. `lines_of_O_through` is constant
+    on the classes (0, 0, a, b), (0, 1, 0, b) and (0, 1, a, b) with a != 0,
+    of q + 1, q and q^2 - q points, so it is read once per class, on its
+    first point in canonical order."""
+    zero, one, q = F.zero, F.one, F.order
+    classes = (((zero, zero, zero, one), q + 1), ((zero, one, zero, zero), q), ((zero, one, one, zero), q * q - q))
+    at_infinity = Counter()
+    uncovered = None
+    for x, size in classes:
+        n = lines_of_O_through(x, F)
+        at_infinity[n] += size
+        if n == 0 and uncovered is None:
+            uncovered = x
+    return _affine_histogram(F), at_infinity, uncovered
 
 
 def certify_covering(F: Field) -> CheckOutcome:
     """Whether every point of PG(3,q) lies on a line of O, by `_point_histogram`.
 
     Multiplicity counts (0, 1 or 3 tangents through an affine point) are
-    reported. The witness is the first uncovered point at infinity in
-    canonical order, else (1, 0, 0, t), whose deficit is t, for the least
-    non-cube t. Over the rationals it is the first small-height point that
-    no tangent reaches.
+    reported; the check is O(q). The witness is the first uncovered point
+    at infinity in canonical order, else (1, 0, 0, t), whose deficit is t,
+    for the least non-cube t. Over the rationals it is the first
+    small-height point that no tangent reaches.
     """
     if not F.is_finite:
         witness = uncovered_witness_rational()
@@ -457,10 +466,8 @@ def certify_covering(F: Field) -> CheckOutcome:
             witness=witness,
             note="small-height scan for a deficit with no rational cube root",
         )
-    histogram, at_infinity = _point_histogram(F)
-    if at_infinity[0]:
-        witness = next(x for x in omega_points(F) if lines_of_O_through(x, F) == 0)
-    else:
+    histogram, at_infinity, witness = _point_histogram(F)
+    if witness is None:
         witness = next(((F.one, F.zero, F.zero, t) for t in F.elements() if not cube_roots(t, F)), None)
     points = F.order**3 + F.order**2 + F.order + 1
     uncovered = at_infinity[0] + histogram[0]
@@ -495,12 +502,13 @@ def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
     """Every point of the plane at infinity lies on a line of O.
 
     This forces maximality: any line not in O meets the plane at infinity at
-    a point already covered, hence meets the covering line there. Finite
-    fields are re-verified exhaustively over the q^2 + q + 1 `omega_points`:
-    a point (0, 1, a, b) lies on the tangent at u = (a/3, b) exactly when
-    the Plücker minors of the surface point P(u) and the point, which lead
-    with 1, are kappa(u) entry by entry (`closed_tangent`); the points
-    (0, 0, a, b) are tested by `incidence` on the directrix. The rationals
+    a point already covered, hence meets the covering line there. The q + 1
+    points (0, 0, a, b) lie on the directrix by its equation x0 = x1 = 0.
+    Finite fields walk the other q^2, the points (0, 1, a, b): each lies on
+    the tangent at u = (a/3, b) exactly when the Plücker minors of the
+    surface point P(u) and the point, which lead with 1, are kappa(u) entry
+    by entry (`closed_tangent`). The witness is the first failing point in
+    canonical order, and the count is all q^2 + q + 1 points. The rationals
     use the same construction on seeded samples (0, 1, a/b, c/d), in ints:
     the point, scaled to (0, bd, ad, cb), and the `_integer_tangent` at
     (a/3b, c/d) give Plücker minors that must be a multiple of the tangent's
@@ -510,20 +518,14 @@ def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
         return CheckOutcome(passed=None, note="the maximality argument inverts 3")
     if F.is_finite:
         third = F.inv(F.of(3))
-        ginf = cayley.g_infinity(F)
         p = F.p
-        checked = 0
-        for point in omega_points(F):
-            _, x1, x2, x3 = point
-            if x1 == F.zero:
-                covered = incidence(point, ginf, F)
-            else:  # x1 = 1, as the point is canonical
-                x, _, y = closed_tangent(x2 * third, x3, F)
-                covered = is_multiple(plucker_minors(x, point), y, p)
-            if not covered:
-                return CheckOutcome(passed=False, witness=point)
-            checked += 1
-        return CheckOutcome(passed=True, counts={"omega_points": checked})
+        for a in F.elements():
+            for b in F.elements():
+                point = (F.zero, F.one, a, b)
+                x, _, y = closed_tangent(a * third, b, F)
+                if not is_multiple(plucker_minors(x, point), y, p):
+                    return CheckOutcome(passed=False, witness=point)
+        return CheckOutcome(passed=True, counts={"omega_points": F.order**2 + F.order + 1})
 
     rng = random.Random(seed)
     for _ in range(SPOT_CHECKS):
@@ -547,8 +549,9 @@ def certify_dual_spread(F: Field, fixes_O: Optional[bool]) -> CheckOutcome:
     lies in the plane d(x) exactly when x lies on d(l). So once d(O) = O is
     certified (fixes_O, read off the walk of `certify_duality`), the plane
     d(x) holds as many lines of O as pass through x, `lines_of_O_through(x)`:
-    the histogram over the planes is `_point_histogram`'s, whose points at
-    infinity are the duals of the planes through the pinch point Z. The
+    the histogram over the planes is `_point_histogram`'s, read off q
+    cube-root counts and three classes of points at infinity, the duals of
+    the planes through the pinch point Z. The
     witness is the first canonical plane e whose point d(e) does not count
     1. Also verifies the dual surrogate of maximality: every plane through Z
     contains at least one line of O. Skipped over the rationals, where
@@ -558,7 +561,7 @@ def certify_dual_spread(F: Field, fixes_O: Optional[bool]) -> CheckOutcome:
         return CheckOutcome(passed=None, note="plane counting needs a finite field")
     if not fixes_O:
         return CheckOutcome(passed=False, note="the duality does not fix O, so planes cannot be counted as points")
-    affine, at_infinity = _point_histogram(F)
+    affine, at_infinity, _ = _point_histogram(F)
     histogram = affine + at_infinity
     exact_one = set(histogram) == {1}
     witness = None

@@ -1,9 +1,11 @@
 """The ruled cubic surface V(X0*X1*X2 - X1^3 - X0^2*X3) in PG(3,K).
 
 Covers membership, the surface points and tangent planes of the affine chart,
-the directrix and the line V(X0,X2) of the nuclei, the restricted binary cubic
-f(lam*p + mu*q) of a line, the triangular automorphism group with its action on
-the tangent parameters, and the classical point/tangent-plane duality.
+the restricted binary cubic f(lam*p + mu*q) on the line through two points, the
+triangular automorphism group with its action on the tangent parameters, and
+the classical point/tangent-plane duality. The directrix V(X0,X1) and the line
+V(X0,X2) of the nuclei are read by their equations and their closed-form Klein
+images (`bwspread.DIRECTRIX_IMAGE`, `bwspread.NUCLEI_IMAGE`).
 """
 
 from __future__ import annotations
@@ -12,15 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .field import Element, Field
-from .projspace import (
-    GeometryError,
-    KleinPoint,
-    Line,
-    ProjPlane,
-    ProjPoint,
-    canonicalize,
-    line_through,
-)
+from .projspace import GeometryError, KleinPoint, ProjPlane, ProjPoint, canonicalize
 
 
 class ZeroParameters(GeometryError):
@@ -60,21 +54,6 @@ def surface_point(u1, u2, F: Field) -> ProjPoint:
     return canonicalize(surface_point_coefficients(u1, u2, F), F)
 
 
-def z_point(F: Field) -> ProjPoint:
-    """The pinch point (0,0,0,1)."""
-    return (F.zero, F.zero, F.zero, F.one)
-
-
-def g_infinity(F: Field) -> Line:
-    """The double line V(X0,X1), directrix of the surface."""
-    return line_through((F.zero, F.zero, F.one, F.zero), z_point(F), F)
-
-
-def nuclei_line(F: Field) -> Line:
-    """The line V(X0,X2); in characteristic 3 it carries the nuclei."""
-    return line_through((F.zero, F.one, F.zero, F.zero), z_point(F), F)
-
-
 def tangent_plane_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
     """Coefficients of the tangent plane at the affine surface point with
     parameters (u1, u2): [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1], scaled by
@@ -97,10 +76,10 @@ def _binary_mul(a: List, b: List) -> List:
     return out
 
 
-def restrict_cubic(l: Line, F: Field) -> List:
-    """Coefficients [c0..c3] of f(lam*p + mu*q) = sum c_j lam^(3-j) mu^j,
-    in plain operators, each reduced once by `F.of`."""
-    lin = [[pi, qi] for pi, qi in zip(l.p, l.q)]
+def restrict_cubic(p: Sequence, q: Sequence, F: Field) -> List:
+    """Coefficients [c0..c3] of f(lam*p + mu*q) = sum c_j lam^(3-j) mu^j
+    for two points p and q, in plain operators, each reduced once by `F.of`."""
+    lin = [[pi, qi] for pi, qi in zip(p, q)]
     t1 = _binary_mul(_binary_mul(lin[0], lin[1]), lin[2])
     t2 = _binary_mul(_binary_mul(lin[1], lin[1]), lin[1])
     t3 = _binary_mul(_binary_mul(lin[0], lin[0]), lin[3])

@@ -55,12 +55,6 @@ def h3_form(y: Sequence, F: Field):
 
 # --- distinguished vectors and subspaces -------------------------------------
 
-def w_infinity(F: Field) -> KleinPoint:
-    """Image of the directrix: `bwspread.DIRECTRIX_IMAGE`, (0,0,0,0,0,1)
-    in ints, over every field."""
-    return bwspread.DIRECTRIX_IMAGE
-
-
 def in_C(y: Sequence, F: Field) -> bool:
     """The 3-space V(Y01, Y03 - Y12) housing the generator cubic."""
     return y[0] == F.zero and y[2] == y[3]
@@ -83,7 +77,7 @@ def in_kappa_O(y: Sequence, F: Field) -> bool:
     them; the only image with Y01 = 0 is that of the directrix.
     """
     y = canonicalize(y, F)
-    if y == w_infinity(F):
+    if y == bwspread.DIRECTRIX_IMAGE:
         return True
     if y[0] == F.zero:
         return False
@@ -117,16 +111,16 @@ def pencil_LZomega(F: Field) -> List[KleinPoint]:
     """Klein images of the q+1 lines through the pinch point inside the
     plane at infinity, in closed form. The line joining (0, a, b, 0) with
     Z = (0,0,0,1) has the sextuple (0,0,0,0,a,b), so the images are
-    (0,0,0,0,1,b) for b in `F.elements()`, then `w_infinity`, the
-    directrix's; they are distinct and lead with 0."""
+    (0,0,0,0,1,b) for b in `F.elements()`, then the directrix's
+    `bwspread.DIRECTRIX_IMAGE`; they are distinct and lead with 0."""
     if not F.is_finite:
         raise InfiniteField("pencil enumeration needs a finite field")
     zero, one = F.zero, F.one
-    return [(zero, zero, zero, zero, one, b) for b in F.elements()] + [w_infinity(F)]
+    return [(zero, zero, zero, zero, one, b) for b in F.elements()] + [bwspread.DIRECTRIX_IMAGE]
 
 
 def project_through_Cperp(y: Sequence, F: Field) -> KleinPoint:
-    """Unique point of (y + span{w, w_infinity}) in the 3-space B.
+    """Unique point of (y + span{w, DIRECTRIX_IMAGE}) in the 3-space B.
 
     Closed form (y01, y02, 0, y12+y03, y13, 0); degenerate exactly when y
     lies on the polar line of C itself.
@@ -298,17 +292,17 @@ def char3_congruence_check(F: Field) -> CheckOutcome:
     section of D; comparing them with the images of tangents plus pencil by
     `_image_difference` (cubing is onto for finite characteristic 3) settles
     membership and exhaustion at once. The witness is the first of these
-    images skew to the line of nuclei, the tangents first in
-    `parameter_grid` order, then the pencil's.
+    images skew to the line of nuclei, whose image is the closed form
+    `bwspread.NUCLEI_IMAGE`, the tangents first in `parameter_grid` order,
+    then the pencil's.
     """
     if F.characteristic != 3:
         raise WrongCharacteristic("needs characteristic 3")
     qd_points = variety_qd_points(F)
     extra, missing, n_images = _image_difference(qd_points, F)
-    nuclei = cayley.nuclei_line(F).plucker
     # GF(3) is the only prime field of characteristic 3: a second walk over its 9 tangents
     images = chain((y for _, (_, _, y) in bwspread.tangents(F)), pencil_LZomega(F))
-    skew = next((y for y in images if quadric_polarization(y, nuclei, F) != F.zero), None)
+    skew = next((y for y in images if quadric_polarization(y, bwspread.NUCLEI_IMAGE, F) != F.zero), None)
     q = F.order
     return CheckOutcome(
         passed=skew is None and not extra and not missing and len(qd_points) == q * q + q + 1,

@@ -201,14 +201,6 @@ class Line:
         return f"Line(plucker={self.plucker})"
 
 
-def line_through(p: Sequence, q: Sequence, F: Field) -> Line:
-    p = canonicalize(p, F)
-    q = canonicalize(q, F)
-    if p == q:
-        raise CoincidentPoints(f"{p} given twice")
-    return Line(p=p, q=q, plucker=plucker(p, q, F))
-
-
 def _det3(m):
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

@@ -26,7 +26,10 @@ same lines, and the `*_by_O` routes deduplicate joined lines by
 Over the rationals the certifiers test their seeded samples on unreduced
 int tuples; the `*_by_fractions` routes draw the same samples and test them
 in Fraction arithmetic on joined `Line`s and canonical tuples, with
-`tangent_plane` the canonical tangent plane.
+`tangent_plane` the canonical tangent plane. The library reads the
+directrix, the line of nuclei and the plane at infinity by their equations
+and closed-form Klein images; `line_through`, `g_infinity`, `nuclei_line`,
+`w_infinity` and `omega_points` join and list them instead.
 """
 
 import random
@@ -43,7 +46,6 @@ from bwcayley.bwspread import (
     _affine_histogram,
     covering_deficit,
     lines_of_O_through,
-    omega_points,
     osculating_tangent,
     skew_criterion,
     verify_regulus,
@@ -60,6 +62,7 @@ from bwcayley.klein import (
 )
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
+    CoincidentPoints,
     KleinPoint,
     Line,
     ProjPlane,
@@ -71,8 +74,8 @@ from bwcayley.projspace import (
     enumerate_lines,
     enumerate_points,
     incidence,
-    line_through,
     lines_skew,
+    plucker,
     quadric_value,
     second_compound,
 )
@@ -101,6 +104,45 @@ def neg(a, F: Field):
 
 def div(a, b, F: Field):
     return F.of(a * F.inv(b))
+
+
+# The pinch point, lines joined from two points, and the plane at infinity
+# listed point by point.
+
+def z_point(F: Field) -> ProjPoint:
+    """The pinch point (0,0,0,1)."""
+    return (F.zero, F.zero, F.zero, F.one)
+
+
+def line_through(p: Sequence, q: Sequence, F: Field) -> Line:
+    """The line joining two distinct points, each canonicalised, with its
+    canonical Plücker sextuple."""
+    p = canonicalize(p, F)
+    q = canonicalize(q, F)
+    if p == q:
+        raise CoincidentPoints(f"{p} given twice")
+    return Line(p=p, q=q, plucker=plucker(p, q, F))
+
+
+def g_infinity(F: Field) -> Line:
+    """The double line V(X0,X1), directrix of the surface."""
+    return line_through((F.zero, F.zero, F.one, F.zero), z_point(F), F)
+
+
+def nuclei_line(F: Field) -> Line:
+    """The line V(X0,X2); in characteristic 3 it carries the nuclei."""
+    return line_through((F.zero, F.one, F.zero, F.zero), z_point(F), F)
+
+
+def w_infinity(F: Field) -> KleinPoint:
+    """Klein image of the directrix, read off the joined `g_infinity`."""
+    return g_infinity(F).plucker
+
+
+def omega_points(F: Field) -> Iterable[ProjPoint]:
+    """The q^2 + q + 1 canonical points (0, x1, x2, x3) of the plane at
+    infinity, in canonical order, produced one at a time."""
+    return ((F.zero,) + x for x in canonical_tuples(3, F))
 
 
 def tangent_plane(u1, u2, F: Field) -> ProjPlane:
@@ -222,7 +264,7 @@ def dual_spread_by_pencils(F: Field, O: Sequence[Line]) -> CheckOutcome:
     """The dual-spread check by plane pencils: one pass over the pencils of
     O counts the lines in every plane, then every plane is read."""
     lines_in = Counter(chain.from_iterable(plane_pencil(l, F) for l in O))
-    z = cayley.z_point(F)
+    z = z_point(F)
     witness = None
     histogram: Dict[int, int] = {}
     planes_through_z_missing = 0
@@ -306,7 +348,7 @@ def regulus_lines(s, F: Field) -> List[Line]:
     """The lines whose images `bwspread.regulus_minus` lists, in its order,
     each joined by `osculating_tangent`: the tangents at (s, u2) for every
     u2, then the directrix."""
-    return [osculating_tangent(s, u2, F) for u2 in F.elements()] + [cayley.g_infinity(F)]
+    return [osculating_tangent(s, u2, F) for u2 in F.elements()] + [g_infinity(F)]
 
 
 def pencil_line(a, b, F: Field) -> Line:
@@ -314,7 +356,7 @@ def pencil_line(a, b, F: Field) -> Line:
     a, b = F.of(a), F.of(b)
     if a == F.zero and b == F.zero:
         raise cayley.ZeroParameters("pencil parameters must not both vanish")
-    return line_through((F.zero, a, b, F.zero), cayley.z_point(F), F)
+    return line_through((F.zero, a, b, F.zero), z_point(F), F)
 
 
 def pencil_lines(F: Field) -> List[Line]:
@@ -336,7 +378,7 @@ def char3_congruence_by_line_scan(F: Field, O: Sequence[Line]) -> CheckOutcome:
     union = dedup_lines(list(O) + pencil_lines(F))
     subset_ok = all(in_D(l.plucker, F) for l in union)
     congruence = [l for l in enumerate_lines(F) if in_D(l.plucker, F)]
-    n_line = cayley.nuclei_line(F)
+    n_line = nuclei_line(F)
     meet_failures = [l for l in congruence if lines_skew(l, n_line, F)]
     qd_points = variety_qd_points(F)
     q = F.order
@@ -605,7 +647,7 @@ def char3_congruence_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
     if F.characteristic != 3:
         raise WrongCharacteristic("needs characteristic 3")
     union = dedup_lines(list(O) + pencil_lines(F))
-    n_line = cayley.nuclei_line(F)
+    n_line = nuclei_line(F)
     skew = next((l for l in union if lines_skew(l, n_line, F)), None)
     qd_points = variety_qd_points(F)
     q = F.order
@@ -656,7 +698,7 @@ def maximality_by_fractions(seed: int) -> CheckOutcome:
     and joined by `osculating_tangent`."""
     F = QQ
     third = F.inv(F.of(3))
-    ginf = cayley.g_infinity(F)
+    ginf = g_infinity(F)
 
     def covering_line(point) -> Line:
         x0, x1, x2, x3 = point

@@ -146,14 +146,14 @@ def test_criterion_06_multiplicity_three():
         for u1, u2 in parameter_grid(F):
             t = osculating_tangent(u1, u2, F)
             assert t.p == cayley.surface_point(u1, u2, F)
-            assert cayley.restrict_cubic(t, F) == [0, 0, 0, F.of(-1)]
+            assert cayley.restrict_cubic(t.p, t.q, F) == [0, 0, 0, F.of(-1)]
         rng = random.Random(2024)
         for _ in range(50):
             u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
             u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
             t = osculating_tangent(u1, u2, QQ)
             assert t.p == canonicalize(cayley.surface_point(u1, u2, QQ), QQ)
-            assert cayley.restrict_cubic(t, QQ) == [0, 0, 0, -t.q[1] ** 3]
+            assert cayley.restrict_cubic(t.p, t.q, QQ) == [0, 0, 0, -t.q[1] ** 3]
 
 
 def test_criterion_07_reguli_gf5():
@@ -198,7 +198,7 @@ def test_criterion_08_duality(p):
 def test_criterion_09_char3_congruence():
     with _Budget(9, "GF(3) parabolic congruence", 1.0):
         from bwcayley.klein import char3_congruence_check, osculating_plane_pencil_check
-        from oracles import in_D
+        from oracles import in_D, nuclei_line
 
         F = PrimeField(3)
         r = char3_congruence_check(F)
@@ -207,7 +207,7 @@ def test_criterion_09_char3_congruence():
         congruence = [l for l in enumerate_lines(F) if in_D(l.plucker, F)]
         union = {l.plucker for l in build_O(F)} | set(pencil_LZomega(F))
         assert {l.plucker for l in congruence} == union
-        n = cayley.nuclei_line(F)
+        n = nuclei_line(F)
         assert all(not lines_skew(l, n, F) for l in congruence)
         assert {l.plucker for l in congruence} == variety_qd_points(F)
         assert osculating_plane_pencil_check(F).passed

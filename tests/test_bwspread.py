@@ -27,7 +27,6 @@ from bwcayley.bwspread import (
     closed_tangent,
     covering_deficit,
     lines_of_O_through,
-    omega_points,
     osculating_tangent,
     parameter_grid,
     parameter_reader,
@@ -51,7 +50,6 @@ from bwcayley.projspace import (
     incidence,
     is_int_multiple,
     line_in_plane,
-    line_through,
     lines_skew,
     plucker,
     quadric_value,
@@ -68,12 +66,16 @@ from oracles import (
     duality_by_fractions,
     duality_by_O,
     duality_by_scans,
+    g_infinity,
     generator,
     group_apply,
+    line_through,
     maximality_by_filter,
     maximality_by_fractions,
     maximality_by_O,
     mul,
+    nuclei_line,
+    omega_points,
     partial_spread_by_fractions,
     partial_spread_by_O,
     point_in_plane,
@@ -81,6 +83,7 @@ from oracles import (
     regulus_lines,
     sub,
     tangent_plane,
+    z_point,
 )
 
 QQ = Rationals()
@@ -105,18 +108,18 @@ class TestOsculatingTangent:
         for u1, u2 in parameter_grid(F):
             t = osculating_tangent(u1, u2, F)
             assert t.p == cayley.surface_point(u1, u2, F)
-            assert cayley.restrict_cubic(t, F) == [0, 0, 0, F.of(-1)]
+            assert cayley.restrict_cubic(t.p, t.q, F) == [0, 0, 0, F.of(-1)]
 
     @given(small_fractions, small_fractions)
     @settings(max_examples=60)
     def test_multiplicity_three_rational(self, u1, u2):
         t = osculating_tangent(u1, u2, QQ)
         assert t.p == canonicalize(cayley.surface_point(u1, u2, QQ), QQ)
-        assert cayley.restrict_cubic(t, QQ) == [0, 0, 0, -t.q[1] ** 3]
+        assert cayley.restrict_cubic(t.p, t.q, QQ) == [0, 0, 0, -t.q[1] ** 3]
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_skew_to_directrix(self, F):
-        ginf = cayley.g_infinity(F)
+        ginf = g_infinity(F)
         for u1, u2 in parameter_grid(F):
             assert lines_skew(osculating_tangent(u1, u2, F), ginf, F)
 
@@ -285,7 +288,7 @@ def _pairwise_partial_spread(F):
                 violations += 1
                 if witness is None:
                     witness = (v, u)
-    ginf = cayley.g_infinity(F)
+    ginf = g_infinity(F)
     meeting_ginf = sum(
         1 for u1, u2 in params if not lines_skew(osculating_tangent(u1, u2, F), ginf, F)
     )
@@ -314,7 +317,7 @@ class TestBuildO:
         assert len(O) == len(grid) + 1
         for i, u in enumerate(grid):
             assert O[i] == osculating_tangent(*u, F)
-        assert O[-1] == cayley.g_infinity(F)
+        assert O[-1] == g_infinity(F)
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_regulus_minus_equals_the_per_generator_construction(self, F):
@@ -353,7 +356,7 @@ def _regulus_by_construction(s, F):
     """Reference route: the tangents at (s, s^2 + t) for every t, plus the directrix."""
     ssq = mul(s, s, F)
     lines = [osculating_tangent(s, add(ssq, t, F), F) for t in F.elements()]
-    lines.append(cayley.g_infinity(F))
+    lines.append(g_infinity(F))
     return dedup_lines(lines)
 
 
@@ -696,7 +699,7 @@ class TestDualSpreadPremise:
 def _brute_dual_spread(F):
     """Reference route: test every plane against every line of O."""
     O = build_O(F)
-    z = cayley.z_point(F)
+    z = z_point(F)
     witness = None
     histogram = {}
     missing = 0
@@ -735,8 +738,8 @@ class TestDuality:
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_a_duality_moving_only_the_directrix_fails(self, F, monkeypatch):
         # every tangent still goes to its partner, so only the directrix test sees it
-        ginf = cayley.g_infinity(F).plucker
-        moved = cayley.nuclei_line(F).plucker
+        ginf = g_infinity(F).plucker
+        moved = nuclei_line(F).plucker
         dual_plucker = cayley.dual_plucker
         monkeypatch.setattr(cayley, "dual_plucker", lambda y, F: moved if y == ginf else dual_plucker(y, F))
         r = certify_duality(F)[0]
@@ -924,7 +927,7 @@ class TestReguli:
 
     def test_not_a_regulus_on_degenerate_input(self):
         with pytest.raises(NotARegulus):
-            verify_regulus([cayley.g_infinity(F2).plucker], F2)
+            verify_regulus([g_infinity(F2).plucker], F2)
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_polarity_equals_brute_transversals_on_reguli(self, F):

@@ -81,6 +81,8 @@ PENDING = {
     "enumerate_points": _TRACED,
     "form_value": _TRACED,
     "build_O": _TRACED,
+    "incidence": _TRACED,
+    "Line": _TRACED,  # only the other traced names build or read it
 }
 
 
@@ -117,3 +119,32 @@ def test_every_name_is_reached():
     assert gone == [], f"PENDING names {gone} no longer exist"
     wired = sorted(set(PENDING) & referenced)
     assert wired == [], f"PENDING names {wired} are reached now"
+
+
+_LINE_LAYER = {"Line", "line_through", "incidence"}
+
+
+def test_no_live_code_references_the_line_layer():
+    """Outside the PENDING names no top-level function or class of
+    src/bwcayley references `Line`, `line_through` or `incidence`: the
+    checks read the lines they need (the tangents, the directrix, the line
+    of nuclei) as closed-form Klein images and the points on a line by its
+    equations, so none builds a `Line` or tests a point on one.
+    """
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) or own in PENDING:
+                continue
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            hits = sorted(names & _LINE_LAYER - {own})
+            if hits:
+                found.append(f"{path.name}:{own or stmt.lineno} references {hits}")
+    assert found == [], f"live code references the line layer: {found}"

@@ -34,13 +34,11 @@ from bwcayley.klein import (
     variety_qd_points,
     variety_zero_set,
     verify_variety_equality,
-    w_infinity,
 )
 from bwcayley.projspace import (
     GeometryError,
     canonicalize,
     enumerate_lines,
-    line_through,
     lines_skew,
     quadric_value,
 )
@@ -48,11 +46,15 @@ from oracles import (
     break_kappa,
     char3_congruence_by_line_scan,
     char3_congruence_by_O,
+    g_infinity,
     in_D,
+    line_through,
+    nuclei_line,
     pencil_line,
     pencil_lines,
     variety_equality_by_O,
     variety_zero_set_by_trials,
+    w_infinity,
 )
 
 QQ = Rationals()
@@ -86,7 +88,7 @@ class TestKappa:
     def test_directrix(self, p):
         # one closed form serves the klein section, the reguli and certify
         F = PrimeField(p)
-        assert cayley.g_infinity(F).plucker == w_infinity(F) == bwspread.DIRECTRIX_IMAGE == (0, 0, 0, 0, 0, 1)
+        assert g_infinity(F).plucker == w_infinity(F) == bwspread.DIRECTRIX_IMAGE == (0, 0, 0, 0, 0, 1)
 
     def test_generator(self):
         assert oracles.generator(1, 1, QQ).plucker == tuple(map(Fraction, (0, 1, 1, 1, 1, 1)))
@@ -212,7 +214,7 @@ class TestPolarLineOfC:
 
 class TestPencil:
     def test_directrix_in_pencil(self):
-        assert cayley.g_infinity(F3).plucker in pencil_LZomega(F3)
+        assert g_infinity(F3).plucker in pencil_LZomega(F3)
 
     def test_gf3_count(self):
         assert len(pencil_LZomega(F3)) == 4
@@ -412,7 +414,7 @@ class TestChar3:
         # swap the first tangent for a line outside tangents plus pencil instead
         O = build_O(F3)
         union = {l.plucker for l in O} | set(pencil_LZomega(F3))
-        n = cayley.nuclei_line(F3)
+        n = nuclei_line(F3)
         foreign = next(l for l in enumerate_lines(F3) if l.plucker not in union and lines_skew(l, n, F3) == skew)
         mutated = [foreign] + O[1:]
         r, ref = char3_congruence_by_O(F3, mutated), char3_congruence_by_line_scan(F3, mutated)
@@ -421,12 +423,12 @@ class TestChar3:
         assert r.witness == (foreign.plucker if skew else None)
 
     def test_kappa_of_nuclei_line_is_cone_vertex(self):
-        assert cayley.nuclei_line(F3).plucker == (0, 0, 0, 0, 1, 0)
+        assert nuclei_line(F3).plucker == bwspread.NUCLEI_IMAGE == (0, 0, 0, 0, 1, 0)
         vertex = (0, 0, 0, 0, 1, 0)
         assert in_D(vertex, F3) and quadric_value(vertex, F3) == 0
 
     def test_every_congruence_line_meets_nuclei_line(self):
-        n = cayley.nuclei_line(F3)
+        n = nuclei_line(F3)
         congruence = [l for l in enumerate_lines(F3) if in_D(l.plucker, F3)]
         assert len(congruence) == 13
         for l in congruence:

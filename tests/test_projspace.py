@@ -22,7 +22,6 @@ from bwcayley.projspace import (
     incidence,
     is_int_multiple,
     line_in_plane,
-    line_through,
     lines_skew,
     plucker,
     primitive_int_vector,
@@ -31,7 +30,7 @@ from bwcayley.projspace import (
     span_points,
 )
 from bwcayley.linalg import nullspace, rank, rref
-from oracles import add, dedup_lines, mul, plane_pencil, point_in_plane, sub
+from oracles import add, dedup_lines, line_through, mul, plane_pencil, point_in_plane, sub
 
 QQ = Rationals()
 F5 = PrimeField(5)
