@@ -39,6 +39,7 @@ from .projspace import (
     is_int_multiple,
     is_multiple,
     plucker_minors,
+    polar_pairing,
     quadric_polarization,
     quadric_value,
     second_compound,
@@ -207,21 +208,25 @@ def partner(u1: int, u2: int, p: int) -> Tuple[int, int]:
     return -u1 % p, (3 * u1 * u1 - u2) % p
 
 
-def skew_criterion(v1, v2, u1, u2, F: Field) -> Element:
+def skew_value(v1, v2, u1, u2):
     """Resultant-style skewness value for the tangents at (v1,v2) and (u1,u2).
 
     Translating (v1,v2) to the origin by the group action leaves
     d2^2 - 3*d1^2*d2 + 3*d1^4 with d1 = u1-v1 and d2 = u2-v2-3*v1*(u1-v1);
     the two tangents are skew exactly when this value is nonzero. Formed in
-    plain operators and reduced once by `F.of`.
+    plain operators, unreduced.
     """
     d1 = u1 - v1
-    d2 = u2 - v2
-    if F.of(d1) == F.zero and F.of(d2) == F.zero:
-        raise SamePoint("criterion needs two distinct parameter pairs")
-    d2 -= 3 * v1 * d1
+    d2 = u2 - v2 - 3 * v1 * d1
     d1sq = d1 * d1
-    return F.of(d2 * d2 - 3 * d1sq * d2 + 3 * d1sq * d1sq)
+    return d2 * d2 - 3 * d1sq * d2 + 3 * d1sq * d1sq
+
+
+def skew_criterion(v1, v2, u1, u2, F: Field) -> Element:
+    """`skew_value` reduced once by `F.of`; equal parameters raise SamePoint."""
+    if F.of(u1 - v1) == F.zero and F.of(u2 - v2) == F.zero:
+        raise SamePoint("criterion needs two distinct parameter pairs")
+    return F.of(skew_value(v1, v2, u1, u2))
 
 
 def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
@@ -245,8 +250,8 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     X^2+X+1 has no root, plus seeded random replays of both routes in ints.
     The criterion is weighted homogeneous of degree 4 (d1 of weight 1, d2 of
     weight 2), so on (lam*v1, lam^2*v2, lam*u1, lam^2*u2), lam the lcm of
-    the four denominators, it is lam^4 times its rational value; Klein
-    polarity is tested on the two unreduced sextuples of `_integer_tangent`.
+    the four denominators, it is lam^4 times its rational value; Klein polarity
+    is tested on the two unreduced sextuples of `_integer_tangent`, both in ints.
     """
     if F.is_finite:
         return _partial_spread_by_translations(F)
@@ -261,17 +266,16 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
             continue
         lam = lcm(v[0].denominator, v[1].denominator, u[0].denominator, u[1].denominator)
         lam2 = lam * lam
-        value = skew_criterion(
+        value = skew_value(
             v[0].numerator * (lam // v[0].denominator),
             v[1].numerator * (lam2 // v[1].denominator),
             u[0].numerator * (lam // u[0].denominator),
             u[1].numerator * (lam2 // u[1].denominator),
-            F,
         )
-        skew = quadric_polarization(_integer_tangent(*v, F)[1], _integer_tangent(*u, F)[1], F) != F.zero
-        if (value != F.zero) != skew:
+        skew = polar_pairing(_integer_tangent(*v, F)[1], _integer_tangent(*u, F)[1]) != 0
+        if (value != 0) != skew:
             return CheckOutcome(passed=False, witness=(v, u), note="route disagreement")
-        if value == F.zero:
+        if value == 0:
             return CheckOutcome(passed=False, witness=(v, u))
         checked += 1
     return CheckOutcome(

@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -293,6 +293,13 @@ def cmd_ideal(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """The parser, built once per `idealprobe.MAX_DEGREE` (its `--degree` help
+    names it) and shared by `main` calls: parsing leaves it as it was."""
+    return _parser(idealprobe.MAX_DEGREE)
+
+
+@lru_cache(maxsize=None)
+def _parser(max_degree: int) -> _Parser:
     parser = _Parser(prog="bwcayley", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -317,7 +324,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_char3)
 
     p = sub.add_parser("ideal", help="degree-bounded vanishing probe over the rationals")
-    p.add_argument("--degree", type=int, required=True, help=f"form degree, 1 to {idealprobe.MAX_DEGREE}")
+    p.add_argument("--degree", type=int, required=True, help=f"form degree, 1 to {max_degree}")
     p.add_argument("--samples", type=int, default=60, help="number of sampled tangent images")
     common(p)
     p.set_defaults(fn=cmd_ideal)

@@ -1,11 +1,11 @@
 """Degree-bounded probe of the forms vanishing on the tangent-set image.
 
-Over the rationals, sample Klein images of osculating tangents, compute the
-exact nullspace of the monomial evaluation matrix at fixed degree, and read
-off the resulting forms' coefficients whether they vanish on the pencil line
-through the image of the directrix. Finite sampling cannot certify true
-ideal membership; reports describe what holds at the sampled points, with
-seeds making every run reproducible.
+Over the rationals, sample Klein images of osculating tangents as integer
+sextuples, compute the exact nullspace of the monomial evaluation matrix at
+fixed degree, and read off the resulting forms' coefficients whether they
+vanish on the pencil line through the image of the directrix. Finite
+sampling cannot certify true ideal membership; reports describe what holds
+at the sampled points, with seeds making every run reproducible.
 """
 
 from __future__ import annotations
@@ -13,19 +13,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
-from . import field
-from .klein import h1_form, h2_form, h3_form, in_kappa_O, kappa_osculating
+from . import bwspread, field
+from .klein import h1_form, h2_form, h3_form, in_kappa_O
 from .linalg import nullspace, rank
 from .projspace import KleinPoint, primitive_int_vector, quadric_value
 from .reports import CheckOutcome
 
 NUM_VARS = 6
-# C(8,5) = 56 monomials at degree 3; the exact rref of the 60-sample matrix
-# takes 6-11 ms over the 16 pool seeds on 2 vCPUs with CPython 3.11.
+# C(8,5) = 56 monomials at degree 3: the 60-sample matrix takes 0.6 ms to build
+# and 4.4-8.5 ms to reduce exactly over the 16 pool seeds (2 vCPUs, CPython 3.11).
 MAX_DEGREE = 3
 WITNESS = (Fraction(0),) * 4 + (Fraction(1), Fraction(0))
 
@@ -55,30 +57,37 @@ def monomial_exponents(d: int) -> List[Tuple[int, ...]]:
     return exps
 
 
+@lru_cache(maxsize=None)
+def _row_evaluator(exps: Tuple[Tuple[int, ...], ...]) -> Callable[[Sequence[int]], List[int]]:
+    """The evaluator of the monomials `exps`, all of one degree d, degree by
+    degree: for k = 1..d, each degree-k monomial is Y_v, its first variable,
+    times the monomial at index i among those of degree k - 1; those lists
+    are `monomial_exponents(k)` for k < d, then `exps`."""
+    levels = [monomial_exponents(k) for k in range(sum(exps[0]))] + [exps]
+    plan = []
+    for lower, level in zip(levels, levels[1:]):
+        index = {e: i for i, e in enumerate(lower)}
+        firsts = [next(v for v, k in enumerate(e) if k) for e in level]
+        plan.append(tuple((index[e[:v] + (e[v] - 1,) + e[v + 1 :]], v) for e, v in zip(level, firsts)))
+
+    def evaluate(point: Sequence[int]) -> List[int]:
+        row = [1]
+        for steps in plan:
+            row = [row[i] * point[v] for i, v in steps]
+        return row
+
+    return evaluate
+
+
 def monomial_row(exps: Sequence[Tuple[int, ...]], point: Sequence[int]) -> List[int]:
-    """Evaluate every monomial at an integer point."""
-    row = []
-    for e in exps:
-        val = 1
-        for v, k in zip(point, e):
-            if k:
-                val *= v**k
-        row.append(val)
-    return row
+    """Evaluate monomials of one degree at a point, one multiply each: a
+    monomial is its parent of one degree less times one variable."""
+    return _row_evaluator(tuple(exps))(point) if exps else []
 
 
 def form_value(exps: Sequence[Tuple[int, ...]], coeffs: Sequence, point: Sequence):
-    """Evaluate a form given by monomial coefficients at a point."""
-    acc = Fraction(0)
-    for e, c in zip(exps, coeffs):
-        if c == 0:
-            continue
-        val = c
-        for v, k in zip(point, e):
-            if k:
-                val *= Fraction(v) ** k
-        acc += val
-    return acc
+    """Evaluate a form given by monomial coefficients at a point, as a Fraction."""
+    return sum((c * m for c, m in zip(coeffs, monomial_row(exps, point))), Fraction(0))
 
 
 def sample_parameters(n: int, seed: int) -> List[Tuple[Fraction, Fraction]]:
@@ -96,32 +105,36 @@ def sample_parameters(n: int, seed: int) -> List[Tuple[Fraction, Fraction]]:
 
 
 def sample_kappa_O(n: int, seed: int) -> List[KleinPoint]:
-    """n distinct sampled Klein images of osculating tangents over Q."""
-    return [kappa_osculating(u1, u2, field.QQ) for u1, u2 in sample_parameters(n, seed)]
+    """n distinct sampled Klein images of osculating tangents over Q, as primitive
+    int sextuples: that of `bwspread._integer_tangent` is x0^4*kappa(u), x0 = b^3*d > 0."""
+    samples = sample_parameters(n, seed)
+    return [primitive_int_vector(bwspread._integer_tangent(u1, u2, field.QQ)[1]) for u1, u2 in samples]
 
 
 def vanishing_space(points: Sequence[Sequence], d: int) -> List[List[Fraction]]:
     """Basis of the degree-d forms vanishing at every given point.
 
     Exact rational nullspace of the monomial evaluation matrix, with
-    deterministic pivoting. The matrix rows are the points scaled to
-    integers, which keeps each homogeneous form's zero set; `linalg`
-    certifies in integers that every returned form vanishes on every row.
+    deterministic pivoting. The points are integer sextuples, as from
+    `sample_kappa_O`; `linalg` certifies in integers that every returned
+    form vanishes on every row.
     """
     exps = monomial_exponents(d)
-    matrix = [monomial_row(exps, primitive_int_vector(pt)) for pt in points]
-    return nullspace(matrix, len(exps), field.QQ)
+    evaluate = _row_evaluator(tuple(exps))
+    return nullspace([evaluate(pt) for pt in points], len(exps), field.QQ)
 
 
-def known_quadric_coefficients() -> Dict[str, List]:
-    """The quadric and the three cone forms as degree-2 coefficient vectors.
+@lru_cache(maxsize=None)
+def known_quadric_coefficients() -> Mapping[str, Tuple]:
+    """The quadric and the three cone forms as degree-2 coefficient vectors,
+    computed once and returned read-only.
 
     Read off each form by polarization: the coefficient of Yi^2 is f(e_i),
     and that of Yi*Yj is f(e_i + e_j) - f(e_i) - f(e_j). The forms are
     evaluated on plain-int vectors, and every entry comes out as a Fraction
     (through `F.of`).
     """
-    def vector(form) -> List:
+    def vector(form) -> Tuple:
         def at(*indices: int):
             return form(tuple(indices.count(v) for v in range(NUM_VARS)), field.QQ)
 
@@ -129,14 +142,14 @@ def known_quadric_coefficients() -> Dict[str, List]:
         for e in monomial_exponents(2):
             i, j = (v for v, k in enumerate(e) for _ in range(k))  # i == j for a square
             vec.append(at(i) if i == j else at(i, j) - at(i) - at(j))
-        return vec
+        return tuple(vec)
 
-    return {
+    return MappingProxyType({
         "k": vector(quadric_value),
         "h1": vector(h1_form),
         "h2": vector(h2_form),
         "h3": vector(h3_form),
-    }
+    })
 
 
 @dataclass(frozen=True)
@@ -172,8 +185,9 @@ def closure_probe(d: int, n_samples: int, seed: int) -> ProbeReport:
     contains = None
     if d == 2:
         known = known_quadric_coefficients()
-        # all four lie in the span exactly when stacking them keeps the rank
-        contains = rank(basis + list(known.values()), field.QQ) == rank(basis, field.QQ)
+        # the basis is the identity at the free columns, so it has full rank:
+        # all four lie in its span exactly when stacking them keeps the rank
+        contains = rank(basis + list(known.values()), field.QQ) == len(basis)
     return ProbeReport(
         degree=d,
         samples=n_samples,

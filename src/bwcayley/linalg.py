@@ -13,7 +13,9 @@ it equals the generic one value for value.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -91,19 +93,19 @@ def _rref_mod(ints: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]
     (p-1)^2 per update; a row gets at most one update per pivot, and there
     are at most n pivots for n columns. So a slot stays below
     p + n*(p-1)^2 < 2^(2*bits(p) + bits(n) + 1), and B bytes with
-    8*B >= 2*bits(p) + bits(n) + 8 hold it.
+    8*B >= 2*bits(p) + bits(n) + 8 hold it; B is 10, 12 or 16 for `_slot_structs`.
     """
     ncols = len(ints[0])
-    B = (2 * p.bit_length() + ncols.bit_length() + 15) // 8
+    B = 8 + next(h for h in (2, 4, 8) if 64 + 8 * h >= 2 * p.bit_length() + ncols.bit_length() + 8)
     width = 8 * B
     mask = (1 << width) - 1
 
     def pack(values: List[int]) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(B, "little") for v in values), "little")
+        return int.from_bytes(_slot_structs(len(values), B)[0].pack(*values), "little")
 
     def unpack(row: int, count: int) -> List[int]:
-        data = row.to_bytes(count * B, "little")
-        return [int.from_bytes(data[k : k + B], "little") % p for k in range(0, count * B, B)]
+        slots = iter(_slot_structs(count, B)[1].unpack(row.to_bytes(count * B, "little")))
+        return [(low | high << 64) % p for low, high in zip(slots, slots)]
 
     rows = [pack([v % p for v in row]) for row in ints]
     pivots: List[int] = []
@@ -131,6 +133,14 @@ def _rref_mod(ints: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]
         if r == len(rows):
             break
     return [unpack(row, ncols) for row in rows[:r]] + [[0] * ncols for _ in rows[r:]], pivots
+
+
+@lru_cache(maxsize=None)
+def _slot_structs(count: int, B: int) -> Tuple[struct.Struct, struct.Struct]:
+    """Structs packing `count` residues (every modulus is below 2^31) into the
+    low 4 bytes of B-byte slots, and reading each slot as its low 8 bytes and the rest."""
+    high = {2: "H", 4: "I", 8: "Q"}[B - 8]
+    return struct.Struct(f"<{count * f'I{B - 4}x'}"), struct.Struct(f"<{count * ('Q' + high)}")
 
 
 def _reconstruct(a: int, modulus: int, bound: int) -> Optional[Tuple[int, int]]:

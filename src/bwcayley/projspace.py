@@ -173,10 +173,15 @@ def gram_apply(v: Sequence, F: Field) -> Tuple:
     return tuple(map(F.of, (v[5], -v[4], v[3], v[2], -v[1], v[0])))
 
 
-def quadric_polarization(y: Sequence, z: Sequence, F: Field):
+def polar_pairing(y: Sequence, z: Sequence):
     """Bilinear polarization of the quadric form on two sextuples, in plain
-    operators, reduced once by `F.of`."""
-    return F.of(y[0] * z[5] + y[5] * z[0] + y[2] * z[3] + y[3] * z[2] - y[1] * z[4] - y[4] * z[1])
+    operators, unreduced."""
+    return y[0] * z[5] + y[5] * z[0] + y[2] * z[3] + y[3] * z[2] - y[1] * z[4] - y[4] * z[1]
+
+
+def quadric_polarization(y: Sequence, z: Sequence, F: Field):
+    """`polar_pairing` reduced once by `F.of`."""
+    return F.of(polar_pairing(y, z))
 
 
 @dataclass(frozen=True)

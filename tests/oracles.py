@@ -18,7 +18,10 @@ elimination modulo a prime of `bwcayley.linalg` packs each row into one
 int; `rref_mod_by_lists` keeps the rows as lists of residues. The `ideal`
 probe reads its pencil and witness verdicts off the kernel's coefficients;
 `pencil_sample_points` gives points of the pencil line to evaluate the
-forms at instead. The Klein-section checks take the pencil and the reguli
+forms at instead. It samples integer sextuples and evaluates monomials
+degree by degree; `sample_kappa_O_by_fractions` takes each sample's Klein
+image in Fractions and scales it back to ints, and `monomial_row_by_powers`
+evaluates each monomial by powers of the coordinates. The Klein-section checks take the pencil and the reguli
 as closed-form Klein images; `pencil_lines` and `regulus_lines` join the
 same lines, and the `*_by_O` routes deduplicate joined lines by
 `dedup_lines`; the reguli check takes each generator's image from
@@ -57,9 +60,11 @@ from bwcayley.klein import (
     h1_form,
     h2_form,
     h3_form,
+    kappa_osculating,
     variety_qd_points,
     variety_zero_set,
 )
+from bwcayley.idealprobe import sample_parameters
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
     CoincidentPoints,
@@ -76,6 +81,7 @@ from bwcayley.projspace import (
     incidence,
     lines_skew,
     plucker,
+    primitive_int_vector,
     quadric_value,
     second_compound,
 )
@@ -428,6 +434,25 @@ def rref_mod_by_lists(ints: List[List[int]], p: int) -> Tuple[List[List[int]], L
         if r == len(m):
             break
     return m, pivots
+
+
+def sample_kappa_O_by_fractions(n: int, seed: int) -> List[Tuple[int, ...]]:
+    """`idealprobe.sample_kappa_O` through Fractions: the Klein image
+    `kappa_osculating` over Q at each sampled parameter, then its
+    `primitive_int_vector`."""
+    return [primitive_int_vector(kappa_osculating(u1, u2, QQ)) for u1, u2 in sample_parameters(n, seed)]
+
+
+def monomial_row_by_powers(exps: Sequence[Tuple[int, ...]], point: Sequence[int]) -> List[int]:
+    """`idealprobe.monomial_row` one monomial at a time, by powers of the coordinates."""
+    row = []
+    for e in exps:
+        val = 1
+        for v, k in zip(point, e):
+            if k:
+                val *= v**k
+        row.append(val)
+    return row
 
 
 def pencil_sample_points(count: int, seed: int) -> List[Tuple[Fraction, ...]]:

@@ -214,6 +214,25 @@ class TestPartialSpread:
         assert r.passed
         assert r.counts == {"spot_checks": 199}
 
+    def test_rational_spot_checks_form_no_fraction_from_an_int(self, monkeypatch):
+        # both routes give ints, which are tested against 0 as they stand
+        wrapped = []
+        of = Rationals.of
+
+        def counted(self, n):
+            wrapped.append(type(n))
+            return of(self, n)
+
+        monkeypatch.setattr(Rationals, "of", counted)
+        assert certify_partial_spread(QQ, seed=0).passed
+        assert int not in wrapped
+
+    def test_rational_route_disagreement_is_a_failed_check(self, monkeypatch):
+        # the polarity route calls every pair meeting; the criterion does not
+        monkeypatch.setattr(bwspread, "polar_pairing", lambda y, z: 0)
+        r = certify_partial_spread(QQ, seed=0)
+        assert r.passed is False and r.note == "route disagreement"
+
     def test_route_disagreement_is_a_failed_check(self, monkeypatch):
         # the polarity route calls every pair skew; the criterion does not
         monkeypatch.setattr(bwspread, "quadric_polarization", lambda y, z, F: F.one)

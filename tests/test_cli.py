@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bwcayley import bwspread, cayley, idealprobe, projspace
+from bwcayley import bwspread, cayley, cli, idealprobe, projspace
 from bwcayley.cli import build_parser, certify_report, main
 from bwcayley.field import PrimeField
 from bwcayley.projspace import GeometryError
@@ -264,3 +264,44 @@ class TestReports:
         assert by_name["partial_spread"]["witness"] == [[0, 0], [1, 4]]
         assert by_name["partial_spread"]["status"] == "fail"
         assert by_name["partial_spread"]["expected"] == "fail"
+
+
+class TestSharedParser:
+    """`main` parses with one parser per process; parsing must leave it as it was."""
+
+    COMMANDS = [
+        ["certify", "--field", "gf:5", "--json"],
+        ["klein", "--field", "gf:5"],
+        ["char3", "--field", "gf:3", "--json", "--out", "{out}"],
+        ["ideal", "--degree", "2", "--samples", "30", "--seed", "3", "--json"],
+        ["certify", "--field", "gf:6"],
+        ["klein"],
+        ["ideal", "--degree", "4"],
+        ["bogus", "--field", "q"],
+        ["certify", "--field", "q", "--seed", "5", "--out", "{out}"],
+        ["ideal", "--degree", "1", "--samples", "20"],
+        ["klein", "--field", "gf:3", "--json"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv, out):
+        """Exit code, output and --out report of one call, with timings dropped."""
+        code = main([a.format(out=out) for a in argv])
+        captured = capsys.readouterr()
+        stdout = canonical(captured.out) if captured.out.startswith("{") else captured.out
+        written = canonical(out.read_text()) if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, stdout, captured.err, written
+
+    def test_interleaved_calls_match_lone_calls(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        lone = []
+        for argv in self.COMMANDS:
+            cli._parser.cache_clear()
+            lone.append(self.outcome(capsys, argv, out))
+        assert {code for code, *_ in lone} == {0, 1}
+        cli._parser.cache_clear()
+        order = list(range(len(self.COMMANDS)))
+        for i in order + order[::-1]:
+            assert self.outcome(capsys, self.COMMANDS[i], out) == lone[i], self.COMMANDS[i]
+        assert cli._parser.cache_info().misses == 1

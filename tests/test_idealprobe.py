@@ -1,5 +1,6 @@
 """Exact vanishing-space interpolation and the pencil-closure probe."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +24,7 @@ from bwcayley.idealprobe import (
 from bwcayley.klein import h1_form, h2_form, h3_form
 from bwcayley.linalg import rank, rref
 from bwcayley.projspace import primitive_int_vector, quadric_value
-from oracles import pencil_sample_points
+from oracles import monomial_row_by_powers, pencil_sample_points, sample_kappa_O_by_fractions
 
 QQ = Rationals()
 
@@ -44,6 +45,16 @@ class TestMonomials:
         exps = monomial_exponents(1)
         assert monomial_row(exps, (1, 2, 3, 4, 5, 6)) == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5])
+    def test_rows_match_the_powers_route(self, d):
+        rng = random.Random(d)
+        exps = monomial_exponents(d)
+        shuffled = rng.sample(exps, len(exps))
+        for _ in range(20):
+            point = [rng.randint(-(10**6), 10**6) for _ in range(6)]
+            assert monomial_row(exps, point) == monomial_row_by_powers(exps, point)
+            assert monomial_row(shuffled, point) == monomial_row_by_powers(shuffled, point)
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -59,6 +70,21 @@ class TestSampling:
         for u1, u2 in params:
             assert abs(u1.numerator) <= 50 and u1.denominator <= 50
             assert abs(u2.numerator) <= 50 and u2.denominator <= 50
+
+    def test_samples_are_the_fraction_route_in_ints(self):
+        for seed in range(16):
+            samples = sample_kappa_O(60, seed)
+            assert samples == sample_kappa_O_by_fractions(60, seed)
+            assert all(type(v) is int for y in samples for v in y)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_evaluation_matrices_match_the_fraction_route(self, monkeypatch, d):
+        matrices = []
+        monkeypatch.setattr(idealprobe, "nullspace", lambda rows, ncols, F: matrices.append(rows) or [])
+        exps = monomial_exponents(d)
+        for seed in range(16):
+            vanishing_space(sample_kappa_O(60, seed), d)
+            assert matrices[-1] == [monomial_row_by_powers(exps, y) for y in sample_kappa_O_by_fractions(60, seed)]
 
     def test_samples_lie_on_the_variety(self):
         for y in sample_kappa_O(25, 1):
@@ -76,6 +102,25 @@ class TestVanishingSpace:
         base_rank = rank(basis, QQ)
         for name, vec in known_quadric_coefficients().items():
             assert rank(basis + [vec], QQ) == base_rank, name
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_basis_rank_is_its_length(self, d):
+        # the closure probe reads the rank of the basis as its length
+        for seed in (0, 7):
+            basis = vanishing_space(sample_kappa_O(60, seed), d)
+            assert rank(basis, QQ) == len(basis)
+
+    def test_known_forms_are_computed_once_and_read_only(self):
+        known = known_quadric_coefficients()
+        assert known is known_quadric_coefficients()
+        before = dict(known)
+        with pytest.raises(TypeError):
+            known["k"] = [Fraction(0)] * 21
+        with pytest.raises(TypeError):
+            known["h1"][0] = Fraction(1)
+        with pytest.raises(TypeError):
+            del known["h2"]
+        assert dict(known_quadric_coefficients()) == before
 
     def test_rank_bound_with_three_samples(self):
         basis = vanishing_space(sample_kappa_O(3, 7), 2)

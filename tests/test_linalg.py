@@ -297,6 +297,16 @@ class TestPackedKernel:
         assert rref_mod_by_lists(rows, p) == expected
         assert _rref_mod(rows, p) == expected
 
+    @pytest.mark.parametrize("ncols", [1023, 1024, 1100])
+    def test_wider_slots_past_1023_columns(self, ncols):
+        # at p = 2^31 - 1 a slot needs 2*31 + bits(n) + 8 bits: 80 (10 bytes) up
+        # to n = 1023, then 81, which takes 12-byte slots
+        rng = random.Random(ncols)
+        p = PRIMES[0]
+        rows = [[rng.randint(-(10**12), 10**12) for _ in range(ncols)] for _ in range(4)]
+        rows.append([u - 3 * v for u, v in zip(rows[0], rows[2])])
+        assert _rref_mod(rows, p) == rref_mod_by_lists(rows, p)
+
 
 def is_rref(reduced, pivots, F):
     r = len(pivots)
