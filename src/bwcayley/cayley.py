@@ -10,8 +10,7 @@ images (`bwspread.DIRECTRIX_IMAGE`, `bwspread.NUCLEI_IMAGE`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .field import Element, Field
 from .projspace import GeometryError, KleinPoint, ProjPlane, ProjPoint, canonicalize
@@ -88,8 +87,7 @@ def restrict_cubic(p: Sequence, q: Sequence, F: Field) -> List:
 
 # --- the automorphism group ----------------------------------------------
 
-@dataclass(frozen=True)
-class GMatrix:
+class GMatrix(NamedTuple):
     """Triangular automorphism M_{a,b,c} of the surface (c nonzero)."""
 
     a: Element

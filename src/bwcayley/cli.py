@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -40,7 +39,6 @@ class CheckError(Exception):
         super().__init__(f"internal error in check {name}: {type(exc).__name__}: {exc}")
 
 
-@dataclass
 class Run:
     """The inputs one command's checks share. The ideal probe and the
     duality walk are built on first use, by `pencil_vanishing` and by
@@ -49,10 +47,8 @@ class Run:
     at a time from their closed form (`bwspread.tangents`), and none lists
     the points, planes or lines of PG(3,q)."""
 
-    F: Field
-    seed: int = 0
-    degree: int = 0
-    samples: int = 0
+    def __init__(self, F: Field, seed: int = 0, degree: int = 0, samples: int = 0):
+        self.F, self.seed, self.degree, self.samples = F, seed, degree, samples
 
     @cached_property
     def probe(self) -> idealprobe.ProbeReport:

@@ -9,10 +9,9 @@ Everything is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 Element = Union[int, Fraction]
 
@@ -244,8 +243,7 @@ def nontrivial_cube_root_of_unity(F: Field) -> Optional[Element]:
     return None
 
 
-@dataclass(frozen=True)
-class CubeRootProfile:
+class CubeRootProfile(NamedTuple):
     """How cubing behaves on the field; drives the spread classification."""
 
     characteristic: int

@@ -11,13 +11,12 @@ at the sampled points, with seeds making every run reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from types import MappingProxyType
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import bwspread, field
 from .klein import h1_form, h2_form, h3_form, in_kappa_O
@@ -152,8 +151,7 @@ def known_quadric_coefficients() -> Mapping[str, Tuple]:
     })
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Outcome of one degree-bounded vanishing probe (reproducible by seed)."""
 
     degree: int

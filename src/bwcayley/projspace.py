@@ -13,7 +13,6 @@ y_ij = p_i*q_j - p_j*q_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 from math import gcd, lcm
 from operator import mul as int_mul
@@ -184,17 +183,24 @@ def quadric_polarization(y: Sequence, z: Sequence, F: Field):
     return F.of(polar_pairing(y, z))
 
 
-@dataclass(frozen=True)
 class Line:
     """A line of PG(3,K): an ordered spanning pair plus its Plücker sextuple.
 
-    Equality and hashing use only the canonical Plücker coordinates, so lines
-    built from different spanning pairs compare equal.
+    Immutable. Equality and hashing use only the canonical Plücker
+    coordinates, so lines built from different spanning pairs compare equal.
     """
 
-    p: ProjPoint
-    q: ProjPoint
-    plucker: KleinPoint = dc_field(compare=False)
+    __slots__ = ("p", "q", "plucker")
+
+    def __init__(self, p: ProjPoint, q: ProjPoint, plucker: KleinPoint):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "plucker", plucker)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Line is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Line) and self.plucker == other.plucker

@@ -9,7 +9,6 @@ comparing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -36,32 +35,35 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
-@dataclass
 class CheckOutcome:
-    """Verdict of one certification check.
+    """Verdict of one certification check; equal when every field is.
 
     `passed` is None when the check was skipped; witnesses are replayable
     data (parameter pairs or canonical coordinate tuples).
     """
 
-    passed: Optional[bool]
-    witness: Optional[tuple] = None
-    counts: Dict[str, int] = dc_field(default_factory=dict)
-    note: str = ""
+    def __init__(self, passed: Optional[bool], witness: Optional[tuple] = None,
+                 counts: Optional[Dict[str, int]] = None, note: str = ""):
+        self.passed, self.witness, self.note = passed, witness, note
+        self.counts = {} if counts is None else counts
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CheckOutcome and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"CheckOutcome({vars(self)})"
 
 
-@dataclass
 class Check:
-    """One named certification check inside a report."""
+    """One named certification check inside a report; `status` is pass,
+    fail or skipped."""
 
-    name: str
-    paper_anchor: str
-    status: str  # pass | fail | skipped
-    expected: Optional[str] = None
-    witness: Any = None
-    counts: Dict[str, int] = dc_field(default_factory=dict)
-    note: str = ""
-    millis: float = 0.0
+    def __init__(self, name: str, paper_anchor: str, status: str, expected: Optional[str] = None,
+                 witness: Any = None, counts: Optional[Dict[str, int]] = None, note: str = "",
+                 millis: float = 0.0):
+        self.name, self.paper_anchor, self.status, self.expected = name, paper_anchor, status, expected
+        self.witness, self.note, self.millis = witness, note, millis
+        self.counts = {} if counts is None else counts
 
     def canonical(self) -> Dict[str, Any]:
         body = {
@@ -98,15 +100,13 @@ def check_from_outcome(
     )
 
 
-@dataclass
 class Report:
     """Top-level certification report for one CLI command."""
 
-    command: str
-    field_spec: str
-    regime: Optional[str] = None
-    seed: Optional[int] = None
-    checks: List[Check] = dc_field(default_factory=list)
+    def __init__(self, command: str, field_spec: str, regime: Optional[str] = None,
+                 seed: Optional[int] = None, checks: Optional[List[Check]] = None):
+        self.command, self.field_spec, self.regime, self.seed = command, field_spec, regime, seed
+        self.checks = [] if checks is None else checks
 
     def canonical_dict(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {

@@ -1,6 +1,9 @@
 """Library invariants are explicit checks, so `python -O` still runs them."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,30 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used - _reexports(tree))
     assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    """The records are NamedTuples and plain classes: importing
+    `dataclasses` would load `inspect` and its closure into every CLI
+    process."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
+
+
+def test_cli_import_closure():
+    """A fresh interpreter that imports the CLI and builds its parser loads
+    every bwcayley module (no import is deferred into a subcommand) and
+    neither `dataclasses` nor `inspect`."""
+    code = "import sys, bwcayley.cli; bwcayley.cli.build_parser(); print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    package = {"bwcayley"} | {f"bwcayley.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert len(package) == 10 and sorted(package - loaded) == []
+    assert sorted({"dataclasses", "inspect"} & loaded) == []
 
 
 _FIELD_RECEIVERS = {"F", "self", "QQ", "field.QQ"}

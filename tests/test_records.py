@@ -1,0 +1,85 @@
+"""Record semantics: the NamedTuples and plain classes that carry results.
+
+Frozen value records (`CubeRootProfile`, `GMatrix`, `ProbeReport`, `Line`)
+refuse assignment and hash by value; mutable records (`CheckOutcome`,
+`Check`, `Report`, `Run`) are built the way their call sites build them and
+never share a default `counts` dict or `checks` list.
+"""
+
+import pytest
+
+from bwcayley.cayley import GMatrix, group_matrix
+from bwcayley.cli import Run
+from bwcayley.field import QQ, CubeRootProfile, PrimeField
+from bwcayley.idealprobe import ProbeReport
+from bwcayley.projspace import Line, plucker
+from bwcayley.reports import Check, CheckOutcome, Report
+
+F7 = PrimeField(7)
+
+# each record with every field given, in declaration order
+RECORDS = {
+    "CubeRootProfile": (CubeRootProfile, dict(
+        characteristic=7, cubing_injective=False, cubing_surjective=False, nontrivial_unity_root=2)),
+    "GMatrix": (GMatrix, dict(a=1, b=0, c=1, entries=group_matrix(1, 0, 1, F7).entries)),
+    "ProbeReport": (ProbeReport, dict(
+        degree=2, samples=60, seed=0, nullspace_dimension=5, contains_known_forms=True,
+        pencil_vanishing=False, witness_vanishes=True)),
+    "Line": (Line, dict(p=(0, 0, 1, 0), q=(0, 0, 0, 1), plucker=(0, 0, 0, 0, 0, 1))),
+    "CheckOutcome": (CheckOutcome, dict(passed=False, witness=(1, 2), counts={"pairs": 3}, note="n")),
+    "Check": (Check, dict(
+        name="covering", paper_anchor="Thm 3", status="fail", expected="pass", witness=(1, 2),
+        counts={"pairs": 3}, note="n", millis=1.5)),
+    "Report": (Report, dict(command="certify", field_spec="gf:7", regime="NotPartialSpread", seed=4, checks=[])),
+    "Run": (Run, dict(F=F7, seed=1, degree=2, samples=60)),
+}
+FROZEN = {"CubeRootProfile", "GMatrix", "ProbeReport", "Line"}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_semantics(name):
+    cls, fields = RECORDS[name]
+    by_keyword, by_position = cls(**fields), cls(*fields.values())
+    for record in (by_keyword, by_position):
+        assert {f: getattr(record, f) for f in fields} == fields
+    first = next(iter(fields))
+    if name in FROZEN:
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, first, fields[first])
+        with pytest.raises(AttributeError):
+            delattr(by_keyword, first)
+        assert by_keyword == by_position and hash(by_keyword) == hash(by_position)
+    else:
+        setattr(by_keyword, first, "changed")
+        assert getattr(by_keyword, first) == "changed"
+
+
+def test_check_outcome_equality_is_by_value():
+    by_position = CheckOutcome(True, (1, 2), {"n": 1}, "x")
+    assert by_position == CheckOutcome(passed=True, witness=(1, 2), counts={"n": 1}, note="x")
+    assert CheckOutcome(passed=True) == CheckOutcome(True, None, {}, "")
+    assert CheckOutcome(passed=True) != CheckOutcome(passed=True, note="x")
+    assert CheckOutcome(passed=True) != CheckOutcome(passed=True, counts={"n": 1})
+    assert CheckOutcome(passed=None) != CheckOutcome(passed=False)
+
+
+def test_default_containers_are_fresh():
+    a, b = CheckOutcome(passed=True), CheckOutcome(passed=True)
+    a.counts["n"] = 1
+    assert b.counts == {} and a.counts is not b.counts
+    c, d = Check("covering", "Thm 3", "pass"), Check("covering", "Thm 3", "pass")
+    assert c.counts is not d.counts
+    r, s = Report(command="klein", field_spec="gf:5"), Report(command="klein", field_spec="gf:5")
+    r.checks.append(c)
+    assert s.checks == [] and r.checks is not s.checks
+
+
+@pytest.mark.parametrize("F", [F7, QQ], ids=str)
+def test_line_is_its_plucker_sextuple(F):
+    p, q = (1, 0, 0, 0), (0, 1, 0, 0)
+    r, s = (1, 2, 0, 0), (1, 3, 0, 0)  # two other points of the same line
+    one, other = Line(p, q, plucker(p, q, F)), Line(r, s, plucker(r, s, F))
+    assert (one.p, one.q) != (other.p, other.q)
+    assert one == other and hash(one) == hash(other) and len({one, other}) == 1
+    assert one != Line(p, (0, 0, 1, 0), plucker(p, (0, 0, 1, 0), F))
+    assert repr(one) == f"Line(plucker={one.plucker})"
