@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import bwspread, idealprobe, klein
 from .field import QQ, Field, FieldError, SpreadRegime, classify_field, parse_field_spec
-from .reports import CheckOutcome, Report, check_from_outcome, jsonable
+from .reports import Check, CheckOutcome, Report, jsonable
 
 
 class UsageError(Exception):
@@ -51,7 +51,7 @@ class Run:
         self.F, self.seed, self.degree, self.samples = F, seed, degree, samples
 
     @cached_property
-    def probe(self) -> idealprobe.ProbeReport:
+    def probe(self) -> Dict[str, Optional[CheckOutcome]]:
         return idealprobe.closure_probe(self.degree, self.samples, self.seed)
 
     @cached_property
@@ -66,23 +66,6 @@ def _by_regime(spread: str, not_partial: str, maximal_partial: str, char3: str) 
         SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING: maximal_partial,
         SpreadRegime.CHAR3: char3,
     }
-
-
-def _pencil_vanishing(run: Run) -> CheckOutcome:
-    probe = run.probe
-    return CheckOutcome(
-        passed=probe.pencil_vanishing,
-        counts={
-            "degree": probe.degree,
-            "samples": probe.samples,
-            "nullspace_dimension": probe.nullspace_dimension,
-        },
-    )
-
-
-def _contains_known_forms(run: Run) -> Optional[CheckOutcome]:
-    known = run.probe.contains_known_forms  # None unless the degree is 2
-    return None if known is None else CheckOutcome(passed=known)
 
 
 # Every command's checks in report order, as (name, paper anchor, prediction,
@@ -168,19 +151,19 @@ CHECKS = {
             "pencil_vanishing",
             "forms vanishing on sampled tangent images vanish on the whole pencil line",
             "pass",
-            _pencil_vanishing,
+            lambda run: run.probe["pencil_vanishing"],
         ),
         (
             "contains_known_forms",
             "the quadric and the three cone forms lie in the degree-2 space",
             "pass",
-            _contains_known_forms,
+            lambda run: run.probe["contains_known_forms"],
         ),
         (
             "nonalgebraicity",
             "the form zero set strictly exceeds the tangent images",
             "pass",
-            lambda run: idealprobe.nonalgebraicity_evidence(run.probe),
+            lambda run: run.probe["nonalgebraicity"],
         ),
     ],
 }
@@ -198,7 +181,7 @@ def run_checks(report: Report, run: Run) -> Report:
         if outcome is None:
             continue
         expected = prediction[SpreadRegime(report.regime)] if report.regime else prediction
-        report.checks.append(check_from_outcome(name, anchor, outcome, expected, millis))
+        report.checks.append(Check(name, anchor, outcome, expected, millis))
     return report
 
 
@@ -236,8 +219,8 @@ def _emit(report: Report, args) -> int:
         line = f"  {c.name:<26} {c.status}"
         if c.expected is not None:
             line += f"  (predicted {c.expected})"
-        if c.witness is not None and c.status == "fail":
-            line += f"  witness={jsonable(c.witness)}"
+        if c.outcome.witness is not None and c.status == "fail":
+            line += f"  witness={jsonable(c.outcome.witness)}"
         print(line)
     if bad:
         print(f"MISMATCH against regime prediction: {', '.join(bad)}")
@@ -262,7 +245,7 @@ def cmd_klein(args) -> int:
         skipped = CheckOutcome(
             passed=None, note="characteristic 3 has its own congruence description; see the char3 command"
         )
-        report.checks.append(check_from_outcome(name, anchor, skipped))
+        report.checks.append(Check(name, anchor, skipped))
         return _emit(report, args)
     return _emit(run_checks(report, Run(F)), args)
 

@@ -15,12 +15,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from types import MappingProxyType
-from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bwspread, field
 from .klein import h1_form, h2_form, h3_form, in_kappa_O
-from .linalg import nullspace, rank
+from .linalg import nullspace
 from .projspace import KleinPoint, primitive_int_vector, quadric_value
 from .reports import CheckOutcome
 
@@ -29,6 +28,8 @@ NUM_VARS = 6
 # and 4.4-8.5 ms to reduce exactly over the 16 pool seeds (2 vCPUs, CPython 3.11).
 MAX_DEGREE = 3
 WITNESS = (Fraction(0),) * 4 + (Fraction(1), Fraction(0))
+# the quadric and the three cone forms: at degree 2 each must lie in the sampled space
+KNOWN_FORMS = (quadric_value, h1_form, h2_form, h3_form)
 
 
 class DegreeOutOfRange(ValueError):
@@ -123,95 +124,41 @@ def vanishing_space(points: Sequence[Sequence], d: int) -> List[List[Fraction]]:
     return nullspace([evaluate(pt) for pt in points], len(exps), field.QQ)
 
 
-@lru_cache(maxsize=None)
-def known_quadric_coefficients() -> Mapping[str, Tuple]:
-    """The quadric and the three cone forms as degree-2 coefficient vectors,
-    computed once and returned read-only.
-
-    Read off each form by polarization: the coefficient of Yi^2 is f(e_i),
-    and that of Yi*Yj is f(e_i + e_j) - f(e_i) - f(e_j). The forms are
-    evaluated on plain-int vectors, and every entry comes out as a Fraction
-    (through `F.of`).
-    """
-    def vector(form) -> Tuple:
-        def at(*indices: int):
-            return form(tuple(indices.count(v) for v in range(NUM_VARS)), field.QQ)
-
-        vec = []
-        for e in monomial_exponents(2):
-            i, j = (v for v, k in enumerate(e) for _ in range(k))  # i == j for a square
-            vec.append(at(i) if i == j else at(i, j) - at(i) - at(j))
-        return tuple(vec)
-
-    return MappingProxyType({
-        "k": vector(quadric_value),
-        "h1": vector(h1_form),
-        "h2": vector(h2_form),
-        "h3": vector(h3_form),
-    })
-
-
-class ProbeReport(NamedTuple):
-    """Outcome of one degree-bounded vanishing probe (reproducible by seed)."""
-
-    degree: int
-    samples: int
-    seed: int
-    nullspace_dimension: int
-    contains_known_forms: Optional[bool]
-    pencil_vanishing: bool
-    witness_vanishes: bool
-
-
-def closure_probe(d: int, n_samples: int, seed: int) -> ProbeReport:
-    """Compute the sampled vanishing space and test it on the pencil line.
+def closure_probe(d: int, n_samples: int, seed: int) -> Dict[str, Optional[CheckOutcome]]:
+    """The outcomes of the `ideal` checks, all read off one sampled kernel.
 
     On the pencil line (0,0,0,0,s,t) every monomial with a factor Y01, Y02,
     Y03 or Y12 is zero, so a form restricts to the binary form whose
     coefficients are its coefficients at the d+1 monomials Y13^a*Y23^(d-a).
     It vanishes on the whole line exactly when those are all 0, and at
     `WITNESS` = (0,0,0,0,1,0) exactly when its Y13^d coefficient is 0.
-    `contains_known_forms` is reported at degree 2, where the quadric and the
-    three cone forms must lie in the computed space.
+    At degree 2 the quadric and the three cone forms lie in the computed
+    space exactly when each vanishes at every sample, since `linalg`
+    certifies that the basis spans the whole kernel of the evaluation
+    matrix; `contains_known_forms` is None at the other degrees.
     """
-    if not 0 <= d <= MAX_DEGREE:
-        raise DegreeOutOfRange(f"degree must be between 0 and {MAX_DEGREE}")
+    if not 1 <= d <= MAX_DEGREE:
+        raise DegreeOutOfRange(f"degree must be between 1 and {MAX_DEGREE}")
     exps = monomial_exponents(d)
-    basis = vanishing_space(sample_kappa_O(n_samples, seed), d)
+    points = sample_kappa_O(n_samples, seed)
+    basis = vanishing_space(points, d)
     pencil = [k for k, e in enumerate(exps) if not any(e[:4])]
     witness = exps.index((0, 0, 0, 0, d, 0))
     contains = None
     if d == 2:
-        known = known_quadric_coefficients()
-        # the basis is the identity at the free columns, so it has full rank:
-        # all four lie in its span exactly when stacking them keeps the rank
-        contains = rank(basis + list(known.values()), field.QQ) == len(basis)
-    return ProbeReport(
-        degree=d,
-        samples=n_samples,
-        seed=seed,
-        nullspace_dimension=len(basis),
-        contains_known_forms=contains,
-        pencil_vanishing=all(form[k] == 0 for form in basis for k in pencil),
-        witness_vanishes=all(form[witness] == 0 for form in basis),
-    )
-
-
-def nonalgebraicity_evidence(probe: ProbeReport) -> CheckOutcome:
-    """The common zero set of the probe's sampled forms strictly contains
-    the tangent-set image: the pencil point `WITNESS` = (0,0,0,0,1,0)
-    satisfies every form yet is not the image of any tangent or of the
-    directrix.
-    """
-    if probe.degree == 0:
-        return CheckOutcome(
-            passed=True,
-            counts={"forms": 0},
-            note="no nonzero constant form vanishes anywhere; vacuous",
-        )
-    return CheckOutcome(
-        passed=probe.witness_vanishes and not in_kappa_O(WITNESS, field.QQ),
-        witness=WITNESS,
-        counts={"forms": probe.nullspace_dimension},
-        note="witness satisfies all sampled forms but is not a tangent image",
-    )
+        contains = CheckOutcome(passed=all(form(y, field.QQ) == 0 for form in KNOWN_FORMS for y in points))
+    return {
+        "pencil_vanishing": CheckOutcome(
+            passed=all(form[k] == 0 for form in basis for k in pencil),
+            counts={"degree": d, "samples": n_samples, "nullspace_dimension": len(basis)},
+        ),
+        "contains_known_forms": contains,
+        # the witness satisfies every sampled form yet is not the image of
+        # any tangent or of the directrix
+        "nonalgebraicity": CheckOutcome(
+            passed=all(form[witness] == 0 for form in basis) and not in_kappa_O(WITNESS, field.QQ),
+            witness=WITNESS,
+            counts={"forms": len(basis)},
+            note="witness satisfies all sampled forms but is not a tangent image",
+        ),
+    }

@@ -55,49 +55,32 @@ class CheckOutcome:
 
 
 class Check:
-    """One named certification check inside a report; `status` is pass,
-    fail or skipped."""
+    """One named certification check inside a report: the `CheckOutcome`
+    its runner returned; `status` is pass, fail or skipped."""
 
-    def __init__(self, name: str, paper_anchor: str, status: str, expected: Optional[str] = None,
-                 witness: Any = None, counts: Optional[Dict[str, int]] = None, note: str = "",
+    def __init__(self, name: str, paper_anchor: str, outcome: CheckOutcome, expected: Optional[str] = None,
                  millis: float = 0.0):
-        self.name, self.paper_anchor, self.status, self.expected = name, paper_anchor, status, expected
-        self.witness, self.note, self.millis = witness, note, millis
-        self.counts = {} if counts is None else counts
+        self.name, self.paper_anchor, self.outcome = name, paper_anchor, outcome
+        self.expected, self.millis = expected, millis
+
+    @property
+    def status(self) -> str:
+        passed = self.outcome.passed
+        return "skipped" if passed is None else ("pass" if passed else "fail")
 
     def canonical(self) -> Dict[str, Any]:
         body = {
             "name": self.name,
             "paper_anchor": self.paper_anchor,
             "status": self.status,
-            "witness": jsonable(self.witness),
-            "counts": jsonable(self.counts),
+            "witness": jsonable(self.outcome.witness),
+            "counts": jsonable(self.outcome.counts),
         }
         if self.expected is not None:
             body["expected"] = self.expected
-        if self.note:
-            body["note"] = self.note
+        if self.outcome.note:
+            body["note"] = self.outcome.note
         return body
-
-
-def check_from_outcome(
-    name: str,
-    anchor: str,
-    outcome: CheckOutcome,
-    expected: Optional[str] = None,
-    millis: float = 0.0,
-) -> Check:
-    status = "skipped" if outcome.passed is None else ("pass" if outcome.passed else "fail")
-    return Check(
-        name=name,
-        paper_anchor=anchor,
-        status=status,
-        expected=expected,
-        witness=outcome.witness,
-        counts=dict(outcome.counts),
-        note=outcome.note,
-        millis=millis,
-    )
 
 
 class Report:

@@ -18,7 +18,10 @@ elimination modulo a prime of `bwcayley.linalg` packs each row into one
 int; `rref_mod_by_lists` keeps the rows as lists of residues. The `ideal`
 probe reads its pencil and witness verdicts off the kernel's coefficients;
 `pencil_sample_points` gives points of the pencil line to evaluate the
-forms at instead. It samples integer sextuples and evaluates monomials
+forms at instead. At degree 2 the probe tests the quadric and the three
+cone forms by their values at the samples; `known_quadric_coefficients`
+reads their coefficient vectors off by polarization, for a rank test
+against the kernel basis instead. It samples integer sextuples and evaluates monomials
 degree by degree; `sample_kappa_O_by_fractions` takes each sample's Klein
 image in Fractions and scales it back to ints, and `monomial_row_by_powers`
 evaluates each monomial by powers of the coordinates. The Klein-section checks take the pencil and the reguli
@@ -64,7 +67,7 @@ from bwcayley.klein import (
     variety_qd_points,
     variety_zero_set,
 )
-from bwcayley.idealprobe import sample_parameters
+from bwcayley.idealprobe import NUM_VARS, monomial_exponents, sample_parameters
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
     CoincidentPoints,
@@ -453,6 +456,27 @@ def monomial_row_by_powers(exps: Sequence[Tuple[int, ...]], point: Sequence[int]
                 val *= v**k
         row.append(val)
     return row
+
+
+def known_quadric_coefficients() -> Dict[str, Tuple]:
+    """The quadric and the three cone forms as degree-2 coefficient vectors.
+
+    Read off each form by polarization: the coefficient of Yi^2 is f(e_i),
+    and that of Yi*Yj is f(e_i + e_j) - f(e_i) - f(e_j). The forms are
+    evaluated on plain-int vectors, and every entry comes out as a Fraction
+    (through `F.of`).
+    """
+    def vector(form) -> Tuple:
+        def at(*indices: int):
+            return form(tuple(indices.count(v) for v in range(NUM_VARS)), QQ)
+
+        vec = []
+        for e in monomial_exponents(2):
+            i, j = (v for v, k in enumerate(e) for _ in range(k))  # i == j for a square
+            vec.append(at(i) if i == j else at(i, j) - at(i) - at(j))
+        return tuple(vec)
+
+    return {"k": vector(quadric_value), "h1": vector(h1_form), "h2": vector(h2_form), "h3": vector(h3_form)}
 
 
 def pencil_sample_points(count: int, seed: int) -> List[Tuple[Fraction, ...]]:

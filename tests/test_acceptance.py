@@ -30,7 +30,6 @@ from bwcayley.bwspread import (
 from bwcayley.field import PrimeField, Rationals, SpreadRegime, classify_field
 from bwcayley.idealprobe import (
     form_value,
-    known_quadric_coefficients,
     monomial_exponents,
     sample_kappa_O,
     vanishing_space,
@@ -217,7 +216,7 @@ def test_criterion_10_bounded_degree_probe():
     # The full claim (all degrees, the true ideal) is out of desk-scale
     # reach; this bounded-degree suite stands in for it.
     with _Budget(10, "rationals: degree 2/3 vanishing probe", 10.0):
-        from oracles import pencil_sample_points
+        from oracles import known_quadric_coefficients, pencil_sample_points
 
         exps_by_degree = {d: monomial_exponents(d) for d in (2, 3)}
         for seed in (7, 42):

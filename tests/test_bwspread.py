@@ -1072,7 +1072,7 @@ class TestRegimeConsistency:
         assert passed["partial_spread"]
         assert not passed["covering"]
         covering = next(c for c in report.checks if c.name == "covering")
-        assert covering.witness == (1, 0, 0, 2)
+        assert covering.outcome.witness == (1, 0, 0, 2)
         assert passed["maximality"]
         assert passed["dual_spread"] is None
 

@@ -231,6 +231,16 @@ class TestReports:
         c2 = json.dumps(canonical(out2), sort_keys=True)
         assert c1 == c2
 
+    @pytest.mark.parametrize("command, field", [("klein", "gf:5"), ("char3", "gf:3")])
+    def test_exhaustive_commands_ignore_the_seed(self, capsys, command, field):
+        bodies = []
+        for seed in ("0", "9"):
+            code, out, _ = run(capsys, command, "--field", field, "--json", "--seed", seed)
+            assert code == 0
+            bodies.append(canonical(out))
+        assert "seed" not in bodies[0]
+        assert json.dumps(bodies[0], sort_keys=True, indent=2) == json.dumps(bodies[1], sort_keys=True, indent=2)
+
     def test_ideal_reports_witnesses(self, capsys):
         code, out, _ = run(capsys, "ideal", "--degree", "2", "--samples", "60", "--seed", "7", "--json")
         assert code == 0

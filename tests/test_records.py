@@ -1,6 +1,6 @@
 """Record semantics: the NamedTuples and plain classes that carry results.
 
-Frozen value records (`CubeRootProfile`, `GMatrix`, `ProbeReport`, `Line`)
+Frozen value records (`CubeRootProfile`, `GMatrix`, `Line`)
 refuse assignment and hash by value; mutable records (`CheckOutcome`,
 `Check`, `Report`, `Run`) are built the way their call sites build them and
 never share a default `counts` dict or `checks` list.
@@ -11,7 +11,6 @@ import pytest
 from bwcayley.cayley import GMatrix, group_matrix
 from bwcayley.cli import Run
 from bwcayley.field import QQ, CubeRootProfile, PrimeField
-from bwcayley.idealprobe import ProbeReport
 from bwcayley.projspace import Line, plucker
 from bwcayley.reports import Check, CheckOutcome, Report
 
@@ -22,18 +21,15 @@ RECORDS = {
     "CubeRootProfile": (CubeRootProfile, dict(
         characteristic=7, cubing_injective=False, cubing_surjective=False, nontrivial_unity_root=2)),
     "GMatrix": (GMatrix, dict(a=1, b=0, c=1, entries=group_matrix(1, 0, 1, F7).entries)),
-    "ProbeReport": (ProbeReport, dict(
-        degree=2, samples=60, seed=0, nullspace_dimension=5, contains_known_forms=True,
-        pencil_vanishing=False, witness_vanishes=True)),
     "Line": (Line, dict(p=(0, 0, 1, 0), q=(0, 0, 0, 1), plucker=(0, 0, 0, 0, 0, 1))),
     "CheckOutcome": (CheckOutcome, dict(passed=False, witness=(1, 2), counts={"pairs": 3}, note="n")),
     "Check": (Check, dict(
-        name="covering", paper_anchor="Thm 3", status="fail", expected="pass", witness=(1, 2),
-        counts={"pairs": 3}, note="n", millis=1.5)),
+        name="covering", paper_anchor="Thm 3", outcome=CheckOutcome(False, (1, 2), {"pairs": 3}, "n"),
+        expected="pass", millis=1.5)),
     "Report": (Report, dict(command="certify", field_spec="gf:7", regime="NotPartialSpread", seed=4, checks=[])),
     "Run": (Run, dict(F=F7, seed=1, degree=2, samples=60)),
 }
-FROZEN = {"CubeRootProfile", "GMatrix", "ProbeReport", "Line"}
+FROZEN = {"CubeRootProfile", "GMatrix", "Line"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -67,11 +63,17 @@ def test_default_containers_are_fresh():
     a, b = CheckOutcome(passed=True), CheckOutcome(passed=True)
     a.counts["n"] = 1
     assert b.counts == {} and a.counts is not b.counts
-    c, d = Check("covering", "Thm 3", "pass"), Check("covering", "Thm 3", "pass")
-    assert c.counts is not d.counts
     r, s = Report(command="klein", field_spec="gf:5"), Report(command="klein", field_spec="gf:5")
-    r.checks.append(c)
+    r.checks.append(Check("covering", "Thm 3", a))
     assert s.checks == [] and r.checks is not s.checks
+
+
+def test_check_status_reads_its_outcome():
+    check = Check("covering", "Thm 3", CheckOutcome(passed=None), expected="pass")
+    assert check.status == "skipped"
+    for passed, status in ((True, "pass"), (False, "fail")):
+        check.outcome = CheckOutcome(passed=passed, witness=(1, 2))
+        assert check.status == status and check.canonical()["status"] == status
 
 
 @pytest.mark.parametrize("F", [F7, QQ], ids=str)
