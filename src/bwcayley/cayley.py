@@ -35,16 +35,22 @@ def f_value(x: Sequence, F: Field):
     return val
 
 
-def surface_point_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
-    """Coordinates of the affine surface point with parameters (u1, u2):
-    (1, u1, u2, u1*u2 - u1^3), scaled by b^3*d for u1 = a/b and u2 = c/d so
-    they are ints, (b^3*d, a*b^2*d, c*b^3, a*c*b^2 - a^3*d), unreduced. The
-    first entry is never 0. Over GF(p), where b = d = 1, they are
-    (1, u1, u2, u1*u2 - u1^3)."""
-    u1, u2 = F.of(u1), F.of(u2)
-    a, b, c, d = u1.numerator, u1.denominator, u2.numerator, u2.denominator
+def surface_point_ints(a: int, b: int, c: int, d: int) -> Tuple[int, ...]:
+    """Coordinates of the affine surface point with parameters u1 = a/b and
+    u2 = c/d, for ints a, c and positive ints b, d, reduced or not:
+    (1, u1, u2, u1*u2 - u1^3) scaled by b^3*d, (b^3*d, a*b^2*d, c*b^3,
+    a*c*b^2 - a^3*d), unreduced. The first entry is never 0. At b = d = 1
+    they are (1, u1, u2, u1*u2 - u1^3)."""
     bb = b * b
     return (bb * b * d, a * bb * d, c * bb * b, a * c * bb - a * a * a * d)
+
+
+def surface_point_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
+    """`surface_point_ints` at the numerators and denominators of u1 and u2,
+    reduced by `F.of`; over GF(p), where b = d = 1, they are
+    (1, u1, u2, u1*u2 - u1^3)."""
+    u1, u2 = F.of(u1), F.of(u2)
+    return surface_point_ints(u1.numerator, u1.denominator, u2.numerator, u2.denominator)
 
 
 def surface_point(u1, u2, F: Field) -> ProjPoint:
@@ -53,15 +59,20 @@ def surface_point(u1, u2, F: Field) -> ProjPoint:
     return canonicalize(surface_point_coefficients(u1, u2, F), F)
 
 
-def tangent_plane_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
+def tangent_plane_ints(a: int, b: int, c: int, d: int) -> Tuple[int, ...]:
     """Coefficients of the tangent plane at the affine surface point with
-    parameters (u1, u2): [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1], scaled by
-    b^3*d for u1 = a/b and u2 = c/d so they are ints, unreduced. The last
-    entry, -b^3*d, is never 0. Over GF(p), where b = d = 1, it is -1."""
-    u1, u2 = F.of(u1), F.of(u2)
-    a, b, c, d = u1.numerator, u1.denominator, u2.numerator, u2.denominator
+    parameters u1 = a/b and u2 = c/d, for ints a, c and positive ints b, d:
+    [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1] scaled by b^3*d so they are ints,
+    unreduced. The last entry, -b^3*d, is never 0; at b = d = 1 it is -1."""
     bb = b * b
     return (2 * a * a * a * d - a * c * bb, c * bb * b - 3 * a * a * b * d, a * bb * d, -bb * b * d)
+
+
+def tangent_plane_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
+    """`tangent_plane_ints` at the numerators and denominators of u1 and
+    u2, reduced by `F.of`."""
+    u1, u2 = F.of(u1), F.of(u2)
+    return tangent_plane_ints(u1.numerator, u1.denominator, u2.numerator, u2.denominator)
 
 
 # --- the restricted cubic ------------------------------------------------

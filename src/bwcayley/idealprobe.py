@@ -14,22 +14,26 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bwspread, field
 from .klein import h1_form, h2_form, h3_form, in_kappa_O
-from .linalg import nullspace
+from .linalg import integer_kernel
 from .projspace import KleinPoint, primitive_int_vector, quadric_value
 from .reports import CheckOutcome
 
 NUM_VARS = 6
-# C(8,5) = 56 monomials at degree 3: the 60-sample matrix takes 0.6 ms to build
-# and 4.4-8.5 ms to reduce exactly over the 16 pool seeds (2 vCPUs, CPython 3.11).
+# C(8,5) = 56 monomials at degree 3: the 60-sample matrix takes 0.4 ms to build
+# and 3.9-4.3 ms to reduce exactly over the 16 pool seeds (2 vCPUs, CPython 3.11).
 MAX_DEGREE = 3
 WITNESS = (Fraction(0),) * 4 + (Fraction(1), Fraction(0))
 # the quadric and the three cone forms: at degree 2 each must lie in the sampled space
 KNOWN_FORMS = (quadric_value, h1_form, h2_form, h3_form)
+# Each form is written as `F.of(polynomial)`; with `of` = int it returns the
+# polynomial's value at an int point, unreduced, so its zero test builds no Fraction.
+_UNREDUCED = SimpleNamespace(of=int)
 
 
 class DegreeOutOfRange(ValueError):
@@ -90,38 +94,42 @@ def form_value(exps: Sequence[Tuple[int, ...]], coeffs: Sequence, point: Sequenc
     return sum((c * m for c, m in zip(coeffs, monomial_row(exps, point))), Fraction(0))
 
 
-def sample_parameters(n: int, seed: int) -> List[Tuple[Fraction, Fraction]]:
-    """First n distinct (u1, u2) from the seeded stream, heights at most 50."""
-    rng = random.Random(seed)
+def sample_parameter_ints(n: int, seed: int) -> List[Tuple[int, int, int, int]]:
+    """First n distinct (u1, u2) = (a/b, c/d) from the seeded stream, heights
+    at most 50, as int quadruples (a, b, c, d) in lowest terms with b, d > 0.
+    Each pair is drawn as ints and divided by its gcd, which tells repeats."""
+    randint = random.Random(seed).randint
     seen = set()
     out = []
     while len(out) < n:
-        u1 = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        u2 = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        if (u1, u2) not in seen:
-            seen.add((u1, u2))
-            out.append((u1, u2))
+        a, b, c, d = randint(-50, 50), randint(1, 50), randint(-50, 50), randint(1, 50)
+        g, h = gcd(a, b), gcd(c, d)
+        u = (a // g, b // g, c // h, d // h)
+        if u not in seen:
+            seen.add(u)
+            out.append(u)
     return out
 
 
 def sample_kappa_O(n: int, seed: int) -> List[KleinPoint]:
     """n distinct sampled Klein images of osculating tangents over Q, as primitive
-    int sextuples: that of `bwspread._integer_tangent` is x0^4*kappa(u), x0 = b^3*d > 0."""
-    samples = sample_parameters(n, seed)
-    return [primitive_int_vector(bwspread._integer_tangent(u1, u2, field.QQ)[1]) for u1, u2 in samples]
+    int sextuples: that of `bwspread._tangent_ints` is x0^4*kappa(u), x0 = b^3*d > 0."""
+    return [primitive_int_vector(bwspread._tangent_ints(*u)[1]) for u in sample_parameter_ints(n, seed)]
 
 
-def vanishing_space(points: Sequence[Sequence], d: int) -> List[List[Fraction]]:
-    """Basis of the degree-d forms vanishing at every given point.
+def vanishing_space(points: Sequence[Sequence[int]], d: int) -> List[List[int]]:
+    """Basis of the degree-d forms vanishing at every given point, as
+    primitive int coefficient vectors, one per free column.
 
-    Exact rational nullspace of the monomial evaluation matrix, with
+    The exact kernel of the monomial evaluation matrix over Q, with
     deterministic pivoting. The points are integer sextuples, as from
-    `sample_kappa_O`; `linalg` certifies in integers that every returned
-    form vanishes on every row.
+    `sample_kappa_O`; `linalg.integer_kernel` certifies in integers that
+    every returned form vanishes on every row. Divided by its free-column
+    entry, each form is the rational nullspace basis vector.
     """
     exps = monomial_exponents(d)
     evaluate = _row_evaluator(tuple(exps))
-    return nullspace([evaluate(pt) for pt in points], len(exps), field.QQ)
+    return integer_kernel([evaluate(pt) for pt in points], len(exps))[1]
 
 
 def closure_probe(d: int, n_samples: int, seed: int) -> Dict[str, Optional[CheckOutcome]]:
@@ -146,7 +154,7 @@ def closure_probe(d: int, n_samples: int, seed: int) -> Dict[str, Optional[Check
     witness = exps.index((0, 0, 0, 0, d, 0))
     contains = None
     if d == 2:
-        contains = CheckOutcome(passed=all(form(y, field.QQ) == 0 for form in KNOWN_FORMS for y in points))
+        contains = CheckOutcome(passed=all(form(y, _UNREDUCED) == 0 for form in KNOWN_FORMS for y in points))
     return {
         "pencil_vanishing": CheckOutcome(
             passed=all(form[k] == 0 for form in basis for k in pencil),

@@ -21,8 +21,10 @@ probe reads its pencil and witness verdicts off the kernel's coefficients;
 forms at instead. At degree 2 the probe tests the quadric and the three
 cone forms by their values at the samples; `known_quadric_coefficients`
 reads their coefficient vectors off by polarization, for a rank test
-against the kernel basis instead. It samples integer sextuples and evaluates monomials
-degree by degree; `sample_kappa_O_by_fractions` takes each sample's Klein
+against the kernel basis instead. It draws its parameters as int pairs,
+samples integer sextuples and evaluates monomials degree by degree;
+`sample_parameters` draws the same parameters as Fractions,
+`sample_kappa_O_by_fractions` takes each sample's Klein
 image in Fractions and scales it back to ints, and `monomial_row_by_powers`
 evaluates each monomial by powers of the coordinates. The Klein-section checks take the pencil and the reguli
 as closed-form Klein images; `pencil_lines` and `regulus_lines` join the
@@ -67,7 +69,7 @@ from bwcayley.klein import (
     variety_qd_points,
     variety_zero_set,
 )
-from bwcayley.idealprobe import NUM_VARS, monomial_exponents, sample_parameters
+from bwcayley.idealprobe import NUM_VARS, monomial_exponents
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
     CoincidentPoints,
@@ -437,6 +439,21 @@ def rref_mod_by_lists(ints: List[List[int]], p: int) -> Tuple[List[List[int]], L
         if r == len(m):
             break
     return m, pivots
+
+
+def sample_parameters(n: int, seed: int) -> List[Tuple[Fraction, Fraction]]:
+    """`idealprobe.sample_parameter_ints` in Fractions: the first n distinct
+    (u1, u2) from the seeded stream, heights at most 50."""
+    rng = random.Random(seed)
+    seen = set()
+    out = []
+    while len(out) < n:
+        u1 = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        u2 = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        if (u1, u2) not in seen:
+            seen.add((u1, u2))
+            out.append((u1, u2))
+    return out
 
 
 def sample_kappa_O_by_fractions(n: int, seed: int) -> List[Tuple[int, ...]]:

@@ -696,13 +696,13 @@ class TestDualSpreadPremise:
     def test_the_flag_is_the_line_map_past_the_witness(self, monkeypatch, u):
         # the point/plane test fails first at (0, 0); the walk goes on, so a
         # tangent broken after the witness still clears the flag
-        coefficients = cayley.tangent_plane_coefficients
+        coefficients = cayley.tangent_plane_ints
 
-        def moved(v1, v2, F):  # the plane of (0, 0), its own partner, off by one
-            e = coefficients(v1, v2, F)
-            return ((e[0] + 1) % F.p,) + e[1:] if (v1, v2) == (0, 0) else e
+        def moved(a, b, c, d):  # the plane of (0, 0), its own partner, off by one
+            e = coefficients(a, b, c, d)
+            return ((e[0] + 1) % F5.p,) + e[1:] if (a, c) == (0, 0) else e
 
-        monkeypatch.setattr(cayley, "tangent_plane_coefficients", moved)
+        monkeypatch.setattr(cayley, "tangent_plane_ints", moved)
         outcome, fixes_O = certify_duality(F5)
         assert outcome == CheckOutcome(passed=False, witness=(0, 0)) and fixes_O
         break_kappa(monkeypatch, u, lambda y, F: y[:5] + ((y[5] + 1) % F.p,))

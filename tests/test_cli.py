@@ -2,6 +2,7 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -112,7 +113,7 @@ class TestExitCodes:
 
     def test_rational_battery_samples_the_duality_once(self, capsys, monkeypatch):
         walks = count_calls(monkeypatch, bwspread, "certify_duality")
-        planes = count_calls(monkeypatch, cayley, "tangent_plane_coefficients")
+        planes = count_calls(monkeypatch, cayley, "tangent_plane_ints")
         code, _, _ = run(capsys, "certify", "--field", "q")
         assert code == 0 and len(walks) == 1 and len(planes) == bwspread.SPOT_CHECKS
 
@@ -187,6 +188,55 @@ class TestExitCodes:
         code, out, err = run(capsys, "certify", "--field", "gf:5")
         assert code == 3 and out == ""
         assert err == "bwcayley: internal error in check partial_spread: GeometryError: no tangent at (0, 0)\n"
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """A counter of the `Fraction`s built while it is read: calls of
+    `Fraction.__new__`, and of `Fraction._from_coprime_ints`, through which
+    CPython 3.12 and later build arithmetic results."""
+    count = [0]
+    new = Fraction.__dict__["__new__"].__func__
+
+    def counted_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if "_from_coprime_ints" in Fraction.__dict__:
+        from_coprime = Fraction.__dict__["_from_coprime_ints"].__func__
+
+        def counted_from_coprime(cls, numerator, denominator):
+            count[0] += 1
+            return from_coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_from_coprime))
+    return count
+
+
+class TestFractionCount:
+    """Over Q the samples are drawn, tested and eliminated in ints: the
+    `Fraction`s a command builds (the covering check's witness, for one)
+    do not grow with the number of samples."""
+
+    @staticmethod
+    def built(capsys, count, *argv):
+        before = count[0]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        return count[0] - before
+
+    def test_certify_q_with_twice_the_spot_checks(self, capsys, monkeypatch, fractions_built):
+        run(capsys, "certify", "--field", "q")  # fills the per-process caches first
+        default = self.built(capsys, fractions_built, "certify", "--field", "q")
+        monkeypatch.setattr(bwspread, "PAIR_SPOT_CHECKS", 2 * bwspread.PAIR_SPOT_CHECKS)
+        monkeypatch.setattr(bwspread, "SPOT_CHECKS", 2 * bwspread.SPOT_CHECKS)
+        assert self.built(capsys, fractions_built, "certify", "--field", "q") == default
+
+    def test_ideal_with_twice_the_samples(self, capsys, fractions_built):
+        run(capsys, "ideal", "--degree", "3", "--samples", "60")
+        default = self.built(capsys, fractions_built, "ideal", "--degree", "3", "--samples", "60")
+        assert self.built(capsys, fractions_built, "ideal", "--degree", "3", "--samples", "120") == default
 
 
 class TestReports:

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -16,7 +16,7 @@ from bwcayley.idealprobe import (
     monomial_exponents,
     monomial_row,
     sample_kappa_O,
-    sample_parameters,
+    sample_parameter_ints,
     vanishing_space,
 )
 from bwcayley.klein import h1_form, h2_form, h3_form
@@ -27,6 +27,7 @@ from oracles import (
     monomial_row_by_powers,
     pencil_sample_points,
     sample_kappa_O_by_fractions,
+    sample_parameters,
 )
 
 QQ = Rationals()
@@ -59,20 +60,42 @@ class TestMonomials:
             assert monomial_row(shuffled, point) == monomial_row_by_powers(shuffled, point)
 
 
+# the 16 pool seeds, the seed whose spot checks draw u == v once, and two
+# seeds whose probe stream repeats a parameter only in lowest terms:
+# (-18/23, 15/18) then (-18/23, 30/36) at 372, and (-3/39, 24/12) then
+# (-1/13, 42/21) at 1594, both within the first 60 samples
+DRAW_SEEDS = list(range(16)) + [1991668817, 372, 1594]
+
+
 class TestSampling:
     def test_deterministic(self):
-        assert sample_parameters(20, 7) == sample_parameters(20, 7)
-        assert sample_parameters(20, 7) != sample_parameters(20, 8)
+        assert sample_parameter_ints(20, 7) == sample_parameter_ints(20, 7)
+        assert sample_parameter_ints(20, 7) != sample_parameter_ints(20, 8)
 
     def test_prefix_stream(self):
-        assert sample_parameters(60, 7) == sample_parameters(120, 7)[:60]
+        assert sample_parameter_ints(60, 7) == sample_parameter_ints(120, 7)[:60]
 
-    def test_distinct_and_bounded(self):
-        params = sample_parameters(100, 3)
+    def test_distinct_bounded_and_in_lowest_terms(self):
+        params = sample_parameter_ints(100, 3)
         assert len(set(params)) == 100
-        for u1, u2 in params:
-            assert abs(u1.numerator) <= 50 and u1.denominator <= 50
-            assert abs(u2.numerator) <= 50 and u2.denominator <= 50
+        for a, b, c, d in params:
+            assert abs(a) <= 50 and 1 <= b <= 50 and gcd(a, b) == 1
+            assert abs(c) <= 50 and 1 <= d <= 50 and gcd(c, d) == 1
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_int_draws_are_the_fraction_draws(self, seed):
+        params = [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in sample_parameter_ints(60, seed)]
+        assert params == sample_parameters(60, seed)
+        assert all(type(v) is int for u in sample_parameter_ints(60, seed) for v in u)
+
+    def test_repeats_are_told_in_lowest_terms(self):
+        # both seeds draw 61 pairs for 60 samples: the repeat is skipped
+        for seed in (372, 1594):
+            rng = random.Random(seed)
+            draws = [tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in "uv") for _ in range(61)]
+            assert len(set(draws)) == 60
+            params = [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in sample_parameter_ints(60, seed)]
+            assert params == list(dict.fromkeys(draws))
 
     def test_samples_are_the_fraction_route_in_ints(self):
         for seed in range(16):
@@ -83,7 +106,7 @@ class TestSampling:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_evaluation_matrices_match_the_fraction_route(self, monkeypatch, d):
         matrices = []
-        monkeypatch.setattr(idealprobe, "nullspace", lambda rows, ncols, F: matrices.append(rows) or [])
+        monkeypatch.setattr(idealprobe, "integer_kernel", lambda rows, ncols: matrices.append(rows) or ([], []))
         exps = monomial_exponents(d)
         for seed in range(16):
             vanishing_space(sample_kappa_O(60, seed), d)
@@ -182,8 +205,10 @@ class TestClosureProbe:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_one_rational_elimination(self, monkeypatch, d):
         calls = []
-        eliminate = linalg._rref_modular
-        monkeypatch.setattr(linalg, "_rref_modular", lambda rows: calls.append(1) or eliminate(rows))
+        eliminate = linalg.integer_kernel
+        counted = lambda ints, ncols: calls.append(1) or eliminate(ints, ncols)  # noqa: E731
+        monkeypatch.setattr(linalg, "integer_kernel", counted)
+        monkeypatch.setattr(idealprobe, "integer_kernel", counted)
         for seed in (0, 7, 15):
             calls.clear()
             closure_probe(d, 60, seed)

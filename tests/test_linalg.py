@@ -9,12 +9,14 @@ certificate `_kernel_vanishes`, which alone vouches for the `ideal` probe's
 forms, rejects a table with one wrong entry, so a wrong lift at the first
 prime is replaced through the second. The packed-row
 elimination modulo one prime is compared with `oracles.rref_mod_by_lists`.
+`integer_kernel`, which `rref` and `nullspace` over Q read, returns each
+generic nullspace basis vector times its free-column entry, primitive.
 """
 
 import random
 from fractions import Fraction
 from itertools import islice, product
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -24,9 +26,11 @@ from bwcayley.idealprobe import monomial_exponents, monomial_row, sample_kappa_O
 from bwcayley.linalg import (
     PRIMES,
     _kernel_vanishes,
+    _kernel_vectors,
     _reconstruct,
     _rref_generic,
     _rref_mod,
+    integer_kernel,
     nullspace,
     rank,
     rref,
@@ -96,11 +100,11 @@ def primes_used(monkeypatch):
     """For each rational rref call, the primes it eliminated modulo, in order.
     A call that needs more than 30 fails the test: no input here needs that many."""
     calls = []
-    modular, mod = linalg._rref_modular, linalg._rref_mod
+    kernel, mod = linalg.integer_kernel, linalg._rref_mod
 
-    def counted_modular(rows):
+    def counted_kernel(ints, ncols):
         calls.append([])
-        return modular(rows)
+        return kernel(ints, ncols)
 
     def counted_mod(ints, p):
         calls[-1].append(p)
@@ -108,7 +112,7 @@ def primes_used(monkeypatch):
             raise RuntimeError("no certified reduced form after 30 primes")
         return mod(ints, p)
 
-    monkeypatch.setattr(linalg, "_rref_modular", counted_modular)
+    monkeypatch.setattr(linalg, "integer_kernel", counted_kernel)
     monkeypatch.setattr(linalg, "_rref_mod", counted_mod)
     return calls
 
@@ -205,12 +209,12 @@ class TestModularPath:
         free = [c for c in range(len(ints[0])) if c not in pivots]
         table = [[(reduced[i][c].numerator, reduced[i][c].denominator) for c in free] for i in range(len(pivots))]
         assert len(pivots) == 17 and len(free) == 4
-        assert _kernel_vanishes(ints, table, pivots, free)
+        assert _kernel_vanishes(ints, _kernel_vectors(table, pivots, free, len(ints[0])))
         for i, j in product(range(len(pivots)), range(len(free))):
             n, d = table[i][j]
             wrong = [list(row) for row in table]
             wrong[i][j] = (n + 1, d)
-            assert not _kernel_vanishes(ints, wrong, pivots, free), (i, j)
+            assert not _kernel_vanishes(ints, _kernel_vectors(wrong, pivots, free, len(ints[0]))), (i, j)
 
     def test_wrong_reconstruction_at_the_first_prime_is_replaced(self, primes_used, monkeypatch):
         # one lifted entry off by one at PRIMES[0] only: the certificate fails
@@ -252,6 +256,44 @@ class TestModularPath:
         n, d = 10**13 + 1, 10**12 + 3
         got = _reconstruct(n * pow(d, -1, modulus) % modulus, modulus, isqrt(modulus // 2))
         assert Fraction(*got) == Fraction(n, d)
+
+
+class TestIntegerKernel:
+    """`integer_kernel` returns, per free column, the nullspace basis vector
+    over Q times its free-column entry, as a primitive int vector."""
+
+    @pytest.mark.parametrize(
+        "d, n_samples, seed",
+        # the square matrices of the fewest samples the CLI accepts, the
+        # default 60 samples, and the tall degree-3 matrix of 120 samples
+        [(1, 6, 0), (2, 21, 0), (3, 56, 0), (1, 60, 3), (2, 60, 3), (3, 120, 5)],
+    )
+    def test_vectors_are_the_scaled_generic_nullspace(self, d, n_samples, seed):
+        ints = ideal_matrix(d, n_samples, seed)
+        ncols = len(ints[0])
+        expected_reduced, expected_pivots = _rref_generic(ints, QQ)
+        pivots, vectors = integer_kernel(ints, ncols)
+        assert pivots == expected_pivots
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = generic_nullspace(expected_reduced, expected_pivots, ncols)
+        assert len(vectors) == len(basis) == len(free)
+        for vec, rational, fc in zip(vectors, basis, free):
+            assert all(type(v) is int for v in vec) and vec[fc] > 0
+            assert vec == [x * vec[fc] for x in rational]
+            assert gcd(*vec) == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_vectors_are_the_scaled_fraction_nullspace(self, d):
+        for seed in range(16):
+            ints = ideal_matrix(d, 60, seed)
+            pivots, vectors = integer_kernel(ints, len(ints[0]))
+            free = [c for c in range(len(ints[0])) if c not in pivots]
+            for vec, rational, fc in zip(vectors, nullspace(ints, len(ints[0]), QQ), free, strict=True):
+                assert vec == [x * vec[fc] for x in rational] and gcd(*vec) == 1
+
+    @pytest.mark.parametrize("ncols", [0, 1, 4])
+    def test_no_rows_give_the_unit_vectors(self, ncols):
+        assert integer_kernel([], ncols) == ([], [[int(c == f) for c in range(ncols)] for f in range(ncols)])
 
 
 class TestPackedKernel:
