@@ -106,7 +106,7 @@ def osculating_tangent(u1, u2, F: Field) -> Line:
     (0, 1, 0, u2), which is still the correct osculating direction. Over
     GF(p) it gives the same three tuples as `closed_tangent`, which the
     finite-field checks read instead; over Q the checks read the unreduced
-    `_tangent_ints`.
+    `_integer_tangent`.
     """
     x0, x1, x2, _ = x = cayley.surface_point(u1, u2, F)
     return Line(
@@ -116,21 +116,14 @@ def osculating_tangent(u1, u2, F: Field) -> Line:
     )
 
 
-def _tangent_ints(a: int, b: int, c: int, d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def _integer_tangent(a: int, b: int, c: int, d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The osculating tangent at u1 = a/b and u2 = c/d over Q, for ints a, c
     and positive ints b, d, reduced or not, in ints and unreduced: the
-    surface point x = `cayley.surface_point_ints`, (b^3*d, a*b^2*d, c*b^3,
-    a*c*b^2 - a^3*d), and its `osculating_sextuple`. Entry 0 of each, x0
-    and x0^4, is never 0."""
-    x = cayley.surface_point_ints(a, b, c, d)
+    surface point x = `cayley.surface_point_coefficients`, (b^3*d,
+    a*b^2*d, c*b^3, a*c*b^2 - a^3*d), and its `osculating_sextuple`. Entry
+    0 of each, x0 and x0^4, is never 0."""
+    x = cayley.surface_point_coefficients(a, b, c, d)
     return x, osculating_sextuple(x[0], x[1], x[2])
-
-
-def _integer_tangent(u1, u2, F: Field) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """`_tangent_ints` at the numerators and denominators of u1 and u2,
-    reduced by `F.of`."""
-    u1, u2 = F.of(u1), F.of(u2)
-    return _tangent_ints(u1.numerator, u1.denominator, u2.numerator, u2.denominator)
 
 
 def kappa(u1, u2, F: Field) -> KleinPoint:
@@ -259,9 +252,9 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     The criterion is weighted homogeneous of degree 4 (d1 of weight 1, d2 of
     weight 2), so on (lam*v1, lam^2*v2, lam*u1, lam^2*u2), lam the lcm of
     the four denominators, it is lam^4 times its rational value; Klein polarity
-    is tested on the two unreduced sextuples of `_tangent_ints`. Each parameter
-    is drawn as an unreduced int pair (a, b), u == v is tested by
-    cross-multiplying, and a `Fraction` is formed only for a witness.
+    is tested on the two unreduced sextuples of `_integer_tangent`. Each
+    parameter is drawn as an unreduced int pair (a, b), u == v is tested
+    by cross-multiplying, and a `Fraction` is formed only for a witness.
     """
     if F.is_finite:
         return _partial_spread_by_translations(F)
@@ -278,7 +271,7 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
         lam = lcm(b1, b2, d1, d2)
         lam2 = lam * lam
         value = skew_value(a1 * (lam // b1), a2 * (lam2 // b2), c1 * (lam // d1), c2 * (lam2 // d2))
-        skew = polar_pairing(_tangent_ints(a1, b1, a2, b2)[1], _tangent_ints(c1, d1, c2, d2)[1]) != 0
+        skew = polar_pairing(_integer_tangent(a1, b1, a2, b2)[1], _integer_tangent(c1, d1, c2, d2)[1]) != 0
         if value == 0 or not skew:
             witness = ((Fraction(a1, b1), Fraction(a2, b2)), (Fraction(c1, d1), Fraction(c2, d2)))
             note = "route disagreement" if (value != 0) != skew else ""
@@ -521,7 +514,7 @@ def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
     canonical order, and the count is all q^2 + q + 1 points. The rationals
     use the same construction on seeded samples (0, 1, a/b, c/d), drawn as
     unreduced int pairs: the point, scaled to (0, bd, ad, cb), and the
-    `_tangent_ints` at (a/3b, c/d) give Plücker minors that must be a
+    `_integer_tangent` at (a/3b, c/d) give Plücker minors that must be a
     multiple of the tangent's sextuple (`is_int_multiple`, on entry 0,
     x0*bd). Skipped in char 3.
     """
@@ -542,7 +535,7 @@ def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
     for _ in range(SPOT_CHECKS):
         # the point (0, 1, a/b, c/d), unreduced
         a, b, c, d = randint(-30, 30), randint(1, 9), randint(-30, 30), randint(1, 9)
-        x, y = _tangent_ints(a, 3 * b, c, d)
+        x, y = _integer_tangent(a, 3 * b, c, d)
         if not is_int_multiple(plucker_minors(x, (0, b * d, a * d, c * b)), y):
             return CheckOutcome(passed=False, witness=(F.zero, F.one, Fraction(a, b), Fraction(c, d)))
     return CheckOutcome(passed=True, counts={"omega_points_sampled": SPOT_CHECKS})
@@ -595,13 +588,14 @@ def certify_duality(F: Field, seed: int = 0) -> Tuple[CheckOutcome, Optional[boo
     u = (a/b, c/d) is drawn as two unreduced int pairs, its partner is
     (-a/b, (3a^2*d - c*b^2)/(b^2*d)), and both are tested in ints by
     `is_int_multiple`: the reversed integer surface point of u against the
-    `cayley.tangent_plane_ints` of v, pivoting on their last entries, x0
-    and -b^3*d, which are never 0 (entry 0 of a tangent plane vanishes at
-    u1 = 0), and the `dual_sextuple` of u's `_tangent_ints` against v's.
+    `cayley.tangent_plane_coefficients` of v, pivoting on their last
+    entries, x0 and -b^3*d, which are never 0 (entry 0 of a tangent plane
+    vanishes at u1 = 0), and the `dual_sextuple` of u's `_integer_tangent`
+    against v's.
     Over finite fields one pass over `tangents` tests, per parameter: the
     reversed point (x3, x2, x1, x0) against minus the
-    `cayley.tangent_plane_ints` of v at b = d = 1, whose last entry is -1,
-    entry by entry; the dual of kappa(u) against kappa(v) by
+    `cayley.tangent_plane_coefficients` of v at b = d = 1, whose last entry
+    is -1, entry by entry; the dual of kappa(u) against kappa(v) by
     `is_multiple`; v(v) = u, so the partners are q^2 distinct parameters;
     and whether P(u) is on the surface (`f_value`) exactly when its dual
     plane is tangent (`tangency_test`). With the directrix fixed, the line
@@ -620,9 +614,9 @@ def certify_duality(F: Field, seed: int = 0) -> Tuple[CheckOutcome, Optional[boo
         # u = (a/b, c/d), unreduced, and its partner (-u1, 3u1^2 - u2)
         a, b, c, d = randint(-30, 30), randint(1, 9), randint(-30, 30), randint(1, 9)
         v = (-a, b, 3 * a * a * d - c * b * b, b * b * d)
-        (x0, x1, x2, x3), y = _tangent_ints(a, b, c, d)
-        plane_ok = is_int_multiple((x3, x2, x1, x0), cayley.tangent_plane_ints(*v), 3)
-        if not (plane_ok and is_int_multiple(cayley.dual_sextuple(y), _tangent_ints(*v)[1])):
+        (x0, x1, x2, x3), y = _integer_tangent(a, b, c, d)
+        plane_ok = is_int_multiple((x3, x2, x1, x0), cayley.tangent_plane_coefficients(*v), 3)
+        if not (plane_ok and is_int_multiple(cayley.dual_sextuple(y), _integer_tangent(*v)[1])):
             return CheckOutcome(passed=False, witness=(Fraction(a, b), Fraction(c, d))), None
     return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": SPOT_CHECKS}), None
 
@@ -642,7 +636,7 @@ def _duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
         fixes_O = fixes_O and line_ok and partner(v1, v2, p) == u
         if witness is not None:
             continue
-        e = cayley.tangent_plane_ints(v1, 1, v2, 1)
+        e = cayley.tangent_plane_coefficients(v1, 1, v2, 1)
         x0, x1, x2, x3 = x
         if (x3 + e[0]) % p or (x2 + e[1]) % p or (x1 + e[2]) % p or (x0 + e[3]) % p or not line_ok:
             witness = u

@@ -35,7 +35,7 @@ def f_value(x: Sequence, F: Field):
     return val
 
 
-def surface_point_ints(a: int, b: int, c: int, d: int) -> Tuple[int, ...]:
+def surface_point_coefficients(a: int, b: int, c: int, d: int) -> Tuple[int, ...]:
     """Coordinates of the affine surface point with parameters u1 = a/b and
     u2 = c/d, for ints a, c and positive ints b, d, reduced or not:
     (1, u1, u2, u1*u2 - u1^3) scaled by b^3*d, (b^3*d, a*b^2*d, c*b^3,
@@ -45,34 +45,21 @@ def surface_point_ints(a: int, b: int, c: int, d: int) -> Tuple[int, ...]:
     return (bb * b * d, a * bb * d, c * bb * b, a * c * bb - a * a * a * d)
 
 
-def surface_point_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
-    """`surface_point_ints` at the numerators and denominators of u1 and u2,
-    reduced by `F.of`; over GF(p), where b = d = 1, they are
-    (1, u1, u2, u1*u2 - u1^3)."""
-    u1, u2 = F.of(u1), F.of(u2)
-    return surface_point_ints(u1.numerator, u1.denominator, u2.numerator, u2.denominator)
-
-
 def surface_point(u1, u2, F: Field) -> ProjPoint:
-    """Canonical point of the affine chart: `surface_point_coefficients`
-    reduced once by `canonicalize`."""
-    return canonicalize(surface_point_coefficients(u1, u2, F), F)
+    """Canonical point of the affine chart: `surface_point_coefficients` at
+    the numerators and denominators of u1 and u2, reduced by `F.of`, then
+    once by `canonicalize`."""
+    u1, u2 = F.of(u1), F.of(u2)
+    return canonicalize(surface_point_coefficients(u1.numerator, u1.denominator, u2.numerator, u2.denominator), F)
 
 
-def tangent_plane_ints(a: int, b: int, c: int, d: int) -> Tuple[int, ...]:
+def tangent_plane_coefficients(a: int, b: int, c: int, d: int) -> Tuple[int, ...]:
     """Coefficients of the tangent plane at the affine surface point with
     parameters u1 = a/b and u2 = c/d, for ints a, c and positive ints b, d:
     [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1] scaled by b^3*d so they are ints,
     unreduced. The last entry, -b^3*d, is never 0; at b = d = 1 it is -1."""
     bb = b * b
     return (2 * a * a * a * d - a * c * bb, c * bb * b - 3 * a * a * b * d, a * bb * d, -bb * b * d)
-
-
-def tangent_plane_coefficients(u1, u2, F: Field) -> Tuple[int, ...]:
-    """`tangent_plane_ints` at the numerators and denominators of u1 and
-    u2, reduced by `F.of`."""
-    u1, u2 = F.of(u1), F.of(u2)
-    return tangent_plane_ints(u1.numerator, u1.denominator, u2.numerator, u2.denominator)
 
 
 # --- the restricted cubic ------------------------------------------------

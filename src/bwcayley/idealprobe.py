@@ -113,8 +113,8 @@ def sample_parameter_ints(n: int, seed: int) -> List[Tuple[int, int, int, int]]:
 
 def sample_kappa_O(n: int, seed: int) -> List[KleinPoint]:
     """n distinct sampled Klein images of osculating tangents over Q, as primitive
-    int sextuples: that of `bwspread._tangent_ints` is x0^4*kappa(u), x0 = b^3*d > 0."""
-    return [primitive_int_vector(bwspread._tangent_ints(*u)[1]) for u in sample_parameter_ints(n, seed)]
+    int sextuples: that of `bwspread._integer_tangent` is x0^4*kappa(u), x0 = b^3*d > 0."""
+    return [primitive_int_vector(bwspread._integer_tangent(*u)[1]) for u in sample_parameter_ints(n, seed)]
 
 
 def vanishing_space(points: Sequence[Sequence[int]], d: int) -> List[List[int]]:

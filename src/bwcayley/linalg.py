@@ -10,8 +10,8 @@ ints; it lifts the free-column entries by Chinese remaindering and
 rational reconstruction, forms the primitive integer kernel vectors from
 them, and certifies in integers that every one annihilates every input
 row. The reduced form is unique, so it equals the generic one value for
-value. `rref` and `nullspace` over Q are Fraction views of that core: they
-scale the rows to integers and divide the kernel vectors out.
+value. `rref` over Q is a Fraction view of that core: it scales the rows
+to integers and divides the kernel vectors out; `nullspace` reads `rref`.
 """
 
 from __future__ import annotations
@@ -283,14 +283,8 @@ def rank(rows: Sequence[Sequence], F: Field) -> int:
 
 def nullspace(rows: Sequence[Sequence], ncols: int, F: Field) -> List[List]:
     """Basis of {x : A x = 0}, one vector per free column, in column order,
-    each 1 at its free column. Over Q, the `integer_kernel` vectors divided
-    by their free-column entries, as Fractions."""
-    if not F.is_finite:
-        pivots, vectors = integer_kernel(_integer_rows(rows), ncols)
-        return [
-            [Fraction(v, vec[fc]) if v else _ZERO for v in vec]
-            for fc, vec in zip(_free_columns(pivots, ncols), vectors)
-        ]
+    each 1 at its free column, read off `rref` (over Q its `Fraction` view
+    of `integer_kernel`)."""
     reduced, pivots = rref(rows, F)
     basis = []
     for fc in _free_columns(pivots, ncols):

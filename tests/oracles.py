@@ -156,10 +156,19 @@ def omega_points(F: Field) -> Iterable[ProjPoint]:
     return ((F.zero,) + x for x in canonical_tuples(3, F))
 
 
+def int_pairs(u1, u2, F: Field = QQ) -> Tuple[int, int, int, int]:
+    """u1 and u2 reduced by `F.of` as the ints (a, b, c, d), u1 = a/b and
+    u2 = c/d, that `cayley.surface_point_coefficients`,
+    `cayley.tangent_plane_coefficients` and `bwspread._integer_tangent`
+    take; over GF(p) b = d = 1."""
+    u1, u2 = F.of(u1), F.of(u2)
+    return u1.numerator, u1.denominator, u2.numerator, u2.denominator
+
+
 def tangent_plane(u1, u2, F: Field) -> ProjPlane:
     """Tangent plane at the affine surface point with parameters (u1, u2):
     `cayley.tangent_plane_coefficients` reduced once by `canonicalize`."""
-    return canonicalize(cayley.tangent_plane_coefficients(u1, u2, F), F)
+    return canonicalize(cayley.tangent_plane_coefficients(*int_pairs(u1, u2, F)), F)
 
 
 def generator(s0, s1, F: Field) -> Line:

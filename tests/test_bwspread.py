@@ -69,6 +69,7 @@ from oracles import (
     g_infinity,
     generator,
     group_apply,
+    int_pairs,
     line_through,
     maximality_by_filter,
     maximality_by_fractions,
@@ -575,7 +576,7 @@ class TestRationalSpotChecks:
     @given(small_fractions, small_fractions)
     @settings(max_examples=80)
     def test_integer_tangent_is_a_multiple_of_the_joined_tangent(self, u1, u2):
-        x, y = bwspread._integer_tangent(u1, u2, QQ)
+        x, y = bwspread._integer_tangent(*int_pairs(u1, u2))
         t = osculating_tangent(u1, u2, QQ)
         assert all(type(v) is int for v in x + y) and x[0] != 0 and y[0] != 0
         assert canonicalize(x, QQ) == t.p and canonicalize(y, QQ) == t.plucker
@@ -586,8 +587,8 @@ class TestRationalSpotChecks:
         # entry 0 of the partner's tangent plane vanishes at u1 = 0, so a
         # pivot there reads False on a true identity
         a, b = u
-        x0, x1, x2, x3 = cayley.surface_point_coefficients(a, b, QQ)
-        e = cayley.tangent_plane_coefficients(0, 3 * a * a - b, QQ)
+        x0, x1, x2, x3 = cayley.surface_point_coefficients(*int_pairs(a, b))
+        e = cayley.tangent_plane_coefficients(*int_pairs(0, 3 * a * a - b))
         assert e[0] == 0
         assert is_int_multiple((x3, x2, x1, x0), e, 3) and not is_int_multiple((x3, x2, x1, x0), e, 0)
 
@@ -696,13 +697,13 @@ class TestDualSpreadPremise:
     def test_the_flag_is_the_line_map_past_the_witness(self, monkeypatch, u):
         # the point/plane test fails first at (0, 0); the walk goes on, so a
         # tangent broken after the witness still clears the flag
-        coefficients = cayley.tangent_plane_ints
+        coefficients = cayley.tangent_plane_coefficients
 
         def moved(a, b, c, d):  # the plane of (0, 0), its own partner, off by one
             e = coefficients(a, b, c, d)
             return ((e[0] + 1) % F5.p,) + e[1:] if (a, c) == (0, 0) else e
 
-        monkeypatch.setattr(cayley, "tangent_plane_ints", moved)
+        monkeypatch.setattr(cayley, "tangent_plane_coefficients", moved)
         outcome, fixes_O = certify_duality(F5)
         assert outcome == CheckOutcome(passed=False, witness=(0, 0)) and fixes_O
         break_kappa(monkeypatch, u, lambda y, F: y[:5] + ((y[5] + 1) % F.p,))

@@ -113,7 +113,7 @@ class TestExitCodes:
 
     def test_rational_battery_samples_the_duality_once(self, capsys, monkeypatch):
         walks = count_calls(monkeypatch, bwspread, "certify_duality")
-        planes = count_calls(monkeypatch, cayley, "tangent_plane_ints")
+        planes = count_calls(monkeypatch, cayley, "tangent_plane_coefficients")
         code, _, _ = run(capsys, "certify", "--field", "q")
         assert code == 0 and len(walks) == 1 and len(planes) == bwspread.SPOT_CHECKS
 

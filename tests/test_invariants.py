@@ -93,7 +93,6 @@ ROOT = Path(__file__).parents[1]
 _BETTEN = "ROADMAP: wire it in or delete it, the betten subcommand"
 _OSCULATION = "ROADMAP: wire it in or delete it, the betten subcommand's osculation check"
 _TRACED = "ROADMAP: benchmark refresh, retarget the traced targets that read 0"
-_VIEW = "ROADMAP: move to tests/oracles.py, the (u1, u2, F) view of an integer core that only tests call"
 PENDING = {
     "betten_chart": _BETTEN,
     "betten_collineation": _BETTEN,
@@ -111,9 +110,6 @@ PENDING = {
     "build_O": _TRACED,
     "incidence": _TRACED,
     "Line": _TRACED,  # only the other traced names build or read it
-    "_integer_tangent": _VIEW,  # of bwspread._tangent_ints
-    "surface_point_coefficients": _VIEW,  # of cayley.surface_point_ints; surface_point reads it too
-    "tangent_plane_coefficients": _VIEW,  # of cayley.tangent_plane_ints
 }
 
 
