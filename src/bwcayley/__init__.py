@@ -3,12 +3,10 @@ Cayley's ruled cubic surface over prime fields and the rationals.
 """
 
 from .field import (
-    CubeRootProfile,
     PrimeField,
     Rationals,
     SpreadRegime,
     classify_field,
-    cube_root_profile,
     cube_roots,
     nontrivial_cube_root_of_unity,
     parse_field_spec,
@@ -17,12 +15,10 @@ from .field import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CubeRootProfile",
     "PrimeField",
     "Rationals",
     "SpreadRegime",
     "classify_field",
-    "cube_root_profile",
     "cube_roots",
     "nontrivial_cube_root_of_unity",
     "parse_field_spec",

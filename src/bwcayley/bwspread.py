@@ -108,7 +108,9 @@ def osculating_tangent(u1, u2, F: Field) -> Line:
     finite-field checks read instead; over Q the checks read the unreduced
     `_integer_tangent`.
     """
-    x0, x1, x2, _ = x = cayley.surface_point(u1, u2, F)
+    u1, u2 = F.of(u1), F.of(u2)
+    x = canonicalize(cayley.surface_point_coefficients(u1.numerator, u1.denominator, u2.numerator, u2.denominator), F)
+    x0, x1, x2, _ = x
     return Line(
         p=x,
         q=canonicalize((0, x0, 3 * x1, x2), F),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .field import Element, Field
-from .projspace import GeometryError, KleinPoint, ProjPlane, ProjPoint, canonicalize
+from .projspace import GeometryError, KleinPoint, ProjPlane, canonicalize
 
 
 class ZeroParameters(GeometryError):
@@ -43,14 +43,6 @@ def surface_point_coefficients(a: int, b: int, c: int, d: int) -> Tuple[int, ...
     they are (1, u1, u2, u1*u2 - u1^3)."""
     bb = b * b
     return (bb * b * d, a * bb * d, c * bb * b, a * c * bb - a * a * a * d)
-
-
-def surface_point(u1, u2, F: Field) -> ProjPoint:
-    """Canonical point of the affine chart: `surface_point_coefficients` at
-    the numerators and denominators of u1 and u2, reduced by `F.of`, then
-    once by `canonicalize`."""
-    u1, u2 = F.of(u1), F.of(u2)
-    return canonicalize(surface_point_coefficients(u1.numerator, u1.denominator, u2.numerator, u2.denominator), F)
 
 
 def tangent_plane_coefficients(a: int, b: int, c: int, d: int) -> Tuple[int, ...]:

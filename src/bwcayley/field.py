@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 Element = Union[int, Fraction]
 
@@ -229,50 +229,16 @@ def cube_roots(a: Element, F: Field) -> set:
 
 
 def nontrivial_cube_root_of_unity(F: Field) -> Optional[Element]:
-    """Some w != 1 with w**3 == 1, if the field has one.
+    """The least w != 1 with w**3 == 1, if the field has one.
 
-    Searches the roots of X^2 + X + 1. Over GF(3) its only root is 1, which
-    is excluded, and X^2 + X + 1 has no rational root (discriminant -3), so
-    the result is None in both of those cases.
+    Over GF(p) it is read off the cube table's row for 1, the kernel of
+    cubing on GF(p)*. Over GF(2) and GF(3) that row is just 1, and -3, the
+    discriminant of X^2 + X + 1, is no rational square, so the result is
+    None in those cases and over the rationals.
     """
     if isinstance(F, PrimeField):
-        for x in range(2, F.p):
-            if (x * x + x + 1) % F.p == 0:
-                return x
-        return None
+        return next((w for w in _cube_table(F)[1] if w != 1), None)
     return None
-
-
-class CubeRootProfile(NamedTuple):
-    """How cubing behaves on the field; drives the spread classification."""
-
-    characteristic: int
-    cubing_injective: bool
-    cubing_surjective: bool
-    nontrivial_unity_root: Optional[Element]
-
-
-def cube_root_profile(F: Field) -> CubeRootProfile:
-    """Compute the cube-root profile by direct inspection of the cubing map.
-
-    For GF(p) injectivity and surjectivity are read off the exhaustive cube
-    table rather than from the p mod 3 shortcut, so the two can be
-    cross-checked against each other in tests.
-    """
-    if isinstance(F, PrimeField):
-        table = _cube_table(F)
-        image = {a for a, roots in table.items() if roots}
-        injective = all(len(roots) <= 1 for roots in table.values())
-        surjective = len(image) == F.p
-        return CubeRootProfile(
-            characteristic=F.p,
-            cubing_injective=injective,
-            cubing_surjective=surjective,
-            nontrivial_unity_root=nontrivial_cube_root_of_unity(F),
-        )
-    # Cubing is strictly monotone on Q, hence injective; 2 has no rational
-    # cube root, hence not surjective.
-    return CubeRootProfile(0, True, False, None)
 
 
 class SpreadRegime(Enum):
@@ -285,12 +251,17 @@ class SpreadRegime(Enum):
 
 
 def classify_field(F: Field) -> SpreadRegime:
-    """Spread regime of the osculating-tangent line set over F."""
+    """Spread regime of the osculating-tangent line set over F.
+
+    Outside characteristic 3 the regime turns on how cubing acts on F.
+    Over GF(p) cubing maps the finite group GF(p)* to itself, so it is onto
+    exactly when its kernel, the cube roots of 1, is trivial. Over Q it is
+    one-to-one (no rational w != 1 cubes to 1) but not onto (2 is no cube).
+    """
     if F.characteristic == 3:
         return SpreadRegime.CHAR3
-    profile = cube_root_profile(F)
-    if profile.nontrivial_unity_root is not None:
+    if not F.is_finite:
+        return SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING
+    if nontrivial_cube_root_of_unity(F) is not None:
         return SpreadRegime.NOT_PARTIAL_SPREAD
-    if profile.cubing_surjective:
-        return SpreadRegime.SPREAD_AND_COVERING
-    return SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING
+    return SpreadRegime.SPREAD_AND_COVERING

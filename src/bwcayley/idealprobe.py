@@ -28,7 +28,7 @@ NUM_VARS = 6
 # C(8,5) = 56 monomials at degree 3: the 60-sample matrix takes 0.4 ms to build
 # and 3.9-4.3 ms to reduce exactly over the 16 pool seeds (2 vCPUs, CPython 3.11).
 MAX_DEGREE = 3
-WITNESS = (Fraction(0),) * 4 + (Fraction(1), Fraction(0))
+WITNESS = (0, 0, 0, 0, 1, 0)
 # the quadric and the three cone forms: at degree 2 each must lie in the sampled space
 KNOWN_FORMS = (quadric_value, h1_form, h2_form, h3_form)
 # Each form is written as `F.of(polynomial)`; with `of` = int it returns the

@@ -62,19 +62,12 @@ def in_C(y: Sequence, F: Field) -> bool:
 
 # --- Klein images -------------------------------------------------------------
 
-def kappa_osculating(u1, u2, F: Field) -> KleinPoint:
-    """Closed-form Klein image of the osculating tangent at (u1, u2) over
-    any field: `osculating_sextuple` at x0 = 1, each entry reduced by
-    `F.of`. Over GF(p) the checks read it off `bwspread.kappa`."""
-    return tuple(map(F.of, bwspread.osculating_sextuple(1, u1, u2)))
-
-
 def in_kappa_O(y: Sequence, F: Field) -> bool:
     """Whether a canonical sextuple is the Klein image of a line of O.
 
-    Affine images have Y01 != 0 and, divided through by Y01, are forced to
-    the closed form at the parameter `bwspread.parameter_reader` reads off
-    them; the only image with Y01 = 0 is that of the directrix.
+    Affine images have Y01 != 0 and, divided through by Y01, equal
+    `bwspread.osculating_sextuple` at x0 = 1 and the parameter they give
+    back by `bwspread.parameter_reader`; in O only the directrix has Y01 = 0.
     """
     y = canonicalize(y, F)
     if y == bwspread.DIRECTRIX_IMAGE:
@@ -83,7 +76,8 @@ def in_kappa_O(y: Sequence, F: Field) -> bool:
         return False
     inv = F.inv(y[0])
     y = tuple(F.of(v * inv) for v in y)
-    return y == kappa_osculating(*bwspread.parameter_reader(F)(y), F)
+    u1, u2 = bwspread.parameter_reader(F)(y)
+    return y == tuple(map(F.of, bwspread.osculating_sextuple(1, u1, u2)))
 
 
 def generator_cubic(s0, s1, F: Field) -> KleinPoint:

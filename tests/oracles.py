@@ -37,7 +37,12 @@ in Fraction arithmetic on joined `Line`s and canonical tuples, with
 `tangent_plane` the canonical tangent plane. The library reads the
 directrix, the line of nuclei and the plane at infinity by their equations
 and closed-form Klein images; `line_through`, `g_infinity`, `nuclei_line`,
-`w_infinity` and `omega_points` join and list them instead.
+`w_infinity` and `omega_points` join and list them instead. The library
+forms a surface point only inside `bwspread.osculating_tangent` and reads
+the tangents' Klein images through `bwspread.osculating_sextuple`;
+`surface_point` and `kappa_osculating` give either at any parameter over
+any field. `field.classify_field` reads the nontrivial cube roots of 1 off
+the cube table; `unity_root_by_quadratic` finds them as roots of X^2+X+1.
 """
 
 import random
@@ -45,7 +50,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from operator import mul as int_mul
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from bwcayley import bwspread, cayley
 from bwcayley.bwspread import (
@@ -65,7 +70,6 @@ from bwcayley.klein import (
     h1_form,
     h2_form,
     h3_form,
-    kappa_osculating,
     variety_qd_points,
     variety_zero_set,
 )
@@ -163,6 +167,25 @@ def int_pairs(u1, u2, F: Field = QQ) -> Tuple[int, int, int, int]:
     take; over GF(p) b = d = 1."""
     u1, u2 = F.of(u1), F.of(u2)
     return u1.numerator, u1.denominator, u2.numerator, u2.denominator
+
+
+def surface_point(u1, u2, F: Field) -> ProjPoint:
+    """Canonical point of the affine chart at (u1, u2):
+    `cayley.surface_point_coefficients` reduced once by `canonicalize`."""
+    return canonicalize(cayley.surface_point_coefficients(*int_pairs(u1, u2, F)), F)
+
+
+def kappa_osculating(u1, u2, F: Field) -> KleinPoint:
+    """Closed-form Klein image of the osculating tangent at (u1, u2) over
+    any field: `bwspread.osculating_sextuple` at x0 = 1, each entry reduced
+    by `F.of`."""
+    return tuple(map(F.of, bwspread.osculating_sextuple(1, u1, u2)))
+
+
+def unity_root_by_quadratic(p: int) -> Optional[int]:
+    """The least root of X^2 + X + 1 mod p other than 1, or None: the
+    nontrivial cube roots of 1 found without the cube table."""
+    return next((x for x in range(2, p) if (x * x + x + 1) % p == 0), None)
 
 
 def tangent_plane(u1, u2, F: Field) -> ProjPlane:
@@ -311,7 +334,7 @@ def duality_by_scans(F: Field, O: Sequence[Line]) -> CheckOutcome:
     tangent planes found by scanning all q^3 + q^2 + q + 1 tuples."""
     for u1, u2 in ((u1, u2) for u1 in F.elements() for u2 in F.elements()):
         v1, v2 = neg(u1, F), sub(mul(F.of(3), mul(u1, u1, F), F), u2, F)
-        if cayley.duality(cayley.surface_point(u1, u2, F), F) != tangent_plane(v1, v2, F):
+        if cayley.duality(surface_point(u1, u2, F), F) != tangent_plane(v1, v2, F):
             return CheckOutcome(passed=False, witness=(u1, u2))
         image = cayley.dual_plucker(osculating_tangent(u1, u2, F).plucker, F)
         if image != osculating_tangent(v1, v2, F).plucker:
@@ -654,7 +677,7 @@ def duality_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
     dual_images, tangent_planes = set(), set()
     for (u1, u2), l in tangent.items():
         v = v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
-        x, e = cayley.surface_point(u1, u2, F), tangent_plane(v1, v2, F)
+        x, e = surface_point(u1, u2, F), tangent_plane(v1, v2, F)
         if cayley.duality(x, F) != e or cayley.dual_plucker(l.plucker, F) != tangent[v].plucker:
             return CheckOutcome(passed=False, witness=(u1, u2))
         partners.add(v)
@@ -802,7 +825,7 @@ def duality_by_fractions(seed: int) -> CheckOutcome:
 
     def pair_ok(u1, u2):
         v1, v2 = F.of(-u1), F.of(3 * u1 * u1 - u2)
-        if cayley.duality(cayley.surface_point(u1, u2, F), F) != tangent_plane(v1, v2, F):
+        if cayley.duality(surface_point(u1, u2, F), F) != tangent_plane(v1, v2, F):
             return False
         image = cayley.dual_plucker(osculating_tangent(u1, u2, F).plucker, F)
         return image == osculating_tangent(v1, v2, F).plucker

@@ -141,17 +141,19 @@ def test_criterion_05_variety_set_equality(p):
 
 def test_criterion_06_multiplicity_three():
     with _Budget(6, "triple contact at every tangent point", 1.0):
+        from oracles import surface_point
+
         F = PrimeField(5)
         for u1, u2 in parameter_grid(F):
             t = osculating_tangent(u1, u2, F)
-            assert t.p == cayley.surface_point(u1, u2, F)
+            assert t.p == surface_point(u1, u2, F)
             assert cayley.restrict_cubic(t.p, t.q, F) == [0, 0, 0, F.of(-1)]
         rng = random.Random(2024)
         for _ in range(50):
             u1 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
             u2 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
             t = osculating_tangent(u1, u2, QQ)
-            assert t.p == canonicalize(cayley.surface_point(u1, u2, QQ), QQ)
+            assert t.p == canonicalize(surface_point(u1, u2, QQ), QQ)
             assert cayley.restrict_cubic(t.p, t.q, QQ) == [0, 0, 0, -t.q[1] ** 3]
 
 
@@ -179,7 +181,7 @@ def test_criterion_07_reguli_gf5():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_criterion_08_duality(p):
     with _Budget(8, f"GF({p}) duality onto tangent planes", 1.0):
-        from oracles import tangent_plane
+        from oracles import surface_point, tangent_plane
 
         F = PrimeField(p)
         surface = [x for x in enumerate_points(F) if cayley.f_value(x, F) == 0]
@@ -188,7 +190,7 @@ def test_criterion_08_duality(p):
         assert len(images) == len(surface)
         assert images == tangent_planes
         for u1, u2 in parameter_grid(F):
-            lhs = cayley.duality(cayley.surface_point(u1, u2, F), F)
+            lhs = cayley.duality(surface_point(u1, u2, F), F)
             v1 = F.of(-u1)
             v2 = F.of(3 * u1 * u1 - u2)
             assert lhs == tangent_plane(v1, v2, F)

@@ -37,7 +37,7 @@ from bwcayley.bwspread import (
     verify_regulus,
 )
 from bwcayley.cli import certify_report
-from bwcayley.klein import _image_difference, in_kappa_O, kappa_osculating, reguli_check
+from bwcayley.klein import _image_difference, in_kappa_O, reguli_check
 from bwcayley.reports import CheckOutcome
 from bwcayley.field import InfiniteField, PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.linalg import rank
@@ -70,6 +70,7 @@ from oracles import (
     generator,
     group_apply,
     int_pairs,
+    kappa_osculating,
     line_through,
     maximality_by_filter,
     maximality_by_fractions,
@@ -83,6 +84,7 @@ from oracles import (
     reguli_by_O,
     regulus_lines,
     sub,
+    surface_point,
     tangent_plane,
     z_point,
 )
@@ -108,14 +110,14 @@ class TestOsculatingTangent:
         # f(lam*P(u) + mu*q) = -mu^3: P(u) is the only meet, of multiplicity 3
         for u1, u2 in parameter_grid(F):
             t = osculating_tangent(u1, u2, F)
-            assert t.p == cayley.surface_point(u1, u2, F)
+            assert t.p == surface_point(u1, u2, F)
             assert cayley.restrict_cubic(t.p, t.q, F) == [0, 0, 0, F.of(-1)]
 
     @given(small_fractions, small_fractions)
     @settings(max_examples=60)
     def test_multiplicity_three_rational(self, u1, u2):
         t = osculating_tangent(u1, u2, QQ)
-        assert t.p == canonicalize(cayley.surface_point(u1, u2, QQ), QQ)
+        assert t.p == canonicalize(surface_point(u1, u2, QQ), QQ)
         assert cayley.restrict_cubic(t.p, t.q, QQ) == [0, 0, 0, -t.q[1] ** 3]
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])

@@ -17,7 +17,6 @@ from bwcayley.cayley import (
     group_matrix,
     param_action,
     restrict_cubic,
-    surface_point,
     tangency_test,
     tangent_plane_coefficients,
 )
@@ -42,6 +41,7 @@ from oracles import (
     param_action_by_field_ops,
     point_in_plane,
     sub,
+    surface_point,
     tangent_plane,
     z_point,
 )

@@ -13,12 +13,12 @@ from bwcayley.field import (
     Rationals,
     SpreadRegime,
     classify_field,
-    cube_root_profile,
     cube_roots,
     icbrt,
     nontrivial_cube_root_of_unity,
     parse_field_spec,
 )
+from oracles import unity_root_by_quadratic
 
 QQ = Rationals()
 
@@ -27,6 +27,16 @@ rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**
 
 def brute_cube_roots(a: int, p: int) -> set:
     return {s for s in range(p) if pow(s, 3, p) == a % p}
+
+
+def primes_below(n: int) -> list:
+    """The primes below n by a sieve, not by `field.is_prime`."""
+    composite, primes = set(), []
+    for p in range(2, n):
+        if p not in composite:
+            primes.append(p)
+            composite.update(range(p * p, n, p))
+    return primes
 
 
 class TestParse:
@@ -110,21 +120,15 @@ class TestUnityRoot:
 
 
 class TestProfileAndRegime:
-    @pytest.mark.parametrize("p", [2, 5, 7, 11, 13, 17, 19, 31])
-    def test_unity_root_iff_not_injective(self, p):
-        # two independent computations must agree for every p != 3
-        profile = cube_root_profile(PrimeField(p))
-        assert (profile.nontrivial_unity_root is not None) == (not profile.cubing_injective)
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-    def test_injective_iff_surjective_iff_mod3(self, p):
-        profile = cube_root_profile(PrimeField(p))
-        assert profile.cubing_injective == profile.cubing_surjective == (p % 3 != 1)
-
-    def test_rational_profile(self):
-        profile = cube_root_profile(QQ)
-        assert profile.cubing_injective and not profile.cubing_surjective
-        assert profile.nontrivial_unity_root is None
+    def test_cube_table_against_the_quadratic_and_the_regime(self):
+        # The table's row for 1 against the roots of X^2+X+1 found without
+        # it, and cubing onto GF(p) exactly in the spread regime, or at
+        # p = 3, where cubing is the identity map
+        for p in primes_below(1000):
+            F = PrimeField(p)
+            assert nontrivial_cube_root_of_unity(F) == unity_root_by_quadratic(p), p
+            image = [a for a in range(p) if cube_roots(a, F)]
+            assert (len(image) == p) == (classify_field(F) == SpreadRegime.SPREAD_AND_COVERING or p == 3), p
 
     @pytest.mark.parametrize(
         "spec,regime",
@@ -142,11 +146,7 @@ class TestProfileAndRegime:
         assert classify_field(parse_field_spec(spec)) == regime
 
     def test_regime_follows_p_mod_3_for_primes_below_1000(self):
-        composite = set()
-        for p in range(2, 1000):
-            if p in composite:
-                continue
-            composite.update(range(p * p, 1000, p))
+        for p in primes_below(1000):
             if p == 3:
                 want = SpreadRegime.CHAR3
             elif p % 3 == 2:

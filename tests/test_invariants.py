@@ -101,7 +101,6 @@ PENDING = {
     "_binary_mul": _OSCULATION,
     "lines_skew": _TRACED,
     "osculating_tangent": _TRACED,
-    "surface_point": _TRACED,  # only osculating_tangent reads it
     "line_in_plane": _TRACED,
     "enumerate_planes": _TRACED,
     "enumerate_lines": _TRACED,

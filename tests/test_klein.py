@@ -25,7 +25,6 @@ from bwcayley.klein import (
     h3_form,
     in_C,
     in_kappa_O,
-    kappa_osculating,
     osculating_plane_pencil_check,
     pencil_LZomega,
     project_through_Cperp,
@@ -48,10 +47,12 @@ from oracles import (
     char3_congruence_by_O,
     g_infinity,
     in_D,
+    kappa_osculating,
     line_through,
     nuclei_line,
     pencil_line,
     pencil_lines,
+    surface_point,
     variety_equality_by_O,
     variety_zero_set_by_trials,
     w_infinity,
@@ -66,7 +67,7 @@ small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 def joined_tangent(u1, u2, F):
     """Reference route: `line_through` the surface point and (0, 1, 3u1, u2)."""
     u1, u2 = F.of(u1), F.of(u2)
-    return line_through(cayley.surface_point(u1, u2, F), (F.zero, F.one, F.of(3 * u1), u2), F)
+    return line_through(surface_point(u1, u2, F), (F.zero, F.one, F.of(3 * u1), u2), F)
 
 
 def assert_same_line(l, reference):

@@ -1,7 +1,6 @@
 """Record semantics: the NamedTuples and plain classes that carry results.
 
-Frozen value records (`CubeRootProfile`, `GMatrix`, `Line`)
-refuse assignment and hash by value; mutable records (`CheckOutcome`,
+Frozen value records (`GMatrix`, `Line`) refuse assignment and hash by value; mutable records (`CheckOutcome`,
 `Check`, `Report`, `Run`) are built the way their call sites build them and
 never share a default `counts` dict or `checks` list.
 """
@@ -10,7 +9,7 @@ import pytest
 
 from bwcayley.cayley import GMatrix, group_matrix
 from bwcayley.cli import Run
-from bwcayley.field import QQ, CubeRootProfile, PrimeField
+from bwcayley.field import QQ, PrimeField
 from bwcayley.projspace import Line, plucker
 from bwcayley.reports import Check, CheckOutcome, Report
 
@@ -18,8 +17,6 @@ F7 = PrimeField(7)
 
 # each record with every field given, in declaration order
 RECORDS = {
-    "CubeRootProfile": (CubeRootProfile, dict(
-        characteristic=7, cubing_injective=False, cubing_surjective=False, nontrivial_unity_root=2)),
     "GMatrix": (GMatrix, dict(a=1, b=0, c=1, entries=group_matrix(1, 0, 1, F7).entries)),
     "Line": (Line, dict(p=(0, 0, 1, 0), q=(0, 0, 0, 1), plucker=(0, 0, 0, 0, 0, 1))),
     "CheckOutcome": (CheckOutcome, dict(passed=False, witness=(1, 2), counts={"pairs": 3}, note="n")),
@@ -29,7 +26,7 @@ RECORDS = {
     "Report": (Report, dict(command="certify", field_spec="gf:7", regime="NotPartialSpread", seed=4, checks=[])),
     "Run": (Run, dict(F=F7, seed=1, degree=2, samples=60)),
 }
-FROZEN = {"CubeRootProfile", "GMatrix", "Line"}
+FROZEN = {"GMatrix", "Line"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
