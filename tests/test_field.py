@@ -130,6 +130,26 @@ class TestProfileAndRegime:
             image = [a for a in range(p) if cube_roots(a, F)]
             assert (len(image) == p) == (classify_field(F) == SpreadRegime.SPREAD_AND_COVERING or p == 3), p
 
+    @pytest.mark.parametrize("p", [2, 5, 7, 11, 13, 17, 19, 31])
+    def test_unity_root_iff_not_injective(self, p):
+        # the table's unity root against injectivity counted by brute force
+        injective = len({pow(s, 3, p) for s in range(p)}) == p
+        assert (nontrivial_cube_root_of_unity(PrimeField(p)) is not None) == (not injective)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_injective_iff_surjective_iff_mod3(self, p):
+        F = PrimeField(p)
+        injective = all(len(cube_roots(a, F)) <= 1 for a in range(p))
+        surjective = all(cube_roots(a, F) for a in range(p))
+        assert injective == surjective == (p % 3 != 1)
+
+    def test_rational_profile(self):
+        # cubing on Q is injective but not onto, and 1 has no other cube root
+        assert cube_roots(Fraction(-8, 27), QQ) == {Fraction(-2, 3)}
+        assert cube_roots(2, QQ) == set()
+        assert nontrivial_cube_root_of_unity(QQ) is None
+        assert classify_field(QQ) == SpreadRegime.MAXIMAL_PARTIAL_NOT_COVERING
+
     @pytest.mark.parametrize(
         "spec,regime",
         [
