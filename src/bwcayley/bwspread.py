@@ -4,8 +4,8 @@ O consists of the unique proper osculating tangent at every affine surface
 point together with the double line at infinity. Depending on how cubing
 behaves on the ground field, O is a spread and covering, a maximal partial
 spread, or not a partial spread at all; the certifiers below establish the
-case exhaustively over finite fields and symbolically plus by seeded spot
-checks over the rationals.
+case over finite fields from polynomial identities over Z plus counts in
+O(q), and symbolically plus by seeded spot checks over the rationals.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import lcm
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,16 +35,12 @@ from .projspace import (
     ProjPoint,
     canonical_tuples,
     canonicalize,
-    compound_apply,
-    compound_image,
     gram_apply,
     is_int_multiple,
-    is_multiple,
     plucker_minors,
     polar_pairing,
     quadric_polarization,
     quadric_value,
-    second_compound,
 )
 from .reports import CheckOutcome
 
@@ -145,19 +143,14 @@ def closed_tangent(u1, u2, F: Field) -> Tuple[ProjPoint, ProjPoint, KleinPoint]:
     Returns the surface point (1, u1, u2, u1*u2 - u1^3), the direction
     (0, 1, 3u1, u2) and `kappa(u)`, every entry reduced mod p. Each tuple
     leads with 1, so it is canonical as it stands and never goes through
-    `canonicalize`. Every finite-field check reads its tangents here, or
-    only their Klein images off `kappa`.
+    `canonicalize`. A check that reads a tangent over GF(p), as the klein
+    and char3 checks do, reads it here, or only its Klein image off `kappa`;
+    the finite `certify` checks read none (`IDENTITIES`).
     """
     p = F.p
     u1 %= p
     u2 %= p
     return (1, u1, u2, (u2 - u1 * u1) * u1 % p), (0, 1, 3 * u1 % p, u2), kappa(u1, u2, F)
-
-
-def parameter_grid(F: Field) -> List[Tuple[Element, Element]]:
-    """All (u1, u2) in lexicographic order (finite fields only)."""
-    elems = list(F.elements())
-    return [(u1, u2) for u1 in elems for u2 in elems]
 
 
 def parameter_reader(F: Field) -> Callable[[Sequence], Tuple]:
@@ -172,13 +165,13 @@ def parameter_reader(F: Field) -> Callable[[Sequence], Tuple]:
 
 
 def tangents(F: Field) -> Iterator[Tuple[Tuple[int, int], Tuple]]:
-    """(u, closed_tangent(u)) for every parameter u, in parameter_grid order.
+    """(u, closed_tangent(u)) for every parameter u, in lexicographic order.
 
     Each Klein image must give its parameter back: it leads with 1 (so it is
     not the directrix's, which leads with 0), and `parameter_reader` reads u
-    off it. That certifies the q^2 tangents distinct, so O has q^2 + 1
-    lines; IndistinctTangents is raised at the first image that does not.
-    The tangents are produced one at a time and none is kept.
+    off it; IndistinctTangents is raised at the first image that does not.
+    The tangents are produced one at a time and none is kept. The klein and
+    char3 checks read their tangents here; `certify` reads none.
     """
     if not F.is_finite:
         raise InfiniteField("O is accessed parametrically over infinite fields")
@@ -197,24 +190,19 @@ def tangents(F: Field) -> Iterator[Tuple[Tuple[int, int], Tuple]]:
 def build_O(F: Field) -> List[Line]:
     """The q^2 proper osculating tangents plus the directrix; q^2 + 1 lines.
 
-    O[i] is the tangent at parameter_grid(F)[i] for i < q^2, read off
-    `tangents` (so the lines are certified distinct), and O[-1] is the
-    directrix. No check holds this list; the test oracles read it."""
+    O[i] is the tangent at the i-th parameter in lexicographic order for
+    i < q^2, read off `tangents` (so the lines are certified distinct), and
+    O[-1] is the directrix. No check holds this list; the test oracles read
+    it."""
     lines = [Line(*t) for _, t in tangents(F)]
     lines.append(Line((0, 0, 1, 0), (0, 0, 0, 1), DIRECTRIX_IMAGE))
     return lines
 
 
-def partner(u1: int, u2: int, p: int) -> Tuple[int, int]:
-    """v = (-u1, 3u1^2 - u2) mod p, the parameter whose tangent the duality
-    pairs with the tangent at u; the map is an involution."""
-    return -u1 % p, (3 * u1 * u1 - u2) % p
-
-
 def skew_value(v1, v2, u1, u2):
     """Resultant-style skewness value for the tangents at (v1,v2) and (u1,u2).
 
-    Translating (v1,v2) to the origin by the group action leaves
+    Translating (v1,v2) to the origin by an automorphism of the surface leaves
     d2^2 - 3*d1^2*d2 + 3*d1^4 with d1 = u1-v1 and d2 = u2-v2-3*v1*(u1-v1);
     the two tangents are skew exactly when this value is nonzero. Formed in
     plain operators, unreduced.
@@ -232,23 +220,152 @@ def skew_criterion(v1, v2, u1, u2, F: Field) -> Element:
     return F.of(skew_value(v1, v2, u1, u2))
 
 
+# --- identities over Z -----------------------------------------------------------
+
+class IdentityFails(GeometryError):
+    """A polynomial identity that a finite-field certificate rests on does
+    not vanish on its grid, or cannot be traced."""
+
+
+class Degree:
+    """A polynomial over Z known only by a bound on its degree in each variable.
+
+    `+`, `-` and `*` with a bound or an int bound the result. A bound cannot
+    follow `%`, `//`, a comparison, a truth value or any other operand, so
+    each raises TypeError rather than bound a formula wrongly.
+    """
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, bounds):
+        self.bounds = tuple(bounds)
+
+    def _bounds_of(self, other):
+        if type(other) is Degree:
+            return other.bounds
+        if type(other) is int:
+            return (0,) * len(self.bounds)
+        raise TypeError(f"a degree bound cannot follow a {type(other).__name__} operand")
+
+    def __add__(self, other):
+        return Degree(map(max, self.bounds, self._bounds_of(other)))
+
+    def __mul__(self, other):
+        return Degree(a + b for a, b in zip(self.bounds, self._bounds_of(other)))
+
+    def __neg__(self):
+        return self
+
+    def _refuse(self, *_):
+        raise TypeError("a degree bound has no value to reduce, compare or branch on")
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+    __mod__ = __rmod__ = __floordiv__ = __rfloordiv__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _refuse
+
+
+def _minus(a: Sequence, b: Sequence) -> Tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _point(u1, u2) -> Tuple:
+    """P(u) = (1, u1, u2, u1*u2 - u1^3) over Z."""
+    return cayley.surface_point_coefficients(u1, 1, u2, 1)
+
+
+def _tangent_plane(u1, u2) -> Tuple:
+    """The tangent plane at P(u), [2u1^3 - u1*u2, u2 - 3u1^2, u1, -1], over Z."""
+    return cayley.tangent_plane_coefficients(u1, 1, u2, 1)
+
+
+def _kappa(u1, u2) -> Tuple:
+    """kappa(u) over Z: the osculating sextuple of P(u)."""
+    return _integer_tangent(u1, 1, u2, 1)[1]
+
+
+def _dual_parameter(u1, u2) -> Tuple:
+    """v = (-u1, 3u1^2 - u2) over Z: the duality pairs the tangent at u with
+    the tangent at v."""
+    return -u1, 3 * u1 * u1 - u2
+
+
+# The identities over Z that the finite certify checks rest on, by name. Each
+# maps its variables to values that all vanish identically exactly when it
+# holds. P(u) is the surface point at u, kappa(u) the Plücker sextuple of its
+# osculating tangent, and v = `_dual_parameter(u)`.
+IDENTITIES = {
+    # kappa(u) leads with 1, so it is not the directrix, and gives u back as
+    # (3u1, u2), or in characteristic 3, where cubing is one-to-one, (u1^3, u2)
+    "readback": lambda u1, u2: _minus(_kappa(u1, u2)[:3] + _kappa(u1, u2)[4:5], (1, 3 * u1, u2, u1 * u1 * u1)),
+    # the tangents at v and u meet exactly when skew_value(v, u) is 0
+    "polarity": lambda v1, v2, u1, u2: (polar_pairing(_kappa(v1, v2), _kappa(u1, u2)) - skew_value(v1, v2, u1, u2),),
+    # the translation taking v to (0, 0) keeps the skew value
+    "translation": lambda v1, v2, u1, u2: (
+        skew_value(v1, v2, u1, u2) - skew_value(0, 0, u1 - v1, u2 - v2 - 3 * v1 * (u1 - v1)),
+    ),
+    # (u1, u2) -> (c*u1, c^2*u2) carries the row u1 = 1 onto the row u1 = c
+    "weight_4": lambda c, u1, u2: (
+        skew_value(0, 0, c * u1, c * c * u2) - c * c * c * c * skew_value(0, 0, u1, u2),
+    ),
+    "row_zero": lambda u2: (skew_value(0, 0, 0, u2) - u2 * u2,),
+    "directrix_skew": lambda u1, u2: (polar_pairing(_kappa(u1, u2), DIRECTRIX_IMAGE) - 1,),
+    # the tangent at u passes through (0, 1, 3u1, u2) of the plane at infinity
+    "infinity_point": lambda u1, u2: _minus(plucker_minors(_point(u1, u2), (0, 1, 3 * u1, u2)), _kappa(u1, u2)),
+    # the duality sends P(u) to the tangent plane at v, reversed P(u) being
+    # minus its coefficients, and the tangent at u to the tangent at v
+    "dual_point": lambda u1, u2: tuple(
+        x + e for x, e in zip(_point(u1, u2)[::-1], _tangent_plane(*_dual_parameter(u1, u2)))
+    ),
+    "dual_line": lambda u1, u2: _minus(cayley.dual_sextuple(_kappa(u1, u2)), _kappa(*_dual_parameter(u1, u2))),
+    "involution": lambda u1, u2: _minus(_dual_parameter(*_dual_parameter(u1, u2)), (u1, u2)),
+    "on_surface": lambda u1, u2: (cayley.cubic_form(_point(u1, u2)),),
+    "tangent_plane": lambda u1, u2: (cayley.plane_form(_tangent_plane(u1, u2)),),
+}
+
+
+def identity_bounds(identity: Callable) -> Tuple[int, ...]:
+    """The degree bound of an identity's values in each of its variables,
+    traced by running it on one `Degree` per variable."""
+    n = identity.__code__.co_argcount
+    values = identity(*(Degree(int(i == j) for j in range(n)) for i in range(n)))
+    return tuple(map(max, zip(*(v.bounds if type(v) is Degree else (0,) * n for v in values))))
+
+
+@lru_cache(maxsize=None)
+def certify_identity(name: str) -> Tuple[int, ...]:
+    """Certify `IDENTITIES[name]` over Z and return its degree bounds.
+
+    Each value is a polynomial of degree at most d_i in each variable x_i,
+    so it is zero when it vanishes on the grid prod range(d_i + 1) (Alon,
+    "Combinatorial Nullstellensatz", 1999, Lemma 2.1), and an identity over
+    Z holds in every field. The verdict does not depend on the field, so it
+    is reached once per process; IdentityFails names the identity otherwise.
+    """
+    identity = IDENTITIES[name]
+    try:
+        bounds = identity_bounds(identity)
+    except TypeError as exc:
+        raise IdentityFails(f"identity {name} cannot be traced: {exc}") from exc
+    for point in product(*(range(d + 1) for d in bounds)):
+        if any(identity(*point)):
+            raise IdentityFails(f"identity {name} fails at {point}")
+    return bounds
+
+
 def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     """Pairwise skewness of O, the q^2 tangents plus the directrix.
 
-    Finite fields, through the translation group of the surface, in one pass
-    over `tangents`. The generators M(1,0,1) and M(0,1,1), invertible by
-    construction, are certified to fix the directrix and to send tangent(u) to
-    tangent(param_action(u)) for every parameter u, each image taken on the
-    tangent's Plücker sextuple by the generator's second compound matrix,
-    and their orbit of (0,0) to hold all q^2 parameters.
-    Collineations keep skewness, so the tangents meeting a given tangent are
-    as many for every u as for the origin, and testing the origin tangent
-    against the other q^2 - 1 (by the criterion and by Klein polarity, which
-    must agree) decides every pair: with m of them meeting it there are
-    q^2*m/2 violations, and the lexicographically first violating pair is
-    ((0,0), first meeting u). The directrix is tested against every tangent.
-    A failed step reports its first witness in the order the steps are
-    listed here, each generator's in parameter_grid order.
+    Finite fields, from `IDENTITIES`: the q^2 tangents are distinct lines
+    other than the directrix (readback) and skew to it (directrix_skew),
+    and two tangents meet exactly when the skew value is 0 (polarity).
+    Translating v to (0, 0) keeps it (translation), so every tangent meets
+    as many others as the origin tangent does. On the row u1 = 0 the value
+    is u2^2 (row_zero), and the weight-4 scaling carries the row u1 = 1
+    onto every row u1 = c != 0 (weight_4). So the origin tangent meets
+    (q - 1)*m others, m the number of roots t of `skew_criterion(0, 0, 1,
+    t)`, there are q^2*(q - 1)*m/2 violations, and the lexicographically
+    first violating pair is ((0, 0), (1, least root)).
     Rationals: the criterion is nonzero for all distinct pairs exactly when
     X^2+X+1 has no root, plus seeded random replays of both routes in ints.
     The criterion is weighted homogeneous of degree 4 (d1 of weight 1, d2 of
@@ -259,7 +376,21 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     by cross-multiplying, and a `Fraction` is formed only for a witness.
     """
     if F.is_finite:
-        return _partial_spread_by_translations(F)
+        for name in ("readback", "directrix_skew", "polarity", "translation", "row_zero", "weight_4"):
+            certify_identity(name)
+        q = F.order
+        roots = [t for t in F.elements() if skew_criterion(0, 0, 1, t, F) == F.zero]
+        n_lines = q * q + 1
+        return CheckOutcome(
+            passed=not roots,
+            witness=((F.zero, F.zero), (F.one, roots[0])) if roots else None,
+            counts={
+                "lines": n_lines,
+                "pairs_checked": n_lines * (n_lines - 1) // 2,  # includes directrix pairs
+                "tangents_meeting_directrix": 0,
+                "violations": q * q * (q - 1) * len(roots) // 2,
+            },
+        )
     # rationals: no nontrivial cube root of unity means no violating pair exists
     w = nontrivial_cube_root_of_unity(F)
     randint = random.Random(seed).randint
@@ -285,121 +416,6 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
         counts={"spot_checks": checked},
         note="no root of X^2+X+1, so every distinct pair is skew",
     )
-
-
-def _partial_spread_by_translations(F: Field) -> CheckOutcome:
-    """The finite branch of `certify_partial_spread`.
-
-    Each generator's image y' = compound * kappa(u) is compared with
-    kappa(param_action(u)) by `is_multiple`, so no inverse is taken, and the
-    generator's first failing parameter is kept while the pass goes on: the
-    pass also counts the tangents meeting the directrix and tests the origin
-    tangent against every other, so one walk over the parameters holds
-    every verdict and no tangent is kept.
-    """
-    p = F.p
-    ginf = DIRECTRIX_IMAGE
-    generators = [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)]
-    compounds = [second_compound(M.entries, F) for M in generators]
-    # group_matrix refuses c = 0 and is lower triangular with diagonal 1, c, c^2, c^3,
-    # so a generator is invertible and only its fix of the directrix is tested
-    moved = [compound_image(compound, ginf, F) != ginf for compound in compounds]
-    action_failure = [None, None]
-    origin = (F.zero, F.zero)
-    t0 = None
-    meeting_ginf = meeting = 0
-    first_meeting = disagreement = None
-    for u, (_, _, y) in tangents(F):
-        u1, u2 = u
-        if quadric_polarization(y, ginf, F) == F.zero:
-            meeting_ginf += 1
-        for i, M in enumerate(generators):
-            if action_failure[i] is None:
-                v1, v2 = cayley.param_action(M, u1, u2, F)
-                if not is_multiple(compound_apply(compounds[i], y), kappa(v1, v2, F), p):
-                    action_failure[i] = u
-        if u == origin:
-            t0 = y
-        elif disagreement is None:
-            criterion_meets = skew_criterion(*origin, u1, u2, F) == F.zero
-            if criterion_meets == (quadric_polarization(t0, y, F) != F.zero):
-                disagreement = u
-            elif criterion_meets:
-                meeting += 1
-                first_meeting = first_meeting or u
-    n_lines = F.order**2 + 1
-    counts = {
-        "lines": n_lines,
-        "pairs_checked": n_lines * (n_lines - 1) // 2,  # includes directrix pairs
-        "tangents_meeting_directrix": meeting_ginf,
-    }
-    for M, bad, failed in zip(generators, moved, action_failure):
-        abc = (M.a, M.b, M.c)
-        if bad:
-            note, witness = "generator is singular or moves the directrix", (abc, None)
-        elif failed is not None:
-            note, witness = "group action disagrees with param_action", (abc, failed)
-        else:
-            continue
-        return CheckOutcome(passed=False, witness=witness, counts=counts, note=note)
-    missing = _orbit_misses(generators, F)
-    if missing is not None:
-        return CheckOutcome(
-            passed=False, witness=missing, counts=counts, note="generator orbit of (0,0) misses parameters"
-        )
-    if disagreement is not None:
-        return CheckOutcome(passed=False, witness=(origin, disagreement), counts=counts, note="route disagreement")
-    counts["violations"] = F.order**2 * meeting // 2
-    return CheckOutcome(
-        passed=not meeting and meeting_ginf == 0,
-        witness=(origin, first_meeting) if meeting else None,
-        counts=counts,
-    )
-
-
-def _orbit_misses(generators, F: Field):
-    """The first parameter, in parameter_grid order, outside the orbit of
-    (0,0) under the two generators, or None when the orbit holds them all.
-    `_walks_cover` certifies the whole orbit in O(q) memory; should it
-    fail, the orbit is found by a search that holds it, for the witness.
-    """
-    if _walks_cover(*generators, F):
-        return None
-    orbit = {(F.zero, F.zero)}
-    frontier = list(orbit)
-    while frontier:
-        u = frontier.pop()
-        for M in generators:
-            v = cayley.param_action(M, *u, F)
-            if v not in orbit:
-                orbit.add(v)
-                frontier.append(v)
-    return next((u for u in parameter_grid(F) if u not in orbit), None)
-
-
-def _walks_cover(row_step, slot_step, F: Field) -> bool:
-    """Whether the walk of row_step = M(1,0,1) from (0,0) enters every row
-    u1 in q steps, and from each entry the walk of slot_step = M(0,1,1)
-    stays in its row and ticks all q slots of a bitmap in q steps. Then the
-    orbit of (0,0) is every parameter."""
-    q = F.order
-    entries = {}
-    u = (F.zero, F.zero)
-    for _ in range(q):
-        entries.setdefault(u[0], u)
-        u = cayley.param_action(row_step, *u, F)
-    if len(entries) != q:
-        return False
-    for row, u in entries.items():
-        slots = bytearray(q)
-        for _ in range(q):
-            if u[0] != row:
-                return False
-            slots[u[1]] = 1
-            u = cayley.param_action(slot_step, *u, F)
-        if not all(slots):
-            return False
-    return True
 
 
 def covering_deficit(p1, p2, p3, F: Field) -> Element:
@@ -509,28 +525,20 @@ def certify_maximality(F: Field, seed: int = 0) -> CheckOutcome:
     This forces maximality: any line not in O meets the plane at infinity at
     a point already covered, hence meets the covering line there. The q + 1
     points (0, 0, a, b) lie on the directrix by its equation x0 = x1 = 0.
-    Finite fields walk the other q^2, the points (0, 1, a, b): each lies on
-    the tangent at u = (a/3, b) exactly when the Plücker minors of the
-    surface point P(u) and the point, which lead with 1, are kappa(u) entry
-    by entry (`closed_tangent`). The witness is the first failing point in
-    canonical order, and the count is all q^2 + q + 1 points. The rationals
-    use the same construction on seeded samples (0, 1, a/b, c/d), drawn as
-    unreduced int pairs: the point, scaled to (0, bd, ad, cb), and the
-    `_integer_tangent` at (a/3b, c/d) give Plücker minors that must be a
-    multiple of the tangent's sextuple (`is_int_multiple`, on entry 0,
-    x0*bd). Skipped in char 3.
+    Over finite fields the other q^2, the points (0, 1, a, b), lie on the
+    tangents at u = (a/3, b): the Plücker minors of the surface point P(u)
+    and (0, 1, 3u1, u2) are kappa(u) (`IDENTITIES["infinity_point"]`). The
+    count is all q^2 + q + 1 points. The rationals test the same
+    construction on seeded samples (0, 1, a/b, c/d), drawn as unreduced int
+    pairs: the point, scaled to (0, bd, ad, cb), and the `_integer_tangent`
+    at (a/3b, c/d) give Plücker minors that must be a multiple of the
+    tangent's sextuple (`is_int_multiple`, on entry 0, x0*bd). Skipped in
+    char 3.
     """
     if F.characteristic == 3:
         return CheckOutcome(passed=None, note="the maximality argument inverts 3")
     if F.is_finite:
-        third = F.inv(F.of(3))
-        p = F.p
-        for a in F.elements():
-            for b in F.elements():
-                point = (F.zero, F.one, a, b)
-                x, _, y = closed_tangent(a * third, b, F)
-                if not is_multiple(plucker_minors(x, point), y, p):
-                    return CheckOutcome(passed=False, witness=point)
+        certify_identity("infinity_point")
         return CheckOutcome(passed=True, counts={"omega_points": F.order**2 + F.order + 1})
 
     randint = random.Random(seed).randint
@@ -548,15 +556,14 @@ def certify_dual_spread(F: Field, fixes_O: Optional[bool]) -> CheckOutcome:
 
     The duality d reverses coordinates and is its own inverse, and a line l
     lies in the plane d(x) exactly when x lies on d(l). So once d(O) = O is
-    certified (fixes_O, read off the walk of `certify_duality`), the plane
-    d(x) holds as many lines of O as pass through x, `lines_of_O_through(x)`:
-    the histogram over the planes is `_point_histogram`'s, read off q
-    cube-root counts and three classes of points at infinity, the duals of
-    the planes through the pinch point Z. The
-    witness is the first canonical plane e whose point d(e) does not count
-    1. Also verifies the dual surrogate of maximality: every plane through Z
-    contains at least one line of O. Skipped over the rationals, where
-    fixes_O is None.
+    certified (fixes_O, from `certify_duality`), the plane d(x) holds as
+    many lines of O as pass through x, `lines_of_O_through(x)`: the
+    histogram over the planes is `_point_histogram`'s, read off q cube-root
+    counts and three classes of points at infinity, the duals of the planes
+    through the pinch point Z. The witness is the first canonical plane e
+    whose point d(e) does not count 1. Also verifies the dual surrogate of
+    maximality: every plane through Z contains at least one line of O.
+    Skipped over the rationals, where fixes_O is None.
     """
     if not F.is_finite:
         return CheckOutcome(passed=None, note="plane counting needs a finite field")
@@ -583,34 +590,26 @@ def certify_dual_spread(F: Field, fixes_O: Optional[bool]) -> CheckOutcome:
 def certify_duality(F: Field, seed: int = 0) -> Tuple[CheckOutcome, Optional[bool]]:
     """The coordinate-reversing duality fixes O and pairs points with tangent planes.
 
-    Checks (finite fields exhaustively, rationals on seeded samples):
-    the parametric identity duality(P(u1,u2)) = tangent_plane(-u1, 3u1^2-u2)
-    and the induced line map sending the tangent at (u1,u2) to the tangent
-    at its `partner` v = (-u1, 3u1^2-u2). Over the rationals each sample
-    u = (a/b, c/d) is drawn as two unreduced int pairs, its partner is
-    (-a/b, (3a^2*d - c*b^2)/(b^2*d)), and both are tested in ints by
-    `is_int_multiple`: the reversed integer surface point of u against the
-    `cayley.tangent_plane_coefficients` of v, pivoting on their last
-    entries, x0 and -b^3*d, which are never 0 (entry 0 of a tangent plane
-    vanishes at u1 = 0), and the `dual_sextuple` of u's `_integer_tangent`
-    against v's.
-    Over finite fields one pass over `tangents` tests, per parameter: the
-    reversed point (x3, x2, x1, x0) against minus the
-    `cayley.tangent_plane_coefficients` of v at b = d = 1, whose last entry
-    is -1, entry by entry; the dual of kappa(u) against kappa(v) by
-    `is_multiple`; v(v) = u, so the partners are q^2 distinct parameters;
-    and whether P(u) is on the surface (`f_value`) exactly when its dual
-    plane is tangent (`tangency_test`). With the directrix fixed, the line
-    map carries O onto itself. The surface points are the P(u) plus the
-    q + 1 points of the directrix, the tangent planes the duals of the P(u)
-    plus the q + 1 planes through the directrix, so the duality maps the
-    one set onto the other exactly when every parameter agrees and the
-    directrix's points go onto the planes through it. Returns the outcome
-    and fixes_O, whether the line map carries O onto itself (the premise of
-    `certify_dual_spread`), or None over the rationals, which are sampled.
+    It sends the surface point P(u) to the tangent plane at the partner
+    v = (-u1, 3u1^2 - u2) and the tangent at u to the tangent at v, and v(v)
+    = u, so the partners are q^2 distinct parameters. Over finite fields
+    these are `IDENTITIES` (dual_point, dual_line, involution, with
+    on_surface and tangent_plane for the surface and tangency forms), and
+    the q + 1 points of the directrix are tested on the surface and sent
+    onto the q + 1 planes through it, which must be tangent, with the
+    directrix fixed. So the duality maps the surface points onto the
+    tangent planes, and fixes_O, whether it carries O onto itself (the
+    premise of `certify_dual_spread`), is the directrix's test.
+    Over the rationals each seeded sample u = (a/b, c/d) is drawn as two
+    unreduced int pairs, its partner is (-a/b, (3a^2*d - c*b^2)/(b^2*d)),
+    and both are tested in ints by `is_int_multiple`: the reversed integer
+    surface point of u against the `cayley.tangent_plane_coefficients` of v,
+    pivoting on their last entries, x0 and -b^3*d, which are never 0 (entry
+    0 of a tangent plane vanishes at u1 = 0), and the `dual_sextuple` of
+    u's `_integer_tangent` against v's; fixes_O is then None.
     """
     if F.is_finite:
-        return _duality_by_parameters(F)
+        return _duality_by_identities(F)
     randint = random.Random(seed).randint
     for _ in range(SPOT_CHECKS):
         # u = (a/b, c/d), unreduced, and its partner (-u1, 3u1^2 - u2)
@@ -623,34 +622,12 @@ def certify_duality(F: Field, seed: int = 0) -> Tuple[CheckOutcome, Optional[boo
     return CheckOutcome(passed=True, counts={"parameter_pairs_sampled": SPOT_CHECKS}), None
 
 
-def _duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
-    """The finite branch of `certify_duality`; the witness is the first
-    parameter whose point or tangent the duality does not send to its
-    partner's tangent plane or tangent. The walk goes on past it, testing
-    only the line map, so that fixes_O covers every parameter."""
-    p = F.p
-    fixes_O = agree = True
-    witness = None
-    surface = tangent_planes = 0
-    for u, (x, _, y) in tangents(F):
-        v1, v2 = partner(*u, p)
-        line_ok = is_multiple(cayley.dual_sextuple(y), kappa(v1, v2, F), p)
-        fixes_O = fixes_O and line_ok and partner(v1, v2, p) == u
-        if witness is not None:
-            continue
-        e = cayley.tangent_plane_coefficients(v1, 1, v2, 1)
-        x0, x1, x2, x3 = x
-        if (x3 + e[0]) % p or (x2 + e[1]) % p or (x1 + e[2]) % p or (x0 + e[3]) % p or not line_ok:
-            witness = u
-            continue
-        on_surface = cayley.f_value(x, F) == F.zero
-        tangent = cayley.tangency_test((x3, x2, x1, x0), F)
-        surface += on_surface
-        tangent_planes += tangent
-        agree = agree and on_surface == tangent
-    fixes_O = fixes_O and cayley.dual_plucker(DIRECTRIX_IMAGE, F) == DIRECTRIX_IMAGE
-    if witness is not None:
-        return CheckOutcome(passed=False, witness=witness), fixes_O
+def _duality_by_identities(F: Field) -> Tuple[CheckOutcome, bool]:
+    """The finite branch of `certify_duality`: the identities, then the
+    directrix in O(q)."""
+    for name in ("readback", "dual_point", "dual_line", "involution", "on_surface", "tangent_plane"):
+        certify_identity(name)
+    fixes_O = cayley.dual_plucker(DIRECTRIX_IMAGE, F) == DIRECTRIX_IMAGE
     # the canonical pairs (a, b) give the directrix points (0, 0, a, b)
     # and the planes [a, b, 0, 0] through the directrix
     on_directrix = 0
@@ -663,13 +640,14 @@ def _duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
         e = ab + (F.zero, F.zero)
         if cayley.tangency_test(e, F):
             planes.add(e)
+    q2 = F.order**2
     return CheckOutcome(
-        passed=fixes_O and agree and len(dual_images) == on_directrix and dual_images == planes,
+        passed=fixes_O and len(dual_images) == on_directrix and dual_images == planes,
         counts={
-            "parameter_pairs": F.order**2,
-            "lines": F.order**2 + 1,
-            "surface_points": surface + on_directrix,
-            "tangent_planes": tangent_planes + len(planes),
+            "parameter_pairs": q2,
+            "lines": q2 + 1,
+            "surface_points": q2 + on_directrix,
+            "tangent_planes": q2 + len(planes),
         },
     ), fixes_O
 

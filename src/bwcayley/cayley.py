@@ -1,8 +1,7 @@
 """The ruled cubic surface V(X0*X1*X2 - X1^3 - X0^2*X3) in PG(3,K).
 
 Covers membership, the surface points and tangent planes of the affine chart,
-the restricted binary cubic f(lam*p + mu*q) on the line through two points, the
-triangular automorphism group with its action on the tangent parameters, and
+the restricted binary cubic f(lam*p + mu*q) on the line through two points, and
 the classical point/tangent-plane duality. The directrix V(X0,X1) and the line
 V(X0,X2) of the nuclei are read by their equations and their closed-form Klein
 images (`bwspread.DIRECTRIX_IMAGE`, `bwspread.NUCLEI_IMAGE`).
@@ -10,9 +9,9 @@ images (`bwspread.DIRECTRIX_IMAGE`, `bwspread.NUCLEI_IMAGE`).
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .field import Element, Field
+from .field import Field
 from .projspace import GeometryError, KleinPoint, ProjPlane, canonicalize
 
 
@@ -20,16 +19,25 @@ class ZeroParameters(GeometryError):
     pass
 
 
-class ZeroScale(GeometryError):
-    pass
+def cubic_form(x: Sequence):
+    """The surface's form X0*X1*X2 - X1^3 - X0^2*X3, in plain operators,
+    unreduced."""
+    x0, x1, x2, x3 = x
+    return x0 * x1 * x2 - x1 * x1 * x1 - x0 * x0 * x3
+
+
+def plane_form(e: Sequence):
+    """The tangency form a1*a2*a3 - a2^3 - a0*a3^2 of a plane's coefficients,
+    in plain operators, unreduced: `cubic_form` of the reversed tuple."""
+    a0, a1, a2, a3 = e
+    return a1 * a2 * a3 - a2 * a2 * a2 - a0 * a3 * a3
 
 
 def f_value(x: Sequence, F: Field):
-    """The cubic form X0*X1*X2 - X1^3 - X0^2*X3 on any representative,
-    reduced once by `F.of`. Scaling x by lam scales the value by lam^3, so
-    its zero test reads the class; the zero vector raises."""
-    x0, x1, x2, x3 = x
-    val = F.of(x0 * x1 * x2 - x1 * x1 * x1 - x0 * x0 * x3)
+    """`cubic_form` on any representative, reduced once by `F.of`. Scaling x
+    by lam scales the value by lam^3, so its zero test reads the class; the
+    zero vector raises."""
+    val = F.of(cubic_form(x))
     if val == F.zero and not any(map(F.of, x)):
         raise GeometryError("zero vector has no projective class")
     return val
@@ -75,40 +83,6 @@ def restrict_cubic(p: Sequence, q: Sequence, F: Field) -> List:
     return [F.of(a - b - c) for a, b, c in zip(t1, t2, t3)]
 
 
-# --- the automorphism group ----------------------------------------------
-
-class GMatrix(NamedTuple):
-    """Triangular automorphism M_{a,b,c} of the surface (c nonzero)."""
-
-    a: Element
-    b: Element
-    c: Element
-    entries: Tuple[Tuple, ...]
-
-
-def group_matrix(a, b, c, F: Field) -> GMatrix:
-    a, b, c = F.of(a), F.of(b), F.of(c)
-    if c == F.zero:
-        raise ZeroScale("matrix scale parameter c must be nonzero")
-    of, zero = F.of, F.zero
-    c2 = c * c
-    entries = (
-        (F.one, zero, zero, zero),
-        (a, c, zero, zero),
-        (b, of(3 * a * c), of(c2), zero),
-        (of(a * b - a * a * a), of(b * c), of(a * c2), of(c2 * c)),
-    )
-    return GMatrix(a=a, b=b, c=c, entries=entries)
-
-
-def param_action(M: GMatrix, u1, u2, F: Field) -> Tuple:
-    """Action of M_{a,b,c} on the affine chart: (u1, u2) -> (a + c*u1, b + 3ac*u1 + c^2*u2),
-    in plain operators, each coordinate reduced once by `F.of`."""
-    a, c = M.a, M.c
-    cu1 = c * u1
-    return F.of(a + cu1), F.of(M.b + 3 * a * cu1 + c * c * u2)
-
-
 # --- duality ---------------------------------------------------------------
 
 def duality(x: Sequence, F: Field) -> ProjPlane:
@@ -117,11 +91,10 @@ def duality(x: Sequence, F: Field) -> ProjPlane:
 
 
 def tangency_test(e: Sequence, F: Field) -> bool:
-    """Whether a plane is tangent to the surface: a1*a2*a3 - a2^3 - a0*a3^2 = 0,
-    on any representative (the form is homogeneous), evaluated with plain
-    operators and reduced once by `F.of`; the zero vector raises."""
-    a0, a1, a2, a3 = e
-    val = F.of(a1 * a2 * a3 - a2 * a2 * a2 - a0 * a3 * a3)
+    """Whether a plane is tangent to the surface: its `plane_form` is 0, on
+    any representative (the form is homogeneous), reduced once by `F.of`;
+    the zero vector raises."""
+    val = F.of(plane_form(e))
     if val == F.zero and not any(map(F.of, e)):
         raise GeometryError("zero vector has no projective class")
     return val == F.zero

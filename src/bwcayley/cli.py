@@ -6,8 +6,9 @@ probe). Exit codes: 0 when every check matches what the field's regime
 predicts, 1 on usage errors or when the --out report cannot be written, 2
 when a predicted-pass check fails, 3 when a check ends in an internal error
 (an exception such as IndistinctTangents, raised when a tangent's Klein
-image does not give its parameter back; one line on stderr names the
-check).
+image does not give its parameter back, or IdentityFails, raised when a
+polynomial identity a finite certify check rests on does not hold; one line
+on stderr names the check).
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ class CheckError(Exception):
 
 class Run:
     """The inputs one command's checks share. The ideal probe and the
-    duality walk are built on first use, by `pencil_vanishing` and by
-    `dual_spread`, which reads the walk's d(O) = O flag. No check holds the
-    tangent set O: over a finite field each reads the tangents one parameter
-    at a time from their closed form (`bwspread.tangents`), and none lists
-    the points, planes or lines of PG(3,q)."""
+    duality's outcome are built on first use, by `pencil_vanishing` and by
+    `dual_spread`, which reads its d(O) = O flag. No check holds the tangent
+    set O or lists the points, planes or lines of PG(3,q): over a finite
+    field the certify checks rest on identities over Z and counts in O(q),
+    and the klein and char3 checks read the tangents one parameter at a
+    time from their closed form (`bwspread.tangents`)."""
 
     def __init__(self, F: Field, seed: int = 0, degree: int = 0, samples: int = 0):
         self.F, self.seed, self.degree, self.samples = F, seed, degree, samples

@@ -287,7 +287,7 @@ def char3_congruence_check(F: Field) -> CheckOutcome:
     `_image_difference` (cubing is onto for finite characteristic 3) settles
     membership and exhaustion at once. The witness is the first of these
     images skew to the line of nuclei, whose image is the closed form
-    `bwspread.NUCLEI_IMAGE`, the tangents first in `parameter_grid` order,
+    `bwspread.NUCLEI_IMAGE`, the tangents first in lexicographic order,
     then the pencil's.
     """
     if F.characteristic != 3:

@@ -100,51 +100,6 @@ def plucker(p: Sequence, q: Sequence, F: Field) -> KleinPoint:
         raise CoincidentPoints(f"points {p} and {q} span no line") from None
 
 
-_PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def second_compound(m: Sequence[Sequence], F: Field) -> Tuple[Tuple, ...]:
-    """The 6x6 matrix by which the point map x -> m*x acts on Plücker sextuples.
-
-    The join of p and q goes to the join of m*p and m*q, whose sextuple is
-    this matrix times the sextuple of the join: the entry in row (i,j) and
-    column (k,l) is m_ik*m_jl - m_il*m_jk, each reduced by `F.of`.
-    """
-    return tuple(
-        tuple(F.of(m[i][k] * m[j][l] - m[i][l] * m[j][k]) for k, l in _PLUCKER_PAIRS) for i, j in _PLUCKER_PAIRS
-    )
-
-
-def compound_apply(compound: Sequence[Sequence], y: Sequence) -> List:
-    """A `second_compound` times a sextuple: 36 plain products, unreduced."""
-    y0, y1, y2, y3, y4, y5 = y
-    return [r0 * y0 + r1 * y1 + r2 * y2 + r3 * y3 + r4 * y4 + r5 * y5 for r0, r1, r2, r3, r4, r5 in compound]
-
-
-def compound_image(compound: Sequence[Sequence], y: Sequence, F: Field) -> KleinPoint:
-    """Canonical sextuple of the image of the line y under a `second_compound`:
-    `compound_apply` reduced once by `canonicalize`."""
-    return canonicalize(compound_apply(compound, y), F)
-
-
-def is_multiple(z: Sequence, y: Sequence, p: int) -> bool:
-    """Whether the int sextuple z is a nonzero multiple of the sextuple y
-    modulo the prime p, for y reduced with leading entry 1: z_0 is not 0
-    and z_i = z_0*y_i for every i (i = 0 included, so y must lead with 1).
-    No inverse is taken, so z need not be reduced or scaled first."""
-    z0 = z[0] % p
-    a0, a1, a2, a3, a4, a5 = z
-    y0, y1, y2, y3, y4, y5 = y
-    return z0 != 0 and not (
-        (a0 - z0 * y0) % p
-        or (a1 - z0 * y1) % p
-        or (a2 - z0 * y2) % p
-        or (a3 - z0 * y3) % p
-        or (a4 - z0 * y4) % p
-        or (a5 - z0 * y5) % p
-    )
-
-
 def is_int_multiple(z: Sequence, y: Sequence, k: int = 0) -> bool:
     """Whether the int tuple z is a nonzero rational multiple of the int
     tuple y, cross-multiplied on the pivot entry k: z_k and y_k are not 0

@@ -1,19 +1,24 @@
 """Reference routes kept as test oracles.
 
 The certifiers in `bwcayley.bwspread` count covering and dual-spread
-histograms in closed form, walk the plane at infinity directly, generate
-the surface points and tangent planes, and map lines by second compound
-matrices. The routes below scan every point and every plane of PG(3,q)
-instead and return the same `CheckOutcome`s, so the tests can compare
-flags, witnesses and counts at small primes; they map points one by one
-through the group matrices, act on parameters through step-reduced field
+histograms in closed form, and over GF(p) rest partial_spread, maximality
+and duality on identities over Z (`bwspread.IDENTITIES`) plus counts in
+O(q). `partial_spread_by_translations`, `maximality_by_walk` and
+`duality_by_parameters` walk all q^2 parameters instead: through the
+translation group, whose generators (`group_matrix`, `param_action`) map
+the tangents' Plücker sextuples by second compound matrices
+(`second_compound`), over the points (0, 1, a, b) of the plane at
+infinity, and per parameter. The routes below scan every point and every
+plane of PG(3,q) and return the same `CheckOutcome`s, so the tests can
+compare flags, witnesses and counts at small primes; they map points one
+by one through the group matrices, act on parameters through step-reduced field
 operations (`add`, `sub`, `mul`, `neg`, `div`, each reduced by `F.of`),
 scan PG(5,q) by trying every value of every coordinate, and find the
 characteristic-3 congruence by scanning every line of PG(3,q). The
-certifiers read each tangent from its closed form one parameter at a
-time; the `*_by_O` routes take the list O = build_O(F) instead, index it
-by parameter and compare sets of its Plücker sextuples, as the checks did
-before they streamed. The
+walks and the reguli check read each tangent from its closed form one
+parameter at a time; the `*_by_O` routes take the list O = build_O(F)
+instead, index it by parameter and compare sets of its Plücker sextuples,
+as the checks did before they streamed. The
 elimination modulo a prime of `bwcayley.linalg` packs each row into one
 int; `rref_mod_by_lists` keeps the rows as lists of residues. The `ideal`
 probe reads its pencil and witness verdicts off the kernel's coefficients;
@@ -50,7 +55,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from operator import mul as int_mul
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from bwcayley import bwspread, cayley
 from bwcayley.bwspread import (
@@ -63,7 +68,6 @@ from bwcayley.bwspread import (
     skew_criterion,
     verify_regulus,
 )
-from bwcayley.cayley import GMatrix
 from bwcayley.field import QQ, Field, cube_roots, nontrivial_cube_root_of_unity
 from bwcayley.klein import (
     WrongCharacteristic,
@@ -77,22 +81,23 @@ from bwcayley.idealprobe import NUM_VARS, monomial_exponents
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
     CoincidentPoints,
+    GeometryError,
     KleinPoint,
     Line,
     ProjPlane,
     ProjPoint,
     canonical_tuples,
     canonicalize,
-    compound_image,
     det4,
     enumerate_lines,
     enumerate_points,
     incidence,
     lines_skew,
     plucker,
+    plucker_minors,
     primitive_int_vector,
+    quadric_polarization,
     quadric_value,
-    second_compound,
 )
 from bwcayley.reports import CheckOutcome
 
@@ -204,6 +209,93 @@ def generator(s0, s1, F: Field) -> Line:
     return line_through(p, q, F)
 
 
+# The triangular automorphism group of the surface, its action on the tangent
+# parameters and on Plücker sextuples, and the parameter grid.
+
+class ZeroScale(GeometryError):
+    pass
+
+
+class GMatrix(NamedTuple):
+    """Triangular automorphism M_{a,b,c} of the surface (c nonzero)."""
+
+    a: object
+    b: object
+    c: object
+    entries: Tuple[Tuple, ...]
+
+
+def group_matrix(a, b, c, F: Field) -> GMatrix:
+    a, b, c = F.of(a), F.of(b), F.of(c)
+    if c == F.zero:
+        raise ZeroScale("matrix scale parameter c must be nonzero")
+    of, zero = F.of, F.zero
+    c2 = c * c
+    entries = (
+        (F.one, zero, zero, zero),
+        (a, c, zero, zero),
+        (b, of(3 * a * c), of(c2), zero),
+        (of(a * b - a * a * a), of(b * c), of(a * c2), of(c2 * c)),
+    )
+    return GMatrix(a=a, b=b, c=c, entries=entries)
+
+
+def param_action(M: GMatrix, u1, u2, F: Field) -> Tuple:
+    """Action of M_{a,b,c} on the affine chart: (u1, u2) -> (a + c*u1, b + 3ac*u1 + c^2*u2),
+    in plain operators, each coordinate reduced once by `F.of`."""
+    a, c = M.a, M.c
+    cu1 = c * u1
+    return F.of(a + cu1), F.of(M.b + 3 * a * cu1 + c * c * u2)
+
+
+_PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def second_compound(m: Sequence[Sequence], F: Field) -> Tuple[Tuple, ...]:
+    """The 6x6 matrix by which the point map x -> m*x acts on Plücker sextuples.
+
+    The join of p and q goes to the join of m*p and m*q, whose sextuple is
+    this matrix times the sextuple of the join: the entry in row (i,j) and
+    column (k,l) is m_ik*m_jl - m_il*m_jk, each reduced by `F.of`.
+    """
+    return tuple(
+        tuple(F.of(m[i][k] * m[j][l] - m[i][l] * m[j][k]) for k, l in _PLUCKER_PAIRS) for i, j in _PLUCKER_PAIRS
+    )
+
+
+def compound_apply(compound: Sequence[Sequence], y: Sequence) -> List:
+    """A `second_compound` times a sextuple: 36 plain products, unreduced."""
+    y0, y1, y2, y3, y4, y5 = y
+    return [r0 * y0 + r1 * y1 + r2 * y2 + r3 * y3 + r4 * y4 + r5 * y5 for r0, r1, r2, r3, r4, r5 in compound]
+
+
+def compound_image(compound: Sequence[Sequence], y: Sequence, F: Field) -> KleinPoint:
+    """Canonical sextuple of the image of the line y under a `second_compound`:
+    `compound_apply` reduced once by `canonicalize`."""
+    return canonicalize(compound_apply(compound, y), F)
+
+
+def is_multiple(z: Sequence, y: Sequence, p: int) -> bool:
+    """Whether the int sextuple z is a nonzero multiple of the sextuple y
+    modulo the prime p, for y reduced with leading entry 1: z_0 is not 0
+    and z_i = z_0*y_i for every i (i = 0 included, so y must lead with 1).
+    No inverse is taken, so z need not be reduced or scaled first."""
+    z0 = z[0] % p
+    return z0 != 0 and not any((zi - z0 * yi) % p for zi, yi in zip(z, y))
+
+
+def parameter_grid(F: Field) -> List[Tuple]:
+    """All (u1, u2) in lexicographic order (finite fields only)."""
+    elems = list(F.elements())
+    return [(u1, u2) for u1 in elems for u2 in elems]
+
+
+def partner(u1: int, u2: int, p: int) -> Tuple[int, int]:
+    """v = (-u1, 3u1^2 - u2) mod p, the parameter whose tangent the duality
+    pairs with the tangent at u; the map is an involution."""
+    return -u1 % p, (3 * u1 * u1 - u2) % p
+
+
 def group_apply(M: GMatrix, x: Sequence, F: Field) -> ProjPoint:
     """Canonical image of a point from plain products, reduced by `canonicalize`
     (M is invertible, so only the zero vector maps to zero, and is rejected)."""
@@ -211,7 +303,7 @@ def group_apply(M: GMatrix, x: Sequence, F: Field) -> ProjPoint:
 
 
 def param_action_by_field_ops(M: GMatrix, u1, u2, F: Field) -> Tuple:
-    """`cayley.param_action` in step-reduced field operations:
+    """`param_action` in step-reduced field operations:
     (u1, u2) -> (a + c*u1, b + 3ac*u1 + c^2*u2)."""
     u1, u2 = F.of(u1), F.of(u2)
     cu1 = mul(M.c, u1, F)
@@ -542,6 +634,208 @@ def pencil_sample_points(count: int, seed: int) -> List[Tuple[Fraction, ...]]:
     return points
 
 
+# --- the certify walks over the parameters -------------------------------------
+#
+# Second routes for the finite certify checks, each a walk over all q^2
+# parameters: partial_spread through the translation group, whose generators
+# act on the tangents' Plücker sextuples by second compound matrices,
+# maximality over the points (0, 1, a, b), and duality per parameter. They
+# read each tangent one parameter at a time off `bwspread.tangents` and
+# `bwspread.kappa`, so `break_kappa` reaches them.
+
+def partial_spread_by_translations(F: Field) -> CheckOutcome:
+    """`bwspread.certify_partial_spread` over GF(p) through the translation group.
+
+    The generators M(1,0,1) and M(0,1,1), invertible by construction, are
+    certified to fix the directrix and to send tangent(u) to
+    tangent(param_action(u)) for every parameter u, each image y' =
+    compound * kappa(u) compared with kappa(param_action(u)) by
+    `is_multiple`, and their orbit of (0,0) to hold all q^2 parameters.
+    Collineations keep skewness, so testing the origin tangent against the
+    other q^2 - 1 (by the criterion and by Klein polarity, which must agree)
+    decides every pair. A failed step reports its first witness in the
+    order the steps are listed here, each generator's in parameter_grid
+    order. One walk over `bwspread.tangents` holds every verdict.
+    """
+    p = F.p
+    ginf = bwspread.DIRECTRIX_IMAGE
+    generators = [group_matrix(1, 0, 1, F), group_matrix(0, 1, 1, F)]
+    compounds = [second_compound(M.entries, F) for M in generators]
+    # group_matrix refuses c = 0 and is lower triangular with diagonal 1, c, c^2, c^3,
+    # so a generator is invertible and only its fix of the directrix is tested
+    moved = [compound_image(compound, ginf, F) != ginf for compound in compounds]
+    action_failure = [None, None]
+    origin = (F.zero, F.zero)
+    t0 = None
+    meeting_ginf = meeting = 0
+    first_meeting = disagreement = None
+    for u, (_, _, y) in bwspread.tangents(F):
+        u1, u2 = u
+        if quadric_polarization(y, ginf, F) == F.zero:
+            meeting_ginf += 1
+        for i, M in enumerate(generators):
+            if action_failure[i] is None:
+                v1, v2 = param_action(M, u1, u2, F)
+                if not is_multiple(compound_apply(compounds[i], y), bwspread.kappa(v1, v2, F), p):
+                    action_failure[i] = u
+        if u == origin:
+            t0 = y
+        elif disagreement is None:
+            criterion_meets = skew_criterion(*origin, u1, u2, F) == F.zero
+            if criterion_meets == (quadric_polarization(t0, y, F) != F.zero):
+                disagreement = u
+            elif criterion_meets:
+                meeting += 1
+                first_meeting = first_meeting or u
+    n_lines = F.order**2 + 1
+    counts = {
+        "lines": n_lines,
+        "pairs_checked": n_lines * (n_lines - 1) // 2,  # includes directrix pairs
+        "tangents_meeting_directrix": meeting_ginf,
+    }
+    for M, bad, failed in zip(generators, moved, action_failure):
+        abc = (M.a, M.b, M.c)
+        if bad:
+            note, witness = "generator is singular or moves the directrix", (abc, None)
+        elif failed is not None:
+            note, witness = "group action disagrees with param_action", (abc, failed)
+        else:
+            continue
+        return CheckOutcome(passed=False, witness=witness, counts=counts, note=note)
+    missing = _orbit_misses(generators, F)
+    if missing is not None:
+        return CheckOutcome(
+            passed=False, witness=missing, counts=counts, note="generator orbit of (0,0) misses parameters"
+        )
+    if disagreement is not None:
+        return CheckOutcome(passed=False, witness=(origin, disagreement), counts=counts, note="route disagreement")
+    counts["violations"] = F.order**2 * meeting // 2
+    return CheckOutcome(
+        passed=not meeting and meeting_ginf == 0,
+        witness=(origin, first_meeting) if meeting else None,
+        counts=counts,
+    )
+
+
+def _orbit_misses(generators, F: Field):
+    """The first parameter, in parameter_grid order, outside the orbit of
+    (0,0) under the two generators, or None when the orbit holds them all.
+    `_walks_cover` certifies the whole orbit in O(q) memory; should it
+    fail, the orbit is found by a search that holds it, for the witness.
+    """
+    if _walks_cover(*generators, F):
+        return None
+    orbit = {(F.zero, F.zero)}
+    frontier = list(orbit)
+    while frontier:
+        u = frontier.pop()
+        for M in generators:
+            v = param_action(M, *u, F)
+            if v not in orbit:
+                orbit.add(v)
+                frontier.append(v)
+    return next((u for u in parameter_grid(F) if u not in orbit), None)
+
+
+def _walks_cover(row_step, slot_step, F: Field) -> bool:
+    """Whether the walk of row_step = M(1,0,1) from (0,0) enters every row
+    u1 in q steps, and from each entry the walk of slot_step = M(0,1,1)
+    stays in its row and ticks all q slots of a bitmap in q steps. Then the
+    orbit of (0,0) is every parameter."""
+    q = F.order
+    entries = {}
+    u = (F.zero, F.zero)
+    for _ in range(q):
+        entries.setdefault(u[0], u)
+        u = param_action(row_step, *u, F)
+    if len(entries) != q:
+        return False
+    for row, u in entries.items():
+        slots = bytearray(q)
+        for _ in range(q):
+            if u[0] != row:
+                return False
+            slots[u[1]] = 1
+            u = param_action(slot_step, *u, F)
+        if not all(slots):
+            return False
+    return True
+
+
+def maximality_by_walk(F: Field) -> CheckOutcome:
+    """`bwspread.certify_maximality` over GF(p), walking the q^2 points
+    (0, 1, a, b): each lies on the tangent at u = (a/3, b) exactly when the
+    Plücker minors of the surface point P(u) and the point are kappa(u)
+    entry by entry (`bwspread.closed_tangent`). The witness is the first
+    failing point in canonical order."""
+    if F.characteristic == 3:
+        return CheckOutcome(passed=None, note="the maximality argument inverts 3")
+    third = F.inv(F.of(3))
+    for a in F.elements():
+        for b in F.elements():
+            point = (F.zero, F.one, a, b)
+            x, _, y = bwspread.closed_tangent(a * third, b, F)
+            if not is_multiple(plucker_minors(x, point), y, F.p):
+                return CheckOutcome(passed=False, witness=point)
+    return CheckOutcome(passed=True, counts={"omega_points": F.order**2 + F.order + 1})
+
+
+def duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
+    """`bwspread.certify_duality` over GF(p), in one walk over
+    `bwspread.tangents` that tests, per parameter: the reversed point
+    (x3, x2, x1, x0) against minus the `cayley.tangent_plane_coefficients`
+    of the partner v entry by entry; the dual of kappa(u) against kappa(v)
+    by `is_multiple`; v(v) = u; and whether P(u) is on the surface exactly
+    when its dual plane is tangent. The witness is the first parameter whose
+    point or tangent the duality does not send to its partner's tangent
+    plane or tangent. The walk goes on past it, testing only the line map,
+    so that fixes_O covers every parameter."""
+    p = F.p
+    fixes_O = agree = True
+    witness = None
+    surface = tangent_planes = 0
+    for u, (x, _, y) in bwspread.tangents(F):
+        v1, v2 = partner(*u, p)
+        line_ok = is_multiple(cayley.dual_sextuple(y), bwspread.kappa(v1, v2, F), p)
+        fixes_O = fixes_O and line_ok and partner(v1, v2, p) == u
+        if witness is not None:
+            continue
+        e = cayley.tangent_plane_coefficients(v1, 1, v2, 1)
+        x0, x1, x2, x3 = x
+        if (x3 + e[0]) % p or (x2 + e[1]) % p or (x1 + e[2]) % p or (x0 + e[3]) % p or not line_ok:
+            witness = u
+            continue
+        on_surface = cayley.f_value(x, F) == F.zero
+        tangent = cayley.tangency_test((x3, x2, x1, x0), F)
+        surface += on_surface
+        tangent_planes += tangent
+        agree = agree and on_surface == tangent
+    fixes_O = fixes_O and cayley.dual_plucker(bwspread.DIRECTRIX_IMAGE, F) == bwspread.DIRECTRIX_IMAGE
+    if witness is not None:
+        return CheckOutcome(passed=False, witness=witness), fixes_O
+    # the canonical pairs (a, b) give the directrix points (0, 0, a, b)
+    # and the planes [a, b, 0, 0] through the directrix
+    on_directrix = 0
+    dual_images, planes = set(), set()
+    for ab in canonical_tuples(2, F):
+        x = (F.zero, F.zero) + ab
+        if cayley.f_value(x, F) == F.zero:
+            on_directrix += 1
+            dual_images.add(cayley.duality(x, F))
+        e = ab + (F.zero, F.zero)
+        if cayley.tangency_test(e, F):
+            planes.add(e)
+    return CheckOutcome(
+        passed=fixes_O and agree and len(dual_images) == on_directrix and dual_images == planes,
+        counts={
+            "parameter_pairs": F.order**2,
+            "lines": F.order**2 + 1,
+            "surface_points": surface + on_directrix,
+            "tangent_planes": tangent_planes + len(planes),
+        },
+    ), fixes_O
+
+
 # --- the certifiers' finite branches on the list O = build_O(F) ---------------
 
 def break_kappa(monkeypatch, u, change):
@@ -601,7 +895,7 @@ def partial_spread_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
 
 
 def _translation_failure_by_O(tangent: Dict[Tuple, Line], ginf: Line, F: Field):
-    generators = [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)]
+    generators = [group_matrix(1, 0, 1, F), group_matrix(0, 1, 1, F)]
     kappa = {u: l.plucker for u, l in tangent.items()}
     for M in generators:
         abc = (M.a, M.b, M.c)
@@ -609,14 +903,14 @@ def _translation_failure_by_O(tangent: Dict[Tuple, Line], ginf: Line, F: Field):
         if det4(M.entries, F) == F.zero or compound_image(compound, ginf.plucker, F) != ginf.plucker:
             return "generator is singular or moves the directrix", (abc, None)
         for u, y in kappa.items():
-            if compound_image(compound, y, F) != kappa.get(cayley.param_action(M, *u, F)):
+            if compound_image(compound, y, F) != kappa.get(param_action(M, *u, F)):
                 return "group action disagrees with param_action", (abc, u)
     orbit = {(F.zero, F.zero)}
     frontier = list(orbit)
     while frontier:
         u = frontier.pop()
         for M in generators:
-            v = cayley.param_action(M, *u, F)
+            v = param_action(M, *u, F)
             if v not in orbit:
                 orbit.add(v)
                 frontier.append(v)

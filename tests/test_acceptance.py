@@ -21,7 +21,6 @@ from bwcayley.bwspread import (
     certify_maximality,
     certify_partial_spread,
     osculating_tangent,
-    parameter_grid,
     regulus_minus,
     skew_criterion,
     uncovered_witness_rational,
@@ -45,6 +44,7 @@ from bwcayley.projspace import (
     line_in_plane,
     lines_skew,
 )
+from oracles import parameter_grid
 
 QQ = Rationals()
 

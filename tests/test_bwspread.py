@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 
 from bwcayley import bwspread, cayley
 from bwcayley.bwspread import (
+    IDENTITIES,
     Char3Unsupported,
+    Degree,
+    IdentityFails,
     IndistinctTangents,
     NotARegulus,
     SamePoint,
@@ -23,27 +27,28 @@ from bwcayley.bwspread import (
     certify_dual_spread,
     certify_duality,
     certify_maximality,
+    certify_identity,
     certify_partial_spread,
     closed_tangent,
     covering_deficit,
+    identity_bounds,
     lines_of_O_through,
     osculating_tangent,
-    parameter_grid,
     parameter_reader,
     regulus_minus,
     skew_criterion,
+    skew_value,
     tangents,
     uncovered_witness_rational,
     verify_regulus,
 )
 from bwcayley.cli import certify_report
 from bwcayley.klein import _image_difference, in_kappa_O, reguli_check
-from bwcayley.reports import CheckOutcome
+from bwcayley.reports import Check, CheckOutcome
 from bwcayley.field import InfiniteField, PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
     canonicalize,
-    compound_image,
     enumerate_lines,
     enumerate_planes,
     enumerate_points,
@@ -53,36 +58,44 @@ from bwcayley.projspace import (
     lines_skew,
     plucker,
     quadric_value,
-    second_compound,
     span_points,
 )
+import oracles
 from oracles import (
     add,
     break_kappa,
+    compound_image,
     covering_by_points,
     dedup_lines,
     dual_spread_by_O,
     dual_spread_by_pencils,
     duality_by_fractions,
     duality_by_O,
+    duality_by_parameters,
     duality_by_scans,
     g_infinity,
     generator,
     group_apply,
+    group_matrix,
     int_pairs,
     kappa_osculating,
     line_through,
     maximality_by_filter,
     maximality_by_fractions,
     maximality_by_O,
+    maximality_by_walk,
     mul,
     nuclei_line,
     omega_points,
+    param_action,
+    parameter_grid,
     partial_spread_by_fractions,
     partial_spread_by_O,
+    partial_spread_by_translations,
     point_in_plane,
     reguli_by_O,
     regulus_lines,
+    second_compound,
     sub,
     surface_point,
     tangent_plane,
@@ -191,6 +204,109 @@ class TestSkewCriterion:
             assert criterion_zero == (not polarity_skew)
 
 
+def _variables(n):
+    """n `Degree` trackers, the i-th of degree 1 in variable i alone."""
+    return [Degree(int(i == j) for j in range(n)) for i in range(n)]
+
+
+# Each identity's traced degree bounds, one per variable.
+IDENTITY_BOUNDS = {
+    "readback": (3, 1),
+    "polarity": (4, 2, 4, 2),
+    "translation": (4, 2, 4, 2),
+    "weight_4": (4, 4, 2),
+    "row_zero": (2,),
+    "directrix_skew": (4, 2),
+    "infinity_point": (4, 2),
+    "dual_point": (3, 1),
+    "dual_line": (4, 2),
+    "involution": (2, 1),
+    "on_surface": (3, 1),
+    "tangent_plane": (3, 1),
+}
+
+
+@pytest.fixture
+def fresh_identities():
+    """An empty identity cache before the test and after it, so that a
+    formula the test patches is traced and evaluated again."""
+    certify_identity.cache_clear()
+    yield
+    certify_identity.cache_clear()
+
+
+class TestDegreeTracker:
+    def test_bounds_sums_and_products(self):
+        x, y = _variables(2)
+        assert (3 * x * x * y - y + 1).bounds == (2, 1)
+        assert (1 - x * (-y) * y).bounds == (1, 2)
+
+    def test_reduction_mod_p_raises(self):
+        u1, u2 = _variables(2)
+        with pytest.raises(TypeError):
+            bwspread.kappa(u1, u2, F7)
+
+    def test_comparison_raises(self):
+        # F.of is the identity, so the equal-parameter test compares a bound with 0
+        v1, v2, u1, u2 = _variables(4)
+        with pytest.raises(TypeError):
+            skew_criterion(v1, v2, u1, u2, SimpleNamespace(of=lambda x: x, zero=0))
+
+    def test_truth_value_raises(self):
+        (x,) = _variables(1)
+        with pytest.raises(TypeError):
+            bool(x - x)
+
+    def test_fraction_operand_raises(self):
+        (x,) = _variables(1)
+        with pytest.raises(TypeError):
+            x + Fraction(1, 2)
+        with pytest.raises(TypeError):
+            Fraction(1, 2) * x
+
+
+class TestIdentities:
+    def test_the_table_is_pinned(self):
+        assert sorted(IDENTITIES) == sorted(IDENTITY_BOUNDS)
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_BOUNDS))
+    def test_traced_bounds(self, name):
+        assert identity_bounds(IDENTITIES[name]) == IDENTITY_BOUNDS[name]
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_BOUNDS))
+    def test_each_identity_holds(self, fresh_identities, name):
+        assert certify_identity(name) == IDENTITY_BOUNDS[name]
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_BOUNDS))
+    def test_each_identity_holds_off_its_grid(self, name):
+        # seeded points outside prod range(d_i + 1): the grid decided for them
+        rng = random.Random(name)
+        identity = IDENTITIES[name]
+        for _ in range(20):
+            point = [rng.randint(-50, 50) for _ in IDENTITY_BOUNDS[name]]
+            assert not any(identity(*point))
+
+    def test_a_false_identity_fails_at_its_first_grid_point(self, fresh_identities, monkeypatch):
+        # u2^2 - u2 has degree 2 and vanishes at 0 and 1, not at 2
+        monkeypatch.setitem(IDENTITIES, "row_zero", lambda u2: (skew_value(0, 0, 0, u2) - u2,))
+        with pytest.raises(IdentityFails, match=r"^identity row_zero fails at \(2,\)$"):
+            certify_identity("row_zero")
+
+    def test_an_untraceable_identity_fails(self, fresh_identities, monkeypatch):
+        monkeypatch.setitem(IDENTITIES, "row_zero", lambda u2: (u2 * u2 % 7,))
+        with pytest.raises(IdentityFails, match="^identity row_zero cannot be traced"):
+            certify_identity("row_zero")
+
+    def test_each_identity_is_certified_once_per_process(self, fresh_identities, monkeypatch):
+        traced = []
+        bounds = bwspread.identity_bounds
+        monkeypatch.setattr(bwspread, "identity_bounds", lambda identity: traced.append(identity) or bounds(identity))
+        certify_report(F5)
+        assert len(traced) == len(IDENTITIES)
+        certify_report(F7)
+        assert len(traced) == len(IDENTITIES)
+
+
 class TestPartialSpread:
     def test_gf5_passes(self):
         r = certify_partial_spread(F5)
@@ -238,8 +354,8 @@ class TestPartialSpread:
 
     def test_route_disagreement_is_a_failed_check(self, monkeypatch):
         # the polarity route calls every pair skew; the criterion does not
-        monkeypatch.setattr(bwspread, "quadric_polarization", lambda y, z, F: F.one)
-        r = certify_partial_spread(F7)
+        monkeypatch.setattr(oracles, "quadric_polarization", lambda y, z, F: F.one)
+        r = partial_spread_by_translations(F7)
         assert r.passed is False
         assert r.note == "route disagreement"
         assert r.witness == ((0, 0), (1, 4))
@@ -247,6 +363,16 @@ class TestPartialSpread:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
     def test_group_route_equals_pairwise_scan(self, p):
+        F = PrimeField(p)
+        r = partial_spread_by_translations(F)
+        counts, witness = _pairwise_partial_spread(F)
+        assert r.note == ""
+        assert r.counts == counts
+        assert r.witness == witness
+        assert r.passed == (counts["violations"] == 0)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+    def test_identity_route_equals_pairwise_scan(self, p):
         F = PrimeField(p)
         r = certify_partial_spread(F)
         counts, witness = _pairwise_partial_spread(F)
@@ -258,18 +384,17 @@ class TestPartialSpread:
     def test_wrong_param_action_fails_the_action_step(self, monkeypatch):
         # drops the 3ac*u1 term of the second coordinate
         monkeypatch.setattr(
-            cayley, "param_action", lambda M, u1, u2, F: (F.of(M.a + u1), F.of(M.b + u2))
+            oracles, "param_action", lambda M, u1, u2, F: (F.of(M.a + u1), F.of(M.b + u2))
         )
-        r = certify_partial_spread(F5)
+        r = partial_spread_by_translations(F5)
         assert r.passed is False
         assert r.note == "group action disagrees with param_action"
         assert r.witness == ((1, 0, 1), (1, 0))
         assert "violations" not in r.counts
 
     def test_identity_generators_fail_the_orbit_step(self, monkeypatch):
-        group_matrix = cayley.group_matrix
-        monkeypatch.setattr(cayley, "group_matrix", lambda a, b, c, F: group_matrix(0, 0, 1, F))
-        r = certify_partial_spread(F5)
+        monkeypatch.setattr(oracles, "group_matrix", lambda a, b, c, F: group_matrix(0, 0, 1, F))
+        r = partial_spread_by_translations(F5)
         assert r.passed is False
         assert r.note == "generator orbit of (0,0) misses parameters"
         assert r.witness == (0, 1)
@@ -277,22 +402,22 @@ class TestPartialSpread:
     def test_a_generator_moving_the_directrix_fails_the_action_step(self, monkeypatch):
         # the first compound image taken is the directrix's under M(1,0,1)
         calls = []
-        image = bwspread.compound_image
+        image = oracles.compound_image
 
         def first_moves(compound, y, F):
             calls.append(y)
             moved = image(compound, y, F)
             return moved[1:] + moved[:1] if len(calls) == 1 else moved
 
-        monkeypatch.setattr(bwspread, "compound_image", first_moves)
-        r = certify_partial_spread(F5)
+        monkeypatch.setattr(oracles, "compound_image", first_moves)
+        r = partial_spread_by_translations(F5)
         assert r.passed is False
         assert r.note == "generator is singular or moves the directrix"
         assert r.witness == ((1, 0, 1), None)
 
     def test_criterion_forced_nonzero_is_a_route_disagreement(self, monkeypatch):
-        monkeypatch.setattr(bwspread, "skew_criterion", lambda v1, v2, u1, u2, F: F.one)
-        r = certify_partial_spread(F7)
+        monkeypatch.setattr(oracles, "skew_criterion", lambda v1, v2, u1, u2, F: F.one)
+        r = partial_spread_by_translations(F7)
         assert r.passed is False
         assert r.note == "route disagreement"
         assert r.witness == ((0, 0), (1, 4))
@@ -495,17 +620,52 @@ class TestOracleRoutes:
         assert certify_maximality(F) == maximality_by_filter(F, _O(p))
 
 
+def _dual_spread_by_walk(F):
+    """`certify_dual_spread` on the d(O) = O flag of the oracles' duality walk."""
+    return certify_dual_spread(F, duality_by_parameters(F)[1])
+
+
+# The routes that read the tangents one parameter at a time: the certify walks
+# kept in tests/oracles.py, and the reguli check.
 STREAMED_AND_BY_O = {
-    "partial_spread": (certify_partial_spread, partial_spread_by_O),
-    "maximality": (certify_maximality, maximality_by_O),
-    "dual_spread": (_dual_spread, dual_spread_by_O),
-    "duality": (lambda F: certify_duality(F)[0], duality_by_O),
+    "partial_spread": (partial_spread_by_translations, partial_spread_by_O),
+    "maximality": (maximality_by_walk, maximality_by_O),
+    "dual_spread": (_dual_spread_by_walk, dual_spread_by_O),
+    "duality": (lambda F: duality_by_parameters(F)[0], duality_by_O),
     "reguli": (reguli_check, reguli_by_O),
 }
 
+# The finite certify checks, which rest on identities over Z and read no tangent.
+CERTIFIED = {
+    "partial_spread": certify_partial_spread,
+    "maximality": certify_maximality,
+    "dual_spread": _dual_spread,
+    "duality": lambda F: certify_duality(F)[0],
+}
+
+
+class TestCertifiedEqualsWalkAndByO:
+    """Each finite certify check against its walk over the parameters and its
+    route on the list O = build_O(F), both in tests/oracles.py: the same flag,
+    witness, counts and note."""
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31 + [101])
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_every_prime_to_31_and_101(self, name, p):
+        walk, by_O = STREAMED_AND_BY_O[name]
+        F = PrimeField(p)
+        r = CERTIFIED[name](F)
+        assert r == walk(F)
+        assert r == by_O(F, _O(p))
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31 + [101])
+    def test_the_dual_spread_premise_equals_the_walk(self, p):
+        F = PrimeField(p)
+        assert certify_duality(F)[1] is duality_by_parameters(F)[1] is True
+
 
 class TestStreamedEqualsByO:
-    """Each streamed check against its finite branch on the list O = build_O(F)
+    """Each streamed route against its finite branch on the list O = build_O(F)
     in tests/oracles.py: the same flag, witness, counts and note."""
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
@@ -668,12 +828,26 @@ class TestDualSpread:
 
 
 class TestDualSpreadPremise:
-    """`dual_spread` reads d(O) = O off the duality walk's line map, not
-    off the duality check's verdict."""
+    """On the oracles' duality walk, `dual_spread` reads d(O) = O off the
+    walk's line map, not off the duality check's verdict."""
 
     @staticmethod
     def _checks(F):
-        return {c.name: c.canonical() for c in certify_report(F).checks}
+        outcome, fixes_O = duality_by_parameters(F)
+        outcomes = {"duality": outcome, "dual_spread": certify_dual_spread(F, fixes_O)}
+        return {name: Check(name, "", o).canonical() for name, o in outcomes.items()}
+
+    def test_a_moved_directrix_fails_both_checks(self, monkeypatch):
+        # the certify battery's d(O) = O flag is the directrix's test
+        moved = nuclei_line(F5).plucker
+        dual_plucker = cayley.dual_plucker
+        monkeypatch.setattr(
+            cayley, "dual_plucker", lambda y, F: moved if y == bwspread.DIRECTRIX_IMAGE else dual_plucker(y, F)
+        )
+        checks = {c.name: c.canonical() for c in certify_report(F5).checks}
+        assert checks["duality"]["status"] == "fail" and checks["duality"]["witness"] is None
+        assert checks["dual_spread"]["status"] == "fail"
+        assert checks["dual_spread"]["note"] == "the duality does not fix O, so planes cannot be counted as points"
 
     def test_a_rejected_tangent_plane_fails_duality_only(self, monkeypatch):
         unpatched = self._checks(F5)
@@ -706,10 +880,10 @@ class TestDualSpreadPremise:
             return ((e[0] + 1) % F5.p,) + e[1:] if (a, c) == (0, 0) else e
 
         monkeypatch.setattr(cayley, "tangent_plane_coefficients", moved)
-        outcome, fixes_O = certify_duality(F5)
+        outcome, fixes_O = duality_by_parameters(F5)
         assert outcome == CheckOutcome(passed=False, witness=(0, 0)) and fixes_O
         break_kappa(monkeypatch, u, lambda y, F: y[:5] + ((y[5] + 1) % F.p,))
-        outcome, fixes_O = certify_duality(F5)
+        outcome, fixes_O = duality_by_parameters(F5)
         assert outcome == CheckOutcome(passed=False, witness=(0, 0)) and fixes_O is False
 
     def test_rationals_have_no_flag(self):
@@ -777,7 +951,7 @@ class TestDuality:
         monkeypatch.setattr(
             cayley, "tangency_test", lambda e, F: canonicalize(e, F) != rejected and tangency_test(e, F)
         )
-        r = certify_duality(F)[0]
+        r = duality_by_parameters(F)[0]
         assert not r.passed
         assert r.counts["tangent_planes"] == F.order**2 + F.order
 
@@ -795,9 +969,9 @@ class TestGEquivariance:
     def test_translation_action_on_tangents_gf5(self):
         for a in range(5):
             for b in range(5):
-                M = cayley.group_matrix(a, b, 1, F5)
+                M = group_matrix(a, b, 1, F5)
                 for u1, u2 in parameter_grid(F5):
-                    v1, v2 = cayley.param_action(M, u1, u2, F5)
+                    v1, v2 = param_action(M, u1, u2, F5)
                     assert (v1, v2) == ((u1 + a) % 5, (u2 + 3 * a * u1 + b) % 5)
                     image = {
                         tuple(group_apply(M, x, F5))
@@ -811,10 +985,10 @@ def _seeded_matrices(F, n=4):
     """The two generators of the translation group and n seeded M(a, b, c)."""
     rng = random.Random(F.order)
     seeded = [
-        cayley.group_matrix(rng.randrange(F.order), rng.randrange(F.order), rng.randrange(1, F.order), F)
+        group_matrix(rng.randrange(F.order), rng.randrange(F.order), rng.randrange(1, F.order), F)
         for _ in range(n)
     ]
-    return [cayley.group_matrix(1, 0, 1, F), cayley.group_matrix(0, 1, 1, F)] + seeded
+    return [group_matrix(1, 0, 1, F), group_matrix(0, 1, 1, F)] + seeded
 
 
 def _images_agree(lines, F):
@@ -846,7 +1020,7 @@ class TestSecondCompound:
         rng = random.Random(3)
         params = [(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), rng.randint(-9, 9)) for _ in range(20)]
         lines = [osculating_tangent(u1, u2, QQ) for u1, u2 in params]
-        M = cayley.group_matrix(Fraction(2, 3), -1, Fraction(-5, 2), QQ)
+        M = group_matrix(Fraction(2, 3), -1, Fraction(-5, 2), QQ)
         compound = second_compound(M.entries, QQ)
         for l in lines:
             want = plucker(group_apply(M, l.p, QQ), group_apply(M, l.q, QQ), QQ)
@@ -854,7 +1028,7 @@ class TestSecondCompound:
 
     def test_entry_rule(self):
         # row (0,1), column (0,1) of M(a, b, c) is M_00*M_11 - M_01*M_10 = c
-        M = cayley.group_matrix(2, 3, 4, F7)
+        M = group_matrix(2, 3, 4, F7)
         compound = second_compound(M.entries, F7)
         assert compound[0][0] == 4
         # lower triangular, as M is

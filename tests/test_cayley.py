@@ -8,14 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bwcayley.cayley import (
-    GMatrix,
     ZeroParameters,
-    ZeroScale,
     dual_plucker,
     duality,
     f_value,
-    group_matrix,
-    param_action,
     restrict_cubic,
     tangency_test,
     tangent_plane_coefficients,
@@ -31,13 +27,17 @@ from bwcayley.projspace import (
     incidence,
 )
 from oracles import (
+    GMatrix,
+    ZeroScale,
     g_infinity,
     generator,
     group_apply,
+    group_matrix,
     line_through,
     mul,
     neg,
     nuclei_line,
+    param_action,
     param_action_by_field_ops,
     point_in_plane,
     sub,

@@ -72,13 +72,13 @@ def test_empty_panel_is_a_usage_error(fields, capsys):
 
 
 def test_check_exception_exits_three(capsys, monkeypatch):
-    def broken(u1, u2, F):
-        raise GeometryError(f"no tangent at {(u1, u2)}")
+    def broken(v1, v2, u1, u2, F):
+        raise GeometryError(f"no criterion at {(u1, u2)}")
 
-    monkeypatch.setattr(bwspread, "kappa", broken)
+    monkeypatch.setattr(bwspread, "skew_criterion", broken)
     assert script_main(["--fields", "gf:5"]) == 3
     err = capsys.readouterr().err
-    assert err == "certify_all: internal error in check partial_spread: GeometryError: no tangent at (0, 0)\n"
+    assert err == "certify_all: internal error in check partial_spread: GeometryError: no criterion at (1, 0)\n"
 
 
 def test_unwritable_out_dir_is_one_line_and_exits_one(tmp_path, capsys):

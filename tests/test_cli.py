@@ -35,6 +35,15 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+@pytest.fixture
+def fresh_identities():
+    """An empty identity cache before the test and after it, so that a
+    formula the test patches is traced and evaluated again."""
+    bwspread.certify_identity.cache_clear()
+    yield
+    bwspread.certify_identity.cache_clear()
+
+
 def canonical(payload: str) -> dict:
     body = json.loads(payload)
     body.pop("timing_ms", None)
@@ -96,20 +105,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,field", [("certify", "gf:5"), ("klein", "gf:5"), ("char3", "gf:3")])
     def test_no_check_calls_build_O(self, capsys, monkeypatch, command, field):
-        # every check reads its tangents one parameter at a time off the closed form
+        # the klein and char3 checks read their tangents one parameter at a
+        # time off the closed form; the certify checks read none
         calls = count_calls(monkeypatch, bwspread, "build_O")
         streams = count_calls(monkeypatch, bwspread, "tangents")
         code, _, _ = run(capsys, command, "--field", field)
-        assert code == 0 and len(calls) == 0 and len(streams) > 0
+        assert code == 0 and len(calls) == 0 and (len(streams) > 0) == (command != "certify")
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_a_finite_battery_walks_the_tangents_twice(self, monkeypatch, p):
-        # partial_spread walks them, and the duality walk serves both
-        # dual_spread and duality
+    def test_a_finite_battery_walks_no_tangent(self, monkeypatch, p):
+        # the checks rest on identities over Z and counts in O(q), and one
+        # duality outcome serves both dual_spread and duality
         streams = count_calls(monkeypatch, bwspread, "tangents")
-        walks = count_calls(monkeypatch, bwspread, "certify_duality")
+        dualities = count_calls(monkeypatch, bwspread, "certify_duality")
         certify_report(PrimeField(p))
-        assert len(streams) == 2 and len(walks) == 1
+        assert len(streams) == 0 and len(dualities) == 1
 
     def test_rational_battery_samples_the_duality_once(self, capsys, monkeypatch):
         walks = count_calls(monkeypatch, bwspread, "certify_duality")
@@ -137,17 +147,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["certify", "klein"])
     def test_no_check_joins_a_tangent(self, capsys, monkeypatch, command):
         # the finite checks never build a tangent by joining two points and
-        # canonicalising; closed_tangent gives each in closed form
+        # canonicalising; closed_tangent gives each klein check reads in
+        # closed form, and the certify checks read none
         joined = count_calls(monkeypatch, bwspread, "osculating_tangent")
         closed = count_calls(monkeypatch, bwspread, "closed_tangent")
         code, _, _ = run(capsys, command, "--field", "gf:5")
-        assert code == 0 and len(joined) == 0 and len(closed) >= 25
+        assert code == 0 and len(joined) == 0
+        assert len(closed) >= 25 if command == "klein" else len(closed) == 0
 
     @pytest.mark.parametrize("command,field", [("certify", "gf:13"), ("klein", "gf:7"), ("char3", "gf:3")])
     def test_no_subcommand_enumerates_points_planes_or_lines(self, capsys, monkeypatch, command, field):
-        # covering and dual_spread count in closed form, maximality walks the
-        # plane at infinity, duality generates its point and plane sets, and
-        # the klein and char3 checks read lines off their Klein images
+        # covering and dual_spread count in closed form, partial_spread,
+        # maximality and duality rest on identities over Z, and the klein
+        # and char3 checks read lines off their Klein images
         names = ("enumerate_points", "enumerate_planes", "enumerate_lines")
         calls = {name: count_calls(monkeypatch, projspace, name) for name in names}
         code, _, _ = run(capsys, command, "--field", field)
@@ -181,13 +193,29 @@ class TestExitCodes:
         assert dimension == checks["nonalgebraicity"]["counts"]["forms"]
 
     def test_check_exception_is_an_internal_error(self, capsys, monkeypatch):
-        def broken(u1, u2, F):
-            raise GeometryError(f"no tangent at {(u1, u2)}")
+        def broken(v1, v2, u1, u2, F):
+            raise GeometryError(f"no criterion at {(u1, u2)}")
 
-        monkeypatch.setattr(bwspread, "kappa", broken)
+        monkeypatch.setattr(bwspread, "skew_criterion", broken)
         code, out, err = run(capsys, "certify", "--field", "gf:5")
         assert code == 3 and out == ""
-        assert err == "bwcayley: internal error in check partial_spread: GeometryError: no tangent at (0, 0)\n"
+        assert err == "bwcayley: internal error in check partial_spread: GeometryError: no criterion at (1, 0)\n"
+
+    @pytest.mark.parametrize(
+        "name,broken,identity",
+        [
+            # the skew value moved off by one: the tangents' pairing no longer equals it
+            ("skew_value", lambda f: lambda v1, v2, u1, u2: f(v1, v2, u1, u2) + 1, "polarity"),
+            # the sextuple reversed: it no longer leads with 1 or gives its parameter back
+            ("osculating_sextuple", lambda f: lambda x0, x1, x2: f(x0, x1, x2)[::-1], "readback"),
+        ],
+    )
+    def test_a_broken_formula_fails_its_identity(self, capsys, monkeypatch, fresh_identities, name, broken, identity):
+        monkeypatch.setattr(bwspread, name, broken(getattr(bwspread, name)))
+        code, out, err = run(capsys, "certify", "--field", "gf:7")
+        assert code == 3 and out == ""
+        assert err.startswith(f"bwcayley: internal error in check partial_spread: IdentityFails: identity {identity} fails")
+        assert err.count("\n") == 1
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bwcayley import bwspread, cayley, klein
-from bwcayley.bwspread import IndistinctTangents, build_O, osculating_tangent, parameter_grid
+from bwcayley.bwspread import IndistinctTangents, build_O, osculating_tangent
 from bwcayley.field import InfiniteField, PrimeField, Rationals
 from bwcayley.klein import (
     ProjectionDegenerate,
@@ -50,6 +50,7 @@ from oracles import (
     kappa_osculating,
     line_through,
     nuclei_line,
+    parameter_grid,
     pencil_line,
     pencil_lines,
     surface_point,

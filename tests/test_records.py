@@ -7,11 +7,11 @@ never share a default `counts` dict or `checks` list.
 
 import pytest
 
-from bwcayley.cayley import GMatrix, group_matrix
 from bwcayley.cli import Run
 from bwcayley.field import QQ, PrimeField
 from bwcayley.projspace import Line, plucker
 from bwcayley.reports import Check, CheckOutcome, Report
+from oracles import GMatrix, group_matrix
 
 F7 = PrimeField(7)
 
