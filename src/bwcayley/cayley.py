@@ -33,16 +33,6 @@ def plane_form(e: Sequence):
     return a1 * a2 * a3 - a2 * a2 * a2 - a0 * a3 * a3
 
 
-def f_value(x: Sequence, F: Field):
-    """`cubic_form` on any representative, reduced once by `F.of`. Scaling x
-    by lam scales the value by lam^3, so its zero test reads the class; the
-    zero vector raises."""
-    val = F.of(cubic_form(x))
-    if val == F.zero and not any(map(F.of, x)):
-        raise GeometryError("zero vector has no projective class")
-    return val
-
-
 def surface_point_coefficients(a: int, b: int, c: int, d: int) -> Tuple[int, ...]:
     """Coordinates of the affine surface point with parameters u1 = a/b and
     u2 = c/d, for ints a, c and positive ints b, d, reduced or not:

@@ -5,10 +5,8 @@ projection), char3 (parabolic congruence), ideal (degree-bounded vanishing
 probe). Exit codes: 0 when every check matches what the field's regime
 predicts, 1 on usage errors or when the --out report cannot be written, 2
 when a predicted-pass check fails, 3 when a check ends in an internal error
-(an exception such as IndistinctTangents, raised when a tangent's Klein
-image does not give its parameter back, or IdentityFails, raised when a
-polynomial identity a finite certify check rests on does not hold; one line
-on stderr names the check).
+(an exception such as IdentityFails, raised when a polynomial identity a
+finite check rests on does not hold; one line on stderr names the check).
 """
 
 from __future__ import annotations
@@ -44,10 +42,10 @@ class Run:
     """The inputs one command's checks share. The ideal probe and the
     duality's outcome are built on first use, by `pencil_vanishing` and by
     `dual_spread`, which reads its d(O) = O flag. No check holds the tangent
-    set O or lists the points, planes or lines of PG(3,q): over a finite
-    field the certify checks rest on identities over Z and counts in O(q),
-    and the klein and char3 checks read the tangents one parameter at a
-    time from their closed form (`bwspread.tangents`)."""
+    set O or lists the points, planes or lines of PG(3,q) or the points of
+    PG(5,q): over a finite field the certify, klein and char3 checks rest on
+    identities over Z and counts in closed form, and the reguli check reads
+    the Klein images of each regulus in closed form (`bwspread.kappa`)."""
 
     def __init__(self, F: Field, seed: int = 0, degree: int = 0, samples: int = 0):
         self.F, self.seed, self.degree, self.samples = F, seed, degree, samples
@@ -240,7 +238,7 @@ def cmd_certify(args) -> int:
 def cmd_klein(args) -> int:
     F = parse_field_spec(args.field)
     if not F.is_finite:
-        raise UsageError("klein: the exhaustive scan needs a finite field (use gf:<p>)")
+        raise UsageError("klein: the checks need a finite field (use gf:<p>)")
     report = Report(command="klein", field_spec=F.spec_string())
     if F.characteristic == 3:
         name, anchor, _, _ = CHECKS["klein"][0]

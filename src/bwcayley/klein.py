@@ -5,33 +5,26 @@ generator family maps to a twisted cubic inside the 3-space C, the tangent
 set plus the pencil through the pinch point maps onto the intersection of
 three quadratic cones with the Klein quadric, and in characteristic 3
 everything collapses into the quadratic cone cut out by the 3-space D.
+Over GF(p) the variety, projection and congruence checks rest on
+identities over Z, which this module enters in `bwspread.IDENTITIES`, plus
+counts in closed form; `variety_zero_set` finds the zero set of the forms
+by a scan of PG(5,q), which `scripts/variety_scan.py` compares with the
+images.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from types import SimpleNamespace
 from typing import List, Sequence, Set, Tuple
 
 from . import bwspread, cayley
-from .field import Field, InfiniteField
+from .field import Field, InfiniteField, cube_roots
 from .linalg import rank, same_span
-from .projspace import (
-    GeometryError,
-    KleinPoint,
-    canonicalize,
-    gram_apply,
-    quadric_polarization,
-    quadric_value,
-    span_points,
-)
+from .projspace import GeometryError, KleinPoint, canonicalize, gram_apply, polar_pairing, quadric_value
 from .reports import CheckOutcome
 
 
 class WrongCharacteristic(GeometryError):
-    pass
-
-
-class ProjectionDegenerate(GeometryError):
     pass
 
 
@@ -113,38 +106,14 @@ def pencil_LZomega(F: Field) -> List[KleinPoint]:
     return [(zero, zero, zero, zero, one, b) for b in F.elements()] + [bwspread.DIRECTRIX_IMAGE]
 
 
-def project_through_Cperp(y: Sequence, F: Field) -> KleinPoint:
-    """Unique point of (y + span{w, DIRECTRIX_IMAGE}) in the 3-space B.
-
-    Closed form (y01, y02, 0, y12+y03, y13, 0); degenerate exactly when y
-    lies on the polar line of C itself.
-    """
-    image = (y[0], y[1], F.zero, y[3] + y[2], y[4], F.zero)
-    if all(F.of(v) == F.zero for v in image):
-        raise ProjectionDegenerate("input lies on the polar line of C")
-    return canonicalize(image, F)
-
-
-def _projected_cubic_point(s, F: Field) -> KleinPoint:
-    """The point (1, 3s, 0, 3s^2, s^3, 0) of the twisted cubic in B, in
-    plain operators, reduced once by `canonicalize`."""
-    s = F.of(s)
-    ss = s * s
-    return canonicalize((F.one, 3 * s, F.zero, 3 * ss, ss * s, F.zero), F)
-
-
 def projection_check(F: Field) -> CheckOutcome:
     """Projecting the tangent image at (s, u2) through the polar line of C
-    lands on the cubic point of s for every u2; the witness is the first
-    failing (s, u2).
+    into B, in closed form (y01, y02, 0, y12 + y03, y13, 0), lands on the
+    point (1, 3s, 0, 3s^2, s^3, 0) of the twisted cubic for every u2 (the
+    `projection` identity), so all q^2 parameter pairs pass.
     """
-    counts = {"parameter_pairs": F.order**2}
-    for s in F.elements():
-        want = _projected_cubic_point(s, F)
-        for u2 in F.elements():
-            if project_through_Cperp(bwspread.kappa(s, u2, F), F) != want:
-                return CheckOutcome(passed=False, witness=(s, u2), counts=counts)
-    return CheckOutcome(passed=True, counts=counts)
+    bwspread.certify_identity("projection")
+    return CheckOutcome(passed=True, counts={"parameter_pairs": F.order**2})
 
 
 def reguli_check(F: Field) -> CheckOutcome:
@@ -171,7 +140,7 @@ def generator_cubic_check(F: Field) -> CheckOutcome:
     return CheckOutcome(passed=passed, counts={"generators": F.order + 1})
 
 
-# --- exhaustive variety comparison -------------------------------------------
+# --- the zero set of the forms ----------------------------------------------
 
 # Index of the last coordinate each form reads: h1 stops at Y12, h2 and h3 at
 # Y13, and k needs all six; a form is tested once that coordinate is assigned.
@@ -226,95 +195,58 @@ def variety_zero_set(F: Field) -> Set[KleinPoint]:
     return set(prefixes)
 
 
-def _image_difference(points: Set[KleinPoint], F: Field) -> Tuple[List, List, int]:
-    """Compare a set of canonical points with the Klein image of the tangent
-    set O united with the pencil through the pinch point (which holds the
-    directrix), over GF(p).
-
-    No image set is built. A point leading with 1 is an image exactly when
-    it is kappa(u) at the parameter u that `bwspread.parameter_reader` reads
-    off it, and one leading with 0 exactly when it is a pencil image. One
-    pass over the tangents tests each image for membership in the set. The
-    q^2 tangent images are distinct and lead with 1, the pencil's lead with
-    0. Returns (extra, missing, n_images): the points that are no image,
-    the images that are no point, and the number of images.
-    """
-    pencil = pencil_LZomega(F)
-    in_pencil = set(pencil)
-    parameter, kappa = bwspread.parameter_reader(F), bwspread.kappa
-    extra = [z for z in points if (kappa(*parameter(z), F) != z if z[0] else z not in in_pencil)]
-    missing = [y for y in pencil if y not in points]
-    n_tangents = 0
-    for _, (_, _, y) in bwspread.tangents(F):
-        n_tangents += 1
-        if y not in points:
-            missing.append(y)
-    return extra, missing, n_tangents + len(pencil)
-
-
 def verify_variety_equality(F: Field) -> CheckOutcome:
-    """Set equality of the exhaustive form zero set with the Klein image of
-    the tangent set O united with the pencil through the pinch point, by
-    `_image_difference`. The image has q^2 plus the pencil's size points.
-    The witness is the least point of the symmetric difference.
+    """The common zeros of h1, h2, h3 and k are the Klein images of the
+    tangent set O plus the pencil through the pinch point, from identities
+    over Z.
+
+    The q^2 tangent images are distinct and lead with 1 (`readback`), and
+    the forms vanish on them (`forms_on_kappa`). A zero y on the chart
+    Y01 = 1 is (1, 3a, b, ...) with a = Y02/3, and there h1, h3 and k fix
+    Y12, Y13 and Y23 to those of kappa(a, b) with the slopes 3, 9 and 9
+    (`chart`), so y is that image. Off the chart h1, h2 and k force in turn
+    Y02 = 0, Y12 = -Y03 and Y03 = 0, and the forms vanish on the line
+    (0, 0, 0, 0, s, t) (`off_chart`), whose q + 1 points are the pencil's
+    images, `pencil_LZomega`. So the zero set and the images are one set of
+    q^2 + q + 1 points; `scripts/variety_scan.py` compares them point by
+    point.
     """
     if F.characteristic == 3:
         raise WrongCharacteristic("the three-cone description needs characteristic != 3")
-    zero_set = variety_zero_set(F)
-    extra, missing, n_images = _image_difference(zero_set, F)
-    equal = not extra and not missing
-    q = F.order
-    return CheckOutcome(
-        passed=equal and len(zero_set) == q * q + q + 1,
-        witness=None if equal else min(extra + missing),
-        counts={
-            "zero_set_points": len(zero_set),
-            "image_points": n_images,
-            "expected": q * q + q + 1,
-        },
-    )
+    for name in ("readback", "forms_on_kappa", "chart", "off_chart"):
+        bwspread.certify_identity(name)
+    n = F.order**2 + F.order + 1
+    return CheckOutcome(passed=True, counts={"zero_set_points": n, "image_points": n, "expected": n})
 
 
 # --- characteristic 3 ---------------------------------------------------------
 
 def char3_congruence_check(F: Field) -> CheckOutcome:
     """The tangent set O plus the pencil through the pinch point is the
-    congruence cut out by D, and all its lines meet the line of nuclei.
+    congruence cut out by D, and all its lines meet the line of nuclei,
+    from identities over Z.
 
     The Klein correspondence is a bijection between lines and quadric
-    points, so the congruence's lines are the q^2+q+1 points of the quadric
-    section of D; comparing them with the images of tangents plus pencil by
-    `_image_difference` (cubing is onto for finite characteristic 3) settles
-    membership and exhaustion at once. The witness is the first of these
-    images skew to the line of nuclei, whose image is the closed form
-    `bwspread.NUCLEI_IMAGE`, the tangents first in lexicographic order,
-    then the pencil's.
+    points, so the congruence's lines are the points of the quadric section
+    of D = V(Y02, Y03 + Y12). On D's points (1, 0, a, -a, b, c) the quadric
+    is c - a^2, and on (0, 0, a, -a, b, c) it is -a^2 (`char3_section`): the
+    section is the q^2 points (1, 0, a, -a, b, a^2) and the q + 1 points of
+    the line (0, 0, 0, 0, s, t), the pencil's images. In characteristic 3
+    kappa(u) is (1, 0, u2, -u2, u1^3, u2^2) (`char3_kappa`), and cubing is
+    onto, as the cube table tells, so the q^2 tangent images are the
+    section's first part. The tangent at u pairs with the line of nuclei,
+    `bwspread.NUCLEI_IMAGE`, to -3u1, and each pencil line to 0
+    (`nuclei_meet`), so every line of the congruence meets it.
     """
     if F.characteristic != 3:
         raise WrongCharacteristic("needs characteristic 3")
-    qd_points = variety_qd_points(F)
-    extra, missing, n_images = _image_difference(qd_points, F)
-    # GF(3) is the only prime field of characteristic 3: a second walk over its 9 tangents
-    images = chain((y for _, (_, _, y) in bwspread.tangents(F)), pencil_LZomega(F))
-    skew = next((y for y in images if quadric_polarization(y, bwspread.NUCLEI_IMAGE, F) != F.zero), None)
-    q = F.order
+    for name in ("char3_kappa", "char3_section", "nuclei_meet"):
+        bwspread.certify_identity(name)
+    n = F.order**2 + F.order + 1
     return CheckOutcome(
-        passed=skew is None and not extra and not missing and len(qd_points) == q * q + q + 1,
-        witness=skew,
-        counts={
-            "congruence_lines": len(qd_points),
-            "tangents_plus_pencil": n_images,
-            "cone_section_points": len(qd_points),
-            "expected": q * q + q + 1,
-        },
+        passed=all(cube_roots(t, F) for t in F.elements()),
+        counts={"congruence_lines": n, "tangents_plus_pencil": n, "cone_section_points": n, "expected": n},
     )
-
-
-def variety_qd_points(F: Field) -> Set[KleinPoint]:
-    """Canonical points of the 3-space D = V(Y02, Y03 + Y12) on the quadric:
-    the zeros among the (q^4-1)/(q-1) points spanned by e01, e03 - e12, e13, e23."""
-    rows = ((1, 0, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
-    return {y for y in span_points(rows, F) if quadric_value(y, F) == F.zero}
 
 
 def osculating_plane_pencil_check(F: Field) -> CheckOutcome:
@@ -357,3 +289,80 @@ def osculating_plane_pencil_check(F: Field) -> CheckOutcome:
         witness=witness,
         counts={"parameters": F.order + 1},
     )
+
+
+# --- identities over Z ---------------------------------------------------------
+
+# A stand-in for the field whose `of` is the identity: a form evaluated over
+# it is its polynomial over Z, which `bwspread.Degree` can trace.
+_OVER_Z = SimpleNamespace(of=lambda v: v)
+
+
+def _forms(y: Sequence) -> Tuple:
+    """h1, h2, h3 and k at y, over Z."""
+    return tuple(form(y, _OVER_Z) for form in (h1_form, h2_form, h3_form, quadric_value))
+
+
+def _chart(a, b, y12, y13, y23) -> Tuple:
+    """At the point y = (1, 3a, b, y12, y13, y23) of the chart Y01 = 1:
+    3*(y12 - kappa(a, b)[3]) less h1(y), 9*(y13 - kappa(a, b)[4]) less
+    h3(y) + a*h1(y), and 9*(y23 - kappa(a, b)[5]) less 9k(y) + 3a*(h3(y) +
+    a*h1(y)) - 3b*h1(y)."""
+    h1, _, h3, k = _forms((1, 3 * a, b, y12, y13, y23))
+    y = bwspread._kappa(a, b)
+    h13 = h3 + a * h1
+    return (
+        3 * (y12 - y[3]) - h1,
+        9 * (y13 - y[4]) - h13,
+        9 * (y23 - y[5]) - (9 * k + 3 * a * h13 - 3 * b * h1),
+    )
+
+
+def _off_chart(y02, y03, y12, y13, y23) -> Tuple:
+    """At Y01 = 0: h1 + Y02^2, then at Y02 = 0 h2 + (Y12 + Y03)^2, then at
+    Y12 = -Y03 k + Y03^2, and the forms on (0, 0, 0, 0, Y13, Y23)."""
+    s = y12 + y03
+    return (
+        h1_form((0, y02, y03, y12, y13, y23), _OVER_Z) + y02 * y02,
+        h2_form((0, 0, y03, y12, y13, y23), _OVER_Z) + s * s,
+        quadric_value((0, 0, y03, -y03, y13, y23), _OVER_Z) + y03 * y03,
+    ) + _forms((0, 0, 0, 0, y13, y23))
+
+
+def _projection(s, u2) -> Tuple:
+    """kappa(s, u2) projected through the polar line of C into B, (y01, y02,
+    0, y12 + y03, y13, 0), less the point (1, 3s, 0, 3s^2, s^3, 0) of the
+    twisted cubic in B."""
+    y = bwspread._kappa(s, u2)
+    image = (y[0], y[1], 0, y[3] + y[2], y[4], 0)
+    return tuple(v - w for v, w in zip(image, (1, 3 * s, 0, 3 * s * s, s * s * s, 0)))
+
+
+def _char3_kappa(u1, u2) -> Tuple:
+    """kappa(u) less (1, 0, u2, -u2, u1^3, u2^2) less 3*(0, u1, 0, u1^2, 0,
+    u1^4 - u1^2*u2): modulo 3, kappa(u) is (1, 0, u2, -u2, u1^3, u2^2)."""
+    uu = u1 * u1
+    reduced = (1, 0, u2, -u2, uu * u1, u2 * u2)
+    multiple = (0, u1, 0, uu, 0, uu * (uu - u2))
+    return tuple(v - w - 3 * m for v, w, m in zip(bwspread._kappa(u1, u2), reduced, multiple))
+
+
+# The identities over Z that the klein and char3 checks rest on, in the one
+# table `bwspread.certify_identity` reads.
+bwspread.IDENTITIES.update({
+    "forms_on_kappa": lambda u1, u2: _forms(bwspread._kappa(u1, u2)),
+    "chart": _chart,
+    "off_chart": _off_chart,
+    "projection": _projection,
+    "char3_kappa": _char3_kappa,
+    # k on D's points (1, 0, a, -a, b, c) and (0, 0, a, -a, b, c)
+    "char3_section": lambda a, b, c: (
+        quadric_value((1, 0, a, -a, b, c), _OVER_Z) - (c - a * a),
+        quadric_value((0, 0, a, -a, b, c), _OVER_Z) + a * a,
+    ),
+    # the tangent at u and the pencil line (0, 0, 0, 0, s, t) against the line of nuclei
+    "nuclei_meet": lambda u1, u2, s, t: (
+        polar_pairing(bwspread._kappa(u1, u2), bwspread.NUCLEI_IMAGE) + 3 * u1,
+        polar_pairing((0, 0, 0, 0, s, t), bwspread.NUCLEI_IMAGE),
+    ),
+})

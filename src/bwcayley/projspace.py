@@ -214,18 +214,6 @@ def canonical_tuples(length: int, F: Field) -> Iterator[Vector]:
             yield prefix + tail
 
 
-def span_points(basis: Sequence[Sequence], F: Field) -> List[Vector]:
-    """Canonical points of the span of linearly independent vectors over GF(p).
-
-    One point per canonical coefficient tuple, so the (q^k-1)/(q-1) points of
-    a k-dimensional span come out once each, ordered by their coefficients.
-    Combinations are int dot products, reduced mod p by `canonicalize`.
-    """
-    columns = list(zip(*basis))
-    sums = ([sum(map(int_mul, c, col)) for col in columns] for c in canonical_tuples(len(basis), F))
-    return [canonicalize(v, F) for v in sums]
-
-
 def enumerate_points(F: Field) -> List[ProjPoint]:
     return list(canonical_tuples(4, F))
 

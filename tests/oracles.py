@@ -14,11 +14,17 @@ compare flags, witnesses and counts at small primes; they map points one
 by one through the group matrices, act on parameters through step-reduced field
 operations (`add`, `sub`, `mul`, `neg`, `div`, each reduced by `F.of`),
 scan PG(5,q) by trying every value of every coordinate, and find the
-characteristic-3 congruence by scanning every line of PG(3,q). The
-walks and the reguli check read each tangent from its closed form one
-parameter at a time; the `*_by_O` routes take the list O = build_O(F)
-instead, index it by parameter and compare sets of its Plücker sextuples,
-as the checks did before they streamed. The
+characteristic-3 congruence by scanning every line of PG(3,q). `klein`
+certifies variety_equality, projection and congruence from identities over
+Z; `variety_equality_by_walk`, `projection_by_walk` and
+`char3_congruence_by_walk` compare the scanned zero set, the projected
+images and the quadric section of D (`variety_qd_points`, read off the
+`span_points` of its basis) with the tangents instead. The walks read each
+tangent from its closed form (`closed_tangent`) one parameter at a time
+off `tangents`, which raises `IndistinctTangents` at an image that does
+not give its parameter back; the `*_by_O` routes take the list
+O = build_O(F) instead, index it by parameter and compare sets of its
+Plücker sextuples, as the checks did before they streamed. `f_value` reduces the surface form on any representative. The
 elimination modulo a prime of `bwcayley.linalg` packs each row into one
 int; `rref_mod_by_lists` keeps the rows as lists of residues. The `ideal`
 probe reads its pencil and witness verdicts off the kernel's coefficients;
@@ -55,7 +61,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from operator import mul as int_mul
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from bwcayley import bwspread, cayley
 from bwcayley.bwspread import (
@@ -68,13 +74,13 @@ from bwcayley.bwspread import (
     skew_criterion,
     verify_regulus,
 )
-from bwcayley.field import QQ, Field, cube_roots, nontrivial_cube_root_of_unity
+from bwcayley.field import QQ, Field, InfiniteField, cube_roots, nontrivial_cube_root_of_unity
 from bwcayley.klein import (
     WrongCharacteristic,
     h1_form,
     h2_form,
     h3_form,
-    variety_qd_points,
+    pencil_LZomega,
     variety_zero_set,
 )
 from bwcayley.idealprobe import NUM_VARS, monomial_exponents
@@ -197,6 +203,62 @@ def tangent_plane(u1, u2, F: Field) -> ProjPlane:
     """Tangent plane at the affine surface point with parameters (u1, u2):
     `cayley.tangent_plane_coefficients` reduced once by `canonicalize`."""
     return canonicalize(cayley.tangent_plane_coefficients(*int_pairs(u1, u2, F)), F)
+
+
+def f_value(x: Sequence, F: Field):
+    """`cayley.cubic_form` on any representative, reduced once by `F.of`.
+    Scaling x by lam scales the value by lam^3, so its zero test reads the
+    class; the zero vector raises."""
+    val = F.of(cayley.cubic_form(x))
+    if val == F.zero and not any(map(F.of, x)):
+        raise GeometryError("zero vector has no projective class")
+    return val
+
+
+def span_points(basis: Sequence[Sequence], F: Field) -> List[Tuple]:
+    """Canonical points of the span of linearly independent vectors over GF(p).
+
+    One point per canonical coefficient tuple, so the (q^k-1)/(q-1) points of
+    a k-dimensional span come out once each, ordered by their coefficients.
+    Combinations are int dot products, reduced mod p by `canonicalize`.
+    """
+    columns = list(zip(*basis))
+    sums = ([sum(map(int_mul, c, col)) for col in columns] for c in canonical_tuples(len(basis), F))
+    return [canonicalize(v, F) for v in sums]
+
+
+class IndistinctTangents(GeometryError):
+    """A tangent's Klein image does not give its parameter back, so the q^2
+    tangents are not certified distinct."""
+
+
+def closed_tangent(u1, u2, F: Field) -> Tuple[ProjPoint, ProjPoint, KleinPoint]:
+    """The osculating tangent at (u1, u2) over GF(p), in closed form: the
+    surface point (1, u1, u2, u1*u2 - u1^3), the direction (0, 1, 3u1, u2)
+    and `bwspread.kappa(u)`, every entry reduced mod p, so each tuple leads
+    with 1 and is canonical as it stands."""
+    p = F.p
+    u1 %= p
+    u2 %= p
+    return (1, u1, u2, (u2 - u1 * u1) * u1 % p), (0, 1, 3 * u1 % p, u2), bwspread.kappa(u1, u2, F)
+
+
+def tangents(F: Field) -> Iterator[Tuple[Tuple[int, int], Tuple]]:
+    """(u, closed_tangent(u)) for every parameter u, in lexicographic order,
+    produced one at a time. Each Klein image must give its parameter back:
+    it leads with 1 (so it is not the directrix's, which leads with 0), and
+    `bwspread.parameter_reader` reads u off it; IndistinctTangents is raised
+    at the first image that does not."""
+    if not F.is_finite:
+        raise InfiniteField("O is accessed parametrically over infinite fields")
+    parameter = bwspread.parameter_reader(F)
+    for u1 in range(F.p):
+        for u2 in range(F.p):
+            t = closed_tangent(u1, u2, F)
+            y = t[2]
+            if y[0] != 1 or parameter(y) != (u1, u2):
+                raise IndistinctTangents(f"the Klein image {y} of the tangent at {(u1, u2)} does not give it back")
+            yield (u1, u2), t
 
 
 def generator(s0, s1, F: Field) -> Line:
@@ -433,7 +495,7 @@ def duality_by_scans(F: Field, O: Sequence[Line]) -> CheckOutcome:
             return CheckOutcome(passed=False, witness=(u1, u2))
     points = enumerate_points(F)
     fixed = {cayley.dual_plucker(l.plucker, F) for l in O} == {l.plucker for l in O}
-    surface = [x for x in points if cayley.f_value(x, F) == F.zero]
+    surface = [x for x in points if f_value(x, F) == F.zero]
     dual_images = {cayley.duality(x, F) for x in surface}
     tangent_planes = {e for e in points if cayley.tangency_test(e, F)}
     bijective = len(dual_images) == len(surface) and dual_images == tangent_planes
@@ -640,7 +702,7 @@ def pencil_sample_points(count: int, seed: int) -> List[Tuple[Fraction, ...]]:
 # parameters: partial_spread through the translation group, whose generators
 # act on the tangents' Plücker sextuples by second compound matrices,
 # maximality over the points (0, 1, a, b), and duality per parameter. They
-# read each tangent one parameter at a time off `bwspread.tangents` and
+# read each tangent one parameter at a time off `tangents` and
 # `bwspread.kappa`, so `break_kappa` reaches them.
 
 def partial_spread_by_translations(F: Field) -> CheckOutcome:
@@ -655,7 +717,7 @@ def partial_spread_by_translations(F: Field) -> CheckOutcome:
     other q^2 - 1 (by the criterion and by Klein polarity, which must agree)
     decides every pair. A failed step reports its first witness in the
     order the steps are listed here, each generator's in parameter_grid
-    order. One walk over `bwspread.tangents` holds every verdict.
+    order. One walk over `tangents` holds every verdict.
     """
     p = F.p
     ginf = bwspread.DIRECTRIX_IMAGE
@@ -669,7 +731,7 @@ def partial_spread_by_translations(F: Field) -> CheckOutcome:
     t0 = None
     meeting_ginf = meeting = 0
     first_meeting = disagreement = None
-    for u, (_, _, y) in bwspread.tangents(F):
+    for u, (_, _, y) in tangents(F):
         u1, u2 = u
         if quadric_polarization(y, ginf, F) == F.zero:
             meeting_ginf += 1
@@ -766,7 +828,7 @@ def maximality_by_walk(F: Field) -> CheckOutcome:
     """`bwspread.certify_maximality` over GF(p), walking the q^2 points
     (0, 1, a, b): each lies on the tangent at u = (a/3, b) exactly when the
     Plücker minors of the surface point P(u) and the point are kappa(u)
-    entry by entry (`bwspread.closed_tangent`). The witness is the first
+    entry by entry (`closed_tangent`). The witness is the first
     failing point in canonical order."""
     if F.characteristic == 3:
         return CheckOutcome(passed=None, note="the maximality argument inverts 3")
@@ -774,7 +836,7 @@ def maximality_by_walk(F: Field) -> CheckOutcome:
     for a in F.elements():
         for b in F.elements():
             point = (F.zero, F.one, a, b)
-            x, _, y = bwspread.closed_tangent(a * third, b, F)
+            x, _, y = closed_tangent(a * third, b, F)
             if not is_multiple(plucker_minors(x, point), y, F.p):
                 return CheckOutcome(passed=False, witness=point)
     return CheckOutcome(passed=True, counts={"omega_points": F.order**2 + F.order + 1})
@@ -782,7 +844,7 @@ def maximality_by_walk(F: Field) -> CheckOutcome:
 
 def duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
     """`bwspread.certify_duality` over GF(p), in one walk over
-    `bwspread.tangents` that tests, per parameter: the reversed point
+    `tangents` that tests, per parameter: the reversed point
     (x3, x2, x1, x0) against minus the `cayley.tangent_plane_coefficients`
     of the partner v entry by entry; the dual of kappa(u) against kappa(v)
     by `is_multiple`; v(v) = u; and whether P(u) is on the surface exactly
@@ -794,7 +856,7 @@ def duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
     fixes_O = agree = True
     witness = None
     surface = tangent_planes = 0
-    for u, (x, _, y) in bwspread.tangents(F):
+    for u, (x, _, y) in tangents(F):
         v1, v2 = partner(*u, p)
         line_ok = is_multiple(cayley.dual_sextuple(y), bwspread.kappa(v1, v2, F), p)
         fixes_O = fixes_O and line_ok and partner(v1, v2, p) == u
@@ -805,7 +867,7 @@ def duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
         if (x3 + e[0]) % p or (x2 + e[1]) % p or (x1 + e[2]) % p or (x0 + e[3]) % p or not line_ok:
             witness = u
             continue
-        on_surface = cayley.f_value(x, F) == F.zero
+        on_surface = f_value(x, F) == F.zero
         tangent = cayley.tangency_test((x3, x2, x1, x0), F)
         surface += on_surface
         tangent_planes += tangent
@@ -819,7 +881,7 @@ def duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
     dual_images, planes = set(), set()
     for ab in canonical_tuples(2, F):
         x = (F.zero, F.zero) + ab
-        if cayley.f_value(x, F) == F.zero:
+        if f_value(x, F) == F.zero:
             on_directrix += 1
             dual_images.add(cayley.duality(x, F))
         e = ab + (F.zero, F.zero)
@@ -836,12 +898,135 @@ def duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
     ), fixes_O
 
 
+# --- the klein and char3 checks as walks ---------------------------------------
+# `klein` certifies variety_equality, projection and congruence from identities
+# over Z. The routes below compare the scanned zero set, the points of D's
+# quadric section and the projected images with the tangents read one
+# parameter at a time off `tangents`, as the checks did before.
+
+class ProjectionDegenerate(GeometryError):
+    pass
+
+
+def project_through_Cperp(y: Sequence, F: Field) -> KleinPoint:
+    """Unique point of (y + span{w, DIRECTRIX_IMAGE}) in the 3-space B.
+
+    Closed form (y01, y02, 0, y12+y03, y13, 0); degenerate exactly when y
+    lies on the polar line of C itself.
+    """
+    image = (y[0], y[1], F.zero, y[3] + y[2], y[4], F.zero)
+    if all(F.of(v) == F.zero for v in image):
+        raise ProjectionDegenerate("input lies on the polar line of C")
+    return canonicalize(image, F)
+
+
+def _projected_cubic_point(s, F: Field) -> KleinPoint:
+    """The point (1, 3s, 0, 3s^2, s^3, 0) of the twisted cubic in B, in
+    plain operators, reduced once by `canonicalize`."""
+    s = F.of(s)
+    ss = s * s
+    return canonicalize((F.one, 3 * s, F.zero, 3 * ss, ss * s, F.zero), F)
+
+
+def projection_by_walk(F: Field) -> CheckOutcome:
+    """`klein.projection_check`, projecting the tangent image at every
+    (s, u2) through the polar line of C; the witness is the first failing
+    (s, u2)."""
+    counts = {"parameter_pairs": F.order**2}
+    for s in F.elements():
+        want = _projected_cubic_point(s, F)
+        for u2 in F.elements():
+            if project_through_Cperp(bwspread.kappa(s, u2, F), F) != want:
+                return CheckOutcome(passed=False, witness=(s, u2), counts=counts)
+    return CheckOutcome(passed=True, counts=counts)
+
+
+def variety_qd_points(F: Field) -> Set[KleinPoint]:
+    """Canonical points of the 3-space D = V(Y02, Y03 + Y12) on the quadric:
+    the zeros among the (q^4-1)/(q-1) points spanned by e01, e03 - e12, e13, e23."""
+    rows = ((1, 0, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    return {y for y in span_points(rows, F) if quadric_value(y, F) == F.zero}
+
+
+def _image_difference(points: Set[KleinPoint], F: Field) -> Tuple[List, List, int]:
+    """Compare a set of canonical points with the Klein image of the tangent
+    set O united with the pencil through the pinch point (which holds the
+    directrix), over GF(p).
+
+    No image set is built. A point leading with 1 is an image exactly when
+    it is kappa(u) at the parameter u that `bwspread.parameter_reader` reads
+    off it, and one leading with 0 exactly when it is a pencil image. One
+    pass over the tangents tests each image for membership in the set. The
+    q^2 tangent images are distinct and lead with 1, the pencil's lead with
+    0. Returns (extra, missing, n_images): the points that are no image,
+    the images that are no point, and the number of images.
+    """
+    pencil = pencil_LZomega(F)
+    in_pencil = set(pencil)
+    parameter, kappa = bwspread.parameter_reader(F), bwspread.kappa
+    extra = [z for z in points if (kappa(*parameter(z), F) != z if z[0] else z not in in_pencil)]
+    missing = [y for y in pencil if y not in points]
+    n_tangents = 0
+    for _, (_, _, y) in tangents(F):
+        n_tangents += 1
+        if y not in points:
+            missing.append(y)
+    return extra, missing, n_tangents + len(pencil)
+
+
+def variety_equality_by_walk(F: Field) -> CheckOutcome:
+    """`klein.verify_variety_equality` as set equality of the scanned zero
+    set, `klein.variety_zero_set`, with the tangent images plus the pencil,
+    by `_image_difference`. The witness is the least point of the symmetric
+    difference."""
+    if F.characteristic == 3:
+        raise WrongCharacteristic("the three-cone description needs characteristic != 3")
+    zero_set = variety_zero_set(F)
+    extra, missing, n_images = _image_difference(zero_set, F)
+    equal = not extra and not missing
+    q = F.order
+    return CheckOutcome(
+        passed=equal and len(zero_set) == q * q + q + 1,
+        witness=None if equal else min(extra + missing),
+        counts={
+            "zero_set_points": len(zero_set),
+            "image_points": n_images,
+            "expected": q * q + q + 1,
+        },
+    )
+
+
+def char3_congruence_by_walk(F: Field) -> CheckOutcome:
+    """`klein.char3_congruence_check` comparing the quadric section of D,
+    `variety_qd_points`, with the tangent images plus the pencil by
+    `_image_difference`. The witness is the first of these images skew to
+    the line of nuclei, the tangents first in lexicographic order, then the
+    pencil's."""
+    if F.characteristic != 3:
+        raise WrongCharacteristic("needs characteristic 3")
+    qd_points = variety_qd_points(F)
+    extra, missing, n_images = _image_difference(qd_points, F)
+    images = chain((y for _, (_, _, y) in tangents(F)), pencil_LZomega(F))
+    skew = next((y for y in images if quadric_polarization(y, bwspread.NUCLEI_IMAGE, F) != F.zero), None)
+    q = F.order
+    return CheckOutcome(
+        passed=skew is None and not extra and not missing and len(qd_points) == q * q + q + 1,
+        witness=skew,
+        counts={
+            "congruence_lines": len(qd_points),
+            "tangents_plus_pencil": n_images,
+            "cone_section_points": len(qd_points),
+            "expected": q * q + q + 1,
+        },
+    )
+
+
 # --- the certifiers' finite branches on the list O = build_O(F) ---------------
 
 def break_kappa(monkeypatch, u, change):
     """Monkeypatch `bwspread.kappa` so that the Klein image y at the
-    parameter u comes out as change(y, F). Every streamed check and
-    `build_O` read it, so a streamed check and its route on O see the same
+    parameter u comes out as change(y, F). Every walk here, the reguli
+    check and `build_O` read it, so a walk and its route on O see the same
     broken tangent."""
     kappa = bwspread.kappa
 
@@ -975,14 +1160,14 @@ def duality_by_O(F: Field, O: Sequence[Line]) -> CheckOutcome:
         if cayley.duality(x, F) != e or cayley.dual_plucker(l.plucker, F) != tangent[v].plucker:
             return CheckOutcome(passed=False, witness=(u1, u2))
         partners.add(v)
-        if cayley.f_value(x, F) == F.zero:
+        if f_value(x, F) == F.zero:
             surface += 1
             dual_images.add(e)
         if cayley.tangency_test(e, F):
             tangent_planes.add(e)
     for ab in canonical_tuples(2, F):
         x = (F.zero, F.zero) + ab
-        if cayley.f_value(x, F) == F.zero:
+        if f_value(x, F) == F.zero:
             surface += 1
             dual_images.add(cayley.duality(x, F))
         e = ab + (F.zero, F.zero)

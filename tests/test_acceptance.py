@@ -33,7 +33,7 @@ from bwcayley.idealprobe import (
     sample_kappa_O,
     vanishing_space,
 )
-from bwcayley.klein import pencil_LZomega, variety_qd_points, verify_variety_equality
+from bwcayley.klein import pencil_LZomega, verify_variety_equality
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
     canonicalize,
@@ -44,7 +44,7 @@ from bwcayley.projspace import (
     line_in_plane,
     lines_skew,
 )
-from oracles import parameter_grid
+from oracles import f_value, parameter_grid, variety_qd_points
 
 QQ = Rationals()
 
@@ -184,7 +184,7 @@ def test_criterion_08_duality(p):
         from oracles import surface_point, tangent_plane
 
         F = PrimeField(p)
-        surface = [x for x in enumerate_points(F) if cayley.f_value(x, F) == 0]
+        surface = [x for x in enumerate_points(F) if f_value(x, F) == 0]
         images = {cayley.duality(x, F) for x in surface}
         tangent_planes = {e for e in enumerate_planes(F) if cayley.tangency_test(e, F)}
         assert len(images) == len(surface)

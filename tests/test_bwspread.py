@@ -17,7 +17,6 @@ from bwcayley.bwspread import (
     Char3Unsupported,
     Degree,
     IdentityFails,
-    IndistinctTangents,
     NotARegulus,
     SamePoint,
     betten_chart,
@@ -29,7 +28,6 @@ from bwcayley.bwspread import (
     certify_maximality,
     certify_identity,
     certify_partial_spread,
-    closed_tangent,
     covering_deficit,
     identity_bounds,
     lines_of_O_through,
@@ -38,13 +36,12 @@ from bwcayley.bwspread import (
     regulus_minus,
     skew_criterion,
     skew_value,
-    tangents,
     uncovered_witness_rational,
     verify_regulus,
 )
-from bwcayley.cli import certify_report
-from bwcayley.klein import _image_difference, in_kappa_O, reguli_check
-from bwcayley.reports import Check, CheckOutcome
+from bwcayley.cli import Run, certify_report, run_checks
+from bwcayley.klein import in_kappa_O, reguli_check
+from bwcayley.reports import Check, CheckOutcome, Report
 from bwcayley.field import InfiniteField, PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
 from bwcayley.linalg import rank
 from bwcayley.projspace import (
@@ -58,12 +55,14 @@ from bwcayley.projspace import (
     lines_skew,
     plucker,
     quadric_value,
-    span_points,
 )
 import oracles
 from oracles import (
+    IndistinctTangents,
+    _image_difference,
     add,
     break_kappa,
+    closed_tangent,
     compound_image,
     covering_by_points,
     dedup_lines,
@@ -96,9 +95,11 @@ from oracles import (
     reguli_by_O,
     regulus_lines,
     second_compound,
+    span_points,
     sub,
     surface_point,
     tangent_plane,
+    tangents,
     z_point,
 )
 
@@ -223,6 +224,16 @@ IDENTITY_BOUNDS = {
     "involution": (2, 1),
     "on_surface": (3, 1),
     "tangent_plane": (3, 1),
+    "directrix_on_surface": (1, 1),
+    "directrix_planes": (1, 1),
+    "directrix_reversal": (1, 1),
+    "forms_on_kappa": (4, 2),
+    "chart": (4, 2, 1, 1, 1),
+    "off_chart": (2, 2, 2, 1, 1),
+    "projection": (3, 1),
+    "char3_kappa": (4, 2),
+    "char3_section": (2, 1, 1),
+    "nuclei_meet": (4, 2, 1, 1),
 }
 
 
@@ -301,9 +312,15 @@ class TestIdentities:
         traced = []
         bounds = bwspread.identity_bounds
         monkeypatch.setattr(bwspread, "identity_bounds", lambda identity: traced.append(identity) or bounds(identity))
-        certify_report(F5)
+
+        def every_command(F):
+            certify_report(F)
+            run_checks(Report("klein", F.spec_string()), Run(F))
+            run_checks(Report("char3", "gf:3"), Run(F3))
+
+        every_command(F5)
         assert len(traced) == len(IDENTITIES)
-        certify_report(F7)
+        every_command(F7)
         assert len(traced) == len(IDENTITIES)
 
 
@@ -455,7 +472,7 @@ class TestBuildO:
         kappa = bwspread.kappa
         monkeypatch.setattr(bwspread, "kappa", lambda u1, u2, F: kappa(0, 0, F) if (u1, u2) == (1, 1) else kappa(u1, u2, F))
         with pytest.raises(IndistinctTangents, match=r"the tangent at \(1, 1\)"):
-            build_O(F5)
+            list(tangents(F5))
 
     @pytest.mark.parametrize("F", [F2, F3, F5, F7])
     def test_O_lists_the_parameter_grid_then_the_directrix(self, F):
@@ -493,7 +510,7 @@ class TestParameterReader:
         monkeypatch.setattr(bwspread, "parameter_reader", lambda F: lambda y: (0, 0))
         y = bwspread.kappa(1, 1, F5)
         with pytest.raises(IndistinctTangents):
-            build_O(F5)
+            list(tangents(F5))
         assert not in_kappa_O(y, F5)
         with pytest.raises(IndistinctTangents):
             _image_difference({y}, F5)
@@ -693,7 +710,7 @@ class TestStreamedEqualsByO:
         break_kappa(monkeypatch, (1, 1), lambda y, F: y[:2] + ((y[2] + 1) % F.p,) + y[3:])
         streamed, _ = STREAMED_AND_BY_O[name]
         with pytest.raises(IndistinctTangents):
-            build_O(F5)
+            list(tangents(F5))
         if name == "maximality":
             # it reads each tangent at the parameter of a point at infinity, so
             # it meets the broken one as a point off its tangent: (0, 1, 3u1, u2)

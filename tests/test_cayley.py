@@ -11,7 +11,6 @@ from bwcayley.cayley import (
     ZeroParameters,
     dual_plucker,
     duality,
-    f_value,
     restrict_cubic,
     tangency_test,
     tangent_plane_coefficients,
@@ -29,6 +28,7 @@ from bwcayley.projspace import (
 from oracles import (
     GMatrix,
     ZeroScale,
+    f_value,
     g_infinity,
     generator,
     group_apply,

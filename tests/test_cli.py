@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from bwcayley import bwspread, cayley, cli, idealprobe, projspace
+import oracles
+from bwcayley import bwspread, cayley, cli, idealprobe, klein, projspace
 from bwcayley.cli import build_parser, certify_report, main
 from bwcayley.field import PrimeField
 from bwcayley.projspace import GeometryError
@@ -20,8 +21,8 @@ def run(capsys, *argv):
 
 
 def count_calls(monkeypatch, module, name):
-    """Count calls of module.name through every bwcayley module's binding,
-    so a check that imported its own copy is counted too."""
+    """Count calls of module.name through module's binding and every bwcayley
+    module's, so a check that imported its own copy is counted too."""
     calls = []
     original = getattr(module, name)
 
@@ -30,7 +31,7 @@ def count_calls(monkeypatch, module, name):
         return original(*args, **kwargs)
 
     for module_name, mod in list(sys.modules.items()):
-        if module_name.startswith("bwcayley") and getattr(mod, name, None) is original:
+        if (mod is module or module_name.startswith("bwcayley")) and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
 
@@ -105,18 +106,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,field", [("certify", "gf:5"), ("klein", "gf:5"), ("char3", "gf:3")])
     def test_no_check_calls_build_O(self, capsys, monkeypatch, command, field):
-        # the klein and char3 checks read their tangents one parameter at a
-        # time off the closed form; the certify checks read none
+        # every finite check rests on identities over Z: none streams the
+        # tangents (the walks that did are test oracles now) or scans PG(5,q)
         calls = count_calls(monkeypatch, bwspread, "build_O")
-        streams = count_calls(monkeypatch, bwspread, "tangents")
+        streams = count_calls(monkeypatch, oracles, "tangents")
+        scans = count_calls(monkeypatch, klein, "variety_zero_set")
         code, _, _ = run(capsys, command, "--field", field)
-        assert code == 0 and len(calls) == 0 and (len(streams) > 0) == (command != "certify")
+        assert code == 0 and len(calls) == 0 and len(streams) == 0 and len(scans) == 0
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_a_finite_battery_walks_no_tangent(self, monkeypatch, p):
         # the checks rest on identities over Z and counts in O(q), and one
         # duality outcome serves both dual_spread and duality
-        streams = count_calls(monkeypatch, bwspread, "tangents")
+        streams = count_calls(monkeypatch, oracles, "tangents")
         dualities = count_calls(monkeypatch, bwspread, "certify_duality")
         certify_report(PrimeField(p))
         assert len(streams) == 0 and len(dualities) == 1
@@ -147,10 +149,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["certify", "klein"])
     def test_no_check_joins_a_tangent(self, capsys, monkeypatch, command):
         # the finite checks never build a tangent by joining two points and
-        # canonicalising; closed_tangent gives each klein check reads in
-        # closed form, and the certify checks read none
+        # canonicalising; the reguli check reads its tangents' Klein images
+        # in closed form off kappa, and the certify checks read none
         joined = count_calls(monkeypatch, bwspread, "osculating_tangent")
-        closed = count_calls(monkeypatch, bwspread, "closed_tangent")
+        closed = count_calls(monkeypatch, bwspread, "kappa")
         code, _, _ = run(capsys, command, "--field", "gf:5")
         assert code == 0 and len(joined) == 0
         assert len(closed) >= 25 if command == "klein" else len(closed) == 0
@@ -215,6 +217,30 @@ class TestExitCodes:
         code, out, err = run(capsys, "certify", "--field", "gf:7")
         assert code == 3 and out == ""
         assert err.startswith(f"bwcayley: internal error in check partial_spread: IdentityFails: identity {identity} fails")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "module,name,broken,identity",
+        [
+            # h1 doubled: it still vanishes on the tangent images, but no
+            # longer fixes Y12 on the chart with the slope 3
+            (klein, "h1_form", lambda f: lambda y, F: 2 * f(y, F), "chart"),
+            # Y23 moved off by one: the quadric no longer vanishes on the images
+            (
+                bwspread,
+                "osculating_sextuple",
+                lambda f: lambda x0, x1, x2: f(x0, x1, x2)[:5] + (f(x0, x1, x2)[5] + 1,),
+                "forms_on_kappa",
+            ),
+        ],
+    )
+    def test_a_broken_klein_formula_fails_its_identity(
+        self, capsys, monkeypatch, fresh_identities, module, name, broken, identity
+    ):
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        code, out, err = run(capsys, "klein", "--field", "gf:7")
+        assert code == 3 and out == ""
+        assert err.startswith(f"bwcayley: internal error in check variety_equality: IdentityFails: identity {identity} fails")
         assert err.count("\n") == 1
 
 

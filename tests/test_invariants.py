@@ -107,6 +107,7 @@ PENDING = {
     "enumerate_points": _TRACED,
     "form_value": _TRACED,
     "build_O": _TRACED,
+    "tangency_test": _TRACED,
     "incidence": _TRACED,
     "Line": _TRACED,  # only the other traced names build or read it
 }

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 import oracles
 from bwcayley import bwspread, cayley, klein
-from bwcayley.bwspread import IndistinctTangents, build_O, osculating_tangent
+from bwcayley.bwspread import build_O, osculating_tangent
 from bwcayley.field import InfiniteField, PrimeField, Rationals
 from bwcayley.klein import (
-    ProjectionDegenerate,
     WrongCharacteristic,
-    _image_difference,
     char3_congruence_check,
     generator_cubic,
     generator_cubic_check,
@@ -27,10 +25,8 @@ from bwcayley.klein import (
     in_kappa_O,
     osculating_plane_pencil_check,
     pencil_LZomega,
-    project_through_Cperp,
     projection_check,
     twisted_cubic_basis,
-    variety_qd_points,
     variety_zero_set,
     verify_variety_equality,
 )
@@ -42,9 +38,13 @@ from bwcayley.projspace import (
     quadric_value,
 )
 from oracles import (
+    IndistinctTangents,
+    ProjectionDegenerate,
+    _image_difference,
     break_kappa,
     char3_congruence_by_line_scan,
     char3_congruence_by_O,
+    char3_congruence_by_walk,
     g_infinity,
     in_D,
     kappa_osculating,
@@ -53,8 +53,12 @@ from oracles import (
     parameter_grid,
     pencil_line,
     pencil_lines,
+    project_through_Cperp,
+    projection_by_walk,
     surface_point,
     variety_equality_by_O,
+    variety_equality_by_walk,
+    variety_qd_points,
     variety_zero_set_by_trials,
     w_infinity,
 )
@@ -262,11 +266,11 @@ class TestProjection:
         assert r.counts == {"parameter_pairs": 25}
 
     def test_check_witness_is_first_failing_pair(self, monkeypatch):
-        project = klein.project_through_Cperp
+        project = oracles.project_through_Cperp
         monkeypatch.setattr(
-            klein, "project_through_Cperp", lambda y, F: w_vector(F) if y[2] == 3 else project(y, F)
+            oracles, "project_through_Cperp", lambda y, F: w_vector(F) if y[2] == 3 else project(y, F)
         )
-        r = projection_check(F5)
+        r = projection_by_walk(F5)
         assert not r.passed and r.witness == (0, 3)
 
     def test_degenerate_on_polar_line(self):
@@ -471,16 +475,16 @@ PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 class TestStreamedEqualsByO:
-    """The streamed klein and char3 checks against their routes on the list
-    O = build_O(F) in tests/oracles.py."""
+    """The klein and char3 walks against their routes on the list
+    O = build_O(F), both in tests/oracles.py."""
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_every_prime_to_31(self, p):
         F = PrimeField(p)
         if p == 3:
-            assert char3_congruence_check(F) == char3_congruence_by_O(F, build_O(F))
+            assert char3_congruence_by_walk(F) == char3_congruence_by_O(F, build_O(F))
         else:
-            assert verify_variety_equality(F) == variety_equality_by_O(F, build_O(F))
+            assert variety_equality_by_walk(F) == variety_equality_by_O(F, build_O(F))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     @pytest.mark.parametrize("u", [(0, 0), (1, 1)])
@@ -489,16 +493,16 @@ class TestStreamedEqualsByO:
         break_kappa(monkeypatch, u, lambda y, F: y[:5] + ((y[5] + 1) % F.p,))
         F = PrimeField(p)
         streamed, by_O = (
-            (char3_congruence_check, char3_congruence_by_O)
+            (char3_congruence_by_walk, char3_congruence_by_O)
             if p == 3
-            else (verify_variety_equality, variety_equality_by_O)
+            else (variety_equality_by_walk, variety_equality_by_O)
         )
         r = streamed(F)
         assert r == by_O(F, build_O(F))
         # the char3 witness is a line skew to the nuclei line, which this one is not
         assert r.passed is False and (r.witness is None) == (p == 3)
 
-    @pytest.mark.parametrize("check,F", [(verify_variety_equality, F5), (char3_congruence_check, F3)])
+    @pytest.mark.parametrize("check,F", [(variety_equality_by_walk, F5), (char3_congruence_by_walk, F3)])
     def test_an_image_that_does_not_give_its_parameter_back_is_an_error(self, monkeypatch, check, F):
         break_kappa(monkeypatch, (1, 1), lambda y, F: y[:2] + ((y[2] + 1) % F.p,) + y[3:])
         with pytest.raises(IndistinctTangents):
@@ -507,30 +511,29 @@ class TestStreamedEqualsByO:
 
 # (check, its route on O, the point set it compares, field)
 SECTIONS = [
-    (verify_variety_equality, variety_equality_by_O, "variety_zero_set", F5),
-    (char3_congruence_check, char3_congruence_by_O, "variety_qd_points", F3),
+    (variety_equality_by_walk, variety_equality_by_O, "variety_zero_set", F5),
+    (char3_congruence_by_walk, char3_congruence_by_O, "variety_qd_points", F3),
 ]
 
 
 class TestImageDifference:
-    """`_image_difference` on a changed point set, read through both
-    checks and their routes on O; the point set is patched in `klein` and in
-    tests/oracles.py, which imports its own binding."""
+    """`_image_difference` on a changed point set, read through both walks
+    and their routes on O, all in tests/oracles.py, where the point set is
+    patched (it imports its own binding of `klein.variety_zero_set`)."""
 
     @staticmethod
     def patch_points(monkeypatch, name, points):
-        for module in (klein, oracles):
-            monkeypatch.setattr(module, name, lambda F: set(points))
+        monkeypatch.setattr(oracles, name, lambda F: set(points))
 
     @pytest.mark.parametrize("check,by_O,name,F", SECTIONS, ids=["klein", "char3"])
     def test_the_points_are_the_images(self, check, by_O, name, F):
         q = F.order
-        assert _image_difference(getattr(klein, name)(F), F) == ([], [], q * q + q + 1)
+        assert _image_difference(getattr(oracles, name)(F), F) == ([], [], q * q + q + 1)
 
     @pytest.mark.parametrize("check,by_O,name,F", SECTIONS, ids=["klein", "char3"])
     @pytest.mark.parametrize("foreign", [(0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 1)], ids=["leading_0", "leading_1"])
     def test_a_planted_point_is_extra(self, monkeypatch, check, by_O, name, F, foreign):
-        points = getattr(klein, name)(F)
+        points = getattr(oracles, name)(F)
         assert foreign not in points
         planted = points | {foreign}
         q = F.order
@@ -542,10 +545,37 @@ class TestImageDifference:
     @pytest.mark.parametrize("check,by_O,name,F", SECTIONS, ids=["klein", "char3"])
     @pytest.mark.parametrize("dropped", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)], ids=["tangent", "directrix"])
     def test_a_dropped_image_is_missing(self, monkeypatch, check, by_O, name, F, dropped):
-        points = getattr(klein, name)(F)
+        points = getattr(oracles, name)(F)
         assert dropped in points
         q = F.order
         assert _image_difference(points - {dropped}, F) == ([], [dropped], q * q + q + 1)
         self.patch_points(monkeypatch, name, points - {dropped})
         r = check(F)
         assert r.passed is False and r == by_O(F, build_O(F))
+
+
+# Each klein or char3 check that rests on identities over Z, and its walk in
+# tests/oracles.py.
+CERTIFIED_AND_WALK = {
+    "variety_equality": (verify_variety_equality, variety_equality_by_walk),
+    "projection": (projection_check, projection_by_walk),
+    "congruence": (char3_congruence_check, char3_congruence_by_walk),
+}
+
+
+class TestCertifiedEqualsWalk:
+    """Each certified check against its walk: the same flag, witness, counts
+    and note, and the same refusal of a field of the wrong characteristic."""
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31 + [101])
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_AND_WALK))
+    def test_every_prime_to_31_and_101(self, name, p):
+        check, walk = CERTIFIED_AND_WALK[name]
+        F = PrimeField(p)
+        if name != "projection" and (p == 3) != (name == "congruence"):
+            with pytest.raises(WrongCharacteristic):
+                check(F)
+            with pytest.raises(WrongCharacteristic):
+                walk(F)
+        else:
+            assert check(F) == walk(F)

@@ -27,10 +27,9 @@ from bwcayley.projspace import (
     primitive_int_vector,
     quadric_value,
     quadric_polarization,
-    span_points,
 )
 from bwcayley.linalg import nullspace, rank, rref
-from oracles import add, dedup_lines, line_through, mul, plane_pencil, point_in_plane, sub
+from oracles import add, dedup_lines, line_through, mul, plane_pencil, point_in_plane, span_points, sub
 
 QQ = Rationals()
 F5 = PrimeField(5)
