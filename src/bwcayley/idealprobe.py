@@ -1,11 +1,13 @@
 """Degree-bounded probe of the forms vanishing on the tangent-set image.
 
 Over the rationals, sample Klein images of osculating tangents as integer
-sextuples, compute the exact nullspace of the monomial evaluation matrix at
-fixed degree, and read off the resulting forms' coefficients whether they
-vanish on the pencil line through the image of the directrix. Finite
-sampling cannot certify true ideal membership; reports describe what holds
-at the sampled points, with seeds making every run reproducible.
+sextuples and take the kernel of the monomial evaluation matrix at fixed
+degree d; then read off the forms' coefficients whether they vanish on
+the pencil line through the image of the directrix. The sampled kernel is
+certified equal to K_d, the degree-d part of the ideal of the Zariski
+closure of kappa(Q^2) (`exact_kernel`, of dimension 0, 4 and 22 for
+d = 1, 2, 3), whenever the samples lie on kappa and their rows reach the
+rank that K_d leaves; seeds make every run reproducible.
 """
 
 from __future__ import annotations
@@ -15,20 +17,26 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, gcd
+from operator import mul
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bwspread, field
 from .klein import h1_form, h2_form, h3_form, in_kappa_O
-from .linalg import integer_kernel
-from .projspace import KleinPoint, primitive_int_vector, quadric_value
+from .linalg import PRIMES, _rref_mod, integer_kernel
+from .projspace import KleinPoint, is_int_multiple, primitive_int_vector, quadric_value
 from .reports import CheckOutcome
 
 NUM_VARS = 6
-# C(8,5) = 56 monomials at degree 3: the 60-sample matrix takes 0.4 ms to build
-# and 3.9-4.3 ms to reduce exactly over the 16 pool seeds (2 vCPUs, CPython 3.11).
+# C(8,5) = 56 monomials at degree 3: over the 16 pool seeds the 60-sample matrix
+# takes 0.4 ms to build and 2.4-3.2 ms to certify (on-kappa test and rank mod p),
+# where the exact elimination takes 4.3-7.0 ms (median 4.4 ms); `exact_kernel(3)`
+# takes 1.1-1.5 ms once per process (2 vCPUs, CPython 3.11).
 MAX_DEGREE = 3
 WITNESS = (0, 0, 0, 0, 1, 0)
+# kappa(c*u1, c^2*u2) = c^w * kappa(u), entry by entry, for these weights w
+# (`IDENTITIES["kappa_weights"]`): a monomial's weight is its exponents' dot with them
+KAPPA_WEIGHTS = (0, 1, 2, 2, 3, 4)
 # the quadric and the three cone forms: at degree 2 each must lie in the sampled space
 KNOWN_FORMS = (quadric_value, h1_form, h2_form, h3_form)
 # Each form is written as `F.of(polynomial)`; with `of` = int it returns the
@@ -117,19 +125,91 @@ def sample_kappa_O(n: int, seed: int) -> List[KleinPoint]:
     return [primitive_int_vector(bwspread._integer_tangent(*u)[1]) for u in sample_parameter_ints(n, seed)]
 
 
+def _kappa_weights(c, u1, u2) -> Tuple:
+    """kappa(c*u1, c^2*u2) less c^w * kappa(u), entry by entry, w = KAPPA_WEIGHTS."""
+    scaled = []
+    for w, y in zip(KAPPA_WEIGHTS, bwspread._kappa(u1, u2)):
+        for _ in range(w):
+            y = c * y
+        scaled.append(y)
+    return bwspread._minus(bwspread._kappa(c * u1, c * c * u2), scaled)
+
+
+bwspread.IDENTITIES["kappa_weights"] = _kappa_weights
+
+
+@lru_cache(maxsize=None)
+def exact_kernel(d: int) -> Tuple[Tuple[int, ...], ...]:
+    """K_d, the degree-d forms vanishing on every kappa(u), u in Q^2: the
+    degree-d part of the ideal of kappa(Q^2)'s Zariski closure, as
+    primitive int coefficient vectors, one per free column in column order.
+
+    By `IDENTITIES["kappa_weights"]` a form F = sum_w F_w, F_w its part of
+    weight w, satisfies F(kappa(c*u1, c^2*u2)) = sum_w c^w * F_w(kappa(u)),
+    so F vanishes on kappa exactly when each F_w does. F_w(kappa(u)) is a
+    sum of monomials u1^(w-2b) * u2^b with 0 <= b <= w/2, so it vanishes
+    exactly when F_w(kappa(1, s)) does for s = 0..w//2. Each weight block is
+    solved by `linalg.integer_kernel`. Block vectors have disjoint supports,
+    and each vector's last nonzero entry is its free column; so sorted by
+    that column they are the unique basis of K_d that `integer_kernel`
+    gives for any matrix whose kernel is K_d. Computed once per process
+    and degree.
+    """
+    bwspread.certify_identity("kappa_weights")
+    exps = monomial_exponents(d)
+    rows = [monomial_row(exps, bwspread._kappa(1, s)) for s in range(2 * d + 1)]
+    blocks: Dict[int, List[int]] = {}
+    for k, e in enumerate(exps):
+        blocks.setdefault(sum(map(mul, e, KAPPA_WEIGHTS)), []).append(k)
+    vectors = []
+    for w, columns in blocks.items():
+        for vec in integer_kernel([[row[k] for k in columns] for row in rows[: w // 2 + 1]], len(columns))[1]:
+            full = [0] * len(exps)
+            for k, x in zip(columns, vec):
+                full[k] = x
+            vectors.append(tuple(full))
+    return tuple(sorted(vectors, key=lambda v: max(k for k, x in enumerate(v) if x)))
+
+
+def _rank_mod(rows: List[List[int]]) -> int:
+    return len(_rref_mod(rows, PRIMES[0])[1])
+
+
 def vanishing_space(points: Sequence[Sequence[int]], d: int) -> List[List[int]]:
     """Basis of the degree-d forms vanishing at every given point, as
     primitive int coefficient vectors, one per free column.
 
-    The exact kernel of the monomial evaluation matrix over Q, with
-    deterministic pivoting. The points are integer sextuples, as from
-    `sample_kappa_O`; `linalg.integer_kernel` certifies in integers that
-    every returned form vanishes on every row. Divided by its free-column
-    entry, each form is the rational nullspace basis vector.
+    The exact kernel of the monomial evaluation matrix S over Q, with
+    deterministic pivoting; the points are integer sextuples, as from
+    `sample_kappa_O`. It is K_d = `exact_kernel(d)`, with no elimination
+    over Q, when two exact tests hold:
+    - every point is a nonzero multiple of kappa(u) at the parameter it
+      reads back, u = (Y02/(3*Y01), Y03/Y01), tested in ints against
+      `osculating_sextuple(3*Y01, Y02, 3*Y03)` by `is_int_multiple`; with
+      the identity behind K_d, every form of K_d vanishes at every point,
+      so K_d lies in ker S;
+    - the rows reduced mod PRIMES[0], the first N - dim K_d of them and
+      then all, reach rank N - dim K_d, N the number of monomials; the rank
+      mod p is at most the rank over Q, so ker S has dimension at most
+      dim K_d and equals it.
+    Anything else (too few points for that rank, points off kappa, rows
+    that fall short of it) takes the `linalg.integer_kernel` route, which
+    certifies in integers that every returned form vanishes on every row.
+    Either way, divided by its free-column entry, each form is the
+    rational nullspace basis vector.
     """
     exps = monomial_exponents(d)
     evaluate = _row_evaluator(tuple(exps))
-    return integer_kernel([evaluate(pt) for pt in points], len(exps))[1]
+    rows = [evaluate(pt) for pt in points]
+    kernel = exact_kernel(d)
+    rank = len(exps) - len(kernel)
+    if (
+        len(rows) >= rank
+        and all(is_int_multiple(y, bwspread.osculating_sextuple(3 * y[0], y[1], 3 * y[2])) for y in points)
+        and (_rank_mod(rows[:rank]) == rank or _rank_mod(rows) == rank)
+    ):
+        return [list(v) for v in kernel]
+    return integer_kernel(rows, len(exps))[1]
 
 
 def closure_probe(d: int, n_samples: int, seed: int) -> Dict[str, Optional[CheckOutcome]]:
@@ -141,9 +221,10 @@ def closure_probe(d: int, n_samples: int, seed: int) -> Dict[str, Optional[Check
     It vanishes on the whole line exactly when those are all 0, and at
     `WITNESS` = (0,0,0,0,1,0) exactly when its Y13^d coefficient is 0.
     At degree 2 the quadric and the three cone forms lie in the computed
-    space exactly when each vanishes at every sample, since `linalg`
-    certifies that the basis spans the whole kernel of the evaluation
-    matrix; `contains_known_forms` is None at the other degrees.
+    space exactly when each vanishes at every sample, since the basis is
+    certified to span the whole kernel of the evaluation matrix (by
+    `vanishing_space`'s rank test or by `linalg`); `contains_known_forms`
+    is None at the other degrees.
     """
     if not 1 <= d <= MAX_DEGREE:
         raise DegreeOutOfRange(f"degree must be between 1 and {MAX_DEGREE}")

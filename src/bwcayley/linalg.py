@@ -11,7 +11,8 @@ rational reconstruction, forms the primitive integer kernel vectors from
 them, and certifies in integers that every one annihilates every input
 row. The reduced form is unique, so it equals the generic one value for
 value. `rref` over Q is a Fraction view of that core: it scales the rows
-to integers and divides the kernel vectors out; `nullspace` reads `rref`.
+to integers and divides the kernel vectors out; `nullspace` reads `rref`,
+and `rank` counts the core's pivots.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .field import Field, is_prime
 
 # The largest primes below 2**31, in descending order: the moduli of the
-# rational path, tried in this order (one suffices for the ideal probe).
+# rational path, tried in this order. The first is also the modulus of the
+# ideal probe's rank certificate (`idealprobe.vanishing_space`).
 PRIMES = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
     2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323, 2147483269, 2147483249,
@@ -278,7 +280,11 @@ def _free_columns(pivots: List[int], ncols: int) -> List[int]:
 
 
 def rank(rows: Sequence[Sequence], F: Field) -> int:
-    return len(rref(rows, F)[1])
+    """The number of pivots; over Q counted off `integer_kernel`, with no
+    `Fraction` reduced form."""
+    if F.is_finite:
+        return len(rref(rows, F)[1])
+    return len(integer_kernel(_integer_rows(rows), len(rows[0]))[0]) if rows else 0
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int, F: Field) -> List[List]:

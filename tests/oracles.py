@@ -37,7 +37,10 @@ samples integer sextuples and evaluates monomials degree by degree;
 `sample_parameters` draws the same parameters as Fractions,
 `sample_kappa_O_by_fractions` takes each sample's Klein
 image in Fractions and scales it back to ints, and `monomial_row_by_powers`
-evaluates each monomial by powers of the coordinates. The Klein-section checks take the pencil and the reguli
+evaluates each monomial by powers of the coordinates. The probe's kernel
+is K_d, read once per degree off kappa's weight blocks
+(`idealprobe.exact_kernel`); `kappa_kernel_on_grid` eliminates the
+monomials at kappa on a whole integer grid instead. The Klein-section checks take the pencil and the reguli
 as closed-form Klein images; `pencil_lines` and `regulus_lines` join the
 same lines, and the `*_by_O` routes deduplicate joined lines by
 `dedup_lines`; the reguli check takes each generator's image from
@@ -84,7 +87,7 @@ from bwcayley.klein import (
     variety_zero_set,
 )
 from bwcayley.idealprobe import NUM_VARS, monomial_exponents
-from bwcayley.linalg import rank
+from bwcayley.linalg import integer_kernel, rank
 from bwcayley.projspace import (
     CoincidentPoints,
     GeometryError,
@@ -659,6 +662,22 @@ def monomial_row_by_powers(exps: Sequence[Tuple[int, ...]], point: Sequence[int]
                 val *= v**k
         row.append(val)
     return row
+
+
+def kappa_kernel_on_grid(d: int) -> List[List[int]]:
+    """`idealprobe.exact_kernel(d)` by one elimination: the kernel of the
+    degree-d monomials at kappa(u) = (1, 3u1, u2, 3u1^2 - u2, u1^3,
+    3u1^4 - 3u1^2*u2 + u2^2), written out here, at every u in range(4d + 1)
+    x range(2d + 1). A form at kappa(u) has degree at most 4d in u1 and 2d
+    in u2, so it vanishes on kappa exactly when it vanishes on this grid
+    (Alon, "Combinatorial Nullstellensatz", 1999, Lemma 2.1)."""
+    exps = monomial_exponents(d)
+    rows = [
+        monomial_row_by_powers(exps, (1, 3 * a, b, 3 * a**2 - b, a**3, 3 * a**4 - 3 * a**2 * b + b**2))
+        for a in range(4 * d + 1)
+        for b in range(2 * d + 1)
+    ]
+    return integer_kernel(rows, len(exps))[1]
 
 
 def known_quadric_coefficients() -> Dict[str, Tuple]:

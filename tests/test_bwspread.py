@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bwcayley import bwspread, cayley
+from bwcayley import bwspread, cayley, idealprobe
 from bwcayley.bwspread import (
     IDENTITIES,
     Char3Unsupported,
@@ -234,16 +234,20 @@ IDENTITY_BOUNDS = {
     "char3_kappa": (4, 2),
     "char3_section": (2, 1, 1),
     "nuclei_meet": (4, 2, 1, 1),
+    "kappa_weights": (4, 4, 2),
 }
 
 
 @pytest.fixture
 def fresh_identities():
     """An empty identity cache before the test and after it, so that a
-    formula the test patches is traced and evaluated again."""
+    formula the test patches is traced and evaluated again; with it the
+    cache of the `ideal` probe's kernels, which rest on an identity."""
     certify_identity.cache_clear()
+    idealprobe.exact_kernel.cache_clear()
     yield
     certify_identity.cache_clear()
+    idealprobe.exact_kernel.cache_clear()
 
 
 class TestDegreeTracker:
@@ -317,6 +321,7 @@ class TestIdentities:
             certify_report(F)
             run_checks(Report("klein", F.spec_string()), Run(F))
             run_checks(Report("char3", "gf:3"), Run(F3))
+            run_checks(Report("ideal", "q"), Run(QQ, 0, 2, 60))
 
         every_command(F5)
         assert len(traced) == len(IDENTITIES)

@@ -6,12 +6,14 @@ from math import comb, gcd
 
 import pytest
 
-from bwcayley import idealprobe, linalg
+from bwcayley import bwspread, idealprobe, linalg
+from bwcayley.bwspread import IdentityFails, certify_identity
 from bwcayley.field import Rationals
 from bwcayley.idealprobe import (
     WITNESS,
     DegreeOutOfRange,
     closure_probe,
+    exact_kernel,
     form_value,
     monomial_exponents,
     monomial_row,
@@ -20,9 +22,10 @@ from bwcayley.idealprobe import (
     vanishing_space,
 )
 from bwcayley.klein import h1_form, h2_form, h3_form
-from bwcayley.linalg import rank, rref
+from bwcayley.linalg import integer_kernel, rank, rref, same_span
 from bwcayley.projspace import primitive_int_vector, quadric_value
 from oracles import (
+    kappa_kernel_on_grid,
     known_quadric_coefficients,
     monomial_row_by_powers,
     pencil_sample_points,
@@ -105,12 +108,25 @@ class TestSampling:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_evaluation_matrices_match_the_fraction_route(self, monkeypatch, d):
-        matrices = []
-        monkeypatch.setattr(idealprobe, "integer_kernel", lambda rows, ncols: matrices.append(rows) or ([], []))
+        # the rows of the rank certificate (the first N - dim K_d reach the
+        # rank at every pool seed), then the fallback's full matrix
         exps = monomial_exponents(d)
+        rank_rows = len(exps) - len(exact_kernel(d))
+        expected = {
+            seed: [monomial_row_by_powers(exps, y) for y in sample_kappa_O_by_fractions(60, seed)] for seed in range(16)
+        }
+        reduced = []
+        monkeypatch.setattr(idealprobe, "_rref_mod", lambda rows, p: reduced.append(rows) or linalg._rref_mod(rows, p))
+        for seed in range(16):
+            reduced.clear()
+            vanishing_space(sample_kappa_O(60, seed), d)
+            assert reduced == [expected[seed][:rank_rows]]
+        matrices = []
+        monkeypatch.setattr(idealprobe, "is_int_multiple", lambda *_: False)
+        monkeypatch.setattr(idealprobe, "integer_kernel", lambda rows, ncols: matrices.append(rows) or ([], []))
         for seed in range(16):
             vanishing_space(sample_kappa_O(60, seed), d)
-            assert matrices[-1] == [monomial_row_by_powers(exps, y) for y in sample_kappa_O_by_fractions(60, seed)]
+            assert matrices[-1] == expected[seed]
 
     def test_samples_lie_on_the_variety(self):
         for y in sample_kappa_O(25, 1):
@@ -160,6 +176,36 @@ class TestVanishingSpace:
             for pt in points:
                 assert form_value(exps, form, primitive_int_vector(pt)) == 0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_too_few_points_fall_back(self, d):
+        points = sample_kappa_O(60, 7)[:5]
+        assert vanishing_space(points, d) == full_kernel(points, d)
+        assert len(vanishing_space(points, d)) == len(monomial_exponents(d)) - 5
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_repeated_points_fall_back(self, d):
+        # 60 rows of rank 10 fall short of N - dim K_d = 17 (d = 2) or 34 (d = 3)
+        points = sample_kappa_O(10, 7) * 6
+        assert vanishing_space(points, d) == full_kernel(points, d)
+        assert len(vanishing_space(points, d)) == len(monomial_exponents(d)) - 10
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_point_off_kappa_falls_back(self, d):
+        points = sample_kappa_O(60, 7)
+        off = points[:30] + [(1, 2, 3, 4, 5, 6)] + points[30:]
+        assert vanishing_space(off, d) == full_kernel(off, d)
+        assert len(vanishing_space(off, d)) == len(exact_kernel(d)) - 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_the_directrix_image_falls_back_to_the_same_kernel(self, monkeypatch, d):
+        # (0,0,0,0,0,1) lies in kappa's closure but is no kappa(u): the
+        # certificate refuses it, and the elimination finds K_d all the same
+        points = sample_kappa_O(60, 7) + [(0, 0, 0, 0, 0, 1)]
+        calls = []
+        monkeypatch.setattr(idealprobe, "integer_kernel", lambda *a: calls.append(1) or integer_kernel(*a))
+        assert vanishing_space(points, d) == full_kernel(points, d) == [list(v) for v in exact_kernel(d)]
+        assert calls == [1]
+
     def test_known_forms_vanish_on_samples(self):
         exps = monomial_exponents(2)
         known = known_quadric_coefficients()
@@ -167,6 +213,72 @@ class TestVanishingSpace:
             ipt = primitive_int_vector(pt)
             for vec in known.values():
                 assert form_value(exps, vec, ipt) == 0
+
+
+def full_kernel(points, d):
+    """The fallback route: `integer_kernel` of the whole evaluation matrix."""
+    exps = monomial_exponents(d)
+    return integer_kernel([monomial_row(exps, y) for y in points], len(exps))[1]
+
+
+def times_variable(vec, i):
+    """A degree-2 coefficient vector times Y_i, as a degree-3 one."""
+    index = {e: k for k, e in enumerate(monomial_exponents(3))}
+    out = [0] * len(index)
+    for e, c in zip(monomial_exponents(2), vec):
+        out[index[e[:i] + (e[i] + 1,) + e[i + 1 :]]] += c
+    return out
+
+
+@pytest.fixture
+def fresh_kernels():
+    """Empty kernel and identity caches before the test and after it."""
+    exact_kernel.cache_clear()
+    certify_identity.cache_clear()
+    yield
+    exact_kernel.cache_clear()
+    certify_identity.cache_clear()
+
+
+class TestExactKernel:
+    @pytest.mark.parametrize("d,dimension", [(1, 0), (2, 4), (3, 22)])
+    def test_matches_the_grid_oracle(self, d, dimension):
+        assert [list(v) for v in exact_kernel(d)] == kappa_kernel_on_grid(d)
+        assert len(exact_kernel(d)) == dimension
+
+    def test_kappa_weights_is_certified(self, fresh_kernels):
+        assert certify_identity("kappa_weights") == (4, 4, 2)
+        assert bwspread.IDENTITIES["kappa_weights"] is idealprobe._kappa_weights
+
+    def test_wrong_weights_are_caught(self, fresh_kernels, monkeypatch):
+        # Y12 given weight 1: the identity fails, and no kernel is formed
+        monkeypatch.setattr(idealprobe, "KAPPA_WEIGHTS", (0, 1, 2, 1, 3, 4))
+        with pytest.raises(IdentityFails, match="^identity kappa_weights fails at"):
+            exact_kernel(2)
+        with pytest.raises(IdentityFails):
+            vanishing_space(sample_kappa_O(60, 7), 2)
+        assert exact_kernel.cache_info().currsize == 0
+
+    def test_degree_two_is_the_quadric_and_the_cone_forms(self):
+        known = list(known_quadric_coefficients().values())
+        assert rank(known, QQ) == 4
+        assert same_span(exact_kernel(2), known, QQ)
+
+    def test_degree_three_is_the_products(self):
+        products = [times_variable(vec, i) for vec in known_quadric_coefficients().values() for i in range(6)]
+        assert len(products) == 24 and rank(products, QQ) == 22
+        assert same_span(exact_kernel(3), products, QQ)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_eliminations_run_once_per_process(self, fresh_kernels, monkeypatch, d):
+        # one elimination per weight 0..4d, then none
+        calls = []
+        monkeypatch.setattr(idealprobe, "integer_kernel", lambda *a: calls.append(1) or integer_kernel(*a))
+        exact_kernel(d)
+        assert len(calls) == 4 * d + 1
+        exact_kernel(d)
+        closure_probe(d, 60, 7)
+        assert len(calls) == 4 * d + 1
 
 
 def contained_by_rank(seed, extra=()):
@@ -203,16 +315,16 @@ class TestClosureProbe:
         assert closure_probe(2, 60, 7)["contains_known_forms"].passed is False
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_one_rational_elimination(self, monkeypatch, d):
+    def test_a_warm_probe_eliminates_nothing_over_Q(self, monkeypatch, d):
+        closure_probe(d, 60, 0)
         calls = []
         eliminate = linalg.integer_kernel
         counted = lambda ints, ncols: calls.append(1) or eliminate(ints, ncols)  # noqa: E731
         monkeypatch.setattr(linalg, "integer_kernel", counted)
         monkeypatch.setattr(idealprobe, "integer_kernel", counted)
         for seed in (0, 7, 15):
-            calls.clear()
             closure_probe(d, 60, seed)
-            assert len(calls) == 1, seed
+            assert calls == [], seed
 
     def test_reproducible(self):
         assert closure_probe(2, 60, 7) == closure_probe(2, 60, 7)
