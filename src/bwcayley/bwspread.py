@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import cayley
@@ -39,7 +40,6 @@ from .projspace import (
     is_int_multiple,
     plucker_minors,
     polar_pairing,
-    quadric_polarization,
     quadric_value,
 )
 from .reports import CheckOutcome
@@ -98,7 +98,7 @@ def osculating_tangent(u1, u2, F: Field) -> Line:
     plain ints over Q too. In characteristic 3 the direction degenerates to
     (0, 1, 0, u2), which is still the correct osculating direction. Over
     GF(p) it gives the same three tuples as the entries of `build_O`; no
-    check calls it: over GF(p) the checks read `kappa` or none, over Q the
+    check calls it: over GF(p) the checks read no tangent, over Q the
     unreduced `_integer_tangent`.
     """
     u1, u2 = F.of(u1), F.of(u2)
@@ -227,6 +227,11 @@ class Degree:
     __rmul__ = __mul__
     __mod__ = __rmod__ = __floordiv__ = __rfloordiv__ = _refuse
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _refuse
+
+
+# A stand-in for the field whose `of` is the identity: a formula in plain
+# operators evaluated over it is its polynomial over Z, which `Degree` can trace.
+OVER_Z = SimpleNamespace(of=lambda v: v)
 
 
 def _minus(a: Sequence, b: Sequence) -> Tuple:
@@ -640,14 +645,6 @@ def betten_chart(u1, u2, F: Field):
     return (t, s), plane1, plane2
 
 
-def regulus_minus(s, F: Field) -> List[KleinPoint]:
-    """Klein images of the tangents at the points (s, u2) of the generator
-    g(1,s), in u2 order, each `kappa(s, u2)`, plus the directrix's."""
-    if not F.is_finite:
-        raise InfiniteField("regulus enumeration needs a finite field")
-    return [kappa(s, u2, F) for u2 in F.elements()] + [DIRECTRIX_IMAGE]
-
-
 def verify_regulus(images: Sequence[KleinPoint], F: Field):
     """Check that a line set, given by its canonical Klein images, is a whole regulus.
 
@@ -666,30 +663,28 @@ def verify_regulus(images: Sequence[KleinPoint], F: Field):
         raise NotARegulus("need at least three distinct lines")
     reduced, pivots = rref([list(y) for y in images], F)
     plane = reduced[:3]
-    if len(pivots) != 3 or len(images) != F.order + 1 or not _conic_plane(plane, F):
+    if len(pivots) != 3 or len(images) != F.order + 1 or F.of(half_discriminant(plane)) == F.zero:
         return False, []
     if any(quadric_value(y, F) != F.zero for y in images):
         return False, []
     polar = nullspace([list(gram_apply(y, F)) for y in plane], 6, F)
-    return _conic_plane(polar, F), polar
+    return F.of(half_discriminant(polar)) != F.zero, polar
 
 
-def _conic_plane(basis: Sequence[Sequence], F: Field) -> bool:
-    """Whether the span of three sextuples meets the Klein quadric in a
-    nondegenerate conic.
+def half_discriminant(basis: Sequence[Sequence]):
+    """The half-discriminant of the Klein quadric on the span of three
+    sextuples, nonzero exactly on a conic plane, in plain operators, unreduced.
 
     On x*e1 + y*e2 + z*e3 the quadric is a*x^2 + b*y^2 + c*z^2 + h*xy + g*xz
     + f*yz, with a, b, c its values on the basis and h, g, f the
     polarizations of the pairs (1,2), (1,3), (2,3). The conic is
-    nondegenerate exactly when the half-discriminant 4abc + fgh - af^2 -
-    bg^2 - ch^2 is nonzero, in every characteristic; a change of basis
-    scales it by a nonzero square. The restricted Gram determinant is twice
+    nondegenerate, and the sextuples independent, exactly when the
+    half-discriminant 4abc + fgh - af^2 - bg^2 - ch^2 is nonzero, in every
+    characteristic; a change of basis scales it by a nonzero square. The restricted Gram determinant is twice
     this value, so it cannot serve: it vanishes identically in
     characteristic 2, where the polarization is alternating.
     """
     e1, e2, e3 = basis
-    a, b, c = (quadric_value(e, F) for e in basis)
-    h = quadric_polarization(e1, e2, F)
-    g = quadric_polarization(e1, e3, F)
-    f = quadric_polarization(e2, e3, F)
-    return F.of(4 * a * b * c + f * g * h - a * f * f - b * g * g - c * h * h) != F.zero
+    a, b, c = (quadric_value(e, OVER_Z) for e in basis)
+    h, g, f = polar_pairing(e1, e2), polar_pairing(e1, e3), polar_pairing(e2, e3)
+    return 4 * a * b * c + f * g * h - a * f * f - b * g * g - c * h * h

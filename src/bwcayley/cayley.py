@@ -15,10 +15,6 @@ from .field import Field
 from .projspace import GeometryError, KleinPoint, ProjPlane, canonicalize
 
 
-class ZeroParameters(GeometryError):
-    pass
-
-
 def cubic_form(x: Sequence):
     """The surface's form X0*X1*X2 - X1^3 - X0^2*X3, in plain operators,
     unreduced."""

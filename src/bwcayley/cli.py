@@ -42,10 +42,10 @@ class Run:
     """The inputs one command's checks share. The ideal probe and the
     duality's outcome are built on first use, by `pencil_vanishing` and by
     `dual_spread`, which reads its d(O) = O flag. No check holds the tangent
-    set O or lists the points, planes or lines of PG(3,q) or the points of
-    PG(5,q): over a finite field the certify, klein and char3 checks rest on
-    identities over Z and counts in closed form, and the reguli check reads
-    the Klein images of each regulus in closed form (`bwspread.kappa`)."""
+    set O, lists the points, planes or lines of PG(3,q) or the points of
+    PG(5,q), or reduces a matrix over a finite field: there the certify,
+    klein and char3 checks rest on identities over Z and counts in closed
+    form."""
 
     def __init__(self, F: Field, seed: int = 0, degree: int = 0, samples: int = 0):
         self.F, self.seed, self.degree, self.samples = F, seed, degree, samples

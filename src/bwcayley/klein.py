@@ -5,22 +5,21 @@ generator family maps to a twisted cubic inside the 3-space C, the tangent
 set plus the pencil through the pinch point maps onto the intersection of
 three quadratic cones with the Klein quadric, and in characteristic 3
 everything collapses into the quadratic cone cut out by the 3-space D.
-Over GF(p) the variety, projection and congruence checks rest on
-identities over Z, which this module enters in `bwspread.IDENTITIES`, plus
-counts in closed form; `variety_zero_set` finds the zero set of the forms
-by a scan of PG(5,q), which `scripts/variety_scan.py` compares with the
-images.
+Over GF(p) every check rests on identities over Z, which this module
+enters in `bwspread.IDENTITIES`, plus counts in closed form, so none
+reduces a matrix or walks a parameter; `variety_zero_set` finds the zero
+set of the forms by a scan of PG(5,q), which `scripts/variety_scan.py`
+compares with the images.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import List, Sequence, Set, Tuple
 
-from . import bwspread, cayley
+from . import bwspread
+from .bwspread import OVER_Z
 from .field import Field, InfiniteField, cube_roots
-from .linalg import rank, same_span
-from .projspace import GeometryError, KleinPoint, canonicalize, gram_apply, polar_pairing, quadric_value
+from .projspace import GeometryError, KleinPoint, canonicalize, det4, gram_apply, polar_pairing, quadric_value
 from .reports import CheckOutcome
 
 
@@ -46,13 +45,6 @@ def h3_form(y: Sequence, F: Field):
     return F.of(9 * y[0] * y[4] - y[1] * (y[3] + y[2]))
 
 
-# --- distinguished vectors and subspaces -------------------------------------
-
-def in_C(y: Sequence, F: Field) -> bool:
-    """The 3-space V(Y01, Y03 - Y12) housing the generator cubic."""
-    return y[0] == F.zero and y[2] == y[3]
-
-
 # --- Klein images -------------------------------------------------------------
 
 def in_kappa_O(y: Sequence, F: Field) -> bool:
@@ -73,25 +65,16 @@ def in_kappa_O(y: Sequence, F: Field) -> bool:
     return y == tuple(map(F.of, bwspread.osculating_sextuple(1, u1, u2)))
 
 
-def generator_cubic(s0, s1, F: Field) -> KleinPoint:
+def generator_image(s0, s1) -> Tuple:
     """Klein image of the generator g(s0,s1): (0, s0^3, s0^2 s1, s0^2 s1, s0 s1^2, s1^3),
-    in plain operators, reduced once by `canonicalize`."""
-    s0, s1 = F.of(s0), F.of(s1)
-    if s0 == F.zero and s1 == F.zero:
-        raise cayley.ZeroParameters("generator parameters must not both vanish")
+    in plain operators and unreduced."""
     s00, s11 = s0 * s0, s1 * s1
     b = s00 * s1
-    return canonicalize((F.zero, s00 * s0, b, b, s0 * s11, s11 * s1), F)
+    return (0, s00 * s0, b, b, s0 * s11, s11 * s1)
 
 
-def twisted_cubic_basis(F: Field) -> Tuple[Tuple, ...]:
-    """Basis vectors v0..v3 with image(s0,s1) = s0^3 v0 + s0^2 s1 v1 + s0 s1^2 v2 + s1^3 v3."""
-    zero, one = F.zero, F.one
-    v0 = (zero, one, zero, zero, zero, zero)
-    v1 = (zero, zero, one, one, zero, zero)
-    v2 = (zero, zero, zero, zero, one, zero)
-    v3 = (zero, zero, zero, zero, zero, one)
-    return v0, v1, v2, v3
+# v0..v3 with `generator_image(s0, s1)` = s0^3 v0 + s0^2 s1 v1 + s0 s1^2 v2 + s1^3 v3
+CUBIC_BASIS = ((0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
 
 
 def pencil_LZomega(F: Field) -> List[KleinPoint]:
@@ -117,27 +100,22 @@ def projection_check(F: Field) -> CheckOutcome:
 
 
 def reguli_check(F: Field) -> CheckOutcome:
-    """For every s, `bwspread.regulus_minus(s, F)` is a regulus whose
-    opposite regulus contains the generator g(1,s): its image
-    `generator_cubic(1, s)`, which is on the quadric, lies in the polar
-    plane. The witness is the first failing s.
+    """For every s the tangents at (s, u2) plus the directrix are a regulus
+    whose opposite regulus holds the generator g(1,s), from identities over
+    Z: their images are the points (1, u2, u2^2) and (0, 0, 1) of the conic
+    xz - y^2 on a plane <A, B, C> (`regulus_plane`), whose polar plane <P1,
+    P2, P3> is a conic plane too and holds the generator's image (`regulus_polar`).
     """
-    counts = {"reguli": F.order, "lines_each": F.order + 1}
-    for s in F.elements():
-        ok, polar = bwspread.verify_regulus(bwspread.regulus_minus(s, F), F)
-        if not (ok and rank(polar + [list(generator_cubic(1, s, F))], F) == 3):
-            return CheckOutcome(passed=False, witness=s, counts=counts)
-    return CheckOutcome(passed=True, counts=counts)
+    for name in ("regulus_plane", "regulus_polar"):
+        bwspread.certify_identity(name)
+    return CheckOutcome(passed=True, counts={"reguli": F.order, "lines_each": F.order + 1})
 
 
 def generator_cubic_check(F: Field) -> CheckOutcome:
-    """Every generator image lies in C and on the Klein quadric."""
-    params = [(F.one, s) for s in F.elements()] + [(F.zero, F.one)]
-    passed = all(
-        in_C(y, F) and quadric_value(y, F) == F.zero
-        for y in (generator_cubic(s0, s1, F) for s0, s1 in params)
-    )
-    return CheckOutcome(passed=passed, counts={"generators": F.order + 1})
+    """Every generator image lies in C = V(Y01, Y03 - Y12) and on the Klein
+    quadric, an identity over Z (`generator_on_cone`)."""
+    bwspread.certify_identity("generator_on_cone")
+    return CheckOutcome(passed=True, counts={"generators": F.order + 1})
 
 
 # --- the zero set of the forms ----------------------------------------------
@@ -251,56 +229,21 @@ def char3_congruence_check(F: Field) -> CheckOutcome:
 
 def osculating_plane_pencil_check(F: Field) -> CheckOutcome:
     """In characteristic 3 all osculating planes of the generator cubic share
-    the axis spanned by v1 and v2, which is the polar line of D.
+    the axis spanned by v1 and v2, which is the polar line of D, from an
+    identity over Z (`char3_osculating`): modulo 3 they are <c(s), v1, v2>,
+    c(s) = `generator_image(1, s)`, and, at infinity, <v3, v2, v1>.
     """
     if F.characteristic != 3:
         raise WrongCharacteristic("needs characteristic 3")
-    v0, v1, v2, v3 = twisted_cubic_basis(F)
-    axis = [list(v1), list(v2)]
-
-    d_equations = [
-        (F.zero, F.one, F.zero, F.zero, F.zero, F.zero),
-        (F.zero, F.zero, F.one, F.one, F.zero, F.zero),
-    ]
-    # the polar of D = V(Y02, Y03 + Y12) is spanned by the Gram images of its equations
-    axis_is_polar = same_span(axis, [list(gram_apply(row, F)) for row in d_equations], F)
-
-    def combo(*terms):
-        return [F.of(sum(coeff * vec[i] for coeff, vec in terms)) for i in range(6)]
-
-    ok = axis_is_polar
-    witness = None
-    for s in F.elements():
-        s2 = s * s
-        point = combo((1, v0), (s, v1), (s2, v2), (s2 * s, v3))
-        first = combo((1, v1), (2 * s, v2), (3 * s2, v3))
-        second = combo((2, v2), (6 * s, v3))
-        plane = [point, first, second]
-        if rank(plane, F) != 3 or rank(plane + [list(v1)], F) != 3 or rank(plane + [list(v2)], F) != 3:
-            ok = False
-            witness = s
-            break
-    # the remaining cubic point (the image of the directrix), via the reversed chart
-    if ok:
-        plane = [list(v3), list(v2), combo((2, v1))]
-        ok = rank(plane, F) == 3 and rank(plane + [list(v1)], F) == 3 and rank(plane + [list(v2)], F) == 3
-    return CheckOutcome(
-        passed=ok,
-        witness=witness,
-        counts={"parameters": F.order + 1},
-    )
+    bwspread.certify_identity("char3_osculating")
+    return CheckOutcome(passed=True, counts={"parameters": F.order + 1})
 
 
 # --- identities over Z ---------------------------------------------------------
 
-# A stand-in for the field whose `of` is the identity: a form evaluated over
-# it is its polynomial over Z, which `bwspread.Degree` can trace.
-_OVER_Z = SimpleNamespace(of=lambda v: v)
-
-
 def _forms(y: Sequence) -> Tuple:
     """h1, h2, h3 and k at y, over Z."""
-    return tuple(form(y, _OVER_Z) for form in (h1_form, h2_form, h3_form, quadric_value))
+    return tuple(form(y, OVER_Z) for form in (h1_form, h2_form, h3_form, quadric_value))
 
 
 def _chart(a, b, y12, y13, y23) -> Tuple:
@@ -323,9 +266,9 @@ def _off_chart(y02, y03, y12, y13, y23) -> Tuple:
     Y12 = -Y03 k + Y03^2, and the forms on (0, 0, 0, 0, Y13, Y23)."""
     s = y12 + y03
     return (
-        h1_form((0, y02, y03, y12, y13, y23), _OVER_Z) + y02 * y02,
-        h2_form((0, 0, y03, y12, y13, y23), _OVER_Z) + s * s,
-        quadric_value((0, 0, y03, -y03, y13, y23), _OVER_Z) + y03 * y03,
+        h1_form((0, y02, y03, y12, y13, y23), OVER_Z) + y02 * y02,
+        h2_form((0, 0, y03, y12, y13, y23), OVER_Z) + s * s,
+        quadric_value((0, 0, y03, -y03, y13, y23), OVER_Z) + y03 * y03,
     ) + _forms((0, 0, 0, 0, y13, y23))
 
 
@@ -347,6 +290,63 @@ def _char3_kappa(u1, u2) -> Tuple:
     return tuple(v - w - 3 * m for v, w, m in zip(bwspread._kappa(u1, u2), reduced, multiple))
 
 
+def _regulus_bases(s) -> Tuple[Tuple, ...]:
+    """Over Z, A = kappa(s, 0), B and C = the directrix's image, with kappa(s,
+    u2) = A + u2*B + u2^2*C, then P1, P2 and P3, spanning the polar plane."""
+    ss = s * s
+    return (
+        bwspread._kappa(s, 0), (0, 0, 1, -1, 0, -3 * ss), bwspread.DIRECTRIX_IMAGE,
+        (0, 1, 0, 0, 0, ss * s), (0, 0, 1, 1, 0, -3 * ss), (0, 0, 0, 0, 1, 3 * s),
+    )
+
+
+def _regulus_plane(s, u2) -> Tuple:
+    """kappa(s, u2) less A + u2*B + u2^2*C, and the quadric on <A, B, C> less xz - y^2."""
+    A, B, C = _regulus_bases(s)[:3]
+    gram = (quadric_value(A, OVER_Z), quadric_value(B, OVER_Z) + 1, quadric_value(C, OVER_Z))
+    gram += (polar_pairing(A, B), polar_pairing(A, C) - 1, polar_pairing(B, C))
+    span = (a + u2 * b + u2 * u2 * c for a, b, c in zip(A, B, C))
+    return bwspread._minus(bwspread._kappa(s, u2), span) + gram
+
+
+def _regulus_polar(s) -> Tuple:
+    """The half-discriminants of the two planes less 1 and -1, each Pi paired
+    with A, B and C, k at the generator's image, and that less P1 + s*P2 + s^2*P3."""
+    planes, g = _regulus_bases(s), generator_image(1, s)
+    plane, polar = planes[:3], planes[3:]
+    values = (bwspread.half_discriminant(plane) - 1, bwspread.half_discriminant(polar) + 1, quadric_value(g, OVER_Z))
+    values += tuple(polar_pairing(P, X) for P in polar for X in plane)
+    return values + bwspread._minus(g, (a + s * b + s * s * c for a, b, c in zip(*polar)))
+
+
+def _generator_on_cone(s0, s1) -> Tuple:
+    """Y01, Y03 - Y12 and k at `generator_image(s0, s1)`."""
+    y = generator_image(s0, s1)
+    return y[0], y[2] - y[3], quadric_value(y, OVER_Z)
+
+
+def _char3_taylor(s, t) -> Tuple:
+    """c(s + t) - c(s) over Z, c(s) = `generator_image(1, s)`: t*(v1 + 2s*v2)
+    + t^2*v2 + t^3*v3 plus the multiple 3*(s^2*t + s*t^2)*v3 of 3."""
+    _, v1, v2, v3 = CUBIC_BASIS
+    t3 = t * t * t + 3 * (s * s * t + s * t * t)
+    return tuple(t * (a + 2 * s * b) + t * t * b + t3 * c for a, b, c in zip(v1, v2, v3))
+
+
+def _char3_osculating(s, t) -> Tuple:
+    """c(s + t) - c(s) less `_char3_taylor`, the reversed chart less v3 +
+    t*v2 + t^2*v1 + t^3*v0, the determinant of v1, v2, v3 and c(s) on Y02,
+    Y03, Y13 and Y23 plus 1, and the Gram images of D's equations less -v2 and v1."""
+    v0, v1, v2, v3 = CUBIC_BASIS
+    c = generator_image(1, s)
+    values = bwspread._minus(bwspread._minus(generator_image(1, s + t), c), _char3_taylor(s, t))
+    reversed_chart = (d + t * e + t * t * f + t * t * t * g for d, e, f, g in zip(v3, v2, v1, v0))
+    values += bwspread._minus(generator_image(t, 1), reversed_chart)
+    values += (det4([[y[i] for i in (1, 2, 4, 5)] for y in (v1, v2, v3, c)], OVER_Z) + 1,)
+    values += tuple(x + y for x, y in zip(gram_apply((0, 1, 0, 0, 0, 0), OVER_Z), v2))
+    return values + bwspread._minus(gram_apply((0, 0, 1, 1, 0, 0), OVER_Z), v1)
+
+
 # The identities over Z that the klein and char3 checks rest on, in the one
 # table `bwspread.certify_identity` reads.
 bwspread.IDENTITIES.update({
@@ -354,11 +354,15 @@ bwspread.IDENTITIES.update({
     "chart": _chart,
     "off_chart": _off_chart,
     "projection": _projection,
+    "regulus_plane": _regulus_plane,
+    "regulus_polar": _regulus_polar,
+    "generator_on_cone": _generator_on_cone,
     "char3_kappa": _char3_kappa,
+    "char3_osculating": _char3_osculating,
     # k on D's points (1, 0, a, -a, b, c) and (0, 0, a, -a, b, c)
     "char3_section": lambda a, b, c: (
-        quadric_value((1, 0, a, -a, b, c), _OVER_Z) - (c - a * a),
-        quadric_value((0, 0, a, -a, b, c), _OVER_Z) + a * a,
+        quadric_value((1, 0, a, -a, b, c), OVER_Z) - (c - a * a),
+        quadric_value((0, 0, a, -a, b, c), OVER_Z) + a * a,
     ),
     # the tangent at u and the pencil line (0, 0, 0, 0, s, t) against the line of nuclei
     "nuclei_meet": lambda u1, u2, s, t: (

@@ -301,11 +301,3 @@ def nullspace(rows: Sequence[Sequence], ncols: int, F: Field) -> List[List]:
         basis.append(vec)
     return basis
 
-
-def same_span(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence], F: Field) -> bool:
-    """Whether two row sets span the same subspace (by rref comparison)."""
-    ra, _ = rref(rows_a, F)
-    rb, _ = rref(rows_b, F)
-    ra = [r for r in ra if any(v != F.zero for v in r)]
-    rb = [r for r in rb if any(v != F.zero for v in r)]
-    return ra == rb

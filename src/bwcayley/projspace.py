@@ -133,11 +133,6 @@ def polar_pairing(y: Sequence, z: Sequence):
     return y[0] * z[5] + y[5] * z[0] + y[2] * z[3] + y[3] * z[2] - y[1] * z[4] - y[4] * z[1]
 
 
-def quadric_polarization(y: Sequence, z: Sequence, F: Field):
-    """`polar_pairing` reduced once by `F.of`."""
-    return F.of(polar_pairing(y, z))
-
-
 class Line:
     """A line of PG(3,K): an ordered spanning pair plus its Plücker sextuple.
 
@@ -188,7 +183,7 @@ def lines_skew(l1: Line, l2: Line, F: Field) -> bool:
     sextuples are conjugate under the quadric's polarization, in every
     characteristic (the polarization is the determinant of the four
     spanning points, up to sign)."""
-    return quadric_polarization(l1.plucker, l2.plucker, F) != F.zero
+    return F.of(polar_pairing(l1.plucker, l2.plucker)) != F.zero
 
 
 def incidence(x: Sequence, l: Line, F: Field) -> bool:

@@ -40,11 +40,17 @@ image in Fractions and scales it back to ints, and `monomial_row_by_powers`
 evaluates each monomial by powers of the coordinates. The probe's kernel
 is K_d, read once per degree off kappa's weight blocks
 (`idealprobe.exact_kernel`); `kappa_kernel_on_grid` eliminates the
-monomials at kappa on a whole integer grid instead. The Klein-section checks take the pencil and the reguli
-as closed-form Klein images; `pencil_lines` and `regulus_lines` join the
-same lines, and the `*_by_O` routes deduplicate joined lines by
-`dedup_lines`; the reguli check takes each generator's image from
-`klein.generator_cubic`, and `generator` joins the generator instead.
+monomials at kappa on a whole integer grid instead. `klein` certifies the
+reguli, the generator cubic and the char-3 osculating planes from
+identities over Z; `reguli_by_walk` row-reduces each regulus instead
+(`bwspread.verify_regulus`), `generator_cubic_by_walk` tests every
+generator image (`in_C`), and `osculating_plane_pencil_by_ranks` takes
+ranks (`same_span`). The walks take the pencil and the reguli as
+closed-form Klein images (`regulus_minus`); `pencil_lines` and
+`regulus_lines` join the same lines, and the `*_by_O` routes deduplicate
+joined lines by `dedup_lines`; the reguli walk takes each generator's
+image from `generator_cubic`, `klein.generator_image` canonicalised, and
+`generator` joins the generator instead.
 Over the rationals the certifiers test their seeded samples on unreduced
 int tuples; the `*_by_fractions` routes draw the same samples and test them
 in Fraction arithmetic on joined `Line`s and canonical tuples, with
@@ -79,7 +85,9 @@ from bwcayley.bwspread import (
 )
 from bwcayley.field import QQ, Field, InfiniteField, cube_roots, nontrivial_cube_root_of_unity
 from bwcayley.klein import (
+    CUBIC_BASIS,
     WrongCharacteristic,
+    generator_image,
     h1_form,
     h2_form,
     h3_form,
@@ -87,7 +95,7 @@ from bwcayley.klein import (
     variety_zero_set,
 )
 from bwcayley.idealprobe import NUM_VARS, monomial_exponents
-from bwcayley.linalg import integer_kernel, rank
+from bwcayley.linalg import integer_kernel, rank, rref
 from bwcayley.projspace import (
     CoincidentPoints,
     GeometryError,
@@ -100,12 +108,13 @@ from bwcayley.projspace import (
     det4,
     enumerate_lines,
     enumerate_points,
+    gram_apply,
     incidence,
     lines_skew,
     plucker,
     plucker_minors,
+    polar_pairing,
     primitive_int_vector,
-    quadric_polarization,
     quadric_value,
 )
 from bwcayley.reports import CheckOutcome
@@ -137,6 +146,11 @@ def div(a, b, F: Field):
 
 # The pinch point, lines joined from two points, and the plane at infinity
 # listed point by point.
+
+def quadric_polarization(y: Sequence, z: Sequence, F: Field):
+    """`projspace.polar_pairing` reduced once by `F.of`."""
+    return F.of(polar_pairing(y, z))
+
 
 def z_point(F: Field) -> ProjPoint:
     """The pinch point (0,0,0,1)."""
@@ -264,11 +278,15 @@ def tangents(F: Field) -> Iterator[Tuple[Tuple[int, int], Tuple]]:
             yield (u1, u2), t
 
 
+class ZeroParameters(GeometryError):
+    pass
+
+
 def generator(s0, s1, F: Field) -> Line:
     """The generator line spanned by (s0^2, s0*s1, s1^2, 0) and (0, 0, s0, s1)."""
     s0, s1 = F.of(s0), F.of(s1)
     if s0 == F.zero and s1 == F.zero:
-        raise cayley.ZeroParameters("generator parameters must not both vanish")
+        raise ZeroParameters("generator parameters must not both vanish")
     p = (mul(s0, s0, F), mul(s0, s1, F), mul(s1, s1, F), F.zero)
     q = (F.zero, F.zero, s0, s1)
     return line_through(p, q, F)
@@ -545,7 +563,7 @@ def dedup_lines(lines: Iterable[Line]) -> List[Line]:
 
 
 def regulus_lines(s, F: Field) -> List[Line]:
-    """The lines whose images `bwspread.regulus_minus` lists, in its order,
+    """The lines whose images `regulus_minus` lists, in its order,
     each joined by `osculating_tangent`: the tangents at (s, u2) for every
     u2, then the directrix."""
     return [osculating_tangent(s, u2, F) for u2 in F.elements()] + [g_infinity(F)]
@@ -555,7 +573,7 @@ def pencil_line(a, b, F: Field) -> Line:
     """The line joining the pinch point with (0, a, b, 0) inside the plane at infinity."""
     a, b = F.of(a), F.of(b)
     if a == F.zero and b == F.zero:
-        raise cayley.ZeroParameters("pencil parameters must not both vanish")
+        raise ZeroParameters("pencil parameters must not both vanish")
     return line_through((F.zero, a, b, F.zero), z_point(F), F)
 
 
@@ -918,10 +936,12 @@ def duality_by_parameters(F: Field) -> Tuple[CheckOutcome, bool]:
 
 
 # --- the klein and char3 checks as walks ---------------------------------------
-# `klein` certifies variety_equality, projection and congruence from identities
-# over Z. The routes below compare the scanned zero set, the points of D's
-# quadric section and the projected images with the tangents read one
-# parameter at a time off `tangents`, as the checks did before.
+# `klein` certifies every check from identities over Z. The routes below
+# compare the scanned zero set, the points of D's quadric section and the
+# projected images with the tangents read one parameter at a time off
+# `tangents`, row-reduce each regulus and its polar plane, test every
+# generator image, and take ranks of the char-3 osculating planes, as the
+# checks did before.
 
 class ProjectionDegenerate(GeometryError):
     pass
@@ -1037,6 +1057,106 @@ def char3_congruence_by_walk(F: Field) -> CheckOutcome:
             "cone_section_points": len(qd_points),
             "expected": q * q + q + 1,
         },
+    )
+
+
+def regulus_minus(s, F: Field) -> List[KleinPoint]:
+    """Klein images of the tangents at the points (s, u2) of the generator
+    g(1,s), in u2 order, each `bwspread.kappa(s, u2)`, plus the directrix's."""
+    if not F.is_finite:
+        raise InfiniteField("regulus enumeration needs a finite field")
+    return [bwspread.kappa(s, u2, F) for u2 in F.elements()] + [bwspread.DIRECTRIX_IMAGE]
+
+
+def reguli_by_walk(F: Field) -> CheckOutcome:
+    """`klein.reguli_check`, row-reducing each regulus: for every s,
+    `regulus_minus(s, F)` is a regulus by `bwspread.verify_regulus` whose
+    opposite regulus contains the generator g(1,s): its image
+    `generator_cubic(1, s)`, which is on the quadric, lies in the polar
+    plane. The witness is the first failing s.
+    """
+    counts = {"reguli": F.order, "lines_each": F.order + 1}
+    for s in F.elements():
+        ok, polar = bwspread.verify_regulus(regulus_minus(s, F), F)
+        if not (ok and rank(polar + [list(generator_cubic(1, s, F))], F) == 3):
+            return CheckOutcome(passed=False, witness=s, counts=counts)
+    return CheckOutcome(passed=True, counts=counts)
+
+
+def in_C(y: Sequence, F: Field) -> bool:
+    """The 3-space V(Y01, Y03 - Y12) housing the generator cubic."""
+    return y[0] == F.zero and y[2] == y[3]
+
+
+def generator_cubic(s0, s1, F: Field) -> KleinPoint:
+    """Klein image of the generator g(s0,s1), `klein.generator_image`
+    reduced once by `canonicalize`."""
+    s0, s1 = F.of(s0), F.of(s1)
+    if s0 == F.zero and s1 == F.zero:
+        raise ZeroParameters("generator parameters must not both vanish")
+    return canonicalize(generator_image(s0, s1), F)
+
+
+def generator_cubic_by_walk(F: Field) -> CheckOutcome:
+    """`klein.generator_cubic_check`, testing every generator image for
+    `in_C` and the quadric."""
+    params = [(F.one, s) for s in F.elements()] + [(F.zero, F.one)]
+    passed = all(
+        in_C(y, F) and quadric_value(y, F) == F.zero
+        for y in (generator_cubic(s0, s1, F) for s0, s1 in params)
+    )
+    return CheckOutcome(passed=passed, counts={"generators": F.order + 1})
+
+
+def same_span(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence], F: Field) -> bool:
+    """Whether two row sets span the same subspace (by rref comparison)."""
+    ra, _ = rref(rows_a, F)
+    rb, _ = rref(rows_b, F)
+    ra = [r for r in ra if any(v != F.zero for v in r)]
+    rb = [r for r in rb if any(v != F.zero for v in r)]
+    return ra == rb
+
+
+def osculating_plane_pencil_by_ranks(F: Field) -> CheckOutcome:
+    """`klein.osculating_plane_pencil_check` by ranks: the polar of D =
+    V(Y02, Y03 + Y12), spanned by the Gram images of its equations, is the
+    axis <v1, v2>, and every osculating plane of the generator cubic, the
+    point, its first derivative and its second, has rank 3 with either axis
+    vector added. The witness is the first failing s."""
+    if F.characteristic != 3:
+        raise WrongCharacteristic("needs characteristic 3")
+    v0, v1, v2, v3 = CUBIC_BASIS
+    axis = [list(v1), list(v2)]
+
+    d_equations = [
+        (F.zero, F.one, F.zero, F.zero, F.zero, F.zero),
+        (F.zero, F.zero, F.one, F.one, F.zero, F.zero),
+    ]
+    axis_is_polar = same_span(axis, [list(gram_apply(row, F)) for row in d_equations], F)
+
+    def combo(*terms):
+        return [F.of(sum(coeff * vec[i] for coeff, vec in terms)) for i in range(6)]
+
+    ok = axis_is_polar
+    witness = None
+    for s in F.elements():
+        s2 = s * s
+        point = combo((1, v0), (s, v1), (s2, v2), (s2 * s, v3))
+        first = combo((1, v1), (2 * s, v2), (3 * s2, v3))
+        second = combo((2, v2), (6 * s, v3))
+        plane = [point, first, second]
+        if rank(plane, F) != 3 or rank(plane + [list(v1)], F) != 3 or rank(plane + [list(v2)], F) != 3:
+            ok = False
+            witness = s
+            break
+    # the remaining cubic point (the image of the directrix), via the reversed chart
+    if ok:
+        plane = [list(v3), list(v2), combo((2, v1))]
+        ok = rank(plane, F) == 3 and rank(plane + [list(v1)], F) == 3 and rank(plane + [list(v2)], F) == 3
+    return CheckOutcome(
+        passed=ok,
+        witness=witness,
+        counts={"parameters": F.order + 1},
     )
 
 

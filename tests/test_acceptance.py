@@ -21,7 +21,6 @@ from bwcayley.bwspread import (
     certify_maximality,
     certify_partial_spread,
     osculating_tangent,
-    regulus_minus,
     skew_criterion,
     uncovered_witness_rational,
     verify_regulus,
@@ -44,7 +43,7 @@ from bwcayley.projspace import (
     line_in_plane,
     lines_skew,
 )
-from oracles import f_value, parameter_grid, variety_qd_points
+from oracles import f_value, parameter_grid, regulus_minus, variety_qd_points
 
 QQ = Rationals()
 

@@ -33,7 +33,6 @@ from bwcayley.bwspread import (
     lines_of_O_through,
     osculating_tangent,
     parameter_reader,
-    regulus_minus,
     skew_criterion,
     skew_value,
     uncovered_witness_rational,
@@ -93,7 +92,9 @@ from oracles import (
     partial_spread_by_translations,
     point_in_plane,
     reguli_by_O,
+    reguli_by_walk,
     regulus_lines,
+    regulus_minus,
     second_compound,
     span_points,
     sub,
@@ -231,7 +232,11 @@ IDENTITY_BOUNDS = {
     "chart": (4, 2, 1, 1, 1),
     "off_chart": (2, 2, 2, 1, 1),
     "projection": (3, 1),
+    "regulus_plane": (4, 2),
+    "regulus_polar": (10,),
+    "generator_on_cone": (4, 3),
     "char3_kappa": (4, 2),
+    "char3_osculating": (3, 3),
     "char3_section": (2, 1, 1),
     "nuclei_meet": (4, 2, 1, 1),
     "kappa_weights": (4, 4, 2),
@@ -648,13 +653,13 @@ def _dual_spread_by_walk(F):
 
 
 # The routes that read the tangents one parameter at a time: the certify walks
-# kept in tests/oracles.py, and the reguli check.
+# and the reguli walk, kept in tests/oracles.py.
 STREAMED_AND_BY_O = {
     "partial_spread": (partial_spread_by_translations, partial_spread_by_O),
     "maximality": (maximality_by_walk, maximality_by_O),
     "dual_spread": (_dual_spread_by_walk, dual_spread_by_O),
     "duality": (lambda F: duality_by_parameters(F)[0], duality_by_O),
-    "reguli": (reguli_check, reguli_by_O),
+    "reguli": (reguli_by_walk, reguli_by_O),
 }
 
 # The finite certify checks, which rest on identities over Z and read no tangent.
@@ -1124,7 +1129,7 @@ class TestReguli:
             return ok and len(calls) != 3, polar
 
         monkeypatch.setattr(bwspread, "verify_regulus", third_fails)
-        r = reguli_check(F5)
+        r = reguli_by_walk(F5)
         assert not r.passed and r.witness == 2 and len(calls) == 3
         assert r.counts == {"reguli": 5, "lines_each": 6}
 
@@ -1140,7 +1145,7 @@ class TestReguli:
             return ok, other_polar if len(calls) == 3 else polar
 
         monkeypatch.setattr(bwspread, "verify_regulus", third_misses)
-        r = reguli_check(F5)
+        r = reguli_by_walk(F5)
         assert not r.passed and r.witness == 2 and len(calls) == 3
 
     def test_not_a_regulus_on_degenerate_input(self):

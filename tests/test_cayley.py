@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bwcayley.cayley import (
-    ZeroParameters,
     dual_plucker,
     duality,
     restrict_cubic,
@@ -27,6 +26,7 @@ from bwcayley.projspace import (
 )
 from oracles import (
     GMatrix,
+    ZeroParameters,
     ZeroScale,
     f_value,
     g_infinity,

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from bwcayley import bwspread, cayley, cli, idealprobe, klein, projspace
+from bwcayley import bwspread, cayley, cli, idealprobe, klein, linalg, projspace
 from bwcayley.cli import build_parser, certify_report, main
 from bwcayley.field import PrimeField
 from bwcayley.projspace import GeometryError
@@ -149,13 +149,21 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["certify", "klein"])
     def test_no_check_joins_a_tangent(self, capsys, monkeypatch, command):
         # the finite checks never build a tangent by joining two points and
-        # canonicalising; the reguli check reads its tangents' Klein images
-        # in closed form off kappa, and the certify checks read none
+        # canonicalising, nor read its Klein image off kappa: they rest on
+        # identities over Z
         joined = count_calls(monkeypatch, bwspread, "osculating_tangent")
         closed = count_calls(monkeypatch, bwspread, "kappa")
         code, _, _ = run(capsys, command, "--field", "gf:5")
-        assert code == 0 and len(joined) == 0
-        assert len(closed) >= 25 if command == "klein" else len(closed) == 0
+        assert code == 0 and len(joined) == len(closed) == 0
+
+    @pytest.mark.parametrize("command,field", [("klein", "gf:7"), ("char3", "gf:3")])
+    def test_klein_and_char3_reduce_no_matrix(self, capsys, monkeypatch, fresh_identities, command, field):
+        # the reguli, the generator cubic and the osculating planes rest on
+        # identities over Z, certified afresh here, so no check calls linalg
+        names = ("rref", "nullspace", "rank")
+        calls = {name: count_calls(monkeypatch, linalg, name) for name in names}
+        code, _, _ = run(capsys, command, "--field", field)
+        assert code == 0 and {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 0)
 
     @pytest.mark.parametrize("command,field", [("certify", "gf:13"), ("klein", "gf:7"), ("char3", "gf:3")])
     def test_no_subcommand_enumerates_points_planes_or_lines(self, capsys, monkeypatch, command, field):
@@ -241,6 +249,39 @@ class TestExitCodes:
         code, out, err = run(capsys, "klein", "--field", "gf:7")
         assert code == 3 and out == ""
         assert err.startswith(f"bwcayley: internal error in check variety_equality: IdentityFails: identity {identity} fails")
+        assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "command,field,name,broken,check,identity",
+        [
+            # 3s -> 2s in P3: it no longer pairs to 0 with kappa(s, 0)
+            (
+                "klein",
+                "gf:7",
+                "_regulus_bases",
+                lambda f: lambda s: f(s)[:5] + ((0, 0, 0, 0, 1, 2 * s),),
+                "reguli",
+                "regulus_polar",
+            ),
+            # the multiple of 3 dropped from the expansion, which then holds modulo 3 alone
+            (
+                "char3",
+                "gf:3",
+                "_char3_taylor",
+                lambda f: lambda s, t: f(s, t)[:5] + (f(s, t)[5] - 3 * (s * s * t + s * t * t),),
+                "osculating_plane_pencil",
+                "char3_osculating",
+            ),
+        ],
+    )
+    def test_a_broken_regulus_or_osculating_formula_fails_its_identity(
+        self, capsys, monkeypatch, fresh_identities, command, field, name, broken, check, identity
+    ):
+        monkeypatch.setattr(klein, name, broken(getattr(klein, name)))
+        code, out, err = run(capsys, command, "--field", field)
+        assert code == 3 and out == ""
+        assert err.startswith(f"bwcayley: internal error in check {check}: IdentityFails: identity {identity} fails")
         assert err.count("\n") == 1
 
 

@@ -44,7 +44,7 @@ def test_every_import_is_used(path):
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
 def test_no_dataclasses_import(path):
-    """The records are NamedTuples and plain classes: importing
+    """The records are plain classes: importing
     `dataclasses` would load `inspect` and its closure into every CLI
     process."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -110,6 +110,9 @@ PENDING = {
     "tangency_test": _TRACED,
     "incidence": _TRACED,
     "Line": _TRACED,  # only the other traced names build or read it
+    "verify_regulus": _TRACED,
+    "NotARegulus": _TRACED,  # only verify_regulus raises it
+    "nullspace": _TRACED,  # only verify_regulus calls it
 }
 
 

@@ -9,24 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bwcayley import bwspread, cayley, klein
+from bwcayley import bwspread, klein
 from bwcayley.bwspread import build_O, osculating_tangent
 from bwcayley.field import InfiniteField, PrimeField, Rationals
 from bwcayley.klein import (
+    CUBIC_BASIS,
     WrongCharacteristic,
     char3_congruence_check,
-    generator_cubic,
     generator_cubic_check,
     gram_apply,
     h1_form,
     h2_form,
     h3_form,
-    in_C,
     in_kappa_O,
     osculating_plane_pencil_check,
     pencil_LZomega,
     projection_check,
-    twisted_cubic_basis,
+    reguli_check,
     variety_zero_set,
     verify_variety_equality,
 )
@@ -46,15 +45,20 @@ from oracles import (
     char3_congruence_by_O,
     char3_congruence_by_walk,
     g_infinity,
+    generator_cubic,
+    generator_cubic_by_walk,
+    in_C,
     in_D,
     kappa_osculating,
     line_through,
     nuclei_line,
+    osculating_plane_pencil_by_ranks,
     parameter_grid,
     pencil_line,
     pencil_lines,
     project_through_Cperp,
     projection_by_walk,
+    reguli_by_walk,
     surface_point,
     variety_equality_by_O,
     variety_equality_by_walk,
@@ -162,7 +166,7 @@ class TestTwistedCubic:
         assert generator_cubic(1, 1, QQ) == tuple(map(Fraction, (0, 1, 1, 1, 1, 1)))
 
     def test_basis_reconstruction(self):
-        v0, v1, v2, v3 = twisted_cubic_basis(QQ)
+        v0, v1, v2, v3 = CUBIC_BASIS
         s0, s1 = Fraction(2), Fraction(3)
         combo = [
             s0**3 * a + s0**2 * s1 * b + s0 * s1**2 * c + s1**3 * d
@@ -178,7 +182,7 @@ class TestTwistedCubic:
         assert in_C(y, F5) and quadric_value(y, F5) == 0
 
     def test_zero_parameters_rejected(self):
-        with pytest.raises(cayley.ZeroParameters):
+        with pytest.raises(oracles.ZeroParameters):
             generator_cubic(0, 0, F5)
 
     def test_check_counts_generators(self):
@@ -237,7 +241,7 @@ class TestPencil:
         assert l.plucker == (0, 0, 0, 0, 1, 0)
 
     def test_zero_parameters_rejected(self):
-        with pytest.raises(cayley.ZeroParameters):
+        with pytest.raises(oracles.ZeroParameters):
             pencil_line(0, 0, F5)
 
     def test_images_span_expected_line(self):
@@ -461,7 +465,7 @@ class TestChar3:
         d_eq = [(0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)]
         polar = [gram_apply(row, F3) for row in d_eq]
         polar_canon = {canonicalize(v, F3) for v in polar}
-        _, v1, v2, _ = twisted_cubic_basis(F3)
+        _, v1, v2, _ = CUBIC_BASIS
         assert polar_canon == {canonicalize(v1, F3), canonicalize(v2, F3)}
 
     def test_wrong_characteristic_rejected(self):
@@ -554,13 +558,19 @@ class TestImageDifference:
         assert r.passed is False and r == by_O(F, build_O(F))
 
 
-# Each klein or char3 check that rests on identities over Z, and its walk in
-# tests/oracles.py.
+# Each klein or char3 check, all resting on identities over Z, and its walk in
+# tests/oracles.py; the checks that need characteristic 3 and the one that
+# refuses it.
 CERTIFIED_AND_WALK = {
     "variety_equality": (verify_variety_equality, variety_equality_by_walk),
     "projection": (projection_check, projection_by_walk),
+    "reguli": (reguli_check, reguli_by_walk),
+    "generator_cubic": (generator_cubic_check, generator_cubic_by_walk),
     "congruence": (char3_congruence_check, char3_congruence_by_walk),
+    "osculating_plane_pencil": (osculating_plane_pencil_check, osculating_plane_pencil_by_ranks),
 }
+CHAR3_ONLY = {"congruence", "osculating_plane_pencil"}
+NOT_CHAR3 = {"variety_equality"}
 
 
 class TestCertifiedEqualsWalk:
@@ -572,7 +582,7 @@ class TestCertifiedEqualsWalk:
     def test_every_prime_to_31_and_101(self, name, p):
         check, walk = CERTIFIED_AND_WALK[name]
         F = PrimeField(p)
-        if name != "projection" and (p == 3) != (name == "congruence"):
+        if (name in CHAR3_ONLY and p != 3) or (name in NOT_CHAR3 and p == 3):
             with pytest.raises(WrongCharacteristic):
                 check(F)
             with pytest.raises(WrongCharacteristic):

@@ -1,6 +1,6 @@
 """Exact elimination: the multi-modular rational path against the generic one, and GF(p) forms.
 
-Over Q, `rref`, `rank`, `nullspace` and `same_span` are compared with their
+Over Q, `rref`, `rank`, `nullspace` and `oracles.same_span` are compared with their
 values from `_rref_generic` (Gauss–Jordan through `Fraction` operations). The
 modular path's pieces are tested directly too: rational reconstruction, the
 prime stream, a first prime that drops the rank or moves a pivot, and entries
@@ -34,10 +34,9 @@ from bwcayley.linalg import (
     nullspace,
     rank,
     rref,
-    same_span,
 )
 from bwcayley.projspace import primitive_int_vector
-from oracles import rref_mod_by_lists
+from oracles import rref_mod_by_lists, same_span
 
 QQ = Rationals()
 F7 = PrimeField(7)

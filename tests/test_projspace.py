@@ -26,10 +26,19 @@ from bwcayley.projspace import (
     plucker,
     primitive_int_vector,
     quadric_value,
-    quadric_polarization,
 )
 from bwcayley.linalg import nullspace, rank, rref
-from oracles import add, dedup_lines, line_through, mul, plane_pencil, point_in_plane, span_points, sub
+from oracles import (
+    add,
+    dedup_lines,
+    line_through,
+    mul,
+    plane_pencil,
+    point_in_plane,
+    quadric_polarization,
+    span_points,
+    sub,
+)
 
 QQ = Rationals()
 F5 = PrimeField(5)
