@@ -4,8 +4,8 @@ O consists of the unique proper osculating tangent at every affine surface
 point together with the double line at infinity. Depending on how cubing
 behaves on the ground field, O is a spread and covering, a maximal partial
 spread, or not a partial spread at all; the certifiers below establish the
-case over finite fields from polynomial identities over Z plus counts in
-O(q), and symbolically plus by seeded spot checks over the rationals.
+case over finite fields from polynomial identities over Z plus closed-form
+counts, and symbolically plus by seeded spot checks over the rationals.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import cayley
-from .field import (
-    QQ,
-    Element,
-    Field,
-    InfiniteField,
-    cube_roots,
-    nontrivial_cube_root_of_unity,
-)
+from .field import QQ, Element, Field, InfiniteField, cube_root_count, cube_roots, least_non_cube
+from .field import nontrivial_cube_root_of_unity
 from .linalg import nullspace, rref
 from .projspace import (
     GeometryError,
@@ -279,6 +273,8 @@ IDENTITIES = {
         skew_value(0, 0, c * u1, c * c * u2) - c * c * c * c * skew_value(0, 0, u1, u2),
     ),
     "row_zero": lambda u2: (skew_value(0, 0, 0, u2) - u2 * u2,),
+    # on the row u1 = 1 the value is t^2 - 3t + 3, which is w^2 + w + 1 at t = 2 + w
+    "row_one": lambda w: (skew_value(0, 0, 1, 2 + w) - (w * w + w + 1),),
     "directrix_skew": lambda u1, u2: (polar_pairing(_kappa(u1, u2), DIRECTRIX_IMAGE) - 1,),
     # the tangent at u passes through (0, 1, 3u1, u2) of the plane at infinity
     "infinity_point": lambda u1, u2: _minus(plucker_minors(_point(u1, u2), (0, 1, 3 * u1, u2)), _kappa(u1, u2)),
@@ -338,10 +334,11 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     Translating v to (0, 0) keeps it (translation), so every tangent meets
     as many others as the origin tangent does. On the row u1 = 0 the value
     is u2^2 (row_zero), and the weight-4 scaling carries the row u1 = 1
-    onto every row u1 = c != 0 (weight_4). So the origin tangent meets
-    (q - 1)*m others, m the number of roots t of `skew_criterion(0, 0, 1,
-    t)`, there are q^2*(q - 1)*m/2 violations, and the lexicographically
-    first violating pair is ((0, 0), (1, least root)).
+    onto every row u1 = c != 0 (weight_4). On the row u1 = 1 the value at t =
+    2 + w is w^2 + w + 1 (row_one), so its roots are 2 + w and 1 - w for a cube
+    root w != 1 of 1, and 0 in characteristic 3 (w = 1). The origin tangent
+    meets (q - 1)*m others, m the number of roots, there are q^2*(q - 1)*m/2
+    violations, and the lexicographically first one is ((0, 0), (1, least root)).
     Rationals: the criterion is nonzero for all distinct pairs exactly when
     X^2+X+1 has no root, plus seeded random replays of both routes in ints.
     The criterion is weighted homogeneous of degree 4 (d1 of weight 1, d2 of
@@ -352,10 +349,11 @@ def certify_partial_spread(F: Field, seed: int = 0) -> CheckOutcome:
     by cross-multiplying, and a `Fraction` is formed only for a witness.
     """
     if F.is_finite:
-        for name in ("readback", "directrix_skew", "polarity", "translation", "row_zero", "weight_4"):
+        for name in ("readback", "directrix_skew", "polarity", "translation", "row_zero", "weight_4", "row_one"):
             certify_identity(name)
         q = F.order
-        roots = [t for t in F.elements() if skew_criterion(0, 0, 1, t, F) == F.zero]
+        w = 1 if F.characteristic == 3 else nontrivial_cube_root_of_unity(F)
+        roots = [] if w is None else sorted({F.of(2 + w), F.of(1 - w)})
         n_lines = q * q + 1
         return CheckOutcome(
             passed=not roots,
@@ -412,7 +410,7 @@ def lines_of_O_through(x: ProjPoint, F: Field) -> int:
     """
     x0, x1, x2, x3 = x
     if x0 != F.zero:
-        return len(cube_roots(covering_deficit(x1, x2, x3, F), F))
+        return cube_root_count(covering_deficit(x1, x2, x3, F), F)
     if x1 == F.zero:
         return 1
     if F.characteristic == 3:
@@ -423,9 +421,10 @@ def lines_of_O_through(x: ProjPoint, F: Field) -> int:
 def _affine_histogram(F: Field) -> Counter:
     """How many affine points lie on n lines of O, for each n. For fixed
     (x1, x2) the map x3 -> x3 - x1*x2 + x1^3 is a bijection of GF(q), so
-    this is q^2 times the histogram of the number of cube roots."""
-    q2 = F.order**2
-    return Counter({n: q2 * m for n, m in Counter(len(cube_roots(t, F)) for t in F.elements()).items()})
+    this is q^2 times the histogram of the number of cube roots: 0 has one,
+    and (q - 1)/k of the rest have k = `cube_root_count(1)`, the others none."""
+    q, k = F.order, cube_root_count(1, F)
+    return Counter({1: q * q}) + Counter({k: q * q * (q - 1) // k, 0: q * q * (q - 1) * (k - 1) // k})
 
 
 def _point_histogram(F: Field) -> Tuple[Counter, Counter, Optional[ProjPoint]]:
@@ -451,10 +450,10 @@ def certify_covering(F: Field) -> CheckOutcome:
     """Whether every point of PG(3,q) lies on a line of O, by `_point_histogram`.
 
     Multiplicity counts (0, 1 or 3 tangents through an affine point) are
-    reported; the check is O(q). The witness is the first uncovered point
-    at infinity in canonical order, else (1, 0, 0, t), whose deficit is t,
-    for the least non-cube t. Over the rationals it is the first
-    small-height point that no tangent reaches.
+    reported; no element of GF(q) is visited. The witness is the first
+    uncovered point at infinity in canonical order, else (1, 0, 0, t), whose
+    deficit is t, for the least non-cube t. Over the rationals it is the
+    first small-height point that no tangent reaches.
     """
     if not F.is_finite:
         witness = uncovered_witness_rational()
@@ -465,7 +464,8 @@ def certify_covering(F: Field) -> CheckOutcome:
         )
     histogram, at_infinity, witness = _point_histogram(F)
     if witness is None:
-        witness = next(((F.one, F.zero, F.zero, t) for t in F.elements() if not cube_roots(t, F)), None)
+        c = least_non_cube(F)
+        witness = None if c is None else (F.one, F.zero, F.zero, c)
     points = F.order**3 + F.order**2 + F.order + 1
     uncovered = at_infinity[0] + histogram[0]
     return CheckOutcome(
@@ -534,7 +534,7 @@ def certify_dual_spread(F: Field, fixes_O: Optional[bool]) -> CheckOutcome:
     lies in the plane d(x) exactly when x lies on d(l). So once d(O) = O is
     certified (fixes_O, from `certify_duality`), the plane d(x) holds as
     many lines of O as pass through x, `lines_of_O_through(x)`: the
-    histogram over the planes is `_point_histogram`'s, read off q cube-root
+    histogram over the planes is `_point_histogram`'s, read off the cube-root
     counts and three classes of points at infinity, the duals of the planes
     through the pinch point Z. The witness is the first canonical plane e
     whose point d(e) does not count 1. Also verifies the dual surrogate of

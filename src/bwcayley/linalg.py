@@ -11,8 +11,8 @@ rational reconstruction, forms the primitive integer kernel vectors from
 them, and certifies in integers that every one annihilates every input
 row. The reduced form is unique, so it equals the generic one value for
 value. `rref` over Q is a Fraction view of that core: it scales the rows
-to integers and divides the kernel vectors out; `nullspace` reads `rref`,
-and `rank` counts the core's pivots.
+to integers and divides the kernel vectors out, and `nullspace` reads
+`rref`.
 """
 
 from __future__ import annotations
@@ -277,14 +277,6 @@ def _integer_rows(rows: Sequence[Sequence]) -> List[List[int]]:
 def _free_columns(pivots: List[int], ncols: int) -> List[int]:
     pivot_set = set(pivots)
     return [c for c in range(ncols) if c not in pivot_set]
-
-
-def rank(rows: Sequence[Sequence], F: Field) -> int:
-    """The number of pivots; over Q counted off `integer_kernel`, with no
-    `Fraction` reduced form."""
-    if F.is_finite:
-        return len(rref(rows, F)[1])
-    return len(integer_kernel(_integer_rows(rows), len(rows[0]))[0]) if rows else 0
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int, F: Field) -> List[List]:

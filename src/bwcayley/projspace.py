@@ -13,7 +13,6 @@ y_ij = p_i*q_j - p_j*q_i.
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd, lcm
 from operator import mul as int_mul
 from typing import Iterator, List, Sequence, Tuple
@@ -199,14 +198,16 @@ def line_in_plane(l: Line, e: Sequence, F: Field) -> bool:
 
 
 def canonical_tuples(length: int, F: Field) -> Iterator[Vector]:
-    """All canonical homogeneous tuples, in lexicographic coordinate order."""
+    """All canonical homogeneous tuples, in lexicographic coordinate order,
+    each tail read off its index in base q, so a scan that stops early stops early."""
     if not F.is_finite:
         raise InfiniteField("enumeration needs a finite field")
-    elems = list(F.elements())
+    q = F.order
     for lead in range(length - 1, -1, -1):
         prefix = (F.zero,) * lead + (F.one,)
-        for tail in product(elems, repeat=length - 1 - lead):
-            yield prefix + tail
+        weights = [q**i for i in range(length - 2 - lead, -1, -1)]
+        for index in range(q ** len(weights)):
+            yield prefix + tuple(index // w % q for w in weights)
 
 
 def enumerate_points(F: Field) -> List[ProjPoint]:

@@ -61,8 +61,11 @@ and closed-form Klein images; `line_through`, `g_infinity`, `nuclei_line`,
 forms a surface point only inside `bwspread.osculating_tangent` and reads
 the tangents' Klein images through `bwspread.osculating_sextuple`;
 `surface_point` and `kappa_osculating` give either at any parameter over
-any field. `field.classify_field` reads the nontrivial cube roots of 1 off
-the cube table; `unity_root_by_quadratic` finds them as roots of X^2+X+1.
+any field. `field` reads how cubing acts on GF(p) off p mod 3 and the
+power a^((p-1)/3); `cube_table` lists every residue's cube roots by one pass
+over GF(p) instead, and `unity_root_by_quadratic` finds the nontrivial cube
+roots of 1 as roots of X^2+X+1. `rank` counts the pivots of
+`bwcayley.linalg`'s reduced forms, over Q those of `integer_kernel`.
 """
 
 import random
@@ -83,7 +86,7 @@ from bwcayley.bwspread import (
     skew_criterion,
     verify_regulus,
 )
-from bwcayley.field import QQ, Field, InfiniteField, cube_roots, nontrivial_cube_root_of_unity
+from bwcayley.field import QQ, Field, InfiniteField, nontrivial_cube_root_of_unity
 from bwcayley.klein import (
     CUBIC_BASIS,
     WrongCharacteristic,
@@ -95,7 +98,7 @@ from bwcayley.klein import (
     variety_zero_set,
 )
 from bwcayley.idealprobe import NUM_VARS, monomial_exponents
-from bwcayley.linalg import integer_kernel, rank, rref
+from bwcayley.linalg import _integer_rows, integer_kernel, rref
 from bwcayley.projspace import (
     CoincidentPoints,
     GeometryError,
@@ -212,8 +215,46 @@ def kappa_osculating(u1, u2, F: Field) -> KleinPoint:
 
 def unity_root_by_quadratic(p: int) -> Optional[int]:
     """The least root of X^2 + X + 1 mod p other than 1, or None: the
-    nontrivial cube roots of 1 found without the cube table."""
+    nontrivial cube roots of 1 found without cubing."""
     return next((x for x in range(2, p) if (x * x + x + 1) % p == 0), None)
+
+
+def primes_below(n: int) -> List[int]:
+    """The primes below n by a sieve, not by `field.is_prime`."""
+    composite, primes = set(), []
+    for p in range(2, n):
+        if p not in composite:
+            primes.append(p)
+            composite.update(range(p * p, n, p))
+    return primes
+
+
+def cube_table(p: int) -> Dict[int, List[int]]:
+    """Every residue's cube roots mod p in ascending order, by one exhaustive
+    pass over GF(p)."""
+    table: Dict[int, List[int]] = {a: [] for a in range(p)}
+    for s in range(p):
+        table[pow(s, 3, p)].append(s)
+    return table
+
+
+def least_non_cube_by_table(p: int) -> Optional[int]:
+    """The least residue with no cube root mod p, or None, off `cube_table`."""
+    return next((a for a, roots in cube_table(p).items() if not roots), None)
+
+
+def unity_root_by_table(p: int) -> Optional[int]:
+    """The least cube root of 1 mod p other than 1, or None, off `cube_table`."""
+    return next((w for w in cube_table(p)[1] if w != 1), None)
+
+
+def rank(rows: Sequence[Sequence], F: Field) -> int:
+    """The number of pivots of `linalg.rref`; over Q counted off
+    `linalg.integer_kernel` on the rows scaled to integers, with no
+    `Fraction` reduced form."""
+    if F.is_finite:
+        return len(rref(rows, F)[1])
+    return len(integer_kernel(_integer_rows(rows), len(rows[0]))[0]) if rows else 0
 
 
 def tangent_plane(u1, u2, F: Field) -> ProjPlane:
@@ -444,15 +485,16 @@ def plane_pencil(l: Line, F: Field) -> List[ProjPlane]:
 
 def covering_by_points(F: Field) -> CheckOutcome:
     """The covering check point by point: the cube roots of every affine
-    point's deficit, the direction rule at infinity."""
+    point's deficit, read off `cube_table`, the direction rule at infinity."""
     char3 = F.characteristic == 3
+    roots = cube_table(F.p)
     covered = uncovered = 0
     witness = None
     histogram: Dict[int, int] = {}
     for point in enumerate_points(F):
         x0, x1, x2, x3 = point
         if x0 != F.zero:
-            n = len(cube_roots(covering_deficit(x1, x2, x3, F), F))
+            n = len(roots[covering_deficit(x1, x2, x3, F)])
             histogram[n] = histogram.get(n, 0) + 1
             hit = n > 0
         elif x1 != F.zero:

@@ -33,7 +33,6 @@ from bwcayley.idealprobe import (
     vanishing_space,
 )
 from bwcayley.klein import pencil_LZomega, verify_variety_equality
-from bwcayley.linalg import rank
 from bwcayley.projspace import (
     canonicalize,
     enumerate_lines,
@@ -43,7 +42,7 @@ from bwcayley.projspace import (
     line_in_plane,
     lines_skew,
 )
-from oracles import f_value, parameter_grid, regulus_minus, variety_qd_points
+from oracles import f_value, parameter_grid, rank, regulus_minus, variety_qd_points
 
 QQ = Rationals()
 

@@ -41,8 +41,16 @@ from bwcayley.bwspread import (
 from bwcayley.cli import Run, certify_report, run_checks
 from bwcayley.klein import in_kappa_O, reguli_check
 from bwcayley.reports import Check, CheckOutcome, Report
-from bwcayley.field import InfiniteField, PrimeField, Rationals, SpreadRegime, classify_field, cube_roots
-from bwcayley.linalg import rank
+from bwcayley.field import (
+    InfiniteField,
+    PrimeField,
+    Rationals,
+    SpreadRegime,
+    classify_field,
+    cube_roots,
+    least_non_cube,
+    nontrivial_cube_root_of_unity,
+)
 from bwcayley.projspace import (
     canonicalize,
     enumerate_lines,
@@ -91,6 +99,8 @@ from oracles import (
     partial_spread_by_O,
     partial_spread_by_translations,
     point_in_plane,
+    primes_below,
+    rank,
     reguli_by_O,
     reguli_by_walk,
     regulus_lines,
@@ -218,6 +228,7 @@ IDENTITY_BOUNDS = {
     "translation": (4, 2, 4, 2),
     "weight_4": (4, 4, 2),
     "row_zero": (2,),
+    "row_one": (2,),
     "directrix_skew": (4, 2),
     "infinity_point": (4, 2),
     "dual_point": (3, 1),
@@ -349,6 +360,19 @@ class TestPartialSpread:
     def test_char3_fails(self):
         r = certify_partial_spread(F3)
         assert not r.passed and r.witness is not None
+
+    def test_roots_equal_a_scan_at_every_prime_below_1000(self):
+        # the roots of t^2 - 3t + 3 in closed form, 2 + w and 1 - w for a
+        # nontrivial cube root w of 1 (w = 1 in characteristic 3), against
+        # the criterion on the row u1 = 1 at every t of GF(p)
+        for p in primes_below(1000):
+            F = PrimeField(p)
+            scan = [t for t in range(p) if skew_criterion(0, 0, 1, t, F) == 0]
+            w = 1 if p == 3 else nontrivial_cube_root_of_unity(F)
+            assert ([] if w is None else sorted({(2 + w) % p, (1 - w) % p})) == scan, p
+            r = certify_partial_spread(F)
+            assert r.witness == (((0, 0), (1, scan[0])) if scan else None), p
+            assert r.counts["violations"] == p * p * (p - 1) * len(scan) // 2, p
 
     def test_rationals_pass(self):
         r = certify_partial_spread(QQ, seed=1)
@@ -1248,6 +1272,41 @@ def _brute_regulus(lines, F, all_lines):
 def _passed_by_name(report):
     """Each check's status read back as CheckOutcome.passed (None when skipped)."""
     return {c.name: {"pass": True, "fail": False, "skipped": None}[c.status] for c in report.checks}
+
+
+class TestLargeFields:
+    """Fields far beyond any walk or table: every prediction is met, and each
+    count and witness equals its closed form."""
+
+    @pytest.mark.parametrize("p", [1000003, 1000000000039, 999999999989])
+    def test_counts_and_witnesses_in_closed_form(self, p):
+        F, q = PrimeField(p), p
+        q2, one_mod_3 = q * q, p % 3 == 1
+        report = certify_report(F)
+        assert report.mismatches() == []
+        checks = {c.name: c.outcome for c in report.checks}
+        partial, covering = checks["partial_spread"], checks["covering"]
+        assert partial.counts["violations"] == (q2 * (q - 1) if one_mod_3 else 0)
+        histogram = {k: v for k, v in covering.counts.items() if k.startswith("affine_with_")}
+        if one_mod_3:
+            w = nontrivial_cube_root_of_unity(F)
+            assert (w * w + w + 1) % p == 0
+            assert partial.witness == ((0, 0), (1, min((2 + w) % p, (1 - w) % p)))
+            assert skew_criterion(*partial.witness[0], *partial.witness[1], F) == 0
+            assert covering.witness == (1, 0, 0, least_non_cube(F))
+            assert histogram == {
+                "affine_with_0_tangents": 2 * q2 * (q - 1) // 3,
+                "affine_with_1_tangents": q2,
+                "affine_with_3_tangents": q2 * (q - 1) // 3,
+            }
+            assert checks["dual_spread"].witness == (0, 0, 1, 1)
+        else:
+            assert partial.witness is covering.witness is checks["dual_spread"].witness is None
+            assert histogram == {"affine_with_1_tangents": q2 * q}
+        assert covering.counts["uncovered"] == histogram.get("affine_with_0_tangents", 0)
+        assert checks["dual_spread"].counts["planes"] == q2 * q + q2 + q + 1
+        klein = run_checks(Report("klein", F.spec_string()), Run(F))
+        assert [c.status for c in klein.checks] == ["pass"] * 4
 
 
 class TestRegimeConsistency:

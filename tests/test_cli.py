@@ -146,6 +146,19 @@ class TestExitCodes:
         bwspread.certify_covering(PrimeField(p))
         assert [x for x, _ in calls] == [(0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 1, 0)]
 
+    @pytest.mark.parametrize(
+        "command,field", [("certify", "gf:7"), ("certify", "gf:11"), ("certify", "gf:3"), ("klein", "gf:7"), ("char3", "gf:3")]
+    )
+    def test_no_check_visits_the_field_elements(self, capsys, monkeypatch, command, field):
+        # cubing is read off p mod 3 and powers, and the dual-spread witness
+        # off a lazy scan of the first planes, so no check lists GF(p)
+        def refused(self):
+            raise AssertionError("a check listed the elements of GF(p)")
+
+        monkeypatch.setattr(PrimeField, "elements", refused)
+        code, _, err = run(capsys, command, "--field", field)
+        assert code == 0 and err == ""
+
     @pytest.mark.parametrize("command", ["certify", "klein"])
     def test_no_check_joins_a_tangent(self, capsys, monkeypatch, command):
         # the finite checks never build a tangent by joining two points and
@@ -160,7 +173,7 @@ class TestExitCodes:
     def test_klein_and_char3_reduce_no_matrix(self, capsys, monkeypatch, fresh_identities, command, field):
         # the reguli, the generator cubic and the osculating planes rest on
         # identities over Z, certified afresh here, so no check calls linalg
-        names = ("rref", "nullspace", "rank")
+        names = ("rref", "nullspace", "integer_kernel")
         calls = {name: count_calls(monkeypatch, linalg, name) for name in names}
         code, _, _ = run(capsys, command, "--field", field)
         assert code == 0 and {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 0)
@@ -203,13 +216,13 @@ class TestExitCodes:
         assert dimension == checks["nonalgebraicity"]["counts"]["forms"]
 
     def test_check_exception_is_an_internal_error(self, capsys, monkeypatch):
-        def broken(v1, v2, u1, u2, F):
-            raise GeometryError(f"no criterion at {(u1, u2)}")
+        def broken(F):
+            raise GeometryError(f"no cube root of unity in {F.spec_string()}")
 
-        monkeypatch.setattr(bwspread, "skew_criterion", broken)
+        monkeypatch.setattr(bwspread, "nontrivial_cube_root_of_unity", broken)
         code, out, err = run(capsys, "certify", "--field", "gf:5")
         assert code == 3 and out == ""
-        assert err == "bwcayley: internal error in check partial_spread: GeometryError: no criterion at (1, 0)\n"
+        assert err == "bwcayley: internal error in check partial_spread: GeometryError: no cube root of unity in gf:5\n"
 
     @pytest.mark.parametrize(
         "name,broken,identity",

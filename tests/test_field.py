@@ -7,18 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bwcayley.field import (
+    FieldError,
     MalformedSpec,
     NonPrimeModulus,
     PrimeField,
     Rationals,
     SpreadRegime,
     classify_field,
+    cube_root_count,
     cube_roots,
     icbrt,
+    least_non_cube,
     nontrivial_cube_root_of_unity,
     parse_field_spec,
 )
-from oracles import unity_root_by_quadratic
+from oracles import cube_table, least_non_cube_by_table, primes_below, unity_root_by_quadratic, unity_root_by_table
 
 QQ = Rationals()
 
@@ -27,16 +30,6 @@ rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**
 
 def brute_cube_roots(a: int, p: int) -> set:
     return {s for s in range(p) if pow(s, 3, p) == a % p}
-
-
-def primes_below(n: int) -> list:
-    """The primes below n by a sieve, not by `field.is_prime`."""
-    composite, primes = set(), []
-    for p in range(2, n):
-        if p not in composite:
-            primes.append(p)
-            composite.update(range(p * p, n, p))
-    return primes
 
 
 class TestParse:
@@ -65,25 +58,27 @@ class TestCubeRoots:
     def test_gf5_two(self):
         # brute force: 3^3 = 27 = 2 mod 5, and no other cube hits 2
         assert brute_cube_roots(2, 5) == {3}
-        assert cube_roots(2, PrimeField(5)) == {3}
+        assert cube_root_count(2, PrimeField(5)) == 1
 
     def test_rational_eight(self):
         assert cube_roots(Fraction(8), QQ) == {Fraction(2)}
 
     def test_gf7_one(self):
         assert brute_cube_roots(1, 7) == {1, 2, 4}
-        assert cube_roots(1, PrimeField(7)) == {1, 2, 4}
+        assert cube_root_count(1, PrimeField(7)) == 3
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_matches_brute_force_everywhere(self, p):
         F = PrimeField(p)
         for a in range(p):
-            assert cube_roots(a, F) == brute_cube_roots(a, p)
+            assert cube_root_count(a, F) == len(brute_cube_roots(a, p))
+            # any representative of the residue
+            assert cube_root_count(a - 2 * p, F) == cube_root_count(a + 5 * p, F) == cube_root_count(a, F)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
     def test_root_count_law(self, p):
         F = PrimeField(p)
-        sizes = {len(cube_roots(a, F)) for a in range(p)}
+        sizes = {cube_root_count(a, F) for a in range(p)}
         assert sizes <= {0, 1, 3}
         all_unique = sizes == {1}
         assert all_unique == (p % 3 != 1 or p == 3)
@@ -95,6 +90,27 @@ class TestCubeRoots:
     @given(rationals)
     def test_rational_cube_always_recovered(self, s):
         assert cube_roots(s**3, QQ) == {s}
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_cube_roots_refuses_a_prime_field(self, p):
+        with pytest.raises(FieldError, match="cube_root_count"):
+            cube_roots(1, PrimeField(p))
+
+    def test_a_prime_field_holds_only_its_modulus(self):
+        F = PrimeField(7)
+        assert (cube_root_count(3, F), least_non_cube(F), nontrivial_cube_root_of_unity(F)) == (0, 2, 2)
+        assert classify_field(F) == SpreadRegime.NOT_PARTIAL_SPREAD
+        assert vars(F) == {"p": 7}
+
+
+class TestAgainstTheTable:
+    def test_every_prime_below_1000(self):
+        # the power test against one exhaustive pass over GF(p)
+        for p in primes_below(1000):
+            F, table = PrimeField(p), cube_table(p)
+            assert [cube_root_count(a, F) for a in range(p)] == [len(table[a]) for a in range(p)], p
+            assert least_non_cube(F) == least_non_cube_by_table(p), p
+            assert nontrivial_cube_root_of_unity(F) == unity_root_by_table(p), p
 
 
 class TestUnityRoot:
@@ -127,7 +143,7 @@ class TestProfileAndRegime:
         for p in primes_below(1000):
             F = PrimeField(p)
             assert nontrivial_cube_root_of_unity(F) == unity_root_by_quadratic(p), p
-            image = [a for a in range(p) if cube_roots(a, F)]
+            image = [a for a in range(p) if cube_root_count(a, F)]
             assert (len(image) == p) == (classify_field(F) == SpreadRegime.SPREAD_AND_COVERING or p == 3), p
 
     @pytest.mark.parametrize("p", [2, 5, 7, 11, 13, 17, 19, 31])
@@ -139,8 +155,8 @@ class TestProfileAndRegime:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_injective_iff_surjective_iff_mod3(self, p):
         F = PrimeField(p)
-        injective = all(len(cube_roots(a, F)) <= 1 for a in range(p))
-        surjective = all(cube_roots(a, F) for a in range(p))
+        injective = all(cube_root_count(a, F) <= 1 for a in range(p))
+        surjective = all(cube_root_count(a, F) for a in range(p))
         assert injective == surjective == (p % 3 != 1)
 
     def test_rational_profile(self):

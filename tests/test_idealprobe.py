@@ -22,13 +22,14 @@ from bwcayley.idealprobe import (
     vanishing_space,
 )
 from bwcayley.klein import h1_form, h2_form, h3_form
-from bwcayley.linalg import integer_kernel, rank, rref
+from bwcayley.linalg import integer_kernel, rref
 from bwcayley.projspace import primitive_int_vector, quadric_value
 from oracles import (
     kappa_kernel_on_grid,
     known_quadric_coefficients,
     monomial_row_by_powers,
     pencil_sample_points,
+    rank,
     same_span,
     sample_kappa_O_by_fractions,
     sample_parameters,

@@ -32,11 +32,10 @@ from bwcayley.linalg import (
     _rref_mod,
     integer_kernel,
     nullspace,
-    rank,
     rref,
 )
 from bwcayley.projspace import primitive_int_vector
-from oracles import rref_mod_by_lists, same_span
+from oracles import rank, rref_mod_by_lists, same_span
 
 QQ = Rationals()
 F7 = PrimeField(7)

@@ -27,7 +27,7 @@ from bwcayley.projspace import (
     primitive_int_vector,
     quadric_value,
 )
-from bwcayley.linalg import nullspace, rank, rref
+from bwcayley.linalg import nullspace, rref
 from oracles import (
     add,
     dedup_lines,
@@ -36,6 +36,7 @@ from oracles import (
     plane_pencil,
     point_in_plane,
     quadric_polarization,
+    rank,
     span_points,
     sub,
 )
